@@ -11,11 +11,11 @@ The last form runs one workload for S seconds and prints one JSON line:
 {"correct", "attempted", "failed", "metrics"}. Every other form writes
 build-bench/out/results.json.
 
-A run is a series of rounds, each a fresh iolite_bench process running the
-workload once at 1/10 of its full length, repeated until the run's seconds
-are used. This host's speed drifts by 15% over seconds, so a run reports
-req_per_s and cpu_s from its fastest round, and the median round for
-everything else.
+A run is a series of short rounds, each a fresh iolite_bench process running
+the workload once at 3/100 of its full length, repeated until the run's
+seconds are used. A shared host slows single rounds by up to 40% for
+seconds at a time, so a run reports req_per_s and cpu_s from its fastest
+round, setup_s from its lowest, and the median round for everything else.
 """
 
 import argparse
@@ -35,16 +35,17 @@ OUT = BUILD / "out"
 BINARY = BUILD / "iolite_bench"
 REFERENCE = BENCH_DIR / "reference.json"
 
-SCALE = 0.1          # Round length as a share of the full run lengths.
+SCALE = 0.03         # Round length as a share of the full run lengths.
 SMOKE_SCALE = 0.01
 MIN_ROUNDS = 3
 REPETITIONS = 5
 ROUND_TIMEOUT_S = 150
 SETUP_FLOOR_S = 0.05  # setup_s regresses only past max(bound x median, this).
 
-# Read from the fastest round (highest req_per_s); everything else takes
-# the median round.
+# Read from the fastest round (highest req_per_s); setup_s is the lowest
+# round's; everything else takes the median round.
 BEST_ROUND_METRICS = ("req_per_s", "cpu_s")
+LOWEST_ROUND_METRICS = ("setup_s",)
 # End-to-end metrics that BENCHMARK.json cannot carry: fail_frac is zero on
 # every correct run, and the simulated metrics are deterministic per seed
 # (BENCHMARK.json lists them under per_layer, without a bound).
@@ -67,7 +68,11 @@ def load_spec():
 
 
 SPEC = load_spec()
-WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+# fleet-sharded runs four threads, so its speed needs four quiet cores at
+# once: over ten seeds its req_per_s spread 0.16-0.24 on a 4-vCPU VM, too
+# wide for a bound. BENCHMARK.json does not list it; the full form runs it.
+UNGATED_WORKLOADS = ["fleet-sharded"]
+WORKLOADS = [w["name"] for w in SPEC["workloads"]] + UNGATED_WORKLOADS
 UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 UNITS.update({k: v["unit"] for k, v in EXTRA_END_TO_END.items()})
 
@@ -200,6 +205,8 @@ def summarize(workload, rounds):
     for name in plain[0]["metrics"]:
         if name in BEST_ROUND_METRICS:
             metrics[name] = best["metrics"][name]
+        elif name in LOWEST_ROUND_METRICS:
+            metrics[name] = min(r["metrics"][name] for r in plain)
         else:
             metrics[name] = statistics.median(r["metrics"][name] for r in plain)
     per_layer = {}
