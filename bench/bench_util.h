@@ -382,9 +382,7 @@ inline ioldrv::ExperimentResult RunSingleFile(ServerKind kind, size_t file_bytes
 // CGI experiment (Figures 5 and 6).
 inline ioldrv::ExperimentResult RunCgi(
     ServerKind kind, size_t doc_bytes, bool persistent, int clients = 40,
-    uint64_t requests = 4000,
-    iolhttp::CgiTransport transport = iolhttp::CgiTransport::kSimulatedPipe,
-    uint64_t warmup = 200) {
+    uint64_t requests = 4000, uint64_t warmup = 200) {
   iolsys::SystemOptions options;
   options.checksum_cache = IsLite(kind);
   auto sys = std::make_unique<iolsys::System>(options);
@@ -392,7 +390,7 @@ inline ioldrv::ExperimentResult RunCgi(
   std::unique_ptr<iolhttp::HttpServer> server;
   if (IsLite(kind)) {
     server = std::make_unique<iolhttp::LiteCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
-                                                      &sys->runtime(), doc_bytes, transport);
+                                                      &sys->runtime(), doc_bytes);
   } else {
     server = std::make_unique<iolhttp::CopyCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
                                                       doc_bytes, kind == ServerKind::kApache);

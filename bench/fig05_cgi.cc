@@ -24,35 +24,25 @@ int main(int argc, char** argv) {
 
   iolbench::PrintHeader(
       "Figure 5: HTTP/FastCGI bandwidth (Mb/s), nonpersistent",
-      "size_kb\tFlash-Lite\tFL-shm\tFlash\tApache\tlite_cgi/static\tflash_cgi/static");
+      "size_kb\tFlash-Lite\tFlash\tApache\tlite_cgi/static\tflash_cgi/static");
   for (size_t size : sizes) {
     ioldrv::ExperimentResult lite_cgi =
-        iolbench::RunCgi(ServerKind::kFlashLite, size, false, clients, requests,
-                         iolhttp::CgiTransport::kSimulatedPipe, warmup);
-    // Same server over the real shared-memory ring transport (src/ipc):
-    // identical responses, payload crossing as descriptors.
-    ioldrv::ExperimentResult lite_cgi_shm =
-        iolbench::RunCgi(ServerKind::kFlashLite, size, false, clients, requests,
-                         iolhttp::CgiTransport::kShmRing, warmup);
+        iolbench::RunCgi(ServerKind::kFlashLite, size, false, clients, requests, warmup);
     ioldrv::ExperimentResult flash_cgi =
-        iolbench::RunCgi(ServerKind::kFlash, size, false, clients, requests,
-                         iolhttp::CgiTransport::kSimulatedPipe, warmup);
+        iolbench::RunCgi(ServerKind::kFlash, size, false, clients, requests, warmup);
     ioldrv::ExperimentResult apache_cgi =
-        iolbench::RunCgi(ServerKind::kApache, size, false, clients, requests,
-                         iolhttp::CgiTransport::kSimulatedPipe, warmup);
+        iolbench::RunCgi(ServerKind::kApache, size, false, clients, requests, warmup);
     double lite_static =
         iolbench::RunSingleFile(ServerKind::kFlashLite, size, false, clients, requests, warmup)
             .megabits_per_sec;
     double flash_static =
         iolbench::RunSingleFile(ServerKind::kFlash, size, false, clients, requests, warmup)
             .megabits_per_sec;
-    std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\n", size / 1024.0,
-                lite_cgi.megabits_per_sec, lite_cgi_shm.megabits_per_sec,
-                flash_cgi.megabits_per_sec, apache_cgi.megabits_per_sec,
-                lite_cgi.megabits_per_sec / lite_static,
+    std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\n", size / 1024.0,
+                lite_cgi.megabits_per_sec, flash_cgi.megabits_per_sec,
+                apache_cgi.megabits_per_sec, lite_cgi.megabits_per_sec / lite_static,
                 flash_cgi.megabits_per_sec / flash_static);
     json.AddExperiment("Flash-Lite-CGI", size / 1024.0, lite_cgi);
-    json.AddExperiment("Flash-Lite-CGI-shm", size / 1024.0, lite_cgi_shm);
     json.AddExperiment("Flash-CGI", size / 1024.0, flash_cgi);
     json.AddExperiment("Apache-CGI", size / 1024.0, apache_cgi);
   }

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const int clients = opts.Clients(40);
   const uint64_t requests = opts.Requests(4000);
   const uint64_t warmup = opts.Warmup(200);
-  const auto pipe = iolhttp::CgiTransport::kSimulatedPipe;
   const std::vector<size_t> sizes = {500,       2 * 1024,  5 * 1024,   10 * 1024,
                                      20 * 1024, 50 * 1024, 100 * 1024, 200 * 1024};
 
@@ -24,13 +23,13 @@ int main(int argc, char** argv) {
                         "size_kb\tFlash-Lite\tFlash\tApache\tflash_gain_vs_http10");
   for (size_t size : sizes) {
     ioldrv::ExperimentResult lite =
-        iolbench::RunCgi(ServerKind::kFlashLite, size, true, clients, requests, pipe, warmup);
+        iolbench::RunCgi(ServerKind::kFlashLite, size, true, clients, requests, warmup);
     ioldrv::ExperimentResult flash =
-        iolbench::RunCgi(ServerKind::kFlash, size, true, clients, requests, pipe, warmup);
+        iolbench::RunCgi(ServerKind::kFlash, size, true, clients, requests, warmup);
     ioldrv::ExperimentResult apache =
-        iolbench::RunCgi(ServerKind::kApache, size, true, clients, requests, pipe, warmup);
+        iolbench::RunCgi(ServerKind::kApache, size, true, clients, requests, warmup);
     double flash_http10 =
-        iolbench::RunCgi(ServerKind::kFlash, size, false, clients, requests, pipe, warmup)
+        iolbench::RunCgi(ServerKind::kFlash, size, false, clients, requests, warmup)
             .megabits_per_sec;
     std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n", size / 1024.0, lite.megabits_per_sec,
                 flash.megabits_per_sec, apache.megabits_per_sec,

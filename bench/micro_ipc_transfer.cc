@@ -1,15 +1,11 @@
-// Microbenchmark / ablation for the Section 3.2 IPC claims, in two layers:
-//
-//  * *Simulated* cost: a cold cross-domain transfer pays page remapping; a
-//    warm transfer (recycled buffers, persistent mappings) approaches
-//    shared-memory cost — two syscalls and the write-permission toggle.
-//  * *Real transport* (src/ipc): the same warm transfer over an actual
-//    shared-memory region and SPSC descriptor ring, where zero-copy is a
-//    measured property (stats counters), not a charged assumption.
+// Microbenchmark / ablation for the Section 3.2 IPC claims: a cold
+// cross-domain transfer pays page remapping; a warm transfer (recycled
+// buffers, persistent mappings) approaches shared-memory cost — two
+// syscalls and the write-permission toggle.
 //
 // Reported via google-benchmark for the host-side mechanics, with the
-// simulated per-transfer costs and the real-transport copy accounting
-// printed once at the end.
+// simulated per-transfer costs printed once at the end. The real
+// cross-process transport is measured by bench_fig_ipc_plane.
 
 #include <benchmark/benchmark.h>
 
@@ -17,9 +13,6 @@
 
 #include "src/iolite/pipe.h"
 #include "src/iolite/runtime.h"
-#include "src/ipc/ring_channel.h"
-#include "src/ipc/shm_pool.h"
-#include "src/ipc/shm_region.h"
 #include "src/simos/sim_context.h"
 
 namespace {
@@ -44,36 +37,6 @@ void BM_WarmPipeTransfer(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_WarmPipeTransfer)->Arg(4096)->Arg(65536);
-
-// Host-time of a warm transfer over the *real* shared-memory transport:
-// allocation from a region-backed pool, descriptor push through the SPSC
-// ring, descriptor resolution on the read side. The payload is never
-// touched; per-iteration work is independent of n.
-void BM_WarmShmRingTransfer(benchmark::State& state) {
-  iolsim::SimContext ctx;
-  iolsim::DomainId producer = ctx.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx.vm().CreateDomain("consumer");
-  auto region = iolipc::ShmRegion::Create(32 << 20);
-  if (region == nullptr) {
-    state.SkipWithError("mmap failed; no shared memory available");
-    return;
-  }
-  iolipc::ShmPool pool(&ctx, "bm-shm", producer, region.get());
-  iolipc::ShmStream stream(&ctx, &pool, iolipc::RingChannel::Create(region.get(), 256));
-  size_t n = state.range(0);
-
-  for (auto _ : state) {
-    iolite::BufferRef b = pool.Allocate(n);
-    b->Seal(n);
-    stream.Write(producer, iolite::Aggregate::FromBuffer(std::move(b)));
-    iolite::Aggregate got = stream.Read(consumer, n);
-    benchmark::DoNotOptimize(got.size());
-  }
-  state.SetBytesProcessed(state.iterations() * n);
-  state.counters["payload_bytes_copied"] =
-      static_cast<double>(ctx.stats().ipc_bytes_copied);
-}
-BENCHMARK(BM_WarmShmRingTransfer)->Arg(4096)->Arg(65536);
 
 // Simulated-cost comparison printed as a one-shot report.
 void ReportSimulatedTransferCosts() {
@@ -104,60 +67,11 @@ void ReportSimulatedTransferCosts() {
               "shared memory\n");
 }
 
-// Real-transport comparison: the same warm/cold 60KB transfer over the
-// src/ipc shared-memory ring, with the zero-copy claim checked against the
-// stats counters instead of assumed.
-void ReportRealTransferCosts() {
-  iolsim::SimContext ctx;
-  iolsim::DomainId producer = ctx.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx.vm().CreateDomain("consumer");
-  auto region = iolipc::ShmRegion::Create(8 << 20);
-  if (region == nullptr) {
-    std::printf("# real transport unavailable (mmap failed); skipped\n");
-    return;
-  }
-  iolipc::ShmPool pool(&ctx, "report-shm", producer, region.get());
-  iolipc::ShmStream stream(&ctx, &pool, iolipc::RingChannel::Create(region.get(), 64));
-
-  auto transfer = [&]() {
-    iolite::BufferRef b = pool.Allocate(60000);
-    b->Seal(60000);
-    stream.Write(producer, iolite::Aggregate::FromBuffer(std::move(b)));
-    stream.Read(consumer, 60000);
-  };
-
-  iolsim::SimTime t0 = ctx.clock().now();
-  transfer();  // Cold: region extent carving + chunk allocation.
-  iolsim::SimTime cold = ctx.clock().now() - t0;
-
-  uint64_t copied_before = ctx.stats().ipc_bytes_copied;
-  uint64_t generic_copied_before = ctx.stats().bytes_copied;
-  constexpr int kWarm = 100;
-  t0 = ctx.clock().now();
-  for (int i = 0; i < kWarm; ++i) {
-    transfer();  // Warm: recycled region buffer, descriptors only.
-  }
-  iolsim::SimTime warm = (ctx.clock().now() - t0) / kWarm;
-
-  uint64_t copied = (ctx.stats().ipc_bytes_copied - copied_before) +
-                    (ctx.stats().bytes_copied - generic_copied_before);
-  std::printf("# real shm-ring 60KB transfer (%s): cold=%.1fus warm=%.1fus, "
-              "%llu payload bytes copied per warm transfer (want 0), "
-              "%llu bytes by reference\n",
-              region->posix_shm_backed() ? "shm_open" : "anon-mmap fallback", cold / 1000.0,
-              warm / 1000.0, static_cast<unsigned long long>(copied / kWarm),
-              static_cast<unsigned long long>(ctx.stats().ipc_bytes_transferred));
-  if (copied != 0) {
-    std::printf("# WARNING: warm shm transfer touched payload bytes\n");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   ReportSimulatedTransferCosts();
-  ReportRealTransferCosts();
   return 0;
 }

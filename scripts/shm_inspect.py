@@ -37,7 +37,7 @@ COUNTERS_MAGIC = 0x494F4C43  # "IOLC"
 
 HEADER_SPAN = 64  # Region header; payload starts here.
 
-SHM_TYPE_NAMES = {0: "raw", 1: "queue", 2: "map", 3: "futures", 4: "counters", 5: "ring"}
+SHM_TYPE_NAMES = {0: "raw", 1: "queue", 2: "map", 3: "futures", 4: "counters"}
 
 # Index-aligned with PlaneCounter in src/ipc/shm_counters.h.
 COUNTER_NAMES = [

@@ -1,9 +1,6 @@
 #include "src/httpd/cgi.h"
 
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 
 namespace iolhttp {
 
@@ -27,7 +24,7 @@ void CopyCgiProcess::ProduceResponse(iolposix::PosixPipe* pipe) {
 // --- LiteCgiProcess ---------------------------------------------------------
 
 LiteCgiProcess::LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* runtime,
-                               size_t doc_bytes, iolipc::ShmRegion* region)
+                               size_t doc_bytes)
     : ctx_(ctx) {
   domain_ = ctx_->vm().CreateDomain("cgi-process");
   // Build the cached document once: generation cost paid here, after which
@@ -37,16 +34,8 @@ LiteCgiProcess::LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* r
   for (size_t i = 0; i < doc_bytes; ++i) {
     bytes[i] = static_cast<char>('A' + (i * 131) % 26);
   }
-  iolite::BufferRef buffer;
-  if (region != nullptr) {
-    shm_pool_ = std::make_unique<iolipc::ShmPool>(ctx, "cgi-shm-pool", domain_, region);
-    pool_ = nullptr;
-    buffer = shm_pool_->AllocateFrom(bytes.data(), doc_bytes);
-  } else {
-    pool_ = runtime->CreatePool("cgi-pool", domain_);
-    buffer = pool_->AllocateFrom(bytes.data(), doc_bytes);
-  }
-  doc_ = iolite::Aggregate::FromBuffer(std::move(buffer));
+  iolite::BufferPool* pool = runtime->CreatePool("cgi-pool", domain_);
+  doc_ = iolite::Aggregate::FromBuffer(pool->AllocateFrom(bytes.data(), doc_bytes));
 }
 
 void LiteCgiProcess::ProduceResponse(iolite::PipeChannel* channel) {
@@ -55,17 +44,6 @@ void LiteCgiProcess::ProduceResponse(iolite::PipeChannel* channel) {
   ctx_->ChargeCpu(ctx_->cost().SyscallCost());
   ctx_->stats().syscalls++;
   channel->Push(doc_);
-}
-
-void LiteCgiProcess::ProduceResponse(iolipc::ShmStream* stream) {
-  ctx_->ChargeCpu(ctx_->cost().params().cgi_request_cpu);
-  // Same syscall surface as the simulated pipe; the payload crosses the
-  // ring as descriptors only (the document is region-resident).
-  ctx_->ChargeCpu(ctx_->cost().SyscallCost());
-  ctx_->stats().syscalls++;
-  size_t pushed = stream->Write(domain_, doc_);
-  assert(pushed == doc_.size() && "CGI ring sized to always accept one document");
-  (void)pushed;
 }
 
 // --- CopyCgiServer ----------------------------------------------------------
@@ -139,47 +117,15 @@ void CopyCgiServer::StartRequest(RequestContext* req) {
 
 // --- LiteCgiServer ----------------------------------------------------------
 
-namespace {
-
-// Region sized for the cached document (chunk-rounded) plus ring state and
-// slack for staging; only used on the kShmRing transport.
-std::unique_ptr<iolipc::ShmRegion> MakeCgiRegion(iolsim::SimContext* ctx, size_t doc_bytes,
-                                                 CgiTransport transport) {
-  if (transport != CgiTransport::kShmRing) {
-    return nullptr;
-  }
-  size_t chunk = static_cast<size_t>(ctx->cost().params().chunk_size);
-  size_t doc_span = (doc_bytes + chunk - 1) / chunk * chunk;
-  auto region = iolipc::ShmRegion::Create(doc_span + 4 * chunk);
-  if (region == nullptr) {
-    // No error path out of the constructor chain; dying loudly beats the
-    // null dereference a release build would otherwise hit.
-    std::fprintf(stderr, "LiteCgiServer: mmap failed for %zu-byte CGI shm region\n",
-                 doc_span + 4 * chunk);
-    std::abort();
-  }
-  return region;
-}
-
-constexpr uint32_t kCgiRingSlots = 256;
-
-}  // namespace
-
 LiteCgiServer::LiteCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                              iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime,
-                             size_t doc_bytes, CgiTransport transport)
+                             size_t doc_bytes)
     : HttpServer(ctx, net, io),
       runtime_(runtime),
-      transport_(transport),
-      region_(MakeCgiRegion(ctx, doc_bytes, transport)),
-      cgi_(ctx, runtime, doc_bytes, region_.get()),
+      cgi_(ctx, runtime, doc_bytes),
       channel_(std::make_shared<iolite::PipeChannel>(ctx)) {
   server_domain_ = ctx_->vm().CreateDomain("flash-lite-cgi");
   header_pool_ = runtime_->CreatePool("flash-lite-cgi-headers", server_domain_);
-  if (transport_ == CgiTransport::kShmRing) {
-    stream_ = std::make_unique<iolipc::ShmStream>(
-        ctx_, cgi_.shm_pool(), iolipc::RingChannel::Create(region_.get(), kCgiRingSlots));
-  }
 }
 
 uint32_t LiteCgiServer::AcquireBody() {
@@ -210,24 +156,17 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
       [this, req] {
         // Stage 2 — the CGI hop, by reference: the process pushes the
         // cached document into the channel, the server IOL_reads the
-        // aggregate out (one syscall; descriptor resolution on the ring,
-        // cold-chunk mapping on the simulated pipe), zero payload copies.
+        // aggregate out (one syscall; cold-chunk mapping), zero payload
+        // copies.
         // The aggregate rides in a pooled node across the suspension.
         uint32_t body = AcquireBody();
         CpuStage(
             [this, body] {
               iolite::Aggregate& agg = bodies_[body].agg;
-              if (transport_ == CgiTransport::kShmRing) {
-                cgi_.ProduceResponse(stream_.get());
-                ctx_->ChargeCpu(ctx_->cost().SyscallCost());
-                ctx_->stats().syscalls++;
-                agg = stream_->Read(server_domain_, SIZE_MAX);
-              } else {
-                cgi_.ProduceResponse(channel_.get());
-                ctx_->ChargeCpu(ctx_->cost().SyscallCost());
-                ctx_->stats().syscalls++;
-                agg = channel_->Pop(SIZE_MAX);
-              }
+              cgi_.ProduceResponse(channel_.get());
+              ctx_->ChargeCpu(ctx_->cost().SyscallCost());
+              ctx_->stats().syscalls++;
+              agg = channel_->Pop(SIZE_MAX);
               runtime_->MapAggregate(agg, server_domain_);
             },
             [this, req, body] {
@@ -239,9 +178,6 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
                     iolite::Aggregate response = iolite::Aggregate::FromBuffer(
                         MakeIoLiteHeader(ctx_, header_pool_, agg.size()));
                     response.Append(agg);
-                    if (capture_responses_) {
-                      last_response_ = response;
-                    }
                     ctx_->ChargeCpu(ctx_->cost().SyscallCost());
                     ctx_->stats().syscalls++;
                     req->response_bytes = req->conn->SendAggregate(response);

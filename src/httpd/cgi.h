@@ -22,24 +22,9 @@
 
 #include "src/httpd/http_server.h"
 #include "src/iolite/pipe.h"
-#include "src/ipc/ring_channel.h"
-#include "src/ipc/shm_pool.h"
-#include "src/ipc/shm_region.h"
 #include "src/posix/posix_io.h"
 
 namespace iolhttp {
-
-// Transport carrying the CGI process's response to the server:
-//  * kSimulatedPipe — the in-simulator PipeChannel with charged costs
-//    (the seed's original data path).
-//  * kShmRing — the real shared-memory transport of src/ipc: the document
-//    lives in a ShmRegion-backed pool and crosses to the server as 32-byte
-//    descriptors through a lock-free SPSC ring. Byte-identical output,
-//    measurably zero payload copies (stats().ipc_bytes_copied == 0).
-enum class CgiTransport {
-  kSimulatedPipe,
-  kShmRing,
-};
 
 // A FastCGI process using copy-based pipes (conventional UNIX).
 class CopyCgiProcess {
@@ -60,34 +45,18 @@ class CopyCgiProcess {
 // buffers from the CGI process's own pool (separate ACL, Section 3.10).
 class LiteCgiProcess {
  public:
-  // With a null `region` the document is cached in a runtime pool
-  // (simulated-pipe transport); with a region the process creates its own
-  // ShmPool there and caches the document region-resident, so transfers to
-  // the server are describable as (offset, len) descriptors. The document
-  // bytes are identical either way.
-  LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* runtime, size_t doc_bytes,
-                 iolipc::ShmRegion* region = nullptr);
+  LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* runtime, size_t doc_bytes);
 
   // Handles one FastCGI request: pushes the (cached) document aggregate
   // into the pipe channel by reference.
   void ProduceResponse(iolite::PipeChannel* channel);
 
-  // Same request over the real shared-memory transport: the aggregate
-  // crosses the SPSC ring as descriptors, zero payload bytes touched.
-  void ProduceResponse(iolipc::ShmStream* stream);
-
   size_t doc_bytes() const { return doc_.size(); }
   iolsim::DomainId domain() const { return domain_; }
-
-  // Non-null only on the shared-memory transport; the server's ShmStream
-  // shares it for descriptor pin resolution.
-  iolipc::ShmPool* shm_pool() const { return shm_pool_.get(); }
 
  private:
   iolsim::SimContext* ctx_;
   iolsim::DomainId domain_;
-  iolite::BufferPool* pool_;  // Null when the document lives in the ShmPool.
-  std::unique_ptr<iolipc::ShmPool> shm_pool_;
   iolite::Aggregate doc_;
 };
 
@@ -124,28 +93,15 @@ class CopyCgiServer : public HttpServer {
   uint32_t free_body_ = UINT32_MAX;
 };
 
-// Flash-Lite serving FastCGI content over an IO-Lite pipe or, with the
-// kShmRing transport knob, over the real shared-memory ring of src/ipc.
+// Flash-Lite serving FastCGI content over an IO-Lite pipe.
 class LiteCgiServer : public HttpServer {
  public:
   LiteCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net, iolfs::FileIoService* io,
-                iolite::IoLiteRuntime* runtime, size_t doc_bytes,
-                CgiTransport transport = CgiTransport::kSimulatedPipe);
+                iolite::IoLiteRuntime* runtime, size_t doc_bytes);
 
-  const char* name() const override {
-    return transport_ == CgiTransport::kShmRing ? "Flash-Lite-CGI-shm" : "Flash-Lite-CGI";
-  }
+  const char* name() const override { return "Flash-Lite-CGI"; }
   bool uses_iolite_sockets() const override { return true; }
   void StartRequest(RequestContext* req) override;
-
-  CgiTransport transport() const { return transport_; }
-
-  // Test/diagnostic hook: when capture is enabled, the exact bytes handed to
-  // the socket for the most recent request — used to assert both transports
-  // produce identical output. Off by default so the benchmark hot path pays
-  // nothing for it.
-  void set_capture_responses(bool on) { capture_responses_ = on; }
-  const iolite::Aggregate& last_response() const { return last_response_; }
 
  private:
   // Pooled per-request body aggregate (same pattern as CopyCgiServer's
@@ -159,19 +115,12 @@ class LiteCgiServer : public HttpServer {
   void ReleaseBody(uint32_t idx);
 
   iolite::IoLiteRuntime* runtime_;
-  CgiTransport transport_;
   iolsim::DomainId server_domain_;
   iolite::BufferPool* header_pool_;
   std::vector<BodyNode> bodies_;
   uint32_t free_body_ = UINT32_MAX;
-  // Shared-memory transport state (kShmRing only). The region is declared
-  // before cgi_ so it exists when the CGI process caches its document there.
-  std::unique_ptr<iolipc::ShmRegion> region_;
   LiteCgiProcess cgi_;
-  std::unique_ptr<iolipc::ShmStream> stream_;
   std::shared_ptr<iolite::PipeChannel> channel_;
-  bool capture_responses_ = false;
-  iolite::Aggregate last_response_;
 };
 
 }  // namespace iolhttp

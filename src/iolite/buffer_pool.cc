@@ -27,8 +27,11 @@ void Buffer::Release() {
 const std::vector<iolsim::ChunkId>& Buffer::chunks() const { return pool_->ChunksOf(*this); }
 
 BufferPool::BufferPool(iolsim::SimContext* ctx, std::string name, iolsim::DomainId producer,
-                       ExtentSource* extent_source)
-    : ctx_(ctx), name_(std::move(name)), producer_(producer), extent_source_(extent_source) {
+                       ExtentAllocator extent_allocator)
+    : ctx_(ctx),
+      name_(std::move(name)),
+      producer_(producer),
+      extent_allocator_(std::move(extent_allocator)) {
   next_buffer_id_ = next_pool_seed_.fetch_add(1, std::memory_order_relaxed) << 32;
 }
 
@@ -49,12 +52,12 @@ size_t BufferPool::NewExtent(size_t n) {
   }
   Extent e;
   e.size = chunk_count * chunk_size;
-  if (extent_source_ != nullptr) {
-    e.data = extent_source_->AllocateExtent(e.size);
+  if (extent_allocator_) {
+    e.data = extent_allocator_(e.size);
     if (e.data == nullptr) {
       // There is no error path out of Allocate; dying loudly beats handing
       // out a buffer over invalid memory (NDEBUG builds included).
-      std::fprintf(stderr, "BufferPool '%s': extent source exhausted carving %zu bytes\n",
+      std::fprintf(stderr, "BufferPool '%s': extent allocator exhausted carving %zu bytes\n",
                    name_.c_str(), e.size);
       std::abort();
     }

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,28 +31,20 @@
 
 namespace iolite {
 
-// Pluggable backing store for pool extents. The default pool backs extents
-// with private heap storage; a shared-memory pool (src/ipc) backs them with
-// stable-offset carve-outs of an mmap'd region, which is what lets an
-// aggregate be described as (offset, len) pairs valid in any process that
-// maps the region.
-class ExtentSource {
- public:
-  virtual ~ExtentSource() = default;
-
-  // Returns `n` bytes of storage that stays valid for the source's lifetime,
-  // or nullptr when the source is exhausted.
-  virtual char* AllocateExtent(size_t n) = 0;
-};
-
 class BufferPool {
  public:
+  // Backing store for extents in place of the heap: returns `n` bytes that
+  // stay valid for the pool's lifetime, or nullptr when exhausted. The
+  // shared-memory plane's origin carves extents from an mmap'd region this
+  // way, so every slice it fills is describable as (offset, len) in any
+  // process that maps the region.
+  using ExtentAllocator = std::function<char*(size_t n)>;
+
   // `producer` is the domain that fills buffers allocated here; the kernel
-  // (domain 0) is trusted and skips write-permission toggling. When
-  // `extent_source` is non-null, extent storage is carved from it instead of
-  // the heap (it must outlive the pool).
+  // (domain 0) is trusted and skips write-permission toggling. Without an
+  // `extent_allocator`, extents live on the heap.
   BufferPool(iolsim::SimContext* ctx, std::string name, iolsim::DomainId producer,
-             ExtentSource* extent_source = nullptr);
+             ExtentAllocator extent_allocator = nullptr);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -109,7 +102,7 @@ class BufferPool {
   iolsim::SimContext* ctx_;
   std::string name_;
   iolsim::DomainId producer_;
-  ExtentSource* extent_source_;  // Not owned; null for heap-backed pools.
+  ExtentAllocator extent_allocator_;  // Empty for heap-backed pools.
 
   std::vector<Extent> extents_;
   std::vector<std::unique_ptr<Buffer>> all_buffers_;

@@ -1,6 +1,5 @@
 // MpmcQueue: a CAS-based multi-producer/multi-consumer descriptor queue in
-// shared memory — the generalization of PR 1's SPSC RingChannel that lets
-// *fleets* of processes share one channel (N proxy workers pulling client
+// shared memory that lets *fleets* of processes share one channel (N proxy workers pulling client
 // requests, M origin workers pulling miss-fills).
 //
 // The algorithm is the classic bounded MPMC queue (Dmitry Vyukov): each cell

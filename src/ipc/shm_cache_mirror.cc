@@ -1,55 +1,54 @@
 #include "src/ipc/shm_cache_mirror.h"
 
-#include <algorithm>
-
 #include "src/ipc/slice_desc.h"
 
 namespace iolipc {
 
 void ShmCacheMirror::OnInsert(iolfs::FileId file, uint64_t offset,
                               const iolite::Aggregate& data) {
-  DrainDeferred();
-  if (offset != 0 || data.slice_count() != 1) {
+  const iolite::Slice* s = data.slice_count() == 1 ? &data.slices()[0] : nullptr;
+  if (offset != 0 || s == nullptr || !region_->Contains(s->data(), s->length())) {
+    // Partial, multi-slice or heap-backed: not addressable by other processes.
     ++skipped_;
-    return;
-  }
-  const iolite::Slice& s = data.slices()[0];
-  if (!region_->Contains(s.data(), s.length())) {
-    ++skipped_;  // Heap-backed buffer: not addressable by other processes.
+    DrainDeferred();
     return;
   }
   SliceDesc d{};
-  d.offset = region_->OffsetOf(s.data());
-  d.length = s.length();
+  d.offset = region_->OffsetOf(s->data());
+  d.length = s->length();
   d.flags = kFrameEnd;
-  uint64_t key = static_cast<uint64_t>(file);
   // Re-insert semantics: a write replaced the entry, so the old mapping (if
-  // any) must not win. Erase-then-insert; a foreign pin parks the erase and
-  // the stale value persists until the pin drops — the payload it names is
-  // still valid bytes (immutability), just superseded.
-  if (!map_->Erase(key) && map_->PinsOf(key) >= 0) {
-    deferred_.push_back(key);
-    return;
-  }
-  map_->Insert(key, d);
+  // any) must not win. While a foreign pin blocks the replacement the stale
+  // value persists — the payload it names is still valid bytes
+  // (immutability), just superseded.
+  ApplyOrDefer(Update{static_cast<uint64_t>(file), false, d});
 }
 
 void ShmCacheMirror::OnErase(iolfs::FileId file, uint64_t offset, size_t length) {
   (void)offset;
   (void)length;
+  ApplyOrDefer(Update{static_cast<uint64_t>(file), true, SliceDesc{}});
+}
+
+void ShmCacheMirror::ApplyOrDefer(const Update& u) {
+  // A parked update of the same key is superseded; draining it first could
+  // briefly remove the key.
+  std::erase_if(deferred_, [&u](const Update& d) { return d.key == u.key; });
   DrainDeferred();
-  uint64_t key = static_cast<uint64_t>(file);
-  if (!map_->Erase(key) && map_->PinsOf(key) >= 0) {
-    deferred_.push_back(key);
+  if (!TryApply(u)) {
+    deferred_.push_back(u);
   }
 }
 
+bool ShmCacheMirror::TryApply(const Update& u) {
+  if (u.erase) {
+    return map_->Erase(u.key) || map_->PinsOf(u.key) < 0;
+  }
+  return map_->Upsert(u.key, u.value) != ShmMap::InsertResult::kPinned;
+}
+
 void ShmCacheMirror::DrainDeferred() {
-  deferred_.erase(std::remove_if(deferred_.begin(), deferred_.end(),
-                                 [this](uint64_t key) {
-                                   return map_->Erase(key) || map_->PinsOf(key) < 0;
-                                 }),
-                  deferred_.end());
+  std::erase_if(deferred_, [this](const Update& u) { return TryApply(u); });
 }
 
 }  // namespace iolipc

@@ -11,10 +11,12 @@
 // silently skipped; a foreign lookup then misses and takes the fill path,
 // which is correct, just slower.
 //
-// Erase is asymmetric on purpose: a mirrored entry that a foreign process
-// has pinned cannot be removed from the map (ShmMap::Erase refuses), so the
-// mirror parks the key and retries on later mutations. The payload is safe
-// either way — region extents are never recycled by the plane.
+// A re-insert replaces the mapped value in place, so a sibling origin's
+// lookup never misses in between. A mirrored entry that a foreign process
+// has pinned can be neither replaced nor removed (ShmMap refuses), so the
+// mirror parks the update and retries it on later mutations; a newer update
+// of the same key supersedes a parked one. The payload is safe either way —
+// region extents are never recycled by the plane.
 
 #ifndef SRC_IPC_SHM_CACHE_MIRROR_H_
 #define SRC_IPC_SHM_CACHE_MIRROR_H_
@@ -39,15 +41,26 @@ class ShmCacheMirror : public iolfs::CacheMirror {
 
   // Entries skipped because they were not shareable (diagnostics).
   uint64_t skipped() const { return skipped_; }
-  // Erases currently parked behind a foreign pin.
-  size_t deferred_erases() const { return deferred_.size(); }
+  // Updates currently parked behind a foreign pin.
+  size_t deferred_updates() const { return deferred_.size(); }
 
  private:
+  // A map update: replace the key's value, or erase the key.
+  struct Update {
+    uint64_t key;
+    bool erase;
+    SliceDesc value;
+  };
+
+  // Applies `u` now, or parks it if a foreign pin blocks it.
+  void ApplyOrDefer(const Update& u);
+  // False when a foreign pin still blocks `u`.
+  bool TryApply(const Update& u);
   void DrainDeferred();
 
   ShmRegion* region_;
   ShmMap* map_;
-  std::vector<uint64_t> deferred_;
+  std::vector<Update> deferred_;
   uint64_t skipped_ = 0;
 };
 

@@ -91,7 +91,7 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
     if (st == kEmpty) {
       break;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       return InsertResult::kExists;
     }
   }
@@ -108,7 +108,7 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
       continue;
     }
     bool reused_tomb = st == kTomb;
-    s.key = key;
+    s.key.store(key, std::memory_order_relaxed);
     s.value = value;
     s.pins.store(0, std::memory_order_relaxed);
     s.state.store(kFull, std::memory_order_release);
@@ -120,6 +120,40 @@ ShmMap::InsertResult ShmMap::Insert(uint64_t key, const SliceDesc& value) {
     return InsertResult::kInserted;
   }
   return InsertResult::kFull;
+}
+
+ShmMap::InsertResult ShmMap::Upsert(uint64_t key, const SliceDesc& value) {
+  uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
+  for (uint32_t i = 0; i <= mask_; ++i) {
+    Slot& s = slots()[(start + i) & mask_];
+    uint32_t st = s.state.load(std::memory_order_acquire);
+    while (st == kBusy) {
+      sched_yield();
+      st = s.state.load(std::memory_order_acquire);
+    }
+    if (st == kEmpty) {
+      break;
+    }
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
+      if (!LockFull(&s)) {
+        break;  // Erased under us: insert afresh.
+      }
+      if (s.key.load(std::memory_order_relaxed) != key) {
+        s.state.store(kFull, std::memory_order_release);
+        continue;
+      }
+      if (s.pins.load(std::memory_order_relaxed) > 0) {
+        s.state.store(kFull, std::memory_order_release);
+        return InsertResult::kPinned;
+      }
+      header_->bytes.fetch_sub(s.value.length, std::memory_order_relaxed);
+      header_->bytes.fetch_add(value.length, std::memory_order_relaxed);
+      s.value = value;
+      s.state.store(kFull, std::memory_order_release);
+      return InsertResult::kReplaced;
+    }
+  }
+  return Insert(key, value);
 }
 
 bool ShmMap::Lookup(uint64_t key, SliceDesc* out) const {
@@ -134,11 +168,11 @@ bool ShmMap::Lookup(uint64_t key, SliceDesc* out) const {
     if (st == kEmpty) {
       return false;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
         return false;  // Erased between the key check and the lock.
       }
-      if (s.key != key) {  // Tomb slot reused for another key meanwhile.
+      if (s.key.load(std::memory_order_relaxed) != key) {  // Tomb slot reused for another key meanwhile.
         s.state.store(kFull, std::memory_order_release);
         continue;
       }
@@ -164,11 +198,11 @@ bool ShmMap::LookupAndPin(uint64_t key, SliceDesc* out) {
     if (st == kEmpty) {
       return false;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
         return false;
       }
-      if (s.key != key) {
+      if (s.key.load(std::memory_order_relaxed) != key) {
         s.state.store(kFull, std::memory_order_release);
         continue;
       }
@@ -195,11 +229,11 @@ bool ShmMap::Unpin(uint64_t key) {
     if (st == kEmpty) {
       return false;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
         return false;
       }
-      if (s.key != key) {
+      if (s.key.load(std::memory_order_relaxed) != key) {
         s.state.store(kFull, std::memory_order_release);
         continue;
       }
@@ -224,11 +258,11 @@ bool ShmMap::Erase(uint64_t key) {
     if (st == kEmpty) {
       return false;
     }
-    if (st == kFull && s.key == key) {
+    if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
         return false;
       }
-      if (s.key != key) {
+      if (s.key.load(std::memory_order_relaxed) != key) {
         s.state.store(kFull, std::memory_order_release);
         continue;
       }
@@ -263,7 +297,7 @@ bool ShmMap::EvictOne(uint64_t* evicted_key, SliceDesc* evicted_value) {
       continue;
     }
     if (evicted_key != nullptr) {
-      *evicted_key = s.key;
+      *evicted_key = s.key.load(std::memory_order_relaxed);
     }
     if (evicted_value != nullptr) {
       *evicted_value = s.value;
@@ -287,7 +321,7 @@ int32_t ShmMap::PinsOf(uint64_t key) const {
     if (st == kEmpty) {
       return -1;
     }
-    if ((st == kFull || st == kBusy) && s.key == key) {
+    if ((st == kFull || st == kBusy) && s.key.load(std::memory_order_relaxed) == key) {
       return s.pins.load(std::memory_order_relaxed);
     }
   }

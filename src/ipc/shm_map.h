@@ -51,7 +51,9 @@ class ShmMap {
   struct Slot {
     std::atomic<uint32_t> state;  // offset 0: kEmpty/kBusy/kFull/kTomb.
     std::atomic<int32_t> pins;    // offset 4.
-    uint64_t key;                 // offset 8.
+    // Atomic because probes read it before taking the slot lock; the
+    // value is re-checked under the lock.
+    std::atomic<uint64_t> key;    // offset 8.
     SliceDesc value;              // offset 16.
     char pad[16];
   };
@@ -77,8 +79,14 @@ class ShmMap {
 
   // Inserts key -> value. kExists when the key was already present (the
   // existing value wins), kFull when no slot is free.
-  enum class InsertResult { kInserted, kExists, kFull };
+  enum class InsertResult { kInserted, kExists, kFull, kReplaced, kPinned };
   InsertResult Insert(uint64_t key, const SliceDesc& value);
+
+  // Insert, except that an existing unpinned entry has its value replaced
+  // in place under the slot lock (kReplaced): a concurrent lookup sees the
+  // old or the new value, never a miss. A pinned entry is left unchanged
+  // (kPinned).
+  InsertResult Upsert(uint64_t key, const SliceDesc& value);
 
   // Reads the value without touching the pin count.
   bool Lookup(uint64_t key, SliceDesc* out) const;

@@ -8,11 +8,6 @@
 // name from unrelated processes); when that is unavailable — sandboxed CI
 // commonly mounts no /dev/shm — the region falls back to an anonymous
 // MAP_SHARED mapping, which fork()ed children still share.
-//
-// The region doubles as an iolite::ExtentSource: an iolite::BufferPool whose
-// extents are carved from a region produces buffers whose slices are
-// region-resident, i.e. describable as (offset, len) and transferable with
-// zero payload copies (see shm_pool.h).
 
 #ifndef SRC_IPC_SHM_REGION_H_
 #define SRC_IPC_SHM_REGION_H_
@@ -23,11 +18,9 @@
 #include <memory>
 #include <string>
 
-#include "src/iolite/buffer_pool.h"
-
 namespace iolipc {
 
-class ShmRegion : public iolite::ExtentSource {
+class ShmRegion {
  public:
   // Creates a region of `size` bytes. With a non-empty `name` (e.g.
   // "/iolite-cgi"), POSIX shared memory is tried first; an empty name, or
@@ -48,7 +41,7 @@ class ShmRegion : public iolite::ExtentSource {
   // The pid that created the region (from the shared header).
   uint64_t owner_pid() const;
 
-  ~ShmRegion() override;
+  ~ShmRegion();
 
   ShmRegion(const ShmRegion&) = delete;
   ShmRegion& operator=(const ShmRegion&) = delete;
@@ -80,12 +73,12 @@ class ShmRegion : public iolite::ExtentSource {
     return c >= payload_ && c + len <= payload_ + payload_size_;
   }
 
-  // --- Extent carving (iolite::ExtentSource) -------------------------------
+  // --- Extent carving -------------------------------------------------------
 
   // Bump-allocates `n` bytes of stable-offset storage (64-byte aligned).
   // The cursor lives inside the region itself, so creator and attachers see
   // one consistent allocation state. Returns nullptr when exhausted.
-  char* AllocateExtent(size_t n) override;
+  char* AllocateExtent(size_t n);
 
   uint64_t bytes_used() const;
   uint64_t bytes_free() const;

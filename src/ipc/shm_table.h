@@ -32,7 +32,6 @@ enum class ShmType : uint32_t {
   kMap = 2,      // ShmMap header + slots.
   kFutures = 3,  // ShmFuturePool header + slots.
   kCounters = 4, // ShmCounters block.
-  kRing = 5,     // PR 1's SPSC RingChannel state.
 };
 
 class ShmTable {

@@ -29,7 +29,8 @@ OriginWorker::OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
     : s_(shared),
       budget_(cache_budget_bytes),
       ctx_(),
-      pool_(&ctx_, "origin-shm", iolsim::kKernelDomain, shared->region),
+      pool_(&ctx_, "origin-shm", iolsim::kKernelDomain,
+            [region = shared->region](size_t n) { return region->AllocateExtent(n); }),
       fs_(&ctx_, &pool_),
       cache_(&ctx_, std::make_unique<iolfs::PlainLruPolicy>()),
       io_(&ctx_, &fs_, &cache_),

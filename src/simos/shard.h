@@ -17,9 +17,8 @@
 // thread count changes wall-clock time and nothing else, which is what
 // makes `shards=N` telemetry byte-identical to `shards=1`.
 //
-// Mailboxes are fixed-capacity SPSC rings (the in-process incarnation of
-// the ipc RingChannel discipline: power-of-two capacity, acquire/release
-// head/tail). Overflow spills to a sender-side vector — deterministically:
+// Mailboxes are fixed-capacity SPSC rings (power-of-two capacity,
+// acquire/release head/tail). Overflow spills to a sender-side vector — deterministically:
 // once a window spills, it keeps spilling, so the drain (ring first, then
 // spill) always replays the exact send order.
 
@@ -77,8 +76,7 @@ class ShardLane {
 
 // Fixed-capacity single-producer single-consumer mailbox ring. Lock-free:
 // the producer owns tail_, the consumer owns head_, each published with
-// release and observed with acquire — the same discipline as the
-// shared-memory RingChannel, minus the shm region.
+// release and observed with acquire.
 class ShardMailbox {
  public:
   explicit ShardMailbox(size_t capacity_pow2)

@@ -89,18 +89,14 @@ struct SimStats {
   CdnLevelStats cdn[kMaxCdnLevels];
   uint64_t cdn_writes = 0;  // Origin WriteExtents applied by the write plan.
 
-  // Shared-memory IPC (src/ipc): the real-transport descriptor rings.
-  // `ipc_bytes_transferred` counts payload moved purely by reference (never
-  // touched by the transport); `ipc_bytes_copied` counts payload that had to
-  // be staged into the region because it lived outside it. A warm aggregate
-  // transfer must increment only the former — tests assert it.
+  // Descriptor IPC between the proxy and its origin. `ipc_bytes_transferred`
+  // counts payload moved purely by reference (never touched by the
+  // transport).
   uint64_t ipc_frames_sent = 0;
   uint64_t ipc_frames_received = 0;
   uint64_t ipc_slices_sent = 0;
   uint64_t ipc_bytes_transferred = 0;
-  uint64_t ipc_bytes_copied = 0;
-  uint64_t ipc_desc_bytes = 0;       // Control-plane descriptor traffic.
-  uint64_t ipc_ring_full_events = 0; // Backpressure: frame did not fit.
+  uint64_t ipc_desc_bytes = 0;  // Control-plane descriptor traffic.
 
   void Reset() { *this = SimStats{}; }
 };

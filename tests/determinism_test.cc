@@ -78,7 +78,7 @@ RunOutput RunSingleFileSmoke(ServerKind kind, size_t file_bytes) {
 }
 
 // The fig05 smoke shape: same population, FastCGI servers.
-RunOutput RunCgiSmoke(ServerKind kind, size_t doc_bytes, iolhttp::CgiTransport transport) {
+RunOutput RunCgiSmoke(ServerKind kind, size_t doc_bytes) {
   iolsys::SystemOptions options;
   options.checksum_cache = iolbench::IsLite(kind);
   auto sys = std::make_unique<iolsys::System>(options);
@@ -86,7 +86,7 @@ RunOutput RunCgiSmoke(ServerKind kind, size_t doc_bytes, iolhttp::CgiTransport t
   std::unique_ptr<iolhttp::HttpServer> server;
   if (iolbench::IsLite(kind)) {
     server = std::make_unique<iolhttp::LiteCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
-                                                      &sys->runtime(), doc_bytes, transport);
+                                                      &sys->runtime(), doc_bytes);
   } else {
     server = std::make_unique<iolhttp::CopyCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
                                                       doc_bytes, kind == ServerKind::kApache);
@@ -196,25 +196,16 @@ TEST(GoldenTest, Fig03FlashLite50k) {
 
 TEST(GoldenTest, Fig05FlashCgi20k) {
   ExpectMatchesGolden(
-      RunCgiSmoke(ServerKind::kFlash, 20 * 1024, iolhttp::CgiTransport::kSimulatedPipe),
+      RunCgiSmoke(ServerKind::kFlash, 20 * 1024),
       Golden{120, 2487600, 109.41724627985322, 12.103327999999999, 12.479328000000001, 0,
              9068430, 3047310, 0, 0, 441, 2352, 147, 0, 3088, 222859312});
 }
 
 TEST(GoldenTest, Fig05LiteCgi20k) {
   ExpectMatchesGolden(
-      RunCgiSmoke(ServerKind::kFlashLite, 20 * 1024, iolhttp::CgiTransport::kSimulatedPipe),
+      RunCgiSmoke(ServerKind::kFlashLite, 20 * 1024),
       Golden{120, 2487600, 213.36952735596165, 6.2233280000000004, 6.4433280000000002, 0,
              57230, 57230, 146, 48, 441, 2352, 147, 0, 3088, 115227989});
-}
-
-TEST(GoldenTest, Fig05LiteCgiShm20k) {
-  // The real shared-memory transport: byte-identical responses, same event
-  // count, marginally different instants (descriptor staging costs).
-  ExpectMatchesGolden(
-      RunCgiSmoke(ServerKind::kFlashLite, 20 * 1024, iolhttp::CgiTransport::kShmRing),
-      Golden{120, 2487600, 213.31155742122181, 6.2250319999999997, 6.4450320000000003, 0,
-             57230, 57230, 146, 48, 441, 2352, 147, 0, 3088, 115259300});
 }
 
 }  // namespace

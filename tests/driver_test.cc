@@ -1,7 +1,6 @@
 // Tests for the composable experiment API (src/driver/): Telemetry's
 // deterministic percentiles, load-balancer policies, fleet runs,
-// timestamped trace replay, the LoadDriver compatibility wrapper, and the
-// engine's single-run guard.
+// timestamped trace replay, and the engine's single-run guard.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "src/driver/fleet.h"
 #include "src/driver/telemetry.h"
 #include "src/driver/workload.h"
-#include "src/httpd/driver.h"
 #include "src/httpd/http_server.h"
 #include "src/system/system.h"
 #include "src/workload/trace.h"
@@ -297,39 +295,6 @@ TEST(TraceReplayTest, ExhaustedLogEndsTheRun) {
   EXPECT_EQ(result.requests, log.entries.size());
 }
 
-// --- Compatibility wrapper ----------------------------------------------------
-
-TEST(LoadDriverWrapperTest, MatchesDirectEngineUse) {
-  auto run_wrapper = [] {
-    System sys;
-    FileId f = sys.fs().CreateFile("doc", 50 * 1024);
-    FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
-    iolhttp::DriverConfig config;
-    config.num_clients = 8;
-    config.max_requests = 300;
-    config.warmup_requests = 10;
-    iolhttp::LoadDriver driver(&sys.ctx(), &sys.net(), &sys.cache(), &flash, config);
-    return driver.Run([f] { return f; });
-  };
-  auto run_engine = [] {
-    System sys;
-    FileId f = sys.fs().CreateFile("doc", 50 * 1024);
-    FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
-    ExperimentConfig config;
-    config.max_requests = 300;
-    config.warmup_requests = 10;
-    ClosedLoop workload(8);
-    Experiment experiment(&sys.ctx(), &sys.net(), &sys.cache(), &flash, config);
-    return experiment.Run(&workload, [f] { return f; });
-  };
-  iolhttp::DriverResult wrapper = run_wrapper();
-  ExperimentResult engine = run_engine();
-  EXPECT_EQ(wrapper.requests, engine.requests);
-  EXPECT_EQ(wrapper.bytes, engine.bytes);
-  EXPECT_DOUBLE_EQ(wrapper.megabits_per_sec, engine.megabits_per_sec);
-  EXPECT_EQ(wrapper.peak_concurrent, engine.peak_concurrent);
-}
-
 // --- Single-run guard ---------------------------------------------------------
 
 TEST(ExperimentDeathTest, SecondRunOnSameInstanceAborts) {
@@ -342,18 +307,6 @@ TEST(ExperimentDeathTest, SecondRunOnSameInstanceAborts) {
   Experiment experiment(&sys.ctx(), &sys.net(), &sys.cache(), &flash, config);
   experiment.Run(&workload, [f] { return f; });
   EXPECT_DEATH(experiment.Run(&workload, [f] { return f; }), "Run\\(\\) called twice");
-}
-
-TEST(ExperimentDeathTest, LoadDriverSecondRunAborts) {
-  System sys;
-  FileId f = sys.fs().CreateFile("doc", 4 * 1024);
-  FlashServer flash(&sys.ctx(), &sys.net(), &sys.io());
-  iolhttp::DriverConfig config;
-  config.num_clients = 2;
-  config.max_requests = 10;
-  iolhttp::LoadDriver driver(&sys.ctx(), &sys.net(), &sys.cache(), &flash, config);
-  driver.Run([f] { return f; });
-  EXPECT_DEATH(driver.Run([f] { return f; }), "Run\\(\\) called twice");
 }
 
 }  // namespace

@@ -222,6 +222,22 @@ TEST(ShmMapTest, InsertLookupEraseEvict) {
   EXPECT_EQ(v.offset, 200u);
 }
 
+TEST(ShmMapTest, UpsertReplacesUnpinnedValuesInPlace) {
+  auto region = AnonRegion();
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 16);
+  EXPECT_EQ(map.Upsert(42, Desc(100, 1000)), ShmMap::InsertResult::kInserted);
+  EXPECT_EQ(map.Upsert(42, Desc(300, 30)), ShmMap::InsertResult::kReplaced);
+  SliceDesc v;
+  ASSERT_TRUE(map.LookupAndPin(42, &v));
+  EXPECT_EQ(v.offset, 300u);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.bytes(), 30u);
+  EXPECT_EQ(map.Upsert(42, Desc(500, 5)), ShmMap::InsertResult::kPinned);
+  ASSERT_TRUE(map.Lookup(42, &v));
+  EXPECT_EQ(v.offset, 300u) << "a pinned value is left unchanged";
+}
+
 TEST(ShmMapTest, FillsToCapacityThenRejects) {
   auto region = AnonRegion();
   ShmTable table = ShmTable::Create(region.get(), 4);
@@ -409,7 +425,8 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   iolipc::ShmCacheMirror mirror(region.get(), &map);
 
   iolsim::SimContext ctx;
-  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain, region.get());
+  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
+                          [&region](size_t n) { return region->AllocateExtent(n); });
   iolfs::FileCache cache(&ctx, std::make_unique<iolfs::PlainLruPolicy>());
   cache.set_mirror(&mirror);
 
@@ -431,19 +448,91 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   ASSERT_TRUE(map.LookupAndPin(9, &v));
   cache.InvalidateFile(9);
   EXPECT_TRUE(map.Lookup(9, &v)) << "pinned entry survives the erase";
-  EXPECT_EQ(mirror.deferred_erases(), 1u);
+  EXPECT_EQ(mirror.deferred_updates(), 1u);
   ASSERT_TRUE(map.Unpin(9));
   // Any later mutation drains the deferred erase.
   iolite::BufferRef buf3 = pool.AllocateDma(3, 1024);
   cache.Insert(11, 0, iolite::Aggregate::FromBuffer(buf3));
   EXPECT_FALSE(map.Lookup(9, &v));
-  EXPECT_EQ(mirror.deferred_erases(), 0u);
+  EXPECT_EQ(mirror.deferred_updates(), 0u);
 
   // Multi-slice and partial-offset entries are skipped, not published.
   uint64_t skipped = mirror.skipped();
   cache.Insert(13, 100, iolite::Aggregate::FromBuffer(pool.AllocateDma(4, 512)));
   EXPECT_GT(mirror.skipped(), skipped);
   EXPECT_FALSE(map.Lookup(13, &v));
+}
+
+TEST(ShmCacheMirrorTest, ReinsertNeverHidesTheKeyFromAConcurrentPin) {
+  // One origin re-inserts a key through its mirror while a sibling pins and
+  // unpins it through its own map handle. The key is present throughout, so
+  // no LookupAndPin may miss — whether the re-insert replaces the value in
+  // place or finds it pinned.
+  auto region = AnonRegion(8u << 20);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
+  iolipc::ShmCacheMirror mirror(region.get(), &map);
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
+                          [&region](size_t n) { return region->AllocateExtent(n); });
+  iolite::Aggregate versions[2] = {iolite::Aggregate::FromBuffer(pool.AllocateDma(1, 4096)),
+                                   iolite::Aggregate::FromBuffer(pool.AllocateDma(2, 4096))};
+  mirror.OnInsert(7, 0, versions[0]);
+
+  ShmMap sibling = ShmMap::Attach(region.get(), table, "m");
+  ASSERT_TRUE(sibling.valid());
+  std::atomic<bool> done{false};
+  uint64_t lookups = 0;
+  uint64_t misses = 0;
+  std::thread reader([&] {
+    SliceDesc v;
+    while (!done.load(std::memory_order_acquire)) {
+      ++lookups;
+      if (sibling.LookupAndPin(7, &v)) {
+        sibling.Unpin(7);
+      } else {
+        ++misses;
+      }
+    }
+  });
+  for (int i = 0; i < 200000; ++i) {
+    mirror.OnInsert(7, 0, versions[i % 2]);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(lookups, 0u);
+  EXPECT_EQ(misses, 0u) << "of " << lookups << " lookups";
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.bytes(), 4096u);
+}
+
+TEST(ShmCacheMirrorTest, ReinsertBlockedByAPinNeverRemovesTheKeyLater) {
+  // Two origins fill the same file into one map. The second fill lands
+  // while a proxy pins the first origin's entry, so its replacement is
+  // parked. Once the pin drops, draining the parked update must publish the
+  // new value — not remove the key, which the first origin's cache still
+  // holds and will never re-insert.
+  auto region = AnonRegion(8u << 20);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
+  iolipc::ShmCacheMirror first(region.get(), &map);
+  iolipc::ShmCacheMirror second(region.get(), &map);
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
+                          [&region](size_t n) { return region->AllocateExtent(n); });
+  iolite::BufferRef a = pool.AllocateDma(1, 4096);
+  iolite::BufferRef b = pool.AllocateDma(2, 4096);
+  first.OnInsert(2, 0, iolite::Aggregate::FromBuffer(a));
+
+  SliceDesc v;
+  ASSERT_TRUE(map.LookupAndPin(2, &v));
+  second.OnInsert(2, 0, iolite::Aggregate::FromBuffer(b));
+  EXPECT_EQ(second.deferred_updates(), 1u);
+  ASSERT_TRUE(map.Unpin(2));
+  second.OnInsert(3, 0, iolite::Aggregate::FromBuffer(pool.AllocateDma(3, 4096)));
+  EXPECT_EQ(second.deferred_updates(), 0u);
+  ASSERT_TRUE(map.LookupAndPin(2, &v)) << "the parked update removed the key";
+  EXPECT_EQ(region->At(v.offset), b->data()) << "the parked update was applied";
 }
 
 // --- The plane, threads mode (the TSan-checkable full stack) ----------------

@@ -1,40 +1,21 @@
-// Tests for the shared-memory zero-copy IPC subsystem (src/ipc): region
-// offset addressing, region-backed pools, the SPSC descriptor ring, the
-// ShmStream adapter, and the zero-copy guarantees the transport makes —
-// asserted through the stats counters, not assumed.
+// Tests for the shared-memory region under the multi-process data plane
+// (src/ipc): offset addressing, extent carving and exhaustion, and POSIX shm
+// attachment by name. The plane's queues, map and futures are covered by
+// ipc_structures_test; its forked workers by ipc_plane_test.
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "src/httpd/cgi.h"
-#include "src/iolite/runtime.h"
-#include "src/ipc/ring_channel.h"
-#include "src/ipc/shm_pool.h"
 #include "src/ipc/shm_region.h"
-#include "src/simos/rng.h"
-#include "src/simos/sim_context.h"
 
 namespace {
 
-using iolipc::kFrameEnd;
-using iolipc::RingChannel;
-using iolipc::ShmPool;
 using iolipc::ShmRegion;
-using iolipc::ShmStream;
-using iolipc::SliceDesc;
-using iolite::Aggregate;
-using iolite::BufferRef;
-using iolsim::SimContext;
-
-// Deterministic byte `i` of the test payload stream.
-char PayloadByte(size_t i) { return static_cast<char>('a' + (i * 31 + i / 255) % 26); }
 
 // --- ShmRegion --------------------------------------------------------------
 
@@ -77,464 +58,6 @@ TEST(ShmRegionTest, PosixShmBackedWhenAvailable) {
   auto other = ShmRegion::Attach(name);
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(std::string(other->At(region->OffsetOf(p)), 9), "hello-shm");
-}
-
-// --- ShmPool ----------------------------------------------------------------
-
-class ShmPoolTest : public ::testing::Test {
- protected:
-  ShmPoolTest()
-      : region_(ShmRegion::Create(4 << 20)),
-        producer_(ctx_.vm().CreateDomain("producer")),
-        pool_(&ctx_, "test-shm", producer_, region_.get()) {}
-
-  SimContext ctx_;
-  std::unique_ptr<ShmRegion> region_;
-  iolsim::DomainId producer_;
-  ShmPool pool_;
-};
-
-TEST_F(ShmPoolTest, BuffersAreRegionResident) {
-  BufferRef b = pool_.AllocateFrom("abcdef", 6);
-  iolite::Slice s(b, 1, 4);
-  EXPECT_TRUE(pool_.Resident(s));
-  EXPECT_EQ(std::string(region_->At(region_->OffsetOf(s.data())), 4), "bcde");
-}
-
-TEST_F(ShmPoolTest, DescribeResolveRoundTripPreservesPin) {
-  BufferRef b = pool_.AllocateFrom("payload!", 8);
-  SliceDesc d = pool_.DescribeAndPin(iolite::Slice(b, 0, 8));
-  EXPECT_EQ(d.length, 8u);
-  EXPECT_EQ(pool_.pinned_count(), 1u);
-
-  // Dropping our reference must not recycle the buffer: the pin holds it
-  // while the descriptor is in flight.
-  iolite::Buffer* raw = b.get();
-  b.Reset();
-  EXPECT_GT(raw->refcount(), 0);
-
-  iolite::Slice s = pool_.ResolveAndUnpin(d);
-  EXPECT_EQ(pool_.pinned_count(), 0u);
-  EXPECT_EQ(std::string(s.data(), s.length()), "payload!");
-}
-
-TEST_F(ShmPoolTest, ForeignSliceIsNotResident) {
-  iolite::BufferPool heap_pool(&ctx_, "heap", iolsim::kKernelDomain);
-  BufferRef b = heap_pool.AllocateFrom("xyz", 3);
-  EXPECT_FALSE(pool_.Resident(iolite::Slice(b, 0, 3)));
-}
-
-// --- RingChannel ------------------------------------------------------------
-
-TEST(RingChannelTest, PushPopFifo) {
-  auto region = ShmRegion::Create(1 << 20);
-  RingChannel ring = RingChannel::Create(region.get(), 8);
-  ASSERT_TRUE(ring.valid());
-
-  SliceDesc d{};
-  for (uint64_t i = 0; i < 5; ++i) {
-    d.offset = i * 100;
-    d.length = 10 + i;
-    d.flags = kFrameEnd;
-    ASSERT_TRUE(ring.TryPushFrame(&d, 1));
-  }
-  EXPECT_EQ(ring.slots_used(), 5u);
-  EXPECT_EQ(ring.bytes_queued(), 10u + 11 + 12 + 13 + 14);
-
-  for (uint64_t i = 0; i < 5; ++i) {
-    SliceDesc out{};
-    ASSERT_TRUE(ring.TryPopSlice(&out));
-    EXPECT_EQ(out.offset, i * 100);
-    EXPECT_EQ(out.length, 10 + i);
-  }
-  SliceDesc out{};
-  EXPECT_FALSE(ring.TryPopSlice(&out));
-}
-
-TEST(RingChannelTest, FrameIsAllOrNothing) {
-  auto region = ShmRegion::Create(1 << 20);
-  RingChannel ring = RingChannel::Create(region.get(), 4);
-  ASSERT_TRUE(ring.valid());
-
-  SliceDesc frame[3] = {};
-  ASSERT_TRUE(ring.TryPushFrame(frame, 3));
-  // Only one slot left: a two-descriptor frame must be refused whole.
-  EXPECT_FALSE(ring.TryPushFrame(frame, 2));
-  EXPECT_EQ(ring.slots_used(), 3u);
-  // ...and still fit after the consumer drains.
-  SliceDesc out{};
-  ASSERT_TRUE(ring.TryPopSlice(&out));
-  EXPECT_TRUE(ring.TryPushFrame(frame, 2));
-}
-
-TEST(RingChannelTest, WrapAroundManyTimes) {
-  auto region = ShmRegion::Create(1 << 20);
-  RingChannel ring = RingChannel::Create(region.get(), 8);
-  SliceDesc d{};
-  for (uint64_t i = 0; i < 1000; ++i) {
-    d.offset = i;
-    ASSERT_TRUE(ring.TryPushFrame(&d, 1));
-    SliceDesc out{};
-    ASSERT_TRUE(ring.TryPopSlice(&out));
-    EXPECT_EQ(out.offset, i);
-  }
-}
-
-// Two threads, shared ring: every value arrives exactly once, in order, and
-// payload written before the push is visible after the pop (the release /
-// acquire pairing the transport relies on).
-TEST(RingChannelTest, SpscThreadedTransfer) {
-  auto region = ShmRegion::Create(8 << 20);
-  RingChannel producer_ring = RingChannel::Create(region.get(), 64);
-  ASSERT_TRUE(producer_ring.valid());
-  RingChannel consumer_ring = RingChannel::Attach(region.get(), producer_ring.state_offset());
-  ASSERT_TRUE(consumer_ring.valid());
-
-  constexpr uint64_t kValues = 200000;
-  uint64_t* cells = reinterpret_cast<uint64_t*>(region->AllocateExtent(kValues * sizeof(uint64_t)));
-  ASSERT_NE(cells, nullptr);
-
-  std::thread producer([&] {
-    SliceDesc d{};
-    for (uint64_t i = 0; i < kValues; ++i) {
-      cells[i] = i * 0x9e3779b97f4a7c15ull;
-      d.offset = region->OffsetOf(&cells[i]);
-      d.length = sizeof(uint64_t);
-      d.flags = kFrameEnd;
-      while (!producer_ring.TryPushFrame(&d, 1)) {
-        std::this_thread::yield();
-      }
-    }
-    producer_ring.Close();
-  });
-
-  uint64_t received = 0;
-  bool ok = true;
-  while (true) {
-    SliceDesc out{};
-    if (consumer_ring.TryPopSlice(&out)) {
-      uint64_t v;
-      std::memcpy(&v, region->At(out.offset), sizeof(v));
-      ok = ok && (v == received * 0x9e3779b97f4a7c15ull);
-      ++received;
-    } else if (consumer_ring.drained()) {
-      break;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, kValues);
-}
-
-// Real process boundary: a fork()ed consumer attaches to the ring through
-// the shared mapping and sees every byte the parent published, without a
-// single payload copy on either side.
-TEST(RingChannelTest, CrossProcessForkTransfer) {
-  auto region = ShmRegion::Create(4 << 20);
-  RingChannel ring = RingChannel::Create(region.get(), 64);
-  ASSERT_TRUE(ring.valid());
-  uint64_t ring_offset = ring.state_offset();
-
-  constexpr size_t kChunk = 1024;
-  constexpr uint64_t kChunks = 512;
-  char* payload = region->AllocateExtent(kChunk * kChunks);
-  ASSERT_NE(payload, nullptr);
-
-  pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    // Consumer process: attach, drain, verify. Exit code carries the verdict.
-    RingChannel consumer = RingChannel::Attach(region.get(), ring_offset);
-    uint64_t seen = 0;
-    bool ok = consumer.valid();
-    while (ok) {
-      SliceDesc out{};
-      if (consumer.TryPeekSlice(&out)) {
-        // Verify in place, then commit: the producer may recycle only after
-        // the commit.
-        const char* p = region->At(out.offset);
-        for (size_t i = 0; i < out.length && ok; ++i) {
-          ok = p[i] == PayloadByte(seen * kChunk + i);
-        }
-        ++seen;
-        consumer.CommitPop();
-      } else if (consumer.drained()) {
-        break;
-      } else {
-        sched_yield();
-      }
-    }
-    _exit(ok && seen == kChunks ? 0 : 1);
-  }
-
-  // Producer: fill each chunk, then publish it.
-  SliceDesc d{};
-  for (uint64_t c = 0; c < kChunks; ++c) {
-    char* chunk = payload + c * kChunk;
-    for (size_t i = 0; i < kChunk; ++i) {
-      chunk[i] = PayloadByte(c * kChunk + i);
-    }
-    d.offset = region->OffsetOf(chunk);
-    d.length = kChunk;
-    d.flags = kFrameEnd;
-    while (!ring.TryPushFrame(&d, 1)) {
-      sched_yield();
-    }
-  }
-  ring.Close();
-
-  int status = 0;
-  ASSERT_EQ(waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "consumer process saw corrupted or missing payload";
-}
-
-// --- ShmStream --------------------------------------------------------------
-
-class ShmStreamTest : public ::testing::Test {
- protected:
-  ShmStreamTest()
-      : region_(ShmRegion::Create(16 << 20)),
-        producer_(ctx_.vm().CreateDomain("producer")),
-        consumer_(ctx_.vm().CreateDomain("consumer")),
-        pool_(&ctx_, "stream-pool", producer_, region_.get()),
-        stream_(&ctx_, &pool_, RingChannel::Create(region_.get(), 256)) {}
-
-  Aggregate MakePayload(size_t offset, size_t n) {
-    BufferRef b = pool_.Allocate(n);
-    char* dst = b->writable_data();
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] = PayloadByte(offset + i);
-    }
-    b->Seal(n);
-    return Aggregate::FromBuffer(std::move(b));
-  }
-
-  SimContext ctx_;
-  std::unique_ptr<ShmRegion> region_;
-  iolsim::DomainId producer_;
-  iolsim::DomainId consumer_;
-  ShmPool pool_;
-  ShmStream stream_;
-};
-
-TEST_F(ShmStreamTest, WriteReadRoundTrip) {
-  Aggregate sent = MakePayload(0, 5000);
-  EXPECT_EQ(stream_.Write(producer_, sent), 5000u);
-  EXPECT_EQ(stream_.ReadableBytes(), 5000u);
-
-  Aggregate got = stream_.Read(consumer_, SIZE_MAX);
-  EXPECT_TRUE(got.ContentEquals(sent));
-  EXPECT_EQ(stream_.ReadableBytes(), 0u);
-  EXPECT_EQ(ctx_.stats().ipc_bytes_transferred, 5000u);
-  EXPECT_EQ(ctx_.stats().ipc_bytes_copied, 0u);
-}
-
-TEST_F(ShmStreamTest, ReadSplitsAtMaxBytes) {
-  stream_.Write(producer_, MakePayload(0, 3000));
-  Aggregate first = stream_.Read(consumer_, 1000);
-  Aggregate second = stream_.Read(consumer_, SIZE_MAX);
-  EXPECT_EQ(first.size(), 1000u);
-  EXPECT_EQ(second.size(), 2000u);
-  for (size_t i = 0; i < 1000; ++i) {
-    ASSERT_EQ(first.ByteAt(i), static_cast<uint8_t>(PayloadByte(i)));
-  }
-  for (size_t i = 0; i < 2000; ++i) {
-    ASSERT_EQ(second.ByteAt(i), static_cast<uint8_t>(PayloadByte(1000 + i)));
-  }
-}
-
-TEST_F(ShmStreamTest, ForeignSliceIsStagedAndCounted) {
-  iolite::BufferPool heap_pool(&ctx_, "heap", iolsim::kKernelDomain);
-  BufferRef b = heap_pool.AllocateFrom("not in the region", 17);
-  ctx_.stats().Reset();
-
-  Aggregate agg = Aggregate::FromBuffer(std::move(b));
-  EXPECT_EQ(stream_.Write(producer_, agg), 17u);
-  EXPECT_EQ(ctx_.stats().ipc_bytes_copied, 17u);
-  EXPECT_EQ(ctx_.stats().ipc_bytes_transferred, 0u);
-
-  Aggregate got = stream_.Read(consumer_, SIZE_MAX);
-  EXPECT_EQ(got.ToString(), "not in the region");
-}
-
-TEST_F(ShmStreamTest, RingFullBackpressureCountsAndRecovers) {
-  // 256 slots; single-slice frames. Fill the ring completely...
-  for (int i = 0; i < 256; ++i) {
-    ASSERT_EQ(stream_.Write(producer_, MakePayload(0, 16)), 16u);
-  }
-  uint64_t full_before = ctx_.stats().ipc_ring_full_events;
-  EXPECT_EQ(stream_.Write(producer_, MakePayload(0, 16)), 0u);
-  EXPECT_EQ(ctx_.stats().ipc_ring_full_events, full_before + 1);
-  EXPECT_EQ(pool_.pinned_count(), 256u);  // The refused frame pinned nothing.
-
-  // Draining makes room again.
-  stream_.Read(consumer_, SIZE_MAX);
-  EXPECT_EQ(pool_.pinned_count(), 0u);
-  EXPECT_EQ(stream_.Write(producer_, MakePayload(0, 16)), 16u);
-}
-
-// A foreign-process consumer never touches the producer's pin table; the
-// producer learns payloads are consumable from the committed ring head and
-// reclaims pins lazily, so the pool recycles instead of growing without
-// bound.
-TEST_F(ShmStreamTest, ForeignConsumerPinsReclaimedFromRingHead) {
-  // Simulate the foreign consumer with a second handle on the same ring.
-  RingChannel consumer = RingChannel::Attach(region_.get(), stream_.ring().state_offset());
-  ASSERT_TRUE(consumer.valid());
-
-  ASSERT_EQ(stream_.Write(producer_, MakePayload(0, 1024)), 1024u);
-  ASSERT_EQ(stream_.Write(producer_, MakePayload(1024, 1024)), 1024u);
-  EXPECT_EQ(pool_.pinned_count(), 2u);
-
-  // Foreign consumer drains the ring without resolving any pins.
-  SliceDesc d{};
-  while (consumer.TryPopSlice(&d)) {
-  }
-
-  // The next Write (or an explicit ReclaimConsumed) releases them.
-  stream_.ReclaimConsumed();
-  EXPECT_EQ(pool_.pinned_count(), 0u);
-
-  // Recycling now works: the freed buffers satisfy the next allocation.
-  uint64_t recycled_before = ctx_.stats().buffers_recycled;
-  stream_.Write(producer_, MakePayload(0, 1024));
-  EXPECT_GT(ctx_.stats().buffers_recycled, recycled_before);
-}
-
-// A stream built over a ring that already carried traffic must base its
-// reclaim bookkeeping on the ring's current tail, not zero — otherwise it
-// unpins payloads whose descriptors are still queued.
-TEST_F(ShmStreamTest, StreamOverUsedRingDoesNotReclaimInFlightPins) {
-  RingChannel ring = RingChannel::Create(region_.get(), 64);
-  SliceDesc d{};
-  for (int i = 0; i < 5; ++i) {  // Prior traffic: tail == head == 5.
-    ASSERT_TRUE(ring.TryPushFrame(&d, 1));
-    ASSERT_TRUE(ring.TryPopSlice(&d));
-  }
-
-  ShmStream late(&ctx_, &pool_, RingChannel::Attach(region_.get(), ring.state_offset()));
-  ASSERT_EQ(late.Write(producer_, MakePayload(0, 512)), 512u);
-  late.ReclaimConsumed();
-  // The descriptor is still queued (slot 5, consumed == 5): its pin must
-  // survive until the consumer commits past it.
-  EXPECT_EQ(pool_.pinned_count(), 1u);
-
-  Aggregate got = late.Read(consumer_, SIZE_MAX);
-  EXPECT_EQ(got.size(), 512u);
-  EXPECT_EQ(pool_.pinned_count(), 0u);
-}
-
-TEST_F(ShmStreamTest, WorksUnchangedThroughIolReadWrite) {
-  // The whole point of the Stream adapter: IOL_read / IOL_write over a
-  // shared-memory ring with no API change.
-  iolite::IoLiteRuntime runtime(&ctx_);
-  auto stream = std::make_shared<ShmStream>(&ctx_, &pool_,
-                                            RingChannel::Create(region_.get(), 64));
-  iolite::Fd wfd = runtime.Open(stream, producer_);
-  iolite::Fd rfd = runtime.Open(stream, consumer_);
-
-  Aggregate sent = MakePayload(0, 9000);
-  EXPECT_EQ(runtime.IolWrite(wfd, sent), 9000u);
-  Aggregate got = runtime.IolRead(rfd, SIZE_MAX);
-  EXPECT_TRUE(got.ContentEquals(sent));
-  // The consumer domain was granted read access to the transferred chunks.
-  EXPECT_TRUE(runtime.CheckAccess(got, consumer_));
-}
-
-// The satellite property test: randomized interleaved producer/consumer with
-// random push/pop sizes. Byte order is preserved end to end and the warm
-// path (pool-recycled buffers, region-resident slices) copies nothing —
-// asserted on both the generic and the IPC copy counters.
-TEST_F(ShmStreamTest, RandomizedSpscPropertyZeroCopyWarmPath) {
-  iolsim::Rng rng(20260728);
-  constexpr size_t kTotal = 1 << 20;
-
-  // Warm the pool so steady state recycles buffers instead of carving.
-  for (int i = 0; i < 8; ++i) {
-    stream_.Write(producer_, MakePayload(0, 4096));
-  }
-  stream_.Read(consumer_, SIZE_MAX);
-
-  uint64_t copies_before = ctx_.stats().bytes_copied;
-  uint64_t ipc_copies_before = ctx_.stats().ipc_bytes_copied;
-
-  size_t produced = 0;
-  size_t consumed = 0;
-  std::string received;
-  received.reserve(kTotal);
-
-  while (consumed < kTotal) {
-    bool produce = produced < kTotal && (consumed == produced || rng.NextBelow(2) == 0);
-    if (produce) {
-      size_t n = 1 + static_cast<size_t>(rng.NextBelow(8000));
-      n = std::min(n, kTotal - produced);
-      if (stream_.Write(producer_, MakePayload(produced, n)) == n) {
-        produced += n;
-      }
-      // A zero return is ring-full backpressure; fall through to drain.
-    } else {
-      size_t m = 1 + static_cast<size_t>(rng.NextBelow(12000));
-      Aggregate got = stream_.Read(consumer_, m);
-      received.append(got.ToString());
-      consumed += got.size();
-    }
-  }
-
-  ASSERT_EQ(received.size(), kTotal);
-  for (size_t i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(received[i], PayloadByte(i)) << "byte order broken at " << i;
-  }
-  EXPECT_EQ(ctx_.stats().bytes_copied, copies_before) << "warm path touched payload";
-  EXPECT_EQ(ctx_.stats().ipc_bytes_copied, ipc_copies_before);
-  EXPECT_EQ(pool_.pinned_count(), 0u);
-  EXPECT_GT(ctx_.stats().buffers_recycled, 0u);
-}
-
-// --- CGI transport knob -----------------------------------------------------
-
-// Running the CGI pipeline over the simulated pipe and over the real
-// shared-memory ring must produce byte-identical responses, with the ring
-// transport copying only the response header (never the document).
-TEST(CgiTransportTest, ShmRingMatchesSimulatedPipeByteForByte) {
-  constexpr size_t kDoc = 60000;
-
-  auto run = [&](iolhttp::CgiTransport transport, std::string* out,
-                 uint64_t* doc_bytes_copied) {
-    SimContext ctx;
-    iolite::IoLiteRuntime runtime(&ctx);
-    iolnet::NetworkSubsystem net(&ctx, /*checksum_cache_enabled=*/true);
-    iolhttp::LiteCgiServer server(&ctx, &net, /*io=*/nullptr, &runtime, kDoc, transport);
-    server.set_capture_responses(true);
-    iolnet::TcpConnection conn(&net, server.uses_iolite_sockets());
-    conn.Connect();
-
-    size_t response = 0;
-    for (int i = 0; i < 3; ++i) {  // Warm path: repeat requests.
-      ctx.stats().Reset();
-      response = server.HandleRequest(&conn, 0);
-    }
-    EXPECT_EQ(response, iolhttp::kResponseHeaderBytes + kDoc);
-    *out = server.last_response().ToString();
-    // Everything copied on a warm request is the 250-byte header; the
-    // document itself must move by reference on both transports.
-    *doc_bytes_copied = ctx.stats().bytes_copied - iolhttp::kResponseHeaderBytes;
-    conn.Close();
-  };
-
-  std::string pipe_bytes;
-  std::string shm_bytes;
-  uint64_t pipe_doc_copied = 0;
-  uint64_t shm_doc_copied = 0;
-  run(iolhttp::CgiTransport::kSimulatedPipe, &pipe_bytes, &pipe_doc_copied);
-  run(iolhttp::CgiTransport::kShmRing, &shm_bytes, &shm_doc_copied);
-
-  ASSERT_EQ(pipe_bytes.size(), shm_bytes.size());
-  EXPECT_EQ(pipe_bytes, shm_bytes) << "transports must be byte-identical";
-  EXPECT_EQ(pipe_doc_copied, 0u);
-  EXPECT_EQ(shm_doc_copied, 0u);
 }
 
 }  // namespace

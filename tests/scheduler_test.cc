@@ -1,12 +1,13 @@
-// Property tests for the two EventQueue scheduler implementations.
+// Differential tests for the EventQueue.
 //
-// The contract: calendar queue and reference heap dispatch the exact same
-// (when, seq) sequence for any schedule/cancel/re-schedule stream. The
+// The contract: the queue dispatches events in exact (when, seq) order for
+// any schedule/cancel/re-schedule stream. Each stream is replayed against
+// the real 4-ary heap and against a small sorted-vector oracle, and the two
+// dispatch sequences, cancel results and pending counts must match. The
 // golden determinism tests pin the macro behavior; these tests attack the
-// scheduler directly with adversarial shapes — same-instant bursts,
-// far-future jumps that force the full-ring fallback, populations that
-// cross the grow/shrink resize thresholds, and cancels interleaved with
-// dispatch.
+// queue directly with adversarial shapes — same-instant bursts, sparse
+// far-future jumps, populations that grow and shrink by thousands, and
+// cancels interleaved with dispatch.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,16 +23,13 @@
 namespace iolsim {
 namespace {
 
-using Impl = EventQueue::Impl;
-
-// One deterministic stream of scheduler operations, replayable against
-// either implementation. Ops reference events by stream-local index so the
-// two replays make identical choices.
+// One deterministic stream of scheduler operations. Ops reference events by
+// stream-local index so both replays make identical choices.
 struct OpStream {
   struct Op {
     enum Kind { kSchedule, kCancel, kRunOne, kRunSome } kind;
     SimTime delay = 0;   // kSchedule: offset from now.
-    size_t target = 0;   // kCancel: index into scheduled ids.
+    size_t target = 0;   // kCancel: index into scheduled events.
     int count = 0;       // kRunSome.
   };
   std::vector<Op> ops;
@@ -68,34 +66,100 @@ OpStream MakeRandomStream(uint32_t seed, size_t n_ops, SimTime max_delay) {
   return s;
 }
 
-// Replays `stream` against a fresh queue of the given impl and returns the
-// dispatched (when, payload) sequence. Payload is the schedule-op index, so
-// matching sequences mean the same events ran in the same order at the same
-// times.
-std::vector<std::pair<SimTime, uint64_t>> Replay(const OpStream& stream, Impl impl) {
-  VirtualClock clock;
-  EventQueue q(&clock, nullptr, impl);
+// Everything observable about one replay: the dispatched (when, tag)
+// sequence, where tag is the schedule-op index, plus each Cancel's result
+// and the pending count after every op.
+struct Trace {
   std::vector<std::pair<SimTime, uint64_t>> dispatched;
-  std::vector<EventQueue::EventId> ids;  // Parallel to schedule-op count.
+  std::vector<bool> cancels;
+  std::vector<size_t> sizes;
+
+  bool operator==(const Trace&) const = default;
+};
+
+// The reference model: pending (when, tag) keys in a vector kept sorted,
+// earliest first. Tags grow with every schedule, so they double as seq.
+class SortedVectorOracle {
+ public:
+  void ScheduleAfter(SimTime delay, uint64_t tag) {
+    std::pair<SimTime, uint64_t> key{now_ + delay, tag};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), key), key);
+  }
+
+  bool Cancel(uint64_t tag) {
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [tag](const auto& k) { return k.second == tag; });
+    if (it == pending_.end()) {
+      return false;
+    }
+    pending_.erase(it);
+    return true;
+  }
+
+  bool RunOne(Trace* trace) {
+    if (pending_.empty()) {
+      return false;
+    }
+    now_ = pending_.front().first;
+    trace->dispatched.push_back(pending_.front());
+    pending_.erase(pending_.begin());
+    return true;
+  }
+
+  size_t size() const { return pending_.size(); }
+
+ private:
+  SimTime now_ = 0;
+  std::vector<std::pair<SimTime, uint64_t>> pending_;
+};
+
+Trace ReplayOracle(const OpStream& stream) {
+  SortedVectorOracle q;
+  Trace trace;
   uint64_t schedule_count = 0;
-  auto record = [&dispatched](SimTime when, uint64_t tag) {
-    dispatched.emplace_back(when, tag);
-  };
+  for (const auto& op : stream.ops) {
+    switch (op.kind) {
+      case OpStream::Op::kSchedule:
+        q.ScheduleAfter(op.delay, schedule_count++);
+        break;
+      case OpStream::Op::kCancel:
+        if (schedule_count > 0) {
+          trace.cancels.push_back(q.Cancel(op.target % schedule_count));
+        }
+        break;
+      case OpStream::Op::kRunOne:
+        q.RunOne(&trace);
+        break;
+      case OpStream::Op::kRunSome:
+        for (int i = 0; i < op.count && q.RunOne(&trace); ++i) {
+        }
+        break;
+    }
+    trace.sizes.push_back(q.size());
+  }
+  while (q.RunOne(&trace)) {
+  }
+  return trace;
+}
+
+Trace ReplayQueue(const OpStream& stream) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  Trace trace;
+  std::vector<EventQueue::EventId> ids;  // Indexed by tag.
   for (const auto& op : stream.ops) {
     switch (op.kind) {
       case OpStream::Op::kSchedule: {
-        uint64_t tag = schedule_count++;
-        SimTime when = clock.now() + op.delay;
-        ids.push_back(q.ScheduleAt(when, [&record, &clock, tag] {
-          record(clock.now(), tag);
+        uint64_t tag = ids.size();
+        ids.push_back(q.ScheduleAfter(op.delay, [&trace, &clock, tag] {
+          trace.dispatched.emplace_back(clock.now(), tag);
         }));
         break;
       }
       case OpStream::Op::kCancel:
         if (!ids.empty()) {
-          // Both replays see the same ids vector shape, so the same event
-          // is targeted; Cancel on an already-fired id is a no-op.
-          q.Cancel(ids[op.target % ids.size()]);
+          // Cancel on an already-fired or cancelled id must return false.
+          trace.cancels.push_back(q.Cancel(ids[op.target % ids.size()]));
         }
         break;
       case OpStream::Op::kRunOne:
@@ -106,70 +170,66 @@ std::vector<std::pair<SimTime, uint64_t>> Replay(const OpStream& stream, Impl im
         }
         break;
     }
+    trace.sizes.push_back(q.size());
   }
   q.RunAll();
-  return dispatched;
+  return trace;
 }
 
-TEST(SchedulerEquivalence, RandomStreamsMatchHeapExactly) {
+void ExpectMatchesOracle(const OpStream& s, uint32_t seed) {
+  Trace queue = ReplayQueue(s);
+  Trace oracle = ReplayOracle(s);
+  ASSERT_FALSE(oracle.dispatched.empty()) << "seed " << seed;
+  ASSERT_EQ(queue.dispatched, oracle.dispatched) << "seed " << seed;
+  ASSERT_EQ(queue.cancels, oracle.cancels) << "seed " << seed;
+  ASSERT_EQ(queue.sizes, oracle.sizes) << "seed " << seed;
+}
+
+TEST(SchedulerOracle, RandomStreamsMatchExactly) {
   for (uint32_t seed = 1; seed <= 24; ++seed) {
-    OpStream s = MakeRandomStream(seed, 4000, 1'000'000);
-    auto cal = Replay(s, Impl::kCalendar);
-    auto heap = Replay(s, Impl::kHeap);
-    ASSERT_EQ(cal, heap) << "seed " << seed;
-    ASSERT_FALSE(cal.empty()) << "seed " << seed;
-    ASSERT_TRUE(std::is_sorted(cal.begin(), cal.end(),
-                               [](const auto& a, const auto& b) { return a.first < b.first; }))
-        << "seed " << seed;
+    ExpectMatchesOracle(MakeRandomStream(seed, 4000, 1'000'000), seed);
   }
 }
 
-TEST(SchedulerEquivalence, SparseFarFutureStreamsMatch) {
-  // Huge delays relative to the day width force cursor laps and the
-  // direct-search fallback.
+TEST(SchedulerOracle, SparseFarFutureStreamsMatch) {
+  // Delays spanning tens of simulated seconds: long idle gaps between
+  // dispatches and keys far apart in time.
   for (uint32_t seed = 100; seed <= 108; ++seed) {
-    OpStream s = MakeRandomStream(seed, 1500, SimTime{50'000'000'000});
-    ASSERT_EQ(Replay(s, Impl::kCalendar), Replay(s, Impl::kHeap)) << "seed " << seed;
+    ExpectMatchesOracle(MakeRandomStream(seed, 1500, SimTime{50'000'000'000}), seed);
   }
 }
 
-TEST(SchedulerEquivalence, DenseSameInstantStreamsMatch) {
-  // Tiny delay range: most events collide on the same instants, stressing
-  // in-bucket FIFO order and the seq tie-break.
+TEST(SchedulerOracle, DenseSameInstantStreamsMatch) {
+  // Tiny delay range: most events collide on the same instants, so the
+  // order rests on the seq tie-break alone.
   for (uint32_t seed = 200; seed <= 208; ++seed) {
-    OpStream s = MakeRandomStream(seed, 4000, 16);
-    ASSERT_EQ(Replay(s, Impl::kCalendar), Replay(s, Impl::kHeap)) << "seed " << seed;
+    ExpectMatchesOracle(MakeRandomStream(seed, 4000, 16), seed);
   }
 }
 
-TEST(SchedulerEquivalence, GrowShrinkCycleMatches) {
-  // Pump the population up past several resize doublings, drain to nearly
-  // empty, and repeat — every lap crosses grow and shrink thresholds.
-  VirtualClock cc, hc;
-  EventQueue cal(&cc, nullptr, Impl::kCalendar);
-  EventQueue heap(&hc, nullptr, Impl::kHeap);
-  std::vector<SimTime> cal_out, heap_out;
+TEST(SchedulerOracle, GrowShrinkCycleMatches) {
+  // Pump the population up by thousands, drain to nearly empty, and
+  // repeat — every lap grows and shrinks the heap through many levels.
   std::mt19937 rng(7);
   std::uniform_int_distribution<SimTime> delay(0, 200'000);
+  OpStream s;
   for (int lap = 0; lap < 4; ++lap) {
     for (int i = 0; i < 3000; ++i) {
-      SimTime d = delay(rng);
-      cal.ScheduleAfter(d, [&cal_out, &cc] { cal_out.push_back(cc.now()); });
-      heap.ScheduleAfter(d, [&heap_out, &hc] { heap_out.push_back(hc.now()); });
+      OpStream::Op op;
+      op.kind = OpStream::Op::kSchedule;
+      op.delay = delay(rng);
+      s.ops.push_back(op);
     }
-    ASSERT_EQ(cal.size(), heap.size());
-    while (cal.size() > 8) {
-      ASSERT_TRUE(cal.RunOne());
-      ASSERT_TRUE(heap.RunOne());
+    for (int i = 0; i < 2992; ++i) {
+      s.ops.push_back(OpStream::Op{OpStream::Op::kRunOne});
     }
   }
-  ASSERT_EQ(cal.RunAll(), heap.RunAll());
-  EXPECT_EQ(cal_out, heap_out);
+  ExpectMatchesOracle(s, 7);
 }
 
 TEST(SchedulerCancel, CancelledEventsNeverRunAndIdsGoStale) {
   VirtualClock clock;
-  EventQueue q(&clock, nullptr, Impl::kCalendar);
+  EventQueue q(&clock);
   int ran = 0;
   auto id_a = q.ScheduleAfter(10, [&ran] { ++ran; });
   auto id_b = q.ScheduleAfter(20, [&ran] { ++ran; });
@@ -188,7 +248,7 @@ TEST(SchedulerCancel, CancelledEventsNeverRunAndIdsGoStale) {
 TEST(SchedulerCancel, CancelHeadDoesNotAdvanceClockOrCounter) {
   VirtualClock clock;
   uint64_t dispatched = 0;
-  EventQueue q(&clock, &dispatched, Impl::kCalendar);
+  EventQueue q(&clock, &dispatched);
   bool late_ran = false;
   auto head = q.ScheduleAfter(5, [] { ADD_FAILURE() << "cancelled head ran"; });
   q.ScheduleAfter(50, [&late_ran] { late_ran = true; });
@@ -202,28 +262,17 @@ TEST(SchedulerCancel, CancelHeadDoesNotAdvanceClockOrCounter) {
   EXPECT_EQ(dispatched, 1u);
 }
 
-TEST(SchedulerKnob, DefaultImplOverride) {
-  Impl saved = EventQueue::default_impl();
-  EventQueue::set_default_impl(Impl::kHeap);
+TEST(SchedulerRunUntil, DeadlineSemantics) {
   VirtualClock clock;
   EventQueue q(&clock);
-  EXPECT_EQ(q.impl(), Impl::kHeap);
-  EventQueue::set_default_impl(saved);
-}
-
-TEST(SchedulerRunUntil, DeadlineSemanticsIdenticalAcrossImpls) {
-  for (Impl impl : {Impl::kCalendar, Impl::kHeap}) {
-    VirtualClock clock;
-    EventQueue q(&clock, nullptr, impl);
-    std::vector<SimTime> out;
-    for (SimTime t : {5, 10, 10, 15, 20}) {
-      q.ScheduleAt(t, [&out, &clock] { out.push_back(clock.now()); });
-    }
-    EXPECT_EQ(q.RunUntil(10), 3u);  // Events exactly at the deadline run.
-    EXPECT_EQ(clock.now(), 10);
-    EXPECT_EQ(q.RunUntil(100), 2u);
-    EXPECT_EQ(out, (std::vector<SimTime>{5, 10, 10, 15, 20}));
+  std::vector<SimTime> out;
+  for (SimTime t : {5, 10, 10, 15, 20}) {
+    q.ScheduleAt(t, [&out, &clock] { out.push_back(clock.now()); });
   }
+  EXPECT_EQ(q.RunUntil(10), 3u);  // Events exactly at the deadline run.
+  EXPECT_EQ(clock.now(), 10);
+  EXPECT_EQ(q.RunUntil(100), 2u);
+  EXPECT_EQ(out, (std::vector<SimTime>{5, 10, 10, 15, 20}));
 }
 
 }  // namespace
