@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "src/fs/sim_file_system.h"
 #include "src/httpd/response_header.h"
@@ -228,6 +229,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   std::deque<Pending> window;
   uint64_t checksum = kFnvOffset;
   char expect_hdr[iolhttp::kResponseHeaderBytes];
+  std::vector<char> expect_body(std::max(cfg.docs.doc_bytes, cfg.cgi_body_bytes));
 
   auto submit = [&](Pending* p) {
     iolipc::FutureHandle h;
@@ -279,14 +281,16 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
       if (std::memcmp(hbytes, expect_hdr, sizeof(expect_hdr)) != 0) {
         result.byte_identical = false;
       }
-      for (uint64_t j = 0; j < expect_len; ++j) {
-        uint8_t want = p.kind == iolipc::RequestKind::kCgi
-                           ? iolproxy::CgiByteAt(p.file_id, j)
-                           : ref_fs.ContentByteAt(static_cast<iolfs::FileId>(p.file_id), j);
-        if (static_cast<uint8_t>(bbytes[j]) != want) {
-          result.byte_identical = false;
-          break;
+      if (p.kind == iolipc::RequestKind::kCgi) {
+        for (uint64_t j = 0; j < expect_len; ++j) {
+          expect_body[j] = static_cast<char>(iolproxy::CgiByteAt(p.file_id, j));
         }
+      } else {
+        ref_fs.ReadContent(static_cast<iolfs::FileId>(p.file_id), 0, expect_body.data(),
+                           expect_len);
+      }
+      if (std::memcmp(bbytes, expect_body.data(), expect_len) != 0) {
+        result.byte_identical = false;
       }
     }
     // Hand every resource back to the plane.

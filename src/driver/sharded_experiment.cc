@@ -238,10 +238,10 @@ class ShardedExperiment::FrontendLane : public LaneCore {
   FrontendLane(size_t fleet_size, const ExperimentConfig* config,
                Telemetry* telemetry)
       : LaneCore(&front_clock_, nullptr),
+        events_storage_(&front_clock_, &dispatched_),
         fleet_size_(fleet_size),
         config_(config),
-        telemetry_(telemetry),
-        events_storage_(&front_clock_, &dispatched_) {
+        telemetry_(telemetry) {
     events_ = &events_storage_;
     share_.assign(fleet_size_, ServerShare{});
   }

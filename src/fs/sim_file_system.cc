@@ -1,22 +1,12 @@
 #include "src/fs/sim_file_system.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
+#include "src/iolite/dma_fill.h"
+
 namespace iolfs {
-
-namespace {
-
-// Deterministic byte generator: mixes the file's seed with the absolute
-// offset so any subrange can be regenerated independently.
-inline uint8_t SynthByte(uint64_t seed, uint64_t offset) {
-  uint64_t z = seed + offset * 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return static_cast<uint8_t>((z ^ (z >> 31)) & 0xff);
-}
-
-}  // namespace
 
 bool SimFileSystem::MetadataCache::Touch(FileId file) {
   auto it = index_.find(file);
@@ -77,7 +67,33 @@ uint8_t SimFileSystem::ContentByteAt(FileId file, uint64_t offset) const {
       return static_cast<uint8_t>(ov->second[offset - ov->first]);
     }
   }
-  return SynthByte(f.content_seed, offset);
+  return iolite::ContentByte(f.content_seed, offset);
+}
+
+void SimFileSystem::ReadContent(FileId file, uint64_t offset, char* dst, size_t n) const {
+  auto it = files_.find(file);
+  assert(it != files_.end());
+  assert(offset + n <= it->second.size && "read past end of file");
+  FillRange(it->second, offset, dst, n);
+}
+
+void SimFileSystem::FillRange(const File& f, uint64_t offset, char* dst, size_t n) {
+  iolite::FillContent(f.content_seed, offset, dst, n);
+  // Most-recent write wins: the overlay runs are disjoint, so copying each
+  // one that overlaps the range over the generated bytes yields exactly
+  // what ContentByteAt returns per byte.
+  const uint64_t end = offset + n;
+  auto ov = f.overlay.upper_bound(offset);
+  if (ov != f.overlay.begin()) {
+    --ov;  // The run starting at or before `offset` may reach into the range.
+  }
+  for (; ov != f.overlay.end() && ov->first < end; ++ov) {
+    uint64_t from = std::max(ov->first, offset);
+    uint64_t to = std::min(ov->first + ov->second.size(), end);
+    if (from < to) {
+      std::memcpy(dst + (from - offset), ov->second.data() + (from - ov->first), to - from);
+    }
+  }
 }
 
 iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size_t length) {
@@ -91,17 +107,7 @@ iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size
 
   // DMA fill: real bytes, no CPU charge.
   iolite::BufferRef buffer = pool_->Allocate(length);
-  char* dst = buffer->writable_data();
-  const File& f = it->second;
-  if (f.overlay.empty()) {
-    for (size_t i = 0; i < length; ++i) {
-      dst[i] = static_cast<char>(SynthByte(f.content_seed, offset + i));
-    }
-  } else {
-    for (size_t i = 0; i < length; ++i) {
-      dst[i] = static_cast<char>(ContentByteAt(file, offset + i));
-    }
-  }
+  FillRange(it->second, offset, buffer->writable_data(), length);
   buffer->Seal(length);
   return buffer;
 }

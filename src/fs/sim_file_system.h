@@ -65,6 +65,10 @@ class SimFileSystem {
   // Exposed so tests can validate reads without going through buffers.
   uint8_t ContentByteAt(FileId file, uint64_t offset) const;
 
+  // The bytes a disk read of [offset, offset+n) returns, written to `dst`
+  // without charging anything: the bulk form of ContentByteAt.
+  void ReadContent(FileId file, uint64_t offset, char* dst, size_t n) const;
+
  private:
   static constexpr size_t kMetadataCacheSlots = 512;
 
@@ -75,6 +79,9 @@ class SimFileSystem {
     // Sparse write overlay: offset -> written bytes (non-overlapping).
     std::map<uint64_t, std::string> overlay;
   };
+
+  // Writes the content of `f` over [offset, offset+n) to `dst`.
+  static void FillRange(const File& f, uint64_t offset, char* dst, size_t n);
 
   // LRU set of file ids whose metadata is resident.
   class MetadataCache {

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/iolite/dma_fill.h"
+
 namespace iolite {
 
 std::atomic<uint64_t> BufferPool::next_pool_seed_{1};
@@ -147,14 +149,7 @@ BufferRef BufferPool::AllocateDma(uint64_t pattern_seed, size_t n) {
   BufferRef buffer = Allocate(n);
   // Deterministic content so checksums and tests are meaningful, filled
   // without CPU charge (DMA).
-  char* dst = buffer->writable_data();
-  uint64_t x = pattern_seed * 0x9e3779b97f4a7c15ull + 1;
-  for (size_t i = 0; i < n; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    dst[i] = static_cast<char>((x >> (8 * (i % 8))) & 0xff);
-  }
+  FillXorshift(pattern_seed, buffer->writable_data(), n);
   buffer->Seal(n);
   return buffer;
 }

@@ -82,6 +82,45 @@ TEST_F(FsTest, OverlappingWritesLastWins) {
   EXPECT_EQ(std::string(b->data(), 15), "aaaaabbbbbbbbbb");
 }
 
+// The bulk read path (generated fill + overlay copies) agrees byte for byte
+// with the per-byte reference across overlapping, adjacent, splitting and
+// past-EOF writes, at aligned and unaligned windows.
+TEST_F(FsTest, BulkReadsMatchPerByteContentUnderWrites) {
+  FileId f = sys_.fs().CreateFile("a", 10000);
+  auto* pool = sys_.runtime().kernel_pool();
+  auto write = [&](uint64_t offset, size_t len, char c) {
+    sys_.fs().WriteToDisk(f, offset, ioltest::AggFrom(pool, std::string(len, c)));
+  };
+  write(100, 100, 'a');    // [100, 200)
+  write(150, 150, 'b');    // Overlaps the tail of 'a': [150, 300).
+  write(300, 100, 'c');    // Adjacent to 'b': [300, 400).
+  write(160, 10, 'd');     // Lands strictly inside 'b', splitting it.
+  write(50, 60, 'e');      // Overlaps the head of 'a': [50, 110).
+  write(4090, 20, 'f');    // Straddles a 4 KB boundary.
+  write(9990, 30, 'g');    // Extends the file past its end: size 10020.
+  write(10100, 10, 'h');   // Past EOF with a hole [10020, 10100).
+  const uint64_t size = sys_.fs().SizeOf(f);
+  ASSERT_EQ(size, 10110u);
+
+  struct Window {
+    uint64_t offset;
+    size_t len;
+  };
+  for (Window w : {Window{0, size}, Window{1, 400}, Window{155, 10}, Window{165, 200},
+                   Window{299, 2}, Window{4000, 200}, Window{9980, 130}, Window{10050, 55}}) {
+    iolite::BufferRef b = sys_.fs().ReadFromDisk(f, w.offset, w.len);
+    std::string bulk = ioltest::FileContent(sys_.fs(), f, w.offset, w.len);
+    for (size_t i = 0; i < w.len; ++i) {
+      uint8_t want = sys_.fs().ContentByteAt(f, w.offset + i);
+      ASSERT_EQ(static_cast<uint8_t>(b->data()[i]), want) << "disk read at " << w.offset + i;
+      ASSERT_EQ(static_cast<uint8_t>(bulk[i]), want) << "ReadContent at " << w.offset + i;
+    }
+  }
+  EXPECT_EQ(sys_.fs().ContentByteAt(f, 165), 'd');
+  EXPECT_EQ(sys_.fs().ContentByteAt(f, 170), 'b');
+  EXPECT_EQ(sys_.fs().ContentByteAt(f, 105), 'e');
+}
+
 TEST_F(FsTest, WriteExtendsFile) {
   FileId f = sys_.fs().CreateFile("a", 10);
   auto* pool = sys_.runtime().kernel_pool();

@@ -26,9 +26,7 @@ inline iolite::Aggregate AggFrom(iolite::BufferPool* pool, const std::string& te
 inline std::string FileContent(iolfs::SimFileSystem& fs, iolfs::FileId file, uint64_t offset,
                                size_t len) {
   std::string out(len, '\0');
-  for (size_t i = 0; i < len; ++i) {
-    out[i] = static_cast<char>(fs.ContentByteAt(file, offset + i));
-  }
+  fs.ReadContent(file, offset, out.data(), len);
   return out;
 }
 
