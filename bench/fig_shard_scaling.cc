@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
   iolbench::PrintHeader(
       "Shard scaling: 4-member Flash-Lite fleet, open-loop population "
       "(rate = users / 100 s think time)",
-      "users\tshards\trequests\tMb/s\tp99_ms\tevents\tevents_per_sec\tspeedup");
+      "users\tshards\trequests\tMb/s\tp99_ms\tevents\tevents_per_sec\tspeedup\t"
+      "window_ms\tbarrier_wait_ms");
   std::printf("# host cores: %u (wall-clock speedup is bounded by min(shards, cores))\n",
               cores);
 #ifndef NDEBUG
@@ -124,10 +125,13 @@ int main(int argc, char** argv) {
         CheckInvariant(base, r, users, shards);
       }
       double speedup = base_eps > 0 ? cell.events_per_sec / base_eps : 0;
-      std::printf("%8.0f\t%d\t%llu\t%8.2f\t%7.3f\t%llu\t%.0f\t%.2fx\n", users, shards,
-                  static_cast<unsigned long long>(r.requests), r.megabits_per_sec,
+      // Where the host time went, summed over threads: inside windows vs
+      // waiting at the round barriers.
+      const iolsim::ShardRunner::Stats& s = cell.sharded.shard;
+      std::printf("%8.0f\t%d\t%llu\t%8.2f\t%7.3f\t%llu\t%.0f\t%.2fx\t%.1f\t%.1f\n", users,
+                  shards, static_cast<unsigned long long>(r.requests), r.megabits_per_sec,
                   r.latency.p99_ms, static_cast<unsigned long long>(r.events_dispatched),
-                  cell.events_per_sec, speedup);
+                  cell.events_per_sec, speedup, s.window_ns / 1e6, s.barrier_wait_ns / 1e6);
       char series[32];
       std::snprintf(series, sizeof(series), "shards-%d", shards);
       json.AddExperiment(series, users, r);

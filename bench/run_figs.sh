@@ -81,153 +81,10 @@ for f in "$out_dir/BENCH_fig_latency_load.json" "$out_dir/BENCH_sweep_fleet.json
   echo "== schema check ok: $f has non-zero p99_ms"
 done
 
-# Proxy-tier schema check: every row carries the per-tier fields, and the
-# proxy fig must report real (non-zero) proxy hit rates plus zero backhaul
-# copies on its IO-Lite series.
-f="$out_dir/BENCH_fig_proxy_tier.json"
-if [ -f "$f" ]; then
-  for field in proxy_hit_rate origin_hit_rate bytes_copied_backhaul; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  if ! grep '"proxy_hit_rate": ' "$f" | grep -qv '"proxy_hit_rate": 0[,}]'; then
-    echo "schema check failed: every proxy_hit_rate is zero in $f" >&2
-    exit 1
-  fi
-  if grep '"series": "IOL-' "$f" | grep -qv '"bytes_copied_backhaul": 0[,}]'; then
-    echo "schema check failed: an IO-Lite series row copied backhaul bytes in $f" >&2
-    exit 1
-  fi
-  echo "== schema check ok: $f per-tier fields present, IO-Lite rows copy-free"
-fi
-
-# Shard-scaling schema check: every cell must carry the host-side engine
-# throughput (events_per_sec — the quantity the scaling figure plots) and a
-# real latency distribution, and all three shard series must be present.
-# (The bench itself already exits non-zero if shard counts diverge.)
-f="$out_dir/BENCH_shard_scaling.json"
-if [ -f "$f" ]; then
-  for field in events_per_sec p99_ms wall_ms; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  for series in shards-1 shards-2 shards-4; do
-    if ! grep -q "\"series\": \"$series\"" "$f"; then
-      echo "schema check failed: missing series $series in $f" >&2
-      exit 1
-    fi
-  done
-  if ! grep '"events_per_sec": ' "$f" | grep -qv '"events_per_sec": 0[,}]'; then
-    echo "schema check failed: every events_per_sec is zero in $f" >&2
-    exit 1
-  fi
-  echo "== schema check ok: $f has all shard series with live events_per_sec"
-fi
-
-# Data-plane schema check: every row must carry the cross-process copy
-# counter and byte-identity verdict; the zero-copy process rows must report
-# 0 copied bytes and the copy-mode contrast rows must not.
-f="$out_dir/BENCH_ipc_plane.json"
-if [ -f "$f" ]; then
-  for field in bytes_copied_cross_process byte_identical checksum wall_ms; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  if grep -q '"byte_identical": false' "$f"; then
-    echo "schema check failed: a plane row was not byte-identical in $f" >&2
-    exit 1
-  fi
-  if grep '"series": "plane-processes"' "$f" | grep -qv '"bytes_copied_cross_process": 0[,}]'; then
-    echo "schema check failed: the zero-copy plane copied payload bytes in $f" >&2
-    exit 1
-  fi
-  if grep '"series": "plane-processes-copy"' "$f" | grep -q '"bytes_copied_cross_process": 0[,}]'; then
-    echo "schema check failed: the copy-mode contrast row copied nothing in $f" >&2
-    exit 1
-  fi
-  echo "== schema check ok: $f plane rows identical, zero-copy rows copy-free"
-fi
-
-# Tenant-isolation schema check: multi-tenant rows must carry the per-tenant
-# breakdown (tenant_id + per-tenant percentiles), both tenants of the
-# adversarial mix must appear, and the hot tenant must report a live p99.
-# (The bench itself exits non-zero if the isolation invariant fails on a
-# full run.)
-f="$out_dir/BENCH_tenant_isolation.json"
-if [ -f "$f" ]; then
-  for field in tenants tenant_id cache_hit_rate; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  for tenant in hot-zipf scan; do
-    if ! grep -q "\"name\": \"$tenant\"" "$f"; then
-      echo "schema check failed: missing tenant $tenant in $f" >&2
-      exit 1
-    fi
-  done
-  if ! grep -q '"series": "wfq+partition"' "$f"; then
-    echo "schema check failed: missing wfq+partition cell in $f" >&2
-    exit 1
-  fi
-  echo "== schema check ok: $f rows carry per-tenant breakdowns"
-fi
-
-# Fault-tolerance schema check: every row must carry the recovery accounting
-# (availability / error_rate / retries / goodput), the policy lattice must be
-# complete, and the fault-free baseline must report 100% availability. (The
-# bench itself exits non-zero if an acceptance gate fails on a full run.)
-f="$out_dir/BENCH_fault_tolerance.json"
-if [ -f "$f" ]; then
-  for field in availability error_rate retries goodput_mbps; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  for series in fault-free unprotected retry retry+hedge retry+hedge+health; do
-    if ! grep -q "\"series\": \"$series\"" "$f"; then
-      echo "schema check failed: missing series $series in $f" >&2
-      exit 1
-    fi
-  done
-  if grep '"series": "fault-free"' "$f" | grep -qv '"availability": 1[,}]'; then
-    echo "schema check failed: the fault-free baseline lost requests in $f" >&2
-    exit 1
-  fi
-  echo "== schema check ok: $f rows carry recovery accounting"
-fi
-
-# CDN-hierarchy schema check: every row must carry the staleness accounting,
-# the tree rows must carry the per-level breakdown, all three consistency
-# protocols must appear, and the flat baseline must be present. (The bench
-# itself exits non-zero if an acceptance gate fails on a full run.)
-f="$out_dir/BENCH_cdn_hierarchy.json"
-if [ -f "$f" ]; then
-  for field in staleness_p99_ms stale_serves cdn_writes origin_fleet_fetches; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  for field in levels hit_rate backhaul_bytes invalidations_sent revalidation_bytes; do
-    if ! grep -q "\"$field\": " "$f"; then
-      echo "schema check failed: no per-level $field fields in $f" >&2
-      exit 1
-    fi
-  done
-  for series in flat tree-edge-heavy invalidate/edge-heavy revalidate/edge-heavy stale/edge-heavy; do
-    if ! grep -q "\"series\": \"$series\"" "$f"; then
-      echo "schema check failed: missing series $series in $f" >&2
-      exit 1
-    fi
-  done
-  echo "== schema check ok: $f rows carry per-level consistency accounting"
-fi
+# Per-figure schema checks, shared with CI (bench/check_schema.sh).
+for fig in proxy_tier ipc_plane tenant_isolation shard_scaling fault_tolerance cdn_hierarchy; do
+  f="$out_dir/BENCH_${fig}.json"
+  [ "$fig" = proxy_tier ] && f="$out_dir/BENCH_fig_proxy_tier.json"
+  [ -f "$f" ] || continue
+  sh "$(dirname "$0")/check_schema.sh" "$fig" "$f"
+done

@@ -65,6 +65,10 @@ void PrintRun(const char* label, const ioldrv::ShardedResult& r) {
   std::printf("\n  engine:       rounds=%" PRIu64 " messages=%" PRIu64
               " spilled=%" PRIu64 "\n",
               r.shard.rounds, r.shard.messages, r.shard.spilled);
+  // Host time summed over threads: lane work inside windows vs waiting at
+  // the round barriers.
+  std::printf("  host time:    window=%.1f ms barrier_wait=%.1f ms\n",
+              r.shard.window_ns / 1e6, r.shard.barrier_wait_ns / 1e6);
   std::printf("  merged:       requests=%" PRIu64 " p50=%.3f ms p99=%.3f ms "
               "%.1f Mb/s events=%" PRIu64 "\n\n",
               r.result.requests, r.result.latency.p50_ms,

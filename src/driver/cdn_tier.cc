@@ -8,19 +8,6 @@
 
 namespace ioldrv {
 
-namespace {
-
-std::vector<iolhttp::HttpServer*> Members(const Fleet& fleet) {
-  std::vector<iolhttp::HttpServer*> members;
-  members.reserve(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    members.push_back(fleet.server(i));
-  }
-  return members;
-}
-
-}  // namespace
-
 CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                  iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime,
                  Fleet origins, iolcdn::CdnTopology topo,
@@ -58,7 +45,7 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
       pc.backhaul_one_way_delay = spec.link_one_way_delay;
       std::vector<iolhttp::HttpServer*> parents;
       if (level == num_levels - 1) {
-        parents = Members(origins_);
+        parents = origins_.servers();
       } else {
         // Deterministic parenting: proxy i attaches to parent i % count.
         parents.push_back(proxies_[level + 1][i % proxies_[level + 1].size()].get());

@@ -5,8 +5,79 @@
 #include <cstdlib>
 
 #include "src/qos/policy.h"
+#include "src/system/system.h"
 
 namespace ioldrv {
+
+// With one machine per member: the client half's own clock and event queue
+// (the frontend lane), and the runner while Run executes the lanes.
+struct Experiment::Shards {
+  iolsim::VirtualClock clock;
+  uint64_t dispatched = 0;
+  iolsim::EventQueue events{&clock, &dispatched};
+  iolsim::ShardRunner* runner = nullptr;
+};
+
+// A ShardRunner lane over one event queue: lane 0 is the client frontend,
+// lane 1 + m is member m's machine.
+class Experiment::QueueLane : public iolsim::ShardLane {
+ public:
+  QueueLane(Experiment* exp, iolsim::EventQueue* events, uint32_t id)
+      : exp_(exp), events_(events), id_(id) {}
+
+  iolsim::SimTime NextEventAt() override {
+    iolsim::SimTime when;
+    return events_->PeekWhen(&when) ? when : iolsim::kShardIdle;
+  }
+
+  void RunWindow(iolsim::SimTime end) override {
+    // Strictly-before: events at exactly `end` belong to the next window.
+    // The clock is left at the last dispatched event, never pushed to
+    // `end` — later arrivals must not be clamped forward.
+    iolsim::SimTime when;
+    while (events_->PeekWhen(&when) && when < end) {
+      events_->RunOne();
+    }
+  }
+
+  void OnMessage(const iolsim::ShardMsg& msg) override { exp_->OnShardMessage(id_, msg); }
+
+ private:
+  Experiment* exp_;
+  iolsim::EventQueue* events_;
+  uint32_t id_;
+};
+
+Experiment::Experiment(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
+                       iolfs::FileCache* cache, Fleet fleet, ExperimentConfig config)
+    : ctx_(ctx), net_(net), cache_(cache), fleet_(std::move(fleet)), config_(config),
+      clock_(&ctx->clock()), events_(&ctx->events()) {
+  Machine& machine = machines_.emplace_back();
+  machine.ctx = ctx;
+  machine.net = net;
+  machine.cache = cache;
+}
+
+Experiment::Experiment(std::vector<iolsys::System*> machines, Fleet fleet,
+                       ExperimentConfig config)
+    : fleet_(std::move(fleet)), config_(config), shards_(std::make_unique<Shards>()) {
+  if (machines.size() != fleet_.size() || config_.delay.one_way_delay <= 0) {
+    std::fprintf(stderr,
+                 "Experiment: one machine per member needs one System per fleet "
+                 "member and one_way_delay > 0 (the lookahead between lanes)\n");
+    std::abort();
+  }
+  clock_ = &shards_->clock;
+  events_ = &shards_->events;
+  for (iolsys::System* sys : machines) {
+    Machine& machine = machines_.emplace_back();
+    machine.ctx = &sys->ctx();
+    machine.net = &sys->net();
+    machine.cache = &sys->cache();
+  }
+}
+
+Experiment::~Experiment() = default;
 
 uint64_t Experiment::CacheBudget() const {
   // The file cache may use whatever physical memory is left after the
@@ -20,13 +91,16 @@ uint64_t Experiment::CacheBudget() const {
 }
 
 size_t Experiment::AddLane(size_t conn_index) {
-  lanes_.emplace_back();
-  size_t lane = lanes_.size() - 1;
-  Lane& l = lanes_[lane];
-  l.conn = conns_[conn_index].get();
+  size_t lane = lanes_.size();
+  Lane& l = lanes_.emplace_back();
   l.conn_index = conn_index;
-  l.req.conn = l.conn;
-  l.req.on_done = [this, lane](iolhttp::RequestContext*) { OnServerDone(lane); };
+  if (shards_ == nullptr) {
+    // On one machine the lane is also its member's request slot.
+    l.req.conn = conns_[conn_index].get();
+    l.req.on_done = [this, lane](iolhttp::RequestContext*) {
+      OnServerDone(lanes_[lane].server, lane);
+    };
+  }
   return lane;
 }
 
@@ -35,6 +109,20 @@ void Experiment::AddConnection() {
   // all members (a connection does not know its server until arrival).
   conns_.push_back(std::make_unique<iolnet::TcpConnection>(
       net_, fleet_.server(0)->uses_iolite_sockets()));
+}
+
+size_t Experiment::AddClient() {
+  // Overload: the arrival stream outpaces completions; grow the pool (and,
+  // on one machine, the steady-state memory the population pins with it).
+  size_t client = conn_state_.size();
+  conn_state_.emplace_back();
+  if (shards_ != nullptr) {
+    return AddLane(client);
+  }
+  AddConnection();
+  size_t lane = AddLane(client);
+  UpdateSteadyMemory();
+  return lane;
 }
 
 void Experiment::UpdateSteadyMemory() {
@@ -88,12 +176,6 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   // vector growth mid-run.
   telemetry_->Reserve(record_base + config_.max_requests + config_.warmup_requests);
   std::chrono::steady_clock::time_point wall_start = std::chrono::steady_clock::now();
-  uint64_t events_base = ctx_->stats().events_dispatched;
-
-  accept_queues_.resize(fleet_.size());
-  in_service_per_.assign(fleet_.size(), 0);
-  share_.assign(fleet_.size(), ServerShare{});
-  load_scratch_.assign(fleet_.size(), 0);
 
   pipeline_depth_ =
       config_.persistent_connections && workload_->pipeline_depth() > 1
@@ -103,6 +185,21 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   fault_on_ = config_.faults != nullptr && !config_.faults->empty();
   recovery_on_ = config_.recovery.enabled();
   health_on_ = recovery_on_ && config_.recovery.health_checks;
+  if (shards_ != nullptr) {
+    // Features one machine per member cannot honour yet: running without
+    // them would quietly return results that lack them.
+    const char* unsupported = config_.qos != nullptr          ? "qos"
+                              : fault_on_                     ? "a fault plan"
+                              : recovery_on_                  ? "recovery"
+                              : pipeline_depth_ > 1           ? "persistent pipelining"
+                              : config_.enforce_cache_budget ? "enforce_cache_budget"
+                                                              : nullptr;
+    if (unsupported != nullptr) {
+      std::fprintf(stderr, "Experiment: %s is not supported with one machine per member\n",
+                   unsupported);
+      std::abort();
+    }
+  }
   if (fault_on_ && config_.faults->has_member_crashes() && !recovery_on_) {
     // A request routed to a crashed member is black-holed; without the
     // timeout there is nothing to reclaim it and the run hangs. Die loudly.
@@ -117,13 +214,25 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
                  "(an abandoned attempt's connection is dead)\n");
     std::abort();
   }
+
+  members_.resize(fleet_.size());
+  for (size_t m = 0; m < fleet_.size(); ++m) {
+    members_[m].machine = &machines_[shards_ != nullptr ? m : 0];
+  }
+  for (Machine& machine : machines_) {
+    machine.slots = shards_ != nullptr ? &machine.own_slots : &lanes_;
+    machine.events_base = machine.ctx->stats().events_dispatched;
+  }
+  share_.assign(fleet_.size(), ServerShare{});
+  load_scratch_.assign(fleet_.size(), 0);
+
   if (recovery_on_) {
     ejected_.assign(fleet_.size(), 0);
     probe_bad_.assign(fleet_.size(), 0);
     probe_good_.assign(fleet_.size(), 0);
     if (health_on_) {
-      ctx_->events().ScheduleAfter(config_.recovery.health_check_interval,
-                                   [this] { RunHealthProbe(); });
+      events_->ScheduleAfter(config_.recovery.health_check_interval,
+                             [this] { RunHealthProbe(); });
     }
   }
   if (fault_on_) {
@@ -131,15 +240,17 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   }
 
   int clients = workload_->initial_clients();
-  for (int i = 0; i < clients; ++i) {
-    AddConnection();
-    if (config_.persistent_connections) {
-      conns_[i]->Connect();  // One handshake for the whole run (setup time).
+  conn_state_.resize(clients);
+  if (shards_ == nullptr) {
+    for (int i = 0; i < clients; ++i) {
+      AddConnection();
+      if (config_.persistent_connections) {
+        conns_[i]->Connect();  // One handshake for the whole run (setup time).
+      }
     }
+    // Steady-state memory pinned by the client population.
+    UpdateSteadyMemory();
   }
-  conn_state_.resize(conns_.size());
-  // Steady-state memory pinned by the client population.
-  UpdateSteadyMemory();
   // A client's pipelined lanes share its connection.
   for (int i = 0; i < clients; ++i) {
     for (int d = 0; d < pipeline_depth_; ++d) {
@@ -150,7 +261,7 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   if (workload_->closed_loop()) {
     // Kick off all clients at t=0.
     for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-      ctx_->events().ScheduleAt(0, [this, lane] { IssueRequest(lane); });
+      events_->ScheduleAt(0, [this, lane] { IssueRequest(lane); });
     }
   } else {
     // All lanes idle; workload arrivals claim them (pool grows on demand).
@@ -160,32 +271,68 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
     ScheduleNextArrival();
   }
 
-  while (!done_ && ctx_->events().RunOne()) {
+  if (shards_ == nullptr) {
+    while (!done_ && events_->RunOne()) {
+    }
+  } else {
+    // The frontend and every member's machine run as lanes until all are
+    // idle: members finish what they hold after the client half is done.
+    std::vector<QueueLane> lanes;
+    lanes.reserve(1 + machines_.size());
+    lanes.emplace_back(this, events_, 0);
+    for (size_t m = 0; m < machines_.size(); ++m) {
+      lanes.emplace_back(this, &machines_[m].ctx->events(), static_cast<uint32_t>(1 + m));
+    }
+    std::vector<iolsim::ShardLane*> view;
+    for (QueueLane& lane : lanes) {
+      view.push_back(&lane);
+    }
+    iolsim::ShardRunner::Options options;
+    options.threads = config_.shard_count;
+    options.lookahead = config_.delay.one_way_delay;
+    iolsim::ShardRunner runner(std::move(view), options);
+    shards_->runner = &runner;
+    shard_stats_ = runner.Run();
+    shards_->runner = nullptr;
   }
 
   ExperimentResult result;
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
-  result.events_dispatched = ctx_->stats().events_dispatched - events_base;
+  if (shards_ != nullptr) {
+    lane_events_.push_back(shards_->dispatched);
+  }
+  uint64_t hits = 0;
+  uint64_t lookups = 0;
+  for (Machine& machine : machines_) {
+    const iolsim::SimStats& stats = machine.ctx->stats();
+    lane_events_.push_back(stats.events_dispatched - machine.events_base);
+    hits += stats.cache_hits;
+    lookups += stats.cache_hits + stats.cache_misses;
+    result.peak_concurrent += machine.peak;
+  }
+  for (uint64_t events : lane_events_) {
+    result.events_dispatched += events;
+  }
   result.requests = counted_requests_;
   result.bytes = counted_bytes_;
   result.count_start = count_start_;
-  result.seconds = iolsim::ToSeconds(ctx_->clock().now() - count_start_);
+  result.seconds = iolsim::ToSeconds((done_ ? done_at_ : clock_->now()) - count_start_);
   if (result.seconds > 0) {
     result.megabits_per_sec =
         static_cast<double>(counted_bytes_) * 8.0 / 1e6 / result.seconds;
   }
-  uint64_t lookups = ctx_->stats().cache_hits + ctx_->stats().cache_misses;
   if (lookups > 0) {
-    result.cache_hit_rate =
-        static_cast<double>(ctx_->stats().cache_hits) / static_cast<double>(lookups);
+    result.cache_hit_rate = static_cast<double>(hits) / static_cast<double>(lookups);
   }
-  result.peak_concurrent = peak_in_service_;
-  result.admission_waits = admission_waits_;
   result.latency = telemetry_->EndToEndLatency(record_base);
   result.cache_hit_fraction = telemetry_->CacheHitFraction(record_base);
   result.per_server = share_;
+  for (size_t m = 0; m < members_.size(); ++m) {
+    result.per_server[m].peak_concurrent = members_[m].peak;
+    result.admission_waits += members_[m].admission_waits;
+  }
 
   // Fault-plane accounting. Failed requests count toward `requests` (the
   // run is N logical outcomes) but contributed no bytes, so goodput is the
@@ -235,19 +382,20 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
     }
   }
 
-  // Drain in-flight continuations so no event in the queue outlives the
-  // engine; every callback early-returns behind done_. (The result was
-  // already captured above, so the extra clock movement is invisible.)
-  while (ctx_->events().RunOne()) {
-  }
-
-  for (std::unique_ptr<iolnet::TcpConnection>& c : conns_) {
-    if (c->connected()) {
-      c->Close();
+  if (shards_ == nullptr) {
+    // Drain in-flight continuations so no event in the queue outlives the
+    // engine; every callback early-returns behind done_. (The result was
+    // already captured above, so the extra clock movement is invisible.)
+    while (events_->RunOne()) {
     }
+    for (std::unique_ptr<iolnet::TcpConnection>& c : conns_) {
+      if (c->connected()) {
+        c->Close();
+      }
+    }
+    ctx_->memory().Set("server_processes", 0);
+    ctx_->memory().Set("connections_steady", 0);
   }
-  ctx_->memory().Set("server_processes", 0);
-  ctx_->memory().Set("connections_steady", 0);
   next_file_ = nullptr;
   return result;
 }
@@ -257,10 +405,10 @@ void Experiment::ScheduleNextArrival() {
     return;
   }
   iolsim::SimTime at = 0;
-  if (!workload_->NextArrival(ctx_->clock().now(), &at)) {
+  if (!workload_->NextArrival(clock_->now(), &at)) {
     return;  // Arrival stream exhausted: the run drains and ends.
   }
-  ctx_->events().ScheduleAt(at, [this] {
+  events_->ScheduleAt(at, [this] {
     if (done_) {
       return;
     }
@@ -269,12 +417,7 @@ void Experiment::ScheduleNextArrival() {
       lane = free_lanes_.back();
       free_lanes_.pop_back();
     } else {
-      // Overload: the arrival stream outpaces completions; grow the pool
-      // (and the steady-state memory the population pins with it).
-      AddConnection();
-      conn_state_.resize(conns_.size());
-      lane = AddLane(conns_.size() - 1);
-      UpdateSteadyMemory();
+      lane = AddClient();
     }
     IssueRequest(lane);
     ScheduleNextArrival();
@@ -289,7 +432,7 @@ void Experiment::IssueRequest(size_t lane) {
   // Position in the connection's request stream (delivery is in-order).
   l.seq = conn_state_[l.conn_index].next_issue++;
   l.record = RequestRecord{};
-  l.record.issue = ctx_->clock().now();
+  l.record.issue = clock_->now();
   // Tenant resolution precedes NextFile: a multi-tenant workload picks the
   // file from the resolved tenant's stream (see Workload::TenantOf).
   iolsim::TenantId hint = workload_->TenantOf(l.conn_index, l.seq);
@@ -320,9 +463,63 @@ void Experiment::IssueRequest(size_t lane) {
     }
     ArmFlightTimers(lane, 0);
   }
-  // Request propagation to the fleet.
-  ctx_->events().ScheduleAfter(config_.delay.one_way_delay,
-                               [this, lane] { ArriveAtFleet(lane); });
+  if (shards_ == nullptr) {
+    // Request propagation to the fleet.
+    events_->ScheduleAfter(config_.delay.one_way_delay,
+                           [this, lane] { ArriveAtFleet(lane); });
+    return;
+  }
+  // One machine per member: the client's own member serves it, and the
+  // file is drawn here, on the frontend — members never call next_file_.
+  l.server = lane % fleet_.size();
+  iolsim::ShardMsg msg;
+  msg.when = clock_->now() + config_.delay.one_way_delay;
+  msg.a = lane;
+  msg.b = static_cast<uint64_t>(l.has_pinned_file ? l.pinned_file : next_file_());
+  msg.c = l.req.tenant;
+  shards_->runner->Send(0, static_cast<uint32_t>(1 + l.server), msg);
+}
+
+void Experiment::OnShardMessage(uint32_t lane, const iolsim::ShardMsg& msg) {
+  if (lane == 0) {
+    // A response reaches its client (msg.a); the member reported when it
+    // admitted the request and whether the body was a cache hit.
+    size_t client = msg.a;
+    size_t bytes = msg.b;
+    Lane& l = lanes_[client];
+    l.record.admit = static_cast<iolsim::SimTime>(msg.c);
+    l.req.cache_hit = msg.d != 0;
+    events_->ScheduleAt(msg.when, [this, client, bytes] { OnClientReceive(client, bytes); });
+    return;
+  }
+  // A request reaches member m and fills a pooled slot on its machine,
+  // bound to the connection the member keeps for this client.
+  size_t m = lane - 1;
+  Machine& machine = *members_[m].machine;
+  size_t slot;
+  if (!machine.free_slots.empty()) {
+    slot = machine.free_slots.back();
+    machine.free_slots.pop_back();
+  } else {
+    slot = machine.own_slots.size();
+    machine.own_slots.emplace_back().req.on_done = [this, m, slot](iolhttp::RequestContext*) {
+      OnServerDone(m, slot);
+    };
+  }
+  size_t client = msg.a;
+  size_t local = client / fleet_.size();
+  while (machine.conns.size() <= local) {
+    machine.conns.push_back(std::make_unique<iolnet::TcpConnection>(
+        machine.net, fleet_.server(m)->uses_iolite_sockets()));
+  }
+  Lane& s = machine.own_slots[slot];
+  s.conn_index = client;
+  s.server = m;
+  s.has_pinned_file = true;
+  s.pinned_file = static_cast<iolfs::FileId>(msg.b);
+  s.req.tenant = static_cast<iolsim::TenantId>(msg.c);
+  s.req.conn = machine.conns[local].get();
+  machine.ctx->events().ScheduleAt(msg.when, [this, m, slot] { Admit(m, slot); });
 }
 
 void Experiment::ArriveAtFleet(size_t lane) {
@@ -336,10 +533,9 @@ void Experiment::ArriveAtFleet(size_t lane) {
   if (config_.qos != nullptr) {
     // The on_admit stage hook: a throttled tenant's request waits out its
     // token-bucket delay at the front door, before the balancer sees it.
-    iolsim::SimTime hold =
-        config_.qos->OnAdmit(lanes_[lane].req.tenant, ctx_->clock().now());
+    iolsim::SimTime hold = config_.qos->OnAdmit(lanes_[lane].req.tenant, clock_->now());
     if (hold > 0) {
-      ctx_->events().ScheduleAfter(hold, [this, lane] { AdmitToFleet(lane); });
+      events_->ScheduleAfter(hold, [this, lane] { AdmitToFleet(lane); });
       return;
     }
   }
@@ -369,10 +565,10 @@ void Experiment::AdmitToFleet(size_t lane) {
     // in its accept queue. (load_scratch_ is a member: one arrival per
     // event, and reusing it keeps the per-arrival hot path allocation-free.)
     for (size_t s = 0; s < fleet_.size(); ++s) {
-      load_scratch_[s] =
-          health_on_ && ejected_[s] != 0
-              ? kEjected
-              : in_service_per_[s] + static_cast<int>(accept_queues_[s].size());
+      load_scratch_[s] = health_on_ && ejected_[s] != 0
+                             ? kEjected
+                             : members_[s].in_service +
+                                   static_cast<int>(members_[s].accept_queue.size());
     }
     l.server = fleet_.PickServer(load_scratch_);
     if (recovery_on_ && l.flight_owner != kNoLane) {
@@ -399,70 +595,79 @@ void Experiment::AdmitToFleet(size_t lane) {
     ++blackholed_;
     return;
   }
-  if (config_.max_concurrent > 0 && in_service_per_[l.server] >= config_.max_concurrent) {
-    // At capacity: the connection waits in the accept queue (never dropped).
-    accept_queues_[l.server].push_back(lane);
-    ++admission_waits_;
-    return;
-  }
-  ServeRequest(lane);
+  Admit(l.server, lane);
 }
 
-void Experiment::ServeRequest(size_t lane) {
-  Lane& l = lanes_[lane];
-  ++in_service_;
-  ++in_service_per_[l.server];
-  if (in_service_ > peak_in_service_) {
-    peak_in_service_ = in_service_;
+void Experiment::Admit(size_t m, size_t slot) {
+  Member& member = members_[m];
+  if (config_.max_concurrent > 0 && member.in_service >= config_.max_concurrent) {
+    // At capacity: the connection waits in the accept queue (never dropped).
+    member.accept_queue.push_back(slot);
+    ++member.admission_waits;
+    return;
   }
-  if (in_service_per_[l.server] > share_[l.server].peak_concurrent) {
-    share_[l.server].peak_concurrent = in_service_per_[l.server];
+  ServeRequest(m, slot);
+}
+
+void Experiment::ServeRequest(size_t m, size_t slot) {
+  Member& member = members_[m];
+  Machine& machine = *member.machine;
+  Lane& l = (*machine.slots)[slot];
+  if (++machine.in_service > machine.peak) {
+    machine.peak = machine.in_service;
   }
-  l.record.admit = ctx_->clock().now();
+  if (++member.in_service > member.peak) {
+    member.peak = member.in_service;
+  }
+  l.record.admit = machine.ctx->clock().now();
   l.req.file = l.has_pinned_file ? l.pinned_file : next_file_();
   l.req.response_bytes = 0;
   l.req.cache_hit = false;
+  iolhttp::HttpServer* server = fleet_.server(m);
   if (fault_on_) {
     // Captured so a crash between now and pipeline completion is
     // detectable at OnServerDone (the response dies with the process).
-    l.serve_epoch = fleet_.server(l.server)->crash_epoch();
+    l.serve_epoch = server->crash_epoch();
   }
   // The serve runs as its tenant: the fair schedulers and the cache's
   // per-tenant accounting read the context's active tenant from here on
   // (a plain store; stays kDefaultTenant in single-tenant runs).
-  ctx_->set_active_tenant(l.req.tenant);
-  iolhttp::HttpServer* server = fleet_.server(l.server);
-  if (!l.conn->connected()) {
+  machine.ctx->set_active_tenant(l.req.tenant);
+  if (!l.req.conn->connected()) {
     // Handshake CPU (SYN/PCB work) is a pipeline stage like any other; the
     // handshake round trip itself is charged with the response delays.
     iolhttp::RunCpuStage(
-        ctx_, [&l] { l.conn->Connect(); },
-        [this, server, lane] { server->StartRequest(&lanes_[lane].req); });
+        machine.ctx, [&l] { l.req.conn->Connect(); },
+        [server, &l] { server->StartRequest(&l.req); });
   } else {
     server->StartRequest(&l.req);
   }
 }
 
-void Experiment::OnServerDone(size_t lane) {
-  if (done_) {
+void Experiment::OnServerDone(size_t m, size_t slot) {
+  // A shared machine stops with the client half; a member's own machine
+  // finishes what it holds (and never reads the frontend's done_).
+  if (shards_ == nullptr && done_) {
     return;
   }
-  Lane& l = lanes_[lane];
+  Member& member = members_[m];
+  Machine& machine = *member.machine;
+  Lane& l = (*machine.slots)[slot];
   size_t bytes = l.req.response_bytes;
   if (!config_.persistent_connections) {
-    l.conn->Close();
+    l.req.conn->Close();
   }
   if (config_.enforce_cache_budget) {
-    cache_->EnforceBudget(CacheBudget());
+    machine.cache->EnforceBudget(CacheBudget());
   }
   if (config_.cache_budget_bytes > 0) {
-    cache_->EnforceBudget(config_.cache_budget_bytes);
+    machine.cache->EnforceBudget(config_.cache_budget_bytes);
   }
-  --in_service_;
-  --in_service_per_[l.server];
-  iolhttp::HttpServer* srv = fleet_.server(l.server);
+  --machine.in_service;
+  --member.in_service;
+  iolhttp::HttpServer* srv = fleet_.server(m);
   if (!fault_on_ || !srv->down()) {
-    DrainAcceptQueue(l.server);
+    DrainAcceptQueue(m);
   }
   if (fault_on_ &&
       (srv->down() || l.serve_epoch != srv->crash_epoch())) {
@@ -472,7 +677,7 @@ void Experiment::OnServerDone(size_t lane) {
     ++response_drops_;
     if (recovery_on_) {
       if (l.zombie) {
-        RecycleLane(lane);  // Already abandoned; nothing else holds it.
+        RecycleLane(slot);  // Already abandoned; nothing else holds it.
       } else {
         l.limbo = true;  // Hand the lane to the flight's timeout.
       }
@@ -481,45 +686,59 @@ void Experiment::OnServerDone(size_t lane) {
   }
 
   // Response propagation, plus one handshake round trip for nonpersistent
-  // connections. A pipelined connection delivers responses in request
-  // order: an out-of-order completion (e.g. a sibling's cache hit passing
-  // this lane's disk read) waits for the head of line.
+  // connections.
   iolsim::SimTime respond_delay = config_.delay.one_way_delay;
   if (!config_.persistent_connections) {
     respond_delay += config_.delay.RoundTrip();
   }
-  ConnState& cs = conn_state_[l.conn_index];
-  if (l.seq == cs.next_deliver && cs.done_out_of_order.empty()) {
-    // In-order completion with nothing parked (the steady-state warm path):
-    // deliver directly, skipping the map insert+erase round trip.
-    ++cs.next_deliver;
-    ctx_->events().ScheduleAfter(
-        respond_delay, [this, lane, bytes] { OnClientReceive(lane, bytes); });
+  if (pipeline_depth_ == 1) {
+    // One request per connection at a time: always in order.
+    Respond(m, slot, bytes, respond_delay);
     return;
   }
-  cs.done_out_of_order[l.seq] = {lane, bytes};
+  // A pipelined connection delivers responses in request order: an
+  // out-of-order completion (e.g. a sibling's cache hit passing this lane's
+  // disk read) waits for the head of line.
+  ConnState& cs = conn_state_[l.conn_index];
+  cs.done_out_of_order[l.seq] = {slot, bytes};
   while (!cs.done_out_of_order.empty() &&
          cs.done_out_of_order.begin()->first == cs.next_deliver) {
     auto [head_lane, head_bytes] = cs.done_out_of_order.begin()->second;
     cs.done_out_of_order.erase(cs.done_out_of_order.begin());
     ++cs.next_deliver;
-    ctx_->events().ScheduleAfter(respond_delay, [this, head_lane, head_bytes] {
-      OnClientReceive(head_lane, head_bytes);
-    });
+    Respond(m, head_lane, head_bytes, respond_delay);
   }
 }
 
-void Experiment::DrainAcceptQueue(size_t s) {
-  while (!accept_queues_[s].empty() &&
-         (config_.max_concurrent == 0 ||
-          in_service_per_[s] < config_.max_concurrent)) {
-    size_t waiting = accept_queues_[s].front();
-    accept_queues_[s].pop_front();
+void Experiment::Respond(size_t m, size_t slot, size_t bytes, iolsim::SimTime delay) {
+  if (shards_ == nullptr) {
+    events_->ScheduleAfter(delay, [this, slot, bytes] { OnClientReceive(slot, bytes); });
+    return;
+  }
+  // The slot's fields ride the message back; the slot is free from here.
+  Machine& machine = *members_[m].machine;
+  const Lane& s = machine.own_slots[slot];
+  iolsim::ShardMsg msg;
+  msg.when = machine.ctx->clock().now() + delay;
+  msg.a = s.conn_index;
+  msg.b = bytes;
+  msg.c = static_cast<uint64_t>(s.record.admit);
+  msg.d = s.req.cache_hit ? 1 : 0;
+  machine.free_slots.push_back(slot);
+  shards_->runner->Send(static_cast<uint32_t>(1 + m), 0, msg);
+}
+
+void Experiment::DrainAcceptQueue(size_t m) {
+  Member& member = members_[m];
+  while (!member.accept_queue.empty() &&
+         (config_.max_concurrent == 0 || member.in_service < config_.max_concurrent)) {
+    size_t waiting = member.accept_queue.front();
+    member.accept_queue.pop_front();
     if (recovery_on_ && lanes_[waiting].zombie) {
       RecycleLane(waiting);  // Timed out while queued; serve the next waiter.
       continue;
     }
-    ServeRequest(waiting);
+    ServeRequest(m, waiting);
   }
 }
 
@@ -536,33 +755,45 @@ void Experiment::OnClientReceive(size_t lane, size_t bytes) {
     DeliverFlight(lane, bytes);
     return;
   }
-  ++completed_;
-  l.record.complete = ctx_->clock().now();
+  l.record.complete = clock_->now();
   l.record.bytes = bytes;
   l.record.server = l.server;
   l.record.tenant = l.req.tenant;
   l.record.cache_hit = l.req.cache_hit;
-  l.record.counted = completed_ > config_.warmup_requests;
-  telemetry_->Record(l.record);
-  if (!l.record.counted) {
-    if (completed_ == config_.warmup_requests) {
-      count_start_ = ctx_->clock().now();
-    }
-  } else {
-    ++counted_requests_;
-    counted_bytes_ += bytes;
-    share_[l.server].requests++;
-    share_[l.server].bytes += bytes;
-    if (counted_requests_ >= config_.max_requests) {
-      done_ = true;
-      return;
-    }
+  if (!CountCompletion(l.record)) {
+    return;
   }
   if (workload_->closed_loop()) {
     IssueRequest(lane);
   } else {
     free_lanes_.push_back(lane);
   }
+}
+
+bool Experiment::CountCompletion(RequestRecord& rec) {
+  ++completed_;
+  rec.counted = completed_ > config_.warmup_requests;
+  telemetry_->Record(rec);
+  if (!rec.counted) {
+    if (completed_ == config_.warmup_requests) {
+      count_start_ = clock_->now();
+    }
+    return true;
+  }
+  ++counted_requests_;
+  if (Delivered(rec.outcome)) {
+    counted_bytes_ += rec.bytes;
+    share_[rec.server].requests++;
+    share_[rec.server].bytes += rec.bytes;
+  } else {
+    ++failed_counted_;
+  }
+  if (counted_requests_ < config_.max_requests) {
+    return true;
+  }
+  done_ = true;
+  done_at_ = clock_->now();
+  return false;
 }
 
 // --- Fault plane (src/fault) ------------------------------------------------
@@ -649,31 +880,30 @@ void Experiment::RunHealthProbe() {
       }
     }
   }
-  ctx_->events().ScheduleAfter(config_.recovery.health_check_interval,
-                               [this] { RunHealthProbe(); });
+  events_->ScheduleAfter(config_.recovery.health_check_interval,
+                         [this] { RunHealthProbe(); });
 }
 
 void Experiment::ArmFlightTimers(size_t lane, iolsim::SimTime extra_delay) {
   Lane& l = lanes_[lane];
   l.timeout_ev =
-      ctx_->events().ScheduleAfter(extra_delay + config_.recovery.request_timeout,
-                                   [this, lane] { OnRequestTimeout(lane); });
+      events_->ScheduleAfter(extra_delay + config_.recovery.request_timeout,
+                             [this, lane] { OnRequestTimeout(lane); });
   l.hedge_ev =
       config_.recovery.hedge_delay > 0
-          ? ctx_->events().ScheduleAfter(
-                extra_delay + config_.recovery.hedge_delay,
-                [this, lane] { FireHedge(lane); })
+          ? events_->ScheduleAfter(extra_delay + config_.recovery.hedge_delay,
+                                   [this, lane] { FireHedge(lane); })
           : kNoEvent;
 }
 
 void Experiment::CancelFlightTimers(size_t lane) {
   Lane& l = lanes_[lane];
   if (l.timeout_ev != kNoEvent) {
-    ctx_->events().Cancel(l.timeout_ev);
+    events_->Cancel(l.timeout_ev);
     l.timeout_ev = kNoEvent;
   }
   if (l.hedge_ev != kNoEvent) {
-    ctx_->events().Cancel(l.hedge_ev);
+    events_->Cancel(l.hedge_ev);
     l.hedge_ev = kNoEvent;
   }
 }
@@ -684,10 +914,7 @@ size_t Experiment::AcquireAttemptLane() {
     lane = free_lanes_.back();
     free_lanes_.pop_back();
   } else {
-    AddConnection();
-    conn_state_.resize(conns_.size());
-    lane = AddLane(conns_.size() - 1);
-    UpdateSteadyMemory();
+    lane = AddClient();
   }
   Lane& l = lanes_[lane];
   l.flight_owner = kNoLane;
@@ -707,13 +934,6 @@ void Experiment::RecycleLane(size_t lane) {
   l.limbo = false;
   l.flight_owner = kNoLane;
   l.hedge_lane = kNoLane;
-  // Recovery mode runs one lane per connection, so everything outstanding
-  // on this connection died with the attempt: fast-forward the delivery
-  // cursor past any sequence number whose response was dropped, or the
-  // lane's next use would park its response behind a hole forever.
-  ConnState& cs = conn_state_[l.conn_index];
-  cs.next_deliver = cs.next_issue;
-  cs.done_out_of_order.clear();
   free_lanes_.push_back(lane);
 }
 
@@ -735,7 +955,7 @@ void Experiment::OnRequestTimeout(size_t lane) {
   Lane& o = lanes_[lane];
   o.timeout_ev = kNoEvent;  // It just fired.
   if (o.hedge_ev != kNoEvent) {
-    ctx_->events().Cancel(o.hedge_ev);
+    events_->Cancel(o.hedge_ev);
     o.hedge_ev = kNoEvent;
   }
   if (o.hedge_lane != kNoLane) {
@@ -776,17 +996,16 @@ void Experiment::OnRequestTimeout(size_t lane) {
     // The attempt's own timeout clock starts when the client reissues
     // (after the backoff); the wire delay applies to the reissue too.
     ArmFlightTimers(r, backoff);
-    ctx_->events().ScheduleAfter(backoff + config_.delay.one_way_delay,
-                                 [this, r] { ArriveAtFleet(r); });
+    events_->ScheduleAfter(backoff + config_.delay.one_way_delay,
+                           [this, r] { ArriveAtFleet(r); });
     return;
   }
   // Out of retries: the flight fails. Record the outcome — failed records
   // count toward the stop condition but carry no bytes and no latency
   // sample — and, closed loop, issue the client's next logical request on
   // a fresh lane (this one may still be stuck in a pipeline).
-  ++completed_;
   RequestRecord rec = o.record;
-  rec.complete = ctx_->clock().now();
+  rec.complete = clock_->now();
   rec.bytes = 0;
   rec.server = o.server;
   rec.tenant = o.req.tenant;
@@ -794,22 +1013,9 @@ void Experiment::OnRequestTimeout(size_t lane) {
                                                  : Outcome::kTimedOut;
   rec.attempts = o.attempts;
   rec.cache_hit = false;
-  rec.counted = completed_ > config_.warmup_requests;
-  telemetry_->Record(rec);
+  bool more = CountCompletion(rec);
   AbandonAttempt(lane);
-  if (!rec.counted) {
-    if (completed_ == config_.warmup_requests) {
-      count_start_ = ctx_->clock().now();
-    }
-  } else {
-    ++counted_requests_;
-    ++failed_counted_;
-    if (counted_requests_ >= config_.max_requests) {
-      done_ = true;
-      return;
-    }
-  }
-  if (workload_->closed_loop()) {
+  if (more && workload_->closed_loop()) {
     IssueRequest(AcquireAttemptLane());
   }
 }
@@ -833,8 +1039,8 @@ void Experiment::FireHedge(size_t lane) {
   hn.pinned_file = on.pinned_file;
   hn.seq = conn_state_[hn.conn_index].next_issue++;
   on.hedge_lane = static_cast<uint32_t>(h);
-  ctx_->events().ScheduleAfter(config_.delay.one_way_delay,
-                               [this, h] { ArriveAtFleet(h); });
+  events_->ScheduleAfter(config_.delay.one_way_delay,
+                         [this, h] { ArriveAtFleet(h); });
 }
 
 void Experiment::DeliverFlight(size_t lane, size_t bytes) {
@@ -848,9 +1054,8 @@ void Experiment::DeliverFlight(size_t lane, size_t bytes) {
   } else if (o.hedge_lane != kNoLane) {
     AbandonAttempt(o.hedge_lane);
   }
-  ++completed_;
   RequestRecord rec = o.record;
-  rec.complete = ctx_->clock().now();
+  rec.complete = clock_->now();
   rec.bytes = bytes;
   rec.server = x.server;
   rec.admit = x.record.admit;  // The winning attempt's admission.
@@ -860,24 +1065,11 @@ void Experiment::DeliverFlight(size_t lane, size_t bytes) {
                     ? Outcome::kHedgeWon
                     : (o.retries_used > 0 ? Outcome::kRetriedOk : Outcome::kOk);
   rec.attempts = o.attempts;
-  rec.counted = completed_ > config_.warmup_requests;
-  telemetry_->Record(rec);
   // This lane carries the client forward; sever any flight linkage.
   x.flight_owner = kNoLane;
   x.hedge_lane = kNoLane;
-  if (!rec.counted) {
-    if (completed_ == config_.warmup_requests) {
-      count_start_ = ctx_->clock().now();
-    }
-  } else {
-    ++counted_requests_;
-    counted_bytes_ += bytes;
-    share_[x.server].requests++;
-    share_[x.server].bytes += bytes;
-    if (counted_requests_ >= config_.max_requests) {
-      done_ = true;
-      return;
-    }
+  if (!CountCompletion(rec)) {
+    return;
   }
   if (workload_->closed_loop()) {
     IssueRequest(lane);

@@ -10,6 +10,19 @@
 // (HTTP/1.1 pipelining head-of-line blocking), and timestamps every
 // request for the Telemetry sink. One Run per Experiment instance: a
 // second Run would reuse stale lane/counter state and dies loudly instead.
+//
+// The engine has a client half (issue, arrivals, receive, warmup/count/
+// stop) and a member half (admission, accept queue, serve, connections),
+// each written once and run in one of two topologies:
+//   - All members on one machine: one SimContext and one event queue.
+//   - One machine per member: each member on its own System, the client
+//     half on a frontend lane, and the lanes executed by a ShardRunner
+//     (src/simos/shard.h) under conservative-lookahead rounds.
+// The topologies differ in three places only: how a request and its
+// response cross (a scheduled event, or a ShardMsg that fills a pooled
+// member slot), the front door (balancer + QoS + fault checks, or client c
+// to member c mod M), and when a RequestSource file is drawn (at serve
+// time, or at issue time on the frontend).
 
 #ifndef SRC_DRIVER_EXPERIMENT_H_
 #define SRC_DRIVER_EXPERIMENT_H_
@@ -33,16 +46,24 @@
 #include "src/httpd/request_pipeline.h"
 #include "src/net/tcp.h"
 #include "src/simos/event_queue.h"
+#include "src/simos/shard.h"
 #include "src/simos/sim_context.h"
 
 namespace iolqos {
 class QosPolicy;
 }  // namespace iolqos
 
+namespace iolsys {
+class System;
+}  // namespace iolsys
+
 namespace ioldrv {
 
 // Knobs orthogonal to all three axes: how much to measure, the network
-// between clients and fleet, and per-member admission policy.
+// between clients and fleet, and per-member admission policy. With one
+// machine per member, Run aborts on the fields that topology cannot honour:
+// `qos`, a non-empty `faults` plan, `recovery`, persistent pipelining and
+// `enforce_cache_budget`.
 struct ExperimentConfig {
   // Stop after this many counted (post-warmup) request completions. A
   // replayed log may end first; the run then counts what completed.
@@ -58,24 +79,25 @@ struct ExperimentConfig {
   // Enforce the file-cache byte budget from the memory model after each
   // request (trace experiments). Off for single-file tests.
   bool enforce_cache_budget = false;
-  // OS threads executing the sharded engine (ShardedExperiment only; the
-  // classic single-context Experiment ignores it). The lane topology —
-  // one lane per fleet member plus the frontend — is fixed by the fleet,
-  // so any shard_count produces byte-identical telemetry; this knob only
-  // changes how many lanes run concurrently.
+  // OS threads executing the lanes when each member has its own machine
+  // (ignored when all members share one). The lanes — the client frontend
+  // plus one per member — are fixed by the fleet, so any shard_count
+  // produces byte-identical telemetry; this knob only changes how many
+  // lanes run concurrently.
   int shard_count = 1;
-  // Multi-tenant QoS policy plane (src/qos; classic Experiment only). When
-  // set, the engine classifies every request at issue time, fires the
+  // Multi-tenant QoS policy plane (src/qos; all members on one machine).
+  // When set, the engine classifies every request at issue time, fires the
   // on_admit stage hook at the fleet front door (token-bucket delays are
   // honored before the balancer runs), establishes the owning tenant on
   // the SimContext for each serve, and fills ExperimentResult::tenants.
   // Null runs the exact pre-QoS code paths. Not owned.
   iolqos::QosPolicy* qos = nullptr;
   // Fixed file-cache byte budget enforced after each completion (0 = off;
-  // independent of enforce_cache_budget's memory-model budget). The
+  // independent of enforce_cache_budget's memory-model budget), on each
+  // member's own cache when members have their own machines. The
   // adversarial cache-pressure scenarios pin the budget explicitly.
   uint64_t cache_budget_bytes = 0;
-  // Deterministic fault plan (src/fault; classic Experiment only). The
+  // Deterministic fault plan (src/fault; all members on one machine). The
   // engine arms member crash/restart flips on the event queue and device
   // degradation windows on the context's disk/link Resources before the
   // run starts; backhaul flaps are armed by the proxy's owner instead (the
@@ -130,7 +152,8 @@ struct ExperimentResult {
   // same measurement window as `latency`; use this when correlating hit
   // behavior with percentiles.
   double cache_hit_fraction = 0;
-  // High-water mark of concurrently served requests, fleet-wide.
+  // High-water mark of concurrently served requests per machine, summed
+  // over machines (fleet-wide when all members share one machine).
   int peak_concurrent = 0;
   // Arrivals that had to wait in an accept queue (max_concurrent).
   uint64_t admission_waits = 0;
@@ -221,20 +244,31 @@ struct ExperimentResult {
 class Experiment {
  public:
   // Returns the file to request next; shared across clients, called in
-  // service order. Ignored for arrivals whose Workload pins the file
-  // (trace replay).
+  // service order (issue order with one machine per member). Ignored for
+  // arrivals whose Workload pins the file (trace replay).
   using RequestSource = std::function<iolfs::FileId()>;
 
+  // All members on one machine: `ctx`, whose event queue runs the whole
+  // experiment.
   Experiment(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
-             iolfs::FileCache* cache, Fleet fleet, ExperimentConfig config)
-      : ctx_(ctx), net_(net), cache_(cache), fleet_(std::move(fleet)),
-        config_(config) {}
+             iolfs::FileCache* cache, Fleet fleet, ExperimentConfig config);
 
   // Single-server convenience.
   Experiment(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
              iolfs::FileCache* cache, iolhttp::HttpServer* server,
              ExperimentConfig config)
       : Experiment(ctx, net, cache, Fleet::Single(server), config) {}
+
+  // One machine per member: fleet.server(m) runs on machines[m]. The
+  // balancer is unused (client c goes to member c mod M), and the one-way
+  // delay — the lookahead between lanes — must be > 0.
+  Experiment(std::vector<iolsys::System*> machines, Fleet fleet,
+             ExperimentConfig config);
+
+  ~Experiment();
+
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
 
   // Runs `workload` to completion. Per-request records go to `sink` when
   // given, else to the internal Telemetry (see telemetry()). Fatal on a
@@ -253,16 +287,25 @@ class Experiment {
   // schedules a successor would keep the drain alive forever.
   bool finished() const { return done_; }
 
+  // After a Run: the events each lane dispatched — with one machine per
+  // member [0] = the client frontend and [1 + m] = member m, else the
+  // shared machine alone — and the runner's counters.
+  const std::vector<uint64_t>& lane_events() const { return lane_events_; }
+  const iolsim::ShardRunner::Stats& shard_stats() const { return shard_stats_; }
+
  private:
   // One request slot: a connection (shared by a client's pipelined lanes)
   // plus the in-flight request state. Lives in a deque so addresses stay
   // stable when the open-loop pool grows, with block-contiguous storage
   // (the per-completion hot path walks lane state five times per request).
+  // On one machine a client lane is also its member's request slot; with
+  // one machine per member, each member pools its own slots, filled in by
+  // the arriving request.
   struct Lane {
-    iolnet::TcpConnection* conn = nullptr;
-    size_t conn_index = 0;
-    uint64_t seq = 0;        // Issue order on this lane's connection.
-    size_t server = 0;       // Fleet member chosen at arrival.
+    size_t conn_index = 0;  // The client's connection (with one machine
+                            // per member: the client).
+    uint64_t seq = 0;       // Issue order on this lane's connection.
+    size_t server = 0;      // Fleet member chosen at arrival.
     bool has_pinned_file = false;
     iolfs::FileId pinned_file = iolfs::kInvalidFile;
     RequestRecord record;
@@ -299,28 +342,74 @@ class Experiment {
     std::map<uint64_t, std::pair<size_t, size_t>> done_out_of_order;
   };
 
+  // A simulated host that members run on. On one machine every member
+  // shares machines_[0], whose request slots are the client lanes; with one
+  // machine per member, member m runs on machines_[m], which pools its own
+  // slots and keeps one connection per client it serves.
+  struct Machine {
+    iolsim::SimContext* ctx = nullptr;
+    iolnet::NetworkSubsystem* net = nullptr;
+    iolfs::FileCache* cache = nullptr;
+    std::deque<Lane>* slots = nullptr;  // What member slot indices index.
+    int in_service = 0;
+    int peak = 0;
+    uint64_t events_base = 0;
+    std::deque<Lane> own_slots;
+    std::vector<size_t> free_slots;
+    std::vector<std::unique_ptr<iolnet::TcpConnection>> conns;  // [client / M]
+  };
+
+  // A fleet member's admission state.
+  struct Member {
+    Machine* machine = nullptr;
+    std::deque<size_t> accept_queue;  // Slots waiting on max_concurrent.
+    int in_service = 0;
+    int peak = 0;
+    uint64_t admission_waits = 0;
+  };
+
+  struct Shards;    // The frontend's clock and queue, and the runner.
+  class QueueLane;  // A ShardRunner lane over one event queue.
+
   static constexpr uint32_t kNoLane = UINT32_MAX;
   static constexpr iolsim::EventQueue::EventId kNoEvent = ~0ull;
 
   size_t AddLane(size_t conn_index);
   void AddConnection();
+  // One more client with one lane: the open-loop pool grows on demand.
+  size_t AddClient();
   // Recomputes the steady-state memory the client population pins, for the
   // current pool size (open-loop growth re-runs this).
   void UpdateSteadyMemory();
+
+  // --- Client half ---------------------------------------------------------
   // Client issues: the request propagates to the fleet (one-way delay).
   void IssueRequest(size_t lane);
+  void ScheduleNextArrival();
+  void OnClientReceive(size_t lane, size_t bytes);
+  // Warmup / count / stop for one finished request; false once the run
+  // has counted max_requests completions.
+  bool CountCompletion(RequestRecord& rec);
+  // A request or response arriving by ShardMsg on runner lane `lane`
+  // (0 = the frontend, 1 + m = member m).
+  void OnShardMessage(uint32_t lane, const iolsim::ShardMsg& msg);
+
+  // --- Front door on one machine -------------------------------------------
   // Request reaches the fleet: the on_admit stage hook may delay it
-  // (token-bucket throttling), then the balancer picks a member; admitted
-  // now or queued behind that member's max_concurrent.
+  // (token-bucket throttling), then the balancer picks a member.
   void ArriveAtFleet(size_t lane);
   void AdmitToFleet(size_t lane);
-  void ServeRequest(size_t lane);
-  void OnServerDone(size_t lane);
-  void OnClientReceive(size_t lane, size_t bytes);
+
+  // --- Member half: member m and a request slot on its machine ------------
+  // Admitted now, or queued behind the member's max_concurrent.
+  void Admit(size_t m, size_t slot);
+  void ServeRequest(size_t m, size_t slot);
+  void OnServerDone(size_t m, size_t slot);
+  // The response crosses back to the client, arriving after `delay`.
+  void Respond(size_t m, size_t slot, size_t bytes, iolsim::SimTime delay);
   // Serves queued waiters while the member has capacity (the per-completion
   // pop, and the post-restart kick), skipping zombie entries.
-  void DrainAcceptQueue(size_t s);
-  void ScheduleNextArrival();
+  void DrainAcceptQueue(size_t m);
   uint64_t CacheBudget() const;
 
   // --- Fault plane (src/fault) ------------------------------------------
@@ -340,11 +429,19 @@ class Experiment {
   // it (limbo), else its pending continuation swallows and recycles it.
   void AbandonAttempt(size_t lane);
 
-  iolsim::SimContext* ctx_;
-  iolnet::NetworkSubsystem* net_;
-  iolfs::FileCache* cache_;
+  // The shared machine; all null with one machine per member.
+  iolsim::SimContext* ctx_ = nullptr;
+  iolnet::NetworkSubsystem* net_ = nullptr;
+  iolfs::FileCache* cache_ = nullptr;
   Fleet fleet_;
   ExperimentConfig config_;
+  // The client half's clock and queue: the shared machine's, or the
+  // frontend's own with one machine per member.
+  iolsim::VirtualClock* clock_ = nullptr;
+  iolsim::EventQueue* events_ = nullptr;
+  std::unique_ptr<Shards> shards_;  // Null on one machine.
+  std::deque<Machine> machines_;
+  std::vector<Member> members_;
   Workload* workload_ = nullptr;
   RequestSource next_file_;
   Telemetry own_telemetry_;
@@ -352,27 +449,25 @@ class Experiment {
   // telemetry() is always safe to call.
   Telemetry* telemetry_ = &own_telemetry_;
 
-  std::vector<std::unique_ptr<iolnet::TcpConnection>> conns_;
+  std::vector<std::unique_ptr<iolnet::TcpConnection>> conns_;  // One machine.
   std::vector<ConnState> conn_state_;
   std::deque<Lane> lanes_;
   std::vector<size_t> free_lanes_;  // Open loop: idle pool entries.
 
-  // Per fleet member.
-  std::vector<std::deque<size_t>> accept_queues_;
-  std::vector<int> in_service_per_;
+  // Per fleet member, counted on the client side.
   std::vector<ServerShare> share_;
   std::vector<int> load_scratch_;  // Balancer input, reused per arrival.
 
   int pipeline_depth_ = 1;
-  int in_service_ = 0;
-  int peak_in_service_ = 0;
-  uint64_t admission_waits_ = 0;
   uint64_t completed_ = 0;  // All completions, including warmup.
   uint64_t counted_requests_ = 0;
   uint64_t counted_bytes_ = 0;
   iolsim::SimTime count_start_ = 0;
+  iolsim::SimTime done_at_ = 0;
   bool done_ = false;
   bool ran_ = false;
+  std::vector<uint64_t> lane_events_;
+  iolsim::ShardRunner::Stats shard_stats_;
 
   // Fault plane state. fault_on_/recovery_on_ gate every new branch on the
   // hot paths; both false reproduces the pre-fault engine byte for byte.

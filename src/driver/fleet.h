@@ -83,6 +83,7 @@ class Fleet {
 
   size_t size() const { return servers_.size(); }
   iolhttp::HttpServer* server(size_t i) const { return servers_[i]; }
+  const std::vector<iolhttp::HttpServer*>& servers() const { return servers_; }
   const char* balancer_name() const { return balancer_->name(); }
 
   size_t PickServer(const std::vector<int>& load) {

@@ -2,19 +2,6 @@
 
 namespace ioldrv {
 
-namespace {
-
-std::vector<iolhttp::HttpServer*> Members(const Fleet& fleet) {
-  std::vector<iolhttp::HttpServer*> members;
-  members.reserve(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    members.push_back(fleet.server(i));
-  }
-  return members;
-}
-
-}  // namespace
-
 ProxyTier::ProxyTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                      iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime,
                      Fleet origins, iolproxy::ProxyConfig pconfig,
@@ -22,7 +9,7 @@ ProxyTier::ProxyTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
     : ctx_(ctx),
       origins_(std::move(origins)),
       proxy_(std::make_unique<iolproxy::ProxyServer>(ctx, net, io, runtime,
-                                                     Members(origins_), pconfig)),
+                                                     origins_.servers(), pconfig)),
       experiment_(ctx, net, &io->cache(), proxy_.get(), config) {
   // The origin fleet's balancer routes backhaul fetches.
   proxy_->set_pick_origin(

@@ -1,29 +1,23 @@
-// ShardedExperiment: the parallel fleet engine over shard lanes.
+// ShardedExperiment: a fleet with one machine per member, run in parallel.
 //
-// The classic Experiment drives a fleet whose members share one simulated
-// machine and one event queue. This engine models the fleet the way a real
-// deployment is built — each member is its own machine (System: CPU, disk,
-// cache, link) with its own clock and event lane — and executes the lanes
-// in parallel under the ShardRunner's conservative-lookahead rounds. The
-// client population lives on a frontend lane; requests and responses cross
-// lanes as ShardMsgs with the client↔fleet one-way delay as the lookahead.
+// A thin owner over Experiment's one-machine-per-member topology: it builds
+// each member's machine (System: CPU, disk, cache, link, own clock and
+// event queue) and server with the caller's factory, hands them to an
+// Experiment, and adds the parallel-engine diagnostics to the result. The
+// client population lives on a frontend lane; requests and responses
+// cross lanes as ShardMsgs with the client-to-fleet one-way delay as the
+// lookahead of the ShardRunner's conservative rounds.
 //
-// Topology is fixed by the fleet (one lane per member + the frontend);
+// The lanes are fixed by the fleet (the frontend + one per member);
 // ExperimentConfig::shard_count only chooses how many OS threads execute
-// the lanes. Telemetry is therefore byte-identical for any shard_count —
-// the determinism contract the invariance tests pin.
-//
-// Scope (asserted, not silently wrong): one-way delay > 0 (it is the
-// lookahead), pipeline_depth == 1, no workload-pinned files (trace replay),
-// no enforce_cache_budget. Balancing is client-affine round-robin —
-// client c is served by member c mod M — which a per-member accept queue
-// (max_concurrent) still applies to.
+// them. Telemetry is therefore byte-identical for any shard_count — the
+// determinism contract the invariance tests pin. Client c is served by
+// member c mod M; see ExperimentConfig for the fields this topology rejects.
 
 #ifndef SRC_DRIVER_SHARDED_EXPERIMENT_H_
 #define SRC_DRIVER_SHARDED_EXPERIMENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -32,7 +26,6 @@
 #include "src/driver/telemetry.h"
 #include "src/driver/workload.h"
 #include "src/httpd/http_server.h"
-#include "src/net/tcp.h"
 #include "src/simos/shard.h"
 #include "src/system/system.h"
 
@@ -53,7 +46,7 @@ using ShardMemberFactory = std::function<ShardMember(size_t member)>;
 struct ShardedResult {
   ExperimentResult result;            // Legacy-shaped: benches reuse JsonReporter.
   std::vector<uint64_t> lane_events;  // [0] = frontend, [1..] = members.
-  iolsim::ShardRunner::Stats shard;   // Rounds, messages, spills, threads.
+  iolsim::ShardRunner::Stats shard;   // Rounds, messages, spills, host time.
 };
 
 class ShardedExperiment {
@@ -68,23 +61,15 @@ class ShardedExperiment {
   ShardedExperiment& operator=(const ShardedExperiment&) = delete;
 
   // Runs `workload` to completion across the lanes. One Run per instance,
-  // like the classic engine.
+  // like every Experiment.
   ShardedResult Run(Workload* workload, RequestSource next_file);
 
-  const Telemetry& telemetry() const { return telemetry_; }
+  const Telemetry& telemetry() const { return experiment_->telemetry(); }
   iolsys::System* member_system(size_t m) { return members_[m].sys.get(); }
 
  private:
-  class FrontendLane;
-  class MemberLane;
-
-  size_t member_count_;
-  ExperimentConfig config_;
-  std::vector<ShardMember> members_;
-  Telemetry telemetry_;
-  std::unique_ptr<FrontendLane> frontend_;
-  std::vector<std::unique_ptr<MemberLane>> member_lanes_;
-  bool ran_ = false;
+  std::vector<ShardMember> members_;  // Outlive experiment_'s connections.
+  std::unique_ptr<Experiment> experiment_;
 };
 
 }  // namespace ioldrv

@@ -1,6 +1,7 @@
 #include "src/simos/shard.h"
 
 #include <barrier>
+#include <chrono>
 #include <thread>
 
 namespace iolsim {
@@ -115,13 +116,21 @@ void ShardRunner::Reduce() noexcept {
 }
 
 void ShardRunner::ThreadMain(int tid) {
+  using Clock = std::chrono::steady_clock;
+  auto ns = [](Clock::duration d) {
+    return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  HostTime& host = host_time_[tid];
   size_t n = lanes_.size();
   while (true) {
     for (size_t i = tid; i < n; i += threads_) {
       DrainInboxes(i);
       next_at_[i] = lanes_[i]->NextEventAt();
     }
+    Clock::time_point arrived = Clock::now();
     barriers_->reduce.arrive_and_wait();
+    Clock::time_point window_start = Clock::now();
+    host.barrier_wait_ns += ns(window_start - arrived);
     if (stop_) {
       return;
     }
@@ -129,13 +138,17 @@ void ShardRunner::ThreadMain(int tid) {
     for (size_t i = tid; i < n; i += threads_) {
       lanes_[i]->RunWindow(end);
     }
+    Clock::time_point window_end = Clock::now();
+    host.window_ns += ns(window_end - window_start);
     barriers_->resume.arrive_and_wait();
+    host.barrier_wait_ns += ns(Clock::now() - window_end);
   }
 }
 
 ShardRunner::Stats ShardRunner::Run() {
   stop_ = false;
   rounds_ = 0;
+  host_time_.assign(threads_, HostTime{});
   std::vector<std::thread> workers;
   workers.reserve(threads_ - 1);
   for (int t = 1; t < threads_; ++t) {
@@ -151,6 +164,10 @@ ShardRunner::Stats ShardRunner::Run() {
   for (const auto& p : pairs_) {
     stats.messages += p->sent;
     stats.spilled += p->spilled;
+  }
+  for (const HostTime& t : host_time_) {
+    stats.window_ns += t.window_ns;
+    stats.barrier_wait_ns += t.barrier_wait_ns;
   }
   return stats;
 }

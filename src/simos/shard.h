@@ -130,6 +130,11 @@ class ShardRunner {
     uint64_t messages = 0;       // Cross-lane messages delivered.
     uint64_t spilled = 0;        // Messages that overflowed a ring.
     int threads = 0;             // Actual thread count used.
+    // Host time summed over threads: running lanes inside windows, and
+    // waiting at the two barriers of every round (the rest of a round is
+    // the mailbox drain).
+    uint64_t window_ns = 0;
+    uint64_t barrier_wait_ns = 0;
   };
 
   ShardRunner(std::vector<ShardLane*> lanes, const Options& options);
@@ -153,6 +158,12 @@ class ShardRunner {
  private:
   struct Pair;  // Mailbox + sender-side spill + counters.
 
+  // One thread's host-time split, on its own cache line.
+  struct alignas(64) HostTime {
+    uint64_t window_ns = 0;
+    uint64_t barrier_wait_ns = 0;
+  };
+
   void ThreadMain(int tid);
   void DrainInboxes(size_t lane);
   void Reduce() noexcept;  // Barrier completion: min next-event → window.
@@ -164,6 +175,7 @@ class ShardRunner {
   int threads_;
   std::vector<std::unique_ptr<Pair>> pairs_;  // Dense N×N (diagonal unused).
   std::vector<SimTime> next_at_;              // Per lane, written pre-reduce.
+  std::vector<HostTime> host_time_;           // Per thread.
 
   // Round state, written by Reduce() under the barrier, read by all after.
   SimTime window_end_ = 0;

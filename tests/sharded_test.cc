@@ -1,10 +1,13 @@
-// The sharded engine's determinism contract: run-twice reproducibility and
-// shard-count invariance. The lane topology is fixed by the fleet, so
+// The one-machine-per-member topology's contract: run-twice reproducibility
+// and shard-count invariance. The lane topology is fixed by the fleet, so
 // ExperimentConfig::shard_count (OS threads) must change nothing but
 // wall-clock time — shards ∈ {1, 2, 4} on a fig03-shaped load have to
-// produce byte-identical telemetry, counters, and per-member shares.
+// produce byte-identical telemetry, counters, and per-member shares. The
+// config fields this topology cannot honour must abort the run.
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,9 @@
 #include "bench/bench_util.h"
 #include "src/driver/sharded_experiment.h"
 #include "src/driver/workload.h"
+#include "src/fault/fault_plan.h"
+#include "src/qos/policy.h"
+#include "src/workload/trace.h"
 
 namespace {
 
@@ -176,6 +182,131 @@ TEST(ShardedExperiment, ExcessThreadsClampToLaneCount) {
   EXPECT_EQ(wide.sharded.shard.threads, static_cast<int>(kMembers) + 1);
   ExpectSameRecords(base.records, wide.records);
   ExpectSameResult(base.sharded.result, wide.sharded.result);
+}
+
+// Trace replay: every arrival pins its file, which the frontend carries to
+// the member (the RequestSource is never called).
+const iolwl::Trace& SmallTrace() {
+  static const iolwl::Trace trace = [] {
+    iolwl::TraceSpec spec = iolwl::SubtraceSpec();
+    spec.num_files = 64;
+    spec.total_bytes = 2ull << 20;
+    spec.num_requests = 600;
+    return iolwl::Trace::Generate(spec);
+  }();
+  return trace;
+}
+
+Capture RunReplay(int shards) {
+  std::vector<iolfs::FileId> ids;
+  auto factory = [&ids](size_t) {
+    iolbench::Bench b = iolbench::MakeBench(iolbench::ServerKind::kFlashLite);
+    ids = SmallTrace().Materialize(&b.sys->fs());
+    return ShardMember{std::move(b.sys), std::move(b.server)};
+  };
+  ExperimentConfig config = Fig03ShapedConfig(shards, false);
+  ShardedExperiment exp(kMembers, factory, config);
+  iolwl::TimestampedLog log = iolwl::SynthesizeArrivals(SmallTrace(), 4000.0, /*seed=*/5);
+  ioldrv::TraceReplay workload(&log, ids);
+  Capture cap;
+  cap.sharded = exp.Run(&workload, []() -> iolfs::FileId {
+    ADD_FAILURE() << "trace replay drew from the RequestSource";
+    return iolfs::kInvalidFile;
+  });
+  cap.records = exp.telemetry().records();
+  return cap;
+}
+
+TEST(ShardedExperiment, TraceReplayWithPinnedFilesIsShardCountInvariant) {
+  Capture base = RunReplay(1);
+  EXPECT_EQ(base.sharded.result.requests, 550u);  // 600 logged, 50 warmup.
+  EXPECT_GT(base.sharded.result.cache_hit_rate, 0.0);
+  EXPECT_LT(base.sharded.result.cache_hit_rate, 1.0);
+  for (int shards : {2, 4}) {
+    Capture other = RunReplay(shards);
+    ExpectSameRecords(base.records, other.records);
+    ExpectSameResult(base.sharded.result, other.sharded.result);
+  }
+}
+
+// cache_budget_bytes holds on every member's own cache: 16 documents
+// cycling through a 3-document budget miss on every member.
+Capture RunCacheBudget(int shards, uint64_t budget) {
+  auto factory = [](size_t) {
+    iolbench::Bench b = iolbench::MakeBench(iolbench::ServerKind::kFlashLite);
+    for (int f = 0; f < 16; ++f) {
+      b.sys->fs().CreateFile("doc" + std::to_string(f), 6000);
+    }
+    return ShardMember{std::move(b.sys), std::move(b.server)};
+  };
+  ExperimentConfig config = Fig03ShapedConfig(shards, true);
+  config.cache_budget_bytes = budget;
+  ShardedExperiment exp(kMembers, factory, config);
+  std::vector<iolfs::FileId> docs;
+  for (int f = 0; f < 16; ++f) {
+    docs.push_back(exp.member_system(0)->fs().Lookup("doc" + std::to_string(f)));
+  }
+  ioldrv::ClosedLoop workload(24);
+  size_t next = 0;
+  Capture cap;
+  cap.sharded = exp.Run(&workload, [&] { return docs[next++ % docs.size()]; });
+  cap.records = exp.telemetry().records();
+  for (size_t m = 0; m < kMembers; ++m) {
+    EXPECT_LE(exp.member_system(m)->cache().bytes(), budget == 0 ? UINT64_MAX : budget)
+        << "member " << m;
+  }
+  return cap;
+}
+
+TEST(ShardedExperiment, CacheBudgetIsEnforcedPerMemberAndShardCountInvariant) {
+  Capture unbounded = RunCacheBudget(1, 0);
+  Capture base = RunCacheBudget(1, 3 * 6000);
+  EXPECT_LT(base.sharded.result.cache_hit_rate, unbounded.sharded.result.cache_hit_rate);
+  for (int shards : {2, 4}) {
+    Capture other = RunCacheBudget(shards, 3 * 6000);
+    ExpectSameRecords(base.records, other.records);
+    ExpectSameResult(base.sharded.result, other.sharded.result);
+  }
+}
+
+// Fields one machine per member cannot honour abort Run in every build
+// type instead of being ignored.
+void RunWith(ExperimentConfig config, int pipeline_depth = 1) {
+  ShardedExperiment exp(kMembers, MakeMember, config);
+  iolfs::FileId doc = exp.member_system(0)->fs().Lookup("doc");
+  ioldrv::ClosedLoop workload(8, pipeline_depth);
+  exp.Run(&workload, [doc] { return doc; });
+}
+
+TEST(ShardedExperimentDeathTest, RejectsQos) {
+  iolqos::QosPolicy qos;
+  ExperimentConfig config = Fig03ShapedConfig(1, false);
+  config.qos = &qos;
+  EXPECT_DEATH(RunWith(config), "qos is not supported");
+}
+
+TEST(ShardedExperimentDeathTest, RejectsFaultPlan) {
+  iolfault::FaultPlan plan;
+  plan.AddLinkOutage(iolsim::kMillisecond, iolsim::kMillisecond);
+  ExperimentConfig config = Fig03ShapedConfig(1, false);
+  config.faults = &plan;
+  EXPECT_DEATH(RunWith(config), "a fault plan is not supported");
+}
+
+TEST(ShardedExperimentDeathTest, RejectsRecovery) {
+  ExperimentConfig config = Fig03ShapedConfig(1, false);
+  config.recovery.request_timeout = 50 * iolsim::kMillisecond;
+  EXPECT_DEATH(RunWith(config), "recovery is not supported");
+}
+
+TEST(ShardedExperimentDeathTest, RejectsPersistentPipelining) {
+  EXPECT_DEATH(RunWith(Fig03ShapedConfig(1, true), 2), "persistent pipelining is not supported");
+}
+
+TEST(ShardedExperimentDeathTest, RejectsMemoryModelCacheBudget) {
+  ExperimentConfig config = Fig03ShapedConfig(1, false);
+  config.enforce_cache_budget = true;
+  EXPECT_DEATH(RunWith(config), "enforce_cache_budget is not supported");
 }
 
 }  // namespace
