@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/driver/experiment.h"
@@ -54,9 +55,30 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv) {
   return opts;
 }
 
+// CMake defines IOLITE_BUILD_TYPE for the bench targets.
+#ifndef IOLITE_BUILD_TYPE
+#define IOLITE_BUILD_TYPE "unknown"
+#endif
+
+// The build that produced a BENCH_*.json document, as a JSON object:
+//   {"type": "Release", "compiler": "gcc 12.2.0", "host_cores": 4}
+// A wall-clock number means little without it: a Debug and a Release build
+// of one commit can differ several-fold.
+inline std::string BuildProvenanceJson() {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  return std::string("{\"type\": \"") + IOLITE_BUILD_TYPE + "\", \"compiler\": \"" + compiler +
+         "\", \"host_cores\": " + std::to_string(std::thread::hardware_concurrency()) + "}";
+}
+
 // Accumulates (series, x, value) rows and writes them as one JSON document:
-//   {"figure": "...", "smoke": false, "rows": [{"series": ..., "x": ...,
-//    "value": ...}, ...]}
+//   {"figure": "...", "smoke": false, "build": {...}, "rows": [{"series":
+//    ..., "x": ..., "value": ...}, ...]}
 // Rows added via AddExperiment carry the full structured result — latency
 // percentiles alongside the throughput value, plus the host-side wall clock
 // of the run:
@@ -149,8 +171,8 @@ class JsonReporter {
       std::fprintf(stderr, "JsonReporter: cannot open %s\n", path_.c_str());
       return ok_ = false;
     }
-    std::fprintf(f, "{\"figure\": \"%s\", \"smoke\": %s, \"rows\": [", figure_.c_str(),
-                 smoke_ ? "true" : "false");
+    std::fprintf(f, "{\"figure\": \"%s\", \"smoke\": %s, \"build\": %s, \"rows\": [",
+                 figure_.c_str(), smoke_ ? "true" : "false", BuildProvenanceJson().c_str());
     for (size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
       // The per-tier proxy fields and the fault-plane fields appear on

@@ -70,8 +70,8 @@ bool WriteJson(const std::string& path, bool smoke, const std::vector<PlaneRow>&
     std::fprintf(stderr, "fig_ipc_plane: cannot open %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\"figure\": \"ipc_plane\", \"smoke\": %s, \"rows\": [",
-               smoke ? "true" : "false");
+  std::fprintf(f, "{\"figure\": \"ipc_plane\", \"smoke\": %s, \"build\": %s, \"rows\": [",
+               smoke ? "true" : "false", iolbench::BuildProvenanceJson().c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     const PlaneRow& row = rows[i];
     std::fprintf(

@@ -4,7 +4,8 @@
 Usage: scripts/bench_delta.py [--fail-above PCT] BASELINE.json CURRENT.json
 
 Prints, per series, the events_per_sec delta of CURRENT relative to
-BASELINE. By default this always exits 0: wall-clock numbers depend on the
+BASELINE, and a warning when the two files' smoke flags or build types
+differ. By default this always exits 0: wall-clock numbers depend on the
 host, so it is a trend report for humans (and CI logs), not a gate.
 Simulated values (requests, latencies, counters) are protected separately
 by the determinism tests — this script deliberately ignores them.
@@ -31,6 +32,11 @@ def rows_by_series(path):
     return doc, out
 
 
+def build_type(doc):
+    """The document's build type; files written before it was recorded say "unknown"."""
+    return doc.get("build", {}).get("type", "unknown")
+
+
 def main():
     argv = sys.argv[1:]
     fail_above = None
@@ -50,6 +56,10 @@ def main():
     if base_doc.get("smoke") != cur_doc.get("smoke"):
         print("bench_delta: smoke flags differ (%s vs %s) — deltas are meaningless"
               % (base_doc.get("smoke"), cur_doc.get("smoke")))
+    base_type, cur_type = build_type(base_doc), build_type(cur_doc)
+    if base_type != cur_type:
+        print("bench_delta: build types differ (%s vs %s) — deltas are meaningless"
+              % (base_type, cur_type))
     print("%-24s %14s %14s %8s" % ("series", "base ev/s", "current ev/s", "delta"))
     tripped = []
     for key in sorted(base.keys() | cur.keys(), key=str):

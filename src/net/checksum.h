@@ -15,19 +15,30 @@
 #define SRC_NET_CHECKSUM_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "src/iolite/aggregate.h"
-#include "src/simos/pool_allocator.h"
 #include "src/simos/sim_context.h"
 
 namespace iolnet {
 
 // One's-complement 32-bit accumulation of `n` bytes starting at `data`,
 // assuming the run begins at an even byte offset within the message.
+//
+// RFC 1071 sums big-endian 16-bit words, so the result is (the sum of the
+// even-offset bytes << 8) + (the sum of the odd-offset bytes), modulo 2^32.
+// The kernels below compute exactly that integer lane-parallel: one vector
+// of 64-bit lanes per step (two lanes portably, four with AVX2), even and
+// odd bytes summed apart in the lanes' 16-bit fields, and the fields
+// flushed into 64-bit totals every 256 steps, before one could overflow.
+// The kernel is chosen from the CPU at run time.
 uint32_t ChecksumAccumulate(const char* data, size_t n);
+
+// The kernels ChecksumAccumulate chooses between, exposed for differential
+// tests. The Avx2 one may run only where HasAvx2Checksum() is true.
+bool HasAvx2Checksum();
+uint32_t ChecksumAccumulatePortable(const char* data, size_t n);
+uint32_t ChecksumAccumulateAvx2(const char* data, size_t n);
 
 // Folds a 32-bit accumulation into the 16-bit one's-complement sum.
 uint16_t ChecksumFold(uint32_t sum);
@@ -36,9 +47,14 @@ uint16_t ChecksumFold(uint32_t sum);
 // byte offset within the surrounding message.
 uint32_t ChecksumSwap(uint32_t sum);
 
-// LRU-bounded cache of per-slice partial checksums. List and map nodes come
-// from freelist pools: at capacity, every Store recycles the evicted
-// entry's nodes, so the steady state (one fresh header generation per
+// LRU-bounded cache of per-slice partial checksums, in two flat arrays.
+// Entries live in one array and are threaded on an index-linked LRU list.
+// The index is open-addressed with linear probing, kept at most half full,
+// and deletes by backward shift, so no tombstones build up. Each index slot
+// holds an entry number and the key's 32-bit hash, so probes and shifts
+// never re-hash a key. Both arrays grow with the contents, not with
+// `capacity`. At capacity, a Store of a new key recycles the tail entry in
+// place, so the steady state (one fresh header generation per
 // transmission) runs without heap traffic.
 class ChecksumCache {
  public:
@@ -56,29 +72,43 @@ class ChecksumCache {
   bool Lookup(const Key& key, uint32_t* sum);
   void Store(const Key& key, uint32_t sum);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
   void Clear();
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = k.buffer_id * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<uint64_t>(k.generation) << 32) ^ k.offset;
-      h *= 0xbf58476d1ce4e5b9ull;
-      h ^= k.length;
-      return static_cast<size_t>(h ^ (h >> 29));
-    }
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Entry {
+    Key key;
+    uint32_t sum;
+    uint32_t hash;
+    uint32_t prev;  // Toward the most recently used end.
+    uint32_t next;  // Toward the least recently used end.
   };
 
-  using LruList = std::list<Key, iolsim::PoolAllocator<Key>>;
-  using MapEntry = std::pair<uint32_t, LruList::iterator>;
+  struct Slot {
+    uint32_t entry = kNil;  // kNil marks an empty slot.
+    uint32_t hash = 0;
+  };
+
+  static uint32_t Hash(const Key& k);
+  // The index slot holding `key`, or kNil.
+  uint32_t Find(const Key& key, uint32_t hash) const;
+  // Puts entry `e` in the first free slot of its probe run.
+  void Insert(uint32_t e, uint32_t hash);
+  // Empties slot `pos`, shifting later members of its run back into it.
+  void Erase(uint32_t pos);
+  void Unlink(uint32_t e);
+  void PushFront(uint32_t e);
+  // Makes `e` the most recently used entry.
+  void Touch(uint32_t e);
 
   size_t capacity_;
-  LruList lru_;
-  std::unordered_map<Key, MapEntry, KeyHash, std::equal_to<Key>,
-                     iolsim::PoolAllocator<std::pair<const Key, MapEntry>>>
-      map_;
+  std::vector<Entry> entries_;
+  std::vector<Slot> index_;  // Empty, or a power of two at least 2 x size().
+  uint32_t head_ = kNil;     // Most recently used.
+  uint32_t tail_ = kNil;     // Least recently used: the next victim.
 };
 
 // The checksum module used by the TCP send path. When a cache is attached,

@@ -77,17 +77,11 @@ char* TcpConnection::Scratch(size_t n) {
   return scratch_.get();
 }
 
-size_t TcpConnection::SendCopy(const iolite::Aggregate& src) {
-  assert(connected_);
+size_t TcpConnection::SendScratch(size_t n) {
   iolsim::SimContext* ctx = net_->ctx_;
-  size_t n = src.size();
-  // Copy into kernel send-buffer clusters...
-  src.CopyTo(Scratch(n));
   ctx->ChargeCpu(ctx->cost().CopyCost(n));
   ctx->stats().bytes_copied += n;
   ctx->stats().copy_ops++;
-  // ...and checksum the private copy. Its contents have no system-wide
-  // identity, so the checksum cache cannot apply.
   ChecksumAccumulate(scratch_.get(), n);
   ctx->ChargeCpu(ctx->cost().ChecksumCost(n));
   ctx->stats().bytes_checksummed += n;
@@ -96,47 +90,33 @@ size_t TcpConnection::SendCopy(const iolite::Aggregate& src) {
   bytes_sent_ += n;
   ctx->stats().bytes_sent += n;
   return n;
+}
+
+size_t TcpConnection::SendCopy(const iolite::Aggregate& src) {
+  assert(connected_);
+  size_t n = src.size();
+  // Copy into kernel send-buffer clusters.
+  src.CopyTo(Scratch(n));
+  return SendScratch(n);
 }
 
 size_t TcpConnection::SendGatheredCopy(const char* header, size_t header_len,
                                        const iolite::Aggregate& body) {
   assert(connected_);
-  iolsim::SimContext* ctx = net_->ctx_;
   size_t n = header_len + body.size();
   char* scratch = Scratch(n);
   std::memcpy(scratch, header, header_len);
   body.CopyTo(scratch + header_len);
-  ctx->ChargeCpu(ctx->cost().CopyCost(n));
-  ctx->stats().bytes_copied += n;
-  ctx->stats().copy_ops++;
-  ChecksumAccumulate(scratch_.get(), n);
-  ctx->ChargeCpu(ctx->cost().ChecksumCost(n));
-  ctx->stats().bytes_checksummed += n;
-  ctx->stats().checksum_ops++;
-  ChargePackets(n);
-  bytes_sent_ += n;
-  ctx->stats().bytes_sent += n;
-  return n;
+  return SendScratch(n);
 }
 
 size_t TcpConnection::SendPrivateCopy(const char* a, size_t na, const char* b, size_t nb) {
   assert(connected_);
-  iolsim::SimContext* ctx = net_->ctx_;
   size_t n = na + nb;
   char* scratch = Scratch(n);
   std::memcpy(scratch, a, na);
   std::memcpy(scratch + na, b, nb);
-  ctx->ChargeCpu(ctx->cost().CopyCost(n));
-  ctx->stats().bytes_copied += n;
-  ctx->stats().copy_ops++;
-  ChecksumAccumulate(scratch_.get(), n);
-  ctx->ChargeCpu(ctx->cost().ChecksumCost(n));
-  ctx->stats().bytes_checksummed += n;
-  ctx->stats().checksum_ops++;
-  ChargePackets(n);
-  bytes_sent_ += n;
-  ctx->stats().bytes_sent += n;
-  return n;
+  return SendScratch(n);
 }
 
 void TcpConnection::TransmitAsync(size_t n, iolsim::InlineCallback done) {

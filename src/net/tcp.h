@@ -182,6 +182,10 @@ class TcpConnection {
   // Ensures the scratch send buffer holds `n` bytes, growing geometrically
   // and without value-initializing storage that is overwritten anyway.
   char* Scratch(size_t n);
+  // Sends the first `n` bytes of the scratch buffer, just filled by a copy:
+  // charges the copy, checksums the private bytes (they have no system-wide
+  // identity, so the checksum cache cannot apply) and accounts the packets.
+  size_t SendScratch(size_t n);
 
   NetworkSubsystem* net_;
   bool iolite_sockets_;
