@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/driver/experiment.h"
@@ -99,11 +100,7 @@ class JsonReporter {
 
   void Add(const std::string& series, double x, double value) {
     if (!path_.empty()) {
-      Row row;
-      row.series = series;
-      row.x = x;
-      row.value = value;
-      rows_.push_back(std::move(row));
+      rows_.emplace_back(series, x, value);
     }
   }
 
@@ -111,13 +108,10 @@ class JsonReporter {
   void AddPerf(const std::string& series, double x, double value, double wall_ms,
                double events_per_sec) {
     if (!path_.empty()) {
-      Row row;
-      row.series = series;
-      row.x = x;
-      row.value = value;
+      Row row(series, x, value);
       row.has_perf = true;
-      row.wall_ms = wall_ms;
       row.events_per_sec = events_per_sec;
+      row.result.wall_ms = wall_ms;
       rows_.push_back(std::move(row));
     }
   }
@@ -128,32 +122,12 @@ class JsonReporter {
   void AddExperiment(const std::string& series, double x,
                      const ioldrv::ExperimentResult& result) {
     if (!path_.empty()) {
-      Row row;
-      row.series = series;
-      row.x = x;
-      row.value = result.megabits_per_sec;
+      Row row(series, x, result.megabits_per_sec);
       row.has_latency = true;
       row.has_perf = true;
-      row.latency = result.latency;
-      row.requests = result.requests;
-      row.cache_hit_rate = result.cache_hit_rate;
-      row.proxy_hit_rate = result.proxy_hit_rate;
-      row.origin_hit_rate = result.origin_hit_rate;
-      row.bytes_copied_backhaul = result.bytes_copied_backhaul;
-      row.origin_p99_ms = result.origin_latency.p99_ms;
-      row.wall_ms = result.wall_ms;
       row.events_per_sec =
           result.wall_ms > 0 ? result.events_dispatched / (result.wall_ms / 1000.0) : 0;
-      row.availability = result.availability;
-      row.error_rate = result.error_rate;
-      row.retries = result.retries;
-      row.goodput_mbps = result.goodput_mbps;
-      row.tenants = result.tenants;
-      row.staleness_p99_ms = result.staleness.p99_ms;
-      row.stale_serves = result.stale_serves;
-      row.cdn_writes = result.cdn_writes;
-      row.origin_fleet_fetches = result.origin_fleet_fetches;
-      row.cdn_levels = result.cdn_levels;
+      row.result = result;
       rows_.push_back(std::move(row));
     }
   }
@@ -174,7 +148,8 @@ class JsonReporter {
     std::fprintf(f, "{\"figure\": \"%s\", \"smoke\": %s, \"build\": %s, \"rows\": [",
                  figure_.c_str(), smoke_ ? "true" : "false", BuildProvenanceJson().c_str());
     for (size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
+      const Row& row = rows_[i];
+      const ioldrv::ExperimentResult& r = row.result;
       // The per-tier proxy fields and the fault-plane fields appear on
       // every row (zeros / 1.0 outside their experiments) so one schema
       // covers every BENCH_*.json.
@@ -186,26 +161,26 @@ class JsonReporter {
                    "\"retries\": %llu, \"goodput_mbps\": %.6g, "
                    "\"staleness_p99_ms\": %.6g, \"stale_serves\": %llu, "
                    "\"cdn_writes\": %llu, \"origin_fleet_fetches\": %llu",
-                   i == 0 ? "" : ",", r.series.c_str(), r.x, r.value, r.proxy_hit_rate,
+                   i == 0 ? "" : ",", row.series.c_str(), row.x, row.value, r.proxy_hit_rate,
                    r.origin_hit_rate,
                    static_cast<unsigned long long>(r.bytes_copied_backhaul),
                    r.availability, r.error_rate,
                    static_cast<unsigned long long>(r.retries), r.goodput_mbps,
-                   r.staleness_p99_ms, static_cast<unsigned long long>(r.stale_serves),
+                   r.staleness.p99_ms, static_cast<unsigned long long>(r.stale_serves),
                    static_cast<unsigned long long>(r.cdn_writes),
                    static_cast<unsigned long long>(r.origin_fleet_fetches));
-      if (r.has_latency) {
+      if (row.has_latency) {
         std::fprintf(f,
                      ", \"requests\": %llu, \"cache_hit_rate\": %.6g, \"p50_ms\": %.6g, "
                      "\"p90_ms\": %.6g, \"p99_ms\": %.6g, \"max_ms\": %.6g, "
                      "\"origin_p99_ms\": %.6g",
                      static_cast<unsigned long long>(r.requests), r.cache_hit_rate,
                      r.latency.p50_ms, r.latency.p90_ms, r.latency.p99_ms,
-                     r.latency.max_ms, r.origin_p99_ms);
+                     r.latency.max_ms, r.origin_latency.p99_ms);
       }
-      if (r.has_perf) {
+      if (row.has_perf) {
         std::fprintf(f, ", \"wall_ms\": %.6g, \"events_per_sec\": %.6g", r.wall_ms,
-                     r.events_per_sec);
+                     row.events_per_sec);
       }
       // Multi-tenant rows carry a per-tenant breakdown; single-tenant rows
       // omit the key entirely, so every pre-QoS BENCH_*.json is unchanged.
@@ -257,31 +232,18 @@ class JsonReporter {
   }
 
  private:
+  // One row: the plotted point plus the experiment result it came from. A
+  // default result reads as a fault-free single-tier run (zeros, availability
+  // 1.0), which is what Add/AddPerf rows serialize.
   struct Row {
+    Row(std::string s, double px, double v) : series(std::move(s)), x(px), value(v) {}
     std::string series;
-    double x = 0;
-    double value = 0;
+    double x;
+    double value;
     bool has_latency = false;
     bool has_perf = false;
-    ioldrv::LatencySummary latency;
-    uint64_t requests = 0;
-    double cache_hit_rate = 0;
-    double proxy_hit_rate = 0;
-    double origin_hit_rate = 0;
-    uint64_t bytes_copied_backhaul = 0;
-    double origin_p99_ms = 0;
-    double wall_ms = 0;
     double events_per_sec = 0;
-    double availability = 1.0;
-    double error_rate = 0;
-    uint64_t retries = 0;
-    double goodput_mbps = 0;
-    std::vector<ioldrv::TenantBreakdown> tenants;
-    double staleness_p99_ms = 0;
-    uint64_t stale_serves = 0;
-    uint64_t cdn_writes = 0;
-    uint64_t origin_fleet_fetches = 0;
-    std::vector<ioldrv::ExperimentResult::CdnLevelResult> cdn_levels;
+    ioldrv::ExperimentResult result;
   };
   std::string figure_;
   std::string path_;

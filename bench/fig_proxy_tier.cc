@@ -1,5 +1,6 @@
 // Proxy-cache tier sweep: copy-based vs IO-Lite proxies, remote vs
-// co-located backhaul (src/proxy, composed by ioldrv::ProxyTier).
+// co-located backhaul (src/proxy, composed by ioldrv::CdnTier as a
+// one-level, one-proxy tree).
 //
 // A two-member origin fleet sits behind a proxy; a Zipf-popularity,
 // lognormal-size trace drives a closed client population through the
@@ -20,10 +21,12 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/driver/proxy_tier.h"
+#include "src/cdn/cdn_topology.h"
+#include "src/driver/cdn_tier.h"
 
 namespace {
 
@@ -74,22 +77,26 @@ ioldrv::ExperimentResult RunProxy(iolproxy::ProxyDataPath path,
   pconfig.backhaul = mode;
   pconfig.policy = lite ? iolproxy::ProxyCachePolicy::kGds
                         : iolproxy::ProxyCachePolicy::kLru;
+  // The proxy is a one-level, one-proxy tree; its level carries the budget.
+  iolcdn::CdnLevelSpec proxy_level;
   if (mode == iolproxy::BackhaulMode::kColocated && !lite) {
     // Two private caches on one machine split the budget.
-    pconfig.cache_bytes = cache_bytes / 2;
+    proxy_level.cache_bytes = cache_bytes / 2;
     pconfig.origin_cache_bytes = cache_bytes / 2;
   } else {
     // Remote proxies spend the budget on their own machine; the co-located
     // IO-Lite pair pools all of it in the unified cache.
-    pconfig.cache_bytes = cache_bytes;
+    proxy_level.cache_bytes = cache_bytes;
   }
+  iolcdn::CdnTopology topo;
+  topo.levels = {proxy_level};
 
   ioldrv::ExperimentConfig config;
   config.persistent_connections = true;
   config.max_requests = requests;
   config.warmup_requests = warmup;
-  ioldrv::ProxyTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
-                         ioldrv::Fleet(members), pconfig, config);
+  ioldrv::CdnTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
+                       ioldrv::Fleet(members), std::move(topo), pconfig, config);
 
   ioldrv::ClosedLoop workload(clients);
   iolsim::Rng rng(7777);

@@ -1,6 +1,5 @@
 #include "src/driver/cdn_tier.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,8 +19,20 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                  iolsim::SimStats::kMaxCdnLevels, num_levels);
     std::abort();
   }
-  if (pconfig.backhaul != iolproxy::BackhaulMode::kRemote) {
-    std::fprintf(stderr, "CdnTier: hierarchy levels must use kRemote backhaul\n");
+  for (int level = 0; level < num_levels; ++level) {
+    if (topo_.levels[level].count < 1) {
+      std::fprintf(stderr, "CdnTier: level %d needs count >= 1 (got %d)\n", level,
+                   topo_.levels[level].count);
+      std::abort();
+    }
+  }
+  // A co-located backhaul is one machine's loopback: it fits a lone proxy
+  // in front of the fleet, never a tree of WAN uplinks.
+  if (pconfig.backhaul != iolproxy::BackhaulMode::kRemote &&
+      !(num_levels == 1 && topo_.levels[0].count == 1)) {
+    std::fprintf(stderr,
+                 "CdnTier: only a one-level, one-proxy topology may use a "
+                 "co-located backhaul\n");
     std::abort();
   }
   authority_.set_mode(topo_.protocol);
@@ -30,7 +41,6 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
   // Build top-down: a proxy's origins must exist before the proxy does.
   for (int level = num_levels - 1; level >= 0; --level) {
     const iolcdn::CdnLevelSpec& spec = topo_.levels[level];
-    assert(spec.count >= 1);
     // Invalidations travel origin -> top -> ... -> this level: cumulative
     // one-way propagation over every uplink from here to the top.
     iolsim::SimTime inval_delay = 0;
@@ -62,21 +72,23 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
             spec.shape_bytes_per_sec, spec.shape_burst_bytes));
         proxy->set_backhaul_shaper(shapers_.back().get());
       }
+      // Every proxy learns its level (the per-level counters need it);
+      // only a live protocol makes it a holder the authority notifies.
+      iolproxy::ConsistencyConfig cc;
+      cc.mode = topo_.protocol;
+      cc.source = &authority_;
+      cc.level = level;
+      cc.ttl = topo_.ttl;
+      proxy->ConfigureConsistency(cc);
       if (topo_.protocol != iolproxy::ConsistencyMode::kNone) {
-        iolproxy::ConsistencyConfig cc;
-        cc.mode = topo_.protocol;
-        cc.source = &authority_;
-        cc.level = level;
-        cc.ttl = topo_.ttl;
-        proxy->ConfigureConsistency(cc);
         authority_.RegisterHolder(proxy.get(), inval_delay);
       }
       proxies_[level].push_back(std::move(proxy));
     }
   }
 
-  // The experiment drives the edge tier. A single edge takes the exact
-  // Fleet::Single fast path ProxyTier runs through.
+  // The experiment drives the edge tier. A single edge takes the engine's
+  // Fleet::Single fast path.
   std::vector<iolhttp::HttpServer*> edges;
   edges.reserve(proxies_[0].size());
   for (auto& p : proxies_[0]) {
@@ -122,8 +134,8 @@ ExperimentResult CdnTier::Run(Workload* workload,
   }
   ExperimentResult result = experiment_->Run(workload, std::move(next_file), sink);
 
-  // Aggregate proxy fields, ProxyTier semantics: every level's cache routes
-  // to the proxy_cache_* counters, so the rates cover the whole hierarchy.
+  // Aggregate proxy fields: every level's cache routes to the
+  // proxy_cache_* counters, so the rates cover the whole hierarchy.
   uint64_t hits = stats.proxy_cache_hits - proxy_hits0;
   uint64_t misses = stats.proxy_cache_misses - proxy_misses0;
   if (hits + misses > 0) {

@@ -1,18 +1,22 @@
-// CdnTier: the N-level composition of the experiment API (src/cdn).
+// CdnTier: the proxy composition of the experiment API (src/cdn).
 //
-// Mirrors ProxyTier one level up: where ProxyTier wires one ProxyServer in
-// front of an origin Fleet, CdnTier wires a CdnTopology of them — an edge
-// tier clients talk to, interior levels those edges fetch through, and a
-// top level that fetches from the origin fleet via its balancer. Clients
-// pin to their edge (Workload::PinMember; EdgeMix populations), every
-// interior link runs the topology's consistency protocol against one
-// VersionAuthority, and per-level backhaul shaping attaches where the
-// topology asks for it.
+// Wires a CdnTopology of ProxyServers (src/proxy) in front of an origin
+// Fleet — an edge tier clients talk to, interior levels those edges fetch
+// through, and a top level that fetches from the origin fleet via its
+// balancer — and runs the standard Workload x Fleet x Telemetry engine
+// against the edges. Clients pin to their edge (Workload::PinMember;
+// EdgeMix populations), every interior link runs the topology's consistency
+// protocol against one VersionAuthority, and per-level backhaul shaping
+// attaches where the topology asks for it.
 //
-// The degenerate one-level, one-proxy topology constructs exactly the
-// ProxyTier wiring — same ProxyServer arguments, same Fleet::Single fast
-// path in the engine — so a zero-write CDN run is byte-identical to the
-// PR 5 proxy tier (tests/cdn_test.cc pins this).
+// The two-tier experiment (one proxy in front of a fleet) is the one-level,
+// one-proxy topology: the level's cache_bytes and link fields set the
+// proxy's budget and backhaul wire, everything else comes from the
+// ProxyConfig. It is the only shape that may use BackhaulMode::kColocated
+// (proxy and origin on one machine, talking over loopback or IOL-IPC);
+// deeper trees must use kRemote. With no writes, every consistency branch
+// is version-0 inert, so the protocol does not change the run
+// (tests/proxy_test.cc pins the one-level tree to goldens).
 
 #ifndef SRC_DRIVER_CDN_TIER_H_
 #define SRC_DRIVER_CDN_TIER_H_
@@ -37,7 +41,9 @@ class CdnTier {
   // tree; `pconfig` supplies everything CdnLevelSpec does not override
   // (data path, CPU costs, fail_open). The System pieces must outlive the
   // tier. `topo.levels` must be non-empty, each level's count >= 1, and
-  // levels.size() <= SimStats::kMaxCdnLevels.
+  // levels.size() <= SimStats::kMaxCdnLevels; `pconfig.backhaul` must be
+  // kRemote unless the topology is one level of one proxy. A violation
+  // aborts in every build type.
   CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
           iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime, Fleet origins,
           iolcdn::CdnTopology topo, iolproxy::ProxyConfig pconfig,

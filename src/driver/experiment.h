@@ -165,7 +165,7 @@ struct ExperimentResult {
   // JSON rows are unchanged.
   std::vector<TenantBreakdown> tenants;
 
-  // Proxy-tier fields (filled by ProxyTier; zero for single-tier runs, and
+  // Proxy-tier fields (filled by CdnTier; zero for single-tier runs, and
   // serialized on every JsonReporter row so BENCH_*.json schemas are
   // uniform across figures). Hit rates cover the whole run, like
   // cache_hit_rate above.
@@ -179,7 +179,7 @@ struct ExperimentResult {
   // Backhaul fetch latency (proxy miss to object resident at the proxy).
   LatencySummary origin_latency;
   // Instant the measurement window opened (the warmup-th completion; 0
-  // when warmup_requests == 0). ProxyTier classifies backhaul fetches
+  // when warmup_requests == 0). CdnTier classifies backhaul fetches
   // against the same window result.latency uses.
   iolsim::SimTime count_start = 0;
 

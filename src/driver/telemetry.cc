@@ -62,20 +62,6 @@ LatencySummary Telemetry::EndToEndLatency(size_t from) const {
   return Summarize(std::move(samples));
 }
 
-double Telemetry::Availability(size_t from) const {
-  uint64_t counted = 0;
-  uint64_t delivered = 0;
-  for (size_t i = from; i < records_.size(); ++i) {
-    const RequestRecord& r = records_[i];
-    if (r.counted) {
-      ++counted;
-      delivered += Delivered(r.outcome) ? 1 : 0;
-    }
-  }
-  return counted > 0 ? static_cast<double>(delivered) / static_cast<double>(counted)
-                     : 1.0;
-}
-
 LatencySummary Telemetry::QueueWait(size_t from) const {
   std::vector<iolsim::SimTime> samples;
   if (from < records_.size()) {

@@ -104,10 +104,6 @@ class Telemetry {
   // measures the policy, not the system.
   LatencySummary EndToEndLatency(size_t from = 0) const;
 
-  // Fraction of counted requests that delivered a response (1.0 on every
-  // fault-free run).
-  double Availability(size_t from = 0) const;
-
   // Accept-queue + propagation wait (admit - issue) of counted requests.
   LatencySummary QueueWait(size_t from = 0) const;
 

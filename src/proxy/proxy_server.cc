@@ -216,16 +216,14 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
             });
         return;
       }
-      cdn_stats().hits++;
       NoteServe(req->file, cache_->VersionOf(req->file));
     }
+    cdn_stats().hits++;
     ServeBody(idx);
     return;
   }
   req->cache_hit = false;
-  if (consistency_on()) {
-    cdn_stats().misses++;
-  }
+  cdn_stats().misses++;
   // Fail-open: with the backhaul inside an outage window, a miss cannot
   // reach the origin until the window closes. Rather than queueing the
   // fetch behind the outage (tail latency), answer immediately with a
@@ -357,9 +355,7 @@ void ProxyServer::ReceiveStage(uint32_t idx) {
           ctx_->ChargeCpu(ctx_->cost().params().context_switch_cost);
         }
         ctx_->stats().backhaul_bytes += size;
-        if (consistency_on()) {
-          cdn_stats().backhaul_bytes += size;
-        }
+        cdn_stats().backhaul_bytes += size;
         // The object lands in buffers filled by the NIC (no CPU charge).
         iolite::BufferRef buf = object_pool_->AllocateDma(
             static_cast<uint64_t>(node.req->file), size);
@@ -475,6 +471,7 @@ void ProxyServer::OnOriginRead(uint32_t idx, bool was_miss) {
         ctx_->stats().ipc_desc_bytes += slices * sizeof(iolipc::SliceDesc);
         ctx_->stats().ipc_bytes_transferred += node.body.size();
         ctx_->stats().backhaul_bytes += node.body.size();
+        cdn_stats().backhaul_bytes += node.body.size();
         // One machine, one budget: the unified cache is the proxy cache,
         // and evictions its budget forces belong to the proxy tier's
         // accounting (same routing scope as the proxy-hop Lookup).

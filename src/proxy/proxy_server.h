@@ -176,8 +176,10 @@ class ProxyServer : public iolhttp::HttpServer {
   // --- CDN consistency plane (src/cdn) -----------------------------------
   // Attaches a consistency protocol: fetched objects are version-tagged in
   // the cache, hits are checked against the authoritative VersionSource,
-  // and the per-level SimStats::cdn[] counters go live. kNone (the default)
-  // keeps every pre-CDN code path byte-identical. Configure before traffic.
+  // and the protocol's SimStats::cdn[level] counters go live. kNone (the
+  // default) keeps every pre-CDN code path byte-identical; it still sets
+  // the level the hit/miss/backhaul counters land in. Configure before
+  // traffic.
   void ConfigureConsistency(const ConsistencyConfig& cfg);
   bool consistency_on() const { return ccfg_.mode != ConsistencyMode::kNone; }
   const ConsistencyConfig& consistency() const { return ccfg_; }
@@ -257,7 +259,8 @@ class ProxyServer : public iolhttp::HttpServer {
   void FinishServe(uint32_t idx);
 
   // --- Consistency plane (active only when consistency_on()) ---------------
-  // This proxy's per-level counter block.
+  // This proxy's per-level counter block (ConsistencyConfig::level). Hits,
+  // misses and backhaul bytes count under every mode, kNone included.
   iolsim::SimStats::CdnLevelStats& cdn_stats() {
     return ctx_->stats().cdn[ccfg_.level];
   }

@@ -1,9 +1,9 @@
 // Tests for the CDN hierarchy (src/cdn + ioldrv::CdnTier): run-twice byte
-// identity under every consistency protocol, the zero-write degenerate
-// topology's byte identity with the PR 5 single-proxy tier, the kInvalidate
-// "never serve older than the acknowledged write" invariant, the exact
-// kRevalidate TTL staleness bound, kStale's serve-forever accounting, and
-// per-level backhaul shaping (ROADMAP 5a).
+// identity under every consistency protocol, the kInvalidate "never serve
+// older than the acknowledged write" invariant, the exact kRevalidate TTL
+// staleness bound, kStale's serve-forever accounting, per-level backhaul
+// shaping, and the topology checks that abort in every build type. The
+// one-level tree's goldens live in proxy_test.cc.
 //
 // Every test is fork-free and thread-free (label `cdn` in CMake, so both
 // sanitizer jobs run it). Where a test drives proxies by hand it uses the
@@ -23,7 +23,6 @@
 #include "src/driver/edge_mix.h"
 #include "src/driver/experiment.h"
 #include "src/driver/fleet.h"
-#include "src/driver/proxy_tier.h"
 #include "src/driver/telemetry.h"
 #include "src/httpd/http_server.h"
 #include "src/simos/rng.h"
@@ -37,7 +36,6 @@ using ioldrv::EdgePopulationSpec;
 using ioldrv::ExperimentConfig;
 using ioldrv::ExperimentResult;
 using ioldrv::Fleet;
-using ioldrv::ProxyTier;
 using ioldrv::RequestRecord;
 using ioldrv::Telemetry;
 using iolcdn::CdnLevelSpec;
@@ -68,7 +66,8 @@ iolproxy::ProxyConfig BaseProxyConfig() {
 }
 
 CdnRig MakeCdnRig(CdnTopology topo, int num_origins, int docs,
-                  uint64_t doc_bytes, ExperimentConfig config) {
+                  uint64_t doc_bytes, ExperimentConfig config,
+                  iolproxy::ProxyConfig pconfig = BaseProxyConfig()) {
   CdnRig r;
   iolsys::SystemOptions options;
   options.cost.cpu_count = num_origins;
@@ -86,7 +85,7 @@ CdnRig MakeCdnRig(CdnTopology topo, int num_origins, int docs,
   }
   r.tier = std::make_unique<CdnTier>(
       &r.sys->ctx(), &r.sys->net(), &r.sys->io(), &r.sys->runtime(),
-      Fleet(members), std::move(topo), BaseProxyConfig(), config);
+      Fleet(members), std::move(topo), pconfig, config);
   return r;
 }
 
@@ -226,84 +225,6 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, CdnDeterminismTest,
                          [](const ::testing::TestParamInfo<ConsistencyMode>& i) {
                            return std::string(iolproxy::Name(i.param));
                          });
-
-// --- Degenerate topology == PR 5 proxy tier -----------------------------------
-
-// A one-level, one-proxy CdnTopology at zero write rate must be
-// byte-identical to ProxyTier: same ProxyServer wiring, same engine fast
-// path, and every consistency branch is version-0 inert. This is the
-// hierarchy's "empty plan == no plan" contract.
-TEST(CdnIdentityTest, ZeroWriteSingleProxyMatchesProxyTier) {
-  const int kOrigins = 2;
-  const int kDocs = 8;
-  const uint64_t kDocBytes = 8 * 1024;
-  iolproxy::ProxyConfig pc = BaseProxyConfig();
-  pc.cache_bytes = 64 * 1024;  // Small: force evictions onto both paths.
-
-  ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = 300;
-  config.warmup_requests = 0;
-
-  auto make_mix = [](const std::vector<FileId>& files) {
-    auto rng = std::make_shared<iolsim::Rng>(4242);
-    std::vector<FileId> all = files;
-    std::vector<EdgePopulationSpec> specs;
-    specs.push_back({"only-metro", 3, [rng, all]() -> FileId {
-                       return all[rng->NextBelow(all.size())];
-                     }});
-    return EdgeMix(std::move(specs));
-  };
-
-  // Flat PR 5 tier.
-  Telemetry flat_t;
-  SimTime flat_clock = 0;
-  {
-    iolsys::SystemOptions options;
-    options.cost.cpu_count = kOrigins;
-    options.cost.disk_count = kOrigins;
-    System sys(options);
-    std::vector<FileId> files;
-    for (int i = 0; i < kDocs; ++i) {
-      files.push_back(sys.fs().CreateFile("doc" + std::to_string(i), kDocBytes));
-    }
-    std::vector<iolhttp::HttpServer*> members;
-    std::vector<std::unique_ptr<iolhttp::HttpServer>> origins;
-    for (int i = 0; i < kOrigins; ++i) {
-      origins.push_back(std::make_unique<iolhttp::FlashLiteServer>(
-          &sys.ctx(), &sys.net(), &sys.io(), &sys.runtime()));
-      members.push_back(origins.back().get());
-    }
-    ProxyTier tier(&sys.ctx(), &sys.net(), &sys.io(), &sys.runtime(),
-                   Fleet(members), pc, config);
-    EdgeMix mix = make_mix(files);
-    tier.Run(&mix, [&files]() { return files[0]; }, &flat_t);
-    flat_clock = sys.ctx().clock().now();
-  }
-
-  // The same wire as a degenerate hierarchy, consistency plumbed in.
-  CdnTopology topo;
-  CdnLevelSpec only;
-  only.count = 1;
-  only.cache_bytes = pc.cache_bytes;
-  only.link_bytes_per_sec = pc.backhaul_bytes_per_sec;
-  only.link_one_way_delay = pc.backhaul_one_way_delay;
-  topo.levels = {only};
-  topo.protocol = ConsistencyMode::kInvalidate;
-  CdnRig rig = MakeCdnRig(std::move(topo), kOrigins, kDocs, kDocBytes, config);
-  Telemetry cdn_t;
-  EdgeMix mix = make_mix(rig.files);
-  ExperimentResult result =
-      rig.tier->Run(&mix, [&rig]() { return rig.files[0]; }, &cdn_t);
-
-  ExpectIdenticalStreams(flat_t, cdn_t);
-  EXPECT_EQ(flat_clock, rig.sys->ctx().clock().now());
-  EXPECT_EQ(result.cdn_writes, 0u);
-  EXPECT_EQ(result.stale_serves, 0u);
-  ASSERT_EQ(result.cdn_levels.size(), 1u);
-  EXPECT_EQ(result.cdn_levels[0].invalidations_sent, 0u);
-  EXPECT_EQ(result.cdn_levels[0].fetch_races, 0u);
-}
 
 // --- kInvalidate: never serve older than the acknowledged write ---------------
 
@@ -456,6 +377,40 @@ TEST(CdnShapingTest, TightShapeHoldsBackhaulBytes) {
   // the unshaped wire.
   EXPECT_GT(rig.sys->ctx().clock().now(), unshaped_estimate);
   conn.Close();
+}
+
+// --- Topology checks (fprintf + abort: they hold in every build type) -------
+
+CdnTopology Levels(std::vector<int> counts) {
+  CdnTopology topo;
+  for (int count : counts) {
+    CdnLevelSpec spec;
+    spec.count = count;
+    topo.levels.push_back(spec);
+  }
+  return topo;
+}
+
+TEST(CdnTierDeathTest, RejectsEmptyLevel) {
+  // An empty interior level would leave its children no parent to attach
+  // to; an empty edge level would leave clients no proxy.
+  EXPECT_DEATH(MakeCdnRig(Levels({2, 0}), 1, 1, 1024, ExperimentConfig{}),
+               "level 1 needs count >= 1");
+  EXPECT_DEATH(MakeCdnRig(Levels({0}), 1, 1, 1024, ExperimentConfig{}),
+               "level 0 needs count >= 1");
+}
+
+TEST(CdnTierDeathTest, RejectsColocatedBackhaulBeyondOneProxy) {
+  iolproxy::ProxyConfig colocated = BaseProxyConfig();
+  colocated.backhaul = iolproxy::BackhaulMode::kColocated;
+  EXPECT_DEATH(
+      MakeCdnRig(Levels({1, 1}), 1, 1, 1024, ExperimentConfig{}, colocated),
+      "co-located backhaul");
+  EXPECT_DEATH(MakeCdnRig(Levels({2}), 1, 1, 1024, ExperimentConfig{}, colocated),
+               "co-located backhaul");
+  // The two-tier shape is accepted.
+  CdnRig rig = MakeCdnRig(Levels({1}), 1, 1, 1024, ExperimentConfig{}, colocated);
+  EXPECT_TRUE(rig.tier->proxy(0, 0).shares_unified_cache());
 }
 
 }  // namespace

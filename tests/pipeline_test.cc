@@ -18,8 +18,10 @@
 #include "src/driver/experiment.h"
 #include "src/driver/workload.h"
 #include "src/httpd/http_server.h"
+#include "src/httpd/request_pipeline.h"
 #include "src/simos/event_queue.h"
 #include "src/simos/inline_function.h"
+#include "src/simos/sim_context.h"
 #include "src/system/system.h"
 
 // Counting allocator: every operator-new in this test binary bumps a
@@ -356,6 +358,58 @@ TEST(AdmissionTest, UncappedRunReachesFullConcurrency) {
   EXPECT_EQ(result.requests, 300u);
   EXPECT_EQ(result.peak_concurrent, 12);
   EXPECT_EQ(result.admission_waits, 0u);
+}
+
+// --- Disk-then-CPU stages (DispatchStageDemandOn's ResourceChain hop) -------
+
+// A stage whose body charges both disk and CPU time: the disk arm first,
+// then the CPU, then `done` at the CPU completion.
+void RunDiskCpuStage(iolsim::SimContext* ctx, SimTime disk, SimTime cpu,
+                     std::vector<SimTime>* done) {
+  iolhttp::RunStageOn(
+      ctx, &ctx->cpu(), &ctx->disk(),
+      [ctx, disk, cpu] {
+        ctx->ChargeDisk(disk);
+        ctx->ChargeCpu(cpu);
+      },
+      [ctx, done] { done->push_back(ctx->clock().now()); });
+}
+
+TEST(StageChainTest, IdleDiskThenCpuStageTakesBothServiceTimes) {
+  iolsim::SimContext ctx;
+  std::vector<SimTime> done;
+  RunDiskCpuStage(&ctx, 300, 100, &done);
+  ctx.events().RunAll();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0], 400);
+  EXPECT_EQ(ctx.disk().busy_time(), 300);
+  EXPECT_EQ(ctx.cpu().busy_time(), 100);
+}
+
+TEST(StageChainTest, OverlappingStagesQueueFifoOnEachResource) {
+  iolsim::SimContext ctx;  // One CPU, one disk arm.
+  std::vector<SimTime> done;
+  RunDiskCpuStage(&ctx, 100, 300, &done);
+  RunDiskCpuStage(&ctx, 100, 300, &done);
+  // The second disk hop queued behind the first: disk busy 0-100, 100-200.
+  EXPECT_EQ(ctx.disk().available_at(), 200);
+  ctx.events().RunAll();
+  // CPU: the first stage runs 100-400; the second, off the disk at 200,
+  // waits for the CPU and runs 400-700.
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], 400);
+  EXPECT_EQ(done[1], 700);
+  EXPECT_EQ(ctx.chain().pool_size(), 2u);
+
+  // Nodes are recycled: more rounds of two overlapping stages reuse the
+  // two pooled hops instead of growing the pool.
+  for (int round = 0; round < 50; ++round) {
+    RunDiskCpuStage(&ctx, 100, 300, &done);
+    RunDiskCpuStage(&ctx, 100, 300, &done);
+    ctx.events().RunAll();
+  }
+  EXPECT_EQ(done.size(), 102u);
+  EXPECT_EQ(ctx.chain().pool_size(), 2u);
 }
 
 // --- Disk/CPU overlap (the point of the staged pipeline) ---------------------

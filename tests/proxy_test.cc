@@ -1,11 +1,14 @@
-// Proxy-cache tier tests (src/proxy + ioldrv::ProxyTier).
+// Proxy-cache tier tests (src/proxy, composed by ioldrv::CdnTier as a
+// one-level, one-proxy tree).
 //
 //  * Warm-path structure: a warm co-located IO-Lite proxy serves entirely
 //    from the shared unified cache — zero backhaul bytes, zero backhaul
 //    copies, zero IPC traffic, zero heap allocations (counting allocator),
 //    and every object resident in exactly one cache. The co-located
 //    copy-based pair, by contrast, demonstrably double-caches.
-//  * Determinism: run-twice telemetry parity for both backhaul modes.
+//  * Determinism: run-twice telemetry parity for both backhaul modes, and
+//    goldens for all four data path x backhaul cells (values produced by
+//    ProxyTier, the dedicated two-tier driver the one-level tree replaced).
 //  * Behaviour: proxy hit rate rises monotonically with the cache budget
 //    under a fixed Zipf trace; per-tier accounting is internally
 //    consistent.
@@ -18,7 +21,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/driver/proxy_tier.h"
+#include "src/cdn/cdn_topology.h"
+#include "src/driver/cdn_tier.h"
 #include "src/proxy/proxy_server.h"
 #include "src/system/system.h"
 #include "src/workload/trace.h"
@@ -53,6 +57,7 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace {
 
 using iolproxy::BackhaulMode;
+using iolproxy::ConsistencyMode;
 using iolproxy::ProxyConfig;
 using iolproxy::ProxyDataPath;
 using iolproxy::ProxyServer;
@@ -243,9 +248,29 @@ TEST(ProxyTest, RemoteIoLiteInsertDoesNotCopyWhereCopyProxyDoes) {
 
 // --- Determinism ------------------------------------------------------------
 
-// One full ProxyTier experiment; returns the telemetry records.
-ioldrv::Telemetry RunTierOnce(ProxyDataPath path, BackhaulMode mode,
-                              ioldrv::ExperimentResult* result_out = nullptr) {
+// The two-tier wiring: one proxy, one level, `cache_bytes` of proxy cache,
+// the default backhaul wire.
+iolcdn::CdnTopology OneProxy(uint64_t cache_bytes,
+                             ConsistencyMode protocol = ConsistencyMode::kNone) {
+  iolcdn::CdnLevelSpec level;
+  level.cache_bytes = cache_bytes;
+  iolcdn::CdnTopology topo;
+  topo.levels = {level};
+  topo.protocol = protocol;
+  return topo;
+}
+
+struct TierRun {
+  ioldrv::ExperimentResult result;
+  ioldrv::Telemetry telemetry;
+  uint64_t events_dispatched = 0;
+  iolsim::SimTime final_clock = 0;
+};
+
+// One full two-tier experiment. `protocol` runs a consistency protocol
+// that, with no origin writes, must leave the run unchanged.
+TierRun RunTierOnce(ProxyDataPath path, BackhaulMode mode,
+                    ConsistencyMode protocol = ConsistencyMode::kNone) {
   auto sys = std::make_unique<iolsys::System>(OptionsFor(path));
   iolwl::TraceSpec spec;
   spec.name = "proxy-test";
@@ -275,26 +300,25 @@ ioldrv::Telemetry RunTierOnce(ProxyDataPath path, BackhaulMode mode,
   ProxyConfig pconfig;
   pconfig.data_path = path;
   pconfig.backhaul = mode;
-  pconfig.cache_bytes = 512 * 1024;
   ioldrv::ExperimentConfig config;
   config.persistent_connections = true;
   config.max_requests = 300;
   config.warmup_requests = 50;
-  ioldrv::ProxyTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
-                         ioldrv::Fleet(members), pconfig, config);
+  ioldrv::CdnTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
+                       ioldrv::Fleet(members), OneProxy(512 * 1024, protocol),
+                       pconfig, config);
 
   ioldrv::ClosedLoop workload(12);
-  ioldrv::Telemetry telemetry;
+  TierRun run;
   iolsim::Rng rng(1234);
   const std::vector<uint32_t>& reqs = trace.requests();
-  ioldrv::ExperimentResult result = tier.Run(
+  run.result = tier.Run(
       &workload,
       [&]() -> iolfs::FileId { return ids[reqs[rng.NextBelow(reqs.size())]]; },
-      &telemetry);
-  if (result_out != nullptr) {
-    *result_out = result;
-  }
-  return telemetry;
+      &run.telemetry);
+  run.events_dispatched = sys->ctx().stats().events_dispatched;
+  run.final_clock = sys->ctx().clock().now();
+  return run;
 }
 
 void ExpectSameRecords(const ioldrv::Telemetry& a, const ioldrv::Telemetry& b) {
@@ -309,15 +333,119 @@ void ExpectSameRecords(const ioldrv::Telemetry& a, const ioldrv::Telemetry& b) {
 }
 
 TEST(ProxyTest, RunTwiceTelemetryParityColocated) {
-  ioldrv::Telemetry a = RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kColocated);
-  ioldrv::Telemetry b = RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kColocated);
-  ExpectSameRecords(a, b);
+  TierRun a = RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kColocated);
+  TierRun b = RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kColocated);
+  ExpectSameRecords(a.telemetry, b.telemetry);
 }
 
 TEST(ProxyTest, RunTwiceTelemetryParityRemote) {
-  ioldrv::Telemetry a = RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote);
-  ioldrv::Telemetry b = RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote);
-  ExpectSameRecords(a, b);
+  TierRun a = RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote);
+  TierRun b = RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote);
+  ExpectSameRecords(a.telemetry, b.telemetry);
+}
+
+// --- Goldens ----------------------------------------------------------------
+
+// One RunTierOnce cell, pinned. Any change that re-times a stage, reorders
+// an event or moves a counter fails these; if a change is supposed to alter
+// simulated behaviour, recapture them and say so.
+struct TierGolden {
+  uint64_t requests;
+  uint64_t bytes;
+  double p50_ms;
+  double p99_ms;
+  double proxy_hit_rate;
+  double origin_hit_rate;
+  uint64_t backhaul_bytes;
+  uint64_t bytes_copied_backhaul;
+  double origin_p99_ms;
+  uint64_t events_dispatched;
+  int64_t final_clock_ns;
+  uint64_t record_fold;
+};
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
+  return h * 0xff51afd7ed558ccdull;
+}
+
+// A 64-bit fold of every field of every record, in stream order.
+uint64_t FoldRecords(const ioldrv::Telemetry& t) {
+  uint64_t h = 1469598103934665603ull;
+  for (const ioldrv::RequestRecord& r : t.records()) {
+    h = Mix(h, r.issue);
+    h = Mix(h, r.admit);
+    h = Mix(h, r.complete);
+    h = Mix(h, r.bytes);
+    h = Mix(h, r.server);
+    h = Mix(h, static_cast<uint64_t>(r.outcome));
+    h = Mix(h, r.cache_hit ? 1 : 0);
+    h = Mix(h, r.counted ? 1 : 0);
+  }
+  return h;
+}
+
+void ExpectMatchesGolden(const TierRun& run, const TierGolden& g) {
+  const ioldrv::ExperimentResult& r = run.result;
+  EXPECT_EQ(r.requests, g.requests);
+  EXPECT_EQ(r.bytes, g.bytes);
+  EXPECT_DOUBLE_EQ(r.latency.p50_ms, g.p50_ms);
+  EXPECT_DOUBLE_EQ(r.latency.p99_ms, g.p99_ms);
+  EXPECT_DOUBLE_EQ(r.proxy_hit_rate, g.proxy_hit_rate);
+  EXPECT_DOUBLE_EQ(r.origin_hit_rate, g.origin_hit_rate);
+  EXPECT_EQ(r.backhaul_bytes, g.backhaul_bytes);
+  EXPECT_EQ(r.bytes_copied_backhaul, g.bytes_copied_backhaul);
+  EXPECT_DOUBLE_EQ(r.origin_latency.p99_ms, g.origin_p99_ms);
+  EXPECT_EQ(run.events_dispatched, g.events_dispatched);
+  EXPECT_EQ(run.final_clock, g.final_clock_ns);
+  EXPECT_EQ(FoldRecords(run.telemetry), g.record_fold);
+}
+
+constexpr TierGolden kIoLiteRemote{
+    300, 2371913, 0.35452899999999998, 101.60240899999999, 0.79778393351800558,
+    0.041095890410958902, 2609079, 0, 263.77031299999999, 6659, 580653828,
+    0x7d66c7d343810f72ull};
+
+TEST(ProxyGoldenTest, CopyRemote) {
+  ExpectMatchesGolden(
+      RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote),
+      TierGolden{300, 2594387, 0.55122199999999999, 107.09278399999999,
+                 0.80055401662049863, 0.027777777777777776, 2496378, 2496378,
+                 265.23214899999999, 6575, 594497718, 0x5b787b6f0f337522ull});
+}
+
+TEST(ProxyGoldenTest, IoLiteRemote) {
+  ExpectMatchesGolden(RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kRemote),
+                      kIoLiteRemote);
+}
+
+// With no origin writes every consistency branch is version-0 inert: the
+// invalidation protocol leaves the run byte-identical.
+TEST(ProxyGoldenTest, IoLiteRemoteUnderInvalidationWithoutWrites) {
+  TierRun run = RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kRemote,
+                            ConsistencyMode::kInvalidate);
+  ExpectMatchesGolden(run, kIoLiteRemote);
+  EXPECT_EQ(run.result.cdn_writes, 0u);
+  EXPECT_EQ(run.result.stale_serves, 0u);
+  ASSERT_EQ(run.result.cdn_levels.size(), 1u);
+  EXPECT_EQ(run.result.cdn_levels[0].invalidations_sent, 0u);
+  EXPECT_EQ(run.result.cdn_levels[0].fetch_races, 0u);
+}
+
+TEST(ProxyGoldenTest, CopyColocated) {
+  ExpectMatchesGolden(
+      RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kColocated),
+      TierGolden{300, 2564960, 0.16137599999999999, 82.570385000000002,
+                 0.78670360110803328, 0.064935064935064929, 2667946, 2667946,
+                 176.42632, 6728, 482996991, 0x3c7f003b0930817cull});
+}
+
+TEST(ProxyGoldenTest, IoLiteColocated) {
+  ExpectMatchesGolden(
+      RunTierOnce(ProxyDataPath::kIoLite, BackhaulMode::kColocated),
+      TierGolden{300, 2464078, 0.132716, 83.832768999999999, 0.78947368421052633,
+                 0, 2659021, 0, 150.35936100000001, 4616, 496388325,
+                 0x5214abd7a51f5621ull});
 }
 
 // --- Behaviour --------------------------------------------------------------
@@ -344,13 +472,13 @@ double HitRateAt(uint64_t cache_bytes) {
   ProxyConfig pconfig;
   pconfig.data_path = ProxyDataPath::kIoLite;
   pconfig.backhaul = BackhaulMode::kRemote;
-  pconfig.cache_bytes = cache_bytes;
   ioldrv::ExperimentConfig config;
   config.persistent_connections = true;
   config.max_requests = 800;
   config.warmup_requests = 0;
-  ioldrv::ProxyTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
-                         ioldrv::Fleet(members), pconfig, config);
+  ioldrv::CdnTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
+                       ioldrv::Fleet(members), OneProxy(cache_bytes), pconfig,
+                       config);
   ioldrv::ClosedLoop workload(8);
   iolsim::Rng rng(5150);
   const std::vector<uint32_t>& reqs = trace.requests();
@@ -374,8 +502,8 @@ TEST(ProxyTest, HitRateRisesMonotonicallyWithCacheSize) {
 }
 
 TEST(ProxyTest, PerTierAccountingIsConsistent) {
-  ioldrv::ExperimentResult result;
-  RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote, &result);
+  ioldrv::ExperimentResult result =
+      RunTierOnce(ProxyDataPath::kCopy, BackhaulMode::kRemote).result;
   EXPECT_GT(result.proxy_hit_rate, 0.0);
   EXPECT_LT(result.proxy_hit_rate, 1.0);
   EXPECT_GE(result.origin_hit_rate, 0.0);
@@ -387,6 +515,11 @@ TEST(ProxyTest, PerTierAccountingIsConsistent) {
   // takes real time.
   EXPECT_GT(result.origin_latency.count, 0u);
   EXPECT_GT(result.origin_latency.p50_ms, 0.0);
+  // The one level's counters describe the same proxy, with no protocol on.
+  ASSERT_EQ(result.cdn_levels.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.cdn_levels[0].hit_rate, result.proxy_hit_rate);
+  EXPECT_EQ(result.cdn_levels[0].backhaul_bytes, result.backhaul_bytes);
+  EXPECT_GT(result.origin_fleet_fetches, 0u);
 }
 
 }  // namespace
