@@ -96,6 +96,36 @@ void SimFileSystem::FillRange(const File& f, uint64_t offset, char* dst, size_t 
   }
 }
 
+iolite::BufferRef SimFileSystem::ContentBuffer(const File& f, uint64_t offset, size_t length,
+                                               iolite::BufferPool* pool) {
+  iolite::BufferRef buffer = pool->Allocate(length);
+  if (pool->heap_backed() && !OverlayIntersects(f, offset, length)) {
+    // Only data() reads a heap pool's bytes, so they wait for it; the
+    // checksum module sums them straight from the generator.
+    buffer->SealDescribed(f.content_seed, offset, length);
+  } else {
+    // Other processes read a region's bytes directly, and written runs
+    // must be copied over the generated bytes: write them now.
+    FillRange(f, offset, buffer->writable_data(), length);
+    buffer->Seal(length);
+  }
+  return buffer;
+}
+
+bool SimFileSystem::OverlayIntersects(const File& f, uint64_t offset, size_t n) {
+  const uint64_t end = offset + n;
+  auto ov = f.overlay.upper_bound(offset);
+  if (ov != f.overlay.begin()) {
+    --ov;  // The run starting at or before `offset` may reach into the range.
+  }
+  for (; ov != f.overlay.end() && ov->first < end; ++ov) {
+    if (std::max(ov->first, offset) < std::min(ov->first + ov->second.size(), end)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size_t length) {
   auto it = files_.find(file);
   assert(it != files_.end());
@@ -106,10 +136,13 @@ iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size
   ctx_->stats().disk_bytes_read += length;
 
   // DMA fill: real bytes, no CPU charge.
-  iolite::BufferRef buffer = pool_->Allocate(length);
-  FillRange(it->second, offset, buffer->writable_data(), length);
-  buffer->Seal(length);
-  return buffer;
+  return ContentBuffer(it->second, offset, length, pool_);
+}
+
+iolite::BufferRef SimFileSystem::ReadSnapshot(FileId file, iolite::BufferPool* pool) const {
+  auto it = files_.find(file);
+  assert(it != files_.end());
+  return ContentBuffer(it->second, 0, it->second.size, pool);
 }
 
 void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggregate& data) {
@@ -125,6 +158,9 @@ void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggr
   if (offset + length > f.size) {
     total_bytes_ += offset + length - f.size;
     f.size = offset + length;
+  }
+  if (length == 0) {
+    return;  // Folding an empty run in would replace the bytes at `offset`.
   }
 
   // Fold the bytes into the overlay. Remove or trim overlapped runs first.

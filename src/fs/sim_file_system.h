@@ -4,8 +4,11 @@
 // unchanged (Section 4.2); what matters for IO-Lite is (a) where file data
 // lands — directly in IO-Lite buffers, filled by DMA — and (b) the disk
 // service time charged on cache misses. Files have deterministic synthetic
-// content (regenerated per <file, offset> on each disk read) plus a write
-// overlay so write-then-read round-trips return the written bytes.
+// content (a pure function of <file, offset>) plus a write overlay so
+// write-then-read round-trips return the written bytes. A disk read into a
+// heap-backed pool writes no bytes when no overlay run touches the range:
+// the buffer is sealed over a content descriptor and writes its bytes on
+// first data() use (see buffer.h). Region-backed pools are filled at once.
 //
 // Metadata is cached in a small "old buffer cache" as in 4.4BSD: the first
 // open of a file charges a metadata disk access unless its inode block is
@@ -56,9 +59,16 @@ class SimFileSystem {
   // Charges disk service time; the fill itself is DMA (no CPU).
   iolite::BufferRef ReadFromDisk(FileId file, uint64_t offset, size_t length);
 
+  // A sealed buffer from `pool` holding the file's whole current content,
+  // charging nothing: the bytes another machine's disk holds, as they
+  // arrive over a network. Descriptor-backed under the same rules as
+  // ReadFromDisk. The file must not be empty.
+  iolite::BufferRef ReadSnapshot(FileId file, iolite::BufferPool* pool) const;
+
   // Writes `data` at `offset` (write-through: disk time charged now). The
   // overlay remembers the bytes so later disk reads return them; the file
-  // grows if the write extends past the current end.
+  // grows if the write extends past the current end. An empty write
+  // changes no bytes.
   void WriteToDisk(FileId file, uint64_t offset, const iolite::Aggregate& data);
 
   // Reference content generator: what a disk read of one byte returns.
@@ -82,6 +92,13 @@ class SimFileSystem {
 
   // Writes the content of `f` over [offset, offset+n) to `dst`.
   static void FillRange(const File& f, uint64_t offset, char* dst, size_t n);
+
+  // True when a written run overlaps [offset, offset+n).
+  static bool OverlayIntersects(const File& f, uint64_t offset, size_t n);
+
+  // A sealed buffer from `pool` holding [offset, offset+length) of `f`.
+  static iolite::BufferRef ContentBuffer(const File& f, uint64_t offset, size_t length,
+                                         iolite::BufferPool* pool);
 
   // LRU set of file ids whose metadata is resident.
   class MetadataCache {

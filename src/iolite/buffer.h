@@ -11,6 +11,19 @@
 // Lifecycle: a buffer is carved out of a pool extent in the *filling* state,
 // the producer writes its content exactly once, then Seal() freezes it. Only
 // sealed buffers may appear in aggregates that cross protection domains.
+//
+// A disk read may instead seal a buffer over a *content descriptor* (the
+// file's content seed and offset, SealDescribed): the contents are fixed
+// from that moment, but no byte is written yet. The first data() call
+// writes them (FillContent) and drops the descriptor, so every reader sees
+// the same bytes either way, while readers that only need a function of the
+// contents (the checksum module) can generate them without touching the
+// buffer's memory. Reuse (a new generation) drops the descriptor too.
+//
+// Buffers are not thread-safe: data() may write on first call, so a buffer
+// is read only by the machine (thread) that owns it. Cross-process and
+// cross-thread sharing goes through region-backed pools, whose buffers are
+// always written at fill time.
 
 #ifndef SRC_IOLITE_BUFFER_H_
 #define SRC_IOLITE_BUFFER_H_
@@ -44,11 +57,22 @@ class Buffer {
 
   bool sealed() const { return sealed_; }
 
-  // Read access to the immutable contents. Valid only once sealed.
+  // Read access to the immutable contents. Valid only once sealed. A
+  // descriptor-backed buffer writes its bytes here, on the first call.
   const char* data() const {
     assert(sealed_ && "reading an unsealed buffer");
+    if (described_) {
+      Materialize();
+    }
     return data_;
   }
+
+  // True while the contents are a descriptor whose bytes are not yet
+  // written: byte i is FillContent's byte at content_offset() + i for
+  // content_seed(). Valid only once sealed.
+  bool described() const { return described_; }
+  uint64_t content_seed() const { return content_seed_; }
+  uint64_t content_offset() const { return content_offset_; }
 
   // Write access during the fill phase. Asserts immutability afterwards.
   char* writable_data() {
@@ -60,6 +84,10 @@ class Buffer {
   // revokes the producer's write permission (unless the producer is the
   // trusted kernel, Section 3.2).
   void Seal(size_t filled);
+
+  // Seals `n` bytes of generated disk content, FillContent(seed, offset),
+  // without writing them; data() writes them on first use.
+  void SealDescribed(uint64_t seed, uint64_t offset, size_t n);
 
   // The VM chunks this buffer's storage spans (for mapping operations).
   const std::vector<iolsim::ChunkId>& chunks() const;
@@ -89,9 +117,13 @@ class Buffer {
   void ResetForReuse(iolsim::DomainId producer) {
     ++generation_;
     sealed_ = false;
+    described_ = false;
     size_ = 0;
     producer_ = producer;
   }
+
+  // Writes the described bytes and drops the descriptor.
+  void Materialize() const;
 
   BufferPool* pool_;
   uint64_t id_;
@@ -102,6 +134,9 @@ class Buffer {
   uint32_t generation_ = 1;
   size_t size_ = 0;
   bool sealed_ = false;
+  mutable bool described_ = false;
+  uint64_t content_seed_ = 0;
+  uint64_t content_offset_ = 0;
   int refcount_ = 0;
 };
 

@@ -19,6 +19,18 @@ void Buffer::Seal(size_t filled) {
   pool_->OnBufferSealed(this);
 }
 
+void Buffer::SealDescribed(uint64_t seed, uint64_t offset, size_t n) {
+  Seal(n);
+  content_seed_ = seed;
+  content_offset_ = offset;
+  described_ = true;
+}
+
+void Buffer::Materialize() const {
+  FillContent(content_seed_, content_offset_, data_, size_);
+  described_ = false;
+}
+
 void Buffer::Release() {
   assert(refcount_ > 0);
   if (--refcount_ == 0) {
@@ -64,7 +76,9 @@ size_t BufferPool::NewExtent(size_t n) {
       std::abort();
     }
   } else {
-    e.owned = std::make_unique<char[]>(e.size);
+    // Not zero-filled: every buffer is written before it is read, and
+    // nothing reads past a buffer's sealed size.
+    e.owned = std::make_unique_for_overwrite<char[]>(e.size);
     e.data = e.owned.get();
   }
   for (size_t i = 0; i < chunk_count; ++i) {

@@ -53,6 +53,10 @@ class BufferPool {
   const std::string& name() const { return name_; }
   iolsim::DomainId producer() const { return producer_; }
 
+  // True when extents live on the heap (no ExtentAllocator): only this
+  // process reads the storage, through Buffer::data().
+  bool heap_backed() const { return !extent_allocator_; }
+
   // Allocates a buffer with capacity >= `n` in the filling state. Prefers a
   // recycled buffer (cheap); otherwise carves new storage and charges the
   // producer's mapping costs. The returned ref is the caller's.

@@ -2,10 +2,12 @@
 //
 // Two deterministic patterns stand in for device data. A NIC fill
 // (BufferPool::AllocateDma) writes an xorshift64 stream seeded per
-// transfer; a disk fill (SimFileSystem) returns per-offset content, so any
-// subrange of a file regenerates independently. Both fills are free in
-// simulated time. On the host they run lane-parallel and stay
-// byte-identical to the serial definitions:
+// transfer, at allocation. Disk content (SimFileSystem) is per-offset, so
+// any subrange of a file regenerates independently: a disk buffer may hold
+// a descriptor instead of bytes, written by Buffer::data() on first read,
+// and the checksum module sums a described range by generating it in
+// blocks. Both fills are free in simulated time. On the host they run
+// lane-parallel and stay byte-identical to the serial definitions:
 //
 //   xorshift  byte i = byte (i mod 8) of x_{i+1}, where x_0 = seed * phi + 1
 //             and x_{k+1} = T(x_k) is one xorshift64 (13, 7, 17) step.

@@ -1,6 +1,5 @@
 #include "src/iolite/runtime.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace iolite {
@@ -8,14 +7,6 @@ namespace iolite {
 BufferPool* IoLiteRuntime::CreatePool(const std::string& name, iolsim::DomainId producer) {
   pools_.push_back(std::make_unique<BufferPool>(ctx_, name, producer));
   return pools_.back().get();
-}
-
-void IoLiteRuntime::DeletePool(BufferPool* pool) {
-  assert(pool->live_buffers() == 0 && "deleting pool with referenced buffers");
-  auto it = std::find_if(pools_.begin(), pools_.end(),
-                         [pool](const std::unique_ptr<BufferPool>& p) { return p.get() == pool; });
-  assert(it != pools_.end());
-  pools_.erase(it);
 }
 
 Fd IoLiteRuntime::Open(std::shared_ptr<Stream> stream, iolsim::DomainId owner) {
@@ -29,12 +20,6 @@ void IoLiteRuntime::Close(Fd fd) { descriptors_.erase(fd); }
 Stream* IoLiteRuntime::StreamOf(Fd fd) const {
   auto it = descriptors_.find(fd);
   return it == descriptors_.end() ? nullptr : it->second.stream.get();
-}
-
-iolsim::DomainId IoLiteRuntime::OwnerOf(Fd fd) const {
-  auto it = descriptors_.find(fd);
-  assert(it != descriptors_.end());
-  return it->second.owner;
 }
 
 Aggregate IoLiteRuntime::IolRead(Fd fd, size_t max_bytes) {

@@ -36,9 +36,6 @@ class IoLiteRuntime {
   // Creates an allocation pool whose buffers are produced by `producer`.
   BufferPool* CreatePool(const std::string& name, iolsim::DomainId producer);
 
-  // Deletes a pool. All buffers must be unreferenced (asserted).
-  void DeletePool(BufferPool* pool);
-
   BufferPool* kernel_pool() const { return kernel_pool_; }
 
   // --- Descriptor table ----------------------------------------------------
@@ -47,7 +44,6 @@ class IoLiteRuntime {
   Fd Open(std::shared_ptr<Stream> stream, iolsim::DomainId owner);
   void Close(Fd fd);
   Stream* StreamOf(Fd fd) const;
-  iolsim::DomainId OwnerOf(Fd fd) const;
 
   // --- Core API (Figure 2): IOL_read / IOL_write ---------------------------
 

@@ -7,9 +7,12 @@
 // slice is transmitted again the cached value is reused — eliminating the
 // last data-touching operation on the static-content fast path.
 //
-// Checksums are really computed over the real bytes; partial sums are
-// combined with correct odd-offset folding so the cached per-slice sums
-// compose into the exact end-to-end checksum.
+// Checksums are really computed over the bytes the buffers hold; partial
+// sums are combined with correct odd-offset folding so the cached per-slice
+// sums compose into the exact end-to-end checksum. With the cache on, a
+// slice of a descriptor-backed buffer (buffer.h) is summed from bytes
+// generated 4 KB at a time on the stack, which equal the bytes data() would
+// write; the buffer itself stays unwritten.
 
 #ifndef SRC_NET_CHECKSUM_H_
 #define SRC_NET_CHECKSUM_H_

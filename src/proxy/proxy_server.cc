@@ -356,10 +356,10 @@ void ProxyServer::ReceiveStage(uint32_t idx) {
         }
         ctx_->stats().backhaul_bytes += size;
         cdn_stats().backhaul_bytes += size;
-        // The object lands in buffers filled by the NIC (no CPU charge).
-        iolite::BufferRef buf = object_pool_->AllocateDma(
-            static_cast<uint64_t>(node.req->file), size);
-        node.body = iolite::Aggregate::FromBuffer(std::move(buf));
+        // The origin's bytes land in buffers filled by the NIC (no CPU
+        // charge).
+        node.body = iolite::Aggregate::FromBuffer(
+            io_->fs().ReadSnapshot(node.req->file, object_pool_));
         if (config_.data_path == ProxyDataPath::kCopy) {
           // memcpy off the socket into the proxy's private cache: the
           // double-buffering a copy-based proxy cannot avoid.

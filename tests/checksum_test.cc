@@ -8,11 +8,15 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "src/fs/sim_file_system.h"
+#include "src/iolite/buffer_pool.h"
 #include "src/net/checksum.h"
 #include "src/simos/rng.h"
+#include "src/simos/sim_context.h"
 
 namespace {
 
@@ -258,5 +262,89 @@ TEST(ChecksumCacheTest, ClearEmptiesAndTheCacheRefills) {
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.capacity(), 8u);
 }
+
+// --- Descriptor-backed slices ------------------------------------------------
+
+// A disk read into a heap pool seals a descriptor-backed buffer. With the
+// cache on, the checksum module sums its slices from generated blocks;
+// with it off, it writes the bytes (data()) and sums those. Each aggregate
+// here takes random sub-slices of such buffers, odd lengths and offsets
+// included, so later slices sit at odd message offsets. Its checksum must
+// equal the checksum of the same bytes copied into ordinary buffers: with
+// the cache on and off, on a repeat (a hit when cached), and after data()
+// has written the bytes.
+class DescribedChecksumTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DescribedChecksumTest, MatchesEagerCopies) {
+  const bool cached = GetParam();
+  constexpr size_t kMaxLen = 3 * 4096 + 1;
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+  iolnet::ChecksumModule sums(&ctx, cached);
+  const iolfs::FileId f = fs.CreateFile("f", 5 * 4096 + 3);
+  const uint64_t size = fs.SizeOf(f);
+  iolsim::Rng rng(cached ? 5 : 6);
+  for (int trial = 0; trial < 40; ++trial) {
+    iolite::Aggregate described;
+    iolite::Aggregate eager;
+    const uint64_t slices = 1 + rng.NextBelow(4);
+    for (uint64_t k = 0; k < slices; ++k) {
+      uint64_t offset = rng.NextBelow(size);
+      size_t len = 1 + rng.NextBelow(std::min<uint64_t>(kMaxLen, size - offset));
+      iolite::BufferRef b = fs.ReadFromDisk(f, offset, len);
+      ASSERT_TRUE(b->described());
+      size_t sub = rng.NextBelow(len);
+      size_t sub_len = 1 + rng.NextBelow(len - sub);
+      described.Append(iolite::Slice(b, sub, sub_len));
+      std::string bytes(sub_len, '\0');
+      fs.ReadContent(f, offset + sub, bytes.data(), sub_len);
+      eager.Append(iolite::Aggregate::FromBuffer(copies.AllocateFrom(bytes.data(), sub_len)));
+    }
+    const uint16_t want = eager_sums.Checksum(eager);
+    ASSERT_EQ(sums.Checksum(described), want) << "trial " << trial;
+    ASSERT_EQ(sums.Checksum(described), want) << "repeat, trial " << trial;
+    for (const iolite::Slice& s : described.slices()) {
+      ASSERT_EQ(s.buffer()->described(), cached);
+    }
+    std::string written = described.ToString();
+    EXPECT_EQ(written, eager.ToString());
+    for (const iolite::Slice& s : described.slices()) {
+      ASSERT_FALSE(s.buffer()->described());
+    }
+    iolnet::ChecksumModule fresh(&ctx, cached);
+    ASSERT_EQ(fresh.Checksum(described), want) << "after data(), trial " << trial;
+    ASSERT_EQ(sums.Checksum(described), want) << "after data(), trial " << trial;
+  }
+}
+
+// Generating the bytes costs what reading them did: the same CPU charge,
+// bytes summed and cache traffic as for an ordinary buffer.
+TEST(DescribedChecksumCostTest, ChargesAndCountsAsForWrittenBytes) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  const iolfs::FileId f = fs.CreateFile("f", 20000);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  iolite::BufferRef described = fs.ReadFromDisk(f, 1, 19999);
+  iolite::BufferRef written = fs.ReadFromDisk(f, 1, 19999);
+  written->data();
+  ASSERT_TRUE(described->described());
+  ASSERT_FALSE(written->described());
+  auto charge = [&](const iolite::BufferRef& b) {
+    iolsim::SimTime before = ctx.clock().now();
+    uint64_t summed = ctx.stats().bytes_checksummed;
+    uint64_t misses = ctx.stats().checksum_cache_misses;
+    sums.Checksum(iolite::Aggregate::FromBuffer(b));
+    return std::make_tuple(ctx.clock().now() - before, ctx.stats().bytes_checksummed - summed,
+                           ctx.stats().checksum_cache_misses - misses);
+  };
+  EXPECT_EQ(charge(described), charge(written));
+  EXPECT_EQ(std::get<1>(charge(described)), 0u) << "a repeat hits the cache";
+}
+
+INSTANTIATE_TEST_SUITE_P(CacheOnOff, DescribedChecksumTest, ::testing::Bool());
 
 }  // namespace

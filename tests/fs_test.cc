@@ -5,11 +5,13 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/fs/file_cache.h"
 #include "src/fs/file_io.h"
 #include "src/fs/replacement_policy.h"
 #include "src/fs/sim_file_system.h"
+#include "src/simos/rng.h"
 #include "src/system/system.h"
 #include "tests/test_util.h"
 
@@ -126,6 +128,132 @@ TEST_F(FsTest, WriteExtendsFile) {
   auto* pool = sys_.runtime().kernel_pool();
   sys_.fs().WriteToDisk(f, 8, ioltest::AggFrom(pool, "0123456789"));
   EXPECT_EQ(sys_.fs().SizeOf(f), 18u);
+}
+
+// An empty write folds nothing into the overlay: an empty run at the start
+// of a written run, or at its split-off tail, would hide the written bytes.
+TEST_F(FsTest, EmptyWriteKeepsOverlayBytes) {
+  auto* pool = sys_.runtime().kernel_pool();
+  for (uint64_t at : {10u, 15u}) {
+    FileId f = sys_.fs().CreateFile("a" + std::to_string(at), 100);
+    sys_.fs().WriteToDisk(f, 10, ioltest::AggFrom(pool, "aaaaaaaaaa"));  // [10,20)
+    uint64_t writes = sys_.ctx().stats().disk_writes;
+    iolsim::SimTime before = sys_.ctx().clock().now();
+    sys_.fs().WriteToDisk(f, at, iolite::Aggregate());
+    EXPECT_EQ(sys_.ctx().stats().disk_writes, writes + 1);
+    EXPECT_GT(sys_.ctx().clock().now(), before);
+    EXPECT_EQ(sys_.fs().ContentByteAt(f, 12), 'a') << "empty write at " << at;
+    EXPECT_EQ(sys_.fs().ContentByteAt(f, 17), 'a') << "empty write at " << at;
+    EXPECT_EQ(ioltest::FileContent(sys_.fs(), f, 10, 10), "aaaaaaaaaa");
+    EXPECT_EQ(std::string(sys_.fs().ReadFromDisk(f, 10, 10)->data(), 10), "aaaaaaaaaa");
+  }
+}
+
+// A disk read into the heap-backed kernel pool writes no bytes: the buffer
+// is sealed over a content descriptor, and its first data() call writes
+// exactly what ReadContent returns, at every alignment and length.
+TEST_F(FsTest, DescribedReadsMaterializeTheFileContent) {
+  constexpr size_t kMaxLen = 3 * 4096 + 1;
+  iolsim::Rng rng(17);
+  struct Read {
+    uint64_t offset;
+    size_t len;
+  };
+  std::vector<Read> reads;
+  for (uint64_t offset : {0u, 1u, 2u, 7u, 4095u, 4096u}) {
+    for (size_t len : {size_t{1}, size_t{2}, size_t{63}, size_t{64}, size_t{65}, size_t{4095},
+                       size_t{4096}, size_t{4097}, size_t{8192}, kMaxLen}) {
+      reads.push_back({offset, len});
+    }
+  }
+  for (int i = 0; i < 60; ++i) {
+    reads.push_back({rng.NextBelow(20000), 1 + rng.NextBelow(kMaxLen)});
+  }
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const Read& r = reads[i];
+    FileId f = sys_.fs().CreateFile("r" + std::to_string(i), r.offset + r.len + rng.NextBelow(9));
+    iolite::BufferRef b = sys_.fs().ReadFromDisk(f, r.offset, r.len);
+    ASSERT_TRUE(b->described());
+    EXPECT_EQ(b->size(), r.len);
+    std::string want = ioltest::FileContent(sys_.fs(), f, r.offset, r.len);
+    ASSERT_EQ(std::string(b->data(), r.len), want) << "offset " << r.offset << " len " << r.len;
+    EXPECT_FALSE(b->described());
+    EXPECT_EQ(std::string(b->data(), r.len), want);
+  }
+}
+
+// Written bytes are copied in at read time: a range any written run
+// touches is filled eagerly; a range clear of every run stays a descriptor.
+TEST_F(FsTest, OverlaidRangeFillsEagerly) {
+  FileId f = sys_.fs().CreateFile("a", 1000);
+  sys_.fs().WriteToDisk(f, 100, ioltest::AggFrom(sys_.runtime().kernel_pool(), "WRITTEN"));
+  iolite::BufferRef touching = sys_.fs().ReadFromDisk(f, 50, 51);  // Ends on byte 100.
+  EXPECT_FALSE(touching->described());
+  EXPECT_EQ(std::string(touching->data(), 51), ioltest::FileContent(sys_.fs(), f, 50, 51));
+  iolite::BufferRef inside = sys_.fs().ReadFromDisk(f, 102, 3);
+  EXPECT_FALSE(inside->described());
+  EXPECT_EQ(std::string(inside->data(), 3), "ITT");
+  iolite::BufferRef before = sys_.fs().ReadFromDisk(f, 0, 100);
+  iolite::BufferRef after = sys_.fs().ReadFromDisk(f, 107, 893);
+  EXPECT_TRUE(before->described());
+  EXPECT_TRUE(after->described());
+  EXPECT_EQ(std::string(after->data(), 893), ioltest::FileContent(sys_.fs(), f, 107, 893));
+}
+
+// Reuse starts a new generation with new contents: the recycled buffer
+// holds what its new producer wrote, not the old descriptor's bytes.
+TEST_F(FsTest, RecycledBufferDropsItsDescriptor) {
+  FileId f = sys_.fs().CreateFile("a", 8192);
+  const iolite::Buffer* first;
+  {
+    iolite::BufferRef b = sys_.fs().ReadFromDisk(f, 0, 5000);
+    ASSERT_TRUE(b->described());
+    first = b.get();
+  }
+  const std::string text(5000, 'z');
+  iolite::BufferRef again = ioltest::BufferFrom(sys_.runtime().kernel_pool(), text);
+  ASSERT_EQ(again.get(), first) << "the freed buffer is recycled first";
+  EXPECT_FALSE(again->described());
+  EXPECT_EQ(std::string(again->data(), text.size()), text);
+}
+
+// Buffers of a pool with an ExtentAllocator live in memory other processes
+// read directly, so a disk read writes their bytes at once.
+TEST_F(FsTest, ExtentAllocatorPoolStaysEager) {
+  std::vector<std::unique_ptr<char[]>> extents;
+  iolite::BufferPool region(&sys_.ctx(), "region", iolsim::kKernelDomain, [&](size_t n) {
+    extents.push_back(std::make_unique<char[]>(n));
+    return extents.back().get();
+  });
+  iolfs::SimFileSystem fs(&sys_.ctx(), &region);
+  FileId f = fs.CreateFile("a", 10000);
+  iolite::BufferRef b = fs.ReadFromDisk(f, 3, 9000);
+  EXPECT_FALSE(b->described());
+  EXPECT_EQ(std::string(b->data(), 9000), ioltest::FileContent(fs, f, 3, 9000));
+  iolite::BufferRef snap = fs.ReadSnapshot(f, &region);
+  EXPECT_FALSE(snap->described());
+}
+
+// ReadSnapshot hands out the file's current content from any pool, at no
+// disk or CPU cost: described while no write touches it, eager after.
+TEST_F(FsTest, ReadSnapshotHoldsCurrentContentUncharged) {
+  FileId f = sys_.fs().CreateFile("a", 10000);
+  iolite::BufferPool* pool = sys_.runtime().CreatePool("other", iolsim::kKernelDomain);
+  iolsim::SimTime now = sys_.ctx().clock().now();
+  uint64_t reads = sys_.ctx().stats().disk_reads;
+  iolite::BufferRef clean = sys_.fs().ReadSnapshot(f, pool);
+  EXPECT_EQ(sys_.ctx().clock().now(), now);
+  EXPECT_EQ(clean->pool(), pool);
+  EXPECT_TRUE(clean->described());
+  EXPECT_EQ(std::string(clean->data(), 10000), ioltest::FileContent(sys_.fs(), f, 0, 10000));
+  sys_.fs().WriteToDisk(f, 9998, ioltest::AggFrom(pool, "tail"));
+  now = sys_.ctx().clock().now();
+  iolite::BufferRef written = sys_.fs().ReadSnapshot(f, pool);
+  EXPECT_EQ(sys_.ctx().clock().now(), now);
+  EXPECT_EQ(sys_.ctx().stats().disk_reads, reads);
+  EXPECT_FALSE(written->described());
+  EXPECT_EQ(written->size(), 10002u);
+  EXPECT_EQ(std::string(written->data(), 10002), ioltest::FileContent(sys_.fs(), f, 0, 10002));
 }
 
 TEST_F(FsTest, MetadataCacheAvoidsRepeatInodeReads) {

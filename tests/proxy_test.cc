@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "src/proxy/proxy_server.h"
 #include "src/system/system.h"
 #include "src/workload/trace.h"
+#include "tests/test_util.h"
 
 // Counting allocator (same pattern as pipeline_test.cc): every global new is
 // counted so warm-path zero-allocation claims are enforceable.
@@ -244,6 +247,29 @@ TEST(ProxyTest, RemoteIoLiteInsertDoesNotCopyWhereCopyProxyDoes) {
   EXPECT_EQ(copy.sys->ctx().stats().backhaul_bytes_copied,
             copy.sys->ctx().stats().backhaul_bytes);
   copy_conn.Close();
+}
+
+// A proxy caches the bytes the origin serves: the file's content at fetch
+// time, written bytes included, on both data paths.
+TEST(ProxyTest, CachedBodiesHoldTheOriginsBytes) {
+  for (ProxyDataPath path : {ProxyDataPath::kIoLite, ProxyDataPath::kCopy}) {
+    ProxyConfig config;
+    ProxyStack s = MakeStack(path, BackhaulMode::kRemote, config);
+    iolfs::SimFileSystem& fs = s.sys->fs();
+    fs.WriteToDisk(s.files[1], 5, ioltest::AggFrom(s.sys->runtime().kernel_pool(), "written"));
+    iolnet::TcpConnection conn(&s.sys->net(), path == ProxyDataPath::kIoLite);
+    conn.Connect();
+    for (iolfs::FileId f : s.files) {
+      s.proxy->HandleRequest(&conn, f);
+    }
+    conn.Close();
+    for (iolfs::FileId f : s.files) {
+      const size_t size = fs.SizeOf(f);
+      std::optional<iolite::Aggregate> body = s.proxy->proxy_cache().Lookup(f, 0, size);
+      ASSERT_TRUE(body.has_value()) << "file " << f;
+      EXPECT_EQ(body->ToString(), ioltest::FileContent(fs, f, 0, size)) << "file " << f;
+    }
+  }
 }
 
 // --- Determinism ------------------------------------------------------------
