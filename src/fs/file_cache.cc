@@ -279,12 +279,6 @@ bool FileCache::IsReferenced(EntryId id) const {
   return false;
 }
 
-size_t FileCache::SizeOf(EntryId id) const {
-  auto it = entries_.find(id);
-  assert(it != entries_.end());
-  return it->second.data.size();
-}
-
 void FileCache::EraseEntry(EntryId id) {
   auto it = entries_.find(id);
   assert(it != entries_.end());

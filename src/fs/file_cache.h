@@ -174,7 +174,6 @@ class FileCache : public CacheView {
 
   // --- CacheView ------------------------------------------------------------
   bool IsReferenced(EntryId id) const override;
-  size_t SizeOf(EntryId id) const override;
 
  private:
   struct Entry {

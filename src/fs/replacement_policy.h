@@ -38,7 +38,6 @@ class CacheView {
   virtual ~CacheView() = default;
   // True if any buffer of the entry is referenced outside the cache.
   virtual bool IsReferenced(EntryId id) const = 0;
-  virtual size_t SizeOf(EntryId id) const = 0;
 };
 
 class ReplacementPolicy {

@@ -6,7 +6,9 @@
 // any subrange of a file regenerates independently: a disk buffer may hold
 // a descriptor instead of bytes, written by Buffer::data() on first read,
 // and the checksum module sums a described range by generating it in
-// blocks. Both fills are free in simulated time. On the host they run
+// blocks. It keeps the sum of each whole, aligned 4 KB block per thread,
+// keyed by (seed, block index), so a block generates once however many
+// buffers describe it (checksum.h). Both fills are free in simulated time. On the host they run
 // lane-parallel and stay byte-identical to the serial definitions:
 //
 //   xorshift  byte i = byte (i mod 8) of x_{i+1}, where x_0 = seed * phi + 1

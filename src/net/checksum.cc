@@ -273,21 +273,148 @@ namespace {
 constexpr size_t kGenerateBlock = 4096;
 static_assert(kGenerateBlock % 2 == 0);
 
-// ChecksumAccumulate over a descriptor-backed slice's bytes, generated
-// block by block on the stack instead of written into the buffer: its
-// memory stays untouched.
-uint32_t GenerateAndAccumulate(const iolite::Slice& s) {
-  const iolite::Buffer& b = *s.buffer();
+// Partial sums of whole, aligned blocks of generated content: the sum of
+// content bytes [k * kGenerateBlock, (k + 1) * kGenerateBlock) for seed s
+// is a pure function of (s, k), so it is kept under that key. The table
+// is open-addressed with linear probing over a window of kProbe slots. It
+// is empty until the first Store and doubles whenever it is more than half
+// full, up to kBlockSumSlots; from then on a Store whose window is full
+// replaces the entry in the key's home slot. Nothing is ever erased, so
+// every entry stays within its window and a probe may stop at an empty
+// slot.
+class BlockSumTable {
+ public:
+  bool Lookup(uint64_t seed, uint64_t block, uint32_t* sum) const {
+    if (slots_.empty()) {
+      return false;
+    }
+    const size_t mask = slots_.size() - 1;
+    const size_t home = Hash(seed, block);
+    for (size_t i = 0; i < kProbe; ++i) {
+      const Entry& e = slots_[(home + i) & mask];
+      if (e.block == kEmpty) {
+        return false;
+      }
+      if (e.block == block && e.seed == seed) {
+        *sum = e.sum;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Stores the sum of a block that Lookup missed.
+  void Store(uint64_t seed, uint64_t block, uint32_t sum) {
+    if (slots_.empty()) {
+      slots_.assign(kInitialSlots, Entry{});
+    }
+    while (!Place(Entry{seed, block, sum}, /*replace=*/slots_.size() == kBlockSumSlots)) {
+      Grow();
+    }
+    if (used_ * 2 > slots_.size() && slots_.size() < kBlockSumSlots) {
+      Grow();
+    }
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;  // No block index reaches it.
+  static constexpr size_t kProbe = 8;
+  static constexpr size_t kInitialSlots = 256;
+  static_assert((kBlockSumSlots & (kBlockSumSlots - 1)) == 0);
+
+  struct Entry {
+    uint64_t seed = 0;
+    uint64_t block = kEmpty;
+    uint32_t sum = 0;
+  };
+
+  static size_t Hash(uint64_t seed, uint64_t block) {
+    uint64_t h = (seed ^ (block * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull;
+    return static_cast<size_t>(h ^ (h >> 31));
+  }
+
+  // Puts `entry` in the first empty slot of its window. With none, it
+  // replaces the home slot's entry if `replace`, and fails otherwise.
+  bool Place(const Entry& entry, bool replace) {
+    const size_t mask = slots_.size() - 1;
+    const size_t home = Hash(entry.seed, entry.block);
+    for (size_t i = 0; i < kProbe; ++i) {
+      Entry& e = slots_[(home + i) & mask];
+      if (e.block == kEmpty) {
+        e = entry;
+        ++used_;
+        return true;
+      }
+    }
+    if (replace) {
+      slots_[home & mask] = entry;
+    }
+    return replace;
+  }
+
+  // Doubles the slots and re-places every entry. An entry that finds its
+  // new window full is dropped: the table is a cache.
+  void Grow() {
+    std::vector<Entry> old = std::move(slots_);
+    slots_.assign(2 * old.size(), Entry{});
+    used_ = 0;
+    for (const Entry& e : old) {
+      if (e.block != kEmpty) {
+        Place(e, /*replace=*/false);
+      }
+    }
+  }
+
+  std::vector<Entry> slots_;  // Empty, or a power of two up to kBlockSumSlots.
+  size_t used_ = 0;
+};
+
+// One table per thread: every machine a thread simulates shares it, and no
+// two threads do, so it needs no lock.
+thread_local BlockSumTable block_sums;
+
+// The sum of generated content bytes [start, start + n) for `seed`, made
+// 4 KB at a time on the stack.
+uint32_t GenerateSum(uint64_t seed, uint64_t start, size_t n) {
   alignas(64) char block[kGenerateBlock];
-  const uint64_t start = b.content_offset() + s.offset();
   uint32_t sum = 0;
-  for (size_t done = 0; done < s.length();) {
-    size_t n = std::min(kGenerateBlock, s.length() - done);
-    iolite::FillContent(b.content_seed(), start + done, block, n);
-    sum += ChecksumAccumulate(block, n);
-    done += n;
+  for (size_t done = 0; done < n;) {
+    size_t len = std::min(kGenerateBlock, n - done);
+    iolite::FillContent(seed, start + done, block, len);
+    sum += ChecksumAccumulate(block, len);
+    done += len;
   }
   return sum;
+}
+
+// ChecksumAccumulate over a descriptor-backed slice's bytes, generated
+// instead of written into the buffer: its memory stays untouched. When the
+// slice's content starts at an even offset, the head up to the first
+// block boundary is even-length, so every whole block after it starts at
+// an even offset in the slice: its sum comes from the table (or is
+// generated once and stored) and adds exactly. Odd starts are summed
+// straight from the generator.
+uint32_t GenerateAndAccumulate(const iolite::Slice& s) {
+  const iolite::Buffer& b = *s.buffer();
+  const uint64_t seed = b.content_seed();
+  const uint64_t start = b.content_offset() + s.offset();
+  const uint64_t end = start + s.length();
+  const uint64_t first = (start + kGenerateBlock - 1) / kGenerateBlock;  // First whole block.
+  const uint64_t last = end / kGenerateBlock;                           // One past the last.
+  if (start % 2 != 0 || first >= last) {
+    return GenerateSum(seed, start, s.length());
+  }
+  BlockSumTable& table = block_sums;
+  uint32_t sum = GenerateSum(seed, start, first * kGenerateBlock - start);
+  for (uint64_t k = first; k < last; ++k) {
+    uint32_t partial;
+    if (!table.Lookup(seed, k, &partial)) {
+      partial = GenerateSum(seed, k * kGenerateBlock, kGenerateBlock);
+      table.Store(seed, k, partial);
+    }
+    sum += partial;
+  }
+  return sum + GenerateSum(seed, last * kGenerateBlock, end - last * kGenerateBlock);
 }
 
 }  // namespace

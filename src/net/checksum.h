@@ -13,10 +13,28 @@
 // slice of a descriptor-backed buffer (buffer.h) is summed from bytes
 // generated 4 KB at a time on the stack, which equal the bytes data() would
 // write; the buffer itself stays unwritten.
+//
+// Generated content is a pure function of (content seed, offset), so the
+// sum of each whole, aligned 4 KB block of it is a pure function of
+// (content seed, block index). A block-sum table keeps those sums, keyed
+// by the full seed and block index, so a hit is exact: fresh buffers of
+// the same file content (every proxy level's copy, every machine's
+// materialization of one trace) generate each block once. The table is
+// thread_local: every machine a thread simulates shares it, no two threads
+// do, and it needs no lock. It is empty until the first described
+// checksum and grows with the distinct blocks it holds, up to
+// kBlockSumSlots entries; past that, new blocks replace old ones on
+// collision. It is used only when the slice's content starts at an even
+// offset: then the head before the first block boundary has even length,
+// every whole block starts at an even offset in the slice, and the pieces'
+// uint32_t partial sums add to exactly the sum of one pass over the slice.
+// Odd starts are generated whole. A table hit changes no simulated cost:
+// the cache key, CPU charge and counters are those of any cache miss.
 
 #ifndef SRC_NET_CHECKSUM_H_
 #define SRC_NET_CHECKSUM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +60,10 @@ uint32_t ChecksumAccumulate(const char* data, size_t n);
 bool HasAvx2Checksum();
 uint32_t ChecksumAccumulatePortable(const char* data, size_t n);
 uint32_t ChecksumAccumulateAvx2(const char* data, size_t n);
+
+// The block-sum table's entry cap (24 bytes each: 768 KB), exposed for
+// tests that overflow it.
+inline constexpr size_t kBlockSumSlots = size_t{1} << 15;
 
 // Folds a 32-bit accumulation into the 16-bit one's-complement sum.
 uint16_t ChecksumFold(uint32_t sum);

@@ -1,6 +1,8 @@
 // Differential tests for the checksum path: the lane-parallel accumulation
-// kernels against a byte-wise RFC 1071 sum, and the flat checksum cache
-// against the list + hash-map LRU it replaced.
+// kernels against a byte-wise RFC 1071 sum, the flat checksum cache
+// against the list + hash-map LRU it replaced, and sums of generated
+// content (from the generator and from the block-sum table) against sums
+// of the same bytes copied into ordinary buffers.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +10,10 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/fs/sim_file_system.h"
@@ -346,5 +350,171 @@ TEST(DescribedChecksumCostTest, ChargesAndCountsAsForWrittenBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CacheOnOff, DescribedChecksumTest, ::testing::Bool());
+
+// --- Block-sum table ---------------------------------------------------------
+
+// The checksum of `n` content bytes of `file` at `offset`, from an eager
+// copy in an ordinary buffer.
+uint16_t EagerChecksum(iolfs::SimFileSystem& fs, iolite::BufferPool& copies,
+                       iolnet::ChecksumModule& eager_sums, iolfs::FileId file,
+                       uint64_t offset, size_t n) {
+  std::string bytes(n, '\0');
+  fs.ReadContent(file, offset, bytes.data(), n);
+  return eager_sums.Checksum(iolite::Aggregate::FromBuffer(copies.AllocateFrom(bytes.data(), n)));
+}
+
+// A content start and length for a described slice of a `size`-byte file:
+// even and odd starts, at and beside 4 KB boundaries, lengths 1 to
+// 3 x 4096 + 1.
+std::pair<uint64_t, size_t> RandomRange(iolsim::Rng& rng, uint64_t size) {
+  constexpr uint64_t kBlock = 4096;
+  constexpr uint64_t kDeltas[] = {0, 1, 2, 3, kBlock - 2, kBlock - 1};
+  uint64_t offset = rng.NextBelow(size / kBlock) * kBlock;
+  offset += rng.NextBelow(3) == 0 ? rng.NextBelow(kBlock) : kDeltas[rng.NextBelow(6)];
+  offset = std::min(offset, size - 1);
+  constexpr uint64_t kLengths[] = {1,          2,          kBlock - 1,     kBlock,
+                                   kBlock + 1, 2 * kBlock, 3 * kBlock + 1, 3 * kBlock};
+  uint64_t len = rng.NextBelow(2) == 0 ? kLengths[rng.NextBelow(8)]
+                                        : 1 + rng.NextBelow(3 * kBlock + 1);
+  return {offset, static_cast<size_t>(std::min(len, size - offset))};
+}
+
+// Every range is summed twice through fresh buffers (so the checksum cache
+// misses), the second time from blocks the first pass stored; some ranges
+// are sub-slices of a larger buffer, so the slice offset adds to the
+// buffer's content offset. Several files share block indices under
+// different seeds.
+TEST(BlockSumTableTest, FreshBuffersOfOneSeedMatchEagerSums) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  std::vector<iolfs::FileId> files;
+  for (int i = 0; i < 3; ++i) {
+    files.push_back(fs.CreateFile("f" + std::to_string(i), 8 * 4096 + 3));
+  }
+  iolsim::Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const iolfs::FileId f = files[rng.NextBelow(files.size())];
+    const auto [offset, len] = RandomRange(rng, fs.SizeOf(f));
+    const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, offset, len);
+    const uint64_t lead =
+        std::min<uint64_t>(offset, rng.NextBelow(3) == 0 ? rng.NextBelow(5000) : 0);
+    for (int pass = 0; pass < 2; ++pass) {
+      iolite::BufferRef b = fs.ReadFromDisk(f, offset - lead, lead + len);
+      ASSERT_TRUE(b->described());
+      iolite::Aggregate agg;
+      agg.Append(iolite::Slice(b, lead, len));
+      ASSERT_EQ(sums.Checksum(agg), want)
+          << "trial " << trial << " pass " << pass << " offset " << offset << " len " << len;
+      ASSERT_TRUE(b->described()) << "summing wrote the buffer";
+    }
+  }
+}
+
+// More distinct (seed, block) pairs than the table holds, then every one
+// again: replaced entries must miss and regenerate, survivors must hit
+// with their own sums.
+TEST(BlockSumTableTest, StreamPastTheCapStillMatches) {
+  constexpr size_t kBlocksPerFile = 32;
+  constexpr size_t kFileBytes = kBlocksPerFile * 4096;
+  const size_t file_count = (iolnet::kBlockSumSlots + iolnet::kBlockSumSlots / 4) / kBlocksPerFile;
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  std::vector<iolfs::FileId> files;
+  std::vector<uint16_t> want;
+  std::vector<char> bytes(kFileBytes);
+  for (size_t i = 0; i < file_count; ++i) {
+    const iolfs::FileId f = fs.CreateFile("s" + std::to_string(i), kFileBytes);
+    fs.ReadContent(f, 0, bytes.data(), kFileBytes);
+    files.push_back(f);
+    want.push_back(iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), kFileBytes)));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < file_count; ++i) {
+      iolite::BufferRef b = fs.ReadFromDisk(files[i], 0, kFileBytes);
+      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want[i])
+          << "pass " << pass << " file " << i;
+    }
+  }
+}
+
+// A table hit costs what a miss does: the checksum cache misses on a fresh
+// buffer either way, and the charge, bytes summed and counters are those of
+// summing written bytes.
+TEST(BlockSumTableTest, HitChargesAsAMiss) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  // No other test reads this far into a file, so the first read's blocks
+  // are new to the table.
+  const uint64_t far = uint64_t{1} << 40;
+  const iolfs::FileId f = fs.CreateFile("huge", far + 4 * 4096);
+  auto charge = [&](const iolite::BufferRef& b) {
+    iolsim::SimTime before = ctx.clock().now();
+    const iolsim::SimStats s = ctx.stats();
+    sums.Checksum(iolite::Aggregate::FromBuffer(b));
+    return std::make_tuple(ctx.clock().now() - before,
+                           ctx.stats().bytes_checksummed - s.bytes_checksummed,
+                           ctx.stats().checksum_ops - s.checksum_ops,
+                           ctx.stats().checksum_cache_misses - s.checksum_cache_misses,
+                           ctx.stats().checksum_cache_hits - s.checksum_cache_hits);
+  };
+  iolite::BufferRef miss = fs.ReadFromDisk(f, far + 2, 3 * 4096);
+  iolite::BufferRef hit = fs.ReadFromDisk(f, far + 2, 3 * 4096);
+  iolite::BufferRef written = fs.ReadFromDisk(f, far + 2, 3 * 4096);
+  written->data();
+  const auto miss_charge = charge(miss);
+  EXPECT_EQ(charge(hit), miss_charge);
+  EXPECT_EQ(charge(written), miss_charge);
+  EXPECT_EQ(std::get<1>(miss_charge), 3u * 4096);
+  EXPECT_EQ(std::get<3>(miss_charge), 1u);
+}
+
+// Each thread has its own table. Four threads, each with its own context,
+// pool and file system, sum described buffers of the same seeds at once;
+// every sum must equal the eager one. Run under TSan (label "threads").
+TEST(BlockSumTableThreadsTest, ThreadsSummingTheSameSeeds) {
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, -1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      iolsim::SimContext ctx;
+      iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+      iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+      iolfs::SimFileSystem fs(&ctx, &disk);
+      iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+      iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+      std::vector<iolfs::FileId> files;
+      for (int i = 0; i < 4; ++i) {
+        files.push_back(fs.CreateFile("f" + std::to_string(i), 6 * 4096 + 1));
+      }
+      iolsim::Rng rng(100 + t);
+      int bad = 0;
+      for (int trial = 0; trial < 60; ++trial) {
+        const iolfs::FileId f = files[rng.NextBelow(files.size())];
+        const auto [offset, len] = RandomRange(rng, fs.SizeOf(f));
+        const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, offset, len);
+        for (int pass = 0; pass < 2; ++pass) {
+          iolite::BufferRef b = fs.ReadFromDisk(f, offset, len);
+          bad += sums.Checksum(iolite::Aggregate::FromBuffer(b)) != want;
+        }
+      }
+      mismatches[t] = bad;
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
 
 }  // namespace

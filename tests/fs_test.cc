@@ -383,7 +383,6 @@ TEST(PolicyTest, PlainLruEvictsLeastRecentlyUsed) {
   class NullView : public iolfs::CacheView {
    public:
     bool IsReferenced(iolfs::EntryId) const override { return false; }
-    size_t SizeOf(iolfs::EntryId) const override { return 100; }
   } view;
 
   EXPECT_EQ(p.ChooseVictim(view), 2u);
@@ -401,7 +400,6 @@ TEST(PolicyTest, PaperLruPrefersUnreferencedEntries) {
   class View : public iolfs::CacheView {
    public:
     bool IsReferenced(iolfs::EntryId id) const override { return id == 1; }
-    size_t SizeOf(iolfs::EntryId) const override { return 100; }
   } view;
 
   // LRU among unreferenced: 2.
@@ -420,7 +418,6 @@ TEST(PolicyTest, GdsFavorsSmallObjects) {
   class NullView : public iolfs::CacheView {
    public:
     bool IsReferenced(iolfs::EntryId) const override { return false; }
-    size_t SizeOf(iolfs::EntryId) const override { return 0; }
   } view;
 
   EXPECT_EQ(p.ChooseVictim(view), 1u);
@@ -431,7 +428,6 @@ TEST(PolicyTest, GdsAgingLetsIdleSmallObjectsGo) {
   class NullView : public iolfs::CacheView {
    public:
     bool IsReferenced(iolfs::EntryId) const override { return false; }
-    size_t SizeOf(iolfs::EntryId) const override { return 0; }
   } view;
 
   p.OnInsert(1, 100);  // Small but never touched again.
@@ -457,7 +453,6 @@ TEST(PolicyTest, GdsRecencyBeatsSizeAfterAging) {
   class NullView : public iolfs::CacheView {
    public:
     bool IsReferenced(iolfs::EntryId) const override { return false; }
-    size_t SizeOf(iolfs::EntryId) const override { return 0; }
   } view;
   p.OnInsert(1, 500);
   p.OnInsert(2, 500);
