@@ -152,7 +152,11 @@ class JsonReporter {
       const ioldrv::ExperimentResult& r = row.result;
       // The per-tier proxy fields and the fault-plane fields appear on
       // every row (zeros / 1.0 outside their experiments) so one schema
-      // covers every BENCH_*.json.
+      // covers every BENCH_*.json. Failed requests carry no bytes, so the
+      // goodput key is megabits_per_sec itself.
+      double error_rate = r.requests > 0 ? static_cast<double>(r.failed_requests) /
+                                               static_cast<double>(r.requests)
+                                         : 0.0;
       std::fprintf(f,
                    "%s\n  {\"series\": \"%s\", \"x\": %.6g, \"value\": %.6g, "
                    "\"proxy_hit_rate\": %.6g, \"origin_hit_rate\": %.6g, "
@@ -164,8 +168,8 @@ class JsonReporter {
                    i == 0 ? "" : ",", row.series.c_str(), row.x, row.value, r.proxy_hit_rate,
                    r.origin_hit_rate,
                    static_cast<unsigned long long>(r.bytes_copied_backhaul),
-                   r.availability, r.error_rate,
-                   static_cast<unsigned long long>(r.retries), r.goodput_mbps,
+                   r.availability, error_rate,
+                   static_cast<unsigned long long>(r.retries), r.megabits_per_sec,
                    r.staleness.p99_ms, static_cast<unsigned long long>(r.stale_serves),
                    static_cast<unsigned long long>(r.cdn_writes),
                    static_cast<unsigned long long>(r.origin_fleet_fetches));
@@ -205,22 +209,13 @@ class JsonReporter {
         std::fprintf(f, ", \"levels\": [");
         for (size_t l = 0; l < r.cdn_levels.size(); ++l) {
           const ioldrv::ExperimentResult::CdnLevelResult& c = r.cdn_levels[l];
-          std::fprintf(
-              f,
-              "%s{\"level\": %zu, \"proxies\": %d, \"hit_rate\": %.6g, "
-              "\"backhaul_bytes\": %llu, \"stale_serves\": %llu, "
-              "\"invalidations_sent\": %llu, \"invalidations_applied\": %llu, "
-              "\"revalidations\": %llu, \"revalidation_bytes\": %llu, "
-              "\"fetch_races\": %llu, \"shaper_holds\": %llu}",
-              l == 0 ? "" : ", ", l, c.proxies, c.hit_rate,
-              static_cast<unsigned long long>(c.backhaul_bytes),
-              static_cast<unsigned long long>(c.stale_serves),
-              static_cast<unsigned long long>(c.invalidations_sent),
-              static_cast<unsigned long long>(c.invalidations_applied),
-              static_cast<unsigned long long>(c.revalidations),
-              static_cast<unsigned long long>(c.revalidation_bytes),
-              static_cast<unsigned long long>(c.fetch_races),
-              static_cast<unsigned long long>(c.shaper_holds));
+          std::fprintf(f, "%s{\"level\": %zu, \"proxies\": %d, \"hit_rate\": %.6g",
+                       l == 0 ? "" : ", ", l, c.proxies, c.hit_rate);
+          for (const iolsim::CdnLevelCounter& counter : iolsim::kCdnLevelCounters) {
+            std::fprintf(f, ", \"%s\": %llu", counter.name,
+                         static_cast<unsigned long long>(c.*counter.field));
+          }
+          std::fprintf(f, "}");
         }
         std::fprintf(f, "]");
       }

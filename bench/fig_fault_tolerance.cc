@@ -206,7 +206,7 @@ void PrintRow(const char* series, double x, const CellOutcome& out) {
               static_cast<unsigned long long>(out.result.failed_requests),
               static_cast<unsigned long long>(out.result.retries),
               static_cast<unsigned long long>(out.result.hedges),
-              out.result.latency.p99_ms, out.result.goodput_mbps);
+              out.result.latency.p99_ms, out.result.megabits_per_sec);
 }
 
 }  // namespace

@@ -19,7 +19,11 @@ ABI mirrored here (keep in sync):
     MpmcQueue           src/ipc/mpmc_queue.h   magic IOLQ
     ShmMap              src/ipc/shm_map.h      magic IOLM
     ShmFuturePool       src/ipc/shm_future.h   magic IOLF
-    ShmCounters         src/ipc/shm_counters.h magic IOLC
+    ShmCounters         src/ipc/shm_counters.h magic IOLC, count slots, then
+                                               count 32-byte NUL-padded names
+
+Counter names come from the block itself, so a counter added on the C++ side
+shows up here under its own name with no change to this script.
 """
 
 import json
@@ -39,16 +43,7 @@ HEADER_SPAN = 64  # Region header; payload starts here.
 
 SHM_TYPE_NAMES = {0: "raw", 1: "queue", 2: "map", 3: "futures", 4: "counters"}
 
-# Index-aligned with PlaneCounter in src/ipc/shm_counters.h.
-COUNTER_NAMES = [
-    "requests_served", "cache_hits", "cache_misses", "bytes_served",
-    "bytes_copied_cross_process", "bytes_filled_origin", "origin_fills",
-    "cgi_requests", "future_errors", "queue_full_yields", "map_evictions",
-    "worker_abnormal_exits", "worker_respawns", "pins_swept",
-    # CDN consistency accounting (planes fronting a hierarchy publish these;
-    # older planes stop at pins_swept and the count field keeps us honest).
-    "stale_serves", "invalidations_sent", "revalidation_bytes",
-]
+COUNTER_NAME_BYTES = 32  # ShmCounters::kNameBytes.
 
 FUTURE_STATE_NAMES = {0: "free", 1: "pending", 2: "ready", 3: "error", 4: "writing"}
 
@@ -160,11 +155,15 @@ def decode_counters(payload, off):
     magic, count = struct.unpack_from("<II", payload, off)
     if magic != COUNTERS_MAGIC:
         return {"error": "bad counters magic"}
+    # The block names its own slots: `count` NUL-padded names follow them.
+    names_at = off + 64 + 8 * count
     out = {}
     for i in range(count):
         (value,) = struct.unpack_from("<Q", payload, off + 64 + 8 * i)
-        name = COUNTER_NAMES[i] if i < len(COUNTER_NAMES) else "counter_%d" % i
-        out[name] = value
+        at = names_at + COUNTER_NAME_BYTES * i
+        raw = bytes(payload[at:at + COUNTER_NAME_BYTES])
+        name = raw.split(b"\0", 1)[0].decode("ascii", "replace")
+        out[name or "counter_%d" % i] = value
     return out
 
 

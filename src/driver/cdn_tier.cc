@@ -118,16 +118,7 @@ ExperimentResult CdnTier::Run(Workload* workload,
                               Experiment::RequestSource next_file,
                               Telemetry* sink) {
   const iolsim::SimStats& stats = ctx_->stats();
-  uint64_t proxy_hits0 = stats.proxy_cache_hits;
-  uint64_t proxy_misses0 = stats.proxy_cache_misses;
-  uint64_t backhaul_bytes0 = stats.backhaul_bytes;
-  uint64_t backhaul_copied0 = stats.backhaul_bytes_copied;
-  uint64_t writes0 = stats.cdn_writes;
-  iolsim::SimStats::CdnLevelStats cdn0[iolsim::SimStats::kMaxCdnLevels];
-  for (int l = 0; l < iolsim::SimStats::kMaxCdnLevels; ++l) {
-    cdn0[l] = stats.cdn[l];
-  }
-  size_t record_from = sink != nullptr ? sink->records().size() : 0;
+  const iolsim::SimStats before = stats;
 
   if (write_plan_ != nullptr) {
     write_plan_->Arm(experiment_.get());
@@ -136,15 +127,16 @@ ExperimentResult CdnTier::Run(Workload* workload,
 
   // Aggregate proxy fields: every level's cache routes to the
   // proxy_cache_* counters, so the rates cover the whole hierarchy.
-  uint64_t hits = stats.proxy_cache_hits - proxy_hits0;
-  uint64_t misses = stats.proxy_cache_misses - proxy_misses0;
+  uint64_t hits = stats.proxy_cache_hits - before.proxy_cache_hits;
+  uint64_t misses = stats.proxy_cache_misses - before.proxy_cache_misses;
   if (hits + misses > 0) {
     result.proxy_hit_rate =
         static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  result.backhaul_bytes = stats.backhaul_bytes - backhaul_bytes0;
-  result.bytes_copied_backhaul = stats.backhaul_bytes_copied - backhaul_copied0;
-  result.cdn_writes = stats.cdn_writes - writes0;
+  result.backhaul_bytes = stats.backhaul_bytes - before.backhaul_bytes;
+  result.bytes_copied_backhaul =
+      stats.backhaul_bytes_copied - before.backhaul_bytes_copied;
+  result.cdn_writes = stats.cdn_writes - before.cdn_writes;
 
   // Origin-fleet load and fetch latency come from the top level: its
   // fetches are the requests the hierarchy failed to absorb.
@@ -177,23 +169,19 @@ ExperimentResult CdnTier::Run(Workload* workload,
   // Per-level counters: the run's slice of the SimStats::cdn[] block.
   result.cdn_levels.resize(level_count());
   for (int l = 0; l < level_count(); ++l) {
-    const iolsim::SimStats::CdnLevelStats& c = stats.cdn[l];
+    const iolsim::SimStats::CdnLevelStats& now = stats.cdn[l];
+    const iolsim::SimStats::CdnLevelStats& was = before.cdn[l];
     ExperimentResult::CdnLevelResult& out = result.cdn_levels[l];
     out.proxies = proxies_at(l);
-    uint64_t lh = c.hits - cdn0[l].hits;
-    uint64_t lm = c.misses - cdn0[l].misses;
-    if (lh + lm > 0) {
-      out.hit_rate = static_cast<double>(lh) / static_cast<double>(lh + lm);
+    out.hits = now.hits - was.hits;
+    out.misses = now.misses - was.misses;
+    if (out.hits + out.misses > 0) {
+      out.hit_rate = static_cast<double>(out.hits) /
+                     static_cast<double>(out.hits + out.misses);
     }
-    out.backhaul_bytes = c.backhaul_bytes - cdn0[l].backhaul_bytes;
-    out.stale_serves = c.stale_serves - cdn0[l].stale_serves;
-    out.invalidations_sent = c.invalidations_sent - cdn0[l].invalidations_sent;
-    out.invalidations_applied =
-        c.invalidations_applied - cdn0[l].invalidations_applied;
-    out.revalidations = c.revalidations - cdn0[l].revalidations;
-    out.revalidation_bytes = c.revalidation_bytes - cdn0[l].revalidation_bytes;
-    out.fetch_races = c.fetch_races - cdn0[l].fetch_races;
-    out.shaper_holds = c.shaper_holds - cdn0[l].shaper_holds;
+    for (const iolsim::CdnLevelCounter& c : iolsim::kCdnLevelCounters) {
+      out.*c.field = now.*c.field - was.*c.field;
+    }
   }
 
   // Staleness percentiles over every stale serve in the hierarchy, merged
@@ -206,36 +194,7 @@ ExperimentResult CdnTier::Run(Workload* workload,
       ages.insert(ages.end(), s.begin(), s.end());
     }
   }
-  result.staleness = SummarizeSamples(std::move(ages));
-
-  // Per-edge breakdown from the run's record stream (record.server is the
-  // edge index: the experiment's fleet is the edge tier).
-  const Telemetry& t = sink != nullptr ? *sink : experiment_->telemetry();
-  size_t edges = proxies_[0].size();
-  result.edges.assign(edges, ExperimentResult::EdgeBreakdown{});
-  std::vector<std::vector<iolsim::SimTime>> lat(edges);
-  std::vector<uint64_t> edge_hits(edges, 0);
-  for (size_t i = record_from; i < t.records().size(); ++i) {
-    const RequestRecord& r = t.records()[i];
-    if (!r.counted || r.server >= edges) {
-      continue;
-    }
-    ExperimentResult::EdgeBreakdown& e = result.edges[r.server];
-    e.requests++;
-    e.bytes += r.bytes;
-    if (Delivered(r.outcome)) {
-      lat[r.server].push_back(r.complete - r.issue);
-    }
-    edge_hits[r.server] += r.cache_hit ? 1 : 0;
-  }
-  for (size_t e = 0; e < edges; ++e) {
-    result.edges[e].latency = SummarizeSamples(std::move(lat[e]));
-    if (result.edges[e].requests > 0) {
-      result.edges[e].cache_hit_fraction =
-          static_cast<double>(edge_hits[e]) /
-          static_cast<double>(result.edges[e].requests);
-    }
-  }
+  result.staleness = Summarize(std::move(ages));
   return result;
 }
 

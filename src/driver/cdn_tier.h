@@ -54,7 +54,7 @@ class CdnTier {
 
   // Runs `workload` against the edge tier (one run per instance). The
   // result carries the proxy fields aggregated over every level plus the
-  // cdn_levels / staleness / per-edge blocks.
+  // cdn_levels and staleness blocks.
   ExperimentResult Run(Workload* workload, Experiment::RequestSource next_file,
                        Telemetry* sink = nullptr);
 

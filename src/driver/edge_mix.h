@@ -43,7 +43,6 @@ class EdgeMix : public Workload {
     }
   }
 
-  const char* name() const override { return "edge-mix"; }
   int initial_clients() const override { return total_clients_; }
   bool closed_loop() const override { return true; }
 

@@ -335,15 +335,12 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   }
 
   // Fault-plane accounting. Failed requests count toward `requests` (the
-  // run is N logical outcomes) but contributed no bytes, so goodput is the
-  // delivered-bytes rate and equals megabits_per_sec by construction.
+  // run is N logical outcomes) but contributed no bytes, so
+  // megabits_per_sec is already the delivered-bytes (goodput) rate.
   if (counted_requests_ > 0) {
     result.availability = 1.0 - static_cast<double>(failed_counted_) /
                                     static_cast<double>(counted_requests_);
-    result.error_rate = static_cast<double>(failed_counted_) /
-                        static_cast<double>(counted_requests_);
   }
-  result.goodput_mbps = result.megabits_per_sec;
   result.retries = retries_total_;
   result.hedges = hedges_total_;
   result.failed_requests = failed_counted_;
@@ -366,19 +363,15 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
     std::vector<TenantSummary> per_tenant = telemetry_->PerTenant(record_base);
     result.tenants.reserve(per_tenant.size());
     for (const TenantSummary& ts : per_tenant) {
-      TenantBreakdown b;
-      b.tenant = ts.tenant;
-      b.requests = ts.requests;
-      b.bytes = ts.bytes;
-      b.latency = ts.latency;
-      b.cache_hit_fraction = ts.cache_hit_fraction;
+      std::string name;
+      double cache_hit_rate = 0;
       if (config_.qos != nullptr) {
         if (ts.tenant < config_.qos->registry().size()) {
-          b.name = config_.qos->registry().info(ts.tenant).name;
+          name = config_.qos->registry().info(ts.tenant).name;
         }
-        b.cache_hit_rate = config_.qos->cache_counters(ts.tenant).HitRate();
+        cache_hit_rate = config_.qos->cache_counters(ts.tenant).HitRate();
       }
-      result.tenants.push_back(std::move(b));
+      result.tenants.push_back(TenantBreakdown{ts, std::move(name), cache_hit_rate});
     }
   }
 
@@ -531,8 +524,8 @@ void Experiment::ArriveAtFleet(size_t lane) {
     return;
   }
   if (config_.qos != nullptr) {
-    // The on_admit stage hook: a throttled tenant's request waits out its
-    // token-bucket delay at the front door, before the balancer sees it.
+    // A throttled tenant's request waits out its token-bucket delay at the
+    // front door, before the balancer sees it.
     iolsim::SimTime hold = config_.qos->OnAdmit(lanes_[lane].req.tenant, clock_->now());
     if (hold > 0) {
       events_->ScheduleAfter(hold, [this, lane] { AdmitToFleet(lane); });

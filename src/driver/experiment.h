@@ -48,6 +48,7 @@
 #include "src/simos/event_queue.h"
 #include "src/simos/shard.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/stats.h"
 
 namespace iolqos {
 class QosPolicy;
@@ -86,8 +87,8 @@ struct ExperimentConfig {
   // lanes run concurrently.
   int shard_count = 1;
   // Multi-tenant QoS policy plane (src/qos; all members on one machine).
-  // When set, the engine classifies every request at issue time, fires the
-  // on_admit stage hook at the fleet front door (token-bucket delays are
+  // When set, the engine classifies every request at issue time, calls
+  // QosPolicy::OnAdmit at the fleet front door (token-bucket delays are
   // honored before the balancer runs), establishes the owning tenant on
   // the SimContext for each serve, and fills ExperimentResult::tenants.
   // Null runs the exact pre-QoS code paths. Not owned.
@@ -122,18 +123,14 @@ struct ServerShare {
 };
 
 // Per-tenant slice of the result (multi-tenant runs; see
-// ExperimentConfig::qos). The two hit metrics answer different questions:
-// cache_hit_fraction is the per-request flag over the counted window, while
-// cache_hit_rate is this tenant's whole-run unified-cache lookup rate from
-// the QoS policy's per-tenant counters — the aggregate cache_hit_rate below
-// can no longer mask one tenant's hit-rate collapse behind another's scan.
-struct TenantBreakdown {
-  iolsim::TenantId tenant = iolsim::kDefaultTenant;
-  std::string name;        // Registry name when a policy is attached.
-  uint64_t requests = 0;   // Counted completions.
-  uint64_t bytes = 0;
-  LatencySummary latency;  // End-to-end, counted records only.
-  double cache_hit_fraction = 0;
+// ExperimentConfig::qos): the Telemetry summary plus what the policy knows.
+// The two hit metrics answer different questions: cache_hit_fraction is the
+// per-request flag over the counted window, while cache_hit_rate is this
+// tenant's whole-run unified-cache lookup rate from the QoS policy's
+// per-tenant counters — the aggregate cache_hit_rate below can no longer
+// mask one tenant's hit-rate collapse behind another's scan.
+struct TenantBreakdown : TenantSummary {
+  std::string name;  // Registry name when a policy is attached.
   double cache_hit_rate = 0;
 };
 
@@ -191,46 +188,24 @@ struct ExperimentResult {
   uint64_t events_dispatched = 0;
 
   // Fault-plane accounting (src/fault), over the counted window. Fault-free
-  // runs report availability 1, error_rate 0, goodput == megabits_per_sec,
-  // and zeros elsewhere — JsonReporter emits the first four on every row so
-  // BENCH_*.json schemas stay uniform. goodput counts delivered bytes only;
-  // failed requests contribute requests (the denominator) but no bytes, so
-  // goodput < megabits-at-the-wire whenever work is wasted on lost serves.
+  // runs report availability 1 and zeros elsewhere. JsonReporter derives the
+  // error_rate and goodput_mbps keys from these and megabits_per_sec.
   double availability = 1.0;
-  double error_rate = 0.0;
   uint64_t retries = 0;            // Retry attempts issued.
   uint64_t hedges = 0;             // Hedged duplicates issued.
-  double goodput_mbps = 0;
   uint64_t failed_requests = 0;    // Counted kTimedOut/kFailed outcomes.
   uint64_t response_drops = 0;     // Responses lost to member crashes.
   uint64_t blackholed_arrivals = 0;  // Arrivals routed to a down member.
   uint64_t health_ejections = 0;   // Health-checker ejection transitions.
 
   // --- CDN hierarchy (src/cdn; filled by CdnTier, empty otherwise) --------
-  // One entry per hierarchy level, index 0 = the edge tier. Mirrors the
-  // SimStats::cdn[] counter block, summed over the run's window.
-  struct CdnLevelResult {
-    int proxies = 0;           // Proxies at this level.
-    double hit_rate = 0;       // Level-local cache hit rate.
-    uint64_t backhaul_bytes = 0;
-    uint64_t stale_serves = 0;
-    uint64_t invalidations_sent = 0;
-    uint64_t invalidations_applied = 0;
-    uint64_t revalidations = 0;
-    uint64_t revalidation_bytes = 0;
-    uint64_t fetch_races = 0;
-    uint64_t shaper_holds = 0;
+  // One entry per hierarchy level, index 0 = the edge tier: the run's slice
+  // of the SimStats::cdn[] counter block, plus the level's size and hit rate.
+  struct CdnLevelResult : iolsim::SimStats::CdnLevelStats {
+    int proxies = 0;      // Proxies at this level.
+    double hit_rate = 0;  // Level-local cache hit rate.
   };
   std::vector<CdnLevelResult> cdn_levels;
-  // Per-edge client-population slice (requests pin to their edge via
-  // Workload::PinMember; per_server above carries the same edge indices).
-  struct EdgeBreakdown {
-    uint64_t requests = 0;
-    uint64_t bytes = 0;
-    LatencySummary latency;
-    double cache_hit_fraction = 0;
-  };
-  std::vector<EdgeBreakdown> edges;
   // Staleness ages of every stale serve in the hierarchy (the "ms" fields
   // summarize ages, not latencies). Zero-count when nothing was stale.
   LatencySummary staleness;
@@ -395,7 +370,7 @@ class Experiment {
   void OnShardMessage(uint32_t lane, const iolsim::ShardMsg& msg);
 
   // --- Front door on one machine -------------------------------------------
-  // Request reaches the fleet: the on_admit stage hook may delay it
+  // Request reaches the fleet: QosPolicy::OnAdmit may delay it
   // (token-bucket throttling), then the balancer picks a member.
   void ArriveAtFleet(size_t lane);
   void AdmitToFleet(size_t lane);

@@ -28,7 +28,6 @@ inline constexpr int kEjected = -1;
 class LoadBalancer {
  public:
   virtual ~LoadBalancer() = default;
-  virtual const char* name() const = 0;
   // Picks the member for an arriving request; `load[i]` counts requests in
   // service at or queued for member i, or kEjected for a health-ejected
   // member. Must return an index < load.size().
@@ -38,7 +37,6 @@ class LoadBalancer {
 // Cycles through the members regardless of load.
 class RoundRobinBalancer : public LoadBalancer {
  public:
-  const char* name() const override { return "round-robin"; }
   size_t Pick(const std::vector<int>& load) override {
     if (load.empty()) {
       return 0;
@@ -61,7 +59,6 @@ class RoundRobinBalancer : public LoadBalancer {
 // instead of hammering member 0.
 class LeastConnectionsBalancer : public LoadBalancer {
  public:
-  const char* name() const override { return "least-connections"; }
   size_t Pick(const std::vector<int>& load) override;
 
  private:
@@ -84,7 +81,6 @@ class Fleet {
   size_t size() const { return servers_.size(); }
   iolhttp::HttpServer* server(size_t i) const { return servers_[i]; }
   const std::vector<iolhttp::HttpServer*>& servers() const { return servers_; }
-  const char* balancer_name() const { return balancer_->name(); }
 
   size_t PickServer(const std::vector<int>& load) {
     return balancer_->Pick(load) % servers_.size();

@@ -27,6 +27,8 @@ double NearestRank(const std::vector<iolsim::SimTime>& sorted, double q) {
   return static_cast<double>(sorted[rank - 1]) / iolsim::kMillisecond;
 }
 
+}  // namespace
+
 LatencySummary Summarize(std::vector<iolsim::SimTime> samples) {
   LatencySummary s;
   s.count = samples.size();
@@ -46,9 +48,7 @@ LatencySummary Summarize(std::vector<iolsim::SimTime> samples) {
   return s;
 }
 
-}  // namespace
-
-LatencySummary Telemetry::EndToEndLatency(size_t from) const {
+LatencySummary Telemetry::SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end) const {
   std::vector<iolsim::SimTime> samples;
   if (from < records_.size()) {
     samples.reserve(records_.size() - from);
@@ -56,24 +56,18 @@ LatencySummary Telemetry::EndToEndLatency(size_t from) const {
   for (size_t i = from; i < records_.size(); ++i) {
     const RequestRecord& r = records_[i];
     if (r.counted && Delivered(r.outcome)) {
-      samples.push_back(r.complete - r.issue);
+      samples.push_back(r.*end - r.issue);
     }
   }
   return Summarize(std::move(samples));
 }
 
+LatencySummary Telemetry::EndToEndLatency(size_t from) const {
+  return SinceIssue(from, &RequestRecord::complete);
+}
+
 LatencySummary Telemetry::QueueWait(size_t from) const {
-  std::vector<iolsim::SimTime> samples;
-  if (from < records_.size()) {
-    samples.reserve(records_.size() - from);
-  }
-  for (size_t i = from; i < records_.size(); ++i) {
-    const RequestRecord& r = records_[i];
-    if (r.counted && Delivered(r.outcome)) {
-      samples.push_back(r.admit - r.issue);
-    }
-  }
-  return Summarize(std::move(samples));
+  return SinceIssue(from, &RequestRecord::admit);
 }
 
 double Telemetry::CacheHitFraction(size_t from) const {
@@ -125,10 +119,6 @@ std::vector<TenantSummary> Telemetry::PerTenant(size_t from) const {
     present.push_back(std::move(out[t]));
   }
   return present;
-}
-
-LatencySummary SummarizeSamples(std::vector<iolsim::SimTime> samples) {
-  return Summarize(std::move(samples));
 }
 
 }  // namespace ioldrv

@@ -59,9 +59,9 @@ struct LatencySummary {
 };
 
 // Deterministic sort + nearest-rank summary over raw SimTime samples — the
-// same arithmetic every Telemetry summary uses, exposed for sample streams
+// arithmetic every Telemetry summary uses, also applied to sample streams
 // that are not request records (the CDN tier's staleness ages).
-LatencySummary SummarizeSamples(std::vector<iolsim::SimTime> samples);
+LatencySummary Summarize(std::vector<iolsim::SimTime> samples);
 
 // Per-tenant slice of a run's counted records (multi-tenant QoS plane).
 struct TenantSummary {
@@ -80,15 +80,8 @@ struct TenantSummary {
 // every summary covers counted records only.
 class Telemetry {
  public:
-  virtual ~Telemetry() = default;
-
   // Called by the engine once per completed request, in completion order.
-  // Non-virtual on purpose: the record is stored first (summaries always
-  // see the full stream), then OnRecord notifies subclasses.
-  void Record(const RequestRecord& rec) {
-    records_.push_back(rec);
-    OnRecord(rec);
-  }
+  void Record(const RequestRecord& rec) { records_.push_back(rec); }
 
   const std::vector<RequestRecord>& records() const { return records_; }
 
@@ -119,12 +112,11 @@ class Telemetry {
 
   void Clear() { records_.clear(); }
 
- protected:
-  // Override point for streaming sinks (live plots, disk spooling); fired
-  // after the record is stored.
-  virtual void OnRecord(const RequestRecord&) {}
-
  private:
+  // Summary of (record.*end - record.issue) over the counted delivered
+  // records from index `from`: the one sample loop both latencies share.
+  LatencySummary SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end) const;
+
   std::vector<RequestRecord> records_;
 };
 

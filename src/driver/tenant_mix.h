@@ -52,7 +52,6 @@ class TenantMix : public Workload {
   // so QoS-on and QoS-off runs of the same mix report comparable tags.
   void Configure(iolqos::QosPolicy* policy, iolqos::CachePlan* plan = nullptr);
 
-  const char* name() const override { return "tenant-mix"; }
   int initial_clients() const override { return total_clients_; }
   bool closed_loop() const override { return true; }
   iolsim::TenantId TenantOf(size_t client, uint64_t issue_seq) override;

@@ -34,8 +34,6 @@ class Workload {
  public:
   virtual ~Workload() = default;
 
-  virtual const char* name() const = 0;
-
   // Client connections the engine creates up front (the whole population
   // for closed loops; the initial pool for open loops, which grow on
   // demand).
@@ -90,7 +88,6 @@ class ClosedLoop : public Workload {
   explicit ClosedLoop(int clients, int pipeline_depth = 1)
       : clients_(clients), depth_(pipeline_depth) {}
 
-  const char* name() const override { return "closed-loop"; }
   int initial_clients() const override { return clients_; }
   int pipeline_depth() const override { return depth_; }
   bool closed_loop() const override { return true; }
@@ -110,7 +107,6 @@ class OpenLoopPoisson : public Workload {
   explicit OpenLoopPoisson(double arrivals_per_sec, uint64_t seed = 0x9e3779b9,
                            int initial_pool = 8, int pipeline_depth = 1);
 
-  const char* name() const override { return "open-loop-poisson"; }
   int initial_clients() const override { return pool_; }
   int pipeline_depth() const override { return depth_; }
   bool closed_loop() const override { return false; }
@@ -133,7 +129,6 @@ class TraceReplay : public Workload {
   TraceReplay(const iolwl::TimestampedLog* log, std::vector<iolfs::FileId> ids,
               int initial_pool = 8);
 
-  const char* name() const override { return "trace-replay"; }
   int initial_clients() const override { return pool_; }
   bool closed_loop() const override { return false; }
   bool NextArrival(iolsim::SimTime now, iolsim::SimTime* at) override;

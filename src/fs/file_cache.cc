@@ -313,8 +313,7 @@ void FileCache::CountLookup(bool hit) {
     (*misses_)++;
   }
   if (qos_ != nullptr) {
-    qos_->OnCacheLookup(ctx_->active_tenant(), hit, qos_proxy_tier_,
-                        ctx_->clock().now());
+    qos_->OnCacheLookup(ctx_->active_tenant(), hit, qos_proxy_tier_);
   }
 }
 

@@ -93,12 +93,12 @@ class FileCache : public CacheView {
   // --- Multi-tenant QoS plane (src/qos) -------------------------------------
 
   // Routes per-tenant accounting to `qos` the same way RouteStats routes the
-  // machine-wide counters: every Lookup fires the on_cache_lookup stage hook
-  // and bumps qos's per-tenant hit/miss block for this tier, and evictions
-  // are charged to the evicted entry's owner. `proxy_tier` selects the
-  // proxy-cache counter block (the unified/origin block otherwise). Null
-  // detaches. The aggregate RouteStats counters are maintained regardless,
-  // so existing per-tier hit-rate reporting is unchanged.
+  // machine-wide counters: every Lookup bumps qos's per-tenant hit/miss
+  // block for this tier, and evictions are charged to the evicted entry's
+  // owner. `proxy_tier` selects the proxy-cache counter block (the
+  // unified/origin block otherwise). Null detaches. The aggregate RouteStats
+  // counters are maintained regardless, so existing per-tier hit-rate
+  // reporting is unchanged.
   void AttachQos(iolqos::QosPolicy* qos, bool proxy_tier = false) {
     qos_ = qos;
     qos_proxy_tier_ = proxy_tier;
@@ -198,7 +198,7 @@ class FileCache : public CacheView {
   EntryId PartitionVictim() const;
   void TouchTenantLru(EntryId id);
   // Counts one lookup into the routed aggregate counters and, when a QoS
-  // policy is attached, the active tenant's per-tier block + stage hooks.
+  // policy is attached, the active tenant's per-tier block.
   void CountLookup(bool hit);
 
   iolsim::SimContext* ctx_;

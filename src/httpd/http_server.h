@@ -32,7 +32,6 @@
 #include "src/httpd/response_header.h"
 #include "src/iolite/runtime.h"
 #include "src/net/tcp.h"
-#include "src/qos/policy.h"
 #include "src/simos/sim_context.h"
 
 namespace iolhttp {
@@ -91,26 +90,12 @@ class HttpServer {
     RunCpuStage(ctx_, std::forward<Body>(body), std::move(next));
   }
 
-  // Terminal stage: per-segment transmission of the queued response. With a
-  // QoS policy attached, the on_transmit stage hook fires first and may
-  // hold the response (rate limiting); the deferred start re-establishes
-  // the owning tenant so the link's fair queue attributes the segments.
+  // Terminal stage: per-segment transmission of the queued response.
   void TransmitStage(RequestContext* req) {
     // Re-establish the owner: this stage fires from a resource-completion
-    // event, where the active tenant is whichever request finished last.
+    // event, where the active tenant is whichever request finished last,
+    // and the link's fair queue attributes the segments to it.
     ctx_->set_active_tenant(req->tenant);
-    if (ctx_->qos() != nullptr) {
-      iolsim::SimTime hold =
-          ctx_->qos()->OnTransmit(req->tenant, req->response_bytes, ctx_->clock().now());
-      if (hold > 0) {
-        iolsim::SimContext* ctx = ctx_;
-        ctx_->events().ScheduleAfter(hold, [ctx, req] {
-          ctx->set_active_tenant(req->tenant);
-          req->conn->TransmitAsync(req->response_bytes, [req] { req->on_done(req); });
-        });
-        return;
-      }
-    }
     req->conn->TransmitAsync(req->response_bytes, [req] { req->on_done(req); });
   }
 

@@ -2,12 +2,13 @@
 // serving processes.
 //
 // A fixed-order block of 64-bit relaxed atomics in the shared region,
-// published in the ShmTable like every other structure. The order below is
-// ABI — scripts/shm_inspect.py and the out-of-process verification in
-// ProcessTier name counters by index — so entries are append-only: new
-// counters go at the end, before kCounterCount.
+// published in the ShmTable like every other structure, followed by the
+// counters' own names. The order is ABI — the out-of-process verification in
+// ProcessTier names counters by index — so entries are append-only: new
+// counters go at the end of IOLIPC_PLANE_COUNTERS. scripts/shm_inspect.py
+// reads the names from the block itself and keeps no list of its own.
 //
-// This block is how the PR's central claim is *checked* rather than
+// This block is how the plane's zero-copy claim is *checked* rather than
 // asserted: after a warm multi-process run, an unrelated attacher reads
 // kBytesCopiedCrossProcess through the table and requires zero.
 
@@ -17,70 +18,92 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "src/ipc/shm_region.h"
 #include "src/ipc/shm_table.h"
 
 namespace iolipc {
 
-// Index into the counter block. Order is ABI; append only.
+// The plane's counters, declared once: X(enumerator, name). The PlaneCounter
+// enum, PlaneCounterName and the in-region name table are generated from
+// this list. Order is ABI; append only.
+#define IOLIPC_PLANE_COUNTERS(X)                                                                \
+  X(kRequestsServed, requests_served)                     /* Client responses completed. */     \
+  X(kCacheHits, cache_hits)                               /* ShmMap warm hits in proxies. */    \
+  X(kCacheMisses, cache_misses)                           /* Lookups sent to an origin fill. */ \
+  X(kBytesServed, bytes_served)                           /* Payload named by responses. */     \
+  X(kBytesCopiedCrossProcess, bytes_copied_cross_process) /* memcpy'd between processes. */     \
+  X(kBytesFilledOrigin, bytes_filled_origin)              /* Written by origin disk fills. */   \
+  X(kOriginFills, origin_fills)                           /* Miss-fill orders completed. */     \
+  X(kCgiRequests, cgi_requests)                           /* Dynamic responses generated. */    \
+  X(kFutureErrors, future_errors)                         /* Futures resolved kError. */        \
+  X(kQueueFullYields, queue_full_yields)                  /* Backoff yields on a full queue. */ \
+  X(kMapEvictions, map_evictions)                         /* Retired by ShmMap::EvictOne. */    \
+  X(kWorkerAbnormalExits, worker_abnormal_exits)          /* Non-zero exit or signal. */        \
+  X(kWorkerRespawns, worker_respawns)                     /* Relaunched by the supervisor. */   \
+  X(kPinsSwept, pins_swept)                               /* Dead workers' pins reclaimed. */   \
+  X(kStaleServes, stale_serves)                           /* Served past their version/TTL. */  \
+  X(kInvalidationsSent, invalidations_sent)               /* Pushed to child proxies. */        \
+  X(kRevalidationBytes, revalidation_bytes)               /* Conditional-check bytes. */
+
+// Index into the counter block.
 enum PlaneCounter : uint32_t {
-  kRequestsServed = 0,           // Client responses completed (ok or error).
-  kCacheHits = 1,                // ShmMap warm hits in proxy workers.
-  kCacheMisses = 2,              // Lookups that went to an origin fill.
-  kBytesServed = 3,              // Payload bytes named by completed responses.
-  kBytesCopiedCrossProcess = 4,  // Payload bytes memcpy'd between processes.
-  kBytesFilledOrigin = 5,        // Bytes written by origin disk fills.
-  kOriginFills = 6,              // Miss-fill orders completed by origin workers.
-  kCgiRequests = 7,              // Dynamic responses generated by CGI workers.
-  kFutureErrors = 8,             // Futures that resolved kError (timeouts, crashes).
-  kQueueFullYields = 9,          // Backoff yields on a full descriptor queue.
-  kMapEvictions = 10,            // Entries retired by ShmMap::EvictOne.
-  kWorkerAbnormalExits = 11,     // Workers reaped with non-zero exit or signal.
-  kWorkerRespawns = 12,          // Workers relaunched by the supervisor.
-  kPinsSwept = 13,               // Stale pins reclaimed from dead workers.
-  // CDN consistency accounting (PR 10): planes that front a hierarchy
-  // publish these so the inspector can see freshness traffic per level.
-  kStaleServes = 14,             // Responses served past their version/TTL.
-  kInvalidationsSent = 15,       // Invalidation frames pushed to children.
-  kRevalidationBytes = 16,       // Conditional-check bytes on the backhaul.
-  kCounterCount = 17,
+#define IOLIPC_PLANE_COUNTER_ENUM(id, name) id,
+  IOLIPC_PLANE_COUNTERS(IOLIPC_PLANE_COUNTER_ENUM)
+#undef IOLIPC_PLANE_COUNTER_ENUM
+  kCounterCount,
+};
+static_assert(kRevalidationBytes == 16, "counter order is ABI: append new counters at the end");
+
+inline constexpr const char* kPlaneCounterNames[kCounterCount] = {
+#define IOLIPC_PLANE_COUNTER_NAME(id, name) #name,
+    IOLIPC_PLANE_COUNTERS(IOLIPC_PLANE_COUNTER_NAME)
+#undef IOLIPC_PLANE_COUNTER_NAME
 };
 
-// Stable names, index-aligned with PlaneCounter (used by dumps and tests;
-// shm_inspect.py carries its own copy of this list).
 inline const char* PlaneCounterName(uint32_t i) {
-  static const char* kNames[kCounterCount] = {
-      "requests_served",    "cache_hits",    "cache_misses",
-      "bytes_served",       "bytes_copied_cross_process",
-      "bytes_filled_origin", "origin_fills", "cgi_requests",
-      "future_errors",      "queue_full_yields", "map_evictions",
-      "worker_abnormal_exits", "worker_respawns", "pins_swept",
-      "stale_serves",       "invalidations_sent", "revalidation_bytes",
-  };
-  return i < kCounterCount ? kNames[i] : "unknown";
+  return i < kCounterCount ? kPlaneCounterNames[i] : "unknown";
 }
 
 class ShmCounters {
  public:
-  // At the block's base; 64 bytes, followed by `count` uint64 slots.
+  // At the block's base; 64 bytes, followed by `count` uint64 slots and
+  // then `count` names of kNameBytes each, NUL-padded, in slot order.
   struct CountersHeader {
     uint32_t magic;  // offset 0: kCountersMagic.
-    uint32_t count;  // offset 4: slots that follow.
+    uint32_t count;  // offset 4: slots (and names) that follow.
     char pad[56];
   };
   static_assert(sizeof(CountersHeader) == 64, "counters header layout is ABI");
 
+  static constexpr size_t kNameBytes = 32;
+  static_assert(
+      [] {
+        for (const char* name : kPlaneCounterNames) {
+          if (std::char_traits<char>::length(name) >= kNameBytes) {
+            return false;
+          }
+        }
+        return true;
+      }(),
+      "every counter name and its NUL fit one name-table entry");
+
   ShmCounters() = default;
 
   static ShmCounters Create(ShmRegion* region, ShmTable* table, const char* name) {
-    size_t span = sizeof(CountersHeader) + kCounterCount * sizeof(uint64_t);
+    size_t names_at = sizeof(CountersHeader) + kCounterCount * sizeof(uint64_t);
+    size_t span = names_at + kCounterCount * kNameBytes;
     char* base = region->AllocateExtent(span);
     ShmCounters c;
     if (base == nullptr) {
       return c;
     }
     std::memset(base, 0, span);
+    for (uint32_t i = 0; i < kCounterCount; ++i) {
+      std::memcpy(base + names_at + i * kNameBytes, kPlaneCounterNames[i],
+                  std::char_traits<char>::length(kPlaneCounterNames[i]));
+    }
     c.header_ = reinterpret_cast<CountersHeader*>(base);
     c.header_->count = kCounterCount;
     std::atomic_thread_fence(std::memory_order_release);

@@ -17,13 +17,6 @@ TenantId QosPolicy::Register(std::string name, uint32_t weight) {
   return t;
 }
 
-void QosPolicy::SetWeight(TenantId t, uint32_t weight) {
-  registry_.set_weight(t, weight);
-  for (std::unique_ptr<FairScheduler>& s : schedulers_) {
-    s->queue().SetWeight(t, registry_.weight(t));
-  }
-}
-
 FairScheduler* QosPolicy::AttachFairQueue(iolsim::SimContext* ctx,
                                           iolsim::Resource* resource) {
   schedulers_.push_back(std::make_unique<FairScheduler>(ctx, resource));
@@ -39,7 +32,6 @@ void QosPolicy::AttachWfq(iolsim::SimContext* ctx) {
   AttachFairQueue(ctx, &ctx->cpu());
   AttachFairQueue(ctx, &ctx->disk());
   AttachFairQueue(ctx, &ctx->link());
-  ctx->set_qos(this);
 }
 
 void QosPolicy::SetStarvationBound(iolsim::SimTime max_wait) {
@@ -65,48 +57,19 @@ void QosPolicy::SetThrottle(TenantId t, double tokens_per_sec, double burst_toke
 }
 
 iolsim::SimTime QosPolicy::OnAdmit(TenantId t, iolsim::SimTime now) {
-  iolsim::SimTime delay = 0;
   if (t < throttles_.size() && throttles_[t] != nullptr) {
-    delay = throttles_[t]->ReserveAt(now) - now;
+    return throttles_[t]->ReserveAt(now) - now;
   }
-  for (StageHook* hook : hooks_) {
-    iolsim::SimTime d = hook->OnAdmit(t, now);
-    if (d > delay) {
-      delay = d;
-    }
-  }
-  if (delay > 0) {
-    ++admit_delays_;
-  }
-  return delay;
+  return 0;
 }
 
-void QosPolicy::OnCacheLookup(TenantId t, bool hit, bool proxy_tier,
-                              iolsim::SimTime now) {
+void QosPolicy::OnCacheLookup(TenantId t, bool hit, bool proxy_tier) {
   CacheCounters& c = MutableCounters(t, proxy_tier);
   if (hit) {
     ++c.hits;
   } else {
     ++c.misses;
   }
-  for (StageHook* hook : hooks_) {
-    hook->OnCacheLookup(t, hit, proxy_tier, now);
-  }
-}
-
-iolsim::SimTime QosPolicy::OnTransmit(TenantId t, uint64_t bytes,
-                                      iolsim::SimTime now) {
-  iolsim::SimTime delay = 0;
-  for (StageHook* hook : hooks_) {
-    iolsim::SimTime d = hook->OnTransmit(t, bytes, now);
-    if (d > delay) {
-      delay = d;
-    }
-  }
-  if (delay > 0) {
-    ++transmit_delays_;
-  }
-  return delay;
 }
 
 void QosPolicy::OnCacheEviction(TenantId t, bool proxy_tier) {

@@ -1,15 +1,13 @@
 // QosPolicy: the per-machine policy plane tying tenants, fair schedulers,
-// stage hooks, throttles, and per-tenant cache accounting together.
+// throttles, and per-tenant cache accounting together.
 //
-// The engine (src/driver/experiment.cc) consults the policy at three PAIO
-// -style stage-hook points as a request flows through the pipeline:
+// The engine (src/driver/experiment.cc) and the caches consult the policy at
+// two points as a request flows through the pipeline:
 //
-//   on_admit         fleet front door, before the balancer — may delay the
-//                    request (token-bucket throttling) or retag it
-//   on_cache_lookup  every unified/proxy cache probe — per-tenant hit/miss
-//                    accounting, observation hooks
-//   on_transmit      response entering the link stage — may delay or
-//                    reprioritize (e.g. demote a tenant mid-run)
+//   OnAdmit        fleet front door, before the balancer — the tenant's
+//                  token bucket may delay the request
+//   OnCacheLookup  every unified/proxy cache probe — per-tenant hit/miss
+//                  accounting
 //
 // Weighted fair sharing on CPU/disk/link attaches separately via
 // AttachWfq(ctx): one FairScheduler per resource, all reading this policy's
@@ -44,44 +42,6 @@ struct CacheCounters {
   }
 };
 
-// A programmable stage hook. Register with QosPolicy::AddHook; the policy
-// fans each stage event out to every hook. Hooks returning a positive delay
-// from OnAdmit/OnTransmit stall that request (the policy takes the max over
-// hooks, so independent rate limiters compose as the tightest one).
-class StageHook {
- public:
-  virtual ~StageHook() = default;
-  virtual const char* name() const = 0;
-
-  // Request at the fleet front door. Return how long to delay admission
-  // (0 = admit now).
-  virtual iolsim::SimTime OnAdmit(TenantId t, iolsim::SimTime now) {
-    (void)t;
-    (void)now;
-    return 0;
-  }
-
-  // A cache probed on behalf of `t`. `proxy_tier` distinguishes the proxy
-  // cache from the unified origin cache.
-  virtual void OnCacheLookup(TenantId t, bool hit, bool proxy_tier,
-                             iolsim::SimTime now) {
-    (void)t;
-    (void)hit;
-    (void)proxy_tier;
-    (void)now;
-  }
-
-  // Response entering transmission. Return how long to delay the transmit
-  // (0 = send now).
-  virtual iolsim::SimTime OnTransmit(TenantId t, uint64_t bytes,
-                                     iolsim::SimTime now) {
-    (void)t;
-    (void)bytes;
-    (void)now;
-    return 0;
-  }
-};
-
 // What the classifier sees for each request, at parse/issue time.
 struct ClassifyContext {
   TenantId hint = kDefaultTenant;   // The workload's declared tenant.
@@ -106,9 +66,6 @@ class QosPolicy {
 
   TenantId Register(std::string name, uint32_t weight = 1);
 
-  // Reprioritization: updates the registry and every attached fair queue.
-  void SetWeight(TenantId t, uint32_t weight);
-
   // --- Classification -------------------------------------------------------
 
   // Installs the parse-time classifier; default is identity on the hint.
@@ -124,8 +81,7 @@ class QosPolicy {
   // registry). The scheduler lives until the policy is destroyed.
   FairScheduler* AttachFairQueue(iolsim::SimContext* ctx, iolsim::Resource* resource);
 
-  // Convenience: WFQ on the machine's CPU, disk, and link, and registers
-  // this policy on the context (ctx->qos()) so stage-hook sites find it.
+  // Convenience: WFQ on the machine's CPU, disk, and link.
   void AttachWfq(iolsim::SimContext* ctx);
 
   // Bounded-wait starvation guard applied to all attached fair queues
@@ -141,24 +97,18 @@ class QosPolicy {
   // --- Throttling -----------------------------------------------------------
 
   // Installs/replaces the built-in front-door token bucket for `t`
-  // (tokens = requests). Applied at on_admit, composing with hook delays.
+  // (tokens = requests), applied at OnAdmit.
   void SetThrottle(TenantId t, double tokens_per_sec, double burst_tokens);
 
-  // --- Stage hooks ----------------------------------------------------------
-
-  // Registers an external hook (not owned; must outlive the policy).
-  void AddHook(StageHook* hook) { hooks_.push_back(hook); }
+  // --- Request events -------------------------------------------------------
 
   // Fired by the engine at the fleet front door. Returns the admission
-  // delay (max over throttle + hooks).
+  // delay the tenant's token bucket imposes (0 = admit now).
   iolsim::SimTime OnAdmit(TenantId t, iolsim::SimTime now);
 
   // Fired by FileCache on every probe when attached (see FileCache::
-  // AttachQos). Updates per-tenant counters, then notifies hooks.
-  void OnCacheLookup(TenantId t, bool hit, bool proxy_tier, iolsim::SimTime now);
-
-  // Fired by the HTTP server's transmit stage. Returns the transmit delay.
-  iolsim::SimTime OnTransmit(TenantId t, uint64_t bytes, iolsim::SimTime now);
+  // AttachQos). Updates per-tenant counters.
+  void OnCacheLookup(TenantId t, bool hit, bool proxy_tier);
 
   // Fired by FileCache when an entry owned by `t` is evicted.
   void OnCacheEviction(TenantId t, bool proxy_tier);
@@ -166,8 +116,6 @@ class QosPolicy {
   // --- Per-tenant accounting ------------------------------------------------
 
   const CacheCounters& cache_counters(TenantId t, bool proxy_tier = false) const;
-  uint64_t admit_delays() const { return admit_delays_; }
-  uint64_t transmit_delays() const { return transmit_delays_; }
 
  private:
   CacheCounters& MutableCounters(TenantId t, bool proxy_tier);
@@ -175,13 +123,10 @@ class QosPolicy {
   TenantRegistry registry_;
   Classifier classifier_;
   std::vector<std::unique_ptr<FairScheduler>> schedulers_;
-  std::vector<StageHook*> hooks_;
   std::vector<std::unique_ptr<TokenBucket>> throttles_;  // By tenant; null = none.
   std::vector<CacheCounters> unified_counters_;
   std::vector<CacheCounters> proxy_counters_;
   iolsim::SimTime starvation_bound_ = 0;
-  uint64_t admit_delays_ = 0;
-  uint64_t transmit_delays_ = 0;
 };
 
 }  // namespace iolqos

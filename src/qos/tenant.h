@@ -3,8 +3,7 @@
 // A tenant is a principal that owns requests: a customer, a workload class,
 // a virtual host. The registry maps tenant ids (dense, starting at
 // kDefaultTenant = 0) to names and weights; weights drive the fair
-// schedulers (fair_queue.h) and can be changed at runtime by stage hooks
-// ("reprioritize"). A CachePlan carves the unified cache budget into
+// schedulers (fair_queue.h). A CachePlan carves the unified cache budget into
 // per-tenant reserved shares plus a shared remainder (file_cache.cc).
 
 #ifndef SRC_QOS_TENANT_H_
@@ -47,11 +46,6 @@ class TenantRegistry {
 
   uint32_t weight(TenantId t) const {
     return t < tenants_.size() ? tenants_[t].weight : 1;
-  }
-
-  void set_weight(TenantId t, uint32_t weight) {
-    assert(t < tenants_.size());
-    tenants_[t].weight = weight > 0 ? weight : 1;
   }
 
   const char* name(TenantId t) const {

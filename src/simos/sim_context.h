@@ -24,10 +24,6 @@
 #include "src/simos/stats.h"
 #include "src/simos/vm.h"
 
-namespace iolqos {
-class QosPolicy;
-}  // namespace iolqos
-
 namespace iolsim {
 
 // Accumulated demand of one logical task (e.g. one HTTP request).
@@ -118,11 +114,6 @@ class SimContext {
   TenantId active_tenant() const { return active_tenant_; }
   void set_active_tenant(TenantId t) { active_tenant_ = t; }
 
-  // The attached QoS policy plane, if any (owned by the experiment
-  // composition, not the context). Stage-hook sites test this for null.
-  iolqos::QosPolicy* qos() const { return qos_; }
-  void set_qos(iolqos::QosPolicy* qos) { qos_ = qos; }
-
  private:
   VirtualClock clock_;
   CostModel cost_;
@@ -136,7 +127,6 @@ class SimContext {
   std::unique_ptr<VmSystem> vm_;
   Tally* tally_ = nullptr;
   TenantId active_tenant_ = kDefaultTenant;
-  iolqos::QosPolicy* qos_ = nullptr;
 };
 
 // RAII helper for tally scopes.

@@ -11,6 +11,20 @@
 
 namespace iolsim {
 
+// The per-level CDN counters that results report one by one, declared once:
+// SimStats::CdnLevelStats, ExperimentResult's per-level deltas and the JSON
+// `levels` objects are all generated from this list, in this order. A level's
+// hits and misses sit outside it (results report them as a hit rate).
+#define IOLSIM_CDN_LEVEL_COUNTERS(X)                                      \
+  X(backhaul_bytes)        /* Payload fetched from the parent. */         \
+  X(stale_serves)          /* Served bytes older than the origin's. */    \
+  X(invalidations_sent)    /* Invalidation messages delivered here. */    \
+  X(invalidations_applied) /* ...that actually dropped an entry. */       \
+  X(revalidations)         /* Conditional checks issued upward. */        \
+  X(revalidation_bytes)    /* Header bytes those checks moved. */         \
+  X(fetch_races)           /* In-flight fetches beaten by a write. */     \
+  X(shaper_holds)          /* Backhaul transfers delayed by shaping. */
+
 struct SimStats {
   // Data-touching operations.
   uint64_t bytes_copied = 0;
@@ -77,14 +91,9 @@ struct SimStats {
   struct CdnLevelStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t backhaul_bytes = 0;       // Payload fetched from the parent.
-    uint64_t stale_serves = 0;         // Served bytes older than the origin's.
-    uint64_t invalidations_sent = 0;   // Invalidation messages delivered here.
-    uint64_t invalidations_applied = 0;  // ...that actually dropped an entry.
-    uint64_t revalidations = 0;        // Conditional checks issued upward.
-    uint64_t revalidation_bytes = 0;   // Header bytes those checks moved.
-    uint64_t fetch_races = 0;          // In-flight fetches beaten by a write.
-    uint64_t shaper_holds = 0;         // Backhaul transfers delayed by shaping.
+#define IOLSIM_CDN_LEVEL_FIELD(name) uint64_t name = 0;
+    IOLSIM_CDN_LEVEL_COUNTERS(IOLSIM_CDN_LEVEL_FIELD)
+#undef IOLSIM_CDN_LEVEL_FIELD
   };
   CdnLevelStats cdn[kMaxCdnLevels];
   uint64_t cdn_writes = 0;  // Origin WriteExtents applied by the write plan.
@@ -99,6 +108,18 @@ struct SimStats {
   uint64_t ipc_desc_bytes = 0;  // Control-plane descriptor traffic.
 
   void Reset() { *this = SimStats{}; }
+};
+
+// One reported CDN level counter: its JSON key and its CdnLevelStats field.
+struct CdnLevelCounter {
+  const char* name;
+  uint64_t SimStats::CdnLevelStats::*field;
+};
+
+inline constexpr CdnLevelCounter kCdnLevelCounters[] = {
+#define IOLSIM_CDN_LEVEL_ENTRY(name) {#name, &SimStats::CdnLevelStats::name},
+    IOLSIM_CDN_LEVEL_COUNTERS(IOLSIM_CDN_LEVEL_ENTRY)
+#undef IOLSIM_CDN_LEVEL_ENTRY
 };
 
 }  // namespace iolsim

@@ -2,7 +2,8 @@
 // identity under every consistency protocol, the kInvalidate "never serve
 // older than the acknowledged write" invariant, the exact kRevalidate TTL
 // staleness bound, kStale's serve-forever accounting, per-level backhaul
-// shaping, and the topology checks that abort in every build type. The
+// shaping, per-level results as the run's slice of the machine's counters,
+// and the topology checks that abort in every build type. The
 // one-level tree's goldens live in proxy_test.cc.
 //
 // Every test is fork-free and thread-free (label `cdn` in CMake, so both
@@ -26,6 +27,7 @@
 #include "src/driver/telemetry.h"
 #include "src/httpd/http_server.h"
 #include "src/simos/rng.h"
+#include "src/simos/stats.h"
 #include "src/system/system.h"
 
 namespace {
@@ -129,11 +131,15 @@ struct RunCapture {
   Telemetry telemetry;
   ExperimentResult result;
   SimTime clock = 0;
+  // The machine's per-level counters just before and just after the run.
+  iolsim::SimStats::CdnLevelStats cdn_before[iolsim::SimStats::kMaxCdnLevels];
   iolsim::SimStats::CdnLevelStats cdn[iolsim::SimStats::kMaxCdnLevels];
 };
 
+// `counter_base` > 0 presets every per-level counter to a distinct non-zero
+// value, as if the machine had done CDN work before this run.
 RunCapture RunHierarchy(ConsistencyMode mode, SimTime ttl,
-                        double writes_per_sec) {
+                        double writes_per_sec, uint64_t counter_base = 0) {
   ExperimentConfig config;
   config.persistent_connections = true;
   config.max_requests = 400;
@@ -150,6 +156,19 @@ RunCapture RunHierarchy(ConsistencyMode mode, SimTime ttl,
 
   EdgeMix mix = MakeEdgeMix(rig.files, /*seed=*/99);
   RunCapture cap;
+  for (int l = 0; l < iolsim::SimStats::kMaxCdnLevels; ++l) {
+    iolsim::SimStats::CdnLevelStats& c = rig.sys->ctx().stats().cdn[l];
+    if (counter_base > 0) {
+      uint64_t base = counter_base * (l + 1);
+      c.hits += base;
+      c.misses += base + 1;
+      uint64_t k = 2;
+      for (const iolsim::CdnLevelCounter& counter : iolsim::kCdnLevelCounters) {
+        c.*counter.field += base + k++;
+      }
+    }
+    cap.cdn_before[l] = c;
+  }
   cap.result = rig.tier->Run(&mix, [&rig]() { return rig.files[0]; },
                              &cap.telemetry);
   cap.clock = rig.sys->ctx().clock().now();
@@ -222,6 +241,44 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, CdnDeterminismTest,
                          ::testing::Values(ConsistencyMode::kInvalidate,
                                            ConsistencyMode::kRevalidate,
                                            ConsistencyMode::kStale),
+                         [](const ::testing::TestParamInfo<ConsistencyMode>& i) {
+                           return std::string(iolproxy::Name(i.param));
+                         });
+
+// --- Result per level: the run's slice of SimStats::cdn[] ---------------------
+
+class CdnLevelResultTest : public ::testing::TestWithParam<ConsistencyMode> {};
+
+TEST_P(CdnLevelResultTest, EveryCounterIsTheRunsSimStatsDelta) {
+  RunCapture run = RunHierarchy(GetParam(), 5 * kMillisecond,
+                                /*writes_per_sec=*/400, /*counter_base=*/1000);
+  ASSERT_EQ(run.result.cdn_levels.size(), 2u);
+  uint64_t protocol_traffic = 0;
+  for (size_t l = 0; l < run.result.cdn_levels.size(); ++l) {
+    const ExperimentResult::CdnLevelResult& out = run.result.cdn_levels[l];
+    const iolsim::SimStats::CdnLevelStats& now = run.cdn[l];
+    const iolsim::SimStats::CdnLevelStats& was = run.cdn_before[l];
+    for (const iolsim::CdnLevelCounter& c : iolsim::kCdnLevelCounters) {
+      EXPECT_EQ(out.*c.field, now.*c.field - was.*c.field) << "level " << l << " " << c.name;
+    }
+    uint64_t hits = now.hits - was.hits;
+    uint64_t misses = now.misses - was.misses;
+    ASSERT_GT(hits + misses, 0u) << l;
+    EXPECT_EQ(out.hit_rate, static_cast<double>(hits) / static_cast<double>(hits + misses))
+        << l;
+    protocol_traffic += GetParam() == ConsistencyMode::kInvalidate
+                            ? out.invalidations_sent
+                            : out.revalidations;
+  }
+  EXPECT_EQ(run.result.cdn_levels[0].proxies, 2);
+  EXPECT_EQ(run.result.cdn_levels[1].proxies, 1);
+  EXPECT_GT(run.result.cdn_writes, 0u);
+  EXPECT_GT(protocol_traffic, 0u);  // The protocol's own counter moved.
+}
+
+INSTANTIATE_TEST_SUITE_P(WritesAndChecks, CdnLevelResultTest,
+                         ::testing::Values(ConsistencyMode::kInvalidate,
+                                           ConsistencyMode::kRevalidate),
                          [](const ::testing::TestParamInfo<ConsistencyMode>& i) {
                            return std::string(iolproxy::Name(i.param));
                          });

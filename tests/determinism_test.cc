@@ -17,6 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <memory>
 #include <vector>
 
@@ -206,6 +210,113 @@ TEST(GoldenTest, Fig05LiteCgi20k) {
       RunCgiSmoke(ServerKind::kFlashLite, 20 * 1024),
       Golden{120, 2487600, 213.36952735596165, 6.2233280000000004, 6.4433280000000002, 0,
              57230, 57230, 146, 48, 441, 2352, 147, 0, 3088, 115227989});
+}
+
+// --- JsonReporter golden ------------------------------------------------------
+
+// A result with every serialized field away from its default: two tenants,
+// two CDN levels with distinct counters, fault counters and latencies.
+ioldrv::ExperimentResult GoldenReporterResult() {
+  ioldrv::ExperimentResult r;
+  r.requests = 1000;
+  r.bytes = 52428800;
+  r.megabits_per_sec = 87.654321;
+  r.cache_hit_rate = 0.8125;
+  r.latency.p50_ms = 1.25;
+  r.latency.p90_ms = 2.5;
+  r.latency.p99_ms = 3.75;
+  r.latency.max_ms = 9.125;
+  r.proxy_hit_rate = 0.625;
+  r.origin_hit_rate = 0.4375;
+  r.bytes_copied_backhaul = 4096;
+  r.origin_latency.p99_ms = 12.5;
+  r.wall_ms = 250;
+  r.events_dispatched = 500000;
+  r.availability = 0.97;
+  r.failed_requests = 30;
+  r.retries = 45;
+  r.staleness.p99_ms = 17.0625;
+  r.stale_serves = 12;
+  r.cdn_writes = 7;
+  r.origin_fleet_fetches = 99;
+  for (int t = 0; t < 2; ++t) {
+    ioldrv::TenantBreakdown b;
+    b.tenant = static_cast<iolsim::TenantId>(t + 1);
+    b.name = t == 0 ? "gold" : "bronze";
+    b.requests = 600 - 200 * t;
+    b.latency.p50_ms = 1.5 + t;
+    b.latency.p99_ms = 4.25 + t;
+    b.cache_hit_rate = 0.9 - 0.25 * t;
+    b.cache_hit_fraction = 0.875 - 0.125 * t;
+    r.tenants.push_back(b);
+  }
+  for (int l = 0; l < 2; ++l) {
+    ioldrv::ExperimentResult::CdnLevelResult c;
+    uint64_t k = 100 * (l + 1);
+    c.proxies = 4 - 2 * l;
+    c.hit_rate = 0.75 - 0.5 * l;
+    c.backhaul_bytes = k + 1;
+    c.stale_serves = k + 2;
+    c.invalidations_sent = k + 3;
+    c.invalidations_applied = k + 4;
+    c.revalidations = k + 5;
+    c.revalidation_bytes = k + 6;
+    c.fetch_races = k + 7;
+    c.shaper_holds = k + 8;
+    r.cdn_levels.push_back(c);
+  }
+  return r;
+}
+
+// The rows JsonReporter writes for an Add, an AddPerf and an AddExperiment
+// row, held byte for byte: BENCH_*.json documents are compared across
+// commits, so no key, key order or number format may drift.
+TEST(JsonReporterGoldenTest, RowsMatchCapturedDocument) {
+  std::string path = testing::TempDir() + "json_reporter_golden.json";
+  iolbench::BenchOptions opts;
+  opts.json_path = path;
+  iolbench::JsonReporter rep("golden", opts);
+  rep.Add("points", 1.5, 42.25);
+  rep.AddPerf("perf", 2, 123.456, 7.5, 98765.4321);
+  rep.AddExperiment("cdn", 3, GoldenReporterResult());
+  ASSERT_TRUE(rep.Flush());
+
+  std::ifstream in(path);
+  std::string doc((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  size_t at = doc.find("\"rows\": [");
+  ASSERT_NE(at, std::string::npos) << doc;
+  EXPECT_EQ(doc.substr(at + 9),
+      "\n"
+      "  {\"series\": \"points\", \"x\": 1.5, \"value\": 42.25, \"proxy_hit_rate\": 0, "
+      "\"origin_hit_rate\": 0, \"bytes_copied_backhaul\": 0, \"availability\": 1, "
+      "\"error_rate\": 0, \"retries\": 0, \"goodput_mbps\": 0, \"staleness_p99_ms\": 0, "
+      "\"stale_serves\": 0, \"cdn_writes\": 0, \"origin_fleet_fetches\": 0},\n"
+      "  {\"series\": \"perf\", \"x\": 2, \"value\": 123.456, \"proxy_hit_rate\": 0, "
+      "\"origin_hit_rate\": 0, \"bytes_copied_backhaul\": 0, \"availability\": 1, "
+      "\"error_rate\": 0, \"retries\": 0, \"goodput_mbps\": 0, \"staleness_p99_ms\": 0, "
+      "\"stale_serves\": 0, \"cdn_writes\": 0, \"origin_fleet_fetches\": 0, "
+      "\"wall_ms\": 7.5, \"events_per_sec\": 98765.4},\n"
+      "  {\"series\": \"cdn\", \"x\": 3, \"value\": 87.6543, \"proxy_hit_rate\": 0.625, "
+      "\"origin_hit_rate\": 0.4375, \"bytes_copied_backhaul\": 4096, "
+      "\"availability\": 0.97, \"error_rate\": 0.03, \"retries\": 45, "
+      "\"goodput_mbps\": 87.6543, \"staleness_p99_ms\": 17.0625, \"stale_serves\": 12, "
+      "\"cdn_writes\": 7, \"origin_fleet_fetches\": 99, \"requests\": 1000, "
+      "\"cache_hit_rate\": 0.8125, \"p50_ms\": 1.25, \"p90_ms\": 2.5, \"p99_ms\": 3.75, "
+      "\"max_ms\": 9.125, \"origin_p99_ms\": 12.5, \"wall_ms\": 250, "
+      "\"events_per_sec\": 2e+06, \"tenants\": [{\"tenant_id\": 1, \"name\": \"gold\", "
+      "\"requests\": 600, \"p50_ms\": 1.5, \"p99_ms\": 4.25, \"cache_hit_rate\": 0.9, "
+      "\"cache_hit_fraction\": 0.875}, {\"tenant_id\": 2, \"name\": \"bronze\", "
+      "\"requests\": 400, \"p50_ms\": 2.5, \"p99_ms\": 5.25, \"cache_hit_rate\": 0.65, "
+      "\"cache_hit_fraction\": 0.75}], \"levels\": [{\"level\": 0, \"proxies\": 4, "
+      "\"hit_rate\": 0.75, \"backhaul_bytes\": 101, \"stale_serves\": 102, "
+      "\"invalidations_sent\": 103, \"invalidations_applied\": 104, "
+      "\"revalidations\": 105, \"revalidation_bytes\": 106, \"fetch_races\": 107, "
+      "\"shaper_holds\": 108}, {\"level\": 1, \"proxies\": 2, \"hit_rate\": 0.25, "
+      "\"backhaul_bytes\": 201, \"stale_serves\": 202, \"invalidations_sent\": 203, "
+      "\"invalidations_applied\": 204, \"revalidations\": 205, "
+      "\"revalidation_bytes\": 206, \"fetch_races\": 207, \"shaper_holds\": 208}]}\n"
+      "]}\n");
 }
 
 }  // namespace

@@ -447,6 +447,11 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   EXPECT_NE(out.find("plane.q.client"), std::string::npos) << out;
   EXPECT_NE(out.find("plane.map.cache"), std::string::npos) << out;
   EXPECT_NE(out.find("\"bytes_served\": 12345"), std::string::npos) << out;
+  // The block names its own counters: every name comes from the region.
+  for (uint32_t i = 0; i < iolipc::kCounterCount; ++i) {
+    std::string key = std::string("\"") + iolipc::PlaneCounterName(i) + "\": ";
+    EXPECT_NE(out.find(key), std::string::npos) << key << out;
+  }
   EXPECT_NE(out.find("\"key\": 7"), std::string::npos) << out;
   EXPECT_NE(out.find("\"payload_length\": 512"), std::string::npos) << out;
 }

@@ -414,6 +414,16 @@ TEST(ShmCountersTest, AddGetAndAttach) {
   EXPECT_EQ(attached.Get(iolipc::kFutureErrors), 1u);
   EXPECT_STREQ(iolipc::PlaneCounterName(iolipc::kBytesCopiedCrossProcess),
                "bytes_copied_cross_process");
+
+  // The name table follows the slots, one NUL-padded entry per counter.
+  const char* names = table.Resolve("c") + sizeof(ShmCounters::CountersHeader) +
+                      iolipc::kCounterCount * sizeof(uint64_t);
+  for (uint32_t i = 0; i < iolipc::kCounterCount; ++i) {
+    EXPECT_STREQ(names + i * ShmCounters::kNameBytes, iolipc::PlaneCounterName(i)) << i;
+  }
+  EXPECT_EQ(table.Find("c")->size,
+            sizeof(ShmCounters::CountersHeader) +
+                iolipc::kCounterCount * (sizeof(uint64_t) + ShmCounters::kNameBytes));
 }
 
 // --- ShmCacheMirror ---------------------------------------------------------
