@@ -1,15 +1,21 @@
 // Microbenchmarks for the core IO-Lite mechanisms (host-time measurements
 // of the library itself, via google-benchmark): aggregate algebra, buffer
-// pool allocation/recycling, checksum computation, cache hits and sums of
-// generated content.
+// pool allocation/recycling, checksum computation, cache hits, sums of
+// generated content, and the file cache's metadata (GDS rekeys and
+// evictions, lookups).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "src/fs/file_cache.h"
+#include "src/fs/replacement_policy.h"
 #include "src/iolite/aggregate.h"
 #include "src/iolite/buffer_pool.h"
 #include "src/net/checksum.h"
+#include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
 
 namespace {
@@ -108,8 +114,8 @@ BENCHMARK(BM_ChecksumCached)->Arg(1460)->Arg(16384)->Arg(262144);
 // Descriptor-backed buffers (generated disk content), a fresh one each
 // iteration, so the checksum cache always misses. With a fresh content
 // seed per iteration the block-sum table misses too and every byte is
-// generated; with one seed throughout every whole 4 KB block's sum comes
-// from the table.
+// generated; with one seed throughout every whole 4 KB block's sum, and
+// the sum of a file under 4 KB or a tail, comes from the table.
 void BM_ChecksumDescribed(benchmark::State& state) {
   iolsim::SimContext ctx;
   iolite::BufferPool pool(&ctx, "bm", iolsim::kKernelDomain);
@@ -126,10 +132,91 @@ void BM_ChecksumDescribed(benchmark::State& state) {
 }
 BENCHMARK(BM_ChecksumDescribed)
     ->ArgNames({"bytes", "repeat_seed"})
+    ->Args({3072, 0})
+    ->Args({3072, 1})
     ->Args({16384, 0})
     ->Args({16384, 1})
     ->Args({262144, 0})
     ->Args({262144, 1});
+
+constexpr int kMetadataEntries = 10000;
+
+// kMetadataEntries draws below `n`, made before timing starts.
+std::vector<uint64_t> Draws(uint64_t n) {
+  iolsim::Rng rng(42);
+  std::vector<uint64_t> draws(kMetadataEntries);
+  for (uint64_t& d : draws) {
+    d = rng.NextBelow(n);
+  }
+  return draws;
+}
+
+class NoReferences : public iolfs::CacheView {
+ public:
+  bool IsReferenced(iolfs::EntryId) const override { return false; }
+};
+
+// GDS holding kMetadataEntries entries of mixed sizes. An access rekeys a
+// random entry; an eviction takes the victim out and inserts a new entry in
+// its id, the steady state of a full cache on a miss stream.
+void BM_GdsAccess(benchmark::State& state) {
+  iolfs::GreedyDualSizePolicy gds;
+  const std::vector<uint64_t> draws = Draws(kMetadataEntries);
+  for (int i = 0; i < kMetadataEntries; ++i) {
+    gds.OnInsert(i + 1, 512 + draws[i] * 7);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    gds.OnAccess(draws[next] + 1);
+    next = next + 1 == draws.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GdsAccess);
+
+void BM_GdsEvictInsert(benchmark::State& state) {
+  iolfs::GreedyDualSizePolicy gds;
+  NoReferences view;
+  const std::vector<uint64_t> draws = Draws(kMetadataEntries);
+  for (int i = 0; i < kMetadataEntries; ++i) {
+    gds.OnInsert(i + 1, 512 + draws[i] * 7);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    iolfs::EntryId victim = gds.ChooseVictim(view);
+    gds.OnErase(victim);
+    gds.OnInsert(victim, 512 + draws[next] * 7);
+    next = next + 1 == draws.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GdsEvictInsert);
+
+// FileCache::Lookup of random files among 2 x kMetadataEntries: the first
+// half are cached (one 512-byte extent each, slices of one buffer), the
+// second half were cached and invalidated. Arg 1 looks up a cached file
+// (a hit), arg 0 an invalidated one (a miss).
+void BM_FileCacheLookup(benchmark::State& state) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "bm", iolsim::kKernelDomain);
+  iolfs::FileCache cache(&ctx, std::make_unique<iolfs::GreedyDualSizePolicy>());
+  iolite::BufferRef buffer = pool.AllocateDma(1, 512);
+  for (int f = 1; f <= 2 * kMetadataEntries; ++f) {
+    cache.Insert(f, 0, iolite::Aggregate::FromBuffer(buffer));
+  }
+  for (int f = kMetadataEntries + 1; f <= 2 * kMetadataEntries; ++f) {
+    cache.InvalidateFile(f);
+  }
+  const iolfs::FileId base = state.range(0) != 0 ? 1 : kMetadataEntries + 1;
+  const std::vector<uint64_t> draws = Draws(kMetadataEntries);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(base + draws[next], 0, 512));
+    next = next + 1 == draws.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FileCacheLookup)->ArgName("hit")->Arg(1)->Arg(0);
 
 }  // namespace
 

@@ -1,29 +1,104 @@
 #include "src/fs/file_cache.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 #include "src/qos/policy.h"
 
 namespace iolfs {
 
+namespace {
+
+// The first run starting after `offset`.
+template <typename It>
+It FirstAfter(It begin, It end, uint64_t offset) {
+  return std::upper_bound(begin, end, offset,
+                          [](uint64_t off, const auto& run) { return off < run.offset; });
+}
+
+}  // namespace
+
+// --- RefCounts ----------------------------------------------------------------
+
+size_t FileCache::RefCounts::Home(const iolite::Buffer* buffer) const {
+  uint64_t h = reinterpret_cast<uintptr_t>(buffer) * 0x9e3779b97f4a7c15ull;
+  return static_cast<size_t>(h >> 32) & (slots_.size() - 1);
+}
+
+size_t FileCache::RefCounts::Find(const iolite::Buffer* buffer) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(buffer);
+  while (slots_[i].buffer != nullptr && slots_[i].buffer != buffer) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void FileCache::RefCounts::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  for (const Slot& s : old) {
+    if (s.buffer != nullptr) {
+      slots_[Find(s.buffer)] = s;
+    }
+  }
+}
+
+void FileCache::RefCounts::Add(const iolite::Buffer* buffer) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    Grow();
+  }
+  Slot& s = slots_[Find(buffer)];
+  if (s.buffer == nullptr) {
+    s.buffer = buffer;
+    ++used_;
+  }
+  ++s.count;
+}
+
+void FileCache::RefCounts::Release(const iolite::Buffer* buffer) {
+  size_t i = Find(buffer);
+  assert(slots_[i].buffer == buffer && slots_[i].count > 0);
+  if (--slots_[i].count > 0) {
+    return;
+  }
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless its home lies cyclically in (hole, member].
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (i + 1) & mask; slots_[j].buffer != nullptr; j = (j + 1) & mask) {
+    size_t home = Home(slots_[j].buffer);
+    bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
+    if (!stays) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  --used_;
+}
+
+int FileCache::RefCounts::Count(const iolite::Buffer* buffer) const {
+  if (slots_.empty()) {
+    return 0;
+  }
+  const Slot& s = slots_[Find(buffer)];
+  return s.buffer == nullptr ? 0 : s.count;
+}
+
+// --- FileCache ----------------------------------------------------------------
+
 void FileCache::SetPartitions(const iolqos::CachePlan* plan) {
   // Tags are assigned at insert time; enabling over a populated cache would
   // leave untagged entries invisible to the per-tenant shares.
-  assert((plan == nullptr || entries_.empty()) &&
+  assert((plan == nullptr || entry_count() == 0) &&
          "enable cache partitions before the cache is populated");
   plan_ = plan;
   if (plan == nullptr) {
     shares_.clear();
-    lru_pos_.clear();
+    tenant_links_ = IdLinks();
   }
-}
-
-void FileCache::TouchTenantLru(EntryId id) {
-  auto pos = lru_pos_.find(id);
-  assert(pos != lru_pos_.end());
-  std::list<EntryId>& lru = shares_[entries_.at(id).tenant].lru;
-  lru.splice(lru.end(), lru, pos->second);
 }
 
 EntryId FileCache::PartitionVictim() const {
@@ -48,51 +123,57 @@ EntryId FileCache::PartitionVictim() const {
   if (victim_tenant == shares_.size()) {
     return kNoEntry;
   }
-  const std::list<EntryId>& lru = shares_[victim_tenant].lru;
-  for (EntryId id : lru) {
+  const IdLinks::List& lru = shares_[victim_tenant].lru;
+  for (uint32_t id = lru.head; id != IdLinks::kNil; id = tenant_links_.Next(id)) {
     if (!IsReferenced(id)) {
       return id;
     }
   }
-  return lru.front();
+  return lru.head;
 }
 
 void FileCache::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
-  for (const auto& [id, entry] : entries_) {
-    policy->OnInsert(id, entry.data.size());
+  std::vector<std::pair<uint64_t, EntryId>> order;  // (seq, id)
+  for (EntryId id = 1; id <= slots_.size(); ++id) {
+    if (entry(id).seq != 0) {
+      order.emplace_back(entry(id).seq, id);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [seq, id] : order) {
+    policy->OnInsert(id, entry(id).data.size());
   }
   policy_ = std::move(policy);
 }
 
 std::optional<iolite::Aggregate> FileCache::Lookup(FileId file, uint64_t offset, size_t length) {
-  auto fit = by_file_.find(file);
-  if (fit == by_file_.end()) {
+  const Runs* runs = RunsOf(file);
+  if (runs == nullptr) {
     CountLookup(false);
     return std::nullopt;
   }
-  const std::map<uint64_t, EntryId>& runs = fit->second;
 
   // Find the run containing `offset`, then walk adjacent runs until the
   // requested range is covered or a gap appears.
-  auto it = runs.upper_bound(offset);
-  if (it == runs.begin()) {
+  const Run* it = FirstAfter(runs->begin(), runs->end(), offset);
+  if (it == runs->begin()) {
     CountLookup(false);
     return std::nullopt;
   }
   --it;
-  auto first_run = it;
+  const Run* first_run = it;
 
   // Pass 1: verify the adjacent runs cover the range with no gap. No state
   // is accumulated — the warm hit path must not allocate.
   uint64_t want_end = offset + length;
   uint64_t covered_to = offset;
   while (covered_to < want_end) {
-    if (it == runs.end() || it->first > covered_to) {
+    if (it == runs->end() || it->offset > covered_to) {
       CountLookup(false);
       return std::nullopt;  // Gap.
     }
-    const Entry& entry = entries_.at(it->second);
-    uint64_t run_end = entry.offset + entry.data.size();
+    const Entry& e = entry(it->entry);
+    uint64_t run_end = e.offset + e.data.size();
     if (run_end <= covered_to) {
       CountLookup(false);
       return std::nullopt;  // Run ends before reaching our position.
@@ -105,15 +186,15 @@ std::optional<iolite::Aggregate> FileCache::Lookup(FileId file, uint64_t offset,
   // is a value whose slices reference the cached immutable buffers.
   iolite::Aggregate out;
   for (it = first_run; out.size() < length; ++it) {
-    const Entry& entry = entries_.at(it->second);
-    uint64_t run_begin = entry.offset;
-    uint64_t run_end = entry.offset + entry.data.size();
+    const Entry& e = entry(it->entry);
+    uint64_t run_begin = e.offset;
+    uint64_t run_end = e.offset + e.data.size();
     uint64_t from = offset > run_begin ? offset : run_begin;
     uint64_t to = want_end < run_end ? want_end : run_end;
-    out.AppendRange(entry.data, from - run_begin, to - from);
-    policy_->OnAccess(it->second);
+    out.AppendRange(e.data, from - run_begin, to - from);
+    policy_->OnAccess(it->entry);
     if (plan_ != nullptr) {
-      TouchTenantLru(it->second);
+      tenant_links_.MoveToBack(shares_[e.tenant].lru, static_cast<uint32_t>(it->entry));
     }
   }
   assert(out.size() == length);
@@ -126,36 +207,35 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
   if (data.empty()) {
     return;
   }
+  assert(file >= 0);
+  if (static_cast<size_t>(file) >= by_file_.size()) {
+    by_file_.resize(file + 1);
+  }
+  Runs& runs = by_file_[file];
   uint64_t end = offset + data.size();
-  std::map<uint64_t, EntryId>& runs = by_file_[file];
-
-  // Collect overlapping runs: start from the run preceding `offset`.
-  std::vector<EntryId> overlapping;
-  auto it = runs.upper_bound(offset);
-  if (it != runs.begin()) {
-    auto prev = std::prev(it);
-    const Entry& e = entries_.at(prev->second);
-    if (e.offset + e.data.size() > offset) {
-      overlapping.push_back(prev->second);
-    }
-  }
-  while (it != runs.end() && it->first < end) {
-    overlapping.push_back(it->second);
-    ++it;
-  }
 
   // A write replaces the overlapped portions (Section 3.5). Non-overlapped
   // remainders of trimmed entries are re-inserted so no cached data beyond
   // the written range is lost. The replaced buffers persist while other
-  // references exist — snapshot semantics.
+  // references exist — snapshot semantics. The overlapped runs are a
+  // contiguous stretch: the run before `offset` if it reaches past it, and
+  // every run starting inside the range. Each is erased in offset order.
   struct Remainder {
     uint64_t offset;
     iolite::Aggregate data;
     uint64_t version;
   };
-  std::vector<Remainder> remainders;
-  for (EntryId id : overlapping) {
-    Entry& e = entries_.at(id);
+  iolsim::SmallVec<Remainder, 2> remainders;
+  size_t i = FirstAfter(runs.begin(), runs.end(), offset) - runs.begin();
+  if (i > 0) {
+    const Entry& e = entry(runs[i - 1].entry);
+    if (e.offset + e.data.size() > offset) {
+      --i;
+    }
+  }
+  while (i < runs.size() && runs[i].offset < end) {
+    EntryId id = runs[i].entry;
+    const Entry& e = entry(id);
     uint64_t run_end = e.offset + e.data.size();
     if (e.offset < offset) {
       remainders.push_back({e.offset, e.data.Range(0, offset - e.offset), e.version});
@@ -163,21 +243,29 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
     if (run_end > end) {
       remainders.push_back({end, e.data.Range(end - e.offset, run_end - end), e.version});
     }
-    EraseEntry(id);
+    EraseEntry(id);  // Removes runs[i].
   }
 
   auto add = [&](uint64_t off, iolite::Aggregate agg, uint64_t ver) {
-    EntryId id = next_id_++;
+    EntryId id;
+    if (free_slots_.empty()) {
+      slots_.emplace_back();
+      id = slots_.size();
+    } else {
+      id = free_slots_.back();
+      free_slots_.pop_back();
+    }
     bytes_ += agg.size();
     for (const iolite::Slice& s : agg.slices()) {
-      cache_refs_[s.buffer().get()]++;
+      cache_refs_.Add(s.buffer().get());
     }
     size_t sz = agg.size();
     // The inserting tenant owns the entry: the principal that missed pays
     // for the space (partitioned runs only; kDefaultTenant otherwise).
     iolsim::TenantId owner = ctx_->active_tenant();
-    entries_.emplace(id, Entry{file, off, std::move(agg), owner, ver});
-    by_file_[file][off] = id;
+    entry(id) = Entry{file, off, std::move(agg), owner, ver, next_seq_++};
+    runs.emplace_back(Run{off, id});
+    std::rotate(FirstAfter(runs.begin(), runs.end() - 1, off), runs.end() - 1, runs.end());
     policy_->OnInsert(id, sz);
     if (plan_ != nullptr) {
       if (owner >= shares_.size()) {
@@ -185,10 +273,10 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
       }
       TenantShare& share = shares_[owner];
       share.bytes += sz;
-      lru_pos_[id] = share.lru.insert(share.lru.end(), id);
+      tenant_links_.PushBack(share.lru, static_cast<uint32_t>(id));
     }
     if (mirror_ != nullptr) {
-      mirror_->OnInsert(file, off, entries_.at(id).data);
+      mirror_->OnInsert(file, off, entry(id).data);
     }
   };
 
@@ -199,48 +287,41 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
 }
 
 uint64_t FileCache::VersionOf(FileId file) const {
-  auto fit = by_file_.find(file);
-  if (fit == by_file_.end()) {
+  const Runs* runs = RunsOf(file);
+  if (runs == nullptr) {
     return 0;
   }
   uint64_t version = 0;
-  for (const auto& [off, id] : fit->second) {
-    uint64_t v = entries_.at(id).version;
-    if (v > version) {
-      version = v;
-    }
+  for (const Run& run : *runs) {
+    version = std::max(version, entry(run.entry).version);
   }
   return version;
 }
 
 int FileCache::InvalidateOlderThan(FileId file, uint64_t min_version) {
-  auto fit = by_file_.find(file);
-  if (fit == by_file_.end()) {
+  if (RunsOf(file) == nullptr) {
     return 0;
   }
-  std::vector<EntryId> stale;
-  for (const auto& [off, id] : fit->second) {
-    if (entries_.at(id).version < min_version) {
-      stale.push_back(id);
+  const Runs& runs = by_file_[file];
+  int dropped = 0;
+  for (size_t i = 0; i < runs.size();) {
+    if (entry(runs[i].entry).version < min_version) {
+      EraseEntry(runs[i].entry);  // Removes runs[i].
+      ++dropped;
+    } else {
+      ++i;
     }
   }
-  for (EntryId id : stale) {
-    EraseEntry(id);
-  }
-  return static_cast<int>(stale.size());
+  return dropped;
 }
 
 void FileCache::InvalidateFile(FileId file) {
-  auto fit = by_file_.find(file);
-  if (fit == by_file_.end()) {
+  if (RunsOf(file) == nullptr) {
     return;
   }
-  std::vector<EntryId> ids;
-  for (const auto& [off, id] : fit->second) {
-    ids.push_back(id);
-  }
-  for (EntryId id : ids) {
-    EraseEntry(id);
+  const Runs& runs = by_file_[file];
+  while (!runs.empty()) {
+    EraseEntry(runs.front().entry);
   }
 }
 
@@ -258,7 +339,7 @@ bool FileCache::EvictOne() {
     return false;
   }
   if (qos_ != nullptr) {
-    qos_->OnCacheEviction(entries_.at(victim).tenant, qos_proxy_tier_);
+    qos_->OnCacheEviction(entry(victim).tenant, qos_proxy_tier_);
   }
   EraseEntry(victim);
   (*evictions_)++;
@@ -266,13 +347,10 @@ bool FileCache::EvictOne() {
 }
 
 bool FileCache::IsReferenced(EntryId id) const {
-  auto it = entries_.find(id);
-  assert(it != entries_.end());
-  for (const iolite::Slice& s : it->second.data.slices()) {
+  assert(id >= 1 && id <= slots_.size() && entry(id).seq != 0);
+  for (const iolite::Slice& s : entry(id).data.slices()) {
     const iolite::Buffer* b = s.buffer().get();
-    auto rit = cache_refs_.find(const_cast<iolite::Buffer*>(b));
-    int held_by_cache = rit == cache_refs_.end() ? 0 : rit->second;
-    if (b->refcount() > held_by_cache) {
+    if (b->refcount() > cache_refs_.Count(b)) {
       return true;  // Someone outside the cache holds this buffer.
     }
   }
@@ -280,30 +358,28 @@ bool FileCache::IsReferenced(EntryId id) const {
 }
 
 void FileCache::EraseEntry(EntryId id) {
-  auto it = entries_.find(id);
-  assert(it != entries_.end());
+  Entry& e = entry(id);
+  assert(e.seq != 0);
   if (mirror_ != nullptr) {
-    mirror_->OnErase(it->second.file, it->second.offset, it->second.data.size());
+    mirror_->OnErase(e.file, e.offset, e.data.size());
   }
-  bytes_ -= it->second.data.size();
+  bytes_ -= e.data.size();
   if (plan_ != nullptr) {
-    auto pos = lru_pos_.find(id);
-    assert(pos != lru_pos_.end());
-    TenantShare& share = shares_[it->second.tenant];
-    share.bytes -= it->second.data.size();
-    share.lru.erase(pos->second);
-    lru_pos_.erase(pos);
+    TenantShare& share = shares_[e.tenant];
+    share.bytes -= e.data.size();
+    tenant_links_.Erase(share.lru, static_cast<uint32_t>(id));
   }
-  for (const iolite::Slice& s : it->second.data.slices()) {
-    auto rit = cache_refs_.find(s.buffer().get());
-    assert(rit != cache_refs_.end());
-    if (--rit->second == 0) {
-      cache_refs_.erase(rit);
-    }
+  for (const iolite::Slice& s : e.data.slices()) {
+    cache_refs_.Release(s.buffer().get());
   }
-  by_file_[it->second.file].erase(it->second.offset);
+  Runs& runs = by_file_[e.file];
+  Run* run = FirstAfter(runs.begin(), runs.end(), e.offset) - 1;
+  assert(run->entry == id);
+  std::move(run + 1, runs.end(), run);
+  runs.resize_down(runs.size() - 1);
   policy_->OnErase(id);
-  entries_.erase(it);
+  e = Entry{};
+  free_slots_.push_back(id);
 }
 
 void FileCache::CountLookup(bool hit) {

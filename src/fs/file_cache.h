@@ -19,23 +19,28 @@
 //    I/O data — is implemented in EvictionTrigger; benchmark drivers also
 //    enforce an explicit byte budget, which is the steady state the trigger
 //    rule converges to.
+//
+// Metadata is array-backed: entries live in a slot array whose slot number
+// is the EntryId policies see (freed slots are reused), each file's
+// extents are a small vector sorted by offset in an array indexed by
+// FileId, and the per-tenant recency lists are index-linked over the slot
+// numbers.
 
 #ifndef SRC_FS_FILE_CACHE_H_
 #define SRC_FS_FILE_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "src/fs/id_list.h"
 #include "src/fs/replacement_policy.h"
 #include "src/fs/sim_file_system.h"
 #include "src/iolite/aggregate.h"
 #include "src/qos/tenant.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/small_vec.h"
 
 namespace iolqos {
 class QosPolicy;
@@ -69,7 +74,8 @@ class FileCache : public CacheView {
   FileCache& operator=(const FileCache&) = delete;
 
   // Application-specific policy customization (Section 3.7). Existing
-  // entries are re-registered with the new policy in recency order.
+  // entries are re-registered with the new policy in the order they were
+  // inserted, so its recency state starts as if it had seen those inserts.
   void SetPolicy(std::unique_ptr<ReplacementPolicy> policy);
   ReplacementPolicy& policy() { return *policy_; }
 
@@ -147,8 +153,8 @@ class FileCache : public CacheView {
   // Whether any extent of `file` is cached. No accounting: this is a
   // metadata probe (invalidation targeting), not a lookup.
   bool Contains(FileId file) const {
-    auto it = by_file_.find(file);
-    return it != by_file_.end() && !it->second.empty();
+    const Runs* runs = RunsOf(file);
+    return runs != nullptr && !runs->empty();
   }
 
   // Highest version tag among `file`'s cached entries (0 when absent or
@@ -170,33 +176,75 @@ class FileCache : public CacheView {
   bool EvictOne();
 
   uint64_t bytes() const { return bytes_; }
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const { return slots_.size() - free_slots_.size(); }
 
   // --- CacheView ------------------------------------------------------------
   bool IsReferenced(EntryId id) const override;
 
  private:
   struct Entry {
-    FileId file;
-    uint64_t offset;
+    FileId file = kInvalidFile;
+    uint64_t offset = 0;
     iolite::Aggregate data;
     iolsim::TenantId tenant = iolsim::kDefaultTenant;
     // Object version these bytes were fetched at (CDN consistency plane;
     // 0 for untagged single-tier entries).
     uint64_t version = 0;
+    // Insertion order, from 1; 0 marks a free slot.
+    uint64_t seq = 0;
   };
+
+  // One cached extent of a file: where it starts and which entry holds it.
+  struct Run {
+    uint64_t offset;
+    EntryId entry;
+  };
+  // A file's extents, sorted by offset and non-overlapping. Most files
+  // hold one whole-file extent, which stays inline.
+  using Runs = iolsim::SmallVec<Run, 1>;
 
   // Per-tenant recency and byte accounting, maintained only when
   // partitioned (SetPartitions).
   struct TenantShare {
     uint64_t bytes = 0;
-    std::list<EntryId> lru;  // Front = least recently used.
+    IdLinks::List lru;  // Front = least recently used.
   };
+
+  // How many slices of this cache's entries reference each buffer, so
+  // IsReferenced can detect references held *outside* the cache. An
+  // open-addressed table with linear probing, at most half full, deleting
+  // by backward shift.
+  class RefCounts {
+   public:
+    void Add(const iolite::Buffer* buffer);
+    // Drops one count; the buffer must have one.
+    void Release(const iolite::Buffer* buffer);
+    int Count(const iolite::Buffer* buffer) const;
+
+   private:
+    struct Slot {
+      const iolite::Buffer* buffer = nullptr;  // Null marks an empty slot.
+      int count = 0;
+    };
+    size_t Home(const iolite::Buffer* buffer) const;
+    // The slot holding `buffer`, or the empty slot ending its probe run.
+    size_t Find(const iolite::Buffer* buffer) const;
+    void Grow();
+
+    std::vector<Slot> slots_;  // Empty, or a power of two at least 2 x used_.
+    size_t used_ = 0;
+  };
+
+  Entry& entry(EntryId id) { return slots_[id - 1]; }
+  const Entry& entry(EntryId id) const { return slots_[id - 1]; }
+  // `file`'s extents, or null when it never had any.
+  const Runs* RunsOf(FileId file) const {
+    return file >= 0 && static_cast<size_t>(file) < by_file_.size() ? &by_file_[file] : nullptr;
+  }
 
   void EraseEntry(EntryId id);
   // The partitioned victim: LRU entry of the most-over-reservation tenant.
   EntryId PartitionVictim() const;
-  void TouchTenantLru(EntryId id);
   // Counts one lookup into the routed aggregate counters and, when a QoS
   // policy is attached, the active tenant's per-tier block.
   void CountLookup(bool hit);
@@ -208,20 +256,18 @@ class FileCache : public CacheView {
   uint64_t* hits_;
   uint64_t* misses_;
   uint64_t* evictions_;
-  std::unordered_map<EntryId, Entry> entries_;
-  // Per file: offset -> entry id, entries non-overlapping.
-  std::unordered_map<FileId, std::map<uint64_t, EntryId>> by_file_;
-  // How many references the cache itself holds on each buffer, so
-  // IsReferenced can detect references held *outside* the cache.
-  std::unordered_map<iolite::Buffer*, int> cache_refs_;
-  EntryId next_id_ = 1;
+  std::vector<Entry> slots_;          // Entry `id` is slots_[id - 1].
+  std::vector<EntryId> free_slots_;   // Ids of free slots, reused last-freed first.
+  uint64_t next_seq_ = 1;
+  std::vector<Runs> by_file_;         // Indexed by FileId.
+  RefCounts cache_refs_;
   uint64_t bytes_ = 0;
   // QoS plane state (null/empty when detached).
   iolqos::QosPolicy* qos_ = nullptr;
   bool qos_proxy_tier_ = false;
   const iolqos::CachePlan* plan_ = nullptr;
   std::vector<TenantShare> shares_;
-  std::unordered_map<EntryId, std::list<EntryId>::iterator> lru_pos_;
+  IdLinks tenant_links_;  // Every share's lru list, over entry ids.
 };
 
 // Models the Section 3.7 trigger: the VM pageout daemon reports each page

@@ -13,19 +13,27 @@
 //    favours keeping small/cheap-to-miss documents.
 //
 // Policies see entries as opaque ids plus sizes; the cache supplies a view
-// for the "currently referenced" predicate.
+// for the "currently referenced" predicate. Ids are small integers the
+// cache recycles (its slot numbers, from 1), so every policy keeps its
+// per-entry state in arrays indexed by id: an index-linked list for the
+// two LRUs (src/fs/id_list.h) and an indexed 4-ary min-heap for GDS. No
+// policy allocates per operation once its arrays have grown to the
+// cache's largest entry count.
+//
+// GDS orders entries by (H, insertion sequence), the sequence counting
+// OnInsert calls: ties on H go to the entry inserted first, whatever id it
+// holds. Over ids that rise with every insert and are never reused, that
+// is the same total order as (H, id), so reusing ids does not change the
+// victim sequence.
 
 #ifndef SRC_FS_REPLACEMENT_POLICY_H_
 #define SRC_FS_REPLACEMENT_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <set>
-#include <string>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
-#include "src/simos/pool_allocator.h"
+#include "src/fs/id_list.h"
 
 namespace iolfs {
 
@@ -53,25 +61,6 @@ class ReplacementPolicy {
   virtual EntryId ChooseVictim(const CacheView& view) = 0;
 };
 
-// Section 3.7 policy.
-class PaperLruPolicy : public ReplacementPolicy {
- public:
-  const char* name() const override { return "paper-lru"; }
-  void OnInsert(EntryId id, size_t bytes) override;
-  void OnAccess(EntryId id) override;
-  void OnErase(EntryId id) override;
-  EntryId ChooseVictim(const CacheView& view) override;
-
- private:
-  // Front = least recently used. Pool-allocated nodes: insert/erase churn
-  // (cache misses, evictions) recycles instead of hitting the heap.
-  using LruList = std::list<EntryId, iolsim::PoolAllocator<EntryId>>;
-  LruList lru_;
-  std::unordered_map<EntryId, LruList::iterator, std::hash<EntryId>, std::equal_to<EntryId>,
-                     iolsim::PoolAllocator<std::pair<const EntryId, LruList::iterator>>>
-      index_;
-};
-
 // Classic LRU ignoring the reference state.
 class PlainLruPolicy : public ReplacementPolicy {
  public:
@@ -81,12 +70,17 @@ class PlainLruPolicy : public ReplacementPolicy {
   void OnErase(EntryId id) override;
   EntryId ChooseVictim(const CacheView& view) override;
 
- private:
-  using LruList = std::list<EntryId, iolsim::PoolAllocator<EntryId>>;
-  LruList lru_;
-  std::unordered_map<EntryId, LruList::iterator, std::hash<EntryId>, std::equal_to<EntryId>,
-                     iolsim::PoolAllocator<std::pair<const EntryId, LruList::iterator>>>
-      index_;
+ protected:
+  IdLinks links_;
+  IdLinks::List lru_;  // Front = least recently used.
+};
+
+// Section 3.7 policy: the same recency list, scanned for the oldest
+// unreferenced entry.
+class PaperLruPolicy : public PlainLruPolicy {
+ public:
+  const char* name() const override { return "paper-lru"; }
+  EntryId ChooseVictim(const CacheView& view) override;
 };
 
 // Greedy Dual Size with uniform miss cost (GDS(1)).
@@ -101,21 +95,33 @@ class GreedyDualSizePolicy : public ReplacementPolicy {
   double inflation() const { return inflation_; }
 
  private:
-  double PriorityFor(size_t bytes) const;
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  struct Node {
+    double priority;  // H.
+    uint64_t seq;     // Insertion sequence: breaks ties on H.
+    uint32_t id;
+  };
 
   struct Meta {
-    double priority;
-    size_t bytes;
+    uint32_t pos = kAbsent;  // Index into heap_, or kAbsent.
+    size_t bytes = 0;
   };
+
+  static bool Before(const Node& a, const Node& b) {
+    return a.priority < b.priority || (a.priority == b.priority && a.seq < b.seq);
+  }
+
+  double PriorityFor(size_t bytes) const;
+  // Writes `node` at heap index `i` and records its position.
+  void Put(size_t i, const Node& node);
+  // Restores heap order around index `i` after its node changed.
+  void Fix(size_t i);
+
   double inflation_ = 0.0;  // The "L" value.
-  // Pool-allocated: every access re-keys the entry (erase + insert on
-  // queue_), which is warm-path churn for Flash-Lite's cache hits.
-  std::set<std::pair<double, EntryId>, std::less<std::pair<double, EntryId>>,
-           iolsim::PoolAllocator<std::pair<double, EntryId>>>
-      queue_;
-  std::unordered_map<EntryId, Meta, std::hash<EntryId>, std::equal_to<EntryId>,
-                     iolsim::PoolAllocator<std::pair<const EntryId, Meta>>>
-      meta_;
+  uint64_t next_seq_ = 0;
+  std::vector<Node> heap_;  // 4-ary min-heap on (priority, seq).
+  std::vector<Meta> meta_;  // Indexed by id.
 };
 
 }  // namespace iolfs

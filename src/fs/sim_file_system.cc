@@ -9,24 +9,25 @@
 namespace iolfs {
 
 bool SimFileSystem::MetadataCache::Touch(FileId file) {
-  auto it = index_.find(file);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  assert(file >= 0 && file < IdLinks::kNil);
+  const uint32_t id = static_cast<uint32_t>(file);
+  if (links_.Linked(id)) {
+    links_.MoveToBack(lru_, id);
     return true;
   }
-  if (lru_.size() >= slots_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
+  if (size_ >= slots_) {
+    links_.Erase(lru_, lru_.head);
+    --size_;
   }
-  lru_.push_front(file);
-  index_[file] = lru_.begin();
+  links_.PushBack(lru_, id);
+  ++size_;
   return false;
 }
 
 FileId SimFileSystem::CreateFile(const std::string& name, uint64_t size) {
-  FileId id = next_file_++;
-  File& f = files_[id];
-  f.name = name;
+  files_.emplace_back();
+  FileId id = static_cast<FileId>(files_.size());
+  File& f = files_.back();
   f.size = size;
   f.content_seed = 0x5851f42d4c957f2dull * static_cast<uint64_t>(id) + 0x14057b7ef767814full;
   by_name_[name] = id;
@@ -39,11 +40,7 @@ FileId SimFileSystem::Lookup(const std::string& name) const {
   return it == by_name_.end() ? kInvalidFile : it->second;
 }
 
-uint64_t SimFileSystem::SizeOf(FileId file) const {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  return it->second.size;
-}
+uint64_t SimFileSystem::SizeOf(FileId file) const { return file_at(file).size; }
 
 void SimFileSystem::TouchMetadata(FileId file) {
   if (!metadata_cache_.Touch(file)) {
@@ -55,9 +52,7 @@ void SimFileSystem::TouchMetadata(FileId file) {
 }
 
 uint8_t SimFileSystem::ContentByteAt(FileId file, uint64_t offset) const {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  const File& f = it->second;
+  const File& f = file_at(file);
   assert(offset < f.size);
   // Most-recent write wins: check the overlay first.
   auto ov = f.overlay.upper_bound(offset);
@@ -71,10 +66,9 @@ uint8_t SimFileSystem::ContentByteAt(FileId file, uint64_t offset) const {
 }
 
 void SimFileSystem::ReadContent(FileId file, uint64_t offset, char* dst, size_t n) const {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  assert(offset + n <= it->second.size && "read past end of file");
-  FillRange(it->second, offset, dst, n);
+  const File& f = file_at(file);
+  assert(offset + n <= f.size && "read past end of file");
+  FillRange(f, offset, dst, n);
 }
 
 void SimFileSystem::FillRange(const File& f, uint64_t offset, char* dst, size_t n) {
@@ -127,28 +121,24 @@ bool SimFileSystem::OverlayIntersects(const File& f, uint64_t offset, size_t n) 
 }
 
 iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size_t length) {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  assert(offset + length <= it->second.size && "read past end of file");
+  const File& f = file_at(file);
+  assert(offset + length <= f.size && "read past end of file");
 
   ctx_->ChargeDisk(ctx_->cost().DiskAccessCost(length));
   ctx_->stats().disk_reads++;
   ctx_->stats().disk_bytes_read += length;
 
   // DMA fill: real bytes, no CPU charge.
-  return ContentBuffer(it->second, offset, length, pool_);
+  return ContentBuffer(f, offset, length, pool_);
 }
 
 iolite::BufferRef SimFileSystem::ReadSnapshot(FileId file, iolite::BufferPool* pool) const {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  return ContentBuffer(it->second, 0, it->second.size, pool);
+  const File& f = file_at(file);
+  return ContentBuffer(f, 0, f.size, pool);
 }
 
 void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggregate& data) {
-  auto it = files_.find(file);
-  assert(it != files_.end());
-  File& f = it->second;
+  File& f = file_at(file);
 
   size_t length = data.size();
   ctx_->ChargeDisk(ctx_->cost().DiskAccessCost(length));

@@ -13,17 +13,22 @@
 // Metadata is cached in a small "old buffer cache" as in 4.4BSD: the first
 // open of a file charges a metadata disk access unless its inode block is
 // resident.
+//
+// File ids are handed out as 1, 2, 3, ..., so the files live in a dense
+// array indexed by id, and the metadata cache is an index-linked LRU over
+// the same ids: SizeOf and a metadata touch cost one array access each.
 
 #ifndef SRC_FS_SIM_FILE_SYSTEM_H_
 #define SRC_FS_SIM_FILE_SYSTEM_H_
 
+#include <cassert>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/fs/id_list.h"
 #include "src/iolite/aggregate.h"
 #include "src/iolite/buffer_pool.h"
 #include "src/simos/sim_context.h"
@@ -47,7 +52,9 @@ class SimFileSystem {
 
   FileId Lookup(const std::string& name) const;
   uint64_t SizeOf(FileId file) const;
-  bool Exists(FileId file) const { return files_.count(file) > 0; }
+  bool Exists(FileId file) const {
+    return file >= 1 && static_cast<uint64_t>(file) <= files_.size();
+  }
   size_t file_count() const { return files_.size(); }
   uint64_t total_bytes() const { return total_bytes_; }
 
@@ -83,7 +90,6 @@ class SimFileSystem {
   static constexpr size_t kMetadataCacheSlots = 512;
 
   struct File {
-    std::string name;
     uint64_t size = 0;
     uint64_t content_seed = 0;
     // Sparse write overlay: offset -> written bytes (non-overlapping).
@@ -109,15 +115,24 @@ class SimFileSystem {
 
    private:
     size_t slots_;
-    std::list<FileId> lru_;
-    std::unordered_map<FileId, std::list<FileId>::iterator> index_;
+    size_t size_ = 0;
+    IdLinks links_;
+    IdLinks::List lru_;  // Front = least recently used.
   };
+
+  File& file_at(FileId file) {
+    assert(Exists(file));
+    return files_[file - 1];
+  }
+  const File& file_at(FileId file) const {
+    assert(Exists(file));
+    return files_[file - 1];
+  }
 
   iolsim::SimContext* ctx_;
   iolite::BufferPool* pool_;
-  std::unordered_map<FileId, File> files_;
+  std::vector<File> files_;  // File `id` is files_[id - 1].
   std::unordered_map<std::string, FileId> by_name_;
-  FileId next_file_ = 1;
   uint64_t total_bytes_ = 0;
   MetadataCache metadata_cache_;
 };

@@ -28,11 +28,6 @@ void Aggregate::PushBack(Slice slice) {
   slices_.push_back(std::move(slice));
 }
 
-void Aggregate::PushFront(Slice slice) {
-  total_ += slice.length();
-  slices_.insert_at(0, std::move(slice));
-}
-
 void Aggregate::Append(Slice slice) {
   if (!slice.empty()) {
     PushBack(std::move(slice));
@@ -42,12 +37,6 @@ void Aggregate::Append(Slice slice) {
 void Aggregate::Append(const Aggregate& other) {
   for (const Slice& s : other.slices_) {
     PushBack(s);
-  }
-}
-
-void Aggregate::Prepend(Slice slice) {
-  if (!slice.empty()) {
-    PushFront(std::move(slice));
   }
 }
 

@@ -15,14 +15,14 @@
 #include <string>
 
 #include "src/iolite/slice.h"
-#include "src/iolite/small_vec.h"
+#include "src/simos/small_vec.h"
 
 namespace iolite {
 
 // Aggregates overwhelmingly name one or two slices (a cached body extent,
 // or header + body); four inline slots make typical request flows
 // allocation-free while long chains still spill to the heap.
-using SliceList = SmallVec<Slice, 4>;
+using SliceList = iolsim::SmallVec<Slice, 4>;
 
 class Aggregate {
  public:
@@ -45,7 +45,6 @@ class Aggregate {
 
   void Append(Slice slice);
   void Append(const Aggregate& other);
-  void Prepend(Slice slice);
   void Prepend(const Aggregate& other);
 
   // Keeps only the first `len` bytes.
@@ -117,7 +116,6 @@ class Aggregate {
 
  private:
   void PushBack(Slice slice);
-  void PushFront(Slice slice);
 
   SliceList slices_;
   size_t total_ = 0;

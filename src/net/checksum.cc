@@ -272,30 +272,32 @@ namespace {
 // and the blocks' partial sums add exactly.
 constexpr size_t kGenerateBlock = 4096;
 static_assert(kGenerateBlock % 2 == 0);
+static_assert(kGenerateBlock == size_t{1} << kBlockKeyLengthBits);
 
-// Partial sums of whole, aligned blocks of generated content: the sum of
-// content bytes [k * kGenerateBlock, (k + 1) * kGenerateBlock) for seed s
-// is a pure function of (s, k), so it is kept under that key. The table
-// is open-addressed with linear probing over a window of kProbe slots. It
-// is empty until the first Store and doubles whenever it is more than half
-// full, up to kBlockSumSlots; from then on a Store whose window is full
-// replaces the entry in the key's home slot. Nothing is ever erased, so
-// every entry stays within its window and a probe may stop at an empty
-// slot.
+// Partial sums of block prefixes of generated content: the sum of content
+// bytes [k * kGenerateBlock, k * kGenerateBlock + len) for seed s, with
+// 0 < len <= kGenerateBlock, is a pure function of (s, k, len), so it is
+// kept under that key. k and len share one word (BlockKey), so an entry is
+// 24 bytes. The table is open-addressed with linear probing over a window
+// of kProbe slots. It is empty until the first Store and doubles whenever
+// it is more than half full, up to kBlockSumSlots; from then on a Store
+// whose window is full replaces the entry in the key's home slot. Nothing
+// is ever erased, so every entry stays within its window and a probe may
+// stop at an empty slot.
 class BlockSumTable {
  public:
-  bool Lookup(uint64_t seed, uint64_t block, uint32_t* sum) const {
+  bool Lookup(uint64_t seed, uint64_t key, uint32_t* sum) const {
     if (slots_.empty()) {
       return false;
     }
     const size_t mask = slots_.size() - 1;
-    const size_t home = Hash(seed, block);
+    const size_t home = Hash(seed, key);
     for (size_t i = 0; i < kProbe; ++i) {
       const Entry& e = slots_[(home + i) & mask];
-      if (e.block == kEmpty) {
+      if (e.key == kEmpty) {
         return false;
       }
-      if (e.block == block && e.seed == seed) {
+      if (e.key == key && e.seed == seed) {
         *sum = e.sum;
         return true;
       }
@@ -303,12 +305,12 @@ class BlockSumTable {
     return false;
   }
 
-  // Stores the sum of a block that Lookup missed.
-  void Store(uint64_t seed, uint64_t block, uint32_t sum) {
+  // Stores the sum of a prefix that Lookup missed.
+  void Store(uint64_t seed, uint64_t key, uint32_t sum) {
     if (slots_.empty()) {
       slots_.assign(kInitialSlots, Entry{});
     }
-    while (!Place(Entry{seed, block, sum}, /*replace=*/slots_.size() == kBlockSumSlots)) {
+    while (!Place(Entry{seed, key, sum}, /*replace=*/slots_.size() == kBlockSumSlots)) {
       Grow();
     }
     if (used_ * 2 > slots_.size() && slots_.size() < kBlockSumSlots) {
@@ -317,19 +319,21 @@ class BlockSumTable {
   }
 
  private:
-  static constexpr uint64_t kEmpty = UINT64_MAX;  // No block index reaches it.
+  // No key reaches it: that would take a prefix ending at content offset
+  // 2^64 - 1.
+  static constexpr uint64_t kEmpty = UINT64_MAX;
   static constexpr size_t kProbe = 8;
   static constexpr size_t kInitialSlots = 256;
   static_assert((kBlockSumSlots & (kBlockSumSlots - 1)) == 0);
 
   struct Entry {
     uint64_t seed = 0;
-    uint64_t block = kEmpty;
+    uint64_t key = kEmpty;
     uint32_t sum = 0;
   };
 
-  static size_t Hash(uint64_t seed, uint64_t block) {
-    uint64_t h = (seed ^ (block * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull;
+  static size_t Hash(uint64_t seed, uint64_t key) {
+    uint64_t h = (seed ^ (key * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull;
     return static_cast<size_t>(h ^ (h >> 31));
   }
 
@@ -337,10 +341,10 @@ class BlockSumTable {
   // replaces the home slot's entry if `replace`, and fails otherwise.
   bool Place(const Entry& entry, bool replace) {
     const size_t mask = slots_.size() - 1;
-    const size_t home = Hash(entry.seed, entry.block);
+    const size_t home = Hash(entry.seed, entry.key);
     for (size_t i = 0; i < kProbe; ++i) {
       Entry& e = slots_[(home + i) & mask];
-      if (e.block == kEmpty) {
+      if (e.key == kEmpty) {
         e = entry;
         ++used_;
         return true;
@@ -359,7 +363,7 @@ class BlockSumTable {
     slots_.assign(2 * old.size(), Entry{});
     used_ = 0;
     for (const Entry& e : old) {
-      if (e.block != kEmpty) {
+      if (e.key != kEmpty) {
         Place(e, /*replace=*/false);
       }
     }
@@ -390,31 +394,34 @@ uint32_t GenerateSum(uint64_t seed, uint64_t start, size_t n) {
 // ChecksumAccumulate over a descriptor-backed slice's bytes, generated
 // instead of written into the buffer: its memory stays untouched. When the
 // slice's content starts at an even offset, the head up to the first
-// block boundary is even-length, so every whole block after it starts at
-// an even offset in the slice: its sum comes from the table (or is
-// generated once and stored) and adds exactly. Odd starts are summed
+// block boundary is even-length, so every piece after it starts at an even
+// offset in the slice: a whole block, or the prefix of the block the slice
+// ends in. Each such piece's sum comes from the table (or is generated
+// once and stored) and adds exactly. Heads and odd starts are summed
 // straight from the generator.
 uint32_t GenerateAndAccumulate(const iolite::Slice& s) {
   const iolite::Buffer& b = *s.buffer();
   const uint64_t seed = b.content_seed();
   const uint64_t start = b.content_offset() + s.offset();
   const uint64_t end = start + s.length();
-  const uint64_t first = (start + kGenerateBlock - 1) / kGenerateBlock;  // First whole block.
-  const uint64_t last = end / kGenerateBlock;                           // One past the last.
-  if (start % 2 != 0 || first >= last) {
+  if (start % 2 != 0) {
     return GenerateSum(seed, start, s.length());
   }
+  const uint64_t boundary = std::min(end, (start + kGenerateBlock - 1) / kGenerateBlock *
+                                              kGenerateBlock);
+  uint32_t sum = GenerateSum(seed, start, boundary - start);
   BlockSumTable& table = block_sums;
-  uint32_t sum = GenerateSum(seed, start, first * kGenerateBlock - start);
-  for (uint64_t k = first; k < last; ++k) {
+  for (uint64_t pos = boundary; pos < end; pos += kGenerateBlock) {
+    const size_t len = std::min<uint64_t>(kGenerateBlock, end - pos);
+    const uint64_t key = BlockKey(pos / kGenerateBlock, len);
     uint32_t partial;
-    if (!table.Lookup(seed, k, &partial)) {
-      partial = GenerateSum(seed, k * kGenerateBlock, kGenerateBlock);
-      table.Store(seed, k, partial);
+    if (!table.Lookup(seed, key, &partial)) {
+      partial = GenerateSum(seed, pos, len);
+      table.Store(seed, key, partial);
     }
     sum += partial;
   }
-  return sum + GenerateSum(seed, last * kGenerateBlock, end - last * kGenerateBlock);
+  return sum;
 }
 
 }  // namespace

@@ -15,21 +15,27 @@
 // write; the buffer itself stays unwritten.
 //
 // Generated content is a pure function of (content seed, offset), so the
-// sum of each whole, aligned 4 KB block of it is a pure function of
-// (content seed, block index). A block-sum table keeps those sums, keyed
-// by the full seed and block index, so a hit is exact: fresh buffers of
-// the same file content (every proxy level's copy, every machine's
-// materialization of one trace) generate each block once. The table is
-// thread_local: every machine a thread simulates shares it, no two threads
-// do, and it needs no lock. It is empty until the first described
-// checksum and grows with the distinct blocks it holds, up to
-// kBlockSumSlots entries; past that, new blocks replace old ones on
-// collision. It is used only when the slice's content starts at an even
-// offset: then the head before the first block boundary has even length,
-// every whole block starts at an even offset in the slice, and the pieces'
-// uint32_t partial sums add to exactly the sum of one pass over the slice.
-// Odd starts are generated whole. A table hit changes no simulated cost:
-// the cache key, CPU charge and counters are those of any cache miss.
+// sum of any prefix of an aligned 4 KB block of it -- the first len bytes
+// of block k, 0 < len <= 4096 -- is a pure function of (content seed, k,
+// len). A block-sum table keeps those sums, keyed by the full seed and
+// BlockKey(k, len), so a hit is exact: fresh buffers of the same file
+// content (every proxy level's copy, every machine's materialization of
+// one trace) generate each whole block, each file tail and each file under
+// 4 KB once. The key packs k and len into one word, so an entry is 24
+// bytes. The table is thread_local: every machine a thread simulates
+// shares it, no two threads do, and it needs no lock. It is empty until
+// the first described checksum and grows with the distinct prefixes it
+// holds, up to kBlockSumSlots entries; past that, new prefixes replace old
+// ones on collision.
+//
+// It is used only when the slice's content starts at an even offset. Then
+// the head before the first block boundary is generated and has even
+// length, every later piece -- each whole block, then the prefix of the
+// block the slice ends in -- starts at an even offset in the slice, and
+// the pieces' uint32_t partial sums add to exactly the sum of one pass over
+// the slice. Odd starts are generated whole. A table hit changes no
+// simulated cost: the cache key, CPU charge and counters are those of any
+// cache miss.
 
 #ifndef SRC_NET_CHECKSUM_H_
 #define SRC_NET_CHECKSUM_H_
@@ -64,6 +70,15 @@ uint32_t ChecksumAccumulateAvx2(const char* data, size_t n);
 // The block-sum table's entry cap (24 bytes each: 768 KB), exposed for
 // tests that overflow it.
 inline constexpr size_t kBlockSumSlots = size_t{1} << 15;
+
+// The block-sum table's key for the first `len` bytes (0 < len <= 4096) of
+// 4 KB block `block` of generated content: (block << 12) | len, with a
+// whole block's length written as 0. Distinct (block, len) pairs get
+// distinct keys for every block below 2^52, i.e. every content offset.
+inline constexpr int kBlockKeyLengthBits = 12;
+constexpr uint64_t BlockKey(uint64_t block, size_t len) {
+  return (block << kBlockKeyLengthBits) | (len & ((size_t{1} << kBlockKeyLengthBits) - 1));
+}
 
 // Folds a 32-bit accumulation into the 16-bit one's-complement sum.
 uint16_t ChecksumFold(uint32_t sum);

@@ -13,7 +13,7 @@
 #include <cstring>
 
 #include "src/iolite/slice.h"
-#include "src/iolite/small_vec.h"
+#include "src/simos/small_vec.h"
 
 namespace iolnet {
 
@@ -59,7 +59,7 @@ class MbufChain {
   }
 
   size_t length() const { return total_; }
-  const iolite::SmallVec<Mbuf, 4>& mbufs() const { return mbufs_; }
+  const iolsim::SmallVec<Mbuf, 4>& mbufs() const { return mbufs_; }
   bool empty() const { return mbufs_.empty(); }
 
   // Builds a chain from an aggregate: one external mbuf per slice. No data
@@ -75,7 +75,7 @@ class MbufChain {
  private:
   // Inline storage: a typical packet is one header mbuf plus a handful of
   // external payload mbufs, so chain construction touches no allocator.
-  iolite::SmallVec<Mbuf, 4> mbufs_;
+  iolsim::SmallVec<Mbuf, 4> mbufs_;
   size_t total_ = 0;
 };
 

@@ -1,17 +1,18 @@
 // SmallVec: a vector with inline storage for the first N elements.
 //
 // Buffer aggregates are passed among subsystems by value and almost always
-// name one or two slices (a body extent, a header + body pair); mbuf chains
-// are similar. Backing them with std::vector meant one heap allocation per
-// aggregate per request on the warm path. SmallVec keeps up to N elements
-// in place and only touches the heap beyond that, so the common case is
-// allocation-free while arbitrarily long aggregates still work.
+// name one or two slices (a body extent, a header + body pair); mbuf chains,
+// a file's cached extents and a chunk's per-domain mappings are similar.
+// Backing them with std::vector meant one heap allocation per object on the
+// warm path. SmallVec keeps up to N elements in place and only touches the
+// heap beyond that, so the common case is allocation-free while
+// arbitrarily long lists still work.
 //
-// Supports the subset of the std::vector interface the aggregate and mbuf
-// code uses; grows geometrically; never shrinks its heap allocation.
+// Supports the subset of the std::vector interface its users need; grows
+// geometrically; never shrinks its heap allocation.
 
-#ifndef SRC_IOLITE_SMALL_VEC_H_
-#define SRC_IOLITE_SMALL_VEC_H_
+#ifndef SRC_SIMOS_SMALL_VEC_H_
+#define SRC_SIMOS_SMALL_VEC_H_
 
 #include <cassert>
 #include <cstddef>
@@ -19,7 +20,7 @@
 #include <type_traits>
 #include <utility>
 
-namespace iolite {
+namespace iolsim {
 
 template <typename T, size_t N>
 class SmallVec {
@@ -107,16 +108,6 @@ class SmallVec {
     return *slot;
   }
 
-  // Inserts `v` before index `at` (0 == front).
-  void insert_at(size_t at, T v) {
-    assert(at <= size_);
-    emplace_back(std::move(v));  // Grows if needed; new element lands at the back...
-    for (size_t i = size_ - 1; i > at; --i) {  // ...then rotates into place.
-      using std::swap;
-      swap(data_[i], data_[i - 1]);
-    }
-  }
-
   // Removes the first `n` elements.
   void erase_front(size_t n) {
     assert(n <= size_);
@@ -192,6 +183,6 @@ class SmallVec {
   size_t capacity_ = N;
 };
 
-}  // namespace iolite
+}  // namespace iolsim
 
-#endif  // SRC_IOLITE_SMALL_VEC_H_
+#endif  // SRC_SIMOS_SMALL_VEC_H_

@@ -18,9 +18,33 @@ DomainId VmSystem::CreateDomain(const std::string& name) {
 
 void VmSystem::DestroyDomain(DomainId domain) {
   domains_.erase(domain);
-  for (auto& [id, chunk] : chunks_) {
-    chunk.mappings.erase(domain);
+  for (Chunk& chunk : chunks_) {
+    SmallVec<Mapping, 3>& m = chunk.mappings;
+    for (size_t i = 0; i < m.size(); ++i) {
+      if (m[i].domain == domain) {
+        m[i] = m.back();
+        m.resize_down(m.size() - 1);
+        break;
+      }
+    }
   }
+}
+
+const VmSystem::Chunk* VmSystem::Find(ChunkId chunk) const {
+  if (chunk < 1 || static_cast<uint64_t>(chunk) > chunks_.size()) {
+    return nullptr;
+  }
+  const Chunk& c = chunks_[chunk - 1];
+  return c.live ? &c : nullptr;
+}
+
+MapState& VmSystem::StateIn(Chunk& chunk, DomainId domain) {
+  for (Mapping& m : chunk.mappings) {
+    if (m.domain == domain) {
+      return m.state;
+    }
+  }
+  return chunk.mappings.emplace_back(Mapping{domain, MapState::kUnmapped}).state;
 }
 
 const std::string& VmSystem::DomainName(DomainId domain) const {
@@ -38,13 +62,14 @@ int VmSystem::PagesPerChunk() const {
 }
 
 ChunkId VmSystem::AllocateChunk(DomainId producer) {
-  ChunkId id = next_chunk_++;
-  Chunk& chunk = chunks_[id];
-  chunk.producer = producer;
+  Chunk& chunk = chunks_.emplace_back();
+  ChunkId id = static_cast<ChunkId>(chunks_.size());
+  chunk.live = true;
+  ++live_chunks_;
   // The kernel is trusted and keeps a permanent read/write mapping.
-  chunk.mappings[kKernelDomain] = MapState::kReadWrite;
+  chunk.mappings.push_back({kKernelDomain, MapState::kReadWrite});
   if (producer != kKernelDomain) {
-    chunk.mappings[producer] = MapState::kReadWrite;
+    chunk.mappings.push_back({producer, MapState::kReadWrite});
     ctx_->ChargeCpu(ctx_->cost().PageMapCost(PagesPerChunk()));
     ctx_->stats().pages_mapped += PagesPerChunk();
   }
@@ -52,12 +77,17 @@ ChunkId VmSystem::AllocateChunk(DomainId producer) {
   return id;
 }
 
-void VmSystem::FreeChunk(ChunkId chunk) { chunks_.erase(chunk); }
+void VmSystem::FreeChunk(ChunkId chunk) {
+  if (Chunk* c = Find(chunk)) {
+    *c = Chunk{};
+    --live_chunks_;
+  }
+}
 
 bool VmSystem::EnsureReadable(ChunkId chunk, DomainId domain) {
-  auto it = chunks_.find(chunk);
-  assert(it != chunks_.end() && "EnsureReadable on freed chunk");
-  MapState& state = it->second.mappings[domain];
+  Chunk* c = Find(chunk);
+  assert(c != nullptr && "EnsureReadable on freed chunk");
+  MapState& state = StateIn(*c, domain);
   if (state != MapState::kUnmapped) {
     return false;  // Mapping persists from an earlier transfer: free.
   }
@@ -69,12 +99,12 @@ bool VmSystem::EnsureReadable(ChunkId chunk, DomainId domain) {
 }
 
 void VmSystem::SetWritable(ChunkId chunk, DomainId domain, bool writable) {
-  auto it = chunks_.find(chunk);
-  assert(it != chunks_.end() && "SetWritable on freed chunk");
+  Chunk* c = Find(chunk);
+  assert(c != nullptr && "SetWritable on freed chunk");
   if (domain == kKernelDomain) {
     return;  // Trusted producer: permanent write permission, no toggling.
   }
-  MapState& state = it->second.mappings[domain];
+  MapState& state = StateIn(*c, domain);
   MapState target = writable ? MapState::kReadWrite : MapState::kReadOnly;
   if (state == target) {
     return;
@@ -107,12 +137,15 @@ bool VmSystem::CanWrite(ChunkId chunk, DomainId domain) const {
 }
 
 MapState VmSystem::StateOf(ChunkId chunk, DomainId domain) const {
-  auto it = chunks_.find(chunk);
-  if (it == chunks_.end()) {
-    return MapState::kUnmapped;
+  const Chunk* c = Find(chunk);
+  if (c != nullptr) {
+    for (const Mapping& m : c->mappings) {
+      if (m.domain == domain) {
+        return m.state;
+      }
+    }
   }
-  auto mit = it->second.mappings.find(domain);
-  return mit == it->second.mappings.end() ? MapState::kUnmapped : mit->second;
+  return MapState::kUnmapped;
 }
 
 }  // namespace iolsim

@@ -7,6 +7,12 @@
 // or none are. Read mappings are established lazily when an aggregate first
 // crosses into a domain and persist afterwards, which is what makes warm
 // cross-domain transfers approach shared-memory speed (Section 3.2).
+//
+// Chunk ids are handed out as 1, 2, 3, ... and chunks are freed only with
+// their pool, so chunks live in a dense array indexed by id (a freed chunk
+// leaves a dead slot). Each chunk keeps its per-domain states in a small
+// inline array: a chunk is mapped in one to three domains (the kernel, its
+// producer, a consumer), so a lookup scans a few adjacent words.
 
 #ifndef SRC_SIMOS_VM_H_
 #define SRC_SIMOS_VM_H_
@@ -15,6 +21,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "src/simos/small_vec.h"
 
 namespace iolsim {
 
@@ -73,21 +81,35 @@ class VmSystem {
 
   MapState StateOf(ChunkId chunk, DomainId domain) const;
 
-  bool ChunkExists(ChunkId chunk) const { return chunks_.count(chunk) > 0; }
-  size_t live_chunks() const { return chunks_.size(); }
+  bool ChunkExists(ChunkId chunk) const { return Find(chunk) != nullptr; }
+  size_t live_chunks() const { return live_chunks_; }
 
  private:
-  struct Chunk {
-    DomainId producer = kKernelDomain;
-    // Mapping state per domain. Small maps: few domains per chunk.
-    std::unordered_map<DomainId, MapState> mappings;
+  struct Mapping {
+    DomainId domain;
+    MapState state;
   };
+
+  struct Chunk {
+    bool live = false;
+    // Mapping state per domain, in no particular order; a domain without
+    // an element is unmapped.
+    SmallVec<Mapping, 3> mappings;
+  };
+
+  // The live chunk `chunk`, or null.
+  const Chunk* Find(ChunkId chunk) const;
+  Chunk* Find(ChunkId chunk) {
+    return const_cast<Chunk*>(static_cast<const VmSystem*>(this)->Find(chunk));
+  }
+  // `domain`'s state in `chunk`, added as kUnmapped when absent.
+  static MapState& StateIn(Chunk& chunk, DomainId domain);
 
   int PagesPerChunk() const;
 
   SimContext* ctx_;
-  ChunkId next_chunk_ = 1;
-  std::unordered_map<ChunkId, Chunk> chunks_;
+  std::vector<Chunk> chunks_;  // Chunk `id` is chunks_[id - 1].
+  size_t live_chunks_ = 0;
   std::unordered_map<DomainId, std::string> domains_;
   DomainId next_domain_ = 1;
 };

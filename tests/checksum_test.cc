@@ -1,8 +1,9 @@
 // Differential tests for the checksum path: the lane-parallel accumulation
 // kernels against a byte-wise RFC 1071 sum, the flat checksum cache
 // against the list + hash-map LRU it replaced, and sums of generated
-// content (from the generator and from the block-sum table) against sums
-// of the same bytes copied into ordinary buffers.
+// content (from the generator and from the block-sum table's whole blocks
+// and block prefixes) against sums of the same bytes copied into ordinary
+// buffers.
 
 #include <gtest/gtest.h>
 
@@ -474,6 +475,117 @@ TEST(BlockSumTableTest, HitChargesAsAMiss) {
   EXPECT_EQ(charge(written), miss_charge);
   EXPECT_EQ(std::get<1>(miss_charge), 3u * 4096);
   EXPECT_EQ(std::get<3>(miss_charge), 1u);
+}
+
+// --- Block-prefix sums ---------------------------------------------------------
+
+// A whole block's key and every prefix key of it and of its neighbours are
+// distinct.
+TEST(BlockPrefixTest, KeysOfDistinctPrefixesDiffer) {
+  for (uint64_t block : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{1} << 40}) {
+    std::vector<uint64_t> keys;
+    for (uint64_t k = block; k < block + 3; ++k) {
+      for (size_t len = 1; len <= 4096; ++len) {
+        keys.push_back(iolnet::BlockKey(k, len));
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end()) << "block " << block;
+  }
+}
+
+// Every prefix length of several blocks, adjacent ones included, summed
+// through fresh buffers (so the checksum cache misses) twice: first from
+// the generator, storing each prefix, then from the table. Each sum must
+// equal one pass over the same bytes, and so must the whole blocks read
+// after their prefixes are stored.
+TEST(BlockPrefixTest, EveryLengthAtSeveralBlocksMatchesEagerSums) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  const iolfs::FileId f = fs.CreateFile("prefixes", 1001 * 4096);
+  std::vector<char> bytes(2 * 4096);
+  for (uint64_t block : {0, 1, 7, 1000}) {
+    fs.ReadContent(f, block * 4096, bytes.data(), 4096);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t len = 1; len <= 4096; ++len) {
+        const uint16_t want = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), len));
+        iolite::BufferRef b = fs.ReadFromDisk(f, block * 4096, len);
+        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want)
+            << "block " << block << " len " << len << " pass " << pass;
+      }
+    }
+  }
+  // Two-block reads whose tails are the stored prefixes of block 1.
+  fs.ReadContent(f, 0, bytes.data(), 2 * 4096);
+  for (size_t len = 4097; len <= 2 * 4096; len += 97) {
+    const uint16_t want = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), len));
+    iolite::BufferRef b = fs.ReadFromDisk(f, 0, len);
+    ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want) << "len " << len;
+  }
+}
+
+// Whole files under 4 KB and whole files with a tail, read from disk and
+// as snapshots, then slices ending at the file's end from aligned, even
+// mid-block and odd starts: each twice through fresh buffers.
+TEST(BlockPrefixTest, SmallFilesAndTailsMatchEagerSums) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  for (uint64_t size : {1, 2, 3, 100, 2048, 4095, 4096, 4097, 8191, 3 * 4096 + 5}) {
+    const iolfs::FileId f = fs.CreateFile("small" + std::to_string(size), size);
+    const uint16_t whole = EagerChecksum(fs, copies, eager_sums, f, 0, size);
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(fs.ReadFromDisk(f, 0, size))), whole)
+          << "size " << size << " pass " << pass;
+      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(fs.ReadSnapshot(f, &disk))), whole)
+          << "size " << size << " pass " << pass;
+      for (uint64_t start : {uint64_t{4096}, uint64_t{4098}, uint64_t{5001}, size - 1}) {
+        if (start >= size) {
+          continue;
+        }
+        const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, start, size - start);
+        iolite::BufferRef b = fs.ReadFromDisk(f, start, size - start);
+        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want)
+            << "size " << size << " start " << start << " pass " << pass;
+      }
+    }
+  }
+}
+
+// More distinct (seed, block, length) prefixes than the table holds --
+// the first 64 lengths of block 0 of many files -- then every one again.
+TEST(BlockPrefixTest, PrefixStreamPastTheCapStillMatches) {
+  constexpr size_t kLengths = 64;
+  const size_t file_count = (iolnet::kBlockSumSlots + iolnet::kBlockSumSlots / 4) / kLengths;
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  std::vector<iolfs::FileId> files;
+  std::vector<uint16_t> want;
+  char bytes[kLengths];
+  for (size_t i = 0; i < file_count; ++i) {
+    const iolfs::FileId f = fs.CreateFile("p" + std::to_string(i), kLengths);
+    fs.ReadContent(f, 0, bytes, kLengths);
+    files.push_back(f);
+    for (size_t len = 1; len <= kLengths; ++len) {
+      want.push_back(iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes, len)));
+    }
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < file_count; ++i) {
+      for (size_t len = 1; len <= kLengths; ++len) {
+        iolite::BufferRef b = fs.ReadFromDisk(files[i], 0, len);
+        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want[i * kLengths + len - 1])
+            << "pass " << pass << " file " << i << " len " << len;
+      }
+    }
+  }
 }
 
 // Each thread has its own table. Four threads, each with its own context,

@@ -1,10 +1,22 @@
 // Tests for the simulated file system, the unified file cache, replacement
-// policies and the eviction trigger (Sections 3.5, 3.7, 4.2).
+// policies and the eviction trigger (Sections 3.5, 3.7, 4.2). The flat
+// cache metadata (GDS's indexed heap, the sorted per-file extent vectors)
+// is checked after every operation of random streams against the
+// node-based structures it replaced, kept here as oracles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/fs/file_cache.h"
@@ -265,6 +277,55 @@ TEST_F(FsTest, MetadataCacheAvoidsRepeatInodeReads) {
   EXPECT_EQ(sys_.ctx().stats().disk_reads, reads_before + 1);  // Hit.
 }
 
+// The metadata cache holds 512 inodes. Random touches over more files than
+// that miss exactly when a std::list LRU of 512 ids misses.
+TEST_F(FsTest, MetadataCacheMatchesAListLruOracle) {
+  constexpr size_t kSlots = 512;
+  std::vector<FileId> files;
+  for (int i = 0; i < 700; ++i) {
+    files.push_back(sys_.fs().CreateFile("m" + std::to_string(i), 10));
+  }
+  std::list<FileId> lru;  // Front = most recently used.
+  std::unordered_map<FileId, std::list<FileId>::iterator> pos;
+  iolsim::Rng rng(3);
+  for (int op = 0; op < 20000; ++op) {
+    // Mostly a hot set that fits, sometimes a cold file that evicts.
+    const FileId f = files[rng.NextBelow(4) == 0 ? rng.NextBelow(files.size()) : rng.NextBelow(400)];
+    bool want_hit = pos.count(f) > 0;
+    if (want_hit) {
+      lru.splice(lru.begin(), lru, pos[f]);
+    } else {
+      if (lru.size() >= kSlots) {
+        pos.erase(lru.back());
+        lru.pop_back();
+      }
+      lru.push_front(f);
+      pos[f] = lru.begin();
+    }
+    const uint64_t reads = sys_.ctx().stats().disk_reads;
+    sys_.fs().TouchMetadata(f);
+    ASSERT_EQ(sys_.ctx().stats().disk_reads, reads + (want_hit ? 0 : 1)) << "op " << op;
+  }
+}
+
+// File ids are 1..n: nothing else exists.
+TEST_F(FsTest, ExistsOnlyForHandedOutIds) {
+  EXPECT_FALSE(sys_.fs().Exists(iolfs::kInvalidFile));
+  EXPECT_FALSE(sys_.fs().Exists(0));
+  EXPECT_FALSE(sys_.fs().Exists(1));
+  FileId a = sys_.fs().CreateFile("a", 10);
+  FileId b = sys_.fs().CreateFile("b", 20);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 2);
+  EXPECT_TRUE(sys_.fs().Exists(a));
+  EXPECT_TRUE(sys_.fs().Exists(b));
+  EXPECT_FALSE(sys_.fs().Exists(0));
+  EXPECT_FALSE(sys_.fs().Exists(3));
+  EXPECT_FALSE(sys_.fs().Exists(iolfs::kInvalidFile));
+  EXPECT_EQ(sys_.fs().SizeOf(b), 20u);
+  EXPECT_EQ(sys_.fs().file_count(), 2u);
+}
+
 // --- FileIoService / cache behaviour ----------------------------------------
 
 TEST_F(FsTest, ReadExtentCachesAndHits) {
@@ -504,5 +565,466 @@ TEST_F(FsTest, CustomPolicyHookSwapsPolicies) {
   sys_.cache().EvictOne();
   EXPECT_EQ(sys_.cache().bytes(), before - 3000);
 }
+
+// A swapped-in policy sees the existing entries in the order they were
+// inserted, so plain LRU then evicts them oldest first.
+TEST_F(FsTest, SetPolicyReRegistersInInsertionOrder) {
+  std::vector<FileId> files;
+  for (int i = 0; i < 5; ++i) {
+    files.push_back(sys_.fs().CreateFile("o" + std::to_string(i), 100 * (i + 1)));
+    sys_.io().ReadExtent(files.back(), 0, 100 * (i + 1));
+  }
+  sys_.cache().SetPolicy(std::make_unique<PlainLruPolicy>());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(sys_.cache().EvictOne());
+    for (int j = 0; j < 5; ++j) {
+      EXPECT_EQ(sys_.cache().Contains(files[j]), j > i) << "after eviction " << i;
+    }
+  }
+}
+
+// Remainders of a trimmed entry share its buffer. The cache counts both
+// slices as its own, so neither entry is referenced until something
+// outside holds the buffer.
+TEST_F(FsTest, RemaindersSharingABufferAreNotReferenced) {
+  iolite::BufferPool& pool = *sys_.runtime().kernel_pool();
+  iolite::BufferRef shared = pool.AllocateFrom(std::string(300, 'a').data(), 300);
+  iolite::Buffer* raw = shared.get();
+  sys_.cache().Insert(5, 0, iolite::Aggregate::FromBuffer(std::move(shared)));
+  sys_.cache().Insert(5, 100, ioltest::AggFrom(&pool, std::string(100, 'b')));
+  ASSERT_EQ(sys_.cache().entry_count(), 3u);
+  ASSERT_EQ(raw->refcount(), 2);
+  // Ids are slots: the trimmed entry's slot 1 went to the left remainder,
+  // slot 2 to the right one, slot 3 to the written run.
+  EXPECT_FALSE(sys_.cache().IsReferenced(1));
+  EXPECT_FALSE(sys_.cache().IsReferenced(2));
+  std::optional<iolite::Aggregate> held = sys_.cache().Lookup(5, 250, 10);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_TRUE(sys_.cache().IsReferenced(1));
+  EXPECT_TRUE(sys_.cache().IsReferenced(2));
+  EXPECT_FALSE(sys_.cache().IsReferenced(3));
+}
+
+// --- Flat metadata against the node-based oracles ------------------------------
+
+class NullView : public iolfs::CacheView {
+ public:
+  bool IsReferenced(iolfs::EntryId) const override { return false; }
+};
+
+// GDS as it was: a std::set on (H, id) beside a hash map of each entry's H
+// and size. Its ids rise with every insert, as the cache's once did.
+class SetGdsOracle {
+ public:
+  void OnInsert(uint64_t id, size_t bytes) {
+    double h = PriorityFor(bytes);
+    meta_[id] = {h, bytes};
+    queue_.emplace(h, id);
+  }
+  void OnAccess(uint64_t id) {
+    std::pair<double, size_t>& m = meta_.at(id);
+    queue_.erase({m.first, id});
+    m.first = PriorityFor(m.second);
+    queue_.emplace(m.first, id);
+  }
+  void OnErase(uint64_t id) {
+    auto it = meta_.find(id);
+    if (it != meta_.end()) {
+      queue_.erase({it->second.first, id});
+      meta_.erase(it);
+    }
+  }
+  uint64_t ChooseVictim() {
+    if (queue_.empty()) {
+      return 0;
+    }
+    inflation_ = queue_.begin()->first;
+    return queue_.begin()->second;
+  }
+  double inflation() const { return inflation_; }
+
+ private:
+  double PriorityFor(size_t bytes) const {
+    return inflation_ + 1.0 / static_cast<double>(bytes == 0 ? 1 : bytes);
+  }
+  double inflation_ = 0.0;
+  std::set<std::pair<double, uint64_t>> queue_;
+  std::unordered_map<uint64_t, std::pair<double, size_t>> meta_;
+};
+
+// Sizes come from a set of three, so between two evictions every insert of
+// one size ties on H with the others. The heap sees the cache's recycled
+// slot ids, last freed first; the oracle sees ids that rise with every
+// insert. After every operation both are copied and drained, and the whole
+// victim sequences must match.
+TEST(GdsHeapOracleTest, RandomStreamsMatchTheSetOracle) {
+  NullView view;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    iolsim::Rng rng(seed);
+    GreedyDualSizePolicy heap;
+    SetGdsOracle oracle;
+    std::vector<uint64_t> free_slots;
+    uint64_t slot_count = 0;
+    uint64_t next_oracle_id = 1;
+    std::map<uint64_t, uint64_t> to_oracle;  // Live slot -> oracle id.
+    std::map<uint64_t, uint64_t> to_slot;    // Oracle id -> slot.
+    auto random_live = [&] {
+      auto it = to_oracle.begin();
+      std::advance(it, rng.NextBelow(to_oracle.size()));
+      return it->first;
+    };
+    auto erase = [&](uint64_t slot) {
+      heap.OnErase(slot);
+      oracle.OnErase(to_oracle.at(slot));
+      to_slot.erase(to_oracle.at(slot));
+      to_oracle.erase(slot);
+      free_slots.push_back(slot);
+    };
+    for (int op = 0; op < 2000; ++op) {
+      const uint64_t kind = rng.NextBelow(20);
+      if (kind < 8 || to_oracle.empty()) {
+        uint64_t slot;
+        if (free_slots.empty()) {
+          slot = ++slot_count;
+        } else {
+          slot = free_slots.back();
+          free_slots.pop_back();
+        }
+        constexpr size_t kSizes[] = {100, 250, 4096};
+        const size_t bytes = kSizes[rng.NextBelow(3)];
+        heap.OnInsert(slot, bytes);
+        oracle.OnInsert(next_oracle_id, bytes);
+        to_oracle[slot] = next_oracle_id;
+        to_slot[next_oracle_id++] = slot;
+      } else if (kind < 13) {
+        const uint64_t slot = random_live();
+        heap.OnAccess(slot);
+        oracle.OnAccess(to_oracle.at(slot));
+      } else if (kind < 15) {
+        erase(random_live());
+      } else {
+        const uint64_t victim = heap.ChooseVictim(view);
+        ASSERT_EQ(victim, to_slot.at(oracle.ChooseVictim())) << "seed " << seed << " op " << op;
+        erase(victim);
+      }
+      ASSERT_EQ(heap.inflation(), oracle.inflation());
+      GreedyDualSizePolicy heap_copy = heap;
+      SetGdsOracle oracle_copy = oracle;
+      for (size_t left = to_oracle.size(); left > 0; --left) {
+        const uint64_t victim = heap_copy.ChooseVictim(view);
+        const uint64_t want = oracle_copy.ChooseVictim();
+        ASSERT_EQ(victim, to_slot.at(want))
+            << "seed " << seed << " op " << op << " with " << left << " left";
+        heap_copy.OnErase(victim);
+        oracle_copy.OnErase(want);
+      }
+      ASSERT_EQ(heap_copy.ChooseVictim(view), iolfs::kNoEntry);
+    }
+  }
+}
+
+// The cache's extent bookkeeping as it was: per file a std::map from offset
+// to entry id, entries in a hash map under ids that rise with every insert,
+// and a std::list recency order for the policy under test (plain LRU, or
+// the Section 3.7 policy's oldest-unreferenced scan). Each entry keeps its
+// bytes and, per byte, the test buffer holding it: an entry is referenced
+// when any of its buffers is pinned by the test.
+class MapCacheOracle {
+ public:
+  explicit MapCacheOracle(bool paper_lru) : paper_lru_(paper_lru) {}
+
+  void Insert(FileId file, uint64_t offset, const std::string& bytes,
+              const std::vector<int>& buffers, uint64_t version) {
+    std::map<uint64_t, uint64_t>& runs = by_file_[file];
+    const uint64_t end = offset + bytes.size();
+    std::vector<uint64_t> overlapping;
+    auto it = runs.upper_bound(offset);
+    if (it != runs.begin()) {
+      const Entry& e = entries_.at(std::prev(it)->second);
+      if (e.offset + e.bytes.size() > offset) {
+        overlapping.push_back(std::prev(it)->second);
+      }
+    }
+    for (; it != runs.end() && it->first < end; ++it) {
+      overlapping.push_back(it->second);
+    }
+    std::vector<Entry> remainders;
+    for (uint64_t id : overlapping) {
+      const Entry e = entries_.at(id);
+      const uint64_t e_end = e.offset + e.bytes.size();
+      if (e.offset < offset) {
+        remainders.push_back(Slice(e, e.offset, offset));
+      }
+      if (e_end > end) {
+        remainders.push_back(Slice(e, end, e_end));
+      }
+      Erase(id);
+    }
+    for (const Entry& r : remainders) {
+      Add(r);
+    }
+    Add(Entry{file, offset, bytes, buffers, version});
+  }
+
+  std::optional<std::string> Lookup(FileId file, uint64_t offset, size_t length) {
+    auto fit = by_file_.find(file);
+    if (fit == by_file_.end()) {
+      return std::nullopt;
+    }
+    auto it = fit->second.upper_bound(offset);
+    if (it == fit->second.begin()) {
+      return std::nullopt;
+    }
+    --it;
+    std::string out;
+    std::vector<uint64_t> touched;
+    uint64_t pos = offset;
+    const uint64_t want_end = offset + length;
+    for (; pos < want_end; ++it) {
+      if (it == fit->second.end() || it->first > pos) {
+        return std::nullopt;
+      }
+      const Entry& e = entries_.at(it->second);
+      const uint64_t e_end = e.offset + e.bytes.size();
+      if (e_end <= pos) {
+        return std::nullopt;
+      }
+      const uint64_t to = std::min(e_end, want_end);
+      out += e.bytes.substr(pos - e.offset, to - pos);
+      touched.push_back(it->second);
+      pos = to;
+    }
+    for (uint64_t id : touched) {
+      lru_.splice(lru_.end(), lru_, lru_pos_.at(id));
+    }
+    return out;
+  }
+
+  void InvalidateFile(FileId file) {
+    for (uint64_t id : IdsOf(file)) {
+      Erase(id);
+    }
+  }
+
+  int InvalidateOlderThan(FileId file, uint64_t min_version) {
+    int dropped = 0;
+    for (uint64_t id : IdsOf(file)) {
+      if (entries_.at(id).version < min_version) {
+        Erase(id);
+        ++dropped;
+      }
+    }
+    return dropped;
+  }
+
+  int EnforceBudget(uint64_t budget, const std::set<int>& pinned) {
+    int evicted = 0;
+    while (bytes_ > budget && !lru_.empty()) {
+      uint64_t victim = lru_.front();
+      if (paper_lru_) {
+        for (uint64_t id : lru_) {
+          const std::vector<int>& bufs = entries_.at(id).buffers;
+          if (std::none_of(bufs.begin(), bufs.end(), [&](int b) { return pinned.count(b) > 0; })) {
+            victim = id;
+            break;
+          }
+        }
+      }
+      Erase(victim);
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  uint64_t VersionOf(FileId file) const {
+    uint64_t version = 0;
+    auto fit = by_file_.find(file);
+    if (fit != by_file_.end()) {
+      for (const auto& [off, id] : fit->second) {
+        version = std::max(version, entries_.at(id).version);
+      }
+    }
+    return version;
+  }
+
+  bool Contains(FileId file) const {
+    auto fit = by_file_.find(file);
+    return fit != by_file_.end() && !fit->second.empty();
+  }
+
+  std::set<std::tuple<FileId, uint64_t, size_t>> Extents() const {
+    std::set<std::tuple<FileId, uint64_t, size_t>> out;
+    for (const auto& [id, e] : entries_) {
+      out.emplace(e.file, e.offset, e.bytes.size());
+    }
+    return out;
+  }
+
+  uint64_t bytes() const { return bytes_; }
+  size_t entry_count() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    FileId file;
+    uint64_t offset;
+    std::string bytes;
+    std::vector<int> buffers;  // Per byte.
+    uint64_t version;
+  };
+
+  // The part of `e` covering file range [from, to).
+  static Entry Slice(const Entry& e, uint64_t from, uint64_t to) {
+    const size_t at = from - e.offset;
+    const size_t n = to - from;
+    return Entry{e.file, from, e.bytes.substr(at, n),
+                 std::vector<int>(e.buffers.begin() + at, e.buffers.begin() + at + n), e.version};
+  }
+
+  std::vector<uint64_t> IdsOf(FileId file) const {
+    std::vector<uint64_t> ids;
+    auto fit = by_file_.find(file);
+    if (fit != by_file_.end()) {
+      for (const auto& [off, id] : fit->second) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  }
+
+  void Add(Entry e) {
+    const uint64_t id = next_id_++;
+    bytes_ += e.bytes.size();
+    by_file_[e.file][e.offset] = id;
+    lru_pos_[id] = lru_.insert(lru_.end(), id);
+    entries_.emplace(id, std::move(e));
+  }
+
+  void Erase(uint64_t id) {
+    const Entry& e = entries_.at(id);
+    bytes_ -= e.bytes.size();
+    by_file_[e.file].erase(e.offset);
+    lru_.erase(lru_pos_.at(id));
+    lru_pos_.erase(id);
+    entries_.erase(id);
+  }
+
+  bool paper_lru_;
+  std::unordered_map<uint64_t, Entry> entries_;
+  std::map<FileId, std::map<uint64_t, uint64_t>> by_file_;
+  std::list<uint64_t> lru_;  // Front = least recently used.
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> lru_pos_;
+  uint64_t next_id_ = 1;
+  uint64_t bytes_ = 0;
+};
+
+// Sees every extent the cache creates and drops.
+class ExtentMirror : public iolfs::CacheMirror {
+ public:
+  void OnInsert(FileId file, uint64_t offset, const iolite::Aggregate& data) override {
+    EXPECT_TRUE(live.emplace(file, offset, data.size()).second);
+  }
+  void OnErase(FileId file, uint64_t offset, size_t length) override {
+    EXPECT_EQ(live.erase({file, offset, length}), 1u);
+  }
+  std::set<std::tuple<FileId, uint64_t, size_t>> live;
+};
+
+class FileCacheOracleTest : public ::testing::TestWithParam<bool> {};
+
+// Random overlapping inserts of one- and two-buffer aggregates over four
+// small files, lookups, invalidations and budget evictions, with buffers
+// pinned and unpinned by the test. After every operation the cache's
+// extents (seen through a mirror), bytes, entry count and per-file
+// version and membership equal the oracle's; every lookup returns the
+// same bytes, and every budget pass evicts as many entries.
+TEST_P(FileCacheOracleTest, RandomStreamsMatchTheMapOracle) {
+  const bool paper_lru = GetParam();
+  constexpr FileId kFiles = 4;
+  constexpr uint64_t kFileBytes = 256;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    iolsim::SimContext ctx;
+    iolite::BufferPool pool(&ctx, "cache", iolsim::kKernelDomain);
+    std::unique_ptr<iolfs::ReplacementPolicy> policy;
+    if (paper_lru) {
+      policy = std::make_unique<PaperLruPolicy>();
+    } else {
+      policy = std::make_unique<PlainLruPolicy>();
+    }
+    FileCache cache(&ctx, std::move(policy));
+    ExtentMirror mirror;
+    cache.set_mirror(&mirror);
+    MapCacheOracle oracle(paper_lru);
+    std::map<int, iolite::BufferRef> pinned;
+    std::set<int> pinned_ids;
+    int next_buffer = 0;
+    iolsim::Rng rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+      const FileId file = static_cast<FileId>(rng.NextBelow(kFiles));
+      const uint64_t kind = rng.NextBelow(20);
+      if (kind < 8) {
+        const uint64_t offset = rng.NextBelow(kFileBytes - 64);
+        iolite::Aggregate data;
+        std::string bytes;
+        std::vector<int> buffers;
+        for (uint64_t part = 0, parts = 1 + rng.NextBelow(2); part < parts; ++part) {
+          const size_t n = 1 + rng.NextBelow(32);
+          std::string chunk(n, '\0');
+          for (char& c : chunk) {
+            c = static_cast<char>('a' + rng.NextBelow(26));
+          }
+          iolite::BufferRef b = pool.AllocateFrom(chunk.data(), n);
+          if (rng.NextBelow(4) == 0) {
+            pinned[next_buffer] = b;
+            pinned_ids.insert(next_buffer);
+          }
+          data.Append(iolite::Aggregate::FromBuffer(std::move(b)));
+          bytes += chunk;
+          buffers.insert(buffers.end(), n, next_buffer++);
+        }
+        const uint64_t version = rng.NextBelow(4);
+        cache.Insert(file, offset, std::move(data), version);
+        oracle.Insert(file, offset, bytes, buffers, version);
+      } else if (kind < 13) {
+        const uint64_t offset = rng.NextBelow(kFileBytes);
+        const size_t length = 1 + rng.NextBelow(64);
+        std::optional<iolite::Aggregate> got = cache.Lookup(file, offset, length);
+        std::optional<std::string> want = oracle.Lookup(file, offset, length);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " op " << op;
+        if (got.has_value()) {
+          ASSERT_EQ(got->ToString(), *want) << "seed " << seed << " op " << op;
+        }
+      } else if (kind < 14) {
+        cache.InvalidateFile(file);
+        oracle.InvalidateFile(file);
+      } else if (kind < 16) {
+        const uint64_t min_version = rng.NextBelow(5);
+        ASSERT_EQ(cache.InvalidateOlderThan(file, min_version),
+                  oracle.InvalidateOlderThan(file, min_version));
+      } else if (kind < 18) {
+        const uint64_t budget = oracle.bytes() * rng.NextBelow(101) / 100;
+        ASSERT_EQ(cache.EnforceBudget(budget), oracle.EnforceBudget(budget, pinned_ids))
+            << "seed " << seed << " op " << op;
+      } else if (!pinned.empty()) {
+        auto it = pinned.begin();
+        std::advance(it, rng.NextBelow(pinned.size()));
+        pinned_ids.erase(it->first);
+        pinned.erase(it);
+      }
+      ASSERT_EQ(mirror.live, oracle.Extents()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(cache.bytes(), oracle.bytes());
+      ASSERT_EQ(cache.entry_count(), oracle.entry_count());
+      for (FileId f = 0; f <= kFiles; ++f) {
+        ASSERT_EQ(cache.Contains(f), oracle.Contains(f)) << "file " << f;
+        ASSERT_EQ(cache.VersionOf(f), oracle.VersionOf(f)) << "file " << f;
+      }
+    }
+    cache.set_mirror(nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, FileCacheOracleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PaperLru" : "PlainLru";
+                         });
 
 }  // namespace

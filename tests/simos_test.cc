@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "src/simos/cost_model.h"
@@ -17,8 +20,12 @@ namespace {
 using iolsim::CostModel;
 using iolsim::CostParams;
 using iolsim::EventQueue;
+using iolsim::ChunkId;
+using iolsim::DomainId;
+using iolsim::kKernelDomain;
 using iolsim::kMicrosecond;
 using iolsim::kSecond;
+using iolsim::MapState;
 using iolsim::MemoryModel;
 using iolsim::Resource;
 using iolsim::SimContext;
@@ -316,6 +323,137 @@ TEST_F(VmTest, TallyModeAccumulatesInsteadOfAdvancing) {
   }
   EXPECT_EQ(ctx_.clock().now(), before);
   EXPECT_GT(tally.cpu, 0);
+}
+
+// The VM system's chunk table as it was: a hash map of chunks, each with a
+// hash map of per-domain states, and the same charging rules, counted in
+// three tallies.
+class MapVmOracle {
+ public:
+  explicit MapVmOracle(int pages_per_chunk) : pages_(pages_per_chunk) {}
+
+  ChunkId AllocateChunk(DomainId producer) {
+    ChunkId id = next_chunk_++;
+    std::unordered_map<DomainId, MapState>& m = chunks_[id];
+    m[kKernelDomain] = MapState::kReadWrite;
+    if (producer != kKernelDomain) {
+      m[producer] = MapState::kReadWrite;
+      pages_mapped += pages_;
+    }
+    chunk_map_ops++;
+    return id;
+  }
+  void FreeChunk(ChunkId chunk) { chunks_.erase(chunk); }
+  bool EnsureReadable(ChunkId chunk, DomainId domain) {
+    MapState& state = chunks_.at(chunk)[domain];
+    if (state != MapState::kUnmapped) {
+      return false;
+    }
+    state = MapState::kReadOnly;
+    pages_mapped += pages_;
+    chunk_map_ops++;
+    return true;
+  }
+  void SetWritable(ChunkId chunk, DomainId domain, bool writable) {
+    if (domain == kKernelDomain) {
+      return;
+    }
+    MapState& state = chunks_.at(chunk)[domain];
+    MapState target = writable ? MapState::kReadWrite : MapState::kReadOnly;
+    if (state == target) {
+      return;
+    }
+    if (state == MapState::kUnmapped) {
+      pages_mapped += pages_;
+      chunk_map_ops++;
+    } else {
+      page_protect_ops++;
+    }
+    state = target;
+  }
+  void DestroyDomain(DomainId domain) {
+    for (auto& [id, m] : chunks_) {
+      m.erase(domain);
+    }
+  }
+  bool ChunkExists(ChunkId chunk) const { return chunks_.count(chunk) > 0; }
+  MapState StateOf(ChunkId chunk, DomainId domain) const {
+    auto it = chunks_.find(chunk);
+    if (it == chunks_.end()) {
+      return MapState::kUnmapped;
+    }
+    auto mit = it->second.find(domain);
+    return mit == it->second.end() ? MapState::kUnmapped : mit->second;
+  }
+  size_t live_chunks() const { return chunks_.size(); }
+  ChunkId next_chunk() const { return next_chunk_; }
+  const std::map<ChunkId, std::unordered_map<DomainId, MapState>>& chunks() const {
+    return chunks_;
+  }
+
+  uint64_t pages_mapped = 0;
+  uint64_t chunk_map_ops = 0;
+  uint64_t page_protect_ops = 0;
+
+ private:
+  int pages_;
+  ChunkId next_chunk_ = 1;
+  std::map<ChunkId, std::unordered_map<DomainId, MapState>> chunks_;
+};
+
+// Random domain creation and destruction (the kernel's included), chunk
+// allocation by any domain, frees, read grants and write toggles. After
+// every operation each (chunk, domain) pair in range -- freed chunks, ids
+// never handed out and -1 included -- reads the same state, access and
+// existence from both, and the mapping counters agree.
+TEST_F(VmTest, RandomStreamsMatchTheMapOracle) {
+  const CostParams& p = ctx_.cost().params();
+  MapVmOracle oracle(p.chunk_size / p.page_size);
+  const iolsim::SimStats base = ctx_.stats();
+  iolsim::Rng rng(7);
+  DomainId max_domain = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const uint64_t kind = rng.NextBelow(20);
+    const DomainId domain = static_cast<DomainId>(rng.NextBelow(max_domain + 2));
+    std::vector<ChunkId> live;
+    for (const auto& [id, m] : oracle.chunks()) {
+      live.push_back(id);
+    }
+    const ChunkId chunk = live.empty() ? iolsim::kInvalidChunk : live[rng.NextBelow(live.size())];
+    if (max_domain == 0 || (kind < 1 && max_domain < 6)) {
+      max_domain = ctx_.vm().CreateDomain("d");
+    } else if (kind < 2) {
+      ctx_.vm().DestroyDomain(domain);
+      oracle.DestroyDomain(domain);
+    } else if (live.empty() || (kind < 6 && live.size() < 12)) {
+      const DomainId producer = std::min(domain, max_domain);
+      ASSERT_EQ(ctx_.vm().AllocateChunk(producer), oracle.AllocateChunk(producer));
+    } else if (kind < 7) {
+      ctx_.vm().FreeChunk(chunk);
+      oracle.FreeChunk(chunk);
+    } else if (kind < 14) {
+      ASSERT_EQ(ctx_.vm().EnsureReadable(chunk, domain), oracle.EnsureReadable(chunk, domain));
+    } else {
+      const bool writable = rng.NextBelow(2) == 0;
+      ctx_.vm().SetWritable(chunk, domain, writable);
+      oracle.SetWritable(chunk, domain, writable);
+    }
+    ASSERT_EQ(ctx_.vm().live_chunks(), oracle.live_chunks()) << "op " << op;
+    ASSERT_EQ(ctx_.stats().pages_mapped - base.pages_mapped, oracle.pages_mapped);
+    ASSERT_EQ(ctx_.stats().chunk_map_ops - base.chunk_map_ops, oracle.chunk_map_ops);
+    ASSERT_EQ(ctx_.stats().page_protect_ops - base.page_protect_ops, oracle.page_protect_ops);
+    for (ChunkId c = -1; c <= oracle.next_chunk(); ++c) {
+      ASSERT_EQ(ctx_.vm().ChunkExists(c), oracle.ChunkExists(c)) << "op " << op << " chunk " << c;
+      for (DomainId d = -1; d <= max_domain + 1; ++d) {
+        const MapState want = oracle.StateOf(c, d);
+        ASSERT_EQ(ctx_.vm().StateOf(c, d), want) << "op " << op << " chunk " << c << " domain " << d;
+        const bool exists = oracle.ChunkExists(c);
+        ASSERT_EQ(ctx_.vm().CanRead(c, d),
+                  d == kKernelDomain ? exists : want != MapState::kUnmapped);
+        ASSERT_EQ(ctx_.vm().CanWrite(c, d), d == kKernelDomain ? exists : want == MapState::kReadWrite);
+      }
+    }
+  }
 }
 
 }  // namespace
