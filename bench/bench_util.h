@@ -164,7 +164,8 @@ class JsonReporter {
                    "\"availability\": %.8g, \"error_rate\": %.8g, "
                    "\"retries\": %llu, \"goodput_mbps\": %.6g, "
                    "\"staleness_p99_ms\": %.6g, \"stale_serves\": %llu, "
-                   "\"cdn_writes\": %llu, \"origin_fleet_fetches\": %llu",
+                   "\"cdn_writes\": %llu, \"origin_fleet_fetches\": %llu, "
+                   "\"corrupt_responses\": %llu",
                    i == 0 ? "" : ",", row.series.c_str(), row.x, row.value, r.proxy_hit_rate,
                    r.origin_hit_rate,
                    static_cast<unsigned long long>(r.bytes_copied_backhaul),
@@ -172,7 +173,8 @@ class JsonReporter {
                    static_cast<unsigned long long>(r.retries), r.megabits_per_sec,
                    r.staleness.p99_ms, static_cast<unsigned long long>(r.stale_serves),
                    static_cast<unsigned long long>(r.cdn_writes),
-                   static_cast<unsigned long long>(r.origin_fleet_fetches));
+                   static_cast<unsigned long long>(r.origin_fleet_fetches),
+                   static_cast<unsigned long long>(r.corrupt_responses));
       if (row.has_latency) {
         std::fprintf(f,
                      ", \"requests\": %llu, \"cache_hit_rate\": %.6g, \"p50_ms\": %.6g, "

@@ -96,7 +96,7 @@ case "$fig" in
     # breakdown, and all three consistency protocols plus the flat baseline
     # appear.
     grep -q '"figure": "fig_cdn_hierarchy"' "$f" || fail "wrong figure"
-    need_fields staleness_p99_ms stale_serves cdn_writes origin_fleet_fetches
+    need_fields staleness_p99_ms stale_serves cdn_writes origin_fleet_fetches corrupt_responses
     need_fields levels hit_rate backhaul_bytes invalidations_sent revalidation_bytes
     need_series flat tree-edge-heavy invalidate/edge-heavy revalidate/edge-heavy stale/edge-heavy
     ;;

@@ -310,6 +310,7 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
     lane_events_.push_back(stats.events_dispatched - machine.events_base);
     hits += stats.cache_hits;
     lookups += stats.cache_hits + stats.cache_misses;
+    result.corrupt_responses += stats.corrupt_responses;
     result.peak_concurrent += machine.peak;
   }
   for (uint64_t events : lane_events_) {

@@ -154,6 +154,9 @@ struct ExperimentResult {
   int peak_concurrent = 0;
   // Arrivals that had to wait in an accept queue (max_concurrent).
   uint64_t admission_waits = 0;
+  // Responses that failed the delivery check (SimStats::corrupt_responses)
+  // on the run's machines, since each was built. 0 in a correct run.
+  uint64_t corrupt_responses = 0;
   // End-to-end latency (issue to last response byte) of counted requests.
   LatencySummary latency;
   std::vector<ServerShare> per_server;

@@ -65,14 +65,31 @@ uint8_t SimFileSystem::ContentByteAt(FileId file, uint64_t offset) const {
   return iolite::ContentByte(f.content_seed, offset);
 }
 
-void SimFileSystem::ReadContent(FileId file, uint64_t offset, char* dst, size_t n) const {
+void SimFileSystem::ReadContent(FileId file, uint64_t offset, char* dst, size_t n,
+                                uint64_t version) const {
   const File& f = file_at(file);
   assert(offset + n <= f.size && "read past end of file");
-  FillRange(f, offset, dst, n);
+  FillRange(f, VersionSeed(f, version), offset, dst, n);
 }
 
-void SimFileSystem::FillRange(const File& f, uint64_t offset, char* dst, size_t n) {
-  iolite::FillContent(f.content_seed, offset, dst, n);
+uint64_t SimFileSystem::ContentSeed(FileId file, uint64_t version) const {
+  return VersionSeed(file_at(file), version);
+}
+
+uint64_t SimFileSystem::VersionSeed(const File& f, uint64_t version) {
+  if (version == 0) {
+    return f.content_seed;
+  }
+  // splitmix64 of the pair: distinct versions get unrelated seeds.
+  uint64_t z = f.content_seed + version * 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+void SimFileSystem::FillRange(const File& f, uint64_t seed, uint64_t offset, char* dst,
+                              size_t n) {
+  iolite::FillContent(seed, offset, dst, n);
   // Most-recent write wins: the overlay runs are disjoint, so copying each
   // one that overlaps the range over the generated bytes yields exactly
   // what ContentByteAt returns per byte.
@@ -90,17 +107,17 @@ void SimFileSystem::FillRange(const File& f, uint64_t offset, char* dst, size_t 
   }
 }
 
-iolite::BufferRef SimFileSystem::ContentBuffer(const File& f, uint64_t offset, size_t length,
-                                               iolite::BufferPool* pool) {
+iolite::BufferRef SimFileSystem::ContentBuffer(const File& f, uint64_t seed, uint64_t offset,
+                                               size_t length, iolite::BufferPool* pool) {
   iolite::BufferRef buffer = pool->Allocate(length);
   if (pool->heap_backed() && !OverlayIntersects(f, offset, length)) {
     // Only data() reads a heap pool's bytes, so they wait for it; the
-    // checksum module sums them straight from the generator.
-    buffer->SealDescribed(f.content_seed, offset, length);
+    // checksum module sums them only if a reader asks for the sum.
+    buffer->SealDescribed(seed, offset, length);
   } else {
     // Other processes read a region's bytes directly, and written runs
     // must be copied over the generated bytes: write them now.
-    FillRange(f, offset, buffer->writable_data(), length);
+    FillRange(f, seed, offset, buffer->writable_data(), length);
     buffer->Seal(length);
   }
   return buffer;
@@ -129,12 +146,13 @@ iolite::BufferRef SimFileSystem::ReadFromDisk(FileId file, uint64_t offset, size
   ctx_->stats().disk_bytes_read += length;
 
   // DMA fill: real bytes, no CPU charge.
-  return ContentBuffer(f, offset, length, pool_);
+  return ContentBuffer(f, f.content_seed, offset, length, pool_);
 }
 
-iolite::BufferRef SimFileSystem::ReadSnapshot(FileId file, iolite::BufferPool* pool) const {
+iolite::BufferRef SimFileSystem::ReadSnapshot(FileId file, iolite::BufferPool* pool,
+                                              uint64_t version) const {
   const File& f = file_at(file);
-  return ContentBuffer(f, 0, f.size, pool);
+  return ContentBuffer(f, VersionSeed(f, version), 0, f.size, pool);
 }
 
 void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggregate& data) {

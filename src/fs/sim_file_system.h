@@ -66,11 +66,12 @@ class SimFileSystem {
   // Charges disk service time; the fill itself is DMA (no CPU).
   iolite::BufferRef ReadFromDisk(FileId file, uint64_t offset, size_t length);
 
-  // A sealed buffer from `pool` holding the file's whole current content,
-  // charging nothing: the bytes another machine's disk holds, as they
-  // arrive over a network. Descriptor-backed under the same rules as
-  // ReadFromDisk. The file must not be empty.
-  iolite::BufferRef ReadSnapshot(FileId file, iolite::BufferPool* pool) const;
+  // A sealed buffer from `pool` holding the file's whole content at
+  // `version` (see ContentSeed), charging nothing: the bytes another
+  // machine's disk holds, as they arrive over a network. Descriptor-backed
+  // under the same rules as ReadFromDisk. The file must not be empty.
+  iolite::BufferRef ReadSnapshot(FileId file, iolite::BufferPool* pool,
+                                 uint64_t version = 0) const;
 
   // Writes `data` at `offset` (write-through: disk time charged now). The
   // overlay remembers the bytes so later disk reads return them; the file
@@ -83,8 +84,22 @@ class SimFileSystem {
   uint8_t ContentByteAt(FileId file, uint64_t offset) const;
 
   // The bytes a disk read of [offset, offset+n) returns, written to `dst`
-  // without charging anything: the bulk form of ContentByteAt.
-  void ReadContent(FileId file, uint64_t offset, char* dst, size_t n) const;
+  // without charging anything: the bulk form of ContentByteAt. A nonzero
+  // `version` reads that version's bytes instead (see ContentSeed).
+  void ReadContent(FileId file, uint64_t offset, char* dst, size_t n,
+                   uint64_t version = 0) const;
+
+  // The seed FillContent generates `file`'s unwritten bytes from at
+  // `version`. Version 0 is what this disk holds. The CDN consistency plane
+  // (src/cdn) models an origin write as a version bump, not a disk write;
+  // each later version generates from a seed of its own, so copies of
+  // different versions hold different bytes.
+  uint64_t ContentSeed(FileId file, uint64_t version = 0) const;
+
+  // True when a write (WriteToDisk) overlaps [offset, offset+n) of `file`.
+  bool Written(FileId file, uint64_t offset, size_t n) const {
+    return OverlayIntersects(file_at(file), offset, n);
+  }
 
  private:
   static constexpr size_t kMetadataCacheSlots = 512;
@@ -96,15 +111,19 @@ class SimFileSystem {
     std::map<uint64_t, std::string> overlay;
   };
 
-  // Writes the content of `f` over [offset, offset+n) to `dst`.
-  static void FillRange(const File& f, uint64_t offset, char* dst, size_t n);
+  static uint64_t VersionSeed(const File& f, uint64_t version);
+
+  // Writes the content of `f` over [offset, offset+n) to `dst`, its
+  // unwritten bytes generated from `seed`.
+  static void FillRange(const File& f, uint64_t seed, uint64_t offset, char* dst, size_t n);
 
   // True when a written run overlaps [offset, offset+n).
   static bool OverlayIntersects(const File& f, uint64_t offset, size_t n);
 
-  // A sealed buffer from `pool` holding [offset, offset+length) of `f`.
-  static iolite::BufferRef ContentBuffer(const File& f, uint64_t offset, size_t length,
-                                         iolite::BufferPool* pool);
+  // A sealed buffer from `pool` holding [offset, offset+length) of `f`,
+  // its unwritten bytes generated from `seed`.
+  static iolite::BufferRef ContentBuffer(const File& f, uint64_t seed, uint64_t offset,
+                                         size_t length, iolite::BufferPool* pool);
 
   // LRU set of file ids whose metadata is resident.
   class MetadataCache {

@@ -36,6 +36,7 @@ LiteCgiProcess::LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* r
   }
   iolite::BufferPool* pool = runtime->CreatePool("cgi-pool", domain_);
   doc_ = iolite::Aggregate::FromBuffer(pool->AllocateFrom(bytes.data(), doc_bytes));
+  doc_checksum_ = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), doc_bytes));
 }
 
 void LiteCgiProcess::ProduceResponse(iolite::PipeChannel* channel) {
@@ -181,6 +182,12 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
                     ctx_->ChargeCpu(ctx_->cost().SyscallCost());
                     ctx_->stats().syscalls++;
                     req->response_bytes = req->conn->SendAggregate(response);
+                    // Delivery check: the body must be the CGI document,
+                    // compared by length and checksum.
+                    if (agg.size() != cgi_.doc_bytes() ||
+                        net_->checksum().PeekChecksum(agg) != cgi_.doc_checksum()) {
+                      ctx_->stats().corrupt_responses++;
+                    }
                     ReleaseBody(body);
                   },
                   [this, req] { TransmitStage(req); });

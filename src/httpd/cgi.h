@@ -53,11 +53,15 @@ class LiteCgiProcess {
 
   size_t doc_bytes() const { return doc_.size(); }
   iolsim::DomainId domain() const { return domain_; }
+  // The Internet checksum of the document's bytes, as generated: what the
+  // delivery check expects every response body to sum to.
+  uint16_t doc_checksum() const { return doc_checksum_; }
 
  private:
   iolsim::SimContext* ctx_;
   iolsim::DomainId domain_;
   iolite::Aggregate doc_;
+  uint16_t doc_checksum_;
 };
 
 // Flash (or Apache) serving FastCGI content over a copy-based pipe.

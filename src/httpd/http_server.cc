@@ -4,8 +4,46 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 namespace iolhttp {
+
+namespace {
+
+bool BodyMatchesFile(iolnet::ChecksumModule& sums, const iolfs::SimFileSystem& fs,
+                     const iolite::Aggregate& body, iolfs::FileId file, uint64_t version) {
+  if (!fs.Exists(file) || body.size() != fs.SizeOf(file)) {
+    return false;
+  }
+  const uint64_t seed = fs.ContentSeed(file, version);
+  std::vector<char> bytes;
+  uint64_t pos = 0;  // The file offset the next slice must start at.
+  for (const iolite::Slice& s : body.slices()) {
+    const iolite::Buffer& b = *s.buffer();
+    if (b.described() && !fs.Written(file, pos, s.length())) {
+      if (b.content_seed() != seed || b.content_offset() + s.offset() != pos) {
+        return false;
+      }
+    } else {
+      bytes.resize(s.length());
+      fs.ReadContent(file, pos, bytes.data(), s.length(), version);
+      if (sums.SliceSum(s) != iolnet::ChecksumAccumulate(bytes.data(), s.length())) {
+        return false;
+      }
+    }
+    pos += s.length();
+  }
+  return true;
+}
+
+}  // namespace
+
+void HttpServer::CheckDelivery(const iolite::Aggregate& body, iolfs::FileId file,
+                               uint64_t version) {
+  if (!BodyMatchesFile(net_->checksum(), io_->fs(), body, file, version)) {
+    ctx_->stats().corrupt_responses++;
+  }
+}
 
 size_t HttpServer::HandleRequest(iolnet::TcpConnection* conn, iolfs::FileId file) {
   assert(!ctx_->tally_active());
@@ -160,6 +198,7 @@ void FlashLiteServer::StartRequest(RequestContext* req) {
                     ctx_->ChargeCpu(ctx_->cost().SyscallCost());
                     ctx_->stats().syscalls++;
                     req->response_bytes = req->conn->SendAggregate(response);
+                    CheckDelivery(body, req->file, 0);
                   },
                   [this, req] { TransmitStage(req); });
             });

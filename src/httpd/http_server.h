@@ -99,6 +99,18 @@ class HttpServer {
     req->conn->TransmitAsync(req->response_bytes, [req] { req->on_done(req); });
   }
 
+  // The IO-Lite send path's delivery check: counts a corrupt response
+  // (SimStats::corrupt_responses) unless `body` is exactly `file`'s content
+  // at `version` (SimFileSystem::ContentSeed). The slices' lengths must add
+  // up to the file's size. A slice of a described buffer over unwritten
+  // bytes compares by descriptor -- seed, content offset and contiguity --
+  // in O(1), forcing no sum. Any other slice compares its partial sum (the
+  // checksum cache's) with the sum of the file's bytes over the same range.
+  // It charges, counts and reorders nothing else. Copy-path sends
+  // (TcpConnection::SendScratch) are not checked: their bytes are private
+  // copies with no content identity to compare.
+  void CheckDelivery(const iolite::Aggregate& body, iolfs::FileId file, uint64_t version);
+
   iolsim::SimContext* ctx_;
   iolnet::NetworkSubsystem* net_;
   iolfs::FileIoService* io_;

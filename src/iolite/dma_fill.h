@@ -4,12 +4,12 @@
 // (BufferPool::AllocateDma) writes an xorshift64 stream seeded per
 // transfer, at allocation. Disk content (SimFileSystem) is per-offset, so
 // any subrange of a file regenerates independently: a disk buffer may hold
-// a descriptor instead of bytes, written by Buffer::data() on first read,
-// and the checksum module sums a described range by generating it in
-// blocks. It keeps the sum of each whole, aligned 4 KB block per thread,
-// keyed by (seed, block index), so a block generates once however many
-// buffers describe it (checksum.h). Both fills are free in simulated time. On the host they run
-// lane-parallel and stay byte-identical to the serial definitions:
+// a descriptor instead of bytes, written by Buffer::data() on first read.
+// The checksum module keeps a described range's sum as that descriptor and
+// generates the range, 4 KB at a time on the stack, only when a reader
+// forces the sum (checksum.h). Both fills are free in simulated time. On
+// the host they run lane-parallel and stay byte-identical to the serial
+// definitions:
 //
 //   xorshift  byte i = byte (i mod 8) of x_{i+1}, where x_0 = seed * phi + 1
 //             and x_{k+1} = T(x_k) is one xorshift64 (13, 7, 17) step.
@@ -34,9 +34,16 @@ namespace iolite {
 // Writes the first `n` bytes of the xorshift stream for `seed` to `dst`.
 void FillXorshift(uint64_t seed, char* dst, size_t n);
 
+// Content bytes depend on (seed, offset) only through this one word, so
+// content bytes [offset, offset + n) for `seed` are content bytes [0, n)
+// for ContentOrigin(seed, offset): one word names a described run.
+inline uint64_t ContentOrigin(uint64_t seed, uint64_t offset) {
+  return seed + offset * 0x9e3779b97f4a7c15ull;
+}
+
 // Disk content of a file whose content seed is `seed`, at `offset`.
 inline uint8_t ContentByte(uint64_t seed, uint64_t offset) {
-  uint64_t z = seed + offset * 0x9e3779b97f4a7c15ull;
+  uint64_t z = ContentOrigin(seed, offset);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return static_cast<uint8_t>((z ^ (z >> 31)) & 0xff);

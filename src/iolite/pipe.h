@@ -77,8 +77,6 @@ class PipeReadStream : public Stream {
     return 0;  // Read end is not writable.
   }
 
-  size_t ReadableBytes() const override { return channel_->bytes_queued(); }
-
  private:
   std::shared_ptr<PipeChannel> channel_;
 };

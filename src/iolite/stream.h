@@ -29,10 +29,6 @@ class Stream {
   // Replaces/extends the external data object with the aggregate's
   // contents; returns bytes accepted.
   virtual size_t Write(iolsim::DomainId writer, const Aggregate& agg) = 0;
-
-  // Bytes immediately available for Read without blocking, if the stream
-  // can know (pipes); SIZE_MAX for "unbounded / not applicable".
-  virtual size_t ReadableBytes() const { return SIZE_MAX; }
 };
 
 }  // namespace iolite

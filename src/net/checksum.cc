@@ -155,7 +155,7 @@ uint32_t ChecksumCache::Find(const Key& key, uint32_t hash) const {
     if (slot.entry == kNil) {
       return kNil;
     }
-    if (slot.hash == hash && entries_[slot.entry].key == key) {
+    if (slot.hash == hash && KeyOf(entries_[slot.entry]) == key) {
       return pos;
     }
   }
@@ -200,42 +200,94 @@ void ChecksumCache::PushFront(uint32_t e) {
   head_ = e;
 }
 
-void ChecksumCache::Touch(uint32_t e) {
+void ChecksumCache::MoveToFront(uint32_t e) {
   if (e != head_) {
     Unlink(e);
     PushFront(e);
   }
 }
 
-bool ChecksumCache::Lookup(const Key& key, uint32_t* sum) {
+uint32_t ChecksumCache::EntryOf(const Key& key) const {
   uint32_t pos = Find(key, Hash(key));
-  if (pos == kNil) {
+  return pos == kNil ? kNil : index_[pos].entry;
+}
+
+namespace {
+
+// The sum, as ChecksumAccumulate computes it, of generated content bytes
+// [offset, offset + n) for `seed`, generated 4 KB at a time on the stack.
+uint32_t GeneratedSum(uint64_t seed, uint64_t offset, size_t n) {
+  // Small enough to stay in L1, and even, so every block starts at an even
+  // offset in the run and the blocks' partial sums add exactly.
+  constexpr size_t kBlock = 4096;
+  alignas(64) char block[kBlock];
+  uint32_t sum = 0;
+  for (size_t done = 0; done < n;) {
+    size_t len = std::min(kBlock, n - done);
+    iolite::FillContent(seed, offset + done, block, len);
+    sum += ChecksumAccumulate(block, len);
+    done += len;
+  }
+  return sum;
+}
+
+}  // namespace
+
+uint32_t ChecksumCache::Force(uint32_t e) {
+  Entry& entry = entries_[e];
+  if (entry.origin != 0) {
+    entry.sum = GeneratedSum(entry.origin, entry.offset, entry.length);
+    entry.origin = 0;
+  }
+  return entry.sum;
+}
+
+bool ChecksumCache::Lookup(const Key& key, uint32_t* sum) {
+  uint32_t e = EntryOf(key);
+  if (e == kNil) {
     return false;
   }
-  uint32_t e = index_[pos].entry;
-  Touch(e);
-  *sum = entries_[e].sum;
+  MoveToFront(e);
+  *sum = Force(e);
   return true;
 }
 
-void ChecksumCache::Store(const Key& key, uint32_t sum) {
+bool ChecksumCache::Peek(const Key& key, uint32_t* sum) {
+  uint32_t e = EntryOf(key);
+  if (e == kNil) {
+    return false;
+  }
+  *sum = Force(e);
+  return true;
+}
+
+bool ChecksumCache::Touch(const Key& key) {
+  uint32_t e = EntryOf(key);
+  if (e == kNil) {
+    return false;
+  }
+  MoveToFront(e);
+  return true;
+}
+
+uint32_t ChecksumCache::Place(const Key& key) {
   const uint32_t hash = Hash(key);
   uint32_t pos = Find(key, hash);
   if (pos != kNil) {
     uint32_t e = index_[pos].entry;
-    entries_[e].sum = sum;
-    Touch(e);
-    return;
+    MoveToFront(e);
+    return e;
   }
   if (capacity_ == 0) {
-    return;  // The new key would be its own eviction victim.
+    return kNil;  // The new key would be its own eviction victim.
   }
   uint32_t e;
   if (entries_.size() == capacity_) {
     // Evicting before inserting picks the same victim as the other order:
     // the new key goes to the front, and the tail is at least one behind.
     e = tail_;
-    Erase(Find(entries_[e].key, entries_[e].hash));
+    const Key victim = KeyOf(entries_[e]);
+    Erase(Find(victim, Hash(victim)));
     Unlink(e);
   } else {
     e = static_cast<uint32_t>(entries_.size());
@@ -251,11 +303,32 @@ void ChecksumCache::Store(const Key& key, uint32_t sum) {
       }
     }
   }
-  entries_[e].key = key;
-  entries_[e].sum = sum;
-  entries_[e].hash = hash;
+  entries_[e].buffer_id = key.buffer_id;
+  entries_[e].offset = key.offset;
+  entries_[e].length = key.length;
+  entries_[e].generation = key.generation;
   PushFront(e);
   Insert(e, hash);
+  return e;
+}
+
+void ChecksumCache::Store(const Key& key, uint32_t sum) {
+  uint32_t e = Place(key);
+  if (e != kNil) {
+    entries_[e].sum = sum;
+    entries_[e].origin = 0;
+  }
+}
+
+void ChecksumCache::StoreDescribed(const Key& key, uint64_t content_seed,
+                                   uint64_t content_offset) {
+  uint32_t e = Place(key);
+  if (e != kNil) {
+    entries_[e].origin = iolite::ContentOrigin(content_seed, content_offset);
+    if (entries_[e].origin == 0) {
+      entries_[e].sum = GeneratedSum(0, key.offset, key.length);
+    }
+  }
 }
 
 void ChecksumCache::Clear() {
@@ -265,195 +338,77 @@ void ChecksumCache::Clear() {
   tail_ = kNil;
 }
 
+uint32_t ChecksumModule::Account(const iolite::Slice& s, bool force) {
+  const iolite::Buffer& b = *s.buffer();
+  ChecksumCache::Key key{b.id(), b.generation(), s.offset(), s.length()};
+  uint32_t partial = 0;
+  if (cache_enabled_ && (force ? cache_.Lookup(key, &partial) : cache_.Touch(key))) {
+    ctx_->stats().checksum_cache_hits++;
+    return partial;
+  }
+  ctx_->ChargeCpu(ctx_->cost().ChecksumCost(s.length()));
+  ctx_->stats().bytes_checksummed += s.length();
+  ctx_->stats().checksum_ops++;
+  if (cache_enabled_) {
+    ctx_->stats().checksum_cache_misses++;
+    if (b.described() && !force) {
+      cache_.StoreDescribed(key, b.content_seed(), b.content_offset());
+      return 0;
+    }
+    // Generating costs more per byte than summing written bytes, so it
+    // pays only when the sum is kept. Without the cache every forced read
+    // sums the slice again: data() writes the bytes once instead.
+    partial = b.described() ? GeneratedSum(b.content_seed(), b.content_offset() + s.offset(),
+                                           s.length())
+                            : ChecksumAccumulate(s.data(), s.length());
+    cache_.Store(key, partial);
+  } else if (force) {
+    partial = ChecksumAccumulate(s.data(), s.length());
+  }
+  return partial;
+}
+
+void ChecksumModule::Charge(const iolite::Aggregate& agg) {
+  for (const iolite::Slice& s : agg.slices()) {
+    Account(s, /*force=*/false);
+  }
+}
+
 namespace {
 
-// Generated bytes are summed in blocks of this many: small enough to stay
-// in L1, and even, so every block starts at an even offset in the slice
-// and the blocks' partial sums add exactly.
-constexpr size_t kGenerateBlock = 4096;
-static_assert(kGenerateBlock % 2 == 0);
-static_assert(kGenerateBlock == size_t{1} << kBlockKeyLengthBits);
-
-// Partial sums of block prefixes of generated content: the sum of content
-// bytes [k * kGenerateBlock, k * kGenerateBlock + len) for seed s, with
-// 0 < len <= kGenerateBlock, is a pure function of (s, k, len), so it is
-// kept under that key. k and len share one word (BlockKey), so an entry is
-// 24 bytes. The table is open-addressed with linear probing over a window
-// of kProbe slots. It is empty until the first Store and doubles whenever
-// it is more than half full, up to kBlockSumSlots; from then on a Store
-// whose window is full replaces the entry in the key's home slot. Nothing
-// is ever erased, so every entry stays within its window and a probe may
-// stop at an empty slot.
-class BlockSumTable {
- public:
-  bool Lookup(uint64_t seed, uint64_t key, uint32_t* sum) const {
-    if (slots_.empty()) {
-      return false;
-    }
-    const size_t mask = slots_.size() - 1;
-    const size_t home = Hash(seed, key);
-    for (size_t i = 0; i < kProbe; ++i) {
-      const Entry& e = slots_[(home + i) & mask];
-      if (e.key == kEmpty) {
-        return false;
-      }
-      if (e.key == key && e.seed == seed) {
-        *sum = e.sum;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Stores the sum of a prefix that Lookup missed.
-  void Store(uint64_t seed, uint64_t key, uint32_t sum) {
-    if (slots_.empty()) {
-      slots_.assign(kInitialSlots, Entry{});
-    }
-    while (!Place(Entry{seed, key, sum}, /*replace=*/slots_.size() == kBlockSumSlots)) {
-      Grow();
-    }
-    if (used_ * 2 > slots_.size() && slots_.size() < kBlockSumSlots) {
-      Grow();
-    }
-  }
-
- private:
-  // No key reaches it: that would take a prefix ending at content offset
-  // 2^64 - 1.
-  static constexpr uint64_t kEmpty = UINT64_MAX;
-  static constexpr size_t kProbe = 8;
-  static constexpr size_t kInitialSlots = 256;
-  static_assert((kBlockSumSlots & (kBlockSumSlots - 1)) == 0);
-
-  struct Entry {
-    uint64_t seed = 0;
-    uint64_t key = kEmpty;
-    uint32_t sum = 0;
-  };
-
-  static size_t Hash(uint64_t seed, uint64_t key) {
-    uint64_t h = (seed ^ (key * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-
-  // Puts `entry` in the first empty slot of its window. With none, it
-  // replaces the home slot's entry if `replace`, and fails otherwise.
-  bool Place(const Entry& entry, bool replace) {
-    const size_t mask = slots_.size() - 1;
-    const size_t home = Hash(entry.seed, entry.key);
-    for (size_t i = 0; i < kProbe; ++i) {
-      Entry& e = slots_[(home + i) & mask];
-      if (e.key == kEmpty) {
-        e = entry;
-        ++used_;
-        return true;
-      }
-    }
-    if (replace) {
-      slots_[home & mask] = entry;
-    }
-    return replace;
-  }
-
-  // Doubles the slots and re-places every entry. An entry that finds its
-  // new window full is dropped: the table is a cache.
-  void Grow() {
-    std::vector<Entry> old = std::move(slots_);
-    slots_.assign(2 * old.size(), Entry{});
-    used_ = 0;
-    for (const Entry& e : old) {
-      if (e.key != kEmpty) {
-        Place(e, /*replace=*/false);
-      }
-    }
-  }
-
-  std::vector<Entry> slots_;  // Empty, or a power of two up to kBlockSumSlots.
-  size_t used_ = 0;
-};
-
-// One table per thread: every machine a thread simulates shares it, and no
-// two threads do, so it needs no lock.
-thread_local BlockSumTable block_sums;
-
-// The sum of generated content bytes [start, start + n) for `seed`, made
-// 4 KB at a time on the stack.
-uint32_t GenerateSum(uint64_t seed, uint64_t start, size_t n) {
-  alignas(64) char block[kGenerateBlock];
-  uint32_t sum = 0;
-  for (size_t done = 0; done < n;) {
-    size_t len = std::min(kGenerateBlock, n - done);
-    iolite::FillContent(seed, start + done, block, len);
-    sum += ChecksumAccumulate(block, len);
-    done += len;
-  }
-  return sum;
-}
-
-// ChecksumAccumulate over a descriptor-backed slice's bytes, generated
-// instead of written into the buffer: its memory stays untouched. When the
-// slice's content starts at an even offset, the head up to the first
-// block boundary is even-length, so every piece after it starts at an even
-// offset in the slice: a whole block, or the prefix of the block the slice
-// ends in. Each such piece's sum comes from the table (or is generated
-// once and stored) and adds exactly. Heads and odd starts are summed
-// straight from the generator.
-uint32_t GenerateAndAccumulate(const iolite::Slice& s) {
-  const iolite::Buffer& b = *s.buffer();
-  const uint64_t seed = b.content_seed();
-  const uint64_t start = b.content_offset() + s.offset();
-  const uint64_t end = start + s.length();
-  if (start % 2 != 0) {
-    return GenerateSum(seed, start, s.length());
-  }
-  const uint64_t boundary = std::min(end, (start + kGenerateBlock - 1) / kGenerateBlock *
-                                              kGenerateBlock);
-  uint32_t sum = GenerateSum(seed, start, boundary - start);
-  BlockSumTable& table = block_sums;
-  for (uint64_t pos = boundary; pos < end; pos += kGenerateBlock) {
-    const size_t len = std::min<uint64_t>(kGenerateBlock, end - pos);
-    const uint64_t key = BlockKey(pos / kGenerateBlock, len);
-    uint32_t partial;
-    if (!table.Lookup(seed, key, &partial)) {
-      partial = GenerateSum(seed, pos, len);
-      table.Store(seed, key, partial);
-    }
-    sum += partial;
-  }
-  return sum;
-}
-
-}  // namespace
-
-uint16_t ChecksumModule::Checksum(const iolite::Aggregate& agg) {
+// Folds the slices' partial sums, sum(s), into the message's checksum.
+template <typename SliceSumFn>
+uint16_t Combine(const iolite::Aggregate& agg, SliceSumFn sum) {
   uint32_t total = 0;
   uint64_t position = 0;  // Byte offset within the message so far.
   for (const iolite::Slice& s : agg.slices()) {
-    uint32_t partial = 0;
-    ChecksumCache::Key key{s.buffer()->id(), s.buffer()->generation(), s.offset(), s.length()};
-    if (cache_enabled_ && cache_.Lookup(key, &partial)) {
-      ctx_->stats().checksum_cache_hits++;
-    } else {
-      // Generating costs more per byte than summing written bytes, so it
-      // pays only when the sum is kept. Without the cache every send sums
-      // the slice again: data() writes the bytes once instead.
-      partial = cache_enabled_ && s.buffer()->described()
-                    ? GenerateAndAccumulate(s)
-                    : ChecksumAccumulate(s.data(), s.length());
-      ctx_->ChargeCpu(ctx_->cost().ChecksumCost(s.length()));
-      ctx_->stats().bytes_checksummed += s.length();
-      ctx_->stats().checksum_ops++;
-      if (cache_enabled_) {
-        cache_.Store(key, partial);
-        ctx_->stats().checksum_cache_misses++;
-      }
-    }
+    uint32_t partial = sum(s);
     // Slices at odd message offsets contribute byte-swapped.
     total += (position % 2 == 0) ? partial : ChecksumSwap(partial);
     position += s.length();
   }
   return ChecksumFold(total);
+}
+
+}  // namespace
+
+uint16_t ChecksumModule::Checksum(const iolite::Aggregate& agg) {
+  return Combine(agg, [this](const iolite::Slice& s) { return Account(s, /*force=*/true); });
+}
+
+uint16_t ChecksumModule::PeekChecksum(const iolite::Aggregate& agg) {
+  return Combine(agg, [this](const iolite::Slice& s) { return SliceSum(s); });
+}
+
+uint32_t ChecksumModule::SliceSum(const iolite::Slice& s) {
+  const iolite::Buffer& b = *s.buffer();
+  uint32_t sum = 0;
+  if (cache_enabled_ && cache_.Peek({b.id(), b.generation(), s.offset(), s.length()}, &sum)) {
+    return sum;
+  }
+  return b.described()
+             ? GeneratedSum(b.content_seed(), b.content_offset() + s.offset(), s.length())
+             : ChecksumAccumulate(s.data(), s.length());
 }
 
 }  // namespace iolnet

@@ -7,35 +7,27 @@
 // slice is transmitted again the cached value is reused — eliminating the
 // last data-touching operation on the static-content fast path.
 //
+// The model needs the cache's keys and CPU charges, not the sums: the
+// send path (TcpConnection::SendAggregate) calls Charge, which looks each
+// slice up, charges and counts exactly as summing it would, and stores a
+// miss -- but a slice of a descriptor-backed buffer (buffer.h) is stored
+// *lazily*, as the buffer's own descriptor (content seed and content
+// offset, folded into one word by ContentOrigin), and no byte of it is
+// generated or written. Only a reader forces
+// a sum: Checksum, or the delivery check's SliceSum and PeekChecksum (see
+// src/httpd/http_server.h). A forced lazy entry
+// is summed from the stored descriptor, 4 KB of generated content at a
+// time on the stack, and the sum is written back into the entry. Generated
+// content is a pure function of (content seed, offset), and an immutable
+// buffer's (id, generation) names one descriptor for its whole life, so the
+// forced sum is exactly the sum of the bytes data() would write -- and a
+// key that named the wrong contents still yields a wrong sum. Eager slices
+// are summed when stored, as the bytes are already there. Laziness changes
+// no simulated cost: keys, charges and counters are those of summing.
+//
 // Checksums are really computed over the bytes the buffers hold; partial
 // sums are combined with correct odd-offset folding so the cached per-slice
-// sums compose into the exact end-to-end checksum. With the cache on, a
-// slice of a descriptor-backed buffer (buffer.h) is summed from bytes
-// generated 4 KB at a time on the stack, which equal the bytes data() would
-// write; the buffer itself stays unwritten.
-//
-// Generated content is a pure function of (content seed, offset), so the
-// sum of any prefix of an aligned 4 KB block of it -- the first len bytes
-// of block k, 0 < len <= 4096 -- is a pure function of (content seed, k,
-// len). A block-sum table keeps those sums, keyed by the full seed and
-// BlockKey(k, len), so a hit is exact: fresh buffers of the same file
-// content (every proxy level's copy, every machine's materialization of
-// one trace) generate each whole block, each file tail and each file under
-// 4 KB once. The key packs k and len into one word, so an entry is 24
-// bytes. The table is thread_local: every machine a thread simulates
-// shares it, no two threads do, and it needs no lock. It is empty until
-// the first described checksum and grows with the distinct prefixes it
-// holds, up to kBlockSumSlots entries; past that, new prefixes replace old
-// ones on collision.
-//
-// It is used only when the slice's content starts at an even offset. Then
-// the head before the first block boundary is generated and has even
-// length, every later piece -- each whole block, then the prefix of the
-// block the slice ends in -- starts at an even offset in the slice, and
-// the pieces' uint32_t partial sums add to exactly the sum of one pass over
-// the slice. Odd starts are generated whole. A table hit changes no
-// simulated cost: the cache key, CPU charge and counters are those of any
-// cache miss.
+// sums compose into the exact end-to-end checksum.
 
 #ifndef SRC_NET_CHECKSUM_H_
 #define SRC_NET_CHECKSUM_H_
@@ -67,19 +59,6 @@ bool HasAvx2Checksum();
 uint32_t ChecksumAccumulatePortable(const char* data, size_t n);
 uint32_t ChecksumAccumulateAvx2(const char* data, size_t n);
 
-// The block-sum table's entry cap (24 bytes each: 768 KB), exposed for
-// tests that overflow it.
-inline constexpr size_t kBlockSumSlots = size_t{1} << 15;
-
-// The block-sum table's key for the first `len` bytes (0 < len <= 4096) of
-// 4 KB block `block` of generated content: (block << 12) | len, with a
-// whole block's length written as 0. Distinct (block, len) pairs get
-// distinct keys for every block below 2^52, i.e. every content offset.
-inline constexpr int kBlockKeyLengthBits = 12;
-constexpr uint64_t BlockKey(uint64_t block, size_t len) {
-  return (block << kBlockKeyLengthBits) | (len & ((size_t{1} << kBlockKeyLengthBits) - 1));
-}
-
 // Folds a 32-bit accumulation into the 16-bit one's-complement sum.
 uint16_t ChecksumFold(uint32_t sum);
 
@@ -91,11 +70,13 @@ uint32_t ChecksumSwap(uint32_t sum);
 // Entries live in one array and are threaded on an index-linked LRU list.
 // The index is open-addressed with linear probing, kept at most half full,
 // and deletes by backward shift, so no tombstones build up. Each index slot
-// holds an entry number and the key's 32-bit hash, so probes and shifts
-// never re-hash a key. Both arrays grow with the contents, not with
+// holds an entry number and the key's 32-bit hash, so probes, shifts and
+// index growth never re-hash a key; only an eviction hashes its victim's
+// key again. Both arrays grow with the contents, not with
 // `capacity`. At capacity, a Store of a new key recycles the tail entry in
 // place, so the steady state (one fresh header generation per
-// transmission) runs without heap traffic.
+// transmission) runs without heap traffic. An entry holds a sum, or a
+// content descriptor whose sum is computed on the first read (see above).
 class ChecksumCache {
  public:
   explicit ChecksumCache(size_t capacity = 65536) : capacity_(capacity) {}
@@ -108,9 +89,21 @@ class ChecksumCache {
     bool operator==(const Key&) const = default;
   };
 
-  // Returns true and sets *sum on a hit.
+  // Returns true and sets *sum on a hit, making the entry the most
+  // recently used. A lazy entry's sum is computed and kept first.
   bool Lookup(const Key& key, uint32_t* sum);
+  // Lookup without the recency update: reading a sum leaves the eviction
+  // order, and so every later hit and miss, as it was.
+  bool Peek(const Key& key, uint32_t* sum);
+  // Makes `key`'s entry the most recently used without reading its sum;
+  // false when absent.
+  bool Touch(const Key& key);
+
   void Store(const Key& key, uint32_t sum);
+  // Stores a lazy entry for a slice of a descriptor-backed buffer: bytes
+  // [key.offset, key.offset + key.length) of the buffer whose byte 0 is
+  // content byte `content_offset` for `content_seed`.
+  void StoreDescribed(const Key& key, uint64_t content_seed, uint64_t content_offset);
 
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
@@ -119,13 +112,23 @@ class ChecksumCache {
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
 
+  // The key's fields are stored flat, without Key's padding, so an entry
+  // is 48 bytes.
   struct Entry {
-    Key key;
+    uint64_t buffer_id;
+    uint64_t offset;
+    uint64_t length;
+    uint32_t generation;
     uint32_t sum;
-    uint32_t hash;
     uint32_t prev;  // Toward the most recently used end.
     uint32_t next;  // Toward the least recently used end.
+    // A lazy entry's descriptor folded into one word, ContentOrigin(content
+    // seed, content offset) (dma_fill.h); 0 marks a known sum. A descriptor
+    // that folds to 0 is summed when stored.
+    uint64_t origin;
   };
+
+  static Key KeyOf(const Entry& e) { return Key{e.buffer_id, e.generation, e.offset, e.length}; }
 
   struct Slot {
     uint32_t entry = kNil;  // kNil marks an empty slot.
@@ -135,6 +138,8 @@ class ChecksumCache {
   static uint32_t Hash(const Key& k);
   // The index slot holding `key`, or kNil.
   uint32_t Find(const Key& key, uint32_t hash) const;
+  // The entry holding `key`, or kNil.
+  uint32_t EntryOf(const Key& key) const;
   // Puts entry `e` in the first free slot of its probe run.
   void Insert(uint32_t e, uint32_t hash);
   // Empties slot `pos`, shifting later members of its run back into it.
@@ -142,7 +147,12 @@ class ChecksumCache {
   void Unlink(uint32_t e);
   void PushFront(uint32_t e);
   // Makes `e` the most recently used entry.
-  void Touch(uint32_t e);
+  void MoveToFront(uint32_t e);
+  // Entry `e`'s sum, computed from its descriptor first if lazy.
+  uint32_t Force(uint32_t e);
+  // The entry `key` is stored in: its own, or a new or recycled one at the
+  // front. kNil when the cache holds nothing (capacity 0).
+  uint32_t Place(const Key& key);
 
   size_t capacity_;
   std::vector<Entry> entries_;
@@ -161,14 +171,34 @@ class ChecksumModule {
   ChecksumModule(iolsim::SimContext* ctx, bool cache_enabled, size_t cache_entries = 65536)
       : ctx_(ctx), cache_enabled_(cache_enabled), cache_(cache_entries) {}
 
-  // Computes the Internet checksum of the aggregate's contents.
+  // The send path's checksum work for the aggregate: per slice, the cache
+  // lookup, or the CPU charge, counters and cache store of a miss. A
+  // described slice's bytes are neither generated nor written, with the
+  // cache on or off; its entry stays lazy until read.
+  void Charge(const iolite::Aggregate& agg);
+
+  // Charge, and the Internet checksum of the aggregate's contents: lazy
+  // entries it hits are forced.
   uint16_t Checksum(const iolite::Aggregate& agg);
+
+  // The partial sum (ChecksumAccumulate) of `s`'s bytes: the cached one,
+  // forced if lazy, or else one computed now. Charges, counts and reorders
+  // nothing, so a reader outside the send path leaves the run unchanged.
+  uint32_t SliceSum(const iolite::Slice& s);
+
+  // Checksum's value from SliceSum's per-slice sums: a reader's checksum,
+  // charging, counting and reordering nothing.
+  uint16_t PeekChecksum(const iolite::Aggregate& agg);
 
   bool cache_enabled() const { return cache_enabled_; }
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   ChecksumCache& cache() { return cache_; }
 
  private:
+  // Charge's work for one slice. With `force`, returns the slice's partial
+  // sum; otherwise returns 0 and sums no described bytes.
+  uint32_t Account(const iolite::Slice& s, bool force);
+
   iolsim::SimContext* ctx_;
   bool cache_enabled_;
   ChecksumCache cache_;

@@ -189,8 +189,9 @@ size_t TcpConnection::SendAggregate(const iolite::Aggregate& agg) {
   MbufChain chain = MbufChain::FromAggregate(agg);
   assert(chain.length() == n);
   // Checksum via the module: cached per-slice sums apply when the same
-  // immutable buffer contents are transmitted repeatedly.
-  net_->checksum_.Checksum(agg);
+  // immutable buffer contents are transmitted repeatedly. Nothing on the
+  // wire model reads the sum, so only its cost is charged here.
+  net_->checksum_.Charge(agg);
   ChargePackets(n);
   bytes_sent_ += n;
   ctx->stats().bytes_sent += n;

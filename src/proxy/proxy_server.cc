@@ -120,6 +120,7 @@ void ProxyServer::ReleaseNode(uint32_t idx) {
   node.req = nullptr;
   node.body = iolite::Aggregate{};
   node.is_fetch = false;
+  node.degraded = false;
   node.next_free = free_node_;
   free_node_ = idx;
 }
@@ -174,6 +175,7 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
   if (cached.has_value()) {
     req->cache_hit = true;
     node.body = std::move(*cached);
+    node.served_version = cache_->VersionOf(req->file);
     // Serve-stale: a hit during a backhaul outage serves from the proxy
     // tier exactly as it always does — count it so the drill can assert
     // the proxy stayed available through the flap.
@@ -265,6 +267,7 @@ void ProxyServer::ServeDegraded(uint32_t idx) {
   // backhaul traffic. node.body stays empty, so both serve tails emit a
   // zero-length payload; is_fetch stays false, so no FetchRecord is
   // fabricated for a fetch that never happened.
+  nodes_[idx].degraded = true;
   ServeBody(idx);
 }
 
@@ -356,10 +359,11 @@ void ProxyServer::ReceiveStage(uint32_t idx) {
         }
         ctx_->stats().backhaul_bytes += size;
         cdn_stats().backhaul_bytes += size;
-        // The origin's bytes land in buffers filled by the NIC (no CPU
-        // charge).
+        // The origin's bytes, as of the version it served, land in buffers
+        // filled by the NIC (no CPU charge).
         node.body = iolite::Aggregate::FromBuffer(
-            io_->fs().ReadSnapshot(node.req->file, object_pool_));
+            io_->fs().ReadSnapshot(node.req->file, object_pool_, node.fetch_version));
+        node.served_version = node.fetch_version;
         if (config_.data_path == ProxyDataPath::kCopy) {
           // memcpy off the socket into the proxy's private cache: the
           // double-buffering a copy-based proxy cannot avoid.
@@ -439,6 +443,7 @@ void ProxyServer::OriginIpcServe(uint32_t idx) {
         io_->ReadExtentAsync(node.req->file, 0, size,
                              [this, idx](iolite::Aggregate body, bool was_miss) {
                                nodes_[idx].body = std::move(body);
+                               nodes_[idx].served_version = 0;  // The disk's bytes.
                                OnOriginRead(idx, was_miss);
                              });
       });
@@ -506,6 +511,9 @@ void ProxyServer::ServeBody(uint32_t idx) {
           ctx_->ChargeCpu(ctx_->cost().SyscallCost());
           ctx_->stats().syscalls++;
           node.req->response_bytes = node.req->conn->SendAggregate(response);
+          if (!node.degraded) {
+            CheckDelivery(node.body, node.req->file, node.served_version);
+          }
         },
         [this, idx] { FinishServe(idx); });
   } else {

@@ -230,6 +230,10 @@ class ProxyServer : public iolhttp::HttpServer {
     // Authoritative object version sampled when the origin finished serving
     // this fetch (consistency plane; 0 with consistency off).
     uint64_t fetch_version = 0;
+    // The version of the bytes `body` is meant to hold: what the delivery
+    // check compares it with. Unused for a degraded (header-only) serve.
+    uint64_t served_version = 0;
+    bool degraded = false;
     uint32_t next_free = UINT32_MAX;
   };
 

@@ -63,6 +63,11 @@ struct SimStats {
   // Syscall boundary crossings.
   uint64_t syscalls = 0;
 
+  // Responses whose body was not the content the server meant to send
+  // (the IO-Lite send path's delivery check, src/httpd). Always 0 in a
+  // correct run.
+  uint64_t corrupt_responses = 0;
+
   // Discrete-event engine: callbacks dispatched by the EventQueue. The
   // wall-clock benchmarks divide this by elapsed host time to report
   // events_per_sec; simulated results must not depend on it.

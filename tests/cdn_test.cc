@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "src/simos/rng.h"
 #include "src/simos/stats.h"
 #include "src/system/system.h"
+#include "tests/test_util.h"
 
 namespace {
 
@@ -208,6 +210,8 @@ TEST_P(CdnDeterminismTest, RunTwiceIsByteIdentical) {
   EXPECT_EQ(a.clock, b.clock);
   EXPECT_EQ(a.result.cdn_writes, b.result.cdn_writes);
   EXPECT_GT(a.result.cdn_writes, 0u);
+  // Every level labelled each body with the version it held, stale or not.
+  EXPECT_EQ(a.result.corrupt_responses, 0u);
   for (int l = 0; l < iolsim::SimStats::kMaxCdnLevels; ++l) {
     EXPECT_EQ(a.cdn[l].hits, b.cdn[l].hits) << l;
     EXPECT_EQ(a.cdn[l].misses, b.cdn[l].misses) << l;
@@ -385,8 +389,58 @@ TEST(CdnConsistencyTest, StaleModeKeepsServingAndMeasuresAge) {
   EXPECT_EQ(stats.cdn[0].invalidations_sent, 0u);
   EXPECT_EQ(stats.cdn[0].revalidations, 0u);
   EXPECT_EQ(stats.cdn[0].stale_serves, 1u);
+  // A stale serve sends the version it holds: stale, not corrupt.
+  EXPECT_EQ(stats.corrupt_responses, 0u);
   conn.Close();
 }
+
+// --- Delivery check ------------------------------------------------------------
+
+// Each mutant, planted in an edge's cache under the current version after
+// an origin write, is a body other than that version's bytes: each must
+// count one corrupt response. The honest entry -- the current version's
+// snapshot -- serves clean.
+class CdnDeliveryMutantTest
+    : public ::testing::TestWithParam<std::optional<ioltest::Mutant>> {};
+
+TEST_P(CdnDeliveryMutantTest, RaisesCorruptResponses) {
+  CdnRig rig = MakeCdnRig(TwoLevelTopo(ConsistencyMode::kStale, 0),
+                          /*num_origins=*/1, /*docs=*/2,
+                          /*doc_bytes=*/6 * 1024, ExperimentConfig{});
+  iolproxy::ProxyServer& edge = rig.tier->proxy(0, 0);
+  iolnet::TcpConnection conn(&rig.sys->net(), true);
+  conn.Connect();
+  FileId doc = rig.files[0];
+  edge.HandleRequest(&conn, doc);
+  Drain(rig.sys.get());
+  rig.tier->authority().ApplyWrite(doc);
+  Drain(rig.sys.get());
+  const uint64_t current = rig.tier->authority().VersionOf(doc);
+  ASSERT_EQ(current, 1u);
+  ASSERT_EQ(rig.sys->ctx().stats().corrupt_responses, 0u);
+
+  iolite::BufferPool* pool =
+      rig.sys->runtime().CreatePool("mutant", iolsim::kKernelDomain);
+  if (GetParam().has_value()) {
+    ioltest::PoisonCache(edge.proxy_cache(), rig.sys->fs(), pool, doc, current,
+                         rig.files[1], *GetParam());
+  } else {
+    edge.proxy_cache().Insert(
+        doc, 0, iolite::Aggregate::FromBuffer(rig.sys->fs().ReadSnapshot(doc, pool, current)),
+        current);
+  }
+  edge.HandleRequest(&conn, doc);
+  Drain(rig.sys.get());
+  EXPECT_EQ(edge.stale_serves(), 0u) << "every body is labelled current";
+  EXPECT_EQ(rig.sys->ctx().stats().corrupt_responses, GetParam().has_value() ? 1u : 0u);
+  conn.Close();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HonestAndFourMutants, CdnDeliveryMutantTest,
+    ::testing::Values(std::nullopt, ioltest::Mutant::kWrongFile,
+                      ioltest::Mutant::kStaleLabelledCurrent, ioltest::Mutant::kOffByOne,
+                      ioltest::Mutant::kDroppedSlice));
 
 // --- Backhaul shaping (ROADMAP 5a) --------------------------------------------
 

@@ -1,9 +1,8 @@
 // Differential tests for the checksum path: the lane-parallel accumulation
 // kernels against a byte-wise RFC 1071 sum, the flat checksum cache
 // against the list + hash-map LRU it replaced, and sums of generated
-// content (from the generator and from the block-sum table's whole blocks
-// and block prefixes) against sums of the same bytes copied into ordinary
-// buffers.
+// content (lazy cache entries forced on a hit, and forced misses) against
+// sums of the same bytes copied into ordinary buffers.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 
 #include "src/fs/sim_file_system.h"
 #include "src/iolite/buffer_pool.h"
+#include "src/iolite/dma_fill.h"
 #include "src/net/checksum.h"
 #include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
@@ -352,7 +352,7 @@ TEST(DescribedChecksumCostTest, ChargesAndCountsAsForWrittenBytes) {
 
 INSTANTIATE_TEST_SUITE_P(CacheOnOff, DescribedChecksumTest, ::testing::Bool());
 
-// --- Block-sum table ---------------------------------------------------------
+// --- Lazy entries and forced sums ---------------------------------------------
 
 // The checksum of `n` content bytes of `file` at `offset`, from an eager
 // copy in an ordinary buffer.
@@ -380,12 +380,182 @@ std::pair<uint64_t, size_t> RandomRange(iolsim::Rng& rng, uint64_t size) {
   return {offset, static_cast<size_t>(std::min(len, size - offset))};
 }
 
-// Every range is summed twice through fresh buffers (so the checksum cache
-// misses), the second time from blocks the first pass stored; some ranges
-// are sub-slices of a larger buffer, so the slice offset adds to the
-// buffer's content offset. Several files share block indices under
-// different seeds.
-TEST(BlockSumTableTest, FreshBuffersOfOneSeedMatchEagerSums) {
+// The checksum of a described aggregate both ways a reader can force it:
+// Charge (a lazy entry) then Checksum (a forcing hit), and Checksum alone
+// on a module that has not seen it (a forced miss). Both must agree, and
+// neither may write the buffers.
+uint16_t ForcedChecksum(iolsim::SimContext* ctx, iolnet::ChecksumModule& sums,
+                        const iolite::Aggregate& agg) {
+  sums.Charge(agg);
+  const uint16_t forced_hit = sums.Checksum(agg);
+  iolnet::ChecksumModule fresh(ctx, /*cache_enabled=*/true);
+  EXPECT_EQ(fresh.Checksum(agg), forced_hit) << "forced miss";
+  for (const iolite::Slice& s : agg.slices()) {
+    EXPECT_TRUE(s.buffer()->described()) << "summing wrote the buffer";
+  }
+  return forced_hit;
+}
+
+// Charge stores a lazy entry; Checksum's forcing hit must then equal one
+// pass over the same bytes, for slices at even and odd message offsets,
+// and again after data() has written the buffer.
+TEST(LazyEntryTest, ForcedHitEqualsEagerSumAtEvenAndOddOffsets) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  const iolfs::FileId f = fs.CreateFile("f", 3 * 4096 + 7);
+  for (size_t lead : {0, 1, 2, 3}) {
+    // A `lead`-byte eager head puts the described slice at that offset.
+    iolite::Aggregate agg;
+    std::string head(lead, 'h');
+    if (lead > 0) {
+      agg.Append(iolite::Aggregate::FromBuffer(copies.AllocateFrom(head.data(), lead)));
+    }
+    iolite::BufferRef b = fs.ReadFromDisk(f, 5, 2 * 4096 + 1);
+    agg.Append(iolite::Slice(b, 1, 2 * 4096 - 1));
+    iolite::Aggregate eager;
+    if (lead > 0) {
+      eager.Append(iolite::Aggregate::FromBuffer(copies.AllocateFrom(head.data(), lead)));
+    }
+    std::string bytes(2 * 4096 - 1, '\0');
+    fs.ReadContent(f, 6, bytes.data(), bytes.size());
+    eager.Append(iolite::Aggregate::FromBuffer(copies.AllocateFrom(bytes.data(), bytes.size())));
+    const uint16_t want = eager_sums.Checksum(eager);
+
+    sums.Charge(agg);
+    ASSERT_TRUE(b->described()) << "lead " << lead;
+    const uint64_t hits = ctx.stats().checksum_cache_hits;
+    ASSERT_EQ(sums.Checksum(agg), want) << "lead " << lead;
+    EXPECT_EQ(ctx.stats().checksum_cache_hits - hits, agg.slices().size()) << "lead " << lead;
+    ASSERT_TRUE(b->described()) << "lead " << lead;
+    EXPECT_EQ(sums.PeekChecksum(agg), want) << "lead " << lead;
+
+    // Materialized: the entry is already forced, and a fresh Charge of the
+    // now-eager buffer on another module sums its written bytes.
+    EXPECT_EQ(agg.ToString(), eager.ToString());
+    ASSERT_FALSE(b->described());
+    ASSERT_EQ(sums.Checksum(agg), want) << "after data(), lead " << lead;
+    iolnet::ChecksumModule other(&ctx, /*cache_enabled=*/true);
+    other.Charge(agg);
+    ASSERT_EQ(other.Checksum(agg), want) << "after data(), lead " << lead;
+  }
+}
+
+// A lazy entry holds the descriptor of the buffer it was stored for, not
+// of whatever slice later presents the same key: a look-alike key forced
+// later sums A's bytes. So a key that named the wrong contents still shows
+// up as a wrong sum.
+TEST(LazyEntryTest, ForcedHitSumsTheStoredDescriptor) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  const iolfs::FileId fa = fs.CreateFile("a", 6000);
+  const iolfs::FileId fb = fs.CreateFile("b", 6000);
+  iolite::BufferRef a = fs.ReadFromDisk(fa, 3, 5000);
+  iolite::BufferRef b = fs.ReadFromDisk(fb, 3, 5000);
+  std::string bytes_a(4000, '\0');
+  std::string bytes_b(4000, '\0');
+  fs.ReadContent(fa, 3 + 10, bytes_a.data(), bytes_a.size());
+  fs.ReadContent(fb, 3 + 10, bytes_b.data(), bytes_b.size());
+  const uint32_t sum_a = iolnet::ChecksumAccumulate(bytes_a.data(), bytes_a.size());
+  const uint32_t sum_b = iolnet::ChecksumAccumulate(bytes_b.data(), bytes_b.size());
+  ASSERT_NE(sum_a, sum_b);
+
+  // Module level: Charge stores A's slice lazily; the cache's forcing
+  // lookup of that key yields A's sum.
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  sums.Charge(iolite::Aggregate::FromSlice(iolite::Slice(a, 10, 4000)));
+  uint32_t got = 0;
+  ASSERT_TRUE(sums.cache().Lookup({a->id(), a->generation(), 10, 4000}, &got));
+  EXPECT_EQ(got, sum_a);
+
+  // Cache level: an entry stored from A's descriptor, then read under a key
+  // that B's slice presents, still sums A's bytes.
+  ChecksumCache cache(8);
+  const ChecksumCache::Key key{b->id(), b->generation(), 10, 4000};
+  cache.StoreDescribed(key, a->content_seed(), a->content_offset());
+  ASSERT_TRUE(cache.Peek(key, &got));
+  EXPECT_EQ(got, sum_a);
+  EXPECT_NE(got, sum_b);
+  ASSERT_TRUE(cache.Lookup(key, &got));
+  EXPECT_EQ(got, sum_a) << "the forced sum was written back";
+
+  // A descriptor whose folded origin is 0 -- the mark of a known sum -- is
+  // summed when stored, and still yields its own bytes' sum.
+  const uint64_t offset = 12345;
+  const uint64_t zero_seed = 0 - offset * 0x9e3779b97f4a7c15ull;
+  ASSERT_EQ(iolite::ContentOrigin(zero_seed, offset), 0u);
+  std::string zero_bytes(4000, '\0');
+  iolite::FillContent(zero_seed, offset + 10, zero_bytes.data(), zero_bytes.size());
+  cache.StoreDescribed(key, zero_seed, offset);
+  ASSERT_TRUE(cache.Peek(key, &got));
+  EXPECT_EQ(got, iolnet::ChecksumAccumulate(zero_bytes.data(), zero_bytes.size()));
+}
+
+// Charge and Checksum do the same simulated work: the same clock, SimStats
+// and cache hit/miss counts, on misses and on hits, for described and
+// written slices.
+TEST(LazyEntryTest, ChargeAndChecksumLeaveIdenticalStats) {
+  auto run = [](bool force) {
+    iolsim::SimContext ctx;
+    iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+    iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
+    iolfs::SimFileSystem fs(&ctx, &disk);
+    iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true, /*cache_entries=*/6);
+    const iolfs::FileId f = fs.CreateFile("f", 50000);
+    std::vector<iolite::Aggregate> aggs;
+    for (int i = 0; i < 5; ++i) {
+      iolite::Aggregate agg = iolite::Aggregate::FromBuffer(copies.AllocateFrom("header", 6));
+      agg.Append(iolite::Aggregate::FromBuffer(fs.ReadFromDisk(f, 1000 * i, 3000 + i)));
+      aggs.push_back(std::move(agg));
+    }
+    // Each aggregate twice in a row (the second time hits), in rounds
+    // that cycle through more slices than the cache holds.
+    for (int round = 0; round < 3; ++round) {
+      for (const iolite::Aggregate& agg : aggs) {
+        for (int twice = 0; twice < 2; ++twice) {
+          if (force) {
+            sums.Checksum(agg);
+          } else {
+            sums.Charge(agg);
+          }
+        }
+      }
+    }
+    const iolsim::SimStats& s = ctx.stats();
+    return std::make_tuple(ctx.clock().now(), s.bytes_checksummed, s.checksum_ops,
+                           s.checksum_cache_hits, s.checksum_cache_misses, sums.cache().size());
+  };
+  const auto charged = run(false);
+  EXPECT_EQ(charged, run(true));
+  EXPECT_GT(std::get<3>(charged), 0u) << "some lookups hit";
+  EXPECT_GT(std::get<4>(charged), 10u) << "the small cache recycles";
+}
+
+// With the cache off, Charge charges as before but generates and writes
+// nothing: a described buffer stays described.
+TEST(LazyEntryTest, ChargeWithTheCacheOffLeavesBuffersDescribed) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
+  iolfs::SimFileSystem fs(&ctx, &disk);
+  const iolfs::FileId f = fs.CreateFile("f", 9000);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/false);
+  iolite::BufferRef b = fs.ReadFromDisk(f, 0, 9000);
+  const iolsim::SimTime before = ctx.clock().now();
+  sums.Charge(iolite::Aggregate::FromBuffer(b));
+  EXPECT_TRUE(b->described());
+  EXPECT_GT(ctx.clock().now(), before);
+  EXPECT_EQ(ctx.stats().bytes_checksummed, 9000u);
+  EXPECT_EQ(ctx.stats().checksum_cache_misses, 0u);
+}
+
+// Random ranges of several files, each forced through fresh buffers twice;
+// some are sub-slices of a larger buffer, so the slice offset adds to the
+// buffer's content offset.
+TEST(ForcedSumTest, FreshBuffersMatchEagerSums) {
   iolsim::SimContext ctx;
   iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
   iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
@@ -408,98 +578,15 @@ TEST(BlockSumTableTest, FreshBuffersOfOneSeedMatchEagerSums) {
       ASSERT_TRUE(b->described());
       iolite::Aggregate agg;
       agg.Append(iolite::Slice(b, lead, len));
-      ASSERT_EQ(sums.Checksum(agg), want)
+      ASSERT_EQ(ForcedChecksum(&ctx, sums, agg), want)
           << "trial " << trial << " pass " << pass << " offset " << offset << " len " << len;
-      ASSERT_TRUE(b->described()) << "summing wrote the buffer";
     }
   }
 }
 
-// More distinct (seed, block) pairs than the table holds, then every one
-// again: replaced entries must miss and regenerate, survivors must hit
-// with their own sums.
-TEST(BlockSumTableTest, StreamPastTheCapStillMatches) {
-  constexpr size_t kBlocksPerFile = 32;
-  constexpr size_t kFileBytes = kBlocksPerFile * 4096;
-  const size_t file_count = (iolnet::kBlockSumSlots + iolnet::kBlockSumSlots / 4) / kBlocksPerFile;
-  iolsim::SimContext ctx;
-  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
-  iolfs::SimFileSystem fs(&ctx, &disk);
-  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
-  std::vector<iolfs::FileId> files;
-  std::vector<uint16_t> want;
-  std::vector<char> bytes(kFileBytes);
-  for (size_t i = 0; i < file_count; ++i) {
-    const iolfs::FileId f = fs.CreateFile("s" + std::to_string(i), kFileBytes);
-    fs.ReadContent(f, 0, bytes.data(), kFileBytes);
-    files.push_back(f);
-    want.push_back(iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), kFileBytes)));
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t i = 0; i < file_count; ++i) {
-      iolite::BufferRef b = fs.ReadFromDisk(files[i], 0, kFileBytes);
-      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want[i])
-          << "pass " << pass << " file " << i;
-    }
-  }
-}
-
-// A table hit costs what a miss does: the checksum cache misses on a fresh
-// buffer either way, and the charge, bytes summed and counters are those of
-// summing written bytes.
-TEST(BlockSumTableTest, HitChargesAsAMiss) {
-  iolsim::SimContext ctx;
-  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
-  iolfs::SimFileSystem fs(&ctx, &disk);
-  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
-  // No other test reads this far into a file, so the first read's blocks
-  // are new to the table.
-  const uint64_t far = uint64_t{1} << 40;
-  const iolfs::FileId f = fs.CreateFile("huge", far + 4 * 4096);
-  auto charge = [&](const iolite::BufferRef& b) {
-    iolsim::SimTime before = ctx.clock().now();
-    const iolsim::SimStats s = ctx.stats();
-    sums.Checksum(iolite::Aggregate::FromBuffer(b));
-    return std::make_tuple(ctx.clock().now() - before,
-                           ctx.stats().bytes_checksummed - s.bytes_checksummed,
-                           ctx.stats().checksum_ops - s.checksum_ops,
-                           ctx.stats().checksum_cache_misses - s.checksum_cache_misses,
-                           ctx.stats().checksum_cache_hits - s.checksum_cache_hits);
-  };
-  iolite::BufferRef miss = fs.ReadFromDisk(f, far + 2, 3 * 4096);
-  iolite::BufferRef hit = fs.ReadFromDisk(f, far + 2, 3 * 4096);
-  iolite::BufferRef written = fs.ReadFromDisk(f, far + 2, 3 * 4096);
-  written->data();
-  const auto miss_charge = charge(miss);
-  EXPECT_EQ(charge(hit), miss_charge);
-  EXPECT_EQ(charge(written), miss_charge);
-  EXPECT_EQ(std::get<1>(miss_charge), 3u * 4096);
-  EXPECT_EQ(std::get<3>(miss_charge), 1u);
-}
-
-// --- Block-prefix sums ---------------------------------------------------------
-
-// A whole block's key and every prefix key of it and of its neighbours are
-// distinct.
-TEST(BlockPrefixTest, KeysOfDistinctPrefixesDiffer) {
-  for (uint64_t block : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{1} << 40}) {
-    std::vector<uint64_t> keys;
-    for (uint64_t k = block; k < block + 3; ++k) {
-      for (size_t len = 1; len <= 4096; ++len) {
-        keys.push_back(iolnet::BlockKey(k, len));
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end()) << "block " << block;
-  }
-}
-
-// Every prefix length of several blocks, adjacent ones included, summed
-// through fresh buffers (so the checksum cache misses) twice: first from
-// the generator, storing each prefix, then from the table. Each sum must
-// equal one pass over the same bytes, and so must the whole blocks read
-// after their prefixes are stored.
-TEST(BlockPrefixTest, EveryLengthAtSeveralBlocksMatchesEagerSums) {
+// Every prefix length of several blocks, adjacent ones included, and
+// two-block reads: each forced sum must equal one pass over the same bytes.
+TEST(ForcedSumTest, EveryPrefixLengthAtSeveralBlocksMatchesEagerSums) {
   iolsim::SimContext ctx;
   iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
   iolfs::SimFileSystem fs(&ctx, &disk);
@@ -508,28 +595,26 @@ TEST(BlockPrefixTest, EveryLengthAtSeveralBlocksMatchesEagerSums) {
   std::vector<char> bytes(2 * 4096);
   for (uint64_t block : {0, 1, 7, 1000}) {
     fs.ReadContent(f, block * 4096, bytes.data(), 4096);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t len = 1; len <= 4096; ++len) {
-        const uint16_t want = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), len));
-        iolite::BufferRef b = fs.ReadFromDisk(f, block * 4096, len);
-        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want)
-            << "block " << block << " len " << len << " pass " << pass;
-      }
+    for (size_t len = 1; len <= 4096; ++len) {
+      const uint16_t want = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), len));
+      iolite::BufferRef b = fs.ReadFromDisk(f, block * 4096, len);
+      ASSERT_EQ(ForcedChecksum(&ctx, sums, iolite::Aggregate::FromBuffer(b)), want)
+          << "block " << block << " len " << len;
     }
   }
-  // Two-block reads whose tails are the stored prefixes of block 1.
   fs.ReadContent(f, 0, bytes.data(), 2 * 4096);
   for (size_t len = 4097; len <= 2 * 4096; len += 97) {
     const uint16_t want = iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes.data(), len));
     iolite::BufferRef b = fs.ReadFromDisk(f, 0, len);
-    ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want) << "len " << len;
+    ASSERT_EQ(ForcedChecksum(&ctx, sums, iolite::Aggregate::FromBuffer(b)), want)
+        << "len " << len;
   }
 }
 
 // Whole files under 4 KB and whole files with a tail, read from disk and
 // as snapshots, then slices ending at the file's end from aligned, even
-// mid-block and odd starts: each twice through fresh buffers.
-TEST(BlockPrefixTest, SmallFilesAndTailsMatchEagerSums) {
+// mid-block and odd starts.
+TEST(ForcedSumTest, SmallFilesAndTailsMatchEagerSums) {
   iolsim::SimContext ctx;
   iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
   iolite::BufferPool copies(&ctx, "copies", iolsim::kKernelDomain);
@@ -539,59 +624,29 @@ TEST(BlockPrefixTest, SmallFilesAndTailsMatchEagerSums) {
   for (uint64_t size : {1, 2, 3, 100, 2048, 4095, 4096, 4097, 8191, 3 * 4096 + 5}) {
     const iolfs::FileId f = fs.CreateFile("small" + std::to_string(size), size);
     const uint16_t whole = EagerChecksum(fs, copies, eager_sums, f, 0, size);
-    for (int pass = 0; pass < 2; ++pass) {
-      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(fs.ReadFromDisk(f, 0, size))), whole)
-          << "size " << size << " pass " << pass;
-      ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(fs.ReadSnapshot(f, &disk))), whole)
-          << "size " << size << " pass " << pass;
-      for (uint64_t start : {uint64_t{4096}, uint64_t{4098}, uint64_t{5001}, size - 1}) {
-        if (start >= size) {
-          continue;
-        }
-        const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, start, size - start);
-        iolite::BufferRef b = fs.ReadFromDisk(f, start, size - start);
-        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want)
-            << "size " << size << " start " << start << " pass " << pass;
+    ASSERT_EQ(ForcedChecksum(&ctx, sums, iolite::Aggregate::FromBuffer(fs.ReadFromDisk(f, 0, size))),
+              whole)
+        << "size " << size;
+    ASSERT_EQ(ForcedChecksum(&ctx, sums, iolite::Aggregate::FromBuffer(fs.ReadSnapshot(f, &disk))),
+              whole)
+        << "size " << size;
+    for (uint64_t start : {uint64_t{4096}, uint64_t{4098}, uint64_t{5001}, size - 1}) {
+      if (start >= size) {
+        continue;
       }
+      const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, start, size - start);
+      iolite::BufferRef b = fs.ReadFromDisk(f, start, size - start);
+      ASSERT_EQ(ForcedChecksum(&ctx, sums, iolite::Aggregate::FromBuffer(b)), want)
+          << "size " << size << " start " << start;
     }
   }
 }
 
-// More distinct (seed, block, length) prefixes than the table holds --
-// the first 64 lengths of block 0 of many files -- then every one again.
-TEST(BlockPrefixTest, PrefixStreamPastTheCapStillMatches) {
-  constexpr size_t kLengths = 64;
-  const size_t file_count = (iolnet::kBlockSumSlots + iolnet::kBlockSumSlots / 4) / kLengths;
-  iolsim::SimContext ctx;
-  iolite::BufferPool disk(&ctx, "disk", iolsim::kKernelDomain);
-  iolfs::SimFileSystem fs(&ctx, &disk);
-  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
-  std::vector<iolfs::FileId> files;
-  std::vector<uint16_t> want;
-  char bytes[kLengths];
-  for (size_t i = 0; i < file_count; ++i) {
-    const iolfs::FileId f = fs.CreateFile("p" + std::to_string(i), kLengths);
-    fs.ReadContent(f, 0, bytes, kLengths);
-    files.push_back(f);
-    for (size_t len = 1; len <= kLengths; ++len) {
-      want.push_back(iolnet::ChecksumFold(iolnet::ChecksumAccumulate(bytes, len)));
-    }
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t i = 0; i < file_count; ++i) {
-      for (size_t len = 1; len <= kLengths; ++len) {
-        iolite::BufferRef b = fs.ReadFromDisk(files[i], 0, len);
-        ASSERT_EQ(sums.Checksum(iolite::Aggregate::FromBuffer(b)), want[i * kLengths + len - 1])
-            << "pass " << pass << " file " << i << " len " << len;
-      }
-    }
-  }
-}
-
-// Each thread has its own table. Four threads, each with its own context,
-// pool and file system, sum described buffers of the same seeds at once;
-// every sum must equal the eager one. Run under TSan (label "threads").
-TEST(BlockSumTableThreadsTest, ThreadsSummingTheSameSeeds) {
+// Four threads, each with its own context, pool and file system, force
+// sums of described buffers of the same seeds at once; every sum must
+// equal the eager one. Run under TSan (label "threads"): forcing shares no
+// state between threads.
+TEST(ForcedSumThreadsTest, ThreadsForcingTheSameSeeds) {
   constexpr int kThreads = 4;
   std::vector<int> mismatches(kThreads, -1);
   std::vector<std::thread> threads;
@@ -614,8 +669,9 @@ TEST(BlockSumTableThreadsTest, ThreadsSummingTheSameSeeds) {
         const auto [offset, len] = RandomRange(rng, fs.SizeOf(f));
         const uint16_t want = EagerChecksum(fs, copies, eager_sums, f, offset, len);
         for (int pass = 0; pass < 2; ++pass) {
-          iolite::BufferRef b = fs.ReadFromDisk(f, offset, len);
-          bad += sums.Checksum(iolite::Aggregate::FromBuffer(b)) != want;
+          iolite::Aggregate agg = iolite::Aggregate::FromBuffer(fs.ReadFromDisk(f, offset, len));
+          sums.Charge(agg);
+          bad += sums.Checksum(agg) != want;
         }
       }
       mismatches[t] = bad;

@@ -127,6 +127,8 @@ void ExpectMatchesGolden(const RunOutput& out, const Golden& g) {
   EXPECT_EQ(out.stats.disk_reads, g.disk_reads);
   EXPECT_EQ(out.stats.events_dispatched, g.events_dispatched);
   EXPECT_EQ(out.final_clock_ns, g.final_clock_ns);
+  // Every body the IO-Lite servers sent passed the delivery check.
+  EXPECT_EQ(out.result.corrupt_responses, 0u);
 }
 
 // --- Run-twice parity --------------------------------------------------------
@@ -156,6 +158,7 @@ TEST(DeterminismTest, SingleFileRunTwiceProducesIdenticalTelemetryStreams) {
 TEST(DeterminismTest, LiteRunTwiceProducesIdenticalTelemetryStreams) {
   RunOutput a = RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024);
   RunOutput b = RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024);
+  EXPECT_EQ(a.result.corrupt_responses, 0u);
   ExpectIdenticalStreams(a.records, b.records);
   EXPECT_EQ(a.final_clock_ns, b.final_clock_ns);
   EXPECT_EQ(a.stats.events_dispatched, b.stats.events_dispatched);
@@ -239,6 +242,7 @@ ioldrv::ExperimentResult GoldenReporterResult() {
   r.stale_serves = 12;
   r.cdn_writes = 7;
   r.origin_fleet_fetches = 99;
+  r.corrupt_responses = 3;
   for (int t = 0; t < 2; ++t) {
     ioldrv::TenantBreakdown b;
     b.tenant = static_cast<iolsim::TenantId>(t + 1);
@@ -291,17 +295,19 @@ TEST(JsonReporterGoldenTest, RowsMatchCapturedDocument) {
       "  {\"series\": \"points\", \"x\": 1.5, \"value\": 42.25, \"proxy_hit_rate\": 0, "
       "\"origin_hit_rate\": 0, \"bytes_copied_backhaul\": 0, \"availability\": 1, "
       "\"error_rate\": 0, \"retries\": 0, \"goodput_mbps\": 0, \"staleness_p99_ms\": 0, "
-      "\"stale_serves\": 0, \"cdn_writes\": 0, \"origin_fleet_fetches\": 0},\n"
+      "\"stale_serves\": 0, \"cdn_writes\": 0, \"origin_fleet_fetches\": 0, "
+      "\"corrupt_responses\": 0},\n"
       "  {\"series\": \"perf\", \"x\": 2, \"value\": 123.456, \"proxy_hit_rate\": 0, "
       "\"origin_hit_rate\": 0, \"bytes_copied_backhaul\": 0, \"availability\": 1, "
       "\"error_rate\": 0, \"retries\": 0, \"goodput_mbps\": 0, \"staleness_p99_ms\": 0, "
       "\"stale_serves\": 0, \"cdn_writes\": 0, \"origin_fleet_fetches\": 0, "
-      "\"wall_ms\": 7.5, \"events_per_sec\": 98765.4},\n"
+      "\"corrupt_responses\": 0, \"wall_ms\": 7.5, \"events_per_sec\": 98765.4},\n"
       "  {\"series\": \"cdn\", \"x\": 3, \"value\": 87.6543, \"proxy_hit_rate\": 0.625, "
       "\"origin_hit_rate\": 0.4375, \"bytes_copied_backhaul\": 4096, "
       "\"availability\": 0.97, \"error_rate\": 0.03, \"retries\": 45, "
       "\"goodput_mbps\": 87.6543, \"staleness_p99_ms\": 17.0625, \"stale_serves\": 12, "
-      "\"cdn_writes\": 7, \"origin_fleet_fetches\": 99, \"requests\": 1000, "
+      "\"cdn_writes\": 7, \"origin_fleet_fetches\": 99, \"corrupt_responses\": 3, "
+      "\"requests\": 1000, "
       "\"cache_hit_rate\": 0.8125, \"p50_ms\": 1.25, \"p90_ms\": 2.5, \"p99_ms\": 3.75, "
       "\"max_ms\": 9.125, \"origin_p99_ms\": 12.5, \"wall_ms\": 250, "
       "\"events_per_sec\": 2e+06, \"tenants\": [{\"tenant_id\": 1, \"name\": \"gold\", "

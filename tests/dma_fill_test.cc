@@ -163,6 +163,23 @@ TEST(DmaFillTest, DispatchedContentMatchesSerial) {
   CheckContentKernel(iolite::FillContent, "dispatched");
 }
 
+// The checksum cache keeps a described run as one word: content at
+// (seed, offset + i) must equal content at (ContentOrigin(seed, offset), i)
+// for every kernel.
+TEST(DmaFillTest, ContentOriginShiftsTheRun) {
+  iolsim::Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    const uint64_t seed = rng.Next();
+    const uint64_t offset = trial == 0 ? ~uint64_t{0} - 3 : rng.Next();
+    const uint64_t origin = iolite::ContentOrigin(seed, offset);
+    for (size_t n : BoundaryLengths()) {
+      std::vector<char> want = SerialContent(seed, offset, n);
+      ExpectFill(
+          want, [&](char* dst) { iolite::FillContent(origin, 0, dst, n); }, "origin", seed);
+    }
+  }
+}
+
 TEST(DmaFillTest, ContentByteMatchesFill) {
   iolsim::Rng rng(31);
   for (int i = 0; i < 50; ++i) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "src/driver/experiment.h"
 #include "src/driver/workload.h"
@@ -186,6 +187,69 @@ TEST_F(HttpdTest, CopyCgiPaysThreeCopiesLiteCgiNone) {
             3u * iolhttp::kResponseHeaderBytes);
   conn_b.Close();
 }
+
+// --- Delivery check -----------------------------------------------------------
+
+// An honest Flash-Lite and CGI-Lite serve passes the delivery check, cold
+// and warm, and reading the sums forces nothing the send path charged.
+TEST_F(HttpdTest, HonestServesPassTheDeliveryCheck) {
+  FlashLiteServer lite(&sys_.ctx(), &sys_.net(), &sys_.io(), &sys_.runtime());
+  LiteCgiServer lite_cgi(&sys_.ctx(), &sys_.net(), &sys_.io(), &sys_.runtime(), 8191);
+  Serve(&lite, 3);
+  Serve(&lite_cgi, 3);
+  EXPECT_EQ(sys_.ctx().stats().corrupt_responses, 0u);
+  std::optional<iolite::Aggregate> cached = sys_.cache().Lookup(file_, 0, 20 * 1024);
+  ASSERT_TRUE(cached.has_value());
+  for (const iolite::Slice& s : cached->slices()) {
+    EXPECT_TRUE(s.buffer()->described()) << "no serve wrote the file's bytes";
+  }
+}
+
+// Each mutant, planted in the unified cache Flash-Lite serves hits from,
+// is a response body other than the file's: each must count one corrupt
+// response. The origin's current version is its disk's bytes, so its stale
+// copy is the cache's, left behind by a write straight to the disk.
+class DeliveryMutantTest : public HttpdTest,
+                           public ::testing::WithParamInterface<ioltest::Mutant> {};
+
+TEST_P(DeliveryMutantTest, RaisesCorruptResponses) {
+  FlashLiteServer lite(&sys_.ctx(), &sys_.net(), &sys_.io(), &sys_.runtime());
+  Serve(&lite, 1);
+  ASSERT_EQ(sys_.ctx().stats().corrupt_responses, 0u);
+  if (GetParam() == ioltest::Mutant::kStaleLabelledCurrent) {
+    iolite::BufferPool* pool = sys_.runtime().CreatePool("writer", iolsim::kKernelDomain);
+    sys_.fs().WriteToDisk(file_, 100, ioltest::AggFrom(pool, "a newer version"));
+  } else {
+    const FileId other = sys_.fs().CreateFile("other.html", 20 * 1024);
+    ioltest::PoisonCache(sys_.cache(), sys_.fs(),
+                         sys_.runtime().CreatePool("mutant", iolsim::kKernelDomain), file_,
+                         /*version=*/0, other, GetParam());
+  }
+  Serve(&lite, 1);
+  EXPECT_EQ(sys_.ctx().stats().corrupt_responses, 1u);
+}
+
+// A body that holds the file's bytes in order but ends early passes every
+// per-slice comparison; only the total length catches it.
+TEST_F(HttpdTest, TruncatedBodyFailsTheDeliveryCheck) {
+  struct Checker : FlashLiteServer {
+    using FlashLiteServer::FlashLiteServer;
+    using HttpServer::CheckDelivery;
+  };
+  Checker checker(&sys_.ctx(), &sys_.net(), &sys_.io(), &sys_.runtime());
+  iolite::BufferRef whole = sys_.fs().ReadFromDisk(file_, 0, 20 * 1024);
+  checker.CheckDelivery(iolite::Aggregate::FromBuffer(whole), file_, 0);
+  EXPECT_EQ(sys_.ctx().stats().corrupt_responses, 0u);
+  checker.CheckDelivery(iolite::Aggregate::FromSlice(iolite::Slice(whole, 0, 20 * 1024 - 1)),
+                        file_, 0);
+  EXPECT_EQ(sys_.ctx().stats().corrupt_responses, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FourMutants, DeliveryMutantTest,
+                         ::testing::Values(ioltest::Mutant::kWrongFile,
+                                           ioltest::Mutant::kStaleLabelledCurrent,
+                                           ioltest::Mutant::kOffByOne,
+                                           ioltest::Mutant::kDroppedSlice));
 
 // --- Closed-loop driver -------------------------------------------------------
 
