@@ -1,10 +1,17 @@
 // Wall-clock benchmark of the discrete-event engine itself.
 //
 // Unlike the figure benchmarks (which report *simulated* bandwidth), every
-// number here is host-side: how fast the simulator executes. Three rows:
+// number here is host-side: how fast the simulator executes. The rows:
 //
 //  * engine_ring       — raw EventQueue + Resource dispatch: one
 //                        self-rescheduling event per step, no request logic.
+//  * link_stream       — the hot-50k engine shape with no request logic:
+//                        40 transmissions share one single-unit link, each
+//                        re-acquiring it per segment, so every completion
+//                        rides the link's sorted completion stream.
+//  * link_heap         — the same 40 flows on a 2-unit link: the same
+//                        number of pending completions, but multi-unit
+//                        grants, so every one waits in the event heap.
 //  * macro_flash_tiny  — 1M requests through the full staged pipeline
 //                        (Flash, 64 B document, persistent): engine-bound
 //                        request turnover.
@@ -18,12 +25,13 @@
 //                        path whose per-event allocations motivated the
 //                        engine rebuild.
 //
-// JSON rows use x = simulated requests (0 for the raw ring), value =
+// JSON rows use x = simulated requests (0 for the raw rows), value =
 // events_per_sec, plus wall_ms/events_per_sec like every experiment row.
 // Run with --smoke in CI (tiny counts: path rot check, not a measurement).
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -37,7 +45,7 @@ double MsSince(Clock::time_point t0) {
 }
 
 struct PerfRow {
-  uint64_t requests = 0;  // Simulated requests (0 for the raw ring).
+  uint64_t requests = 0;  // Simulated requests (0 for the raw rows).
   uint64_t events = 0;
   double wall_ms = 0;
   double events_per_sec = 0;
@@ -73,6 +81,42 @@ PerfRow RunRing(uint64_t steps) {
   PerfRow row;
   row.wall_ms = MsSince(t0);
   row.events = ctx.stats().events_dispatched;
+  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
+  return row;
+}
+
+// 40 flows sharing one link, each re-acquiring it for one MSS segment
+// (1460 B at 100 Mb/s) at every completion until `steps` segments are
+// sent: the per-segment transmit loop of a 50 KB response, 40 clients wide.
+PerfRow RunLink(int units, uint64_t steps) {
+  constexpr int kFlows = 40;
+  constexpr iolsim::SimTime kSegmentNs = 116'800;
+  iolsim::VirtualClock clock;
+  uint64_t dispatched = 0;
+  iolsim::EventQueue events(&clock, &dispatched);
+  iolsim::Resource link(&clock, units);
+  struct Flow {
+    iolsim::EventQueue* events;
+    iolsim::Resource* link;
+    uint64_t* remaining;
+    void Send() {
+      if (*remaining == 0) {
+        return;
+      }
+      --*remaining;
+      link->AcquireAsync(events, kSegmentNs, [this] { Send(); });
+    }
+  };
+  uint64_t remaining = steps;
+  std::vector<Flow> flows(kFlows, Flow{&events, &link, &remaining});
+  Clock::time_point t0 = Clock::now();
+  for (Flow& f : flows) {
+    f.Send();
+  }
+  events.RunAll();
+  PerfRow row;
+  row.wall_ms = MsSince(t0);
+  row.events = dispatched;
   row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
   return row;
 }
@@ -119,6 +163,8 @@ int main(int argc, char** argv) {
   std::printf("# NOTE: assert-enabled (Debug) build — compare like with like\n");
 #endif
   Report(&json, "engine_ring", RunRing(ring_steps));
+  Report(&json, "link_stream", RunLink(1, ring_steps));
+  Report(&json, "link_heap", RunLink(2, ring_steps));
   Report(&json, "macro_flash_tiny", RunMacro(ServerKind::kFlash, 64, macro_requests));
   Report(&json, "macro_flash", RunMacro(ServerKind::kFlash, 1024, macro_requests));
   Report(&json, "macro_flash_lite",

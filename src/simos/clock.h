@@ -57,9 +57,6 @@ class VirtualClock {
     }
   }
 
-  // Resets the clock to zero (used between benchmark runs).
-  void Reset() { now_ = 0; }
-
  private:
   SimTime now_ = 0;
 };

@@ -6,15 +6,23 @@
 // orders those completions in virtual time.
 //
 // The engine is allocation-free in steady state: continuations are
-// InlineCallbacks (fixed inline storage, no allocation), a 4-ary heap orders
-// lightweight POD keys over a pooled slot array so dispatched events are
-// *moved* out rather than copied, and multi-stage continuations ride in
-// pooled nodes (ResourceChain, and per-subsystem pools in net/fs/httpd).
+// InlineCallbacks (fixed inline storage, no allocation), and multi-stage
+// continuations ride in pooled nodes (ResourceChain, and per-subsystem
+// pools in net/fs/httpd). Pending events sit in one of two places:
+//   * a 4-ary heap of lightweight POD keys over a pooled slot array holds
+//     timers, arrivals, cancellable events and multi-unit or QoS-scheduled
+//     grants; dispatched events are *moved* out rather than copied;
+//   * sorted completion streams hold the completions of single-unit FIFO
+//     Resources. One unit finishes its jobs in call order, so each stream
+//     is a ring appended at the tail and popped at the head, with no
+//     sifting at all.
+// Dispatch takes the earlier of the heap top and the stream heads.
 //
-// Events dispatch in exactly (when, seq) order — seq is unique, so the
-// order is a total order independent of heap shape. The golden determinism
-// tests pin this; tests/scheduler_test.cc replays randomized
-// schedule/cancel streams against a sorted-vector oracle.
+// Events dispatch in exactly (when, seq) order — seq is unique across the
+// heap and the streams, so the order is a total order independent of where
+// an event waits. The golden determinism tests pin this;
+// tests/scheduler_test.cc replays randomized schedule/cancel streams, with
+// and without sorted streams, against a sorted-vector oracle.
 
 #ifndef SRC_SIMOS_EVENT_QUEUE_H_
 #define SRC_SIMOS_EVENT_QUEUE_H_
@@ -22,6 +30,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -50,7 +59,7 @@ class EventQueue {
   // Schedules `fn` to run at absolute time `when` (clamped to now). The
   // returned id is valid until the event dispatches (or is cancelled) and
   // may be ignored — almost every caller does.
-  EventId ScheduleAt(SimTime when, InlineCallback fn) {
+  EventId ScheduleAt(SimTime when, InlineCallback&& fn) {
     if (when < clock_->now()) {
       when = clock_->now();
     }
@@ -67,15 +76,53 @@ class EventQueue {
     heap_.push_back(Event{when, next_seq_++, slot});
     SiftUp(heap_.size() - 1);
     ++live_;
+    settled_ = false;
     return MakeId(slot, slots_[slot].gen);
   }
 
   // Schedules `fn` to run `delay` after the current time.
-  EventId ScheduleAfter(SimTime delay, InlineCallback fn) {
+  EventId ScheduleAfter(SimTime delay, InlineCallback&& fn) {
     return ScheduleAt(clock_->now() + delay, std::move(fn));
   }
 
-  // Cancels a pending event. Returns false for a stale id (already
+  // Schedules `fn` at `when` (clamped to now) on the sorted completion
+  // stream that `owner` holds in this queue. The caller appends in
+  // non-decreasing time order (a single-unit FIFO Resource's finish
+  // times), so the stream is a ring: append at the tail, dispatch from the
+  // head. An entry that would break the order goes to the heap instead,
+  // which keeps dispatch exact. `*stream` caches the stream's index; any
+  // value is accepted and a stale one is looked up again, so an owner that
+  // meets several queues keeps one stream in each. Stream events cannot be
+  // cancelled.
+  void ScheduleSorted(const void* owner, uint32_t* stream, SimTime when, InlineCallback&& fn) {
+    if (when < clock_->now()) {
+      when = clock_->now();
+    }
+    if (*stream >= streams_.size() || streams_[*stream].owner != owner) {
+      *stream = FindStream(owner);
+    }
+    Stream& st = streams_[*stream];
+    if (st.count > 0 && when < st.last_when) {
+      ScheduleAt(when, std::move(fn));
+      return;
+    }
+    if (st.count == st.capacity) {
+      GrowRing(&st);
+    }
+    if (st.count == 0) {
+      heads_.push_back(Head{when, next_seq_, *stream});
+    }
+    Entry& e = st.ring[(st.head + st.count) & st.mask];
+    e.when = when;
+    e.seq = next_seq_++;
+    e.fn = std::move(fn);
+    st.last_when = when;
+    ++st.count;
+    ++live_;
+    settled_ = false;
+  }
+
+  // Cancels a pending heap event. Returns false for a stale id (already
   // dispatched, already cancelled, or never valid). O(1): the event's key
   // stays queued and is discarded when it surfaces; the callback (and
   // whatever it captured) is destroyed immediately.
@@ -94,46 +141,43 @@ class EventQueue {
     ++s.gen;  // Invalidate the handle immediately (double-cancel is a no-op).
     assert(live_ > 0);
     --live_;
+    settled_ = false;
     return true;
   }
 
   // True if no live events are pending.
   bool empty() const { return live_ == 0; }
 
-  // Number of live (non-cancelled) pending events.
+  // Number of live (non-cancelled) pending events, streams included.
   size_t size() const { return live_; }
+
+  // Number of sorted completion streams this queue has opened (one per
+  // owner that has scheduled into it, empty or not).
+  size_t streams() const { return streams_.size(); }
 
   // Time of the earliest live event; false when none is pending. Purges
   // cancelled keys it surfaces along the way.
   bool PeekWhen(SimTime* when) {
-    while (live_ > 0) {
-      Event e = heap_[0];
-      if (slots_[e.slot].cancelled) {
-        PopMinKey();
-        ReleaseCancelled(e.slot);
-        continue;
-      }
-      *when = e.when;
-      return true;
+    if (!Settle()) {
+      return false;
     }
-    return false;
+    *when = next_when_;
+    return true;
   }
 
   // Dispatches the earliest event, advancing the clock to its timestamp.
   // Returns false if the queue was empty.
   bool RunOne() {
-    SimTime when;
-    if (!PeekWhen(&when)) {
+    if (!Settle()) {
       return false;
     }
-    Event ev = PopMinKey();
-    clock_->AdvanceTo(ev.when);
+    settled_ = false;
+    clock_->AdvanceTo(next_when_);
     ++*dispatched_;
     --live_;
-    // Move the continuation out and release the slot before invoking: the
-    // callback is free to schedule into the slot it just vacated.
-    InlineCallback fn = std::move(slots_[ev.slot].fn);
-    ReleaseSlot(ev.slot);
+    // Move the continuation out and free its place before invoking: the
+    // callback is free to schedule into the slot or ring it just vacated.
+    InlineCallback fn = next_ == kHeapTop ? TakeHeapTop() : TakeStreamHead(next_);
     fn();
     return true;
   }
@@ -179,8 +223,112 @@ class EventQueue {
     bool cancelled = false;
   };
 
+  // One sorted completion stream: a power-of-two ring, oldest first.
+  struct Entry {
+    SimTime when = 0;
+    uint64_t seq = 0;
+    InlineCallback fn;
+  };
+  struct Stream {
+    const void* owner = nullptr;
+    std::vector<Entry> ring;
+    uint32_t capacity = 0;  // ring.size(), a power of two (or 0).
+    uint32_t mask = 0;
+    uint32_t head = 0;
+    uint32_t count = 0;
+    SimTime last_when = 0;
+  };
+
+  // The head key of one non-empty stream. Dispatch scans these, so they
+  // sit packed together rather than in the streams.
+  struct Head {
+    SimTime when;
+    uint64_t seq;
+    uint32_t stream;
+  };
+
+  static constexpr uint32_t kHeapTop = UINT32_MAX;
+
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) << 32) | gen;
+  }
+
+  // Finds the earliest live event (the heap top or a stream head) and
+  // keeps it until the queue next changes, so PeekWhen followed by RunOne
+  // looks once. False when nothing is pending.
+  bool Settle() {
+    if (settled_) {
+      return true;
+    }
+    if (live_ == 0) {
+      return false;
+    }
+    while (!heap_.empty() && slots_[heap_[0].slot].cancelled) {
+      ReleaseCancelled(PopMinKey().slot);
+    }
+    uint32_t best = kHeapTop;
+    SimTime when = std::numeric_limits<SimTime>::max();
+    uint64_t seq = std::numeric_limits<uint64_t>::max();
+    if (!heap_.empty()) {
+      when = heap_[0].when;
+      seq = heap_[0].seq;
+    }
+    for (uint32_t i = 0; i < heads_.size(); ++i) {
+      const Head& h = heads_[i];
+      if (h.when < when || (h.when == when && h.seq < seq)) {
+        when = h.when;
+        seq = h.seq;
+        best = i;
+      }
+    }
+    next_when_ = when;
+    next_ = best;
+    settled_ = true;
+    return true;
+  }
+
+  InlineCallback TakeHeapTop() {
+    uint32_t slot = PopMinKey().slot;
+    InlineCallback fn = std::move(slots_[slot].fn);
+    ReleaseSlot(slot);
+    return fn;
+  }
+
+  // Pops the head of the stream whose key sits at heads_[i].
+  InlineCallback TakeStreamHead(uint32_t i) {
+    Stream& st = streams_[heads_[i].stream];
+    InlineCallback fn = std::move(st.ring[st.head].fn);
+    st.head = (st.head + 1) & st.mask;
+    if (--st.count > 0) {
+      const Entry& next = st.ring[st.head];
+      heads_[i].when = next.when;
+      heads_[i].seq = next.seq;
+    } else {
+      heads_[i] = heads_.back();
+      heads_.pop_back();
+    }
+    return fn;
+  }
+
+  uint32_t FindStream(const void* owner) {
+    for (uint32_t s = 0; s < streams_.size(); ++s) {
+      if (streams_[s].owner == owner) {
+        return s;
+      }
+    }
+    streams_.emplace_back().owner = owner;
+    return static_cast<uint32_t>(streams_.size() - 1);
+  }
+
+  static void GrowRing(Stream* st) {
+    std::vector<Entry> ring(st->ring.empty() ? 8 : 2 * st->ring.size());
+    for (uint32_t i = 0; i < st->count; ++i) {
+      ring[i] = std::move(st->ring[(st->head + i) & st->mask]);
+    }
+    st->ring = std::move(ring);
+    st->capacity = static_cast<uint32_t>(st->ring.size());
+    st->mask = st->capacity - 1;
+    st->head = 0;
   }
 
   void ReleaseSlot(uint32_t slot) {
@@ -263,6 +411,13 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<Event> heap_;
+  std::vector<Stream> streams_;
+  std::vector<Head> heads_;  // One per non-empty stream, in no order.
+  // Settle's answer, valid while settled_: the earliest event's time and
+  // where it waits (kHeapTop, or an index into heads_).
+  bool settled_ = false;
+  SimTime next_when_ = 0;
+  uint32_t next_ = kHeapTop;
 };
 
 class Resource;
@@ -301,9 +456,12 @@ class ResourceScheduler {
 class Resource {
  public:
   explicit Resource(VirtualClock* clock, int units = 1)
-      : clock_(clock), unit_free_at_(units > 0 ? units : 1, 0) {
-    heap_.resize(unit_free_at_.size());
-    ResetHeap();
+      : clock_(clock), unit_free_at_(units > 0 ? units : 1, 0), heap_(unit_free_at_.size()) {
+    // All-equal keys: ascending indices already satisfy the heap property
+    // and encode the lowest-index tie-break.
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      heap_[i] = static_cast<uint32_t>(i);
+    }
   }
 
   // Reserves a unit for `service` time and returns the completion time.
@@ -333,20 +491,24 @@ class Resource {
   // Asynchronous acquisition: reserves the earliest-available unit starting
   // now and schedules `done` on `events` at the completion time. FIFO
   // fairness follows from reservation-at-call order; simultaneous
-  // completions dispatch in schedule order (EventQueue seq numbers).
+  // completions dispatch in schedule order (EventQueue seq numbers). A
+  // single unit finishes its jobs in call order (each starts no earlier
+  // than the last one's finish), so its completions go to a sorted stream
+  // in `events` rather than the heap; multi-unit completions go to the heap.
   //
   // With a ResourceScheduler attached the acquisition is queued under the
-  // scheduler's discipline instead, and the completion time is unknown
-  // until it dispatches — the return value is 0 in that case (no async
-  // call site consumes it).
-  SimTime AcquireAsync(EventQueue* events, SimTime service, InlineCallback done) {
+  // scheduler's discipline instead, and the scheduler schedules `done`.
+  void AcquireAsync(EventQueue* events, SimTime service, InlineCallback done) {
     if (scheduler_ != nullptr) {
       scheduler_->Admit(this, events, service, std::move(done));
-      return 0;
+      return;
     }
     SimTime finish = Acquire(service);
-    events->ScheduleAt(finish, std::move(done));
-    return finish;
+    if (unit_free_at_.size() == 1) {
+      events->ScheduleSorted(this, &stream_, finish, std::move(done));
+    } else {
+      events->ScheduleAt(finish, std::move(done));
+    }
   }
 
   // QoS hook (src/qos): routes AcquireAsync through `scheduler`; null
@@ -362,14 +524,6 @@ class Resource {
   // Total busy time accumulated across all units (for utilization
   // reporting; divide by units() for per-unit utilization).
   SimTime busy_time() const { return busy_; }
-
-  void Reset() {
-    for (SimTime& t : unit_free_at_) {
-      t = 0;
-    }
-    busy_ = 0;
-    ResetHeap();
-  }
 
   // --- Fault plane (src/fault) ------------------------------------------
   //
@@ -490,14 +644,6 @@ class Resource {
     heap_[i] = moving;
   }
 
-  void ResetHeap() {
-    // All-equal keys: ascending indices already satisfy the heap property
-    // and encode the lowest-index tie-break.
-    for (size_t i = 0; i < heap_.size(); ++i) {
-      heap_[i] = static_cast<uint32_t>(i);
-    }
-  }
-
   VirtualClock* clock_;
   std::vector<SimTime> unit_free_at_;
   std::vector<uint32_t> heap_;  // Unit indices, min-heap by (free time, index).
@@ -505,6 +651,7 @@ class Resource {
   ResourceScheduler* scheduler_ = nullptr;
   std::vector<FaultWindow> fault_windows_;  // Sorted by (start, end).
   size_t fault_cursor_ = 0;                 // First window not fully past.
+  uint32_t stream_ = UINT32_MAX;  // Index of our stream in the last queue used.
 };
 
 // Pooled two-hop acquisition: reserve `first` for `s1`, and at its

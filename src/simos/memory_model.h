@@ -74,11 +74,6 @@ class MemoryModel {
     return used_ >= total_ ? 0 : total_ - used_;
   }
 
-  void Reset() {
-    reserved_.clear();
-    used_ = 0;
-  }
-
  private:
   uint64_t& Entry(std::string_view category) {
     auto it = reserved_.find(category);

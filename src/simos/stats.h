@@ -111,8 +111,6 @@ struct SimStats {
   uint64_t ipc_slices_sent = 0;
   uint64_t ipc_bytes_transferred = 0;
   uint64_t ipc_desc_bytes = 0;  // Control-plane descriptor traffic.
-
-  void Reset() { *this = SimStats{}; }
 };
 
 // One reported CDN level counter: its JSON key and its CdnLevelStats field.
