@@ -9,6 +9,10 @@
 //                        40 transmissions share one single-unit link, each
 //                        re-acquiring it per segment, so every completion
 //                        rides the link's sorted completion stream.
+//  * link_train        — the link_stream flows re-armed through the
+//                        train path (Resource::AcquireTrain): each
+//                        completion is a train entry that RunOne steps in
+//                        place, with no callback per segment.
 //  * link_heap         — the same 40 flows on a 2-unit link: the same
 //                        number of pending completions, but multi-unit
 //                        grants, so every one waits in the event heap.
@@ -85,12 +89,21 @@ PerfRow RunRing(uint64_t steps) {
   return row;
 }
 
+constexpr int kFlows = 40;
+constexpr iolsim::SimTime kSegmentNs = 116'800;
+
+PerfRow LinkRow(uint64_t dispatched, Clock::time_point t0) {
+  PerfRow row;
+  row.wall_ms = MsSince(t0);
+  row.events = dispatched;
+  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
+  return row;
+}
+
 // 40 flows sharing one link, each re-acquiring it for one MSS segment
 // (1460 B at 100 Mb/s) at every completion until `steps` segments are
 // sent: the per-segment transmit loop of a 50 KB response, 40 clients wide.
 PerfRow RunLink(int units, uint64_t steps) {
-  constexpr int kFlows = 40;
-  constexpr iolsim::SimTime kSegmentNs = 116'800;
   iolsim::VirtualClock clock;
   uint64_t dispatched = 0;
   iolsim::EventQueue events(&clock, &dispatched);
@@ -114,11 +127,37 @@ PerfRow RunLink(int units, uint64_t steps) {
     f.Send();
   }
   events.RunAll();
-  PerfRow row;
-  row.wall_ms = MsSince(t0);
-  row.events = dispatched;
-  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
-  return row;
+  return LinkRow(dispatched, t0);
+}
+
+// RunLink's flows on one unit as segment trains: the flow is the token,
+// and each step re-arms it through the train path.
+PerfRow RunLinkTrain(uint64_t steps) {
+  iolsim::VirtualClock clock;
+  uint64_t dispatched = 0;
+  iolsim::EventQueue events(&clock, &dispatched);
+  iolsim::Resource link(&clock, 1);
+  struct Flows final : iolsim::TrainHost {
+    iolsim::EventQueue* events;
+    iolsim::Resource* link;
+    uint64_t remaining;
+    void TrainStep(uint32_t flow) override {
+      if (remaining == 0) {
+        return;
+      }
+      --remaining;
+      link->AcquireTrain(events, kSegmentNs, this, flow);
+    }
+  } flows;
+  flows.events = &events;
+  flows.link = &link;
+  flows.remaining = steps;
+  Clock::time_point t0 = Clock::now();
+  for (uint32_t f = 0; f < kFlows; ++f) {
+    flows.TrainStep(f);
+  }
+  events.RunAll();
+  return LinkRow(dispatched, t0);
 }
 
 // The macro run: a closed-loop population hammering one cached document
@@ -164,6 +203,7 @@ int main(int argc, char** argv) {
 #endif
   Report(&json, "engine_ring", RunRing(ring_steps));
   Report(&json, "link_stream", RunLink(1, ring_steps));
+  Report(&json, "link_train", RunLinkTrain(ring_steps));
   Report(&json, "link_heap", RunLink(2, ring_steps));
   Report(&json, "macro_flash_tiny", RunMacro(ServerKind::kFlash, 64, macro_requests));
   Report(&json, "macro_flash", RunMacro(ServerKind::kFlash, 1024, macro_requests));

@@ -33,10 +33,9 @@ class Experiment::QueueLane : public iolsim::ShardLane {
   void RunWindow(iolsim::SimTime end) override {
     // Strictly-before: events at exactly `end` belong to the next window.
     // The clock is left at the last dispatched event, never pushed to
-    // `end` — later arrivals must not be clamped forward.
-    iolsim::SimTime when;
-    while (events_->PeekWhen(&when) && when < end) {
-      events_->RunOne();
+    // `end` — later arrivals must not be clamped forward. The bound keeps
+    // a segment train from stepping past the window too.
+    while (events_->RunOne(end - 1)) {
     }
   }
 

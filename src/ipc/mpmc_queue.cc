@@ -104,10 +104,4 @@ bool MpmcQueue::drained() const {
   return head >= tail;
 }
 
-uint64_t MpmcQueue::ApproxSize() const {
-  uint64_t tail = state_->enqueue_pos.load(std::memory_order_relaxed);
-  uint64_t head = state_->dequeue_pos.load(std::memory_order_relaxed);
-  return tail > head ? tail - head : 0;
-}
-
 }  // namespace iolipc

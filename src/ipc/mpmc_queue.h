@@ -104,9 +104,6 @@ class MpmcQueue {
   bool closed() const { return state_->closed.load(std::memory_order_acquire) != 0; }
   bool drained() const;
 
-  // Occupancy snapshot (approximate under concurrency; exact at quiesce).
-  uint64_t ApproxSize() const;
-
  private:
   static constexpr uint32_t kQueueMagic = 0x494f4c51;  // "IOLQ"
 

@@ -144,18 +144,6 @@ void ReturnSlot(MpmcQueue* free_list, const SliceDesc& d) {
   (void)pushed;
 }
 
-const char* PlaneModeName(PlaneMode mode) {
-  switch (mode) {
-    case PlaneMode::kInProcess:
-      return "in-process";
-    case PlaneMode::kThreads:
-      return "threads";
-    case PlaneMode::kProcesses:
-      return "processes";
-  }
-  return "unknown";
-}
-
 WorkerGroup::~WorkerGroup() {
   assert(pids_.empty() && threads_.empty() && "WorkerGroup destroyed before JoinAll");
 }

@@ -217,8 +217,6 @@ enum class PlaneMode {
   kProcesses,  // One fork()ed process per worker (the real data plane).
 };
 
-const char* PlaneModeName(PlaneMode mode);
-
 // Launches and joins one group of identical workers. `body` runs once per
 // worker — in a forked child (kProcesses), a thread (kThreads), or not at
 // all (kInProcess: the driver pumps roles itself). Groups are joined in

@@ -157,8 +157,6 @@ int ShmRegion::SweepStale(const std::string& prefix) {
   return reclaimed;
 }
 
-uint64_t ShmRegion::owner_pid() const { return header_->owner_pid; }
-
 std::unique_ptr<ShmRegion> ShmRegion::Attach(const std::string& name) {
   int fd = shm_open(name.c_str(), O_RDWR, 0600);
   if (fd < 0) {
@@ -225,7 +223,5 @@ char* ShmRegion::AllocateExtent(size_t n) {
 uint64_t ShmRegion::bytes_used() const {
   return header_->bump.load(std::memory_order_relaxed);
 }
-
-uint64_t ShmRegion::bytes_free() const { return payload_size_ - bytes_used(); }
 
 }  // namespace iolipc

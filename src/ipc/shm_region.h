@@ -38,9 +38,6 @@ class ShmRegion {
   // does not exist (anonymous-fallback environments have nothing to sweep).
   static int SweepStale(const std::string& prefix);
 
-  // The pid that created the region (from the shared header).
-  uint64_t owner_pid() const;
-
   ~ShmRegion();
 
   ShmRegion(const ShmRegion&) = delete;
@@ -81,7 +78,6 @@ class ShmRegion {
   char* AllocateExtent(size_t n);
 
   uint64_t bytes_used() const;
-  uint64_t bytes_free() const;
 
   // The mapping's first kHeaderSpan bytes hold the region header; the
   // payload starts right after, so payload pointers (and hence extents) are

@@ -147,38 +147,63 @@ uint32_t NetworkSubsystem::AcquireTransmit(size_t remaining, const LinkSpec* lin
   return idx;
 }
 
-void NetworkSubsystem::TransmitSegment(uint32_t idx) {
-  // Same link-reservation sequence as the old per-segment closure chain —
-  // one acquisition per MSS segment, the next reserved at the previous
-  // segment's completion event — but the state is a pooled node the
-  // completion re-arms, so steady-state transmission allocates nothing.
-  size_t remaining = transmits_[idx].remaining;
-  size_t mtu = static_cast<size_t>(ctx_->cost().params().mtu_bytes);
-  size_t seg = remaining < mtu ? remaining : mtu;
-  transmits_[idx].remaining = remaining - seg;
-  const LinkSpec* spec = transmits_[idx].link;
-  iolsim::Resource* link;
-  iolsim::SimTime wire;
+iolsim::Resource* NetworkSubsystem::LinkOf(const TransmitState& t, size_t seg,
+                                           iolsim::SimTime* wire) {
+  const LinkSpec* spec = t.link;
   if (spec == nullptr) {
-    link = &ctx_->link();
-    wire = seg == mtu ? mss_wire_time_ : ctx_->cost().WireTime(seg);
-  } else {
-    link = spec->link;
-    // An unprimed spec (mss_wire_time == 0) falls back to the computation.
-    wire = seg == mtu && spec->mss_wire_time > 0 ? spec->mss_wire_time
-                                                 : spec->WireTime(seg);
+    *wire = seg == mtu_ ? mss_wire_time_ : ctx_->cost().WireTime(seg);
+    return &ctx_->link();
   }
-  link->AcquireAsync(&ctx_->events(), wire, [this, idx] {
-    TransmitState& t = transmits_[idx];
-    if (t.remaining == 0) {
-      iolsim::InlineCallback done = std::move(t.done);
-      t.next_free = free_transmit_;
-      free_transmit_ = idx;
-      done();
-    } else {
-      TransmitSegment(idx);
-    }
-  });
+  // An unprimed spec (mss_wire_time == 0) falls back to the computation.
+  *wire = seg == mtu_ && spec->mss_wire_time > 0 ? spec->mss_wire_time : spec->WireTime(seg);
+  return spec->link;
+}
+
+void NetworkSubsystem::TransmitSegment(uint32_t idx) {
+  // One acquisition per MSS segment, the next reserved at the previous
+  // segment's completion event. The state is a pooled node each completion
+  // re-arms, so steady-state transmission allocates nothing.
+  TransmitState& t = transmits_[idx];
+  size_t seg = t.remaining < mtu_ ? t.remaining : mtu_;
+  t.remaining -= seg;
+  iolsim::SimTime wire;
+  iolsim::Resource* link = LinkOf(t, seg, &wire);
+  link->AcquireTrain(&ctx_->events(), wire, this, idx);
+}
+
+void NetworkSubsystem::TrainStep(uint32_t idx) {
+  TransmitState& t = transmits_[idx];
+  if (t.remaining > 0) {
+    TransmitSegment(idx);
+    return;
+  }
+  iolsim::InlineCallback done = std::move(t.done);
+  t.next_free = free_transmit_;
+  free_transmit_ = idx;
+  done();
+}
+
+uint32_t NetworkSubsystem::TrainLeap(uint32_t idx, iolsim::SimTime when,
+                                     iolsim::SimTime horizon, iolsim::SimTime* period) {
+  // Each step taken stages one more full segment, so the steps are uniform
+  // while an MSS remains: the link frees at `when`, and every step reserves
+  // it for one MSS wire time from its own completion.
+  TransmitState& t = transmits_[idx];
+  iolsim::SimTime wire;
+  iolsim::Resource* link = LinkOf(t, mtu_, &wire);
+  if (t.remaining < mtu_ || horizon < when || wire <= 0) {
+    return 0;
+  }
+  uint64_t steps = static_cast<uint64_t>((horizon - when) / wire) + 1;
+  if (steps > t.remaining / mtu_) {
+    steps = t.remaining / mtu_;
+  }
+  if (!link->AcquireRun(when, wire, steps)) {
+    return 0;
+  }
+  t.remaining -= steps * mtu_;
+  *period = wire;
+  return static_cast<uint32_t>(steps);
 }
 
 size_t TcpConnection::SendAggregate(const iolite::Aggregate& agg) {

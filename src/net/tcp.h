@@ -13,8 +13,12 @@
 //    pinned beyond mbuf headers.
 //
 // Wire time and queueing on the shared NIC array are staged by
-// TransmitAsync onto the SimContext's link resource, one event per TCP
-// segment (the network is a contended resource, not a CPU cost).
+// TransmitAsync onto the SimContext's link resource, one link acquisition
+// and one dispatched completion per TCP segment (the network is a contended
+// resource, not a CPU cost). The segments of one transmission form a train
+// in the link's completion stream (EventQueue::ScheduleTrain): back-to-back
+// segments re-arm in place inside the event loop, with no callback per
+// segment.
 
 #ifndef SRC_NET_TCP_H_
 #define SRC_NET_TCP_H_
@@ -63,15 +67,16 @@ struct LinkSpec {
   void Prime(int mtu_bytes) { mss_wire_time = WireTime(static_cast<uint64_t>(mtu_bytes)); }
 };
 
-// Shared state of the simulated network stack.
-class NetworkSubsystem {
+// Shared state of the simulated network stack. It hosts the segment trains
+// of every transmission in flight.
+class NetworkSubsystem final : public iolsim::TrainHost {
  public:
   NetworkSubsystem(iolsim::SimContext* ctx, bool checksum_cache_enabled,
                    size_t checksum_cache_entries = 65536)
       : ctx_(ctx),
         checksum_(ctx, checksum_cache_enabled, checksum_cache_entries),
-        mss_wire_time_(ctx->cost().WireTime(
-            static_cast<uint64_t>(ctx->cost().params().mtu_bytes))) {}
+        mtu_(static_cast<size_t>(ctx->cost().params().mtu_bytes)),
+        mss_wire_time_(ctx->cost().WireTime(mtu_)) {}
 
   NetworkSubsystem(const NetworkSubsystem&) = delete;
   NetworkSubsystem& operator=(const NetworkSubsystem&) = delete;
@@ -106,14 +111,23 @@ class NetworkSubsystem {
 
   uint32_t AcquireTransmit(size_t remaining, const LinkSpec* link,
                            iolsim::InlineCallback done);
-  // Stages the next MSS-sized segment of `idx` onto the shared link.
+  // The wire `t` transmits on, and the wire time of a `seg`-byte segment.
+  iolsim::Resource* LinkOf(const TransmitState& t, size_t seg, iolsim::SimTime* wire);
+  // Stages the next MSS-sized segment of `idx` onto its link.
   void TransmitSegment(uint32_t idx);
+  // A segment of transmission `idx` left the wire: stage the next one, or
+  // release the state and run `done` after the last.
+  void TrainStep(uint32_t idx) override;
+  // Takes the steps of `idx` that each stage one more full segment at once.
+  uint32_t TrainLeap(uint32_t idx, iolsim::SimTime when, iolsim::SimTime horizon,
+                     iolsim::SimTime* period) override;
 
   iolsim::SimContext* ctx_;
   ChecksumModule checksum_;
   int open_connections_ = 0;
   std::vector<TransmitState> transmits_;
   uint32_t free_transmit_ = UINT32_MAX;
+  size_t mtu_;
   // WireTime(MSS), precomputed: every non-final segment of every response
   // costs exactly this, so the per-segment hot path skips the FP math.
   iolsim::SimTime mss_wire_time_;
@@ -166,13 +180,14 @@ class TcpConnection {
 
   // Stages `n` queued payload bytes onto the shared link as MSS-sized
   // segments. Each segment is a separate acquisition of the link resource,
-  // reserved from the previous segment's completion event, so concurrent
+  // reserved at the previous segment's completion event, so concurrent
   // transmissions interleave at segment granularity instead of serializing
   // whole responses. `done` runs when the last segment has left the wire.
   // The CPU-side costs were already charged by the Send* call that queued
   // the bytes; this models only wire occupancy. The per-segment state rides
-  // in the NetworkSubsystem's TransmitState pool: no allocation per segment
-  // or per transmission.
+  // in the NetworkSubsystem's TransmitState pool, and on a single-unit link
+  // with no scheduler the completions are train entries that the event
+  // loop steps in place: no allocation or callback per segment.
   void TransmitAsync(size_t n, iolsim::InlineCallback done);
 
   uint64_t bytes_sent() const { return bytes_sent_; }

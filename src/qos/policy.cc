@@ -41,14 +41,6 @@ void QosPolicy::SetStarvationBound(iolsim::SimTime max_wait) {
   }
 }
 
-uint64_t QosPolicy::promotions() const {
-  uint64_t total = 0;
-  for (const std::unique_ptr<FairScheduler>& s : schedulers_) {
-    total += s->queue().promotions();
-  }
-  return total;
-}
-
 void QosPolicy::SetThrottle(TenantId t, double tokens_per_sec, double burst_tokens) {
   if (t >= throttles_.size()) {
     throttles_.resize(t + 1);

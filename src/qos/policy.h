@@ -92,8 +92,6 @@ class QosPolicy {
     return schedulers_;
   }
 
-  uint64_t promotions() const;  // Starvation-guard promotions, all queues.
-
   // --- Throttling -----------------------------------------------------------
 
   // Installs/replaces the built-in front-door token bucket for `t`

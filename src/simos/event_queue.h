@@ -18,11 +18,27 @@
 //     sifting at all.
 // Dispatch takes the earlier of the heap top and the stream heads.
 //
+// A stream entry is either a callback or a *train* entry: a TrainHost and
+// a token, for work that re-acquires the same resource at every completion
+// (a transmission's per-MSS segments on its link). RunOne dispatches a
+// train head in a loop: it advances the clock, counts the event and asks
+// the host to step, and the host's re-arm appends the next entry with the
+// next seq. While nothing else touched the queue and the stream's new head
+// is still a train entry earlier than the runner-up (the second-earliest
+// event Settle found) and within the caller's bound, the loop dispatches
+// it in place — no rescan, no callback move, no indirect call through an
+// InlineCallback. A step that finishes its train (the final segment runs
+// its continuation) or schedules or cancels anything else ends the loop.
+// When the train's pending entry is its stream's only one, the host may
+// leap (TrainHost::TrainLeap): take every uniform step due before the
+// runner-up and the bound at once, with the queue advancing the clock,
+// the dispatch count and seq as if each had run.
+//
 // Events dispatch in exactly (when, seq) order — seq is unique across the
 // heap and the streams, so the order is a total order independent of where
 // an event waits. The golden determinism tests pin this;
 // tests/scheduler_test.cc replays randomized schedule/cancel streams, with
-// and without sorted streams, against a sorted-vector oracle.
+// and without sorted streams and trains, against a sorted-vector oracle.
 
 #ifndef SRC_SIMOS_EVENT_QUEUE_H_
 #define SRC_SIMOS_EVENT_QUEUE_H_
@@ -38,6 +54,31 @@
 #include "src/simos/inline_function.h"
 
 namespace iolsim {
+
+// The owner of train entries (EventQueue::ScheduleTrain): its step either
+// re-arms the train, typically through Resource::AcquireTrain, or finishes
+// it by running whatever continuation the train carries.
+class TrainHost {
+ public:
+  virtual void TrainStep(uint32_t token) = 0;
+
+  // Optional fast-forward. Train `token`'s pending entry is due at `when`,
+  // it is its stream's only entry, and no other event can run before
+  // `horizon`. A host whose next steps are uniform may take k >= 1 of them
+  // at once: the dispatches due at when, when + *period, ...,
+  // when + (k - 1) * *period (all by `horizon`), each of which would have
+  // re-armed the next one *period later. The host applies every effect of
+  // those k steps but the queue's own, without calling into the queue; the
+  // queue then advances the clock, the dispatch count, seq and the entry.
+  // Returns k; 0 declines.
+  virtual uint32_t TrainLeap(uint32_t /*token*/, SimTime /*when*/, SimTime /*horizon*/,
+                             SimTime* /*period*/) {
+    return 0;
+  }
+
+ protected:
+  ~TrainHost() = default;
+};
 
 // A time-ordered queue of callbacks. Ties are broken by insertion order so
 // simulations are deterministic.
@@ -76,7 +117,7 @@ class EventQueue {
     heap_.push_back(Event{when, next_seq_++, slot});
     SiftUp(heap_.size() - 1);
     ++live_;
-    settled_ = false;
+    state_ = kUnsettled;
     return MakeId(slot, slots_[slot].gen);
   }
 
@@ -95,31 +136,29 @@ class EventQueue {
   // meets several queues keeps one stream in each. Stream events cannot be
   // cancelled.
   void ScheduleSorted(const void* owner, uint32_t* stream, SimTime when, InlineCallback&& fn) {
-    if (when < clock_->now()) {
-      when = clock_->now();
-    }
-    if (*stream >= streams_.size() || streams_[*stream].owner != owner) {
-      *stream = FindStream(owner);
-    }
-    Stream& st = streams_[*stream];
-    if (st.count > 0 && when < st.last_when) {
+    if (!InOrder(owner, stream, &when)) {
       ScheduleAt(when, std::move(fn));
       return;
     }
-    if (st.count == st.capacity) {
-      GrowRing(&st);
+    Append(*stream, when, nullptr).fn = std::move(fn);
+    state_ = kUnsettled;
+  }
+
+  // ScheduleSorted for a train entry: at `when`, `host->TrainStep(token)`
+  // runs in place of a callback. The host's re-arm from inside that step,
+  // on the same stream and in order, is what lets RunOne keep stepping.
+  void ScheduleTrain(const void* owner, uint32_t* stream, SimTime when, TrainHost* host,
+                     uint32_t token) {
+    if (!InOrder(owner, stream, &when)) {
+      ScheduleAt(when, [host, token] { host->TrainStep(token); });
+      return;
     }
-    if (st.count == 0) {
-      heads_.push_back(Head{when, next_seq_, *stream});
+    Append(*stream, when, host).token = token;
+    if (state_ == kStepping && *stream == train_stream_) {
+      train_stream_ = kNoStream;  // The step's one re-arm; a second one settles.
+    } else {
+      state_ = kUnsettled;
     }
-    Entry& e = st.ring[(st.head + st.count) & st.mask];
-    e.when = when;
-    e.seq = next_seq_++;
-    e.fn = std::move(fn);
-    st.last_when = when;
-    ++st.count;
-    ++live_;
-    settled_ = false;
   }
 
   // Cancels a pending heap event. Returns false for a stale id (already
@@ -141,7 +180,7 @@ class EventQueue {
     ++s.gen;  // Invalidate the handle immediately (double-cancel is a no-op).
     assert(live_ > 0);
     --live_;
-    settled_ = false;
+    state_ = kUnsettled;
     return true;
   }
 
@@ -165,13 +204,19 @@ class EventQueue {
     return true;
   }
 
-  // Dispatches the earliest event, advancing the clock to its timestamp.
-  // Returns false if the queue was empty.
-  bool RunOne() {
-    if (!Settle()) {
+  // Dispatches the earliest event, advancing the clock to its timestamp,
+  // unless the queue is empty or that event is later than `bound` (then it
+  // returns false). A train head keeps dispatching its stream's next train
+  // entries while they are the earliest events and within `bound`.
+  bool RunOne(SimTime bound = std::numeric_limits<SimTime>::max()) {
+    if (!Settle() || next_when_ > bound) {
       return false;
     }
-    settled_ = false;
+    if (next_ != kHeapTop && heads_[next_].train) {
+      RunTrain(bound);
+      return true;
+    }
+    state_ = kUnsettled;
     clock_->AdvanceTo(next_when_);
     ++*dispatched_;
     --live_;
@@ -186,23 +231,19 @@ class EventQueue {
   // Events scheduled exactly at `deadline` still run. Returns the number of
   // events dispatched.
   uint64_t RunUntil(SimTime deadline) {
-    uint64_t dispatched = 0;
-    SimTime when;
-    while (PeekWhen(&when) && when <= deadline) {
-      RunOne();
-      ++dispatched;
+    uint64_t before = *dispatched_;
+    while (RunOne(deadline)) {
     }
     clock_->AdvanceTo(deadline);
-    return dispatched;
+    return *dispatched_ - before;
   }
 
-  // Runs until no events remain.
+  // Runs until no events remain; returns the number dispatched.
   uint64_t RunAll() {
-    uint64_t dispatched = 0;
+    uint64_t before = *dispatched_;
     while (RunOne()) {
-      ++dispatched;
     }
-    return dispatched;
+    return *dispatched_ - before;
   }
 
  private:
@@ -224,9 +265,13 @@ class EventQueue {
   };
 
   // One sorted completion stream: a power-of-two ring, oldest first.
+  // A train entry has a host (and runs host->TrainStep(token)); a
+  // callback entry has none and runs fn.
   struct Entry {
     SimTime when = 0;
     uint64_t seq = 0;
+    TrainHost* host = nullptr;
+    uint32_t token = 0;
     InlineCallback fn;
   };
   struct Stream {
@@ -239,26 +284,41 @@ class EventQueue {
     SimTime last_when = 0;
   };
 
-  // The head key of one non-empty stream. Dispatch scans these, so they
-  // sit packed together rather than in the streams.
+  // The head key of one non-empty stream, and whether the head entry is a
+  // train entry. Dispatch scans these, so they sit packed together rather
+  // than in the streams.
   struct Head {
     SimTime when;
     uint64_t seq;
     uint32_t stream;
+    bool train;
   };
 
   static constexpr uint32_t kHeapTop = UINT32_MAX;
+  static constexpr uint32_t kNoHead = UINT32_MAX;
+  static constexpr uint32_t kNoStream = UINT32_MAX;
+
+  // kSettled: Settle's answer below is current. kStepping: a train step is
+  // running, and every change to the queue but its one re-arm ends that.
+  enum State : uint8_t { kUnsettled, kSettled, kStepping };
 
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) << 32) | gen;
   }
 
-  // Finds the earliest live event (the heap top or a stream head) and
-  // keeps it until the queue next changes, so PeekWhen followed by RunOne
-  // looks once. False when nothing is pending.
+  static bool Earlier(SimTime a_when, uint64_t a_seq, SimTime b_when, uint64_t b_seq) {
+    return a_when < b_when || (a_when == b_when && a_seq < b_seq);
+  }
+
+  // Finds the earliest live event (the heap top or a stream head) and the
+  // runner-up, and keeps them until the queue next changes, so PeekWhen
+  // followed by RunOne looks once. False when nothing is pending.
   bool Settle() {
-    if (settled_) {
+    if (state_ == kSettled) {
       return true;
+    }
+    if (vacant_ != kNoHead) {
+      DropVacant();  // Only a Settle from inside a train step gets here.
     }
     if (live_ == 0) {
       return false;
@@ -273,17 +333,126 @@ class EventQueue {
       when = heap_[0].when;
       seq = heap_[0].seq;
     }
+    uint32_t runner = kHeapTop;
+    SimTime runner_when = std::numeric_limits<SimTime>::max();
+    uint64_t runner_seq = std::numeric_limits<uint64_t>::max();
     for (uint32_t i = 0; i < heads_.size(); ++i) {
       const Head& h = heads_[i];
-      if (h.when < when || (h.when == when && h.seq < seq)) {
+      if (Earlier(h.when, h.seq, when, seq)) {
+        runner = best;
+        runner_when = when;
+        runner_seq = seq;
+        best = i;
         when = h.when;
         seq = h.seq;
-        best = i;
+      } else if (Earlier(h.when, h.seq, runner_when, runner_seq)) {
+        runner = i;
+        runner_when = h.when;
+        runner_seq = h.seq;
       }
     }
-    next_when_ = when;
     next_ = best;
-    settled_ = true;
+    next_when_ = when;
+    runner_ = runner;
+    runner_when_ = runner_when;
+    runner_seq_ = runner_seq;
+    state_ = kSettled;
+    return true;
+  }
+
+  // Dispatches the train entry at the head of the stream whose key sits at
+  // heads_[next_], then keeps stepping that stream in place. The runner-up
+  // Settle found stays the runner-up as long as the only change to the
+  // queue is each step's one in-order re-arm on this stream, so the
+  // stream's new head is the earliest event exactly when it precedes the
+  // runner-up. A stream the step empties keeps its heads_ slot (vacant_)
+  // for the re-arm to refill, so a lone transmission stays on one slot.
+  void RunTrain(SimTime bound) {
+    const uint32_t i = next_;
+    const uint32_t s = heads_[i].stream;
+    while (true) {
+      Stream& st = streams_[s];
+      const Entry& e = st.ring[st.head];
+      clock_->AdvanceTo(e.when);
+      ++*dispatched_;
+      --live_;
+      TrainHost* host = e.host;
+      uint32_t token = e.token;
+      st.head = (st.head + 1) & st.mask;
+      if (--st.count > 0) {
+        SetHead(i, st.ring[st.head]);
+      } else {
+        vacant_ = i;
+      }
+      state_ = kStepping;
+      train_stream_ = s;
+      host->TrainStep(token);
+      if (state_ != kStepping || train_stream_ != kNoStream) {
+        // The train finished, or the step touched the queue elsewhere.
+        train_stream_ = kNoStream;
+        if (vacant_ != kNoHead) {
+          DropVacant();
+        }
+        state_ = kUnsettled;
+        return;
+      }
+      if (!Continues(i, bound)) {
+        return;
+      }
+      if (streams_[s].count == 1 && Leap(i, s, bound) && !Continues(i, bound)) {
+        return;
+      }
+    }
+  }
+
+  // After a re-arm on the stream whose key sits at heads_[i]: true when its
+  // new head is the earliest event, a train entry and within `bound`, so
+  // the loop steps it. Otherwise settles on the earliest event (without a
+  // rescan where the runner-up's location answers) and returns false.
+  bool Continues(uint32_t i, SimTime bound) {
+    const Head& h = heads_[i];
+    if (Earlier(h.when, h.seq, runner_when_, runner_seq_)) {
+      if (h.when <= bound && h.train) {
+        return true;
+      }
+      // Still the earliest, but past the bound or a callback.
+      next_ = i;
+      next_when_ = h.when;
+      state_ = kSettled;
+      return false;
+    }
+    // The runner-up is next. Dispatching a train head needs its own
+    // runner-up, which takes a rescan; anything else is settled as is.
+    if (runner_ != kHeapTop && heads_[runner_].train) {
+      state_ = kUnsettled;
+      return false;
+    }
+    next_ = runner_;
+    next_when_ = runner_when_;
+    state_ = kSettled;
+    return false;
+  }
+
+  // Stream s holds only the train's pending entry, and it is the next
+  // event: offers its host the steps that fall before the runner-up and
+  // `bound` at once (TrainHost::TrainLeap). A re-armed entry's seq is newer
+  // than the runner-up's, so a step tied with it in time is not taken.
+  // Returns true if the host took any.
+  bool Leap(uint32_t i, uint32_t s, SimTime bound) {
+    Stream& st = streams_[s];
+    Entry& e = st.ring[st.head];
+    SimTime period = 0;
+    uint32_t k = e.host->TrainLeap(e.token, e.when, std::min(bound, runner_when_ - 1), &period);
+    if (k == 0) {
+      return false;
+    }
+    clock_->AdvanceTo(e.when + (k - 1) * period);
+    *dispatched_ += k;
+    e.when += k * period;
+    e.seq = next_seq_ + k - 1;
+    next_seq_ += k;
+    st.last_when = e.when;
+    SetHead(i, e);
     return true;
   }
 
@@ -300,14 +469,65 @@ class EventQueue {
     InlineCallback fn = std::move(st.ring[st.head].fn);
     st.head = (st.head + 1) & st.mask;
     if (--st.count > 0) {
-      const Entry& next = st.ring[st.head];
-      heads_[i].when = next.when;
-      heads_[i].seq = next.seq;
+      SetHead(i, st.ring[st.head]);
     } else {
       heads_[i] = heads_.back();
       heads_.pop_back();
     }
     return fn;
+  }
+
+  // Clamps `*when` to now and points `*stream` at `owner`'s stream. False
+  // when the entry would land behind the stream's tail: it goes to the heap.
+  bool InOrder(const void* owner, uint32_t* stream, SimTime* when) {
+    if (*when < clock_->now()) {
+      *when = clock_->now();
+    }
+    if (*stream >= streams_.size() || streams_[*stream].owner != owner) {
+      *stream = FindStream(owner);
+    }
+    const Stream& st = streams_[*stream];
+    return st.count == 0 || *when >= st.last_when;
+  }
+
+  // Appends an entry at `when` to stream `s`, a train entry when `host` is
+  // set, and returns it for the caller to finish. A stream that opens
+  // refills the slot a train step vacated for it, or takes a new one.
+  Entry& Append(uint32_t s, SimTime when, TrainHost* host) {
+    Stream& st = streams_[s];
+    if (st.count == st.capacity) {
+      GrowRing(&st);
+    }
+    const Head head{when, next_seq_, s, host != nullptr};
+    if (st.count == 0) {
+      if (vacant_ != kNoHead && heads_[vacant_].stream == s) {
+        heads_[vacant_] = head;
+        vacant_ = kNoHead;
+      } else {
+        heads_.push_back(head);
+      }
+    }
+    Entry& e = st.ring[(st.head + st.count) & st.mask];
+    e.when = when;
+    e.seq = next_seq_++;
+    e.host = host;
+    st.last_when = when;
+    ++st.count;
+    ++live_;
+    return e;
+  }
+
+  void SetHead(uint32_t i, const Entry& e) {
+    heads_[i].when = e.when;
+    heads_[i].seq = e.seq;
+    heads_[i].train = e.host != nullptr;
+  }
+
+  // Releases the heads_ slot a train step vacated and nothing refilled.
+  void DropVacant() {
+    heads_[vacant_] = heads_.back();
+    heads_.pop_back();
+    vacant_ = kNoHead;
   }
 
   uint32_t FindStream(const void* owner) {
@@ -413,11 +633,19 @@ class EventQueue {
   std::vector<Event> heap_;
   std::vector<Stream> streams_;
   std::vector<Head> heads_;  // One per non-empty stream, in no order.
-  // Settle's answer, valid while settled_: the earliest event's time and
-  // where it waits (kHeapTop, or an index into heads_).
-  bool settled_ = false;
+  // Settle's answer, valid while kSettled: the earliest event's time and
+  // where it waits (kHeapTop, or an index into heads_), and the same for
+  // the runner-up (kHeapTop with an infinite key when there is none).
+  State state_ = kUnsettled;
   SimTime next_when_ = 0;
   uint32_t next_ = kHeapTop;
+  SimTime runner_when_ = 0;
+  uint64_t runner_seq_ = 0;
+  uint32_t runner_ = kHeapTop;
+  // During a train step: the stepping stream until its re-arm lands, and
+  // the heads_ slot the step emptied until something refills it.
+  uint32_t train_stream_ = kNoStream;
+  uint32_t vacant_ = kNoHead;
 };
 
 class Resource;
@@ -509,6 +737,34 @@ class Resource {
     } else {
       events->ScheduleAt(finish, std::move(done));
     }
+  }
+
+  // AcquireAsync for a train (see EventQueue::ScheduleTrain): the same
+  // reservation, with `host->TrainStep(token)` as the completion. A single
+  // unit with no scheduler appends a train entry to its stream; otherwise
+  // the completion is a one-line callback into the same step, so QoS
+  // admission and multi-unit grants stay exactly AcquireAsync's.
+  void AcquireTrain(EventQueue* events, SimTime service, TrainHost* host, uint32_t token) {
+    if (scheduler_ != nullptr || unit_free_at_.size() != 1) {
+      AcquireAsync(events, service, [host, token] { host->TrainStep(token); });
+      return;
+    }
+    events->ScheduleTrain(this, &stream_, Acquire(service), host, token);
+  }
+
+  // The reservations `count` Acquire(service) calls would make, each at
+  // the previous one's completion and the first at `from` — for a train
+  // leap (TrainHost::TrainLeap). Exact only when `from` is when the single
+  // unit next frees and no fault window or scheduler could intervene;
+  // otherwise reserves nothing and returns false.
+  bool AcquireRun(SimTime from, SimTime service, uint64_t count) {
+    if (unit_free_at_.size() != 1 || unit_free_at_[0] != from || scheduler_ != nullptr ||
+        !fault_windows_.empty()) {
+      return false;
+    }
+    unit_free_at_[0] = from + static_cast<SimTime>(count) * service;
+    busy_ += static_cast<SimTime>(count) * service;
+    return true;
   }
 
   // QoS hook (src/qos): routes AcquireAsync through `scheduler`; null

@@ -6,10 +6,6 @@
 
 namespace iolsim {
 
-namespace {
-const std::string kUnknownDomain = "<unknown>";
-}  // namespace
-
 DomainId VmSystem::CreateDomain(const std::string& name) {
   DomainId id = next_domain_++;
   domains_[id] = name;
@@ -45,15 +41,6 @@ MapState& VmSystem::StateIn(Chunk& chunk, DomainId domain) {
     }
   }
   return chunk.mappings.emplace_back(Mapping{domain, MapState::kUnmapped}).state;
-}
-
-const std::string& VmSystem::DomainName(DomainId domain) const {
-  if (domain == kKernelDomain) {
-    static const std::string kKernelName = "kernel";
-    return kKernelName;
-  }
-  auto it = domains_.find(domain);
-  return it == domains_.end() ? kUnknownDomain : it->second;
 }
 
 int VmSystem::PagesPerChunk() const {

@@ -54,7 +54,6 @@ class VmSystem {
   // Destroys a domain; its mappings disappear.
   void DestroyDomain(DomainId domain);
 
-  const std::string& DomainName(DomainId domain) const;
   size_t domain_count() const { return domains_.size(); }
 
   // Allocates a fresh chunk in the IO-Lite window, writable in `producer`

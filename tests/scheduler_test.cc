@@ -8,11 +8,13 @@
 // The golden determinism tests pin the macro behavior; these tests attack
 // the queue directly with adversarial shapes — same-instant bursts, sparse
 // far-future jumps, populations that grow and shrink by thousands, cancels
-// interleaved with dispatch, and sorted streams tied with the heap and with
-// each other.
+// interleaved with dispatch, sorted streams tied with the heap and with
+// each other, and segment trains that step (and leap) in place inside
+// RunOne beside all of those.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -40,13 +42,15 @@ struct OpStream {
                         // of order whenever the stream still holds entries.
       kPeek,
       kRunUntil,        // Deadline now + delay.
-      kRunWindow,       // The shard lane's loop: PeekWhen, then RunOne while
-                        // the next event is before now + delay.
+      kRunWindow,       // The shard lane's loop: RunOne bounded strictly
+                        // before now + delay.
+      kTrain,           // A train of `count` steps on stream `stream`, each
+                        // re-armed `delay` after the last one's dispatch.
     } kind;
     SimTime delay = 0;   // Schedule ops and deadlines: offset in time.
     size_t target = 0;   // kCancel: index into scheduled heap events.
-    int count = 0;       // kRunSome.
-    int stream = 0;      // Sorted-stream ops.
+    int count = 0;       // kRunSome; kTrain's steps.
+    int stream = 0;      // Sorted-stream and train ops.
   };
   std::vector<Op> ops;
 };
@@ -86,7 +90,10 @@ OpStream MakeRandomStream(uint32_t seed, size_t n_ops, SimTime max_delay) {
 // Stream delays are drawn from a tenth of the heap's range (a stream is a
 // resource's back-to-back completions), and a fifth of them are zero, so
 // stream entries tie with each other and with same-instant heap events.
-OpStream MakeMixedStream(uint32_t seed, size_t n_ops, SimTime max_delay, int streams) {
+// With `trains`, a share of the heap schedules become segment trains on the
+// same streams, some with zero periods.
+OpStream MakeMixedStream(uint32_t seed, size_t n_ops, SimTime max_delay, int streams,
+                         bool trains = false) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> kind(0, 99);
   std::uniform_int_distribution<SimTime> delay(0, max_delay);
@@ -94,12 +101,18 @@ OpStream MakeMixedStream(uint32_t seed, size_t n_ops, SimTime max_delay, int str
   std::uniform_int_distribution<size_t> pick(0, 1u << 20);
   std::uniform_int_distribution<int> burst(1, 16);
   std::uniform_int_distribution<int> which(0, streams - 1);
+  std::uniform_int_distribution<int> steps(1, 40);
   OpStream s;
   s.ops.reserve(n_ops);
   for (size_t i = 0; i < n_ops; ++i) {
     int k = kind(rng);
     OpStream::Op op;
-    if (k < 25) {
+    if (trains && k < 10) {
+      op.kind = OpStream::Op::kTrain;
+      op.stream = which(rng);
+      op.count = steps(rng);
+      op.delay = k < 2 ? 0 : step(rng);
+    } else if (k < 25) {
       op.kind = OpStream::Op::kSchedule;
       op.delay = k < 5 ? 0 : delay(rng);
     } else if (k < 55) {
@@ -146,25 +159,48 @@ struct Trace {
   bool operator==(const Trace&) const = default;
 };
 
-// The reference model: pending (when, tag) keys in a vector kept sorted,
-// earliest first. Tags grow with every schedule, so they double as seq,
-// and a sorted stream is just more keys.
+// Dispatches of train `t`'s step `step`, and the heap event a finished
+// train schedules (as a transmission's last segment runs its continuation),
+// carry tags outside the range of the replay's own.
+constexpr uint64_t kTrainTag = uint64_t{1} << 40;
+constexpr uint64_t kFinishTag = uint64_t{1} << 41;
+
+uint64_t TrainTag(uint32_t train, int step) { return kTrainTag + uint64_t{train} * 4096 + step; }
+
+// One train of a replay: its pending step, and how many re-arms follow it.
+struct TrainState {
+  int stream = 0;
+  SimTime period = 0;
+  int step = 0;
+  int left = 0;
+};
+
+// Leaps taken by every QueueUnderTest so far, so train tests can check that
+// they exercised the fast-forward rather than only single steps.
+uint64_t g_leaped_steps = 0;
+
+// The reference model: pending keys in a vector kept sorted by (when, seq),
+// earliest first. It models sorted streams only as far as the trains need:
+// which keys joined a stream in order (the rest wait in the heap), and the
+// loop RunOne runs after a train step, one step at a time.
 class SortedVectorOracle {
  public:
   explicit SortedVectorOracle(Trace* trace) : trace_(trace) {}
 
   SimTime now() const { return now_; }
 
-  void ScheduleAt(SimTime when, uint64_t tag) {
-    std::pair<SimTime, uint64_t> key{std::max(when, now_), tag};
-    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), key), key);
-  }
+  void ScheduleAt(SimTime when, uint64_t tag) { Insert(Key{std::max(when, now_), seq_++, tag}); }
 
-  void ScheduleSorted(int /*stream*/, SimTime when, uint64_t tag) { ScheduleAt(when, tag); }
+  void ScheduleSorted(int stream, SimTime when, uint64_t tag) { Append(stream, when, tag, -1); }
+
+  void StartTrain(uint32_t train, int stream, int steps, SimTime period) {
+    trains_.push_back(TrainState{stream, period, 0, steps - 1});
+    Append(stream, now_ + period, TrainTag(train, 0), static_cast<int>(train));
+  }
 
   bool Cancel(uint64_t tag) {
     auto it = std::find_if(pending_.begin(), pending_.end(),
-                           [tag](const auto& k) { return k.second == tag; });
+                           [tag](const Key& k) { return k.tag == tag; });
     if (it == pending_.end()) {
       return false;
     }
@@ -176,41 +212,108 @@ class SortedVectorOracle {
     if (pending_.empty()) {
       return false;
     }
-    *when = pending_.front().first;
+    *when = pending_.front().when;
     return true;
   }
 
-  bool RunOne() {
-    if (pending_.empty()) {
+  // A train step popped from its stream keeps the loop going while each
+  // step re-arms in order on that stream and the earliest key is then
+  // that stream's next train step, within `bound`.
+  bool RunOne(SimTime bound = std::numeric_limits<SimTime>::max()) {
+    if (pending_.empty() || pending_.front().when > bound) {
       return false;
     }
-    now_ = pending_.front().first;
-    trace_->dispatched.push_back(pending_.front());
-    pending_.erase(pending_.begin());
+    Key k = Pop();
+    if (k.train < 0) {
+      return true;
+    }
+    const int stream = k.stream;
+    while (Step(k.train) && stream >= 0) {
+      const Key& next = pending_.front();
+      if (next.stream != stream || next.train < 0 || next.when > bound) {
+        break;
+      }
+      k = Pop();
+    }
     return true;
   }
 
   uint64_t RunUntil(SimTime deadline) {
-    uint64_t n = 0;
-    while (!pending_.empty() && pending_.front().first <= deadline) {
-      RunOne();
-      ++n;
+    size_t before = trace_->dispatched.size();
+    while (RunOne(deadline)) {
     }
     now_ = std::max(now_, deadline);
-    return n;
+    return trace_->dispatched.size() - before;
   }
 
   size_t size() const { return pending_.size(); }
 
  private:
+  struct Key {
+    SimTime when;
+    uint64_t seq;
+    uint64_t tag;
+    int stream = -1;  // -1: waits in the heap.
+    int train = -1;   // -1: a callback.
+  };
+
+  void Insert(const Key& key) {
+    auto later = [](const Key& a, const Key& b) {
+      return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    };
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), key, later), key);
+  }
+
+  // Returns true if the key joined the stream (in order), false if it went
+  // to the heap.
+  bool Append(int stream, SimTime when, uint64_t tag, int train) {
+    when = std::max(when, now_);
+    bool in_order = count_[stream] == 0 || when >= last_[stream];
+    if (in_order) {
+      ++count_[stream];
+      last_[stream] = when;
+    }
+    Insert(Key{when, seq_++, tag, in_order ? stream : -1, train});
+    return in_order;
+  }
+
+  Key Pop() {
+    Key k = pending_.front();
+    pending_.erase(pending_.begin());
+    now_ = k.when;
+    trace_->dispatched.emplace_back(k.when, k.tag);
+    if (k.stream >= 0) {
+      --count_[k.stream];
+    }
+    return k;
+  }
+
+  // True when the step re-armed its train in order on its stream.
+  bool Step(int train) {
+    TrainState& t = trains_[train];
+    if (t.left == 0) {
+      ScheduleAt(now_ + t.period, kFinishTag + train);
+      return false;
+    }
+    --t.left;
+    ++t.step;
+    return Append(t.stream, now_ + t.period, TrainTag(train, t.step), train);
+  }
+
   Trace* trace_;
   SimTime now_ = 0;
-  std::vector<std::pair<SimTime, uint64_t>> pending_;
+  uint64_t seq_ = 0;
+  std::vector<Key> pending_;
+  std::vector<TrainState> trains_;
+  int count_[8] = {};
+  SimTime last_[8] = {};
 };
 
 // The real EventQueue behind the oracle's interface. Sorted stream k
-// belongs to owners_[k], as a single-unit Resource's stream belongs to it.
-class QueueUnderTest {
+// belongs to owners_[k], as a single-unit Resource's stream belongs to it,
+// and the replay's trains are this object's: it re-arms them with
+// ScheduleTrain and takes every leap the queue offers.
+class QueueUnderTest final : public TrainHost {
  public:
   explicit QueueUnderTest(Trace* trace) : trace_(trace), q_(&clock_) {}
 
@@ -222,9 +325,14 @@ class QueueUnderTest {
     q_.ScheduleSorted(&owners_[stream], &hints_[stream], when, Record(tag));
   }
 
+  void StartTrain(uint32_t train, int stream, int steps, SimTime period) {
+    trains_.push_back(TrainState{stream, period, 0, steps - 1});
+    q_.ScheduleTrain(&owners_[stream], &hints_[stream], clock_.now() + period, this, train);
+  }
+
   bool Cancel(uint64_t tag) { return q_.Cancel(ids_.at(tag)); }
   bool PeekWhen(SimTime* when) { return q_.PeekWhen(when); }
-  bool RunOne() { return q_.RunOne(); }
+  bool RunOne(SimTime bound = std::numeric_limits<SimTime>::max()) { return q_.RunOne(bound); }
   uint64_t RunUntil(SimTime deadline) { return q_.RunUntil(deadline); }
   size_t size() const { return q_.size(); }
   size_t streams() const { return q_.streams(); }
@@ -234,10 +342,41 @@ class QueueUnderTest {
     return [this, tag] { trace_->dispatched.emplace_back(clock_.now(), tag); };
   }
 
+  void TrainStep(uint32_t train) override {
+    TrainState& t = trains_[train];
+    trace_->dispatched.emplace_back(clock_.now(), TrainTag(train, t.step));
+    if (t.left == 0) {
+      q_.ScheduleAt(clock_.now() + t.period, Record(kFinishTag + train));
+      return;
+    }
+    --t.left;
+    ++t.step;
+    q_.ScheduleTrain(&owners_[t.stream], &hints_[t.stream], clock_.now() + t.period, this,
+                     train);
+  }
+
+  uint32_t TrainLeap(uint32_t train, SimTime when, SimTime horizon, SimTime* period) override {
+    TrainState& t = trains_[train];
+    if (t.period <= 0 || horizon < when || t.left == 0) {
+      return 0;
+    }
+    SimTime fit = (horizon - when) / t.period + 1;
+    int steps = fit < t.left ? static_cast<int>(fit) : t.left;
+    for (int i = 0; i < steps; ++i) {
+      trace_->dispatched.emplace_back(when + i * t.period, TrainTag(train, t.step));
+      ++t.step;
+      --t.left;
+    }
+    g_leaped_steps += steps;
+    *period = t.period;
+    return static_cast<uint32_t>(steps);
+  }
+
   Trace* trace_;
   VirtualClock clock_;
   EventQueue q_;
   std::unordered_map<uint64_t, EventQueue::EventId> ids_;  // Heap events by tag.
+  std::vector<TrainState> trains_;
   int owners_[8] = {};
   uint32_t hints_[8] = {};
 };
@@ -249,6 +388,7 @@ Trace Replay(const OpStream& stream) {
   Trace trace;
   Q q(&trace);
   uint64_t tags = 0;
+  uint32_t trains = 0;
   std::vector<uint64_t> heap_tags;  // Cancel targets: heap events only.
   std::vector<SimTime> last(8, 0);  // Each sorted stream's latest time.
   for (const auto& op : stream.ops) {
@@ -290,12 +430,13 @@ Trace Replay(const OpStream& stream) {
         break;
       case OpStream::Op::kRunWindow: {
         SimTime end = q.now() + op.delay;
-        SimTime when;
-        while (q.PeekWhen(&when) && when < end) {
-          q.RunOne();
+        while (q.RunOne(end - 1)) {
         }
         break;
       }
+      case OpStream::Op::kTrain:
+        q.StartTrain(trains++, op.stream, op.count, op.delay);
+        break;
     }
     trace.sizes.push_back(q.size());
   }
@@ -371,6 +512,285 @@ TEST(SchedulerStreams, DenseMixedStreamsMatchOracle) {
   // events on most instants, so the merge rests on seq alone.
   for (uint32_t seed = 400; seed <= 411; ++seed) {
     ExpectMatchesOracle(MakeMixedStream(seed, 4000, 16, 4), seed);
+  }
+}
+
+TEST(SchedulerTrains, MixedTrainsMatchOracle) {
+  // Segment trains beside callbacks on the same streams and on others,
+  // drained by every loop. A train's re-arm lands behind a later callback
+  // entry (and so in the heap) whenever its stream's tail is later.
+  uint64_t leaped = g_leaped_steps;
+  for (uint32_t seed = 500; seed <= 523; ++seed) {
+    int streams = 1 + static_cast<int>(seed % 4);
+    ExpectMatchesOracle(MakeMixedStream(seed, 4000, 1'000'000, streams, /*trains=*/true),
+                        seed);
+  }
+  EXPECT_GT(g_leaped_steps, leaped);
+}
+
+TEST(SchedulerTrains, DenseTrainsMatchOracle) {
+  // A tiny time range: re-armed steps tie the runner-up on most instants,
+  // so whether a step runs in place rests on seq alone.
+  for (uint32_t seed = 600; seed <= 623; ++seed) {
+    int streams = 1 + static_cast<int>(seed % 3);
+    ExpectMatchesOracle(MakeMixedStream(seed, 4000, 16, streams, /*trains=*/true), seed);
+  }
+}
+
+// A train on its own stream that re-arms `period` after each step until
+// `left` runs out, recording (time, step) per dispatch, with or without
+// taking the queue's leaps.
+class CountingTrain final : public TrainHost {
+ public:
+  CountingTrain(EventQueue* q, VirtualClock* clock, SimTime period, int steps, bool leaps)
+      : q_(q), clock_(clock), period_(period), left_(steps - 1), leaps_(leaps) {}
+
+  void Start(SimTime first) { q_->ScheduleTrain(this, &hint_, first, this, 0); }
+
+  std::vector<std::pair<SimTime, int>> out;
+  int leaps = 0;
+
+ private:
+  void TrainStep(uint32_t) override {
+    out.emplace_back(clock_->now(), step_);
+    if (left_ > 0) {
+      --left_;
+      ++step_;
+      q_->ScheduleTrain(this, &hint_, clock_->now() + period_, this, 0);
+    }
+  }
+
+  uint32_t TrainLeap(uint32_t, SimTime when, SimTime horizon, SimTime* period) override {
+    if (!leaps_ || horizon < when || left_ == 0) {
+      return 0;
+    }
+    int steps = static_cast<int>(std::min<SimTime>(left_, (horizon - when) / period_ + 1));
+    for (int i = 0; i < steps; ++i) {
+      out.emplace_back(when + i * period_, step_++);
+    }
+    left_ -= steps;
+    ++leaps;
+    *period = period_;
+    return static_cast<uint32_t>(steps);
+  }
+
+  EventQueue* q_;
+  VirtualClock* clock_;
+  SimTime period_;
+  int left_;
+  bool leaps_;
+  int step_ = 0;
+  uint32_t hint_ = UINT32_MAX;
+};
+
+TEST(SchedulerTrains, TiesWithTheRunnerUpGoBySeq) {
+  // The first step was scheduled before the heap event tied with it, so it
+  // runs first; every re-armed step is newer than the runner-up, so a tie
+  // hands the runner-up the turn.
+  for (bool leaps : {false, true}) {
+    VirtualClock clock;
+    uint64_t dispatched = 0;
+    EventQueue q(&clock, &dispatched);
+    CountingTrain train(&q, &clock, 10, 5, leaps);
+    std::vector<std::pair<SimTime, int>> heap;
+    train.Start(10);
+    q.ScheduleAt(10, [&] { heap.emplace_back(clock.now(), 0); });
+    q.ScheduleAt(30, [&] { heap.emplace_back(clock.now(), 1); });
+    ASSERT_TRUE(q.RunOne());  // The train at 10, then the heap event's turn.
+    EXPECT_EQ(dispatched, 1u);
+    ASSERT_TRUE(q.RunOne());
+    EXPECT_EQ(heap, (std::vector<std::pair<SimTime, int>>{{10, 0}}));
+    ASSERT_TRUE(q.RunOne());  // Steps at 20 and not 30: the timer is older.
+    EXPECT_EQ(dispatched, 3u);
+    EXPECT_EQ(clock.now(), 20);
+    EXPECT_EQ(q.RunAll(), 4u);  // The timer at 30, then steps at 30, 40, 50.
+    EXPECT_EQ(heap, (std::vector<std::pair<SimTime, int>>{{10, 0}, {30, 1}}));
+    EXPECT_EQ(train.out,
+              (std::vector<std::pair<SimTime, int>>{{10, 0}, {20, 1}, {30, 2}, {40, 3}, {50, 4}}));
+  }
+}
+
+TEST(SchedulerTrains, LoneTrainRunsToTheRunnerUpInOneCall) {
+  // A train alone in its stream empties it at every step and refills it
+  // with the re-arm: one RunOne runs it up to the next event, and leaps
+  // give the same dispatches, counts and clock as single steps.
+  for (bool leaps : {false, true}) {
+    VirtualClock clock;
+    uint64_t dispatched = 0;
+    EventQueue q(&clock, &dispatched);
+    CountingTrain train(&q, &clock, 100, 37, leaps);
+    bool timer = false;
+    q.ScheduleAt(2'050, [&timer] { timer = true; });
+    train.Start(100);
+    ASSERT_TRUE(q.RunOne());
+    EXPECT_EQ(dispatched, 20u);  // Steps at 100 .. 2000.
+    EXPECT_EQ(clock.now(), 2'000);
+    EXPECT_FALSE(timer);
+    EXPECT_EQ(q.size(), 2u);
+    ASSERT_TRUE(q.RunOne());
+    EXPECT_TRUE(timer);
+    ASSERT_TRUE(q.RunOne());
+    EXPECT_EQ(dispatched, 38u);
+    EXPECT_EQ(clock.now(), 3'700);
+    EXPECT_TRUE(q.empty());
+    ASSERT_EQ(train.out.size(), 37u);
+    for (int i = 0; i < 37; ++i) {
+      EXPECT_EQ(train.out[i], (std::pair<SimTime, int>{100 * (i + 1), i}));
+    }
+    EXPECT_EQ(train.leaps > 0, leaps);
+  }
+}
+
+TEST(SchedulerTrains, BoundsStopTheLoop) {
+  // The shard lane's window stops strictly before its end and RunUntil
+  // runs up to and including its deadline, in the middle of a train too.
+  for (bool leaps : {false, true}) {
+    VirtualClock clock;
+    uint64_t dispatched = 0;
+    EventQueue q(&clock, &dispatched);
+    CountingTrain train(&q, &clock, 100, 10, leaps);
+    train.Start(100);
+    while (q.RunOne(500 - 1)) {
+    }
+    EXPECT_EQ(dispatched, 4u);
+    EXPECT_EQ(clock.now(), 400);
+    EXPECT_EQ(q.RunUntil(700), 3u);
+    EXPECT_EQ(clock.now(), 700);
+    EXPECT_FALSE(q.RunOne(799));
+    EXPECT_EQ(q.RunAll(), 3u);
+    EXPECT_EQ(clock.now(), 1'000);
+  }
+}
+
+// `flows` flows of `segments` steps on one resource, each step
+// re-acquiring it for `service` at the last one's completion, beside
+// timers every 250 ns: as trains (AcquireTrain, leaping through
+// AcquireRun) or as the callback chain each segment was before trains.
+class SegmentFlows final : public TrainHost {
+ public:
+  SegmentFlows(EventQueue* q, Resource* r, VirtualClock* clock, SimTime service, bool trains)
+      : q_(q), r_(r), clock_(clock), service_(service), trains_(trains) {}
+
+  void Start(uint32_t flow, int segments) {
+    if (left_.size() <= flow) {
+      left_.resize(flow + 1);
+    }
+    left_[flow] = segments;
+    Send(flow);
+  }
+
+  std::vector<std::pair<SimTime, uint32_t>> out;
+  uint64_t leaped = 0;
+
+ private:
+  void Send(uint32_t flow) {
+    --left_[flow];
+    if (trains_) {
+      r_->AcquireTrain(q_, service_, this, flow);
+    } else {
+      r_->AcquireAsync(q_, service_, [this, flow] { Done(flow); });
+    }
+  }
+
+  void Done(uint32_t flow) {
+    out.emplace_back(clock_->now(), flow);
+    if (left_[flow] > 0) {
+      Send(flow);
+    }
+  }
+
+  void TrainStep(uint32_t flow) override { Done(flow); }
+
+  uint32_t TrainLeap(uint32_t flow, SimTime when, SimTime horizon, SimTime* period) override {
+    if (horizon < when || left_[flow] == 0) {
+      return 0;
+    }
+    SimTime steps = std::min<SimTime>(left_[flow], (horizon - when) / service_ + 1);
+    if (!r_->AcquireRun(when, service_, static_cast<uint64_t>(steps))) {
+      return 0;
+    }
+    for (SimTime i = 0; i < steps; ++i) {
+      out.emplace_back(when + i * service_, flow);
+    }
+    left_[flow] -= static_cast<int>(steps);
+    leaped += static_cast<uint64_t>(steps);
+    *period = service_;
+    return static_cast<uint32_t>(steps);
+  }
+
+  EventQueue* q_;
+  Resource* r_;
+  VirtualClock* clock_;
+  SimTime service_;
+  bool trains_;
+  std::vector<int> left_;
+};
+
+// Reserves and schedules exactly as AcquireAsync does, through the QoS
+// hook (as benchmark taps do).
+class PassThroughScheduler final : public ResourceScheduler {
+ public:
+  void Admit(Resource* resource, EventQueue* events, SimTime service,
+             InlineCallback done) override {
+    events->ScheduleAt(resource->Acquire(service), std::move(done));
+  }
+};
+
+struct FlowRun {
+  std::vector<std::pair<SimTime, uint32_t>> out;
+  uint64_t dispatched = 0;
+  SimTime busy = 0;
+  uint64_t leaped = 0;
+
+  bool operator==(const FlowRun& o) const {
+    return out == o.out && dispatched == o.dispatched && busy == o.busy;
+  }
+};
+
+FlowRun RunSegmentFlows(int units, bool faults, bool scheduled, bool trains) {
+  VirtualClock clock;
+  uint64_t dispatched = 0;
+  EventQueue q(&clock, &dispatched);
+  Resource r(&clock, units);
+  if (faults) {
+    r.AddSlowWindow(1'000, 3'000, 5, 2);
+    r.AddOutageWindow(2'500, 4'000);
+    r.AddSlowWindow(6'000, 6'400, 3, 1);
+  }
+  PassThroughScheduler pass;
+  if (scheduled) {
+    r.set_scheduler(&pass);
+  }
+  SegmentFlows flows(&q, &r, &clock, 40, trains);
+  for (SimTime t = 0; t < 9'000; t += 250) {
+    q.ScheduleAt(t, [&flows, &clock, t] { flows.out.emplace_back(clock.now(), 1000 + t); });
+  }
+  // Flows start at staggered instants, some while others still send.
+  for (uint32_t f = 0; f < 6; ++f) {
+    q.ScheduleAt(static_cast<SimTime>(f) * 700, [&flows, f] { flows.Start(f, 12 + 7 * f); });
+  }
+  q.RunAll();
+  return FlowRun{flows.out, dispatched, r.busy_time(), flows.leaped};
+}
+
+TEST(SchedulerTrains, ResourceTrainsMatchTheCallbackChain) {
+  // Completion times, dispatch counts and busy time equal the per-segment
+  // callback chain's: on a plain single-unit link (where trains leap), on
+  // one with slow and outage windows, on two units, and behind a
+  // pass-through scheduler (both fall back to callbacks).
+  struct Case {
+    int units;
+    bool faults;
+    bool scheduled;
+  };
+  for (const Case& c : {Case{1, false, false}, Case{1, true, false}, Case{2, true, false},
+                        Case{1, false, true}, Case{1, true, true}}) {
+    FlowRun chain = RunSegmentFlows(c.units, c.faults, c.scheduled, /*trains=*/false);
+    FlowRun train = RunSegmentFlows(c.units, c.faults, c.scheduled, /*trains=*/true);
+    EXPECT_EQ(train, chain) << "units " << c.units << " faults " << c.faults << " scheduled "
+                            << c.scheduled;
+    EXPECT_EQ(chain.out.size(), 36u + 6 * 12 + 7 * 15);
+    EXPECT_EQ(train.leaped > 0, c.units == 1 && !c.faults && !c.scheduled);
   }
 }
 

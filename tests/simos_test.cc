@@ -30,6 +30,7 @@ using iolsim::MemoryModel;
 using iolsim::Resource;
 using iolsim::SimContext;
 using iolsim::SimTime;
+using iolsim::TrainHost;
 using iolsim::VirtualClock;
 
 TEST(VirtualClockTest, StartsAtZeroAndAdvances) {
@@ -88,11 +89,27 @@ TEST(EventQueueTest, RunUntilStopsAtDeadline) {
   for (SimTime t = 100; t <= 1000; t += 100) {
     q.ScheduleAt(t, [&] { ++count; });
   }
+  // A train stepping every 30 from 430 crosses the deadline: one RunOne
+  // runs several of its steps, and RunUntil counts every one of them.
+  struct Train final : TrainHost {
+    EventQueue* q;
+    VirtualClock* clock;
+    std::vector<SimTime> steps;
+    uint32_t hint = UINT32_MAX;
+    void TrainStep(uint32_t) override {
+      steps.push_back(clock->now());
+      q->ScheduleTrain(this, &hint, clock->now() + 30, this, 0);
+    }
+  } train;
+  train.q = &q;
+  train.clock = &clock;
+  q.ScheduleTrain(&train, &train.hint, 430, &train, 0);
   uint64_t dispatched = q.RunUntil(500);
-  EXPECT_EQ(dispatched, 5u);
+  EXPECT_EQ(dispatched, 5u + 3u);
   EXPECT_EQ(count, 5);
+  EXPECT_EQ(train.steps, (std::vector<SimTime>{430, 460, 490}));
   EXPECT_EQ(clock.now(), 500);
-  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.size(), 6u);  // Five timers and the step at 520.
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
