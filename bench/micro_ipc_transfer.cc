@@ -21,8 +21,8 @@ namespace {
 void BM_WarmPipeTransfer(benchmark::State& state) {
   iolsim::SimContext ctx;
   iolite::IoLiteRuntime runtime(&ctx);
-  iolsim::DomainId producer = ctx.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx.vm().CreateDomain("consumer");
+  iolsim::DomainId producer = ctx.vm().CreateDomain();
+  iolsim::DomainId consumer = ctx.vm().CreateDomain();
   iolite::BufferPool* pool = runtime.CreatePool("bm", producer);
   iolite::PipeEnds pipe = iolite::MakePipe(&runtime, consumer, producer);
   size_t n = state.range(0);
@@ -42,8 +42,8 @@ BENCHMARK(BM_WarmPipeTransfer)->Arg(4096)->Arg(65536);
 void ReportSimulatedTransferCosts() {
   iolsim::SimContext ctx;
   iolite::IoLiteRuntime runtime(&ctx);
-  iolsim::DomainId producer = ctx.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx.vm().CreateDomain("consumer");
+  iolsim::DomainId producer = ctx.vm().CreateDomain();
+  iolsim::DomainId consumer = ctx.vm().CreateDomain();
   iolite::BufferPool* pool = runtime.CreatePool("bm", producer);
   iolite::PipeEnds pipe = iolite::MakePipe(&runtime, consumer, producer);
 

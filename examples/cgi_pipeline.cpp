@@ -21,7 +21,7 @@ int main() {
   iolfs::FileId primary = sys.fs().CreateFile("template.html", 16 * 1024);
 
   // The CGI process: own domain, own pool (its ACL), its own pipe.
-  iolsim::DomainId cgi_domain = sys.ctx().vm().CreateDomain("cgi");
+  iolsim::DomainId cgi_domain = sys.ctx().vm().CreateDomain();
   iolite::BufferPool* cgi_pool = sys.runtime().CreatePool("cgi-pool", cgi_domain);
   iolite::PipeChannel pipe(&sys.ctx());
 
@@ -36,7 +36,7 @@ int main() {
               composition.slice_count());
 
   // The server side.
-  iolsim::DomainId srv_domain = sys.ctx().vm().CreateDomain("server");
+  iolsim::DomainId srv_domain = sys.ctx().vm().CreateDomain();
   iolite::BufferPool* hdr_pool = sys.runtime().CreatePool("hdr", srv_domain);
   iolnet::TcpConnection conn(&sys.net(), /*iolite_sockets=*/true);
   conn.Connect();

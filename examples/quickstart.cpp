@@ -24,7 +24,7 @@ int main() {
 
   // Open it through the descriptor layer and IOL_read it. The returned
   // aggregate references the cache's immutable buffers: no copy happened.
-  iolsim::DomainId app = sys.ctx().vm().CreateDomain("quickstart-app");
+  iolsim::DomainId app = sys.ctx().vm().CreateDomain();
   auto stream = std::make_shared<iolfs::FileStream>(&sys.io(), file);
   iolite::Fd fd = sys.runtime().Open(stream, app);
 
@@ -49,7 +49,7 @@ int main() {
   doc.Append(tail);  // And back together — still no data touched.
 
   // Copy-free IPC: send the aggregate to another process through a pipe.
-  iolsim::DomainId peer = sys.ctx().vm().CreateDomain("quickstart-peer");
+  iolsim::DomainId peer = sys.ctx().vm().CreateDomain();
   iolite::PipeEnds pipe = iolite::MakePipe(&sys.runtime(), peer, app);
   iolite::IOL_write(&sys.runtime(), pipe.write_fd, doc);
   iolite::IOL_Agg received;

@@ -69,7 +69,7 @@ WcCounts WcIolite(iolsys::System* sys, iolfs::FileId file) {
   // A fresh process: its address space has no IO-Lite mappings yet, so the
   // cached file's chunks are mapped in as the aggregate arrives — the
   // remaining overhead the paper observes for wc.
-  iolsim::DomainId domain = ctx.vm().CreateDomain("wc");
+  iolsim::DomainId domain = ctx.vm().CreateDomain();
   uint64_t size = sys->fs().SizeOf(file);
   WcCounts counts;
   bool in_word = false;
@@ -116,8 +116,8 @@ uint64_t GrepCatIolite(iolsys::System* sys, iolfs::FileId file, const std::strin
   iolsim::SimContext& ctx = sys->ctx();
   uint64_t size = sys->fs().SizeOf(file);
   iolite::PipeChannel channel(&ctx);
-  iolsim::DomainId cat_domain = ctx.vm().CreateDomain("cat");
-  iolsim::DomainId grep_domain = ctx.vm().CreateDomain("grep");
+  iolsim::DomainId cat_domain = ctx.vm().CreateDomain();
+  iolsim::DomainId grep_domain = ctx.vm().CreateDomain();
   uint64_t matches = 0;
   std::vector<char> boundary(2 * pattern.size());
 
@@ -226,8 +226,8 @@ WcCounts PermuteWcPosix(iolsys::System* sys, const std::string& sentence, size_t
 WcCounts PermuteWcIolite(iolsys::System* sys, const std::string& sentence, size_t word_len) {
   iolsim::SimContext& ctx = sys->ctx();
   iolite::PipeChannel channel(&ctx);
-  iolsim::DomainId produce_domain = ctx.vm().CreateDomain("permute");
-  iolsim::DomainId consume_domain = ctx.vm().CreateDomain("wc");
+  iolsim::DomainId produce_domain = ctx.vm().CreateDomain();
+  iolsim::DomainId consume_domain = ctx.vm().CreateDomain();
   iolite::BufferPool* pool = sys->runtime().CreatePool("permute", produce_domain);
   WcCounts counts;
   bool in_word = false;

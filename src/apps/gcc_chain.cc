@@ -72,7 +72,7 @@ uint64_t GccChainIolite(iolsys::System* sys, const GccChainConfig& config) {
   uint64_t per_file = config.total_source_bytes / config.num_files;
   std::vector<char> app_buf(kStdioBuf);
 
-  iolsim::DomainId chain_domain = ctx.vm().CreateDomain("gcc-chain");
+  iolsim::DomainId chain_domain = ctx.vm().CreateDomain();
   iolite::BufferPool* pool = sys->runtime().CreatePool("gcc-stdio", chain_domain);
 
   for (int f = 0; f < config.num_files; ++f) {

@@ -133,7 +133,6 @@ ExperimentResult CdnTier::Run(Workload* workload,
     result.proxy_hit_rate =
         static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  result.backhaul_bytes = stats.backhaul_bytes - before.backhaul_bytes;
   result.bytes_copied_backhaul =
       stats.backhaul_bytes_copied - before.backhaul_bytes_copied;
   result.cdn_writes = stats.cdn_writes - before.cdn_writes;
@@ -182,6 +181,7 @@ ExperimentResult CdnTier::Run(Workload* workload,
     for (const iolsim::CdnLevelCounter& c : iolsim::kCdnLevelCounters) {
       out.*c.field = now.*c.field - was.*c.field;
     }
+    result.backhaul_bytes += out.backhaul_bytes;
   }
 
   // Staleness percentiles over every stale serve in the hierarchy, merged

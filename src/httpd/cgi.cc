@@ -26,7 +26,7 @@ void CopyCgiProcess::ProduceResponse(iolposix::PosixPipe* pipe) {
 LiteCgiProcess::LiteCgiProcess(iolsim::SimContext* ctx, iolite::IoLiteRuntime* runtime,
                                size_t doc_bytes)
     : ctx_(ctx) {
-  domain_ = ctx_->vm().CreateDomain("cgi-process");
+  domain_ = ctx_->vm().CreateDomain();
   // Build the cached document once: generation cost paid here, after which
   // the same immutable buffers are reused for every request (the "caching
   // CGI program" of Section 3.10).
@@ -125,7 +125,7 @@ LiteCgiServer::LiteCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* 
       runtime_(runtime),
       cgi_(ctx, runtime, doc_bytes),
       channel_(std::make_shared<iolite::PipeChannel>(ctx)) {
-  server_domain_ = ctx_->vm().CreateDomain("flash-lite-cgi");
+  server_domain_ = ctx_->vm().CreateDomain();
   header_pool_ = runtime_->CreatePool("flash-lite-cgi-headers", server_domain_);
 }
 

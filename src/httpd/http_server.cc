@@ -156,7 +156,7 @@ void SendfileServer::StartRequest(RequestContext* req) {
 FlashLiteServer::FlashLiteServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                                  iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime)
     : HttpServer(ctx, net, io), runtime_(runtime) {
-  domain_ = ctx_->vm().CreateDomain("flash-lite");
+  domain_ = ctx_->vm().CreateDomain();
   // Headers and other server-generated data come from the server's own
   // pool (its ACL is the server process; Section 3.10).
   header_pool_ = runtime_->CreatePool("flash-lite-headers", domain_);

@@ -58,7 +58,7 @@ ProxyServer::ProxyServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                                      ? config_.backhaul_bytes_per_sec
                                      : config_.loopback_bytes_per_sec;
   backhaul_spec_.Prime(ctx_->cost().params().mtu_bytes);
-  domain_ = ctx_->vm().CreateDomain("proxy");
+  domain_ = ctx_->vm().CreateDomain();
   // Server-generated data (headers) and fetched objects come from the
   // proxy's own pools (its ACL, Section 3.10).
   header_pool_ = runtime_->CreatePool("proxy-headers", domain_);
@@ -357,7 +357,6 @@ void ProxyServer::ReceiveStage(uint32_t idx) {
           // (cf. the copy-based CGI pipe).
           ctx_->ChargeCpu(ctx_->cost().params().context_switch_cost);
         }
-        ctx_->stats().backhaul_bytes += size;
         cdn_stats().backhaul_bytes += size;
         // The origin's bytes, as of the version it served, land in buffers
         // filled by the NIC (no CPU charge).
@@ -475,7 +474,6 @@ void ProxyServer::OnOriginRead(uint32_t idx, bool was_miss) {
         ctx_->stats().ipc_slices_sent += slices;
         ctx_->stats().ipc_desc_bytes += slices * sizeof(iolipc::SliceDesc);
         ctx_->stats().ipc_bytes_transferred += node.body.size();
-        ctx_->stats().backhaul_bytes += node.body.size();
         cdn_stats().backhaul_bytes += node.body.size();
         // One machine, one budget: the unified cache is the proxy cache,
         // and evictions its budget forces belong to the proxy tier's

@@ -34,8 +34,8 @@
 // Per-tier accounting: the proxy cache's hit/miss/eviction counters are
 // routed to SimStats::proxy_cache_* (see FileCache::RouteStats); the
 // machine's cache_* counters keep describing the origin tier. Backhaul
-// payload volume and the subset of it memcpy'd at the proxy land in
-// SimStats::backhaul_bytes / backhaul_bytes_copied.
+// payload volume lands in SimStats::cdn[level].backhaul_bytes, and the
+// subset of it memcpy'd at the proxy in SimStats::backhaul_bytes_copied.
 
 #ifndef SRC_PROXY_PROXY_SERVER_H_
 #define SRC_PROXY_PROXY_SERVER_H_

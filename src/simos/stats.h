@@ -81,10 +81,10 @@ struct SimStats {
   uint64_t proxy_cache_hits = 0;
   uint64_t proxy_cache_misses = 0;
   uint64_t proxy_cache_evictions = 0;
-  // Payload fetched from the origin tier over the backhaul, and the subset
-  // of it that a copy-based proxy memcpy'd into its private cache on
-  // arrival. A warm co-located IO-Lite proxy must leave both untouched.
-  uint64_t backhaul_bytes = 0;
+  // Backhaul payload that a copy-based proxy memcpy'd into its private
+  // cache on arrival. The payload itself counts per level, in
+  // cdn[level].backhaul_bytes; a warm co-located IO-Lite proxy moves none
+  // and copies none.
   uint64_t backhaul_bytes_copied = 0;
 
   // CDN hierarchy (src/cdn): per-level consistency and backhaul traffic.

@@ -6,14 +6,9 @@
 
 namespace iolsim {
 
-DomainId VmSystem::CreateDomain(const std::string& name) {
-  DomainId id = next_domain_++;
-  domains_[id] = name;
-  return id;
-}
+DomainId VmSystem::CreateDomain() { return next_domain_++; }
 
 void VmSystem::DestroyDomain(DomainId domain) {
-  domains_.erase(domain);
   for (Chunk& chunk : chunks_) {
     SmallVec<Mapping, 3>& m = chunk.mappings;
     for (size_t i = 0; i < m.size(); ++i) {

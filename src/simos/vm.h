@@ -18,8 +18,6 @@
 #define SRC_SIMOS_VM_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/simos/small_vec.h"
@@ -49,12 +47,10 @@ class VmSystem {
   VmSystem& operator=(const VmSystem&) = delete;
 
   // Creates a new protection domain (process address space).
-  DomainId CreateDomain(const std::string& name);
+  DomainId CreateDomain();
 
   // Destroys a domain; its mappings disappear.
   void DestroyDomain(DomainId domain);
-
-  size_t domain_count() const { return domains_.size(); }
 
   // Allocates a fresh chunk in the IO-Lite window, writable in `producer`
   // (and implicitly accessible to the kernel, which is trusted). Charges the
@@ -109,7 +105,6 @@ class VmSystem {
   SimContext* ctx_;
   std::vector<Chunk> chunks_;  // Chunk `id` is chunks_[id - 1].
   size_t live_chunks_ = 0;
-  std::unordered_map<DomainId, std::string> domains_;
   DomainId next_domain_ = 1;
 };
 

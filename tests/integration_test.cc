@@ -84,7 +84,7 @@ TEST(EndToEndTest, CgiPipelineDeliversIdenticalBytesOnBothPaths) {
   std::string generated = "<!-- generated -->";
 
   // IO-Lite path.
-  iolsim::DomainId cgi = sys.ctx().vm().CreateDomain("cgi");
+  iolsim::DomainId cgi = sys.ctx().vm().CreateDomain();
   iolite::BufferPool* pool = sys.runtime().CreatePool("cgi", cgi);
   iolite::PipeChannel channel(&sys.ctx());
   iolite::Aggregate dynamic = ioltest::AggFrom(pool, generated);

@@ -154,7 +154,7 @@ TEST_F(BufferTest, DmaContentDeterministicPerSeed) {
 // Untrusted producers pay write-permission toggling; the kernel does not.
 TEST(BufferPoolDomainTest, UntrustedProducerTogglesWritePermission) {
   SimContext ctx;
-  iolsim::DomainId app = ctx.vm().CreateDomain("app");
+  iolsim::DomainId app = ctx.vm().CreateDomain();
   BufferPool pool(&ctx, "app-pool", app);
   {
     BufferRef b = pool.Allocate(64);

@@ -31,8 +31,8 @@ class RuntimeTest : public ::testing::Test {
 };
 
 TEST_F(RuntimeTest, PipeTransfersByReference) {
-  iolsim::DomainId producer = ctx_.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx_.vm().CreateDomain("consumer");
+  iolsim::DomainId producer = ctx_.vm().CreateDomain();
+  iolsim::DomainId consumer = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", producer);
   iolite::PipeEnds pipe = MakePipe(&runtime_, consumer, producer);
 
@@ -48,8 +48,8 @@ TEST_F(RuntimeTest, PipeTransfersByReference) {
 }
 
 TEST_F(RuntimeTest, ReadMapsChunksIntoConsumerDomain) {
-  iolsim::DomainId producer = ctx_.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx_.vm().CreateDomain("consumer");
+  iolsim::DomainId producer = ctx_.vm().CreateDomain();
+  iolsim::DomainId consumer = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", producer);
   iolite::PipeEnds pipe = MakePipe(&runtime_, consumer, producer);
 
@@ -64,8 +64,8 @@ TEST_F(RuntimeTest, ReadMapsChunksIntoConsumerDomain) {
 }
 
 TEST_F(RuntimeTest, WarmPipeTransferCostsOnlySyscalls) {
-  iolsim::DomainId producer = ctx_.vm().CreateDomain("producer");
-  iolsim::DomainId consumer = ctx_.vm().CreateDomain("consumer");
+  iolsim::DomainId producer = ctx_.vm().CreateDomain();
+  iolsim::DomainId consumer = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", producer);
   iolite::PipeEnds pipe = MakePipe(&runtime_, consumer, producer);
 
@@ -88,7 +88,7 @@ TEST_F(RuntimeTest, WarmPipeTransferCostsOnlySyscalls) {
 }
 
 TEST_F(RuntimeTest, PipeSplitsAggregatesOnShortReads) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", d);
   iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
 
@@ -101,7 +101,7 @@ TEST_F(RuntimeTest, PipeSplitsAggregatesOnShortReads) {
 }
 
 TEST_F(RuntimeTest, IolReadMayReturnLessThanRequested) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", d);
   iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
   runtime_.IolWrite(pipe.write_fd, ioltest::AggFrom(pool, "xy"));
@@ -110,8 +110,8 @@ TEST_F(RuntimeTest, IolReadMayReturnLessThanRequested) {
 }
 
 TEST_F(RuntimeTest, CheckAccessReflectsMappings) {
-  iolsim::DomainId producer = ctx_.vm().CreateDomain("producer");
-  iolsim::DomainId stranger = ctx_.vm().CreateDomain("stranger");
+  iolsim::DomainId producer = ctx_.vm().CreateDomain();
+  iolsim::DomainId stranger = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", producer);
   Aggregate msg = ioltest::AggFrom(pool, "secret");
   EXPECT_TRUE(runtime_.CheckAccess(msg, producer));
@@ -122,7 +122,7 @@ TEST_F(RuntimeTest, CheckAccessReflectsMappings) {
 }
 
 TEST_F(RuntimeTest, SyscallsAreCharged) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", d);
   iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
   uint64_t sys_before = ctx_.stats().syscalls;
@@ -132,7 +132,7 @@ TEST_F(RuntimeTest, SyscallsAreCharged) {
 }
 
 TEST_F(RuntimeTest, PaperStyleApiWrappers) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", d);
   iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
 
@@ -144,7 +144,7 @@ TEST_F(RuntimeTest, PaperStyleApiWrappers) {
 }
 
 TEST_F(RuntimeTest, CloseRemovesDescriptor) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
   EXPECT_NE(runtime_.StreamOf(pipe.read_fd), nullptr);
   runtime_.Close(pipe.read_fd);
@@ -152,7 +152,7 @@ TEST_F(RuntimeTest, CloseRemovesDescriptor) {
 }
 
 TEST_F(RuntimeTest, StdioLiteRoundTrip) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("stdio", d);
   PipeChannel channel(&ctx_);
   iolite::StdioLiteWriter writer(&ctx_, pool, &channel, 16);
@@ -168,7 +168,7 @@ TEST_F(RuntimeTest, StdioLiteRoundTrip) {
 }
 
 TEST_F(RuntimeTest, StdioLiteCopiesOnlyAtStdioBoundary) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("stdio", d);
   PipeChannel channel(&ctx_);
   iolite::StdioLiteWriter writer(&ctx_, pool, &channel, 4096);

@@ -134,14 +134,14 @@ TEST(ProxyTest, WarmColocatedIoLitePathIsZeroCopyAndSingleCached) {
   EXPECT_EQ(stats.proxy_cache_misses, s.files.size());
   EXPECT_EQ(stats.ipc_frames_sent, 2 * s.files.size());  // Request + response.
   EXPECT_GT(stats.ipc_bytes_transferred, 0u);
-  EXPECT_GT(stats.backhaul_bytes, 0u);
+  EXPECT_GT(stats.cdn[0].backhaul_bytes, 0u);
   EXPECT_EQ(stats.backhaul_bytes_copied, 0u);
   // One unified cache: each object resident exactly once machine-wide.
   EXPECT_EQ(s.sys->cache().entry_count(), s.files.size());
 
   // Warm passes: pure proxy hits — no backhaul, no IPC, no copies beyond
   // the per-response header fill, no cache growth.
-  uint64_t backhaul0 = stats.backhaul_bytes;
+  uint64_t backhaul0 = stats.cdn[0].backhaul_bytes;
   uint64_t ipc_frames0 = stats.ipc_frames_sent;
   uint64_t copied0 = stats.bytes_copied;
   uint64_t hits0 = stats.proxy_cache_hits;
@@ -153,7 +153,7 @@ TEST(ProxyTest, WarmColocatedIoLitePathIsZeroCopyAndSingleCached) {
     }
   }
   uint64_t warm_requests = kWarmRounds * s.files.size();
-  EXPECT_EQ(stats.backhaul_bytes, backhaul0);
+  EXPECT_EQ(stats.cdn[0].backhaul_bytes, backhaul0);
   EXPECT_EQ(stats.backhaul_bytes_copied, 0u);
   EXPECT_EQ(stats.ipc_frames_sent, ipc_frames0);
   EXPECT_EQ(stats.proxy_cache_hits, hits0 + warm_requests);
@@ -234,7 +234,7 @@ TEST(ProxyTest, RemoteIoLiteInsertDoesNotCopyWhereCopyProxyDoes) {
   EXPECT_EQ(lite.proxy->proxy_cache().entry_count(), lite.files.size());
   // ...but inserting a fetched object mutates only metadata: backhaul
   // payload arrived, none of it was memcpy'd.
-  EXPECT_GT(lite.sys->ctx().stats().backhaul_bytes, 0u);
+  EXPECT_GT(lite.sys->ctx().stats().cdn[0].backhaul_bytes, 0u);
   EXPECT_EQ(lite.sys->ctx().stats().backhaul_bytes_copied, 0u);
   lite_conn.Close();
 
@@ -245,7 +245,7 @@ TEST(ProxyTest, RemoteIoLiteInsertDoesNotCopyWhereCopyProxyDoes) {
     copy.proxy->HandleRequest(&copy_conn, f);
   }
   EXPECT_EQ(copy.sys->ctx().stats().backhaul_bytes_copied,
-            copy.sys->ctx().stats().backhaul_bytes);
+            copy.sys->ctx().stats().cdn[0].backhaul_bytes);
   copy_conn.Close();
 }
 

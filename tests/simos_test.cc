@@ -268,14 +268,14 @@ TEST_F(VmTest, KernelHasImplicitAccess) {
 }
 
 TEST_F(VmTest, OtherDomainsStartWithoutAccess) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(iolsim::kKernelDomain);
   EXPECT_FALSE(ctx_.vm().CanRead(c, d));
   EXPECT_FALSE(ctx_.vm().CanWrite(c, d));
 }
 
 TEST_F(VmTest, EnsureReadableChargesOnlyFirstTime) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(iolsim::kKernelDomain);
   SimTime before = ctx_.clock().now();
   EXPECT_TRUE(ctx_.vm().EnsureReadable(c, d));  // Cold: mapping work.
@@ -288,14 +288,14 @@ TEST_F(VmTest, EnsureReadableChargesOnlyFirstTime) {
 }
 
 TEST_F(VmTest, ProducerGetsWriteAccessOnAllocation) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("producer");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(d);
   EXPECT_TRUE(ctx_.vm().CanWrite(c, d));
   EXPECT_TRUE(ctx_.vm().CanRead(c, d));
 }
 
 TEST_F(VmTest, WriteToggleRevokesAndRestores) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("producer");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(d);
   ctx_.vm().SetWritable(c, d, false);
   EXPECT_FALSE(ctx_.vm().CanWrite(c, d));
@@ -315,7 +315,7 @@ TEST_F(VmTest, KernelWriteToggleIsFree) {
 }
 
 TEST_F(VmTest, DestroyDomainDropsMappings) {
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(iolsim::kKernelDomain);
   ctx_.vm().EnsureReadable(c, d);
   ctx_.vm().DestroyDomain(d);
@@ -331,7 +331,7 @@ TEST_F(VmTest, FreeChunkInvalidates) {
 
 TEST_F(VmTest, TallyModeAccumulatesInsteadOfAdvancing) {
   iolsim::Tally tally;
-  iolsim::DomainId d = ctx_.vm().CreateDomain("proc");
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
   iolsim::ChunkId c = ctx_.vm().AllocateChunk(iolsim::kKernelDomain);
   SimTime before = ctx_.clock().now();
   {
@@ -438,7 +438,7 @@ TEST_F(VmTest, RandomStreamsMatchTheMapOracle) {
     }
     const ChunkId chunk = live.empty() ? iolsim::kInvalidChunk : live[rng.NextBelow(live.size())];
     if (max_domain == 0 || (kind < 1 && max_domain < 6)) {
-      max_domain = ctx_.vm().CreateDomain("d");
+      max_domain = ctx_.vm().CreateDomain();
     } else if (kind < 2) {
       ctx_.vm().DestroyDomain(domain);
       oracle.DestroyDomain(domain);
