@@ -1,7 +1,7 @@
 // Microbenchmarks for the core IO-Lite mechanisms (host-time measurements
 // of the library itself, via google-benchmark): aggregate algebra, buffer
-// pool allocation/recycling, checksum computation, cache hits, sums of
-// generated content, and the file cache's metadata (GDS rekeys and
+// pool allocation/recycling, checksum computation, cache hits, one
+// response's checksum work, sums of generated content, and the file cache's metadata (GDS rekeys and
 // evictions, lookups).
 
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 
 #include "src/fs/file_cache.h"
 #include "src/fs/replacement_policy.h"
+#include "src/httpd/response_header.h"
 #include "src/iolite/aggregate.h"
 #include "src/iolite/buffer_pool.h"
 #include "src/net/checksum.h"
@@ -110,6 +111,32 @@ void BM_ChecksumCached(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChecksumCached)->Arg(1460)->Arg(16384)->Arg(262144);
+
+// One IO-Lite response's checksum work: a fresh header (MakeIoLiteHeader:
+// a recycled buffer's new generation) and a cached 50 KB body slice,
+// charged together. The cache is held at capacity, so every header also
+// evicts the oldest position.
+void BM_ChargeHeaderAndCachedBody(benchmark::State& state) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "bm", iolsim::kKernelDomain);
+  iolnet::ChecksumModule module(&ctx, /*cache_enabled=*/true);
+  constexpr size_t kBodyBytes = 50 * 1024;
+  const iolite::Aggregate body = iolite::Aggregate::FromBuffer(pool.AllocateDma(3, kBodyBytes));
+  auto respond = [&] {
+    iolite::Aggregate response =
+        iolite::Aggregate::FromBuffer(iolhttp::MakeIoLiteHeader(&ctx, &pool, kBodyBytes));
+    response.Append(body);
+    module.Charge(response);
+  };
+  while (module.cache().size() < module.cache().capacity()) {
+    respond();
+  }
+  for (auto _ : state) {
+    respond();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChargeHeaderAndCachedBody);
 
 // A fresh descriptor-backed buffer (generated disk content) each
 // iteration, under a fresh content seed, so the checksum cache always

@@ -185,7 +185,7 @@ ExperimentResult CdnTier::Run(Workload* workload,
   }
 
   // Staleness percentiles over every stale serve in the hierarchy, merged
-  // in (level, proxy) order — deterministic, and Summarize sorts anyway.
+  // in (level, proxy) order — deterministic, and Summarize's ranks ignore order.
   std::vector<iolsim::SimTime> ages;
   for (int l = 0; l < level_count(); ++l) {
     for (auto& proxy : proxies_[l]) {

@@ -326,8 +326,7 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
   if (lookups > 0) {
     result.cache_hit_rate = static_cast<double>(hits) / static_cast<double>(lookups);
   }
-  result.latency = telemetry_->EndToEndLatency(record_base);
-  result.cache_hit_fraction = telemetry_->CacheHitFraction(record_base);
+  result.latency = telemetry_->EndToEndLatency(record_base, &result.cache_hit_fraction);
   result.per_server = share_;
   for (size_t m = 0; m < members_.size(); ++m) {
     result.per_server[m].peak_concurrent = members_[m].peak;

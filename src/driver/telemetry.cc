@@ -7,25 +7,18 @@ namespace ioldrv {
 
 namespace {
 
-// Nearest-rank percentile of a sorted sample: the smallest value such that
-// at least q of the sample is <= it. Exact (no interpolation), so tests can
-// assert precise values from known service times.
-double NearestRank(const std::vector<iolsim::SimTime>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  size_t n = sorted.size();
+// Nearest-rank percentile of n samples, as a 1-based rank: the smallest
+// rank such that at least q of the sample is <= the value there. Exact (no
+// interpolation), so tests can assert precise values from known service
+// times.
+size_t NearestRank(size_t n, double q) {
   // rank = ceil(q * n), guarded against the product landing epsilon above
   // an integer and ceiling one rank too far.
   auto rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n) - 1e-9));
-  if (rank < 1) {
-    rank = 1;
-  }
-  if (rank > n) {
-    rank = n;
-  }
-  return static_cast<double>(sorted[rank - 1]) / iolsim::kMillisecond;
+  return std::clamp<size_t>(rank, 1, n);
 }
+
+double Ms(iolsim::SimTime t) { return static_cast<double>(t) / iolsim::kMillisecond; }
 
 }  // namespace
 
@@ -35,42 +28,38 @@ LatencySummary Summarize(std::vector<iolsim::SimTime> samples) {
   if (samples.empty()) {
     return s;
   }
-  std::sort(samples.begin(), samples.end());
-  double total = 0;
+  // An integer total is exact in any summation order.
+  iolsim::SimTime total = 0;
   for (iolsim::SimTime t : samples) {
-    total += static_cast<double>(t);
+    total += t;
   }
-  s.mean_ms = total / static_cast<double>(samples.size()) / iolsim::kMillisecond;
-  s.p50_ms = NearestRank(samples, 0.50);
-  s.p90_ms = NearestRank(samples, 0.90);
-  s.p99_ms = NearestRank(samples, 0.99);
-  s.max_ms = static_cast<double>(samples.back()) / iolsim::kMillisecond;
+  s.mean_ms = static_cast<double>(total) / static_cast<double>(samples.size()) /
+              iolsim::kMillisecond;
+  // Ranks rise with q, so each selection searches only the samples above
+  // the previous rank; a rank equal to the previous one is already placed.
+  auto above = samples.begin();
+  auto select = [&](double q) {
+    auto nth = samples.begin() + static_cast<ptrdiff_t>(NearestRank(samples.size(), q) - 1);
+    if (nth >= above) {
+      std::nth_element(above, nth, samples.end());
+      above = nth + 1;
+    }
+    return nth;
+  };
+  s.p50_ms = Ms(*select(0.50));
+  s.p90_ms = Ms(*select(0.90));
+  auto p99 = select(0.99);
+  s.p99_ms = Ms(*p99);
+  s.max_ms = Ms(*std::max_element(p99, samples.end()));
   return s;
 }
 
-LatencySummary Telemetry::SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end) const {
+LatencySummary Telemetry::SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end,
+                                     double* cache_hit_fraction) const {
   std::vector<iolsim::SimTime> samples;
   if (from < records_.size()) {
     samples.reserve(records_.size() - from);
   }
-  for (size_t i = from; i < records_.size(); ++i) {
-    const RequestRecord& r = records_[i];
-    if (r.counted && Delivered(r.outcome)) {
-      samples.push_back(r.*end - r.issue);
-    }
-  }
-  return Summarize(std::move(samples));
-}
-
-LatencySummary Telemetry::EndToEndLatency(size_t from) const {
-  return SinceIssue(from, &RequestRecord::complete);
-}
-
-LatencySummary Telemetry::QueueWait(size_t from) const {
-  return SinceIssue(from, &RequestRecord::admit);
-}
-
-double Telemetry::CacheHitFraction(size_t from) const {
   uint64_t counted = 0;
   uint64_t hits = 0;
   for (size_t i = from; i < records_.size(); ++i) {
@@ -78,9 +67,24 @@ double Telemetry::CacheHitFraction(size_t from) const {
     if (r.counted) {
       ++counted;
       hits += r.cache_hit ? 1 : 0;
+      if (Delivered(r.outcome)) {
+        samples.push_back(r.*end - r.issue);
+      }
     }
   }
-  return counted > 0 ? static_cast<double>(hits) / static_cast<double>(counted) : 0;
+  if (cache_hit_fraction != nullptr) {
+    *cache_hit_fraction =
+        counted > 0 ? static_cast<double>(hits) / static_cast<double>(counted) : 0;
+  }
+  return Summarize(std::move(samples));
+}
+
+LatencySummary Telemetry::EndToEndLatency(size_t from, double* cache_hit_fraction) const {
+  return SinceIssue(from, &RequestRecord::complete, cache_hit_fraction);
+}
+
+LatencySummary Telemetry::QueueWait(size_t from) const {
+  return SinceIssue(from, &RequestRecord::admit, nullptr);
 }
 
 std::vector<TenantSummary> Telemetry::PerTenant(size_t from) const {

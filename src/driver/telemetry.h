@@ -4,7 +4,7 @@
 // server admission (past the accept queue) and client receipt of the last
 // response byte — and hands the finished record to a Telemetry sink. The
 // sink keeps the raw stream; percentile summaries are computed
-// deterministically (sort + nearest-rank) so the same run always reports
+// deterministically (selection + nearest-rank) so the same run always reports
 // the same p50/p90/p99, with no histogram-bucket rounding.
 
 #ifndef SRC_DRIVER_TELEMETRY_H_
@@ -58,7 +58,8 @@ struct LatencySummary {
   double max_ms = 0;
 };
 
-// Deterministic sort + nearest-rank summary over raw SimTime samples — the
+// Deterministic nearest-rank summary over raw SimTime samples, found by
+// selection (the sample's order on return is unspecified) — the
 // arithmetic every Telemetry summary uses, also applied to sample streams
 // that are not request records (the CDN tier's staleness ages).
 LatencySummary Summarize(std::vector<iolsim::SimTime> samples);
@@ -94,15 +95,13 @@ class Telemetry {
   // starting at record index `from` — an accumulating sink shared across
   // runs can be summarized per run (the engine passes its run's first
   // record index). Failed records contribute no sample: a timeout instant
-  // measures the policy, not the system.
-  LatencySummary EndToEndLatency(size_t from = 0) const;
+  // measures the policy, not the system. With `cache_hit_fraction`, also
+  // sets it to the fraction of counted requests, delivered or not, served
+  // from the cache, from the same pass over the records.
+  LatencySummary EndToEndLatency(size_t from = 0, double* cache_hit_fraction = nullptr) const;
 
   // Accept-queue + propagation wait (admit - issue) of counted requests.
   LatencySummary QueueWait(size_t from = 0) const;
-
-  // Fraction of counted requests served from the cache, starting at record
-  // index `from` (same per-run slicing as the latency summaries).
-  double CacheHitFraction(size_t from = 0) const;
 
   // Per-tenant breakdown of the counted records, ordered by tenant id.
   // Tenants with no counted records are omitted; a pre-QoS run (every
@@ -115,7 +114,8 @@ class Telemetry {
  private:
   // Summary of (record.*end - record.issue) over the counted delivered
   // records from index `from`: the one sample loop both latencies share.
-  LatencySummary SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end) const;
+  LatencySummary SinceIssue(size_t from, iolsim::SimTime RequestRecord::*end,
+                            double* cache_hit_fraction) const;
 
   std::vector<RequestRecord> records_;
 };

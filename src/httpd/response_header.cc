@@ -43,6 +43,7 @@ iolite::BufferRef MakeIoLiteHeader(iolsim::SimContext* ctx, iolite::BufferPool* 
   ctx->stats().bytes_copied += header_len;
   ctx->stats().copy_ops++;
   hbuf->Seal(header_len);
+  hbuf->MarkOneShot();
   return hbuf;
 }
 

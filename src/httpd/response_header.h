@@ -28,7 +28,7 @@ size_t BuildResponseHeader(char* buf, uint64_t content_length);
 // own pool (Section 5: "allocating memory for response headers ... is
 // handled with memory allocation from IO-Lite space"), fills it with the
 // response header, charges the one copy the IO-Lite data path pays per
-// request, and seals it.
+// request, and seals it one-shot: each header is transmitted once.
 iolite::BufferRef MakeIoLiteHeader(iolsim::SimContext* ctx, iolite::BufferPool* pool,
                                    uint64_t content_length);
 

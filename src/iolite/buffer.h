@@ -74,6 +74,22 @@ class Buffer {
   uint64_t content_seed() const { return content_seed_; }
   uint64_t content_offset() const { return content_offset_; }
 
+  // A one-shot buffer's contents are transmitted once (a response header),
+  // so no later checksum lookup names its (id, generation): the checksum
+  // cache gives its slices no entry (checksum.h). Reuse clears the mark.
+  void MarkOneShot() {
+    assert(sealed_ && "marking an unsealed buffer one-shot");
+    one_shot_ = true;
+  }
+  bool one_shot() const { return one_shot_; }
+  // Records a checksum charge of this one-shot generation; false if one
+  // was already recorded.
+  bool FirstOneShotCharge() const {
+    const bool first = !one_shot_charged_;
+    one_shot_charged_ = true;
+    return first;
+  }
+
   // Write access during the fill phase. Asserts immutability afterwards.
   char* writable_data() {
     assert(!sealed_ && "IO-Lite buffers are immutable once sealed");
@@ -118,6 +134,8 @@ class Buffer {
     ++generation_;
     sealed_ = false;
     described_ = false;
+    one_shot_ = false;
+    one_shot_charged_ = false;
     size_ = 0;
     producer_ = producer;
   }
@@ -135,6 +153,8 @@ class Buffer {
   size_t size_ = 0;
   bool sealed_ = false;
   mutable bool described_ = false;
+  bool one_shot_ = false;
+  mutable bool one_shot_charged_ = false;
   uint64_t content_seed_ = 0;
   uint64_t content_offset_ = 0;
   int refcount_ = 0;

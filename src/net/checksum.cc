@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "src/iolite/dma_fill.h"
@@ -194,6 +195,8 @@ void ChecksumCache::Unlink(uint32_t e) {
 
 void ChecksumCache::PushFront(uint32_t e) {
   Entry& entry = entries_[e];
+  entry.anonymous = head_anonymous_;
+  head_anonymous_ = 0;
   entry.prev = kNil;
   entry.next = head_;
   (head_ == kNil ? tail_ : entries_[head_].prev) = e;
@@ -201,10 +204,27 @@ void ChecksumCache::PushFront(uint32_t e) {
 }
 
 void ChecksumCache::MoveToFront(uint32_t e) {
-  if (e != head_) {
-    Unlink(e);
-    PushFront(e);
+  // Taking `e` out joins the anonymous runs on either side of it.
+  Entry& entry = entries_[e];
+  (entry.prev == kNil ? head_anonymous_ : entries_[entry.prev].anonymous) += entry.anonymous;
+  Unlink(e);
+  PushFront(e);
+}
+
+void ChecksumCache::EvictOldest() {
+  uint32_t& oldest_run = tail_ == kNil ? head_anonymous_ : entries_[tail_].anonymous;
+  if (oldest_run > 0) {
+    --oldest_run;
+    --anonymous_;
+    return;
   }
+  const uint32_t e = tail_;
+  const Key victim = KeyOf(entries_[e]);
+  Erase(Find(victim, Hash(victim)));
+  Unlink(e);
+  entries_[e].next = free_;
+  free_ = e;
+  --live_;
 }
 
 uint32_t ChecksumCache::EntryOf(const Key& key) const {
@@ -281,14 +301,15 @@ uint32_t ChecksumCache::Place(const Key& key) {
   if (capacity_ == 0) {
     return kNil;  // The new key would be its own eviction victim.
   }
-  uint32_t e;
-  if (entries_.size() == capacity_) {
+  if (size() == capacity_) {
     // Evicting before inserting picks the same victim as the other order:
-    // the new key goes to the front, and the tail is at least one behind.
-    e = tail_;
-    const Key victim = KeyOf(entries_[e]);
-    Erase(Find(victim, Hash(victim)));
-    Unlink(e);
+    // the new key goes to the front, and the oldest position is at least
+    // one behind.
+    EvictOldest();
+  }
+  uint32_t e = free_;
+  if (e != kNil) {
+    free_ = entries_[e].next;
   } else {
     e = static_cast<uint32_t>(entries_.size());
     entries_.emplace_back();
@@ -309,6 +330,7 @@ uint32_t ChecksumCache::Place(const Key& key) {
   entries_[e].generation = key.generation;
   PushFront(e);
   Insert(e, hash);
+  ++live_;
   return e;
 }
 
@@ -331,18 +353,35 @@ void ChecksumCache::StoreDescribed(const Key& key, uint64_t content_seed,
   }
 }
 
+void ChecksumCache::StoreAnonymous() {
+  if (capacity_ == 0) {
+    return;
+  }
+  if (size() == capacity_) {
+    EvictOldest();
+  }
+  ++head_anonymous_;
+  ++anonymous_;
+}
+
 void ChecksumCache::Clear() {
   entries_.clear();
   std::fill(index_.begin(), index_.end(), Slot{});
   head_ = kNil;
   tail_ = kNil;
+  free_ = kNil;
+  live_ = 0;
+  anonymous_ = 0;
+  head_anonymous_ = 0;
 }
 
 uint32_t ChecksumModule::Account(const iolite::Slice& s, bool force) {
   const iolite::Buffer& b = *s.buffer();
   ChecksumCache::Key key{b.id(), b.generation(), s.offset(), s.length()};
   uint32_t partial = 0;
-  if (cache_enabled_ && (force ? cache_.Lookup(key, &partial) : cache_.Touch(key))) {
+  // A one-shot slice's key can never hit, so it is not looked up.
+  if (cache_enabled_ && !b.one_shot() &&
+      (force ? cache_.Lookup(key, &partial) : cache_.Touch(key))) {
     ctx_->stats().checksum_cache_hits++;
     return partial;
   }
@@ -351,6 +390,14 @@ uint32_t ChecksumModule::Account(const iolite::Slice& s, bool force) {
   ctx_->stats().checksum_ops++;
   if (cache_enabled_) {
     ctx_->stats().checksum_cache_misses++;
+    if (b.one_shot()) {
+      // A second charge of the generation would have hit an entry, where
+      // the anonymous position makes it a miss.
+      [[maybe_unused]] const bool first = b.FirstOneShotCharge();
+      assert(first && "a one-shot buffer generation was charged twice");
+      cache_.StoreAnonymous();
+      return force ? ChecksumAccumulate(s.data(), s.length()) : 0;
+    }
     if (b.described() && !force) {
       cache_.StoreDescribed(key, b.content_seed(), b.content_offset());
       return 0;

@@ -72,11 +72,21 @@ uint32_t ChecksumSwap(uint32_t sum);
 // and deletes by backward shift, so no tombstones build up. Each index slot
 // holds an entry number and the key's 32-bit hash, so probes, shifts and
 // index growth never re-hash a key; only an eviction hashes its victim's
-// key again. Both arrays grow with the contents, not with
-// `capacity`. At capacity, a Store of a new key recycles the tail entry in
-// place, so the steady state (one fresh header generation per
-// transmission) runs without heap traffic. An entry holds a sum, or a
-// content descriptor whose sum is computed on the first read (see above).
+// key again. An entry holds a sum, or a content descriptor whose sum is
+// computed on the first read (see above).
+//
+// A slice that no lookup can ever name again (a one-shot buffer's, such as
+// a response header: a fresh generation per transmission) takes an
+// *anonymous* LRU position instead of an entry (StoreAnonymous). Each entry
+// counts the anonymous positions between it and the next older entry, and
+// one counter holds those newer than every entry. Taking an anonymous
+// position, moving an entry to the front (its two neighbouring runs join)
+// and evicting the oldest position (shorten the oldest run, or drop the
+// tail entry) are O(1). So the hit, miss and eviction sequence and size()
+// are exactly those of an LRU in which every such slice held an entry, yet
+// only keys that can hit reach the arrays. Both arrays grow with the
+// entries, not with `capacity`; an evicted entry's slot is reused, so the
+// at-capacity steady state runs without heap traffic.
 class ChecksumCache {
  public:
   explicit ChecksumCache(size_t capacity = 65536) : capacity_(capacity) {}
@@ -104,8 +114,11 @@ class ChecksumCache {
   // [key.offset, key.offset + key.length) of the buffer whose byte 0 is
   // content byte `content_offset` for `content_seed`.
   void StoreDescribed(const Key& key, uint64_t content_seed, uint64_t content_offset);
+  // Takes the most recently used position for a slice no lookup will name
+  // again, evicting as a Store of a new key would.
+  void StoreAnonymous();
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return live_ + anonymous_; }
   size_t capacity() const { return capacity_; }
   void Clear();
 
@@ -113,7 +126,7 @@ class ChecksumCache {
   static constexpr uint32_t kNil = UINT32_MAX;
 
   // The key's fields are stored flat, without Key's padding, so an entry
-  // is 48 bytes.
+  // is 56 bytes.
   struct Entry {
     uint64_t buffer_id;
     uint64_t offset;
@@ -121,7 +134,9 @@ class ChecksumCache {
     uint32_t generation;
     uint32_t sum;
     uint32_t prev;  // Toward the most recently used end.
-    uint32_t next;  // Toward the least recently used end.
+    uint32_t next;  // Toward the least recently used end; the free list.
+    // Anonymous positions between this entry and the next older one.
+    uint32_t anonymous;
     // A lazy entry's descriptor folded into one word, ContentOrigin(content
     // seed, content offset) (dma_fill.h); 0 marks a known sum. A descriptor
     // that folds to 0 is summed when stored.
@@ -148,6 +163,9 @@ class ChecksumCache {
   void PushFront(uint32_t e);
   // Makes `e` the most recently used entry.
   void MoveToFront(uint32_t e);
+  // Drops the least recently used position: an anonymous one, or else the
+  // tail entry, whose slot joins the free list. The cache must not be empty.
+  void EvictOldest();
   // Entry `e`'s sum, computed from its descriptor first if lazy.
   uint32_t Force(uint32_t e);
   // The entry `key` is stored in: its own, or a new or recycled one at the
@@ -157,8 +175,12 @@ class ChecksumCache {
   size_t capacity_;
   std::vector<Entry> entries_;
   std::vector<Slot> index_;  // Empty, or a power of two at least 2 x size().
-  uint32_t head_ = kNil;     // Most recently used.
-  uint32_t tail_ = kNil;     // Least recently used: the next victim.
+  uint32_t head_ = kNil;     // Most recently used entry.
+  uint32_t tail_ = kNil;     // Least recently used entry.
+  uint32_t free_ = kNil;     // Evicted entries' slots, linked by `next`.
+  size_t live_ = 0;          // Entries on the LRU list.
+  size_t anonymous_ = 0;     // Anonymous positions.
+  uint32_t head_anonymous_ = 0;  // Anonymous positions newer than head_.
 };
 
 // The checksum module used by the TCP send path. When a cache is attached,
@@ -174,7 +196,10 @@ class ChecksumModule {
   // The send path's checksum work for the aggregate: per slice, the cache
   // lookup, or the CPU charge, counters and cache store of a miss. A
   // described slice's bytes are neither generated nor written, with the
-  // cache on or off; its entry stays lazy until read.
+  // cache on or off; its entry stays lazy until read. A slice of a one-shot
+  // buffer (buffer.h) is charged and counted as a miss without a lookup or
+  // a sum, and takes an anonymous position; a generation charged twice
+  // aborts in Debug, since the second charge would have hit.
   void Charge(const iolite::Aggregate& agg);
 
   // Charge, and the Internet checksum of the aggregate's contents: lazy

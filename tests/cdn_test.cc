@@ -71,9 +71,11 @@ iolproxy::ProxyConfig BaseProxyConfig() {
 
 CdnRig MakeCdnRig(CdnTopology topo, int num_origins, int docs,
                   uint64_t doc_bytes, ExperimentConfig config,
-                  iolproxy::ProxyConfig pconfig = BaseProxyConfig()) {
+                  iolproxy::ProxyConfig pconfig = BaseProxyConfig(),
+                  size_t checksum_cache_entries = 65536) {
   CdnRig r;
   iolsys::SystemOptions options;
+  options.checksum_cache_entries = checksum_cache_entries;
   options.cost.cpu_count = num_origins;
   options.cost.disk_count = num_origins;
   r.sys = std::make_unique<System>(options);
@@ -133,6 +135,7 @@ struct RunCapture {
   Telemetry telemetry;
   ExperimentResult result;
   SimTime clock = 0;
+  iolsim::SimStats stats;
   // The machine's per-level counters just before and just after the run.
   iolsim::SimStats::CdnLevelStats cdn_before[iolsim::SimStats::kMaxCdnLevels];
   iolsim::SimStats::CdnLevelStats cdn[iolsim::SimStats::kMaxCdnLevels];
@@ -141,13 +144,15 @@ struct RunCapture {
 // `counter_base` > 0 presets every per-level counter to a distinct non-zero
 // value, as if the machine had done CDN work before this run.
 RunCapture RunHierarchy(ConsistencyMode mode, SimTime ttl,
-                        double writes_per_sec, uint64_t counter_base = 0) {
+                        double writes_per_sec, uint64_t counter_base = 0,
+                        size_t checksum_cache_entries = 65536) {
   ExperimentConfig config;
   config.persistent_connections = true;
   config.max_requests = 400;
   config.warmup_requests = 0;
   CdnRig rig = MakeCdnRig(TwoLevelTopo(mode, ttl), /*num_origins=*/2,
-                          /*docs=*/12, /*doc_bytes=*/4 * 1024, config);
+                          /*docs=*/12, /*doc_bytes=*/4 * 1024, config,
+                          BaseProxyConfig(), checksum_cache_entries);
   WritePlanSpec wspec;
   wspec.writes_per_sec = writes_per_sec;
   wspec.num_files = rig.files.size();
@@ -174,6 +179,7 @@ RunCapture RunHierarchy(ConsistencyMode mode, SimTime ttl,
   cap.result = rig.tier->Run(&mix, [&rig]() { return rig.files[0]; },
                              &cap.telemetry);
   cap.clock = rig.sys->ctx().clock().now();
+  cap.stats = rig.sys->ctx().stats();
   for (int l = 0; l < iolsim::SimStats::kMaxCdnLevels; ++l) {
     cap.cdn[l] = rig.sys->ctx().stats().cdn[l];
   }
@@ -248,6 +254,39 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, CdnDeterminismTest,
                          [](const ::testing::TestParamInfo<ConsistencyMode>& i) {
                            return std::string(iolproxy::Name(i.param));
                          });
+
+// --- Checksum cache at capacity ---------------------------------------------
+
+// The proxy tree with its machine's checksum cache shrunk, so response
+// headers at every level push cached body slices out and they are summed
+// again. Pinned to values captured from the indexed LRU in which every
+// header held an entry.
+struct CacheGolden {
+  uint64_t checksum_cache_hits;
+  uint64_t checksum_cache_misses;
+  uint64_t bytes_checksummed;
+  uint64_t events_dispatched;
+  SimTime final_clock_ns;
+};
+
+void ExpectShrunkCacheRunMatches(size_t cache_entries, const CacheGolden& g) {
+  RunCapture run = RunHierarchy(ConsistencyMode::kInvalidate, 5 * kMillisecond,
+                                /*writes_per_sec=*/400, /*counter_base=*/0, cache_entries);
+  EXPECT_EQ(run.stats.checksum_cache_hits, g.checksum_cache_hits);
+  EXPECT_EQ(run.stats.checksum_cache_misses, g.checksum_cache_misses);
+  EXPECT_EQ(run.stats.bytes_checksummed, g.bytes_checksummed);
+  EXPECT_EQ(run.stats.events_dispatched, g.events_dispatched);
+  EXPECT_EQ(run.clock, g.final_clock_ns);
+  EXPECT_EQ(run.result.corrupt_responses, 0u);
+}
+
+TEST(CdnChecksumCacheGoldenTest, Invalidate64Entries) {
+  ExpectShrunkCacheRunMatches(64, CacheGolden{344, 628, 703132, 3663, 129420717});
+}
+
+TEST(CdnChecksumCacheGoldenTest, Invalidate4096Entries) {
+  ExpectShrunkCacheRunMatches(4096, CacheGolden{387, 585, 527004, 3664, 129420717});
+}
 
 // --- Result per level: the run's slice of SimStats::cdn[] ---------------------
 

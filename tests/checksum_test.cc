@@ -1,12 +1,14 @@
 // Differential tests for the checksum path: the lane-parallel accumulation
-// kernels against a byte-wise RFC 1071 sum, the flat checksum cache
-// against the list + hash-map LRU it replaced, and sums of generated
+// kernels against a byte-wise RFC 1071 sum, the flat checksum cache (with
+// anonymous positions for one-shot slices) against the list + hash-map LRU
+// it replaced, and sums of generated
 // content (lazy cache entries forced on a hit, and forced misses) against
 // sums of the same bytes copied into ordinary buffers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -198,7 +200,9 @@ class ChecksumCacheOracleTest : public ::testing::TestWithParam<size_t> {};
 
 // Random Lookup/Store streams over a key universe half again the capacity,
 // plus never-seen keys, with a Clear three quarters of the way through.
-// Every op's hit/miss, returned sum and size must equal the oracle's.
+// An anonymous position is, to the oracle, a Store of a fresh key that no
+// later op names. Every op's hit/miss, returned sum and size must equal
+// the oracle's.
 TEST_P(ChecksumCacheOracleTest, RandomStreamsMatchListMapLru) {
   const size_t capacity = GetParam();
   const uint64_t universe = capacity + capacity / 2 + 4;
@@ -215,16 +219,19 @@ TEST_P(ChecksumCacheOracleTest, RandomStreamsMatchListMapLru) {
       if (op == ops * 3 / 4) {
         cache.Clear();
         oracle.Clear();
-      } else if (kind < 50) {
+      } else if (kind < 45) {
         uint32_t got = 0xdeadbeef;
         uint32_t want = 0xdeadbeef;
         const bool hit = cache.Lookup(key, &got);
         ASSERT_EQ(hit, oracle.Lookup(key, &want)) << "seed " << seed << " op " << op;
         ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
-      } else if (kind < 80) {
+      } else if (kind < 70) {
         const uint32_t sum = static_cast<uint32_t>(rng.Next());
         cache.Store(key, sum);
         oracle.Store(key, sum);
+      } else if (kind < 85) {
+        cache.StoreAnonymous();
+        oracle.Store(KeyOf(fresh++), 0);
       } else {
         // The checksum module's pattern: Store only after a missed Lookup.
         uint32_t got = 0;
@@ -243,7 +250,7 @@ TEST_P(ChecksumCacheOracleTest, RandomStreamsMatchListMapLru) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, ChecksumCacheOracleTest,
-                         ::testing::Values(0, 1, 2, 7, 64, 65536));
+                         ::testing::Values(0, 1, 2, 7, 8, 64, 65536));
 
 TEST(ChecksumCacheTest, ClearEmptiesAndTheCacheRefills) {
   ChecksumCache cache(8);
@@ -266,6 +273,82 @@ TEST(ChecksumCacheTest, ClearEmptiesAndTheCacheRefills) {
   }
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.capacity(), 8u);
+}
+
+// --- One-shot slices ----------------------------------------------------------
+
+// A one-shot slice (a response header) charges and counts as a miss and
+// takes an LRU position, but never enters the cache's arrays: only the
+// body can hit, and the header pushes it toward eviction as before.
+TEST(OneShotChecksumTest, ChargesAsAMissAndReadersStillSumTheBytes) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "pool", iolsim::kKernelDomain);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true, /*cache_entries=*/2);
+  iolnet::ChecksumModule eager_sums(&ctx, /*cache_enabled=*/false);
+  const std::vector<char> body_bytes = RandomBytes(3, 3001);
+  iolite::BufferRef body = pool.AllocateFrom(body_bytes.data(), body_bytes.size());
+  auto response = [&](const char* text) {
+    iolite::BufferRef header = pool.AllocateFrom(text, std::strlen(text));
+    header->MarkOneShot();
+    iolite::Aggregate agg = iolite::Aggregate::FromBuffer(header);
+    agg.Append(iolite::Aggregate::FromBuffer(body));
+    return agg;
+  };
+  const iolite::Aggregate first = response("HTTP/1.0 200 OK\r\n");
+  sums.Charge(first);
+  EXPECT_EQ(ctx.stats().checksum_cache_misses, 2u);
+  EXPECT_EQ(ctx.stats().bytes_checksummed, first.size());
+  EXPECT_EQ(sums.cache().size(), 2u);
+  // The header is summed from its bytes; only the body hits.
+  EXPECT_EQ(sums.PeekChecksum(first), eager_sums.Checksum(first));
+  const iolite::Aggregate second = response("HTTP/1.0 404 Not Found\r\n");
+  EXPECT_EQ(sums.Checksum(second), eager_sums.Checksum(second));
+  EXPECT_EQ(ctx.stats().checksum_cache_hits, 1u);
+  EXPECT_EQ(ctx.stats().checksum_cache_misses, 3u);
+  // Two headers in a row take both positions: the body is evicted.
+  for (const char* text : {"x", "y"}) {
+    iolite::BufferRef header = pool.AllocateFrom(text, 1);
+    header->MarkOneShot();
+    sums.Charge(iolite::Aggregate::FromBuffer(header));
+  }
+  sums.Charge(iolite::Aggregate::FromBuffer(body));
+  EXPECT_EQ(ctx.stats().checksum_cache_hits, 1u);
+  EXPECT_EQ(ctx.stats().checksum_cache_misses, 6u);
+  EXPECT_EQ(sums.cache().size(), 2u);
+}
+
+#ifndef NDEBUG
+// A second charge of one one-shot generation would have hit the entry an
+// indexed header held; the cache would silently count it a miss instead.
+TEST(OneShotChecksumDeathTest, ChargingAGenerationTwiceAborts) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "pool", iolsim::kKernelDomain);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  iolite::BufferRef header = pool.AllocateFrom("header", 6);
+  header->MarkOneShot();
+  const iolite::Aggregate agg = iolite::Aggregate::FromBuffer(header);
+  sums.Charge(agg);
+  EXPECT_DEATH(sums.Charge(agg), "charged twice");
+}
+#endif
+
+// Reuse starts a new generation that is not one-shot until marked again.
+TEST(OneShotChecksumTest, ReuseClearsTheMark) {
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "pool", iolsim::kKernelDomain);
+  iolnet::ChecksumModule sums(&ctx, /*cache_enabled=*/true);
+  const uint64_t id = [&] {
+    iolite::BufferRef header = pool.AllocateFrom("header", 6);
+    header->MarkOneShot();
+    sums.Charge(iolite::Aggregate::FromBuffer(header));
+    return header->id();
+  }();
+  iolite::BufferRef reused = pool.AllocateFrom("header", 6);
+  ASSERT_EQ(reused->id(), id);
+  EXPECT_FALSE(reused->one_shot());
+  sums.Charge(iolite::Aggregate::FromBuffer(reused));
+  sums.Charge(iolite::Aggregate::FromBuffer(reused));
+  EXPECT_EQ(ctx.stats().checksum_cache_hits, 1u);
 }
 
 // --- Descriptor-backed slices ------------------------------------------------

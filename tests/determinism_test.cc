@@ -29,6 +29,7 @@
 #include "src/driver/telemetry.h"
 #include "src/driver/workload.h"
 #include "src/system/system.h"
+#include "src/workload/trace.h"
 
 namespace {
 
@@ -63,8 +64,9 @@ struct RunOutput {
 
 // The fig03 smoke shape: 8 clients, 120 counted requests, 20 warmup,
 // nonpersistent connections, one document.
-RunOutput RunSingleFileSmoke(ServerKind kind, size_t file_bytes) {
-  iolbench::Bench b = iolbench::MakeBench(kind);
+RunOutput RunSingleFileSmoke(ServerKind kind, size_t file_bytes,
+                             iolsys::SystemOptions options = {}) {
+  iolbench::Bench b = iolbench::MakeBench(kind, options);
   iolfs::FileId f = b.sys->fs().CreateFile("doc", file_bytes);
   ioldrv::ExperimentConfig config;
   config.persistent_connections = false;
@@ -213,6 +215,91 @@ TEST(GoldenTest, Fig05LiteCgi20k) {
       RunCgiSmoke(ServerKind::kFlashLite, 20 * 1024),
       Golden{120, 2487600, 213.36952735596165, 6.2233280000000004, 6.4433280000000002, 0,
              57230, 57230, 146, 48, 441, 2352, 147, 0, 3088, 115227989});
+}
+
+// --- Checksum cache at capacity ---------------------------------------------
+
+// The goldens above never fill the 65,536-entry checksum cache. These runs
+// shrink it, so every response header (a fresh generation, never named
+// again) pushes older entries toward the tail and cached body slices are
+// evicted and summed again. Captured from the indexed LRU in which every
+// header held an entry; any change to the cache's hit, miss or eviction
+// order moves the counters or, through the charged CPU time, the clock.
+struct CacheGolden {
+  uint64_t checksum_cache_hits;
+  uint64_t checksum_cache_misses;
+  uint64_t bytes_checksummed;
+  uint64_t events_dispatched;
+  int64_t final_clock_ns;
+};
+
+iolsys::SystemOptions ShrunkCache(size_t entries) {
+  iolsys::SystemOptions options;
+  options.checksum_cache_entries = entries;
+  return options;
+}
+
+// A multi-file subtrace replayed by 8 Flash-Lite clients.
+RunOutput RunTraceShrunk(size_t cache_entries) {
+  iolbench::Bench b = iolbench::MakeBench(ServerKind::kFlashLite, ShrunkCache(cache_entries));
+  iolwl::TraceSpec spec = iolwl::SubtraceSpec();
+  spec.num_files = 200;
+  spec.total_bytes = 4ull << 20;
+  spec.num_requests = 2000;
+  iolwl::Trace trace = iolwl::Trace::Generate(spec);
+  std::vector<iolfs::FileId> ids = trace.Materialize(&b.sys->fs());
+  ioldrv::ExperimentConfig config;
+  config.max_requests = 600;
+  config.warmup_requests = 50;
+  ioldrv::ClosedLoop workload(8);
+  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
+                                b.server.get(), config);
+  size_t cursor = 0;
+  RunOutput out;
+  out.result = experiment.Run(&workload, [&] {
+    return ids[trace.requests()[cursor++ % trace.requests().size()]];
+  });
+  out.stats = b.sys->ctx().stats();
+  out.final_clock_ns = b.sys->ctx().clock().now();
+  return out;
+}
+
+void ExpectMatchesCacheGolden(const RunOutput& out, const CacheGolden& g) {
+  EXPECT_EQ(out.stats.checksum_cache_hits, g.checksum_cache_hits);
+  EXPECT_EQ(out.stats.checksum_cache_misses, g.checksum_cache_misses);
+  EXPECT_EQ(out.stats.bytes_checksummed, g.bytes_checksummed);
+  EXPECT_EQ(out.stats.events_dispatched, g.events_dispatched);
+  EXPECT_EQ(out.final_clock_ns, g.final_clock_ns);
+  EXPECT_EQ(out.result.corrupt_responses, 0u);
+}
+
+// One entry: each header evicts the body, and each body the header.
+TEST(ChecksumCacheGoldenTest, HotDocumentOneEntry) {
+  ExpectMatchesCacheGolden(
+      RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024, ShrunkCache(1)),
+      CacheGolden{0, 294, 7563150, 6036, 232263237});
+}
+
+TEST(ChecksumCacheGoldenTest, HotDocument64Entries) {
+  ExpectMatchesCacheGolden(
+      RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024, ShrunkCache(64)),
+      CacheGolden{139, 155, 446350, 6036, 197331394});
+}
+
+TEST(ChecksumCacheGoldenTest, HotDocument4096Entries) {
+  ExpectMatchesCacheGolden(
+      RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024, ShrunkCache(4096)),
+      CacheGolden{139, 155, 446350, 6036, 197331394});
+}
+
+TEST(ChecksumCacheGoldenTest, Trace64Entries) {
+  ExpectMatchesCacheGolden(RunTraceShrunk(64),
+                           CacheGolden{225, 1089, 7569823, 11086, 1839247733});
+}
+
+TEST(ChecksumCacheGoldenTest, Trace4096Entries) {
+  ExpectMatchesCacheGolden(RunTraceShrunk(4096),
+                           CacheGolden{478, 836, 3683373, 11086, 1839247733});
 }
 
 // --- JsonReporter golden ------------------------------------------------------

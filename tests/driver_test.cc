@@ -15,6 +15,7 @@
 #include "src/driver/telemetry.h"
 #include "src/driver/workload.h"
 #include "src/httpd/http_server.h"
+#include "src/simos/rng.h"
 #include "src/system/system.h"
 #include "src/workload/trace.h"
 
@@ -84,7 +85,87 @@ TEST(TelemetryTest, EmptyRunYieldsZeroedSummaryWithoutNans) {
   EXPECT_EQ(s.p99_ms, 0.0);
   EXPECT_EQ(s.max_ms, 0.0);
   EXPECT_FALSE(std::isnan(s.mean_ms));
-  EXPECT_EQ(t.CacheHitFraction(), 0.0);
+  double fraction = -1;
+  t.EndToEndLatency(0, &fraction);
+  EXPECT_EQ(fraction, 0.0);
+}
+
+// Oracle: the sort-based summary Summarize replaced, with the sum taken in
+// sorted order.
+LatencySummary SortedSummary(std::vector<iolsim::SimTime> v) {
+  LatencySummary s;
+  s.count = v.size();
+  if (v.empty()) {
+    return s;
+  }
+  std::sort(v.begin(), v.end());
+  double total = 0;
+  for (iolsim::SimTime t : v) {
+    total += static_cast<double>(t);
+  }
+  auto at = [&v](double q) {
+    auto rank = static_cast<size_t>(std::ceil(q * static_cast<double>(v.size()) - 1e-9));
+    rank = std::clamp<size_t>(rank, 1, v.size());
+    return static_cast<double>(v[rank - 1]) / kMillisecond;
+  };
+  s.mean_ms = total / static_cast<double>(v.size()) / kMillisecond;
+  s.p50_ms = at(0.50);
+  s.p90_ms = at(0.90);
+  s.p99_ms = at(0.99);
+  s.max_ms = static_cast<double>(v.back()) / kMillisecond;
+  return s;
+}
+
+// Selection gives the sort's nearest ranks, max and mean exactly, at sizes
+// where ranks coincide (n <= 2) or sit at range edges (99, 100, 101), with
+// many ties and in several input orders.
+TEST(TelemetryTest, SummarizeMatchesSortedOracle) {
+  iolsim::Rng rng(77);
+  for (size_t n : {0, 1, 2, 3, 99, 100, 101, 1000}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<iolsim::SimTime> v(n);
+      const uint64_t spread = trial % 2 == 0 ? 5 : 1000000;  // Ties, or few.
+      for (iolsim::SimTime& t : v) {
+        t = static_cast<iolsim::SimTime>(rng.NextBelow(spread)) * 997 + 3;
+      }
+      if (trial % 5 == 1) {
+        std::sort(v.begin(), v.end());
+      } else if (trial % 5 == 2) {
+        std::sort(v.rbegin(), v.rend());
+      }
+      const LatencySummary want = SortedSummary(v);
+      const LatencySummary got = ioldrv::Summarize(v);
+      ASSERT_EQ(got.count, want.count) << n;
+      ASSERT_EQ(got.mean_ms, want.mean_ms) << n << " trial " << trial;
+      ASSERT_EQ(got.p50_ms, want.p50_ms) << n << " trial " << trial;
+      ASSERT_EQ(got.p90_ms, want.p90_ms) << n << " trial " << trial;
+      ASSERT_EQ(got.p99_ms, want.p99_ms) << n << " trial " << trial;
+      ASSERT_EQ(got.max_ms, want.max_ms) << n << " trial " << trial;
+    }
+  }
+}
+
+// The hit fraction EndToEndLatency sets counts every counted record from
+// `from`, failed ones included, while the latency counts delivered ones.
+TEST(TelemetryTest, EndToEndLatencySetsTheCacheHitFraction) {
+  Telemetry t;
+  for (int i = 0; i < 12; ++i) {
+    RequestRecord r = Rec(i, 5 + i, /*counted=*/i >= 2);
+    r.cache_hit = i % 3 == 0;
+    if (i == 6 || i == 7) {
+      r.outcome = ioldrv::Outcome::kFailed;
+    }
+    t.Record(r);
+  }
+  // Counted from 0: records 2..11, hits at 3, 6 and 9; 8 delivered.
+  double fraction = -1;
+  EXPECT_EQ(t.EndToEndLatency(0, &fraction).count, 8u);
+  EXPECT_DOUBLE_EQ(fraction, 3.0 / 10.0);
+  // From 7: records 7..11, hit at 9; 4 delivered.
+  EXPECT_EQ(t.EndToEndLatency(7, &fraction).count, 4u);
+  EXPECT_DOUBLE_EQ(fraction, 1.0 / 5.0);
+  EXPECT_EQ(t.EndToEndLatency(12, &fraction).count, 0u);
+  EXPECT_EQ(fraction, 0.0);
 }
 
 TEST(TelemetryTest, WarmupRecordsAreKeptButExcludedFromSummaries) {
@@ -205,7 +286,9 @@ TEST(FleetTest, TelemetrySinkSeesEveryCountedRequest) {
     EXPECT_LT(r.server, 2u);
   }
   // Single hot document: everything after the first read is a cache hit.
-  EXPECT_GT(sink.CacheHitFraction(), 0.9);
+  double fraction = 0;
+  sink.EndToEndLatency(0, &fraction);
+  EXPECT_GT(fraction, 0.9);
 }
 
 TEST(FleetTest, SharedSinkAcrossRunsSummarizesEachRunAlone) {
