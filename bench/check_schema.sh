@@ -48,10 +48,13 @@ case "$fig" in
     fi
     ;;
   ipc_plane)
-    # Every row carries the cross-process copy counter and byte-identity
-    # verdict; zero-copy process rows copy nothing, copy-mode rows do.
+    # Every row carries the cross-process copy counter, byte-identity
+    # verdict and per-role CPU; zero-copy process rows copy nothing,
+    # copy-mode rows do, and the forked rows measured their client's CPU.
     grep -q '"figure": "ipc_plane"' "$f" || fail "wrong figure"
-    need_fields bytes_copied_cross_process byte_identical checksum wall_ms
+    need_fields bytes_copied_cross_process byte_identical checksum wall_ms \
+      client_cpu_s proxy_cpu_s origin_cpu_s cgi_cpu_s
+    need_nonzero proxy_cpu_s
     if grep -q '"byte_identical": false' "$f"; then
       fail "a plane row was not byte-identical"
     fi

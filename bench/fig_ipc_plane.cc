@@ -6,7 +6,9 @@
 // Every row reports host wall-clock throughput, the cross-process payload
 // bytes actually copied (read back through the region's ShmTable the way an
 // unrelated process would), and whether the response stream was
-// byte-identical to the independent reference. The copy-mode row is the
+// byte-identical to the independent reference. The forked rows add CPU
+// seconds per role (client, proxy, origin, CGI); idle workers spin, so a
+// worker role's CPU spans its lifetime, not just the requests it served. The copy-mode row is the
 // contrast path: the identical plane with a memcpy per response body.
 //
 // Expected shape: identical checksums down the whole column, zero copied
@@ -50,12 +52,20 @@ ioldrv::ProcessTierResult RunMode(iolipc::PlaneMode mode, bool copy_path,
 
 void PrintRow(const PlaneRow& row) {
   std::printf("%-22s %6.0f KB  %9.1f Mb/s  %6llu req  %4llu err  copied=%8llu B  "
-              "identical=%d  cksum=%016llx  %7.1f ms\n",
+              "identical=%d  cksum=%016llx  %7.1f ms",
               row.series.c_str(), row.x, row.r.mbits_per_sec,
               (unsigned long long)row.r.requests, (unsigned long long)row.r.errors,
               (unsigned long long)row.r.bytes_copied_cross_process,
               row.r.byte_identical ? 1 : 0,
               (unsigned long long)row.r.response_checksum, row.r.wall_ms);
+  if (row.r.requests > 0 && row.r.client_cpu_s + row.r.proxy_cpu_s > 0) {
+    // Per-role CPU (forked rows only), in microseconds per response.
+    double us = 1e6 / static_cast<double>(row.r.requests);
+    std::printf("  cpu/req client %.2f proxy %.2f origin %.2f cgi %.2f us",
+                row.r.client_cpu_s * us, row.r.proxy_cpu_s * us, row.r.origin_cpu_s * us,
+                row.r.cgi_cpu_s * us);
+  }
+  std::printf("\n");
 }
 
 // The ProcessTier result does not fit JsonReporter's experiment schema
@@ -80,14 +90,17 @@ bool WriteJson(const std::string& path, bool smoke, const std::vector<PlaneRow>&
         "\"requests\": %llu, \"errors\": %llu, \"wall_ms\": %.6g, "
         "\"events_per_sec\": %.6g, "
         "\"bytes_copied_cross_process\": %llu, \"byte_identical\": %s, "
-        "\"checksum\": \"%016llx\", \"counters_out_of_process\": %s}",
+        "\"checksum\": \"%016llx\", \"counters_out_of_process\": %s, "
+        "\"client_cpu_s\": %.6g, \"proxy_cpu_s\": %.6g, \"origin_cpu_s\": %.6g, "
+        "\"cgi_cpu_s\": %.6g}",
         i == 0 ? "" : ",", row.series.c_str(), row.x, row.r.mbits_per_sec,
         (unsigned long long)row.r.requests, (unsigned long long)row.r.errors,
         row.r.wall_ms, row.r.requests_per_sec,
         (unsigned long long)row.r.bytes_copied_cross_process,
         row.r.byte_identical ? "true" : "false",
         (unsigned long long)row.r.response_checksum,
-        row.r.counters_out_of_process ? "true" : "false");
+        row.r.counters_out_of_process ? "true" : "false", row.r.client_cpu_s,
+        row.r.proxy_cpu_s, row.r.origin_cpu_s, row.r.cgi_cpu_s);
   }
   std::fprintf(f, "\n]}\n");
   std::fclose(f);

@@ -1,8 +1,9 @@
 // Microbenchmarks for the core IO-Lite mechanisms (host-time measurements
 // of the library itself, via google-benchmark): aggregate algebra, buffer
 // pool allocation/recycling, checksum computation, cache hits, one
-// response's checksum work, sums of generated content, and the file cache's metadata (GDS rekeys and
-// evictions, lookups).
+// response's checksum work, sums of generated content, the plane client's
+// response fold, and the file cache's metadata (GDS rekeys and evictions,
+// lookups).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/driver/response_fold.h"
 #include "src/fs/file_cache.h"
 #include "src/fs/replacement_policy.h"
 #include "src/httpd/response_header.h"
@@ -137,6 +139,36 @@ void BM_ChargeHeaderAndCachedBody(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChargeHeaderAndCachedBody);
+
+// The shared-memory plane client's checksum of one static response: a
+// 250 B header plus a 1 KB body folded into the running FNV-1a state,
+// byte by byte (arg 0) or through ResponseFoldCache (arg 1: both contents
+// cached, so each fold is a key, a memcmp and a table step). Items are
+// responses.
+void BM_FoldResponse(benchmark::State& state) {
+  const bool cached = state.range(0) != 0;
+  iolsim::Rng rng(5);
+  std::vector<char> header(iolhttp::kResponseHeaderBytes);
+  iolhttp::BuildResponseHeader(header.data(), 1024);
+  std::vector<char> body(1024);
+  for (char& c : body) {
+    c = static_cast<char>(rng.Next());
+  }
+  ioldrv::ResponseFoldCache cache;
+  uint64_t h = ioldrv::kFnvOffset;
+  for (auto _ : state) {
+    if (cached) {
+      h = cache.Fold(h, header.data(), header.size());
+      h = cache.Fold(h, body.data(), body.size());
+    } else {
+      h = ioldrv::FnvFold(h, header.data(), header.size());
+      h = ioldrv::FnvFold(h, body.data(), body.size());
+    }
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FoldResponse)->ArgName("cached")->Arg(0)->Arg(1);
 
 // A fresh descriptor-backed buffer (generated disk content) each
 // iteration, under a fresh content seed, so the checksum cache always

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/driver/response_fold.h"
 #include "src/fs/sim_file_system.h"
 #include "src/httpd/response_header.h"
 #include "src/iolite/buffer_pool.h"
@@ -59,22 +60,17 @@ iolipc::PlaneConfig TailorPlane(const ProcessTierConfig& cfg) {
   return pc;
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvFold(uint64_t h, const char* p, uint64_t n) {
-  for (uint64_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(p[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 struct Pending {
   iolipc::FutureHandle h;
   uint64_t file_id;
   iolipc::RequestKind kind;
 };
+
+double SelfCpuSeconds() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return iolipc::CpuSecondsOf(ru);
+}
 
 }  // namespace
 
@@ -134,19 +130,18 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   iolipc::WorkerGroup proxies;
   iolipc::WorkerGroup origins;
   iolipc::WorkerGroup cgis;
-  // Pin-crash injection arms only first-generation proxy 0: forked children
-  // inherit the flag's value at fork time, and the parent disarms it right
-  // after the initial Launch, so supervisor respawns come up healthy
-  // (otherwise the injection would re-fire in every replacement — a crash
-  // loop, not a drill). kProcesses only: a thread _Exit would take the
-  // whole harness down with it.
+  // Pin-crash injection arms every first-generation proxy; whichever takes
+  // the fleet's Nth pin dies. Forked children inherit the flag's value at
+  // fork time, and the parent disarms it right after the initial Launch, so
+  // supervisor respawns come up healthy. kProcesses only: a thread _Exit
+  // would take the whole harness down with it.
   bool proxy_die_armed =
       cfg.mode == iolipc::PlaneMode::kProcesses && cfg.proxy_die_after_pins > 0;
   if (cfg.mode != iolipc::PlaneMode::kInProcess) {
     bool launched =
         proxies.Launch(cfg.mode, cfg.proxy_workers,
                        [&](int slot) {
-                         uint32_t die = slot == 0 && proxy_die_armed
+                         uint32_t die = proxy_die_armed
                              ? static_cast<uint32_t>(cfg.proxy_die_after_pins)
                              : 0;
                          iolproxy::ProxyWorker w(&s, cfg.copy_data_path, cfg.fill_wait_us,
@@ -228,6 +223,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   // The client: submit with a bounded window, collect in submission order.
   std::deque<Pending> window;
   uint64_t checksum = kFnvOffset;
+  ResponseFoldCache fold;
   char expect_hdr[iolhttp::kResponseHeaderBytes];
   std::vector<char> expect_body(std::max(cfg.docs.doc_bytes, cfg.cgi_body_bytes));
 
@@ -270,8 +266,8 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     const SliceDesc& bd = r.value[1];
     const char* hbytes = region->At(hd.offset);
     const char* bbytes = region->At(bd.offset);
-    checksum = FnvFold(checksum, hbytes, hd.length);
-    checksum = FnvFold(checksum, bbytes, bd.length);
+    checksum = fold.Fold(checksum, hbytes, hd.length);
+    checksum = fold.Fold(checksum, bbytes, bd.length);
     uint64_t expect_len = p.kind == iolipc::RequestKind::kCgi ? cfg.cgi_body_bytes
                                                               : cfg.docs.doc_bytes;
     if (hd.length != iolhttp::kResponseHeaderBytes || bd.length != expect_len) {
@@ -312,6 +308,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   };
 
   double t0 = NowMs();
+  double cpu0 = SelfCpuSeconds();
   uint64_t rng = 0x853c49e6748fea9bull;  // Deterministic id stream, all modes.
   bool killed = false;
   for (int i = 0; i < cfg.requests; ++i) {
@@ -341,6 +338,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     collect_one();
   }
   result.wall_ms = NowMs() - t0;
+  double client_cpu_s = SelfCpuSeconds() - cpu0;
 
   // Quiesce the fleet in pipeline order. Join-time abnormal exits are kept
   // apart from supervised ones: `ok` means the *final* join was clean.
@@ -361,6 +359,12 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
                                        cgis.abnormal_exits());
   result.worker_respawns =
       proxies.respawns() + origins.respawns() + cgis.respawns();
+  if (cfg.mode == iolipc::PlaneMode::kProcesses) {
+    result.client_cpu_s = client_cpu_s;
+    result.proxy_cpu_s = proxies.cpu_seconds();
+    result.origin_cpu_s = origins.cpu_seconds();
+    result.cgi_cpu_s = cgis.cpu_seconds();
+  }
   // Post-quiesce pin audit over the doc keys: every pin was either unpinned
   // by its consumer or swept by the supervisor.
   for (int i = 1; i <= cfg.docs.doc_count; ++i) {

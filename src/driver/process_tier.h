@@ -76,10 +76,11 @@ struct ProcessTierConfig {
   // Deterministic crash injection: SIGKILL proxy worker 0 once this many
   // requests have resolved (0 = never; kProcesses only).
   int kill_proxy_after = 0;
-  // Deterministic crash injection at the worst instant: first-generation
-  // proxy worker 0 _Exit(9)s on taking its Nth transient pin — ledger slot
-  // recorded, map pin held — so the run proves the supervisor's sweep, not
-  // just respawn (0 = never; kProcesses only; respawned workers come up
+  // Deterministic crash injection at the worst instant: the first-
+  // generation proxy worker that takes the fleet's Nth transient pin
+  // _Exit(9)s holding it — ledger slot recorded, map pin held — so the run
+  // proves the supervisor's sweep, not just respawn (0 = never; kProcesses
+  // only; the fleet count reaches N once and respawned workers come up
   // healthy, so the injection fires exactly once).
   int proxy_die_after_pins = 0;
   // Client-side recovery: re-submit a request up to this many times after
@@ -116,7 +117,14 @@ struct ProcessTierResult {
   // length check).
   bool byte_identical = true;
 
-  // Fold of all response bytes in submission order; equal across modes.
+  // FNV-1a (response_fold.h's FnvFold) over all response bytes in
+  // submission order; equal across modes. The client computes it through a
+  // ResponseFoldCache: a content delivered again (a static document, a
+  // response header) folds as P^n * h + C[h mod 256] from a table built on
+  // its second sighting, after a full memcmp against the cache's own copy
+  // of its bytes. That identity is exact for FNV-1a, so the value is the
+  // byte-serial fold's; first sightings, mismatches and contents over 16 KB
+  // fold byte by byte. The cache holds at most 64 contents.
   uint64_t response_checksum = 0;
 
   // Abnormal exits seen anywhere: reaped by the supervisor mid-run plus
@@ -128,6 +136,16 @@ struct ProcessTierResult {
   uint64_t pins_swept = 0;           // Stale pins reclaimed from dead workers.
   uint64_t client_retries_used = 0;  // Re-submissions the client performed.
   uint64_t leaked_pins = 0;          // Pins still held on doc keys after quiesce.
+
+  // CPU seconds (user + system) per role, kProcesses only (0 otherwise).
+  // The client's is getrusage around its request loop; each worker role's
+  // is the wait4 rusage of its processes, summed over the group, respawns
+  // included. Workers spin (sched_yield) while idle, so a role's CPU covers
+  // its whole lifetime, not only the requests it served.
+  double client_cpu_s = 0;
+  double proxy_cpu_s = 0;
+  double origin_cpu_s = 0;
+  double cgi_cpu_s = 0;
 };
 
 ProcessTierResult RunProcessTier(const ProcessTierConfig& config);

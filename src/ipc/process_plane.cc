@@ -48,6 +48,11 @@ uint32_t PowTwoAtLeast(uint32_t n) {
 
 }  // namespace
 
+double CpuSecondsOf(const struct rusage& ru) {
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+}
+
 PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config) {
   PlaneShared s;
   s.region = region;
@@ -196,10 +201,12 @@ int WorkerGroup::JoinAll() {
       continue;  // Slot already retired by Poll().
     }
     int status = 0;
-    if (waitpid(pid, &status, 0) != pid) {
+    struct rusage ru {};
+    if (wait4(pid, &status, 0, &ru) != pid) {
       ++abnormal;
       continue;
     }
+    cpu_seconds_ += CpuSecondsOf(ru);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
       ++abnormal;
     }
@@ -225,9 +232,11 @@ int WorkerGroup::Poll() {
       continue;
     }
     int status = 0;
-    if (waitpid(pids_[i], &status, WNOHANG) != pids_[i]) {
+    struct rusage ru {};
+    if (wait4(pids_[i], &status, WNOHANG, &ru) != pids_[i]) {
       continue;  // Still running (or not our child — nothing to do).
     }
+    cpu_seconds_ += CpuSecondsOf(ru);
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
       // Drained its queue and left legitimately: retire the slot.
       pids_[i] = -1;

@@ -28,6 +28,7 @@
 #ifndef SRC_IPC_PROCESS_PLANE_H_
 #define SRC_IPC_PROCESS_PLANE_H_
 
+#include <sys/resource.h>
 #include <sys/types.h>
 
 #include <atomic>
@@ -211,6 +212,9 @@ void ReturnSlot(MpmcQueue* free_list, const SliceDesc& d);
 
 // --- Worker harness --------------------------------------------------------
 
+// User + system CPU seconds in `ru` (getrusage, wait4).
+double CpuSecondsOf(const struct rusage& ru);
+
 enum class PlaneMode {
   kInProcess,  // No concurrency: the driver pumps roles deterministically.
   kThreads,    // One std::thread per worker (the TSan-checkable mode).
@@ -256,6 +260,9 @@ class WorkerGroup {
   void set_on_death(std::function<void(int)> fn) { on_death_ = std::move(fn); }
   uint64_t abnormal_exits() const { return abnormal_exits_; }
   uint64_t respawns() const { return respawns_; }
+  // User + system CPU seconds of every worker process reaped so far, by
+  // JoinAll or Poll (from wait4's rusage; 0 for threads).
+  double cpu_seconds() const { return cpu_seconds_; }
 
   const std::vector<pid_t>& pids() const { return pids_; }
 
@@ -269,6 +276,7 @@ class WorkerGroup {
   std::function<void(int)> on_death_;
   uint64_t abnormal_exits_ = 0;
   uint64_t respawns_ = 0;
+  double cpu_seconds_ = 0;
 };
 
 }  // namespace iolipc

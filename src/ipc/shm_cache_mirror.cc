@@ -21,13 +21,13 @@ void ShmCacheMirror::OnInsert(iolfs::FileId file, uint64_t offset,
   // any) must not win. While a foreign pin blocks the replacement the stale
   // value persists — the payload it names is still valid bytes
   // (immutability), just superseded.
-  ApplyOrDefer(Update{static_cast<uint64_t>(file), false, d});
+  ApplyOrDefer(Update{static_cast<uint64_t>(file), false, d, s->buffer()});
 }
 
 void ShmCacheMirror::OnErase(iolfs::FileId file, uint64_t offset, size_t length) {
   (void)offset;
   (void)length;
-  ApplyOrDefer(Update{static_cast<uint64_t>(file), true, SliceDesc{}});
+  ApplyOrDefer(Update{static_cast<uint64_t>(file), true, SliceDesc{}, {}});
 }
 
 void ShmCacheMirror::ApplyOrDefer(const Update& u) {
@@ -42,9 +42,24 @@ void ShmCacheMirror::ApplyOrDefer(const Update& u) {
 
 bool ShmCacheMirror::TryApply(const Update& u) {
   if (u.erase) {
-    return map_->Erase(u.key) || map_->PinsOf(u.key) < 0;
+    auto it = published_.find(u.key);
+    if (it == published_.end()) {
+      return true;  // Nothing of ours is mapped under this key.
+    }
+    if (map_->EraseIfValue(u.key, it->second.value) == ShmMap::EraseResult::kPinned) {
+      return false;
+    }
+    published_.erase(it);
+    return true;
   }
-  return map_->Upsert(u.key, u.value) != ShmMap::InsertResult::kPinned;
+  ShmMap::InsertResult r = map_->Upsert(u.key, u.value);
+  if (r == ShmMap::InsertResult::kPinned) {
+    return false;
+  }
+  if (r == ShmMap::InsertResult::kInserted || r == ShmMap::InsertResult::kReplaced) {
+    published_[u.key] = Published{u.value, u.buffer};
+  }
+  return true;
 }
 
 void ShmCacheMirror::DrainDeferred() {

@@ -45,7 +45,8 @@ namespace iolipc {
   X(kPinsSwept, pins_swept)                               /* Dead workers' pins reclaimed. */   \
   X(kStaleServes, stale_serves)                           /* Served past their version/TTL. */  \
   X(kInvalidationsSent, invalidations_sent)               /* Pushed to child proxies. */        \
-  X(kRevalidationBytes, revalidation_bytes)               /* Conditional-check bytes. */
+  X(kRevalidationBytes, revalidation_bytes)               /* Conditional-check bytes. */        \
+  X(kProxyPins, proxy_pins)                               /* Transient pins proxies took. */
 
 // Index into the counter block.
 enum PlaneCounter : uint32_t {
@@ -133,8 +134,9 @@ class ShmCounters {
   bool valid() const { return header_ != nullptr; }
   uint32_t count() const { return header_->count; }
 
-  void Add(PlaneCounter i, uint64_t delta) {
-    slots()[i].fetch_add(delta, std::memory_order_relaxed);
+  // Returns the counter's new value.
+  uint64_t Add(PlaneCounter i, uint64_t delta) {
+    return slots()[i].fetch_add(delta, std::memory_order_relaxed) + delta;
   }
 
   uint64_t Get(PlaneCounter i) const {

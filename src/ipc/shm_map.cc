@@ -247,6 +247,14 @@ bool ShmMap::Unpin(uint64_t key) {
 }
 
 bool ShmMap::Erase(uint64_t key) {
+  return EraseMatching(key, nullptr) == EraseResult::kErased;
+}
+
+ShmMap::EraseResult ShmMap::EraseIfValue(uint64_t key, const SliceDesc& expected) {
+  return EraseMatching(key, &expected);
+}
+
+ShmMap::EraseResult ShmMap::EraseMatching(uint64_t key, const SliceDesc* expected) {
   uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
   for (uint32_t i = 0; i <= mask_; ++i) {
     Slot& s = slots()[(start + i) & mask_];
@@ -256,29 +264,34 @@ bool ShmMap::Erase(uint64_t key) {
       st = s.state.load(std::memory_order_acquire);
     }
     if (st == kEmpty) {
-      return false;
+      return EraseResult::kAbsent;
     }
     if (st == kFull && s.key.load(std::memory_order_relaxed) == key) {
       if (!LockFull(&s)) {
-        return false;
+        return EraseResult::kAbsent;
       }
       if (s.key.load(std::memory_order_relaxed) != key) {
         s.state.store(kFull, std::memory_order_release);
         continue;
       }
+      if (expected != nullptr && (s.value.offset != expected->offset ||
+                                  s.value.length != expected->length)) {
+        s.state.store(kFull, std::memory_order_release);
+        return EraseResult::kOther;  // Another publisher's payload.
+      }
       if (s.pins.load(std::memory_order_relaxed) > 0) {
         s.state.store(kFull, std::memory_order_release);
-        return false;  // Pinned: a reader still references the payload.
+        return EraseResult::kPinned;  // A reader still references the payload.
       }
       uint64_t len = s.value.length;
       s.state.store(kTomb, std::memory_order_release);
       header_->size.fetch_sub(1, std::memory_order_release);
       header_->bytes.fetch_sub(len, std::memory_order_relaxed);
       header_->tombstones.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      return EraseResult::kErased;
     }
   }
-  return false;
+  return EraseResult::kAbsent;
 }
 
 bool ShmMap::EvictOne(uint64_t* evicted_key, SliceDesc* evicted_value) {

@@ -102,6 +102,13 @@ class ShmMap {
   // Removes the entry unless pinned. False when absent or pinned.
   bool Erase(uint64_t key);
 
+  // Compare-and-erase: removes the entry only while its value still names
+  // `expected`'s payload (same offset and length) and nobody pins it. An
+  // entry that names another payload is left alone (kOther), pinned or not:
+  // with several publishers per key, each removes only what it published.
+  enum class EraseResult { kErased, kAbsent, kPinned, kOther };
+  EraseResult EraseIfValue(uint64_t key, const SliceDesc& expected);
+
   // Clock-scan eviction: tombstones the first unpinned entry at or after
   // the shared clock hand. Reports what was evicted so the caller can
   // release the payload. False when every entry is pinned (or the map is
@@ -115,6 +122,9 @@ class ShmMap {
   static constexpr uint32_t kMapMagic = 0x494f4c4d;  // "IOLM"
 
   static uint64_t Mix(uint64_t key);  // splitmix64 finalizer.
+
+  // Erase and EraseIfValue; a null `expected` matches any value.
+  EraseResult EraseMatching(uint64_t key, const SliceDesc* expected);
 
   Slot* slots() const {
     return reinterpret_cast<Slot*>(reinterpret_cast<char*>(header_) + sizeof(MapHeader));

@@ -59,7 +59,7 @@ bool OriginWorker::Step() {
   }
   uint64_t size = fs_.SizeOf(file);
   bool was_miss = false;
-  io_.ReadExtent(file, 0, size, &was_miss);
+  iolite::Aggregate data = io_.ReadExtent(file, 0, size, &was_miss);
   if (was_miss) {
     c->Add(iolipc::kBytesFilledOrigin, size);
   }
@@ -67,7 +67,15 @@ bool OriginWorker::Step() {
   // the shared map. Pin it on the requester's behalf and hand over the
   // descriptor — the pin travels with the response until the client unpins.
   SliceDesc body;
-  if (!s_->cache_map.LookupAndPin(m.file_id, &body)) {
+  bool pinned = s_->cache_map.LookupAndPin(m.file_id, &body);
+  if (!pinned && !was_miss) {
+    // A local hit the map no longer names: a sibling origin published this
+    // key after us, then evicted its own replica and erased its value.
+    // Publish ours again; no sibling can erase it, so the pin lands.
+    mirror_.OnInsert(file, 0, data);
+    pinned = s_->cache_map.LookupAndPin(m.file_id, &body);
+  }
+  if (!pinned) {
     s_->futures.Fail(m.future, kPlaneErrUnshareable);
   } else {
     s_->pin_ledger.Record(pin_slot_, m.file_id);
@@ -174,7 +182,8 @@ ProxyWorker::ProxyWorker(iolipc::PlaneShared* shared, bool copy_data_path,
 
 void ProxyWorker::RecordPin(uint64_t ticket) {
   s_->pin_ledger.Record(pin_slot_, ticket);
-  if (die_after_pins_ != 0 && ++pins_recorded_ == die_after_pins_) {
+  uint64_t fleet_pins = s_->counters.Add(iolipc::kProxyPins, 1);
+  if (die_after_pins_ != 0 && fleet_pins == die_after_pins_) {
     // Fault injection: die *while holding the ledgered pin*. The state left
     // behind is exactly one recorded ledger slot and one map pin — the
     // supervisor must sweep it or the cache entry is wedged forever. _Exit

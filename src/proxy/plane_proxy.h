@@ -134,10 +134,13 @@ class ProxyWorker {
   // `pin_slot`: see OriginWorker — the proxy holds a transient pin on the
   // warm path (LookupAndPin -> Complete) and after a fill hands it one.
   // `die_after_pins`: deterministic fault injection for supervision tests —
-  // the worker _Exit(9)s on taking its Nth pin, i.e. at the exact point
-  // where it holds a ledgered pin and nothing else (no queue mid-state, no
-  // lock), so the supervisor's sweep is the only thing standing between the
-  // crash and a permanently wedged cache entry. 0 = never.
+  // the worker _Exit(9)s if it takes the fleet's Nth pin (counted across
+  // all proxies in kProxyPins), i.e. at the exact point where it holds a
+  // ledgered pin and nothing else (no queue mid-state, no lock), so the
+  // supervisor's sweep is the only thing standing between the crash and a
+  // permanently wedged cache entry. Counting fleet-wide makes the crash
+  // independent of which proxy the shared client queue favours: exactly
+  // one armed proxy takes the Nth pin. 0 = never.
   ProxyWorker(iolipc::PlaneShared* shared, bool copy_data_path,
               uint64_t fill_wait_us, uint32_t pin_slot = iolipc::kNoPinSlot,
               uint32_t die_after_pins = 0);
@@ -158,7 +161,6 @@ class ProxyWorker {
   uint64_t fill_wait_us_;
   uint32_t pin_slot_;
   uint32_t die_after_pins_;
-  uint32_t pins_recorded_ = 0;
 };
 
 }  // namespace iolproxy

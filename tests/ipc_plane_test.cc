@@ -327,8 +327,10 @@ TEST(ForkPlaneTest, SupervisorRespawnsDeadProxyAndSweepsItsPin) {
   cfg.origin_workers = 1;
   cfg.cgi_workers = 0;
   cfg.supervise = true;
-  // Proxy 0 _Exit(9)s the moment it takes its 5th pin: ledger slot recorded,
-  // map pin held, client future unresolved — the worst possible instant.
+  // The proxy that takes the fleet's 5th pin _Exit(9)s on the spot: ledger
+  // slot recorded, map pin held, client future unresolved — the worst
+  // possible instant. Counted fleet-wide, so the crash fires whichever
+  // proxy the shared client queue happens to feed.
   cfg.proxy_die_after_pins = 5;
   cfg.client_retries = 2;  // The orphaned request times out and is re-issued.
   cfg.fill_wait_us = 200'000;

@@ -432,11 +432,11 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   auto region = AnonRegion(8u << 20);
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
-  iolipc::ShmCacheMirror mirror(region.get(), &map);
 
   iolsim::SimContext ctx;
   iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
                           [&region](size_t n) { return region->AllocateExtent(n); });
+  iolipc::ShmCacheMirror mirror(region.get(), &map);
   iolfs::FileCache cache(&ctx, std::make_unique<iolfs::PlainLruPolicy>());
   cache.set_mirror(&mirror);
 
@@ -481,10 +481,10 @@ TEST(ShmCacheMirrorTest, ReinsertNeverHidesTheKeyFromAConcurrentPin) {
   auto region = AnonRegion(8u << 20);
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
-  iolipc::ShmCacheMirror mirror(region.get(), &map);
   iolsim::SimContext ctx;
   iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
                           [&region](size_t n) { return region->AllocateExtent(n); });
+  iolipc::ShmCacheMirror mirror(region.get(), &map);
   iolite::Aggregate versions[2] = {iolite::Aggregate::FromBuffer(pool.AllocateDma(1, 4096)),
                                    iolite::Aggregate::FromBuffer(pool.AllocateDma(2, 4096))};
   mirror.OnInsert(7, 0, versions[0]);
@@ -525,11 +525,11 @@ TEST(ShmCacheMirrorTest, ReinsertBlockedByAPinNeverRemovesTheKeyLater) {
   auto region = AnonRegion(8u << 20);
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
-  iolipc::ShmCacheMirror first(region.get(), &map);
-  iolipc::ShmCacheMirror second(region.get(), &map);
   iolsim::SimContext ctx;
   iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
                           [&region](size_t n) { return region->AllocateExtent(n); });
+  iolipc::ShmCacheMirror first(region.get(), &map);
+  iolipc::ShmCacheMirror second(region.get(), &map);
   iolite::BufferRef a = pool.AllocateDma(1, 4096);
   iolite::BufferRef b = pool.AllocateDma(2, 4096);
   first.OnInsert(2, 0, iolite::Aggregate::FromBuffer(a));
@@ -543,6 +543,117 @@ TEST(ShmCacheMirrorTest, ReinsertBlockedByAPinNeverRemovesTheKeyLater) {
   EXPECT_EQ(second.deferred_updates(), 0u);
   ASSERT_TRUE(map.LookupAndPin(2, &v)) << "the parked update removed the key";
   EXPECT_EQ(region->At(v.offset), b->data()) << "the parked update was applied";
+}
+
+TEST(ShmCacheMirrorTest, EraseRemovesOnlyTheValueThisMirrorPublished) {
+  // Two origins publish one file; the second publication replaces the
+  // first. When the first origin then evicts the file, the key must keep
+  // naming the second origin's replica, which still holds it.
+  auto region = AnonRegion(8u << 20);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
+                          [&region](size_t n) { return region->AllocateExtent(n); });
+  iolipc::ShmCacheMirror first(region.get(), &map);
+  iolipc::ShmCacheMirror second(region.get(), &map);
+  iolite::BufferRef a = pool.AllocateDma(1, 4096);
+  iolite::BufferRef b = pool.AllocateDma(2, 4096);
+  first.OnInsert(5, 0, iolite::Aggregate::FromBuffer(a));
+  second.OnInsert(5, 0, iolite::Aggregate::FromBuffer(b));
+
+  first.OnErase(5, 0, 4096);
+  SliceDesc v;
+  ASSERT_TRUE(map.Lookup(5, &v)) << "the first origin's eviction erased its sibling's value";
+  EXPECT_EQ(region->At(v.offset), b->data());
+  EXPECT_EQ(first.deferred_updates(), 0u);
+
+  second.OnErase(5, 0, 4096);
+  EXPECT_FALSE(map.Lookup(5, &v)) << "the publisher's own eviction removes the key";
+  EXPECT_EQ(map.size(), 0u);
+
+  // A pinned value of ours parks the erase; a pin on another origin's
+  // value does not.
+  first.OnInsert(6, 0, iolite::Aggregate::FromBuffer(a));
+  ASSERT_TRUE(map.LookupAndPin(6, &v));
+  first.OnErase(6, 0, 4096);
+  EXPECT_EQ(first.deferred_updates(), 1u);
+  ASSERT_TRUE(map.Unpin(6));
+  second.OnInsert(6, 0, iolite::Aggregate::FromBuffer(b));
+  ASSERT_TRUE(map.LookupAndPin(6, &v));
+  first.OnInsert(7, 0, iolite::Aggregate::FromBuffer(a));  // Drains the parked erase.
+  EXPECT_EQ(first.deferred_updates(), 0u);
+  EXPECT_EQ(region->At(v.offset), b->data());
+  ASSERT_TRUE(map.Unpin(6));
+  EXPECT_TRUE(map.Lookup(6, &v)) << "the parked erase removed a sibling's value";
+}
+
+// Two origin workers with a one-document budget, stepped by hand on one
+// plane. Each origin's eviction must leave the other's publication alone,
+// and an origin whose local hit the map no longer names re-publishes it:
+// otherwise the fill fails with kPlaneErrUnshareable.
+TEST(PlaneOriginTest, BudgetedSiblingOriginsKeepEveryLocalHitShareable) {
+  auto region = AnonRegion(16u << 20);
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), iolipc::PlaneConfig{});
+  ASSERT_TRUE(s.valid());
+  iolproxy::PlaneDocSet docs;
+  docs.doc_count = 4;
+  docs.doc_bytes = 4096;
+  iolproxy::OriginWorker a(&s, docs, docs.doc_bytes);
+  iolproxy::OriginWorker b(&s, docs, docs.doc_bytes);
+  // Orders one fill from `w`; returns the future's error code (0 = served).
+  auto fill = [&s](iolproxy::OriginWorker* w, uint64_t file) -> uint32_t {
+    iolipc::FutureHandle f = s.futures.Acquire();
+    iolipc::FillRequestMsg m{file, f, 0, 0};
+    EXPECT_TRUE(s.origin_q.PushAs(m));
+    EXPECT_TRUE(w->Step());
+    ShmFuturePool::WaitResult r = s.futures.Wait(f, 1'000'000, [] {});
+    s.futures.Release(f);
+    if (!r.ok) {
+      return r.error;
+    }
+    EXPECT_TRUE(s.cache_map.Unpin(file));
+    return 0;
+  };
+
+  // a's eviction of 1 must not erase b's publication of 1.
+  EXPECT_EQ(fill(&a, 1), 0u);
+  EXPECT_EQ(fill(&b, 1), 0u);  // b's value replaces a's.
+  EXPECT_EQ(fill(&a, 2), 0u);  // a's budget evicts 1.
+  EXPECT_EQ(fill(&b, 1), 0u) << "b's local hit lost its map entry";
+
+  // b's eviction of 2 erases b's own value while a still holds 2; a's next
+  // local hit on 2 must re-publish it.
+  EXPECT_EQ(fill(&b, 2), 0u);  // b's value for 2 replaces a's; b evicts 1.
+  EXPECT_EQ(fill(&b, 3), 0u);  // b evicts 2: the key is gone.
+  EXPECT_EQ(fill(&a, 2), 0u) << "a's local hit was not re-published";
+  EXPECT_EQ(s.counters.Get(iolipc::kOriginFills), 7u);
+  EXPECT_EQ(s.counters.Get(iolipc::kBytesFilledOrigin), 5u * 4096u)
+      << "a missed on 1 and 2, b on 1, 2 and 3; the other fills were local hits";
+}
+
+// The same hazard end to end: two origins behind two proxies with a budget
+// that evicts, all concurrent. Every request must succeed.
+TEST(ProcessPlaneTest, ThreadsModeBudgetedMultiOriginServesEveryRequest) {
+  ioldrv::ProcessTierConfig cfg;
+  cfg.region_name.clear();
+  cfg.mode = iolipc::PlaneMode::kThreads;
+  cfg.requests = 600;
+  cfg.inflight = 8;
+  cfg.docs.doc_count = 12;
+  cfg.docs.doc_bytes = 4096;
+  cfg.cgi_every = 0;
+  cfg.proxy_workers = 2;
+  cfg.origin_workers = 2;
+  cfg.cgi_workers = 0;
+  cfg.origin_cache_budget = 2 * cfg.docs.doc_bytes;
+  ioldrv::ProcessTierResult r = ioldrv::RunProcessTier(cfg);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.future_errors, 0u);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.requests, 600u);
+  EXPECT_TRUE(r.byte_identical);
+  EXPECT_EQ(r.leaked_pins, 0u);
 }
 
 // --- The plane, threads mode (the TSan-checkable full stack) ----------------
