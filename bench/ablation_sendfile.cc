@@ -7,56 +7,36 @@
 // keeps a margin that grows with file size. (And sendfile offers nothing
 // for the CGI experiments at all.)
 
-#include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 
-namespace {
-
-ioldrv::ExperimentResult RunSendfile(size_t file_bytes, bool persistent, int clients,
-                                     uint64_t requests, uint64_t warmup) {
-  iolsys::SystemOptions options;
-  options.checksum_cache = true;  // Present but unusable by sendfile's path.
-  auto sys = std::make_unique<iolsys::System>(options);
-  iolfs::FileId f = sys->fs().CreateFile("doc", file_bytes);
-  iolhttp::SendfileServer server(&sys->ctx(), &sys->net(), &sys->io());
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = persistent;
-  config.max_requests = requests;
-  config.warmup_requests = warmup;
-  ioldrv::ClosedLoop workload(clients);
-  ioldrv::Experiment experiment(&sys->ctx(), &sys->net(), &sys->cache(), &server, config);
-  return experiment.Run(&workload, [f] { return f; });
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("ablation_sendfile", opts);
-  const int clients = opts.Clients(40);
-  const uint64_t requests = opts.Requests(4000);
-  const uint64_t warmup = opts.Warmup(200);
-  iolbench::PrintHeader(
-      "Ablation: sendfile vs IO-Lite vs mmap+writev (Mb/s, nonpersistent)",
-      "size_kb\tFlash-Lite\tsendfile\tFlash\tlite/sendfile");
-  for (size_t size : {2 * 1024, 10 * 1024, 50 * 1024, 200 * 1024}) {
-    ioldrv::ExperimentResult lite =
-        iolbench::RunSingleFile(ServerKind::kFlashLite, size, false, clients, requests, warmup);
-    ioldrv::ExperimentResult sendfile = RunSendfile(size, false, clients, requests, warmup);
-    ioldrv::ExperimentResult flash =
-        iolbench::RunSingleFile(ServerKind::kFlash, size, false, clients, requests, warmup);
-    std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n", size / 1024.0, lite.megabits_per_sec,
-                sendfile.megabits_per_sec, flash.megabits_per_sec,
-                lite.megabits_per_sec / sendfile.megabits_per_sec);
-    json.AddExperiment("Flash-Lite", size / 1024.0, lite);
-    json.AddExperiment("sendfile", size / 1024.0, sendfile);
-    json.AddExperiment("Flash", size / 1024.0, flash);
-  }
-  std::printf("# expectation: Flash < sendfile < Flash-Lite; the IO-Lite margin is the "
-              "cached checksum\n");
-  return json.Flush() ? 0 : 1;
+  iolbench::Figure fig("ablation_sendfile", argc, argv);
+  const std::vector<size_t> sizes = {2 * 1024, 10 * 1024, 50 * 1024, 200 * 1024};
+  iolbench::Sweep sweep;
+  iolbench::AddSizes(&sweep, sizes);
+
+  fig.Header("Ablation: sendfile vs IO-Lite vs mmap+writev (Mb/s, nonpersistent)",
+             "size_kb\tFlash-Lite\tsendfile\tFlash\tlite/sendfile");
+  sweep.series = {"Flash-Lite", "sendfile", "Flash"};
+  sweep.cell = [&](size_t i, size_t s) {
+    iolbench::Cell cell = iolbench::SingleFileCell(
+        s == 0 ? ServerKind::kFlashLite : ServerKind::kFlash, sizes[i], false);
+    if (s == 1) {
+      cell.options.checksum_cache = true;  // Present but unusable by sendfile's path.
+      cell.server = [](iolsys::System* sys) {
+        return std::make_unique<iolhttp::SendfileServer>(&sys->ctx(), &sys->net(), &sys->io());
+      };
+    }
+    return cell;
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{r[0].megabits_per_sec / r[1].megabits_per_sec};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "expectation: Flash < sendfile < Flash-Lite; the IO-Lite margin is the cached checksum");
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Schema checks for one figure's BENCH_*.json: the fields, series and
-# invariants every row of that figure must carry. bench/run_figs.sh and CI
-# both run these, so the checks live in one place.
+# invariants every row of that figure must carry. bench/run_figs.sh runs
+# these on every document it writes, so the checks live in one place.
 #
 # Usage: bench/check_schema.sh <figure> <json>
-#   figure  proxy_tier | ipc_plane | tenant_isolation | shard_scaling |
-#           fault_tolerance | cdn_hierarchy
+#   figure  fig_latency_load | sweep_fleet | fig_proxy_tier | ipc_plane |
+#           tenant_isolation | shard_scaling | fault_tolerance |
+#           cdn_hierarchy | engine
 set -eu
 
 [ $# -eq 2 ] || { echo "usage: $0 <figure> <json>" >&2; exit 2; }
@@ -37,7 +38,13 @@ need_nonzero() {
 }
 
 case "$fig" in
-  proxy_tier)
+  fig_latency_load|sweep_fleet)
+    # The latency-aware benches must emit non-zero p99 fields (a zeroed
+    # histogram means telemetry silently broke).
+    need_fields p99_ms
+    need_nonzero p99_ms
+    ;;
+  fig_proxy_tier)
     # Every row carries the per-tier fields; the proxy fig must report real
     # proxy hit rates and zero backhaul copies on its IO-Lite series.
     grep -q '"figure": "fig_proxy_tier"' "$f" || fail "wrong figure"
@@ -102,6 +109,10 @@ case "$fig" in
     need_fields staleness_p99_ms stale_serves cdn_writes origin_fleet_fetches corrupt_responses
     need_fields levels hit_rate backhaul_bytes invalidations_sent revalidation_bytes
     need_series flat tree-edge-heavy invalidate/edge-heavy revalidate/edge-heavy stale/edge-heavy
+    ;;
+  engine)
+    # The engine's host-time trajectory: every row carries its events/s.
+    need_fields events_per_sec
     ;;
   *)
     echo "unknown figure: $fig" >&2

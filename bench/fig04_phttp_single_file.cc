@@ -6,41 +6,32 @@
 // at >= 20 KB, is within 10% of network saturation at 17 KB, and saturates
 // the network at >= 30 KB.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig04", opts);
-  const int clients = opts.Clients(40);
-  const uint64_t requests = opts.Requests(4000);
-  const uint64_t warmup = opts.Warmup(200);
+  iolbench::Figure fig("fig04", argc, argv);
   const std::vector<size_t> sizes = {500,        1 * 1024,   2 * 1024,   3 * 1024,
                                      5 * 1024,   7 * 1024,   10 * 1024,  15 * 1024,
                                      17 * 1024,  20 * 1024,  30 * 1024,  50 * 1024,
                                      100 * 1024, 150 * 1024, 200 * 1024};
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache};
 
-  iolbench::PrintHeader("Figure 4: persistent-HTTP single-file bandwidth (Mb/s)",
-                        "size_kb\tFlash-Lite\tFlash\tApache\tlite/flash");
-  for (size_t size : sizes) {
-    ioldrv::ExperimentResult lite =
-        iolbench::RunSingleFile(ServerKind::kFlashLite, size, true, clients, requests, warmup);
-    ioldrv::ExperimentResult flash =
-        iolbench::RunSingleFile(ServerKind::kFlash, size, true, clients, requests, warmup);
-    ioldrv::ExperimentResult apache =
-        iolbench::RunSingleFile(ServerKind::kApache, size, true, clients, requests, warmup);
-    std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n", size / 1024.0, lite.megabits_per_sec,
-                flash.megabits_per_sec, apache.megabits_per_sec,
-                lite.megabits_per_sec / flash.megabits_per_sec);
-    json.AddExperiment("Flash-Lite", size / 1024.0, lite);
-    json.AddExperiment("Flash", size / 1024.0, flash);
-    json.AddExperiment("Apache", size / 1024.0, apache);
-  }
-  std::printf(
-      "# paper: Flash-Lite within 10%% of saturation at 17KB, saturates >=30KB; up to +43%% "
-      "over Flash at >=20KB; Apache gains little from persistence\n");
-  return json.Flush() ? 0 : 1;
+  fig.Header("Figure 4: persistent-HTTP single-file bandwidth (Mb/s)",
+             "size_kb\tFlash-Lite\tFlash\tApache\tlite/flash");
+  iolbench::Sweep sweep;
+  sweep.series = {"Flash-Lite", "Flash", "Apache"};
+  iolbench::AddSizes(&sweep, sizes);
+  sweep.cell = [&](size_t i, size_t s) {
+    return iolbench::SingleFileCell(kinds[s], sizes[i], true);
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{r[0].megabits_per_sec / r[1].megabits_per_sec};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "paper: Flash-Lite within 10% of saturation at 17KB, saturates >=30KB; up to +43% "
+      "over Flash at >=20KB; Apache gains little from persistence");
 }

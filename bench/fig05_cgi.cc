@@ -7,47 +7,35 @@
 // bandwidth (pipe copies dominate); Flash-Lite approaches 87% of its static
 // speed; Flash-Lite CGI even beats Flash static.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig05", opts);
-  const int clients = opts.Clients(40);
-  const uint64_t requests = opts.Requests(4000);
-  const uint64_t warmup = opts.Warmup(200);
+  iolbench::Figure fig("fig05", argc, argv);
   const std::vector<size_t> sizes = {500,       2 * 1024,  5 * 1024,   10 * 1024,
                                      20 * 1024, 50 * 1024, 100 * 1024, 200 * 1024};
+  // The three CGI series, then the two static runs the ratio columns read.
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache,
+                              ServerKind::kFlashLite, ServerKind::kFlash};
 
-  iolbench::PrintHeader(
-      "Figure 5: HTTP/FastCGI bandwidth (Mb/s), nonpersistent",
-      "size_kb\tFlash-Lite\tFlash\tApache\tlite_cgi/static\tflash_cgi/static");
-  for (size_t size : sizes) {
-    ioldrv::ExperimentResult lite_cgi =
-        iolbench::RunCgi(ServerKind::kFlashLite, size, false, clients, requests, warmup);
-    ioldrv::ExperimentResult flash_cgi =
-        iolbench::RunCgi(ServerKind::kFlash, size, false, clients, requests, warmup);
-    ioldrv::ExperimentResult apache_cgi =
-        iolbench::RunCgi(ServerKind::kApache, size, false, clients, requests, warmup);
-    double lite_static =
-        iolbench::RunSingleFile(ServerKind::kFlashLite, size, false, clients, requests, warmup)
-            .megabits_per_sec;
-    double flash_static =
-        iolbench::RunSingleFile(ServerKind::kFlash, size, false, clients, requests, warmup)
-            .megabits_per_sec;
-    std::printf("%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\n", size / 1024.0,
-                lite_cgi.megabits_per_sec, flash_cgi.megabits_per_sec,
-                apache_cgi.megabits_per_sec, lite_cgi.megabits_per_sec / lite_static,
-                flash_cgi.megabits_per_sec / flash_static);
-    json.AddExperiment("Flash-Lite-CGI", size / 1024.0, lite_cgi);
-    json.AddExperiment("Flash-CGI", size / 1024.0, flash_cgi);
-    json.AddExperiment("Apache-CGI", size / 1024.0, apache_cgi);
-  }
-  std::printf(
-      "# paper: copy-based servers at ~half their static bandwidth; Flash-Lite CGI ~87%% of "
-      "static and above Flash static\n");
-  return json.Flush() ? 0 : 1;
+  fig.Header("Figure 5: HTTP/FastCGI bandwidth (Mb/s), nonpersistent",
+             "size_kb\tFlash-Lite\tFlash\tApache\tlite_cgi/static\tflash_cgi/static");
+  iolbench::Sweep sweep;
+  sweep.series = {"Flash-Lite-CGI", "Flash-CGI", "Apache-CGI"};
+  iolbench::AddSizes(&sweep, sizes);
+  sweep.extra = 2;
+  sweep.cell = [&](size_t i, size_t s) {
+    return s < 3 ? iolbench::CgiCell(kinds[s], sizes[i], false)
+                 : iolbench::SingleFileCell(kinds[s], sizes[i], false);
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{r[0].megabits_per_sec / r[3].megabits_per_sec,
+                               r[1].megabits_per_sec / r[4].megabits_per_sec};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "paper: copy-based servers at ~half their static bandwidth; Flash-Lite CGI ~87% of "
+      "static and above Flash static");
 }

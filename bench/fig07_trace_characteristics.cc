@@ -42,14 +42,12 @@ void Report(const iolwl::TraceSpec& spec, iolbench::JsonReporter* json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig07", opts);
+  iolbench::Figure fig("fig07", argc, argv);
   std::printf("# Figure 7: trace characteristics (synthetic, calibrated)\n");
-  Report(iolwl::EceSpec(), &json);
-  Report(iolwl::CsSpec(), &json);
-  Report(iolwl::MergedSpec(), &json);
-  std::printf(
-      "# paper: ECE 783529 req / 10195 files / 523 MB (top-5000: 95%% req, 39%% data); "
-      "CS 3746842 / 26948 / 933 MB; MERGED 2290909 / 37703 / 1418 MB\n");
-  return json.Flush() ? 0 : 1;
+  Report(iolwl::EceSpec(), &fig.json());
+  Report(iolwl::CsSpec(), &fig.json());
+  Report(iolwl::MergedSpec(), &fig.json());
+  return fig.Finish(
+      "paper: ECE 783529 req / 10195 files / 523 MB (top-5000: 95% req, 39% data); "
+      "CS 3746842 / 26948 / 933 MB; MERGED 2290909 / 37703 / 1418 MB");
 }

@@ -9,46 +9,38 @@
 // Replay length is capped (see EXPERIMENTS.md): the popularity mix of the
 // full log is preserved; the cap only bounds host run time.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig08", opts);
-  const uint64_t kRequests = opts.Requests(30000);
-  const uint64_t warmup = opts.Warmup(2000);
-  const int clients = opts.Clients(64);
-  std::vector<iolwl::TraceSpec> specs = {iolwl::EceSpec(), iolwl::CsSpec(),
-                                         iolwl::MergedSpec()};
-  // Cap request-sequence length (distribution intact; see header comment).
-  for (iolwl::TraceSpec& spec : specs) {
-    spec.num_requests = opts.smoke ? 20000 : 120000;
+  iolbench::Figure fig("fig08", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache};
+  iolbench::Sweep sweep;
+  std::vector<iolwl::Trace> traces;
+  for (iolwl::TraceSpec spec : {iolwl::EceSpec(), iolwl::CsSpec(), iolwl::MergedSpec()}) {
+    // Cap request-sequence length (distribution intact; see header comment).
+    spec.num_requests = fig.smoke() ? 20000 : 120000;
+    traces.push_back(iolwl::Trace::Generate(spec));
+    sweep.x.push_back(sweep.x.size());
+    sweep.labels.push_back(spec.name);
+    sweep.suffix.push_back(":" + spec.name);
   }
 
-  iolbench::PrintHeader("Figure 8: overall trace performance (Mb/s), 64 clients",
-                        "trace\tFlash-Lite\tFlash\tApache\tlite_hit\tflash_hit");
-  int trace_index = 0;
-  for (const iolwl::TraceSpec& spec : specs) {
-    iolwl::Trace trace = iolwl::Trace::Generate(spec);
-    auto lite =
-        iolbench::RunTrace(ServerKind::kFlashLite, trace, clients, kRequests, true, 0, warmup);
-    auto flash =
-        iolbench::RunTrace(ServerKind::kFlash, trace, clients, kRequests, true, 0, warmup);
-    auto apache =
-        iolbench::RunTrace(ServerKind::kApache, trace, clients, kRequests, true, 0, warmup);
-    std::printf("%s\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\n", spec.name.c_str(),
-                lite.megabits_per_sec, flash.megabits_per_sec, apache.megabits_per_sec,
-                lite.cache_hit_rate, flash.cache_hit_rate);
-    json.AddExperiment("Flash-Lite:" + spec.name, trace_index, lite);
-    json.AddExperiment("Flash:" + spec.name, trace_index, flash);
-    json.AddExperiment("Apache:" + spec.name, trace_index, apache);
-    ++trace_index;
-  }
-  std::printf(
-      "# paper: Flash-Lite >> Flash > Apache on ECE and CS; MERGED disk-bound, all "
-      "servers converge\n");
-  return json.Flush() ? 0 : 1;
+  fig.Header("Figure 8: overall trace performance (Mb/s), 64 clients",
+             "trace\tFlash-Lite\tFlash\tApache\tlite_hit\tflash_hit");
+  sweep.series = {"Flash-Lite", "Flash", "Apache"};
+  sweep.cell = [&](size_t i, size_t s) {
+    iolbench::Cell cell = iolbench::TraceCell(kinds[s], &traces[i], 64, 30000, 2000);
+    cell.sequential = true;
+    return cell;
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{r[0].cache_hit_rate, r[1].cache_hit_rate};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "paper: Flash-Lite >> Flash > Apache on ECE and CS; MERGED disk-bound, all "
+      "servers converge");
 }

@@ -10,8 +10,7 @@
 #include "src/workload/trace.h"
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig09", opts);
+  iolbench::Figure fig("fig09", argc, argv);
   std::printf("# Figure 9: 150MB subtrace characteristics (synthetic, calibrated)\n");
   iolwl::Trace trace = iolwl::Trace::Generate(iolwl::SubtraceSpec());
   std::printf("files=%zu requests=%zu total=%.0f MB mean_request=%.1f KB\n",
@@ -21,9 +20,8 @@ int main(int argc, char** argv) {
   for (const auto& point : trace.Cdf({100, 250, 500, 1000, 2000, 3500, 5459})) {
     std::printf("%zu\t%.3f\t%.3f\n", point.top_files, point.request_fraction,
                 point.data_fraction);
-    json.Add("req_frac", static_cast<double>(point.top_files), point.request_fraction);
-    json.Add("data_frac", static_cast<double>(point.top_files), point.data_fraction);
+    fig.json().Add("req_frac", static_cast<double>(point.top_files), point.request_fraction);
+    fig.json().Add("data_frac", static_cast<double>(point.top_files), point.data_fraction);
   }
-  std::printf("# paper: 28403 requests / 5459 files / 150 MB; top-1000: 74%% req, 20%% data\n");
-  return json.Flush() ? 0 : 1;
+  return fig.Finish("paper: 28403 requests / 5459 files / 150 MB; top-1000: 74% req, 20% data");
 }

@@ -7,47 +7,29 @@
 // Flash-Lite +34-50% over Flash on in-memory data sets (copy avoidance),
 // +44-67% on disk-bound sets (GDS cache replacement).
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig10", opts);
-  const uint64_t kRequests = opts.Requests(80000);
-  const uint64_t kWarmup = opts.Warmup(30000);
-  const int kClients = opts.Clients(64);
-  // A longer request log than Figure 9's 28403 so the prefix construction
-  // can actually cover the full 150 MB of distinct data (the real log's
-  // every file appears at least once by construction; a Zipf sample needs
-  // more draws to touch the tail).
-  iolwl::TraceSpec spec = iolwl::SubtraceSpec();
-  spec.num_requests = opts.smoke ? 20000 : 400000;
-  iolwl::Trace full = iolwl::Trace::Generate(spec);
+  iolbench::Figure fig("fig10", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache};
+  iolbench::Sweep sweep;
+  std::vector<iolwl::Trace> prefixes = iolbench::SubtracePrefixes(fig.smoke(), &sweep);
 
-  iolbench::PrintHeader("Figure 10: MERGED subtrace bandwidth vs data set size, 64 clients",
-                        "dataset_mb\tFlash-Lite\tFlash\tApache\tlite/flash\tflash/apache");
-  for (uint64_t mb : {10, 25, 50, 75, 90, 105, 120, 135, 150}) {
-    iolwl::Trace prefix = full.Prefix(mb << 20);
-    auto lite = iolbench::RunTrace(ServerKind::kFlashLite, prefix, kClients, kRequests, false,
-                                   0, kWarmup);
-    auto flash =
-        iolbench::RunTrace(ServerKind::kFlash, prefix, kClients, kRequests, false, 0, kWarmup);
-    auto apache =
-        iolbench::RunTrace(ServerKind::kApache, prefix, kClients, kRequests, false, 0, kWarmup);
-    std::printf("%.0f\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\n", prefix.total_bytes() / 1048576.0,
-                lite.megabits_per_sec, flash.megabits_per_sec, apache.megabits_per_sec,
-                lite.megabits_per_sec / flash.megabits_per_sec,
-                flash.megabits_per_sec / apache.megabits_per_sec);
-    double x = prefix.total_bytes() / 1048576.0;
-    json.AddExperiment("Flash-Lite", x, lite);
-    json.AddExperiment("Flash", x, flash);
-    json.AddExperiment("Apache", x, apache);
-  }
-  std::printf(
-      "# paper: Flash-Lite +34-50%% (in-memory) and +44-67%% (disk-bound) over Flash; "
-      "Flash +65-110%% over Apache\n");
-  return json.Flush() ? 0 : 1;
+  fig.Header("Figure 10: MERGED subtrace bandwidth vs data set size, 64 clients",
+             "dataset_mb\tFlash-Lite\tFlash\tApache\tlite/flash\tflash/apache");
+  sweep.series = {"Flash-Lite", "Flash", "Apache"};
+  sweep.cell = [&](size_t i, size_t s) {
+    return iolbench::TraceCell(kinds[s], &prefixes[i], 64, 80000, 30000);
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{r[0].megabits_per_sec / r[1].megabits_per_sec,
+                               r[1].megabits_per_sec / r[2].megabits_per_sec};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "paper: Flash-Lite +34-50% (in-memory) and +44-67% (disk-bound) over Flash; "
+      "Flash +65-110% over Apache");
 }

@@ -7,47 +7,27 @@
 // in-memory) is worth 21-33%; checksum caching adds 10-15% in-memory; GDS
 // over LRU is worth 17-28% on disk-heavy data sets.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig11", opts);
-  const uint64_t kRequests = opts.Requests(80000);
-  const uint64_t kWarmup = opts.Warmup(30000);
-  const int kClients = opts.Clients(64);
-  iolwl::TraceSpec spec = iolwl::SubtraceSpec();
-  spec.num_requests = opts.smoke ? 20000 : 400000;  // Full 150 MB coverage (see fig10).
-  iolwl::Trace full = iolwl::Trace::Generate(spec);
+  iolbench::Figure fig("fig11", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlashLiteLru,
+                              ServerKind::kFlashLiteNoCksum, ServerKind::kFlashLiteLruNoCksum,
+                              ServerKind::kFlash};
+  iolbench::Sweep sweep;
+  std::vector<iolwl::Trace> prefixes = iolbench::SubtracePrefixes(fig.smoke(), &sweep);
 
-  iolbench::PrintHeader(
-      "Figure 11: optimization contributions on the MERGED subtrace (Mb/s)",
-      "dataset_mb\tFL(gds+ck)\tFL(lru+ck)\tFL(gds)\tFL(lru)\tFlash");
-  for (uint64_t mb : {10, 25, 50, 75, 90, 105, 120, 135, 150}) {
-    iolwl::Trace prefix = full.Prefix(mb << 20);
-    auto run = [&](ServerKind kind) {
-      return iolbench::RunTrace(kind, prefix, kClients, kRequests, false, 0, kWarmup);
-    };
-    auto gds_ck = run(ServerKind::kFlashLite);
-    auto lru_ck = run(ServerKind::kFlashLiteLru);
-    auto gds = run(ServerKind::kFlashLiteNoCksum);
-    auto lru = run(ServerKind::kFlashLiteLruNoCksum);
-    auto flash = run(ServerKind::kFlash);
-    std::printf("%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", prefix.total_bytes() / 1048576.0,
-                gds_ck.megabits_per_sec, lru_ck.megabits_per_sec, gds.megabits_per_sec,
-                lru.megabits_per_sec, flash.megabits_per_sec);
-    double x = prefix.total_bytes() / 1048576.0;
-    json.AddExperiment("FL-gds-ck", x, gds_ck);
-    json.AddExperiment("FL-lru-ck", x, lru_ck);
-    json.AddExperiment("FL-gds", x, gds);
-    json.AddExperiment("FL-lru", x, lru);
-    json.AddExperiment("Flash", x, flash);
-  }
-  std::printf(
-      "# paper: copy elimination 21-33%% (Flash vs FL-LRU-nocksum, in-memory); checksum "
-      "cache +10-15%%; GDS vs LRU +17-28%% disk-heavy\n");
-  return json.Flush() ? 0 : 1;
+  fig.Header("Figure 11: optimization contributions on the MERGED subtrace (Mb/s)",
+             "dataset_mb\tFL(gds+ck)\tFL(lru+ck)\tFL(gds)\tFL(lru)\tFlash");
+  sweep.series = {"FL-gds-ck", "FL-lru-ck", "FL-gds", "FL-lru", "Flash"};
+  sweep.cell = [&](size_t i, size_t s) {
+    return iolbench::TraceCell(kinds[s], &prefixes[i], 64, 80000, 30000);
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "paper: copy elimination 21-33% (Flash vs FL-LRU-nocksum, in-memory); checksum "
+      "cache +10-15%; GDS vs LRU +17-28% disk-heavy");
 }

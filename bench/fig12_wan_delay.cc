@@ -16,53 +16,33 @@
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig12", opts);
-  const uint64_t kRequests = opts.Requests(80000);
-  const uint64_t kWarmup = opts.Warmup(30000);
-  iolwl::TraceSpec spec = iolwl::SubtraceSpec();
-  spec.num_requests = opts.smoke ? 20000 : 400000;  // Full coverage (see fig10).
-  iolwl::Trace prefix = iolwl::Trace::Generate(spec).Prefix(120ull << 20);
-
-  struct Point {
-    const char* label;
-    iolsim::SimTime rtt;
-    int clients;
-  };
-  const std::vector<Point> points = {
-      {"LAN", 0, 64},
-      {"5ms", 5 * iolsim::kMillisecond, 92},
-      {"50ms", 50 * iolsim::kMillisecond, 343},
-      {"100ms", 100 * iolsim::kMillisecond, 621},
-      {"150ms", 150 * iolsim::kMillisecond, 900},
-  };
-
-  iolbench::PrintHeader("Figure 12: throughput vs WAN round-trip delay (Mb/s), 120MB dataset",
-                        "delay\tclients\tFlash-Lite\tFlash\tApache");
-  std::vector<double> first;
-  for (const Point& point : points) {
-    int clients = opts.Clients(point.clients);
-    auto lite = iolbench::RunTrace(ServerKind::kFlashLite, prefix, clients, kRequests,
-                                   false, point.rtt, kWarmup);
-    auto flash = iolbench::RunTrace(ServerKind::kFlash, prefix, clients, kRequests,
-                                    false, point.rtt, kWarmup);
-    auto apache = iolbench::RunTrace(ServerKind::kApache, prefix, clients, kRequests,
-                                     false, point.rtt, kWarmup);
-    std::printf("%s\t%d\t%.1f\t%.1f\t%.1f\n", point.label, clients, lite.megabits_per_sec,
-                flash.megabits_per_sec, apache.megabits_per_sec);
-    double x = iolsim::ToSeconds(point.rtt) * 1e3;
-    json.AddExperiment("Flash-Lite", x, lite);
-    json.AddExperiment("Flash", x, flash);
-    json.AddExperiment("Apache", x, apache);
-    if (first.empty()) {
-      first = {lite.megabits_per_sec, flash.megabits_per_sec, apache.megabits_per_sec};
-    } else if (&point == &points.back()) {
-      std::printf("# drop vs LAN: Flash-Lite %.0f%%, Flash %.0f%%, Apache %.0f%%\n",
-                  100.0 * (1 - lite.megabits_per_sec / first[0]),
-                  100.0 * (1 - flash.megabits_per_sec / first[1]),
-                  100.0 * (1 - apache.megabits_per_sec / first[2]));
-    }
+  iolbench::Figure fig("fig12", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache};
+  iolwl::Trace prefix = iolbench::Fig12Prefix(fig.smoke());
+  iolbench::Sweep sweep;
+  for (const iolbench::Fig12Point& point : iolbench::kFig12Points) {
+    sweep.x.push_back(iolsim::ToSeconds(point.rtt) * 1e3);
+    sweep.labels.push_back(
+        iolbench::Fmt("%s\t%d", point.label, fig.opts().Clients(point.clients)));
   }
-  std::printf("# paper: Flash -33%%, Apache -50%%, Flash-Lite flat or slightly up\n");
-  return json.Flush() ? 0 : 1;
+
+  fig.Header("Figure 12: throughput vs WAN round-trip delay (Mb/s), 120MB dataset",
+             "delay\tclients\tFlash-Lite\tFlash\tApache");
+  sweep.series = {"Flash-Lite", "Flash", "Apache"};
+  sweep.cell = [&](size_t i, size_t s) {
+    return iolbench::Fig12Cell(kinds[s], &prefix, iolbench::kFig12Points[i]);
+  };
+  std::vector<ioldrv::ExperimentResult> lan;
+  sweep.after = [&](size_t i, const std::vector<ioldrv::ExperimentResult>& r) {
+    if (i == 0) {
+      lan = r;
+    } else if (i + 1 == sweep.x.size()) {
+      std::printf("# drop vs LAN: Flash-Lite %.0f%%, Flash %.0f%%, Apache %.0f%%\n",
+                  100.0 * (1 - r[0].megabits_per_sec / lan[0].megabits_per_sec),
+                  100.0 * (1 - r[1].megabits_per_sec / lan[1].megabits_per_sec),
+                  100.0 * (1 - r[2].megabits_per_sec / lan[2].megabits_per_sec));
+    }
+  };
+  fig.Run(sweep);
+  return fig.Finish("paper: Flash -33%, Apache -50%, Flash-Lite flat or slightly up");
 }

@@ -17,8 +17,19 @@
 
 namespace {
 
-double Seconds(iolsys::System* sys, iolsim::SimTime since) {
-  return iolsim::ToSeconds(sys->ctx().clock().now() - since);
+// The simulated seconds `run` takes on `sys`.
+template <typename Run>
+double Seconds(iolsys::System* sys, Run run) {
+  iolsim::SimTime t0 = sys->ctx().clock().now();
+  run();
+  return iolsim::ToSeconds(sys->ctx().clock().now() - t0);
+}
+
+// A 1.75 MB file, read once so the file cache is warm (no disk I/O).
+iolfs::FileId WarmFile(iolsys::System* sys) {
+  iolfs::FileId f = sys->fs().CreateFile("big", 1750 * 1024);
+  sys->io().ReadExtent(f, 0, 1750 * 1024);
+  return f;
 }
 
 void Row(iolbench::JsonReporter* json, int index, const char* name, double posix_s,
@@ -32,64 +43,46 @@ void Row(iolbench::JsonReporter* json, int index, const char* name, double posix
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig13", opts);
-
-  std::printf("# Figure 13: application runtimes (simulated seconds)\n");
-  std::printf("app\tunmodified_s\tiolite_s\treduction\n");
+  iolbench::Figure fig("fig13", argc, argv);
+  fig.Header("Figure 13: application runtimes (simulated seconds)",
+             "app\tunmodified_s\tiolite_s\treduction");
 
   // wc on a cached 1.75 MB file.
   {
     iolsys::System sys;
-    iolfs::FileId f = sys.fs().CreateFile("big", 1750 * 1024);
-    sys.io().ReadExtent(f, 0, 1750 * 1024);  // File cache warm, no disk I/O.
-    iolsim::SimTime t0 = sys.ctx().clock().now();
-    iolapp::WcPosix(&sys, f);
-    double posix_s = Seconds(&sys, t0);
-    t0 = sys.ctx().clock().now();
-    iolapp::WcIolite(&sys, f);
-    Row(&json, 0, "wc", posix_s, Seconds(&sys, t0));
+    iolfs::FileId f = WarmFile(&sys);
+    double posix_s = Seconds(&sys, [&] { iolapp::WcPosix(&sys, f); });
+    Row(&fig.json(), 0, "wc", posix_s, Seconds(&sys, [&] { iolapp::WcIolite(&sys, f); }));
   }
 
   // permute | wc: ten 4-char words -> 10! * 40 bytes through the pipe.
   {
     std::string sentence = "abcdefghijklmnopqrstuvwxyz0123456789ABCD";  // 40 chars.
     iolsys::System sys_a;
-    iolsim::SimTime t0 = sys_a.ctx().clock().now();
-    iolapp::PermuteWcPosix(&sys_a, sentence, 4);
-    double posix_s = Seconds(&sys_a, t0);
+    double posix_s = Seconds(&sys_a, [&] { iolapp::PermuteWcPosix(&sys_a, sentence, 4); });
     iolsys::System sys_b;
-    t0 = sys_b.ctx().clock().now();
-    iolapp::PermuteWcIolite(&sys_b, sentence, 4);
-    Row(&json, 1, "permute", posix_s, Seconds(&sys_b, t0));
+    Row(&fig.json(), 1, "permute", posix_s,
+        Seconds(&sys_b, [&] { iolapp::PermuteWcIolite(&sys_b, sentence, 4); }));
   }
 
   // cat file | grep, same file as wc.
   {
     iolsys::System sys;
-    iolfs::FileId f = sys.fs().CreateFile("big", 1750 * 1024);
-    sys.io().ReadExtent(f, 0, 1750 * 1024);
-    iolsim::SimTime t0 = sys.ctx().clock().now();
-    iolapp::GrepCatPosix(&sys, f, "xyz");
-    double posix_s = Seconds(&sys, t0);
-    t0 = sys.ctx().clock().now();
-    iolapp::GrepCatIolite(&sys, f, "xyz");
-    Row(&json, 2, "grep", posix_s, Seconds(&sys, t0));
+    iolfs::FileId f = WarmFile(&sys);
+    double posix_s = Seconds(&sys, [&] { iolapp::GrepCatPosix(&sys, f, "xyz"); });
+    Row(&fig.json(), 2, "grep", posix_s,
+        Seconds(&sys, [&] { iolapp::GrepCatIolite(&sys, f, "xyz"); }));
   }
 
   // gcc chain: 27 files, 167 KB total source.
   {
     iolapp::GccChainConfig config;
     iolsys::System sys_a;
-    iolsim::SimTime t0 = sys_a.ctx().clock().now();
-    iolapp::GccChainPosix(&sys_a, config);
-    double posix_s = Seconds(&sys_a, t0);
+    double posix_s = Seconds(&sys_a, [&] { iolapp::GccChainPosix(&sys_a, config); });
     iolsys::System sys_b;
-    t0 = sys_b.ctx().clock().now();
-    iolapp::GccChainIolite(&sys_b, config);
-    Row(&json, 3, "gcc", posix_s, Seconds(&sys_b, t0));
+    Row(&fig.json(), 3, "gcc", posix_s,
+        Seconds(&sys_b, [&] { iolapp::GccChainIolite(&sys_b, config); }));
   }
 
-  std::printf("# paper: wc -37%%, permute -33%%, grep -48%%, gcc ~-1%%\n");
-  return json.Flush() ? 0 : 1;
+  return fig.Finish("paper: wc -37%, permute -33%, grep -48%, gcc ~-1%");
 }

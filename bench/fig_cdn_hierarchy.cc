@@ -29,9 +29,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cdn/cdn_topology.h"
-#include "src/cdn/write_plan.h"
-#include "src/driver/cdn_tier.h"
 #include "src/driver/edge_mix.h"
 
 namespace {
@@ -112,6 +109,7 @@ iolcdn::CdnTopology MakeFlatTopo(iolproxy::ConsistencyMode mode) {
   return topo;
 }
 
+// Interior-link byte counts summed over the tree's levels.
 struct CellOutcome {
   ioldrv::ExperimentResult result;
   uint64_t invalidation_bytes = 0;  // invalidations_sent * frame size.
@@ -121,36 +119,22 @@ struct CellOutcome {
   uint64_t total_backhaul_bytes = 0;
 };
 
-// One data point: a fresh machine, the given topology, the standard
-// four-population mix, and a seeded write stream against the metro docs.
-CellOutcome RunCell(const iolcdn::CdnTopology& topo, double writes_per_sec,
-                    const iolbench::BenchOptions& opts) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = kOrigins;
-  options.cost.disk_count = kOrigins;
-  iolbench::ApplyKindOptions(iolbench::ServerKind::kFlashLite, &options);
-  auto sys = std::make_unique<iolsys::System>(options);
-
-  std::vector<iolfs::FileId> ids;
-  for (int i = 0; i < kMetros * kMetroDocs + kFlooderDocs; ++i) {
-    ids.push_back(sys->fs().CreateFile("doc" + std::to_string(i), kDocBytes));
-  }
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < kOrigins; ++i) {
-    servers.push_back(
-        iolbench::MakeServer(iolbench::ServerKind::kFlashLite, sys.get()));
-    members.push_back(servers.back().get());
-  }
-  iolproxy::ProxyConfig pc;
-  pc.data_path = iolproxy::ProxyDataPath::kIoLite;
-  pc.backhaul = iolproxy::BackhaulMode::kRemote;
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = opts.Requests(4000);
-  config.warmup_requests = 0;  // Origin-load comparisons count everything.
-  ioldrv::CdnTier tier(&sys->ctx(), &sys->net(), &sys->io(), &sys->runtime(),
-                       ioldrv::Fleet(members), topo, pc, config);
+// One data point, printed and added to the JSON document as (series, x): a
+// fresh machine, the given topology, the standard four-population mix, and
+// a seeded write stream against the metro docs.
+CellOutcome RunCdnCell(iolbench::Figure* fig, const std::string& series, double x,
+                       const iolcdn::CdnTopology& topo, double writes_per_sec) {
+  iolbench::Cell cell;
+  cell.kind = iolbench::ServerKind::kFlashLite;
+  cell.members = kOrigins;
+  cell.docs = kMetros * kMetroDocs + kFlooderDocs;
+  cell.file_bytes = kDocBytes;
+  cell.config.persistent_connections = true;
+  cell.config.max_requests = 4000;
+  cell.config.warmup_requests = 0;  // Origin-load comparisons count everything.
+  cell.cdn = &topo;
+  cell.proxy.data_path = iolproxy::ProxyDataPath::kIoLite;
+  cell.proxy.backhaul = iolproxy::BackhaulMode::kRemote;
   iolcdn::WritePlanSpec wspec;
   wspec.writes_per_sec = writes_per_sec;
   // Writes land uniformly on metro-0's hot set: docs every level of the
@@ -160,12 +144,12 @@ CellOutcome RunCell(const iolcdn::CdnTopology& topo, double writes_per_sec,
   wspec.num_files = kMetroHot;
   wspec.hot_bias = 0;
   wspec.seed = 31;
-  iolcdn::WritePlan writes(&sys->ctx(), &tier.authority(), wspec);
-  tier.set_write_plan(&writes);
-
-  ioldrv::EdgeMix mix = MakeMix(ids);
+  cell.writes = &wspec;
+  cell.setup = [](iolbench::Machine& m) {
+    return std::make_unique<ioldrv::EdgeMix>(MakeMix(m.ids));
+  };
   CellOutcome out;
-  out.result = tier.Run(&mix, [&ids]() { return ids[0]; });
+  out.result = fig->Run(cell).result;
   for (const ioldrv::ExperimentResult::CdnLevelResult& l : out.result.cdn_levels) {
     out.invalidation_bytes +=
         l.invalidations_sent * iolproxy::kInvalidationBytes;
@@ -173,10 +157,6 @@ CellOutcome RunCell(const iolcdn::CdnTopology& topo, double writes_per_sec,
     out.total_backhaul_bytes += l.backhaul_bytes + l.revalidation_bytes +
                                 l.invalidations_sent * iolproxy::kInvalidationBytes;
   }
-  return out;
-}
-
-void PrintRow(const std::string& series, double x, const CellOutcome& out) {
   std::printf("%-28s\t%7.0f\t%8.4f\t%10llu\t%10llu\t%10llu\t%12llu\t%9.3f\n",
               series.c_str(), x, out.result.proxy_hit_rate,
               static_cast<unsigned long long>(out.result.origin_fleet_fetches),
@@ -184,31 +164,28 @@ void PrintRow(const std::string& series, double x, const CellOutcome& out) {
               static_cast<unsigned long long>(out.revalidation_bytes),
               static_cast<unsigned long long>(out.total_backhaul_bytes),
               out.result.staleness.p99_ms);
+  fig->json().AddExperiment(series, x, out.result);
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig_cdn_hierarchy", opts);
+  iolbench::Figure fig("fig_cdn_hierarchy", argc, argv);
   using iolproxy::ConsistencyMode;
 
-  iolbench::PrintHeader(
+  fig.Header(
       "CDN hierarchy: 3-level tree vs flat proxy, consistency protocol x "
       "write rate x budget split (total budget held equal)",
       "series                      \twrites/s\thit_rate\torigin_load\t"
       "inval_B\treval_B\tbackhaul_B\tstale_p99_ms");
 
   // --- Gate (a): flat baseline vs the tree at every split, zero writes ------
-  CellOutcome flat = RunCell(MakeFlatTopo(ConsistencyMode::kInvalidate), 0, opts);
-  PrintRow("flat", 0, flat);
-  json.AddExperiment("flat", 0, flat.result);
+  CellOutcome flat = RunCdnCell(&fig, "flat", 0, MakeFlatTopo(ConsistencyMode::kInvalidate), 0);
   uint64_t edge_heavy_origin_load = 0;
   for (const BudgetSplit& split : kSplits) {
-    CellOutcome tree =
-        RunCell(MakeTreeTopo(split, ConsistencyMode::kInvalidate), 0, opts);
-    PrintRow(std::string("tree-") + split.name, 0, tree);
-    json.AddExperiment(std::string("tree-") + split.name, 0, tree.result);
+    CellOutcome tree = RunCdnCell(&fig, std::string("tree-") + split.name, 0,
+                                  MakeTreeTopo(split, ConsistencyMode::kInvalidate), 0);
     if (std::string(split.name) == "edge-heavy") {
       edge_heavy_origin_load = tree.result.origin_fleet_fetches;
     }
@@ -225,8 +202,8 @@ int main(int argc, char** argv) {
   // --- Gate (b): protocol x write-rate sweep at the edge-heavy split --------
   const double kFullRates[] = {50, 200, 800, 3200};
   const double kSmokeRates[] = {200, 3200};
-  const double* rates = opts.smoke ? kSmokeRates : kFullRates;
-  size_t num_rates = opts.smoke ? 2 : 4;
+  const double* rates = fig.smoke() ? kSmokeRates : kFullRates;
+  size_t num_rates = fig.smoke() ? 2 : 4;
   const ConsistencyMode kModes[] = {ConsistencyMode::kInvalidate,
                                     ConsistencyMode::kRevalidate,
                                     ConsistencyMode::kStale};
@@ -236,11 +213,8 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> reval_bytes(num_rates, 0);
   for (ConsistencyMode mode : kModes) {
     for (size_t i = 0; i < num_rates; ++i) {
-      CellOutcome cell =
-          RunCell(MakeTreeTopo(edge_heavy, mode), rates[i], opts);
-      std::string series = std::string(iolproxy::Name(mode)) + "/edge-heavy";
-      PrintRow(series, rates[i], cell);
-      json.AddExperiment(series, rates[i], cell.result);
+      CellOutcome cell = RunCdnCell(&fig, std::string(iolproxy::Name(mode)) + "/edge-heavy",
+                                    rates[i], MakeTreeTopo(edge_heavy, mode), rates[i]);
       if (mode == ConsistencyMode::kInvalidate) {
         inval_bytes[i] = cell.total_backhaul_bytes;
       } else if (mode == ConsistencyMode::kRevalidate) {
@@ -281,16 +255,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(reval_bytes[num_rates - 1]));
   }
 
-  std::printf(
-      "# expectation: per-edge budgets quarantine the flooder; invalidation "
+  return fig.Finish(
+      "expectation: per-edge budgets quarantine the flooder; invalidation "
       "is cheap until write sweeps force re-fetches that dwarf the "
-      "revalidation check tax\n");
-
-  bool ok = true;
-  if (!opts.smoke) {
-    // The acceptance gates the ISSUE pins; smoke runs are too short for the
-    // cache dynamics to settle, so only full runs enforce them.
-    ok = tree_beats_flat && crossover;
-  }
-  return json.Flush() && ok ? 0 : 1;
+      "revalidation check tax",
+      [&] {
+        // The acceptance gates; smoke runs are too short for the cache
+        // dynamics to settle, so only full runs enforce them.
+        return fig.smoke() || (tree_beats_flat && crossover);
+      });
 }

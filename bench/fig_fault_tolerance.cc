@@ -24,12 +24,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/driver/telemetry.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/recovery.h"
 
@@ -41,116 +39,45 @@ constexpr uint64_t kDocBytes = 24 * 1024;
 constexpr iolsim::SimTime kRestartDelay = 20 * iolsim::kMillisecond;
 constexpr iolsim::SimTime kHorizon = 4 * iolsim::kSecond;
 
-enum class Policy { kUnprotected, kRetry, kRetryHedge, kFull };
-
-const char* Name(Policy p) {
-  switch (p) {
-    case Policy::kUnprotected:
-      return "unprotected";
-    case Policy::kRetry:
-      return "retry";
-    case Policy::kRetryHedge:
-      return "retry+hedge";
-    case Policy::kFull:
-      return "retry+hedge+health";
-  }
-  return "?";
-}
-
-struct CellOutcome {
-  ioldrv::ExperimentResult result;
-  uint64_t record_fold = 0;        // Fold of the full record stream.
-  iolsim::SimTime final_clock = 0; // Sim clock after the run drained.
+// The recovery lattice, cumulative along the series axis.
+struct Policy {
+  const char* name;
+  bool retry;
+  bool hedge;
+  bool health;
 };
+constexpr Policy kPolicies[] = {{"unprotected", false, false, false},
+                                {"retry", true, false, false},
+                                {"retry+hedge", true, true, false},
+                                {"retry+hedge+health", true, true, true}};
 
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
-  return h * 0xff51afd7ed558ccdull;
-}
-
-// Folds every field of every record: two runs with equal folds (and equal
-// final clocks) took byte-identical trajectories through the engine.
-uint64_t FoldRecords(const ioldrv::Telemetry& t) {
-  uint64_t h = 1469598103934665603ull;
-  for (const ioldrv::RequestRecord& r : t.records()) {
-    h = Mix(h, r.issue);
-    h = Mix(h, r.admit);
-    h = Mix(h, r.complete);
-    h = Mix(h, r.bytes);
-    h = Mix(h, r.server);
-    h = Mix(h, r.tenant);
-    h = Mix(h, static_cast<uint64_t>(r.outcome));
-    h = Mix(h, r.attempts);
-    h = Mix(h, r.cache_hit ? 1 : 0);
-    h = Mix(h, r.counted ? 1 : 0);
-  }
-  return h;
-}
-
-// One data point: a fresh four-member machine, the given plan (may be null)
-// and recovery config, a deterministic uniform file stream.
-CellOutcome RunCell(const iolfault::FaultPlan* plan,
-                    const iolfault::RecoveryConfig& recovery,
-                    const iolbench::BenchOptions& opts) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = kMembers;
-  options.cost.disk_count = kMembers;
-  iolbench::ApplyKindOptions(iolbench::ServerKind::kFlashLite, &options);
-  auto sys = std::make_unique<iolsys::System>(options);
-
-  std::vector<iolfs::FileId> ids;
-  ids.reserve(kDocs);
-  for (int i = 0; i < kDocs; ++i) {
-    ids.push_back(sys->fs().CreateFile("doc" + std::to_string(i), kDocBytes));
-  }
-
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < kMembers; ++i) {
-    servers.push_back(iolbench::MakeServer(iolbench::ServerKind::kFlashLite, sys.get()));
-    members.push_back(servers.back().get());
-  }
-
-  // Deterministic prewarm: the doc set starts resident, so the measured
-  // window exercises crash recovery rather than cold-start fill (a cold
-  // start under a tight timeout is its own failure mode: every first touch
-  // rides the contended disk past the timeout and the retries cascade).
-  // The discarded tally keeps the fill from advancing the clock: the plan's
-  // fault times are absolute and must stay ahead of t=0.
-  {
-    iolsim::Tally prewarm;
-    iolsim::TallyScope scope(&sys->ctx(), &prewarm);
-    for (iolfs::FileId f : ids) {
-      uint64_t size = sys->fs().SizeOf(f);
-      sys->cache().Insert(
-          f, 0, iolite::Aggregate::FromBuffer(sys->fs().ReadFromDisk(f, 0, size)));
-    }
-  }
-
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = opts.Requests(4000);
-  config.warmup_requests = opts.Warmup(400);
-  config.faults = plan;
-  config.recovery = recovery;
-
+// One data point: a fresh four-member machine behind a least-connections
+// balancer, the given plan (may be null) and recovery config, a
+// deterministic uniform file stream. The doc set starts resident, so the
+// measured window exercises crash recovery rather than cold-start fill (a
+// cold start under a tight timeout is its own failure mode: every first
+// touch rides the contended disk past the timeout and the retries cascade).
+iolbench::CellRun RunFaultCell(const iolfault::FaultPlan* plan,
+                               const iolfault::RecoveryConfig& recovery,
+                               const iolbench::Figure& fig) {
+  iolbench::Cell cell;
+  cell.kind = iolbench::ServerKind::kFlashLite;
+  cell.members = kMembers;
+  cell.least_connections = true;
+  cell.docs = kDocs;
+  cell.file_bytes = kDocBytes;
+  cell.draw_seed = 9090;
+  cell.setup = iolbench::PrewarmOffClock;
   // 2 clients per member: enough headroom that hedges stay a rescue
   // mechanism instead of a load spiral (a saturated fleet turns hedging
   // into a storm: latency > hedge_delay for everyone => double the load).
-  ioldrv::ClosedLoop workload(opts.Clients(8));
-  ioldrv::Experiment experiment(
-      &sys->ctx(), &sys->net(), &sys->cache(),
-      ioldrv::Fleet(members, std::make_unique<ioldrv::LeastConnectionsBalancer>()),
-      config);
-
-  iolsim::Rng rng(9090);
-  CellOutcome out;
-  out.result = experiment.Run(&workload, [&rng, &ids]() -> iolfs::FileId {
-    return ids[rng.NextBelow(ids.size())];
-  });
-  out.record_fold = FoldRecords(experiment.telemetry());
-  out.final_clock = sys->ctx().clock().now();
-  return out;
+  cell.clients = 8;
+  cell.config.persistent_connections = true;
+  cell.config.max_requests = 4000;
+  cell.config.warmup_requests = 400;
+  cell.config.faults = plan;
+  cell.config.recovery = recovery;
+  return fig.Run(cell);
 }
 
 // The chaos mix for one intensity: independent per-member crash/restart
@@ -170,7 +97,7 @@ iolfault::FaultPlan MakePlan(iolsim::SimTime mean_uptime) {
   return plan;
 }
 
-iolfault::RecoveryConfig MakeRecovery(Policy p, double baseline_p99_ms) {
+iolfault::RecoveryConfig MakeRecovery(const Policy& p, double baseline_p99_ms) {
   // The timeout budget scales off the measured fault-free tail so the sweep
   // stays meaningful if the machine model's costs move.
   iolsim::SimTime p99 = static_cast<iolsim::SimTime>(
@@ -182,16 +109,16 @@ iolfault::RecoveryConfig MakeRecovery(Policy p, double baseline_p99_ms) {
   rec.request_timeout = 6 * p99;
   rec.retry_backoff = iolsim::kMillisecond;
   rec.retry_backoff_cap = 8 * iolsim::kMillisecond;
-  if (p != Policy::kUnprotected) {
+  if (p.retry) {
     rec.max_retries = 3;
   }
-  if (p == Policy::kRetryHedge || p == Policy::kFull) {
+  if (p.hedge) {
     // 1.75x p99: rare enough fault-free (<1% of requests) to avoid hedge
     // storms, early enough that a rescue (hedge_delay + one warm serve,
     // so ~2.75x p99) lands inside the 3x protected-tail gate.
     rec.hedge_delay = 7 * p99 / 4;
   }
-  if (p == Policy::kFull) {
+  if (p.health) {
     rec.health_checks = true;
     rec.health_check_interval = 2 * iolsim::kMillisecond;
     rec.unhealthy_after = 1;
@@ -200,7 +127,7 @@ iolfault::RecoveryConfig MakeRecovery(Policy p, double baseline_p99_ms) {
   return rec;
 }
 
-void PrintRow(const char* series, double x, const CellOutcome& out) {
+void PrintRow(const char* series, double x, const iolbench::CellRun& out) {
   std::printf("%-20s\t%6.0f\t%9.4f%%\t%8llu\t%6llu\t%6llu\t%8.2f\t%8.1f\n", series, x,
               out.result.availability * 100.0,
               static_cast<unsigned long long>(out.result.failed_requests),
@@ -212,10 +139,9 @@ void PrintRow(const char* series, double x, const CellOutcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig_fault_tolerance", opts);
+  iolbench::Figure fig("fig_fault_tolerance", argc, argv);
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Fault tolerance: availability under crash + fail-slow chaos, "
       "recovery lattice swept",
       "policy              \tuptime\tavailability\t  failed\tretry\t hedge\t  p99_ms\tgoodput");
@@ -224,15 +150,16 @@ int main(int argc, char** argv) {
   // engine configuration. Its p99 anchors the timeout budget and the
   // protected-tail gate.
   iolfault::RecoveryConfig off;
-  CellOutcome baseline = RunCell(nullptr, off, opts);
+  iolbench::CellRun baseline = RunFaultCell(nullptr, off, fig);
   double base_p99 = baseline.result.latency.p99_ms;
   PrintRow("fault-free", 0, baseline);
-  json.AddExperiment("fault-free", 0, baseline.result);
+  fig.json().AddExperiment("fault-free", 0, baseline.result);
 
   // Determinism gate: an EMPTY plan must take the identical trajectory.
   iolfault::FaultPlan empty_plan;
-  CellOutcome echo = RunCell(&empty_plan, off, opts);
-  bool identical = echo.record_fold == baseline.record_fold &&
+  iolbench::CellRun echo = RunFaultCell(&empty_plan, off, fig);
+  bool identical = iolbench::FoldRecords(echo.telemetry.records()) ==
+                       iolbench::FoldRecords(baseline.telemetry.records()) &&
                    echo.final_clock == baseline.final_clock &&
                    echo.result.requests == baseline.result.requests;
   std::printf("# empty-plan byte-identity: %s\n", identical ? "ok" : "FAIL");
@@ -242,25 +169,22 @@ int main(int argc, char** argv) {
   const iolsim::SimTime kUptimes[] = {400 * iolsim::kMillisecond,
                                       200 * iolsim::kMillisecond,
                                       100 * iolsim::kMillisecond};
-  const Policy kPolicies[] = {Policy::kUnprotected, Policy::kRetry,
-                              Policy::kRetryHedge, Policy::kFull};
 
-  bool ok = identical;
   double worst_unprotected = 1.0;
   double worst_full = 1.0;
   double worst_full_p99 = 0.0;
-  for (Policy p : kPolicies) {
+  for (const Policy& p : kPolicies) {
     iolfault::RecoveryConfig rec = MakeRecovery(p, base_p99);
     for (iolsim::SimTime uptime : kUptimes) {
       iolfault::FaultPlan plan = MakePlan(uptime);
-      CellOutcome cell = RunCell(&plan, rec, opts);
+      iolbench::CellRun cell = RunFaultCell(&plan, rec, fig);
       double x = static_cast<double>(uptime) / iolsim::kMillisecond;
-      PrintRow(Name(p), x, cell);
-      json.AddExperiment(Name(p), x, cell.result);
-      if (p == Policy::kUnprotected && cell.result.availability < worst_unprotected) {
+      PrintRow(p.name, x, cell);
+      fig.json().AddExperiment(p.name, x, cell.result);
+      if (!p.retry && cell.result.availability < worst_unprotected) {
         worst_unprotected = cell.result.availability;
       }
-      if (p == Policy::kFull) {
+      if (p.health) {
         if (cell.result.availability < worst_full) {
           worst_full = cell.result.availability;
         }
@@ -271,21 +195,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf(
-      "# expectation: unprotected collapses (LC attracts traffic to "
-      "black holes); the full lattice holds >= 99.9%% with a bounded tail\n");
-
-  if (!opts.smoke) {
-    // The availability invariants the ISSUE pins; smoke runs are too short
-    // for the chaos schedule to bite, so only full runs enforce them.
-    double tail_ratio = base_p99 > 0 ? worst_full_p99 / base_p99 : 0;
-    std::printf("# unprotected worst availability %.4f%% (need < 99%%): %s\n",
-                worst_unprotected * 100.0, worst_unprotected < 0.99 ? "ok" : "FAIL");
-    std::printf("# full-lattice worst availability %.4f%% (need >= 99.9%%): %s\n",
-                worst_full * 100.0, worst_full >= 0.999 ? "ok" : "FAIL");
-    std::printf("# full-lattice worst p99 %.2f ms = %.2fx fault-free (need <= 3x): %s\n",
-                worst_full_p99, tail_ratio, tail_ratio <= 3.0 ? "ok" : "FAIL");
-    ok = ok && worst_unprotected < 0.99 && worst_full >= 0.999 && tail_ratio <= 3.0;
-  }
-  return json.Flush() && ok ? 0 : 1;
+  return fig.Finish(
+      "expectation: unprotected collapses (LC attracts traffic to "
+      "black holes); the full lattice holds >= 99.9% with a bounded tail",
+      [&] {
+        // The availability invariants; smoke runs are too short for the
+        // chaos schedule to bite, so only full runs enforce them.
+        if (fig.smoke()) {
+          return identical;
+        }
+        double tail_ratio = base_p99 > 0 ? worst_full_p99 / base_p99 : 0;
+        std::printf("# unprotected worst availability %.4f%% (need < 99%%): %s\n",
+                    worst_unprotected * 100.0, worst_unprotected < 0.99 ? "ok" : "FAIL");
+        std::printf("# full-lattice worst availability %.4f%% (need >= 99.9%%): %s\n",
+                    worst_full * 100.0, worst_full >= 0.999 ? "ok" : "FAIL");
+        std::printf("# full-lattice worst p99 %.2f ms = %.2fx fault-free (need <= 3x): %s\n",
+                    worst_full_p99, tail_ratio, tail_ratio <= 3.0 ? "ok" : "FAIL");
+        return identical && worst_unprotected < 0.99 && worst_full >= 0.999 &&
+               tail_ratio <= 3.0;
+      });
 }

@@ -69,65 +69,45 @@ void PrintRow(const PlaneRow& row) {
 }
 
 // The ProcessTier result does not fit JsonReporter's experiment schema
-// (simulated-time latency vs host wall clock), so this figure writes its
-// rows directly: same envelope, plane-specific fields.
-bool WriteJson(const std::string& path, bool smoke, const std::vector<PlaneRow>& rows) {
-  if (path.empty()) {
-    return true;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fig_ipc_plane: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\"figure\": \"ipc_plane\", \"smoke\": %s, \"build\": %s, \"rows\": [",
-               smoke ? "true" : "false", iolbench::BuildProvenanceJson().c_str());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const PlaneRow& row = rows[i];
-    std::fprintf(
-        f,
-        "%s\n  {\"series\": \"%s\", \"x\": %.6g, \"value\": %.6g, "
-        "\"requests\": %llu, \"errors\": %llu, \"wall_ms\": %.6g, "
-        "\"events_per_sec\": %.6g, "
-        "\"bytes_copied_cross_process\": %llu, \"byte_identical\": %s, "
-        "\"checksum\": \"%016llx\", \"counters_out_of_process\": %s, "
-        "\"client_cpu_s\": %.6g, \"proxy_cpu_s\": %.6g, \"origin_cpu_s\": %.6g, "
-        "\"cgi_cpu_s\": %.6g}",
-        i == 0 ? "" : ",", row.series.c_str(), row.x, row.r.mbits_per_sec,
-        (unsigned long long)row.r.requests, (unsigned long long)row.r.errors,
-        row.r.wall_ms, row.r.requests_per_sec,
-        (unsigned long long)row.r.bytes_copied_cross_process,
-        row.r.byte_identical ? "true" : "false",
-        (unsigned long long)row.r.response_checksum,
-        row.r.counters_out_of_process ? "true" : "false", row.r.client_cpu_s,
-        row.r.proxy_cpu_s, row.r.origin_cpu_s, row.r.cgi_cpu_s);
-  }
-  std::fprintf(f, "\n]}\n");
-  std::fclose(f);
-  return true;
+// (simulated-time latency vs host wall clock), so this figure's rows carry
+// plane-specific fields in the same envelope.
+std::string JsonRow(const PlaneRow& row) {
+  return iolbench::Fmt(
+      "{\"series\": \"%s\", \"x\": %.6g, \"value\": %.6g, "
+      "\"requests\": %llu, \"errors\": %llu, \"wall_ms\": %.6g, "
+      "\"events_per_sec\": %.6g, "
+      "\"bytes_copied_cross_process\": %llu, \"byte_identical\": %s, "
+      "\"checksum\": \"%016llx\", \"counters_out_of_process\": %s, "
+      "\"client_cpu_s\": %.6g, \"proxy_cpu_s\": %.6g, \"origin_cpu_s\": %.6g, "
+      "\"cgi_cpu_s\": %.6g}",
+      row.series.c_str(), row.x, row.r.mbits_per_sec, (unsigned long long)row.r.requests,
+      (unsigned long long)row.r.errors, row.r.wall_ms, row.r.requests_per_sec,
+      (unsigned long long)row.r.bytes_copied_cross_process,
+      row.r.byte_identical ? "true" : "false", (unsigned long long)row.r.response_checksum,
+      row.r.counters_out_of_process ? "true" : "false", row.r.client_cpu_s,
+      row.r.proxy_cpu_s, row.r.origin_cpu_s, row.r.cgi_cpu_s);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  const int requests = static_cast<int>(opts.Requests(2500));
+  iolbench::Figure fig("ipc_plane", argc, argv);
+  const int requests = static_cast<int>(fig.opts().Requests(2500));
   // Smoke mode verifies every response byte; full runs trust the checksum
   // column (still computed and compared) and spend the time on throughput.
-  const bool verify = opts.smoke;
+  const bool verify = fig.smoke();
 
   std::vector<uint64_t> doc_sizes = {4096, 16384, 65536};
-  if (opts.smoke) {
+  if (fig.smoke()) {
     doc_sizes = {8192};
   }
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Shared-memory plane: one worker implementation, in-process sim vs "
       "threads vs forked processes (host wall clock)",
       "series                 docKB      throughput     reqs   errs   "
       "copied-x-process   identical  checksum          wall");
 
-  std::vector<PlaneRow> rows;
   bool ok = true;
   for (uint64_t doc_bytes : doc_sizes) {
     double kb = static_cast<double>(doc_bytes) / 1024.0;
@@ -141,7 +121,7 @@ int main(int argc, char** argv) {
                   RunMode(iolipc::PlaneMode::kProcesses, true, doc_bytes, requests, verify)};
     for (const PlaneRow* row : {&sim, &thr, &proc, &copy}) {
       PrintRow(*row);
-      rows.push_back(*row);
+      fig.json().AddRaw(JsonRow(*row));
       ok = ok && row->r.ok && row->r.errors == 0 && row->r.byte_identical;
     }
     // The cross-mode contract, checked per size: one byte stream, and zero
@@ -153,13 +133,12 @@ int main(int argc, char** argv) {
          copy.r.bytes_copied_cross_process > 0;
   }
 
-  std::printf(
-      "# expectation: identical checksums down each column; zero copied "
-      "bytes except the copy row; process rows within scheduling noise of "
-      "threads\n");
-  bool json_ok = WriteJson(opts.json_path, opts.smoke, rows);
   if (!ok) {
     std::fprintf(stderr, "fig_ipc_plane: cross-mode contract violated\n");
   }
-  return ok && json_ok ? 0 : 1;
+  return fig.Finish(
+      "expectation: identical checksums down each column; zero copied "
+      "bytes except the copy row; process rows within scheduling noise of "
+      "threads",
+      [ok] { return ok; });
 }

@@ -12,60 +12,47 @@
 // Flash's (same machine, fewer cycles per byte).
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 
-namespace {
-
-ioldrv::ExperimentResult RunReplay(iolbench::ServerKind kind, const iolwl::Trace& trace,
-                                   const iolwl::TimestampedLog& log, uint64_t warmup) {
-  iolbench::Bench b = iolbench::MakeBench(kind);
-  std::vector<iolfs::FileId> ids = trace.Materialize(&b.sys->fs());
-
-  ioldrv::ExperimentConfig config;
-  // The log ends the run: every entry arrives exactly once, then the
-  // in-flight tail drains.
-  config.max_requests = log.entries.size();
-  config.warmup_requests = warmup;
-  config.enforce_cache_budget = true;
-  ioldrv::TraceReplay workload(&log, ids, /*initial_pool=*/16);
-  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
-                                b.server.get(), config);
-  // Every arrival is pinned by the log; the fallback source is never asked.
-  return experiment.Run(&workload, [&ids] { return ids[0]; });
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig_latency_load", opts);
+  iolbench::Figure fig("fig_latency_load", argc, argv);
 
   iolwl::TraceSpec spec = iolwl::SubtraceSpec();
-  spec.num_requests = opts.smoke ? 2000 : 25000;
+  spec.num_requests = fig.smoke() ? 2000 : 25000;
   iolwl::Trace trace = iolwl::Trace::Generate(spec);
-  const uint64_t warmup = opts.Warmup(1000);  // 20 in smoke mode.
 
   const std::vector<double> rates =
-      opts.smoke ? std::vector<double>{150, 600}
-                 : std::vector<double>{100, 200, 300, 450, 600, 750};
+      fig.smoke() ? std::vector<double>{150, 600}
+                  : std::vector<double>{100, 200, 300, 450, 600, 750};
 
-  iolbench::PrintHeader(
-      "Latency vs offered load: timestamped MERGED-subtrace replay",
-      "rate_per_sec\tserver\tmbps\tp50_ms\tp99_ms\tmax_ms");
+  fig.Header("Latency vs offered load: timestamped MERGED-subtrace replay",
+             "rate_per_sec\tserver\tmbps\tp50_ms\tp99_ms\tmax_ms");
   for (double rate : rates) {
     iolwl::TimestampedLog log = iolwl::SynthesizeArrivals(trace, rate, /*seed=*/4242);
     for (ServerKind kind : {ServerKind::kFlashLite, ServerKind::kFlash}) {
-      ioldrv::ExperimentResult r = RunReplay(kind, trace, log, warmup);
+      iolbench::Cell cell;
+      cell.kind = kind;
+      cell.trace = &trace;
+      cell.config.warmup_requests = 1000;
+      cell.config.enforce_cache_budget = true;
+      // Every arrival is pinned by the log, and the log ends the run: every
+      // entry arrives exactly once, then the in-flight tail drains.
+      cell.setup = [&log](iolbench::Machine& m) {
+        m.config.max_requests = log.entries.size();
+        return std::make_unique<ioldrv::TraceReplay>(&log, m.ids, /*initial_pool=*/16);
+      };
+      ioldrv::ExperimentResult r = fig.Run(cell).result;
       std::printf("%.0f\t%s\t%.1f\t%.2f\t%.2f\t%.2f\n", rate, iolbench::Name(kind),
                   r.megabits_per_sec, r.latency.p50_ms, r.latency.p99_ms,
                   r.latency.max_ms);
-      json.AddExperiment(iolbench::Name(kind), rate, r);
+      fig.json().AddExperiment(iolbench::Name(kind), rate, r);
     }
   }
-  std::printf("# expectation: p99 flat below each server's capacity, then a knee; "
-              "Flash-Lite's knee at a higher rate than Flash's\n");
-  return json.Flush() ? 0 : 1;
+  return fig.Finish(
+      "expectation: p99 flat below each server's capacity, then a knee; Flash-Lite's knee "
+      "at a higher rate than Flash's");
 }

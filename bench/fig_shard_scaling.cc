@@ -39,12 +39,9 @@ constexpr size_t kDocBytes = 1024;
 ioldrv::ShardMember MakeMember(size_t) {
   iolsys::SystemOptions options;
   options.cost.cpu_count = 8;  // One SMP machine per member.
-  iolbench::ApplyKindOptions(ServerKind::kFlashLite, &options);
-  ioldrv::ShardMember m;
-  m.sys = std::make_unique<iolsys::System>(options);
-  m.server = iolbench::MakeServer(ServerKind::kFlashLite, m.sys.get());
-  m.sys->fs().CreateFile("doc", kDocBytes);
-  return m;
+  iolbench::Bench b = iolbench::MakeBench(ServerKind::kFlashLite, options);
+  b.sys->fs().CreateFile("doc", kDocBytes);
+  return ioldrv::ShardMember{std::move(b.sys), std::move(b.server)};
 }
 
 struct Cell {
@@ -90,18 +87,17 @@ void CheckInvariant(const ioldrv::ExperimentResult& base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig_shard_scaling", opts);
+  iolbench::Figure fig("fig_shard_scaling", argc, argv);
 
   const std::vector<double> user_points =
-      opts.smoke ? std::vector<double>{100'000, 1'000'000}
-                 : std::vector<double>{100'000, 1'000'000, 10'000'000};
+      fig.smoke() ? std::vector<double>{100'000, 1'000'000}
+                  : std::vector<double>{100'000, 1'000'000, 10'000'000};
   const std::vector<int> shard_points{1, 2, 4};
-  const uint64_t requests = opts.smoke ? 400 : 60'000;
-  const uint64_t warmup = opts.smoke ? 40 : 2'000;
+  const uint64_t requests = fig.smoke() ? 400 : 60'000;
+  const uint64_t warmup = fig.smoke() ? 40 : 2'000;
   const unsigned cores = std::thread::hardware_concurrency();
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Shard scaling: 4-member Flash-Lite fleet, open-loop population "
       "(rate = users / 100 s think time)",
       "users\tshards\trequests\tMb/s\tp99_ms\tevents\tevents_per_sec\tspeedup\t"
@@ -134,8 +130,8 @@ int main(int argc, char** argv) {
                   cell.events_per_sec, speedup, s.window_ns / 1e6, s.barrier_wait_ns / 1e6);
       char series[32];
       std::snprintf(series, sizeof(series), "shards-%d", shards);
-      json.AddExperiment(series, users, r);
+      fig.json().AddExperiment(series, users, r);
     }
   }
-  return json.Flush() ? 0 : 1;
+  return fig.Finish("");
 }

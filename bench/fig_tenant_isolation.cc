@@ -19,10 +19,10 @@
 // >= 2x with the plane off; fleet throughput no more than 15% below the
 // QoS-off run, i.e. fair sharing is work-conserving, not throughput-traded).
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -35,12 +35,15 @@ constexpr uint64_t kCacheBudget = 2ull * 1024 * 1024;  // Unified cache bytes.
 constexpr uint64_t kHotReserved = 1536ull * 1024;      // Hot tenant's carve.
 constexpr int kScanFiles = 256;                        // x 64 KB = 8x budget.
 constexpr uint64_t kScanFileBytes = 64 * 1024;
+constexpr iolsim::TenantId kHot = 1;  // TenantMix: spec i is tenant i + 1.
+constexpr iolsim::TenantId kScan = 2;
 
-struct MixOutcome {
-  ioldrv::ExperimentResult result;
-  iolsim::TenantId hot_tenant = 1;
-  double cpu_utilization = 0;
-  double disk_utilization = 0;
+// The mix and the QoS plane it runs under. The cell destroys it before the
+// machine whose resources and cache the policy is attached to.
+struct QosMix : ioldrv::TenantMix {
+  using TenantMix::TenantMix;
+  iolqos::QosPolicy policy;
+  iolqos::CachePlan plan;
 };
 
 const ioldrv::TenantBreakdown* Breakdown(const ioldrv::ExperimentResult& result,
@@ -53,19 +56,13 @@ const ioldrv::TenantBreakdown* Breakdown(const ioldrv::ExperimentResult& result,
   return nullptr;
 }
 
-double HotP99(const MixOutcome& out) {
-  const ioldrv::TenantBreakdown* b = Breakdown(out.result, out.hot_tenant);
+double HotP99(const iolbench::CellRun& out) {
+  const ioldrv::TenantBreakdown* b = Breakdown(out.result, kHot);
   return b != nullptr ? b->latency.p99_ms : 0;
 }
 
-MixOutcome RunMix(bool with_scan, bool wfq, bool partition,
-                  const iolbench::BenchOptions& opts) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = 2;   // Two fleet members, one CPU + disk arm each.
-  options.cost.disk_count = 2;
-  iolbench::ApplyKindOptions(iolbench::ServerKind::kFlashLiteLru, &options);
-  auto sys = std::make_unique<iolsys::System>(options);
-
+iolbench::CellRun RunMix(bool with_scan, bool wfq, bool partition,
+                         const iolbench::Figure& fig) {
   // The hot tenant's working set: 160 Zipf-popular files, ~1.25 MB total —
   // fits the reserved carve, but its tail's reuse interval is longer than
   // an entry's lifetime under the scan's global-LRU churn, so without
@@ -80,104 +77,72 @@ MixOutcome RunMix(bool with_scan, bool wfq, bool partition,
   hot_spec.size_sigma = 0.5;
   hot_spec.seed = 11;
   iolwl::Trace hot_trace = iolwl::Trace::Generate(hot_spec);
-  std::vector<iolfs::FileId> hot_ids = hot_trace.Materialize(&sys->fs());
-
-  // The scan tenant cycles a set 4x the cache budget: every request is a
-  // compulsory miss once the cycle exceeds the cache, and each insert
-  // evicts someone.
-  std::vector<iolfs::FileId> scan_ids;
-  scan_ids.reserve(kScanFiles);
-  for (int i = 0; i < kScanFiles; ++i) {
-    scan_ids.push_back(sys->fs().CreateFile("scan" + std::to_string(i), kScanFileBytes));
-  }
-
   iolsim::Rng hot_rng(4242);
-  const std::vector<uint32_t>& hot_reqs = hot_trace.requests();
-  size_t scan_cursor = 0;
 
-  std::vector<ioldrv::TenantWorkloadSpec> specs;
-  ioldrv::TenantWorkloadSpec hot;
-  hot.name = "hot-zipf";
-  hot.weight = 8;
-  hot.clients = opts.Clients(12);
-  hot.cache_reserved_bytes = kHotReserved;
-  hot.next_file = [&hot_rng, &hot_reqs, &hot_ids] {
-    return hot_ids[hot_reqs[hot_rng.NextBelow(hot_reqs.size())]];
-  };
-  specs.push_back(hot);
-  if (with_scan) {
-    ioldrv::TenantWorkloadSpec scan;
-    scan.name = "scan";
-    scan.weight = 1;
-    scan.clients = opts.Clients(24);
-    scan.next_file = [&scan_ids, &scan_cursor] {
-      iolfs::FileId f = scan_ids[scan_cursor];
-      scan_cursor = (scan_cursor + 1) % scan_ids.size();
-      return f;
+  iolbench::Cell cell;
+  cell.kind = iolbench::ServerKind::kFlashLiteLru;
+  cell.members = 2;  // One CPU + disk arm each.
+  cell.trace = &hot_trace;
+  cell.config.persistent_connections = true;
+  cell.config.max_requests = 6000;
+  cell.config.warmup_requests = 1000;
+  cell.config.cache_budget_bytes = kCacheBudget;
+  cell.setup = [&](iolbench::Machine& m) -> std::unique_ptr<ioldrv::Workload> {
+    std::vector<ioldrv::TenantWorkloadSpec> specs(1);
+    specs[0].name = "hot-zipf";
+    specs[0].weight = 8;
+    specs[0].clients = fig.opts().Clients(12);
+    specs[0].cache_reserved_bytes = kHotReserved;
+    specs[0].next_file = [&hot_rng, &reqs = hot_trace.requests(), &ids = m.ids] {
+      return ids[reqs[hot_rng.NextBelow(reqs.size())]];
     };
-    specs.push_back(scan);
-  }
-  ioldrv::TenantMix mix(std::move(specs));
-
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < 2; ++i) {
-    servers.push_back(iolbench::MakeServer(iolbench::ServerKind::kFlashLiteLru, sys.get()));
-    members.push_back(servers.back().get());
-  }
-
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = opts.Requests(6000);
-  config.warmup_requests = opts.Warmup(1000);
-  config.cache_budget_bytes = kCacheBudget;
-
-  iolqos::QosPolicy policy;
-  iolqos::CachePlan plan;
-  if (wfq || partition) {
-    mix.Configure(&policy, partition ? &plan : nullptr);
-    config.qos = &policy;
-    sys->cache().AttachQos(&policy);
-    if (wfq) {
-      policy.AttachWfq(&sys->ctx());
-      policy.SetStarvationBound(500 * iolsim::kMillisecond);
+    if (with_scan) {
+      // The scan tenant cycles a set 4x the cache budget: every request is
+      // a compulsory miss once the cycle exceeds the cache, and each insert
+      // evicts someone.
+      std::vector<iolfs::FileId> scan_ids;
+      for (int i = 0; i < kScanFiles; ++i) {
+        scan_ids.push_back(m.sys->fs().CreateFile("scan" + std::to_string(i), kScanFileBytes));
+      }
+      ioldrv::TenantWorkloadSpec scan;
+      scan.name = "scan";
+      scan.weight = 1;
+      scan.clients = fig.opts().Clients(24);
+      scan.next_file = [scan_ids, cursor = size_t{0}]() mutable {
+        iolfs::FileId f = scan_ids[cursor];
+        cursor = (cursor + 1) % scan_ids.size();
+        return f;
+      };
+      specs.push_back(std::move(scan));
     }
-    if (partition) {
-      plan.total_bytes = kCacheBudget;
-      sys->cache().SetPartitions(&plan);
+    auto mix = std::make_unique<QosMix>(std::move(specs));
+    if (wfq || partition) {
+      mix->Configure(&mix->policy, partition ? &mix->plan : nullptr);
+      m.config.qos = &mix->policy;
+      m.sys->cache().AttachQos(&mix->policy);
+      if (wfq) {
+        mix->policy.AttachWfq(&m.sys->ctx());
+        mix->policy.SetStarvationBound(500 * iolsim::kMillisecond);
+      }
+      if (partition) {
+        mix->plan.total_bytes = kCacheBudget;
+        m.sys->cache().SetPartitions(&mix->plan);
+      }
     }
-  }
-
-  // Deterministic prewarm: the hot working set starts resident (owned by
-  // the hot tenant under partitioning), so counted hot misses measure the
-  // scan's eviction pressure, not first touch.
-  sys->ctx().set_active_tenant(mix.tenant_id(0));
-  for (iolfs::FileId f : hot_ids) {
-    uint64_t size = sys->fs().SizeOf(f);
-    sys->cache().Insert(
-        f, 0, iolite::Aggregate::FromBuffer(sys->fs().ReadFromDisk(f, 0, size)));
-  }
-  sys->ctx().set_active_tenant(iolsim::kDefaultTenant);
-
-  ioldrv::Experiment experiment(&sys->ctx(), &sys->net(), &sys->cache(),
-                                ioldrv::Fleet(members), config);
-  MixOutcome out;
-  out.result = experiment.Run(&mix, [&hot_ids] { return hot_ids[0]; });
-  out.hot_tenant = mix.tenant_id(0);
-
-  iolsim::SimTime elapsed = sys->ctx().clock().now();
-  if (elapsed > 0) {
-    out.cpu_utilization = static_cast<double>(sys->ctx().cpu().busy_time()) /
-                          (static_cast<double>(elapsed) * sys->ctx().cpu().units());
-    out.disk_utilization = static_cast<double>(sys->ctx().disk().busy_time()) /
-                           (static_cast<double>(elapsed) * sys->ctx().disk().units());
-  }
-  return out;
+    // Deterministic prewarm: the hot working set starts resident (owned by
+    // the hot tenant under partitioning), so counted hot misses measure the
+    // scan's eviction pressure, not first touch.
+    m.sys->ctx().set_active_tenant(kHot);
+    iolbench::Prewarm(m.sys, m.ids);
+    m.sys->ctx().set_active_tenant(iolsim::kDefaultTenant);
+    return mix;
+  };
+  return fig.Run(cell);
 }
 
-void PrintRow(const char* series, const MixOutcome& out, double solo_p99) {
-  const ioldrv::TenantBreakdown* hot = Breakdown(out.result, out.hot_tenant);
-  const ioldrv::TenantBreakdown* scan = Breakdown(out.result, 2);
+void PrintRow(const char* series, const iolbench::CellRun& out, double solo_p99) {
+  const ioldrv::TenantBreakdown* hot = Breakdown(out.result, kHot);
+  const ioldrv::TenantBreakdown* scan = Breakdown(out.result, kScan);
   std::printf("%-14s\t%8.2f\t%5.2fx\t%7.2f\t%6.1f\t%5.0f%%\t%4.0f%%\n", series,
               hot != nullptr ? hot->latency.p99_ms : 0,
               solo_p99 > 0 && hot != nullptr ? hot->latency.p99_ms / solo_p99 : 0,
@@ -190,60 +155,59 @@ void PrintRow(const char* series, const MixOutcome& out, double solo_p99) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("fig_tenant_isolation", opts);
+  iolbench::Figure fig("fig_tenant_isolation", argc, argv);
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Tenant isolation: hot-Zipf tenant p99 vs cache-busting scan, QoS "
       "plane swept",
       "cell          \t hot p99\tvs solo\tscan p99\t  Mb/s\t hot hit\tcpu");
 
-  MixOutcome solo = RunMix(false, false, false, opts);
+  iolbench::CellRun solo = RunMix(false, false, false, fig);
   double solo_p99 = HotP99(solo);
   PrintRow("solo-hot", solo, solo_p99);
-  json.AddExperiment("solo-hot", 0, solo.result);
+  fig.json().AddExperiment("solo-hot", 0, solo.result);
 
-  struct Cell {
+  struct Config {
     const char* series;
     bool wfq;
     bool partition;
   };
-  const Cell kCells[4] = {{"no-qos", false, false},
-                          {"wfq-only", true, false},
-                          {"partition-only", false, true},
-                          {"wfq+partition", true, true}};
-  MixOutcome cells[4];
+  const Config kConfigs[4] = {{"no-qos", false, false},
+                              {"wfq-only", true, false},
+                              {"partition-only", false, true},
+                              {"wfq+partition", true, true}};
+  iolbench::CellRun cells[4];
   for (int i = 0; i < 4; ++i) {
-    cells[i] = RunMix(true, kCells[i].wfq, kCells[i].partition, opts);
-    PrintRow(kCells[i].series, cells[i], solo_p99);
-    json.AddExperiment(kCells[i].series, i + 1, cells[i].result);
+    cells[i] = RunMix(true, kConfigs[i].wfq, kConfigs[i].partition, fig);
+    PrintRow(kConfigs[i].series, cells[i], solo_p99);
+    fig.json().AddExperiment(kConfigs[i].series, i + 1, cells[i].result);
   }
 
-  std::printf(
-      "# expectation: no-qos >= 2x solo p99; wfq+partition <= 1.25x solo "
-      "p99 at comparable CPU utilization (work-conserving)\n");
-
-  bool ok = true;
-  if (!opts.smoke) {
-    // The isolation invariants the ISSUE pins; smoke runs are too short to
-    // reach the adversarial steady state, so only full runs enforce them.
-    double degraded = HotP99(cells[0]) / solo_p99;
-    double isolated = HotP99(cells[3]) / solo_p99;
-    // One-sided: fairness must not be bought with throughput. (QoS on
-    // typically serves MORE — restoring the hot tenant's hits takes load
-    // off the disk — and that direction is a win, not a violation.)
-    double util_gap =
-        cells[0].result.megabits_per_sec > 0
-            ? (cells[0].result.megabits_per_sec - cells[3].result.megabits_per_sec) /
-                  cells[0].result.megabits_per_sec
-            : 0;
-    std::printf("# no-qos degradation %.2fx (need >= 2): %s\n", degraded,
-                degraded >= 2.0 ? "ok" : "FAIL");
-    std::printf("# wfq+partition ratio %.2fx (need <= 1.25): %s\n", isolated,
-                isolated <= 1.25 ? "ok" : "FAIL");
-    std::printf("# fleet throughput loss vs no-qos %.1f%% (need <= 15%%): %s\n",
-                util_gap * 100.0, util_gap <= 0.15 ? "ok" : "FAIL");
-    ok = degraded >= 2.0 && isolated <= 1.25 && util_gap <= 0.15;
-  }
-  return json.Flush() && ok ? 0 : 1;
+  return fig.Finish(
+      "expectation: no-qos >= 2x solo p99; wfq+partition <= 1.25x solo "
+      "p99 at comparable CPU utilization (work-conserving)",
+      [&] {
+        // The isolation invariants; smoke runs are too short to reach the
+        // adversarial steady state, so only full runs enforce them.
+        if (fig.smoke()) {
+          return true;
+        }
+        double degraded = HotP99(cells[0]) / solo_p99;
+        double isolated = HotP99(cells[3]) / solo_p99;
+        // One-sided: fairness must not be bought with throughput. (QoS on
+        // typically serves MORE — restoring the hot tenant's hits takes load
+        // off the disk — and that direction is a win, not a violation.)
+        double util_gap =
+            cells[0].result.megabits_per_sec > 0
+                ? (cells[0].result.megabits_per_sec - cells[3].result.megabits_per_sec) /
+                      cells[0].result.megabits_per_sec
+                : 0;
+        std::printf("# no-qos degradation %.2fx (need >= 2): %s\n", degraded,
+                    degraded >= 2.0 ? "ok" : "FAIL");
+        std::printf("# wfq+partition ratio %.2fx (need <= 1.25): %s\n", isolated,
+                    isolated <= 1.25 ? "ok" : "FAIL");
+        std::printf("# fleet throughput loss vs no-qos %.1f%% (need <= 15%%): %s\n",
+                    util_gap * 100.0, util_gap <= 0.15 ? "ok" : "FAIL");
+        return degraded >= 2.0 && isolated <= 1.25 && util_gap <= 0.15;
+      });
 }

@@ -55,6 +55,10 @@ struct PerfRow {
   double events_per_sec = 0;
 };
 
+PerfRow MakeRow(uint64_t requests, uint64_t events, double wall_ms) {
+  return PerfRow{requests, events, wall_ms, wall_ms > 0 ? events / (wall_ms / 1000.0) : 0};
+}
+
 void Report(iolbench::JsonReporter* json, const char* series, const PerfRow& row) {
   std::printf("%-18s requests=%-9llu events=%-9llu wall_ms=%9.2f events_per_sec=%.0f\n",
               series, static_cast<unsigned long long>(row.requests),
@@ -82,23 +86,11 @@ PerfRow RunRing(uint64_t steps) {
   Clock::time_point t0 = Clock::now();
   ctx.cpu().AcquireAsync(&ctx.events(), 10, [&ring] { ring.Step(); });
   ctx.events().RunAll();
-  PerfRow row;
-  row.wall_ms = MsSince(t0);
-  row.events = ctx.stats().events_dispatched;
-  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
-  return row;
+  return MakeRow(0, ctx.stats().events_dispatched, MsSince(t0));
 }
 
 constexpr int kFlows = 40;
 constexpr iolsim::SimTime kSegmentNs = 116'800;
-
-PerfRow LinkRow(uint64_t dispatched, Clock::time_point t0) {
-  PerfRow row;
-  row.wall_ms = MsSince(t0);
-  row.events = dispatched;
-  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
-  return row;
-}
 
 // 40 flows sharing one link, each re-acquiring it for one MSS segment
 // (1460 B at 100 Mb/s) at every completion until `steps` segments are
@@ -127,7 +119,7 @@ PerfRow RunLink(int units, uint64_t steps) {
     f.Send();
   }
   events.RunAll();
-  return LinkRow(dispatched, t0);
+  return MakeRow(0, dispatched, MsSince(t0));
 }
 
 // RunLink's flows on one unit as segment trains: the flow is the token,
@@ -157,7 +149,7 @@ PerfRow RunLinkTrain(uint64_t steps) {
     flows.TrainStep(f);
   }
   events.RunAll();
-  return LinkRow(dispatched, t0);
+  return MakeRow(0, dispatched, MsSince(t0));
 }
 
 // The macro run: a closed-loop population hammering one cached document
@@ -167,50 +159,39 @@ PerfRow RunLinkTrain(uint64_t steps) {
 // allocation-free.
 PerfRow RunMacro(ServerKind kind, size_t doc_bytes, uint64_t requests,
                  bool persistent = true, int clients = 60) {
-  iolbench::Bench b = iolbench::MakeBench(kind);
-  iolfs::FileId f = b.sys->fs().CreateFile("doc", doc_bytes);
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = persistent;
-  config.max_requests = requests;
-  config.warmup_requests = 1000;
-  ioldrv::ClosedLoop workload(clients);
-  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
-                                b.server.get(), config);
-  ioldrv::ExperimentResult r = experiment.Run(&workload, [f] { return f; });
-  PerfRow row;
-  row.requests = r.requests;
-  row.events = r.events_dispatched;
-  row.wall_ms = r.wall_ms;
-  row.events_per_sec = row.wall_ms > 0 ? row.events / (row.wall_ms / 1000.0) : 0;
-  return row;
+  iolbench::Cell cell = iolbench::SingleFileCell(kind, doc_bytes, persistent);
+  cell.clients = clients;
+  cell.config.max_requests = requests;
+  cell.config.warmup_requests = 1000;
+  ioldrv::ExperimentResult r = iolbench::RunCell(cell).result;
+  return MakeRow(r.requests, r.events_dispatched, r.wall_ms);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("micro_engine", opts);
+  iolbench::Figure fig("micro_engine", argc, argv);
 
-  const uint64_t ring_steps = opts.smoke ? 20'000 : 5'000'000;
-  const uint64_t macro_requests = opts.smoke ? 2'000 : 1'000'000;
-  const uint64_t lite_requests = opts.smoke ? 2'000 : 500'000;
-  const uint64_t seg_requests = opts.smoke ? 1'000 : 1'000'000;
+  const uint64_t ring_steps = fig.smoke() ? 20'000 : 5'000'000;
+  const uint64_t macro_requests = fig.smoke() ? 2'000 : 1'000'000;
+  const uint64_t lite_requests = fig.smoke() ? 2'000 : 500'000;
+  const uint64_t seg_requests = fig.smoke() ? 1'000 : 1'000'000;
 
-  iolbench::PrintHeader("Engine wall-clock microbenchmark (host time, not simulated)",
+  fig.Header("Engine wall-clock microbenchmark (host time, not simulated)",
                         "series\trequests\tevents\twall_ms\tevents_per_sec");
 #ifndef NDEBUG
   std::printf("# NOTE: assert-enabled (Debug) build — compare like with like\n");
 #endif
-  Report(&json, "engine_ring", RunRing(ring_steps));
-  Report(&json, "link_stream", RunLink(1, ring_steps));
-  Report(&json, "link_train", RunLinkTrain(ring_steps));
-  Report(&json, "link_heap", RunLink(2, ring_steps));
-  Report(&json, "macro_flash_tiny", RunMacro(ServerKind::kFlash, 64, macro_requests));
-  Report(&json, "macro_flash", RunMacro(ServerKind::kFlash, 1024, macro_requests));
-  Report(&json, "macro_flash_lite",
+  Report(&fig.json(), "engine_ring", RunRing(ring_steps));
+  Report(&fig.json(), "link_stream", RunLink(1, ring_steps));
+  Report(&fig.json(), "link_train", RunLinkTrain(ring_steps));
+  Report(&fig.json(), "link_heap", RunLink(2, ring_steps));
+  Report(&fig.json(), "macro_flash_tiny", RunMacro(ServerKind::kFlash, 64, macro_requests));
+  Report(&fig.json(), "macro_flash", RunMacro(ServerKind::kFlash, 1024, macro_requests));
+  Report(&fig.json(), "macro_flash_lite",
          RunMacro(ServerKind::kFlashLite, 1024, lite_requests));
-  Report(&json, "macro_lite_50k",
+  Report(&fig.json(), "macro_lite_50k",
          RunMacro(ServerKind::kFlashLite, 50 * 1024, seg_requests,
                   /*persistent=*/false, /*clients=*/40));
-  return json.Flush() ? 0 : 1;
+  return fig.Finish("");
 }

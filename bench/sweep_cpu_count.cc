@@ -8,59 +8,38 @@
 // wire at one CPU for large files — gains little. The interesting output is
 // where each server's bottleneck moves from CPU to wire.
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 
-namespace {
-
-double RunWithCpus(iolbench::ServerKind kind, int cpus, size_t file_bytes, int clients,
-                   uint64_t requests, uint64_t warmup) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = cpus;
-  iolbench::Bench b = iolbench::MakeBench(kind, options);
-  iolfs::FileId f = b.sys->fs().CreateFile("doc", file_bytes);
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = requests;
-  config.warmup_requests = warmup;
-  ioldrv::ClosedLoop workload(clients);
-  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
-                                b.server.get(), config);
-  return experiment.Run(&workload, [f] { return f; }).megabits_per_sec;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("cpu_sweep", opts);
-  const int clients = opts.Clients(64);
-  const uint64_t requests = opts.Requests(4000);
-  const uint64_t warmup = opts.Warmup(200);
+  iolbench::Figure fig("cpu_sweep", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache};
   const size_t kFileBytes = 20 * 1024;  // CPU-sensitive region of Figure 4.
 
-  iolbench::PrintHeader("CPU-count sweep: 20KB persistent-HTTP bandwidth (Mb/s)",
-                        "cpus\tFlash-Lite\tFlash\tApache\tapache_speedup_vs_1cpu");
+  fig.Header("CPU-count sweep: 20KB persistent-HTTP bandwidth (Mb/s)",
+             "cpus\tFlash-Lite\tFlash\tApache\tapache_speedup_vs_1cpu");
+  iolbench::Sweep sweep;
+  sweep.series = {"Flash-Lite", "Flash", "Apache"};
+  sweep.x = {1, 2, 4, 8};
+  sweep.labels = {"1", "2", "4", "8"};
+  sweep.value_rows = true;
+  sweep.cell = [&](size_t i, size_t s) {
+    iolbench::Cell cell = iolbench::SingleFileCell(kinds[s], kFileBytes, true);
+    cell.clients = 64;
+    cell.options.cost.cpu_count = static_cast<int>(sweep.x[i]);
+    return cell;
+  };
   double apache_base = 0;
-  for (int cpus : {1, 2, 4, 8}) {
-    double lite =
-        RunWithCpus(ServerKind::kFlashLite, cpus, kFileBytes, clients, requests, warmup);
-    double flash = RunWithCpus(ServerKind::kFlash, cpus, kFileBytes, clients, requests, warmup);
-    double apache =
-        RunWithCpus(ServerKind::kApache, cpus, kFileBytes, clients, requests, warmup);
-    if (cpus == 1) {
-      apache_base = apache;
+  sweep.ratios = [&](size_t i, const std::vector<ioldrv::ExperimentResult>& r) {
+    if (i == 0) {
+      apache_base = r[2].megabits_per_sec;
     }
-    std::printf("%d\t%.1f\t%.1f\t%.1f\t%.2f\n", cpus, lite, flash, apache,
-                apache_base > 0 ? apache / apache_base : 0.0);
-    json.Add("Flash-Lite", cpus, lite);
-    json.Add("Flash", cpus, flash);
-    json.Add("Apache", cpus, apache);
-  }
-  std::printf("# expectation: Apache scales near-linearly until the wire; Flash-Lite is "
-              "wire-bound from 1 CPU\n");
-  return json.Flush() ? 0 : 1;
+    return std::vector<double>{apache_base > 0 ? r[2].megabits_per_sec / apache_base : 0.0};
+  };
+  fig.Run(sweep);
+  return fig.Finish(
+      "expectation: Apache scales near-linearly until the wire; Flash-Lite is wire-bound "
+      "from 1 CPU");
 }

@@ -30,54 +30,10 @@
 
 namespace {
 
-ioldrv::ExperimentResult RunFleet(iolbench::ServerKind kind, int fleet_size,
-                                  bool least_connections, int clients,
-                                  uint64_t requests, uint64_t warmup) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = fleet_size;   // One CPU per member...
-  options.cost.disk_count = fleet_size;  // ...one disk arm per member...
-  iolbench::ApplyKindOptions(kind, &options);
-  auto sys = std::make_unique<iolsys::System>(options);  // ...one shared link.
-  iolfs::FileId f = sys->fs().CreateFile("doc", 10 * 1024);
-
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < fleet_size; ++i) {
-    servers.push_back(iolbench::MakeServer(kind, sys.get()));
-    members.push_back(servers.back().get());
-  }
-  std::unique_ptr<ioldrv::LoadBalancer> balancer;
-  if (least_connections) {
-    balancer = std::make_unique<ioldrv::LeastConnectionsBalancer>();
-  }
-  ioldrv::Fleet fleet(members, std::move(balancer));
-
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = requests;
-  config.warmup_requests = warmup;
-  ioldrv::ClosedLoop workload(clients);
-  ioldrv::Experiment experiment(&sys->ctx(), &sys->net(), &sys->cache(),
-                                std::move(fleet), config);
-  return experiment.Run(&workload, [f] { return f; });
-}
-
 // Heavy-tailed per-request cost: requests draw files from a Zipf trace with
 // a fat lognormal size tail, so service demands are wildly unequal across
-// arrivals and the balancing policy finally matters. Arrivals are open-loop
-// (fixed offered load): a closed loop would slow its arrival rate to
-// whatever the unluckier balancer sustains, hiding the queueing difference
-// the policy exists to fix.
-ioldrv::ExperimentResult RunFleetSkewed(iolbench::ServerKind kind, int fleet_size,
-                                        bool least_connections,
-                                        double arrivals_per_sec, uint64_t requests,
-                                        uint64_t warmup) {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = fleet_size;
-  options.cost.disk_count = fleet_size;
-  iolbench::ApplyKindOptions(kind, &options);
-  auto sys = std::make_unique<iolsys::System>(options);
-
+// arrivals and the balancing policy finally matters.
+iolwl::Trace SkewedTrace() {
   iolwl::TraceSpec spec;
   spec.name = "fleet-skew";
   spec.num_files = 200;
@@ -87,108 +43,95 @@ ioldrv::ExperimentResult RunFleetSkewed(iolbench::ServerKind kind, int fleet_siz
   spec.zipf_alpha = 1.0;   // The existing popularity-skew knob of trace.cc.
   spec.size_sigma = 2.0;   // Fat size tail: p99 cost >> median cost.
   spec.seed = 99;
-  iolwl::Trace trace = iolwl::Trace::Generate(spec);
-  std::vector<iolfs::FileId> ids = trace.Materialize(&sys->fs());
-
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < fleet_size; ++i) {
-    servers.push_back(iolbench::MakeServer(kind, sys.get()));
-    members.push_back(servers.back().get());
-  }
-  std::unique_ptr<ioldrv::LoadBalancer> balancer;
-  if (least_connections) {
-    balancer = std::make_unique<ioldrv::LeastConnectionsBalancer>();
-  }
-  ioldrv::Fleet fleet(members, std::move(balancer));
-
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = requests;
-  config.warmup_requests = warmup;
-  // Tight per-member concurrency cap: one giant response occupies a quarter
-  // of a member's slots, so arrivals back up in *that member's* accept
-  // queue — the per-member queueing that lets the balancing policy matter
-  // (the members' CPUs are one pooled resource, so without admission queues
-  // every policy looks identical). Round-robin keeps queueing behind the
-  // stuck member even while siblings have free slots; least-connections
-  // steers around it.
-  config.max_concurrent = 4;
-  ioldrv::OpenLoopPoisson workload(arrivals_per_sec, 0x5eed);
-  ioldrv::Experiment experiment(&sys->ctx(), &sys->net(), &sys->cache(),
-                                std::move(fleet), config);
-  iolsim::Rng rng(4242);
-  const std::vector<uint32_t>& reqs = trace.requests();
-  return experiment.Run(&workload, [&]() -> iolfs::FileId {
-    return ids[reqs[rng.NextBelow(reqs.size())]];
-  });
+  return iolwl::Trace::Generate(spec);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using iolbench::ServerKind;
-  iolbench::BenchOptions opts = iolbench::ParseBenchOptions(argc, argv);
-  iolbench::JsonReporter json("sweep_fleet", opts);
-  const int clients = opts.Clients(96);
-  const uint64_t requests = opts.Requests(4000);
-  const uint64_t warmup = opts.Warmup(200);
+  iolbench::Figure fig("sweep_fleet", argc, argv);
+  const ServerKind kinds[] = {ServerKind::kFlashLite, ServerKind::kFlash, ServerKind::kApache,
+                              ServerKind::kApache};
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Fleet sweep: N members (1 CPU + 1 disk each), shared front link, "
       "10KB persistent HTTP (Mb/s)",
       "fleet\tFlash-Lite\tFlash\tApache\tApache-lc\tapache_p99_rr/lc");
-  for (int n : {1, 2, 4, 8}) {
-    ioldrv::ExperimentResult lite =
-        RunFleet(ServerKind::kFlashLite, n, false, clients, requests, warmup);
-    ioldrv::ExperimentResult flash =
-        RunFleet(ServerKind::kFlash, n, false, clients, requests, warmup);
-    ioldrv::ExperimentResult apache =
-        RunFleet(ServerKind::kApache, n, false, clients, requests, warmup);
-    ioldrv::ExperimentResult apache_lc =
-        RunFleet(ServerKind::kApache, n, true, clients, requests, warmup);
-    std::printf("%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n", n, lite.megabits_per_sec,
-                flash.megabits_per_sec, apache.megabits_per_sec,
-                apache_lc.megabits_per_sec,
-                apache_lc.latency.p99_ms > 0
-                    ? apache.latency.p99_ms / apache_lc.latency.p99_ms
-                    : 0.0);
-    json.AddExperiment("Flash-Lite", n, lite);
-    json.AddExperiment("Flash", n, flash);
-    json.AddExperiment("Apache", n, apache);
-    json.AddExperiment("Apache/least-conn", n, apache_lc);
-    if (n == 4) {
+  iolbench::Sweep sweep;
+  sweep.series = {"Flash-Lite", "Flash", "Apache", "Apache/least-conn"};
+  sweep.x = {1, 2, 4, 8};
+  sweep.labels = {"1", "2", "4", "8"};
+  sweep.cell = [&](size_t i, size_t s) {
+    iolbench::Cell cell = iolbench::SingleFileCell(kinds[s], 10 * 1024, true);
+    cell.members = static_cast<int>(sweep.x[i]);  // One CPU and disk arm each...
+    cell.least_connections = s == 3;              // ...one shared link.
+    cell.clients = 96;
+    return cell;
+  };
+  sweep.ratios = [](size_t, const std::vector<ioldrv::ExperimentResult>& r) {
+    return std::vector<double>{
+        r[3].latency.p99_ms > 0 ? r[2].latency.p99_ms / r[3].latency.p99_ms : 0.0};
+  };
+  sweep.after = [&](size_t i, const std::vector<ioldrv::ExperimentResult>& r) {
+    if (sweep.x[i] == 4) {
       std::printf("# 4-member Apache fleet share (round-robin): ");
-      for (const ioldrv::ServerShare& s : apache.per_server) {
-        std::printf("%llu ", static_cast<unsigned long long>(s.requests));
+      for (const ioldrv::ServerShare& share : r[2].per_server) {
+        std::printf("%llu ", static_cast<unsigned long long>(share.requests));
       }
       std::printf("requests/member\n");
     }
-  }
+  };
+  fig.Run(sweep);
   std::printf("# expectation: copy-based fleets scale until the shared link; "
               "Flash-Lite near the link from one member\n");
 
-  iolbench::PrintHeader(
+  fig.Header(
       "Fleet sweep, heavy-tailed request costs (Zipf trace, fat size tail): "
       "round-robin vs least-connections",
       "fleet\trr_p99_ms\tlc_p99_ms\tp99 rr/lc\trr Mb/s\tlc Mb/s");
+  iolwl::Trace trace = SkewedTrace();
   for (int n : {4, 8}) {
-    // Loaded enough that members intermittently hit their admission cap
-    // (where steering matters), below saturation so the open loop stays
-    // stable — tuned against the measured capacity on this trace.
-    double rate = 320.0 * n;
-    ioldrv::ExperimentResult rr = RunFleetSkewed(ServerKind::kApache, n, false,
-                                                 rate, requests, warmup);
-    ioldrv::ExperimentResult lc = RunFleetSkewed(ServerKind::kApache, n, true,
-                                                 rate, requests, warmup);
+    ioldrv::ExperimentResult runs[2];
+    for (int lc = 0; lc < 2; ++lc) {
+      iolbench::Cell cell;
+      cell.kind = ServerKind::kApache;
+      cell.members = n;
+      cell.least_connections = lc == 1;
+      cell.trace = &trace;
+      cell.draw_seed = 4242;
+      cell.config.persistent_connections = true;
+      cell.config.max_requests = 4000;
+      cell.config.warmup_requests = 200;
+      // Tight per-member concurrency cap: one giant response occupies a
+      // quarter of a member's slots, so arrivals back up in *that member's*
+      // accept queue — the per-member queueing that lets the balancing
+      // policy matter (the members' CPUs are one pooled resource, so without
+      // admission queues every policy looks identical). Round-robin keeps
+      // queueing behind the stuck member even while siblings have free
+      // slots; least-connections steers around it.
+      cell.config.max_concurrent = 4;
+      // Open-loop arrivals (fixed offered load): a closed loop would slow
+      // its arrival rate to whatever the unluckier balancer sustains,
+      // hiding the queueing difference the policy exists to fix. Loaded
+      // enough that members intermittently hit their admission cap (where
+      // steering matters), below saturation so the open loop stays stable
+      // — tuned against the measured capacity on this trace.
+      cell.setup = [n](iolbench::Machine&) {
+        return std::make_unique<ioldrv::OpenLoopPoisson>(320.0 * n, 0x5eed);
+      };
+      runs[lc] = fig.Run(cell).result;
+    }
+    const ioldrv::ExperimentResult& rr = runs[0];
+    const ioldrv::ExperimentResult& lc = runs[1];
     std::printf("%d\t%.2f\t%.2f\t%.2f\t%.1f\t%.1f\n", n, rr.latency.p99_ms,
                 lc.latency.p99_ms,
                 lc.latency.p99_ms > 0 ? rr.latency.p99_ms / lc.latency.p99_ms : 0.0,
                 rr.megabits_per_sec, lc.megabits_per_sec);
-    json.AddExperiment("Apache-skew", n, rr);
-    json.AddExperiment("Apache-skew/least-conn", n, lc);
+    fig.json().AddExperiment("Apache-skew", n, rr);
+    fig.json().AddExperiment("Apache-skew/least-conn", n, lc);
   }
-  std::printf("# expectation: least-connections tightens the p99 tail once "
-              "per-request costs are heavy-tailed\n");
-  return json.Flush() ? 0 : 1;
+  return fig.Finish(
+      "expectation: least-connections tightens the p99 tail once per-request costs are "
+      "heavy-tailed");
 }

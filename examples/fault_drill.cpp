@@ -17,12 +17,8 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "src/driver/telemetry.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/recovery.h"
 
@@ -36,47 +32,11 @@ constexpr uint64_t kRequests = 3000;
 constexpr uint64_t kWarmup = 100;
 
 struct DrillRun {
-  ioldrv::ExperimentResult result;
-  uint64_t fold = 0;
+  iolbench::CellRun cell;
   uint64_t outcomes[5] = {0, 0, 0, 0, 0};  // Indexed by ioldrv::Outcome.
 };
 
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
-  return h * 0xff51afd7ed558ccdull;
-}
-
 DrillRun RunDrill() {
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = kMembers;
-  options.cost.disk_count = kMembers;
-  iolbench::ApplyKindOptions(iolbench::ServerKind::kFlashLite, &options);
-  auto sys = std::make_unique<iolsys::System>(options);
-
-  std::vector<iolfs::FileId> ids;
-  for (int i = 0; i < kDocs; ++i) {
-    ids.push_back(sys->fs().CreateFile("doc" + std::to_string(i), kDocBytes));
-  }
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> servers;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < kMembers; ++i) {
-    servers.push_back(iolbench::MakeServer(iolbench::ServerKind::kFlashLite, sys.get()));
-    members.push_back(servers.back().get());
-  }
-
-  // Deterministic prewarm (see fig_fault_tolerance): the drill measures
-  // recovery, not cold-start fill. The discarded tally keeps the fill from
-  // advancing the clock — the scripted fault times below are absolute.
-  {
-    iolsim::Tally prewarm;
-    iolsim::TallyScope scope(&sys->ctx(), &prewarm);
-    for (iolfs::FileId f : ids) {
-      uint64_t size = sys->fs().SizeOf(f);
-      sys->cache().Insert(
-          f, 0, iolite::Aggregate::FromBuffer(sys->fs().ReadFromDisk(f, 0, size)));
-    }
-  }
-
   // All faults land after the warmup drains (~35 ms with a warm cache), so
   // every casualty falls inside the counted window.
   using iolsim::kMillisecond;
@@ -86,7 +46,23 @@ DrillRun RunDrill() {
       .AddLinkOutage(210 * kMillisecond, 3 * kMillisecond)
       .AddMemberCrash(260 * kMillisecond, /*member=*/0, /*restart=*/15 * kMillisecond);
 
-  iolfault::RecoveryConfig rec;
+  iolbench::Cell cell;
+  cell.kind = iolbench::ServerKind::kFlashLite;
+  cell.members = kMembers;
+  cell.least_connections = true;
+  cell.docs = kDocs;
+  cell.file_bytes = kDocBytes;
+  cell.draw_seed = 777;
+  cell.clients = kClients;
+  // Deterministic prewarm off the clock (see fig_fault_tolerance): the drill
+  // measures recovery, not cold-start fill, and the scripted fault times
+  // above are absolute.
+  cell.setup = iolbench::PrewarmOffClock;
+  cell.config.persistent_connections = true;
+  cell.config.max_requests = kRequests;
+  cell.config.warmup_requests = kWarmup;
+  cell.config.faults = &plan;
+  iolfault::RecoveryConfig& rec = cell.config.recovery;
   rec.request_timeout = 40 * kMillisecond;
   rec.max_retries = 3;
   rec.retry_backoff = kMillisecond;
@@ -97,37 +73,13 @@ DrillRun RunDrill() {
   rec.unhealthy_after = 1;
   rec.healthy_after = 3;
 
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = kRequests;
-  config.warmup_requests = kWarmup;
-  config.faults = &plan;
-  config.recovery = rec;
-
-  ioldrv::ClosedLoop workload(kClients);
-  ioldrv::Experiment experiment(
-      &sys->ctx(), &sys->net(), &sys->cache(),
-      ioldrv::Fleet(members, std::make_unique<ioldrv::LeastConnectionsBalancer>()),
-      config);
-  iolsim::Rng rng(777);
   DrillRun run;
-  run.result = experiment.Run(&workload, [&rng, &ids]() -> iolfs::FileId {
-    return ids[rng.NextBelow(ids.size())];
-  });
-
-  uint64_t h = 1469598103934665603ull;
-  for (const ioldrv::RequestRecord& r : experiment.telemetry().records()) {
-    h = Mix(h, r.issue);
-    h = Mix(h, r.complete);
-    h = Mix(h, r.bytes);
-    h = Mix(h, r.server);
-    h = Mix(h, static_cast<uint64_t>(r.outcome));
-    h = Mix(h, r.attempts);
+  run.cell = iolbench::RunCell(cell);
+  for (const ioldrv::RequestRecord& r : run.cell.telemetry.records()) {
     if (r.counted) {
       ++run.outcomes[static_cast<int>(r.outcome)];
     }
   }
-  run.fold = Mix(h, sys->ctx().clock().now());
   return run;
 }
 
@@ -137,28 +89,31 @@ int main() {
   std::printf("# fault drill: scripted crash/fail-slow/link-outage chaos, full recovery lattice\n");
   DrillRun a = RunDrill();
   DrillRun b = RunDrill();
+  const ioldrv::ExperimentResult& result = a.cell.result;
+  uint64_t fold = iolbench::FoldRecords(a.cell.telemetry.records());
+  bool identical = fold == iolbench::FoldRecords(b.cell.telemetry.records()) &&
+                   a.cell.final_clock == b.cell.final_clock;
 
-  std::printf("requests      %llu\n", static_cast<unsigned long long>(a.result.requests));
-  std::printf("availability  %.4f%%\n", a.result.availability * 100.0);
+  std::printf("requests      %llu\n", static_cast<unsigned long long>(result.requests));
+  std::printf("availability  %.4f%%\n", result.availability * 100.0);
   std::printf("outcomes      ok=%llu retried-ok=%llu hedge-won=%llu timed-out=%llu failed=%llu\n",
               static_cast<unsigned long long>(a.outcomes[0]),
               static_cast<unsigned long long>(a.outcomes[1]),
               static_cast<unsigned long long>(a.outcomes[2]),
               static_cast<unsigned long long>(a.outcomes[3]),
               static_cast<unsigned long long>(a.outcomes[4]));
-  std::printf("retries       %llu\n", static_cast<unsigned long long>(a.result.retries));
-  std::printf("hedges        %llu\n", static_cast<unsigned long long>(a.result.hedges));
-  std::printf("ejections     %llu\n", static_cast<unsigned long long>(a.result.health_ejections));
-  std::printf("blackholed    %llu\n", static_cast<unsigned long long>(a.result.blackholed_arrivals));
-  std::printf("drops         %llu\n", static_cast<unsigned long long>(a.result.response_drops));
-  std::printf("p99           %.2f ms\n", a.result.latency.p99_ms);
+  std::printf("retries       %llu\n", static_cast<unsigned long long>(result.retries));
+  std::printf("hedges        %llu\n", static_cast<unsigned long long>(result.hedges));
+  std::printf("ejections     %llu\n", static_cast<unsigned long long>(result.health_ejections));
+  std::printf("blackholed    %llu\n", static_cast<unsigned long long>(result.blackholed_arrivals));
+  std::printf("drops         %llu\n", static_cast<unsigned long long>(result.response_drops));
+  std::printf("p99           %.2f ms\n", result.latency.p99_ms);
   std::printf("record fold   %016llx (run twice: %s)\n",
-              static_cast<unsigned long long>(a.fold),
-              a.fold == b.fold ? "identical" : "DIVERGED");
+              static_cast<unsigned long long>(fold), identical ? "identical" : "DIVERGED");
 
   bool recovered = a.outcomes[1] + a.outcomes[2] > 0;  // Retried or hedged wins.
-  bool ok = a.result.availability >= 0.999 && recovered &&
-            a.result.health_ejections > 0 && a.fold == b.fold;
+  bool ok = result.availability >= 0.999 && recovered &&
+            result.health_ejections > 0 && identical;
   std::printf("drill         %s\n", ok ? "ok" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -9,7 +9,10 @@
 //    yields byte-identical per-request record streams.
 //  * Golden end-to-end checks: the fig03/fig05 smoke configurations are
 //    pinned to the exact numbers the pre-rebuild engine produced (captured
-//    from commit e6f7449 + the events_dispatched counter). Any engine
+//    from commit e6f7449 + the events_dispatched counter), and fig12's copy
+//    servers at LAN and 150 ms RTT to the numbers the figure produced
+//    before it moved onto the shared cell runner. Each runs the figure's
+//    own cell (bench/bench_util.h) through RunCell. Any engine
 //    change that reorders events, re-times a stage, or double-counts an
 //    operation fails these loudly. If a change is *supposed* to alter
 //    simulated behavior, recapture the goldens and say so in the PR.
@@ -21,7 +24,6 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -55,61 +57,30 @@ struct Golden {
   int64_t final_clock_ns;
 };
 
-struct RunOutput {
-  ioldrv::ExperimentResult result;
-  iolsim::SimStats stats;
-  int64_t final_clock_ns = 0;
-  std::vector<ioldrv::RequestRecord> records;
-};
+using RunOutput = iolbench::CellRun;
 
-// The fig03 smoke shape: 8 clients, 120 counted requests, 20 warmup,
+// The figures' smoke scaling (--smoke).
+const iolbench::BenchOptions kSmoke{"", true};
+
+// The fig03 smoke cell: 8 clients, 120 counted requests, 20 warmup,
 // nonpersistent connections, one document.
 RunOutput RunSingleFileSmoke(ServerKind kind, size_t file_bytes,
                              iolsys::SystemOptions options = {}) {
-  iolbench::Bench b = iolbench::MakeBench(kind, options);
-  iolfs::FileId f = b.sys->fs().CreateFile("doc", file_bytes);
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = false;
-  config.max_requests = 120;
-  config.warmup_requests = 20;
-  ioldrv::ClosedLoop workload(8);
-  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
-                                b.server.get(), config);
-  RunOutput out;
-  out.result = experiment.Run(&workload, [f] { return f; });
-  out.stats = b.sys->ctx().stats();
-  out.final_clock_ns = b.sys->ctx().clock().now();
-  out.records = experiment.telemetry().records();
-  return out;
+  iolbench::Cell cell = iolbench::SingleFileCell(kind, file_bytes, false);
+  cell.options = options;
+  return iolbench::RunCell(kSmoke.Scale(cell));
 }
 
-// The fig05 smoke shape: same population, FastCGI servers.
+// The fig05 smoke cell: same population, FastCGI servers.
 RunOutput RunCgiSmoke(ServerKind kind, size_t doc_bytes) {
-  iolsys::SystemOptions options;
-  options.checksum_cache = iolbench::IsLite(kind);
-  auto sys = std::make_unique<iolsys::System>(options);
-  sys->fs().CreateFile("unused", 16);
-  std::unique_ptr<iolhttp::HttpServer> server;
-  if (iolbench::IsLite(kind)) {
-    server = std::make_unique<iolhttp::LiteCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
-                                                      &sys->runtime(), doc_bytes);
-  } else {
-    server = std::make_unique<iolhttp::CopyCgiServer>(&sys->ctx(), &sys->net(), &sys->io(),
-                                                      doc_bytes, kind == ServerKind::kApache);
-  }
-  ioldrv::ExperimentConfig config;
-  config.persistent_connections = false;
-  config.max_requests = 120;
-  config.warmup_requests = 20;
-  ioldrv::ClosedLoop workload(8);
-  ioldrv::Experiment experiment(&sys->ctx(), &sys->net(), &sys->cache(), server.get(),
-                                config);
-  RunOutput out;
-  out.result = experiment.Run(&workload, [] { return iolfs::FileId{1}; });
-  out.stats = sys->ctx().stats();
-  out.final_clock_ns = sys->ctx().clock().now();
-  out.records = experiment.telemetry().records();
-  return out;
+  return iolbench::RunCell(kSmoke.Scale(iolbench::CgiCell(kind, doc_bytes, false)));
+}
+
+// The fig12 smoke cell at one delay point: 120 MB of the subtrace under the
+// memory model's cache budget, the client population behind a delay router.
+RunOutput RunFig12Smoke(ServerKind kind, const iolbench::Fig12Point& point) {
+  static const iolwl::Trace prefix = iolbench::Fig12Prefix(/*smoke=*/true);
+  return iolbench::RunCell(kSmoke.Scale(iolbench::Fig12Cell(kind, &prefix, point)));
 }
 
 void ExpectMatchesGolden(const RunOutput& out, const Golden& g) {
@@ -128,7 +99,7 @@ void ExpectMatchesGolden(const RunOutput& out, const Golden& g) {
   EXPECT_EQ(out.stats.tcp_connections, g.tcp_connections);
   EXPECT_EQ(out.stats.disk_reads, g.disk_reads);
   EXPECT_EQ(out.stats.events_dispatched, g.events_dispatched);
-  EXPECT_EQ(out.final_clock_ns, g.final_clock_ns);
+  EXPECT_EQ(out.final_clock, g.final_clock_ns);
   // Every body the IO-Lite servers sent passed the delivery check.
   EXPECT_EQ(out.result.corrupt_responses, 0u);
 }
@@ -152,8 +123,8 @@ void ExpectIdenticalStreams(const std::vector<ioldrv::RequestRecord>& a,
 TEST(DeterminismTest, SingleFileRunTwiceProducesIdenticalTelemetryStreams) {
   RunOutput a = RunSingleFileSmoke(ServerKind::kFlash, 5 * 1024);
   RunOutput b = RunSingleFileSmoke(ServerKind::kFlash, 5 * 1024);
-  ExpectIdenticalStreams(a.records, b.records);
-  EXPECT_EQ(a.final_clock_ns, b.final_clock_ns);
+  ExpectIdenticalStreams(a.telemetry.records(), b.telemetry.records());
+  EXPECT_EQ(a.final_clock, b.final_clock);
   EXPECT_EQ(a.stats.events_dispatched, b.stats.events_dispatched);
 }
 
@@ -161,8 +132,8 @@ TEST(DeterminismTest, LiteRunTwiceProducesIdenticalTelemetryStreams) {
   RunOutput a = RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024);
   RunOutput b = RunSingleFileSmoke(ServerKind::kFlashLite, 50 * 1024);
   EXPECT_EQ(a.result.corrupt_responses, 0u);
-  ExpectIdenticalStreams(a.records, b.records);
-  EXPECT_EQ(a.final_clock_ns, b.final_clock_ns);
+  ExpectIdenticalStreams(a.telemetry.records(), b.telemetry.records());
+  EXPECT_EQ(a.final_clock, b.final_clock);
   EXPECT_EQ(a.stats.events_dispatched, b.stats.events_dispatched);
 }
 
@@ -217,6 +188,38 @@ TEST(GoldenTest, Fig05LiteCgi20k) {
              57230, 57230, 146, 48, 441, 2352, 147, 0, 3088, 115227989});
 }
 
+// The copy servers on the WAN-delay, cache-budget trace path (fig12's smoke
+// cells), captured from the figure's own setup before it moved to RunCell.
+TEST(GoldenTest, Fig12FlashLan) {
+  ExpectMatchesGolden(
+      RunFig12Smoke(ServerKind::kFlash, iolbench::kFig12Points[0]),
+      Golden{120, 1578963, 12.721520645440709, 72.006332, 91.391231000000005,
+             0.10884353741496598, 1959093, 1959093, 0, 526, 147, 1558, 147, 131, 2278,
+             1250650182});
+}
+
+TEST(GoldenTest, Fig12ApacheLan) {
+  ExpectMatchesGolden(
+      RunFig12Smoke(ServerKind::kApache, iolbench::kFig12Points[0]),
+      Golden{120, 1578963, 12.721520645440709, 72.006332, 91.391231000000005,
+             0.10884353741496598, 1959093, 1959093, 0, 526, 147, 1558, 147, 131, 2278,
+             1251300182});
+}
+
+TEST(GoldenTest, Fig12Flash150ms) {
+  ExpectMatchesGolden(
+      RunFig12Smoke(ServerKind::kFlash, iolbench::kFig12Points[4]),
+      Golden{120, 1581552, 2.7062673401929085, 310.73104499999999, 330.79177700000002,
+             0.125, 1899127, 1899127, 0, 507, 144, 1513, 144, 126, 2226, 5697081001});
+}
+
+TEST(GoldenTest, Fig12Apache150ms) {
+  ExpectMatchesGolden(
+      RunFig12Smoke(ServerKind::kApache, iolbench::kFig12Points[4]),
+      Golden{120, 1581552, 2.70105554826258, 311.28526199999999, 331.441777, 0.125,
+             1899127, 1899127, 0, 507, 144, 1513, 144, 126, 2226, 5708650598});
+}
+
 // --- Checksum cache at capacity ---------------------------------------------
 
 // The goldens above never fill the 65,536-entry checksum cache. These runs
@@ -239,29 +242,22 @@ iolsys::SystemOptions ShrunkCache(size_t entries) {
   return options;
 }
 
-// A multi-file subtrace replayed by 8 Flash-Lite clients.
+// A multi-file subtrace replayed in log order by 8 Flash-Lite clients.
 RunOutput RunTraceShrunk(size_t cache_entries) {
-  iolbench::Bench b = iolbench::MakeBench(ServerKind::kFlashLite, ShrunkCache(cache_entries));
   iolwl::TraceSpec spec = iolwl::SubtraceSpec();
   spec.num_files = 200;
   spec.total_bytes = 4ull << 20;
   spec.num_requests = 2000;
   iolwl::Trace trace = iolwl::Trace::Generate(spec);
-  std::vector<iolfs::FileId> ids = trace.Materialize(&b.sys->fs());
-  ioldrv::ExperimentConfig config;
-  config.max_requests = 600;
-  config.warmup_requests = 50;
-  ioldrv::ClosedLoop workload(8);
-  ioldrv::Experiment experiment(&b.sys->ctx(), &b.sys->net(), &b.sys->cache(),
-                                b.server.get(), config);
-  size_t cursor = 0;
-  RunOutput out;
-  out.result = experiment.Run(&workload, [&] {
-    return ids[trace.requests()[cursor++ % trace.requests().size()]];
-  });
-  out.stats = b.sys->ctx().stats();
-  out.final_clock_ns = b.sys->ctx().clock().now();
-  return out;
+  iolbench::Cell cell;
+  cell.kind = ServerKind::kFlashLite;
+  cell.options = ShrunkCache(cache_entries);
+  cell.trace = &trace;
+  cell.sequential = true;
+  cell.clients = 8;
+  cell.config.max_requests = 600;
+  cell.config.warmup_requests = 50;
+  return iolbench::RunCell(cell);
 }
 
 void ExpectMatchesCacheGolden(const RunOutput& out, const CacheGolden& g) {
@@ -269,7 +265,7 @@ void ExpectMatchesCacheGolden(const RunOutput& out, const CacheGolden& g) {
   EXPECT_EQ(out.stats.checksum_cache_misses, g.checksum_cache_misses);
   EXPECT_EQ(out.stats.bytes_checksummed, g.bytes_checksummed);
   EXPECT_EQ(out.stats.events_dispatched, g.events_dispatched);
-  EXPECT_EQ(out.final_clock_ns, g.final_clock_ns);
+  EXPECT_EQ(out.final_clock, g.final_clock_ns);
   EXPECT_EQ(out.result.corrupt_responses, 0u);
 }
 
