@@ -38,11 +38,19 @@ uint32_t PowTwoAtLeast(uint32_t n) {
   return p;
 }
 
+// Fill queues the plane gets: one per origin worker, and one even with no
+// origin worker, so that fills are taken and time out instead of failing
+// to queue.
+int OriginQueues(const ProcessTierConfig& cfg) { return std::max(cfg.origin_workers, 1); }
+
 // Tailors slab/future capacities to the workload so no resource can
 // deadlock the plane (slots are returned only by the client, so every
-// bound must cover the inflight window plus the workers' hands).
+// bound must cover the inflight window plus the workers' hands), and the
+// directory to the plane's 12 structures plus its fill queues.
 iolipc::PlaneConfig TailorPlane(const ProcessTierConfig& cfg) {
   iolipc::PlaneConfig pc = cfg.plane;
+  pc.table_capacity =
+      std::max(pc.table_capacity, static_cast<uint32_t>(12 + OriginQueues(cfg)));
   uint32_t window = static_cast<uint32_t>(cfg.inflight);
   uint32_t hands = static_cast<uint32_t>(cfg.proxy_workers + cfg.cgi_workers + 2);
   pc.future_capacity = std::max(pc.future_capacity, window + hands + 4);
@@ -85,18 +93,19 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   }
   iolipc::PlaneConfig pc = TailorPlane(cfg);
   // Size the region from the workload: structures + slabs + fill payload.
-  // The region never recycles extents, so budgeted runs that re-fill after
-  // eviction get extra headroom (x4 the one-copy-per-origin footprint).
+  // Each document is cached by its home origin only, so the origins hold
+  // one copy of the set between them; the payload share is x8 that, the
+  // headroom for budgeted re-fills and pool chunking.
   uint64_t structures =
       64 * 1024 +
-      6ull * (256 + static_cast<uint64_t>(pc.queue_capacity) * 64) +
+      static_cast<uint64_t>(5 + OriginQueues(cfg)) *
+          (256 + static_cast<uint64_t>(pc.queue_capacity) * 64) +
       static_cast<uint64_t>(pc.map_capacity) * 64 +
       static_cast<uint64_t>(pc.future_capacity) * 128;
   uint64_t slabs = static_cast<uint64_t>(pc.header_slots) * pc.header_slot_bytes +
                    static_cast<uint64_t>(pc.cgi_slots) * pc.cgi_slot_bytes +
                    static_cast<uint64_t>(pc.copy_slots) * pc.copy_slot_bytes;
-  uint64_t payload = static_cast<uint64_t>(cfg.docs.doc_count) * cfg.docs.doc_bytes *
-                     static_cast<uint64_t>(cfg.origin_workers + 1) * 4;
+  uint64_t payload = static_cast<uint64_t>(cfg.docs.doc_count) * cfg.docs.doc_bytes * 8;
   size_t region_bytes =
       std::max<size_t>(cfg.region_bytes, structures + slabs + payload + (1u << 20));
   std::unique_ptr<iolipc::ShmRegion> region =
@@ -104,7 +113,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   if (region == nullptr) {
     return result;
   }
-  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), pc);
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), pc, OriginQueues(cfg));
   if (!s.valid()) {
     return result;
   }
@@ -123,6 +132,13 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   }
 
   const iolipc::YieldFn sched = [] { sched_yield(); };
+  // The queues of the workers behind the proxies: every origin's and CGI's.
+  auto close_fill_queues = [&s] {
+    for (iolipc::MpmcQueue& q : s.origin_qs) {
+      q.Close();
+    }
+    s.cgi_q.Close();
+  };
 
   // Launch the fleet (no-op for the in-process pump). Worker bodies take
   // their slot id so supervision can respawn into the same PinLedger slot:
@@ -151,7 +167,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
         origins.Launch(cfg.mode, cfg.origin_workers,
                        [&](int slot) {
                          iolproxy::OriginWorker w(
-                             &s, cfg.docs, cfg.origin_cache_budget,
+                             &s, cfg.docs, slot, cfg.origin_cache_budget,
                              static_cast<uint32_t>(cfg.proxy_workers + slot));
                          w.Run(sched);
                        }) &&
@@ -161,8 +177,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
         });
     if (!launched) {
       s.client_q.Close();
-      s.origin_q.Close();
-      s.cgi_q.Close();
+      close_fill_queues();
       proxies.JoinAll();
       origins.JoinAll();
       cgis.JoinAll();
@@ -201,17 +216,22 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     }
   };
 
-  // In-process pump: one instance of each role, yielded into each other.
+  // In-process pump: one proxy, one origin per fill queue and one CGI,
+  // yielded into each other.
   std::optional<iolproxy::ProxyWorker> pump_proxy;
-  std::optional<iolproxy::OriginWorker> pump_origin;
+  std::deque<iolproxy::OriginWorker> pump_origins;
   std::optional<iolproxy::CgiWorker> pump_cgi;
   iolipc::YieldFn client_yield = sched;
   if (cfg.mode == iolipc::PlaneMode::kInProcess) {
     pump_proxy.emplace(&s, cfg.copy_data_path, cfg.fill_wait_us);
-    pump_origin.emplace(&s, cfg.docs, cfg.origin_cache_budget);
+    for (int o = 0; o < OriginQueues(cfg); ++o) {
+      pump_origins.emplace_back(&s, cfg.docs, o, cfg.origin_cache_budget);
+    }
     pump_cgi.emplace(&s, cfg.cgi_body_bytes);
     iolipc::YieldFn pump_oc = [&] {
-      pump_origin->Step();
+      for (iolproxy::OriginWorker& o : pump_origins) {
+        o.Step();
+      }
       pump_cgi->Step([] {});
     };
     client_yield = [&, pump_oc] {
@@ -310,7 +330,6 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   double t0 = NowMs();
   double cpu0 = SelfCpuSeconds();
   uint64_t rng = 0x853c49e6748fea9bull;  // Deterministic id stream, all modes.
-  bool killed = false;
   for (int i = 0; i < cfg.requests; ++i) {
     supervise_poll();
     bool cgi = cfg.cgi_every > 0 && (i % cfg.cgi_every) == cfg.cgi_every - 1;
@@ -327,12 +346,6 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     if (static_cast<int>(window.size()) >= cfg.inflight) {
       collect_one();
     }
-    // Crash injection: kill proxy worker 0 once enough requests resolved.
-    if (cfg.kill_proxy_after > 0 && !killed &&
-        cfg.mode == iolipc::PlaneMode::kProcesses &&
-        static_cast<int>(result.requests + result.errors) >= cfg.kill_proxy_after) {
-      killed = proxies.Kill(0);
-    }
   }
   while (!window.empty()) {
     collect_one();
@@ -345,8 +358,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   int join_abnormal = 0;
   s.client_q.Close();
   join_abnormal += proxies.JoinAll();
-  s.origin_q.Close();
-  s.cgi_q.Close();
+  close_fill_queues();
   join_abnormal += origins.JoinAll();
   join_abnormal += cgis.JoinAll();
   if (join_abnormal > 0) {

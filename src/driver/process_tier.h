@@ -48,7 +48,8 @@ struct ProcessTierConfig {
   int cgi_every = 8;
   uint64_t cgi_body_bytes = 1024;
 
-  // Fleet shape.
+  // Fleet shape. Origin o fills, caches and publishes the documents whose
+  // id % origin_workers is o.
   int proxy_workers = 2;
   int origin_workers = 1;
   int cgi_workers = 1;
@@ -73,9 +74,6 @@ struct ProcessTierConfig {
   // the plane through the shared handles — and the dead worker's transient
   // pin, if any, is swept via the PinLedger.
   bool supervise = false;
-  // Deterministic crash injection: SIGKILL proxy worker 0 once this many
-  // requests have resolved (0 = never; kProcesses only).
-  int kill_proxy_after = 0;
   // Deterministic crash injection at the worst instant: the first-
   // generation proxy worker that takes the fleet's Nth transient pin
   // _Exit(9)s holding it — ledger slot recorded, map pin held — so the run

@@ -1,6 +1,5 @@
 #include "src/ipc/process_plane.h"
 
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,6 +36,11 @@ bool SeedSlab(ShmRegion* region, ShmTable* table, const char* slab_name,
   return true;
 }
 
+// Directory name of origin `o`'s fill queue.
+std::string OriginQueueName(int o) {
+  return std::string(kPlaneOriginQueue) + "." + std::to_string(o);
+}
+
 // Smallest power of two >= n (free-list capacity for n slots).
 uint32_t PowTwoAtLeast(uint32_t n) {
   uint32_t p = 2;
@@ -53,7 +57,7 @@ double CpuSecondsOf(const struct rusage& ru) {
          static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
 }
 
-PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config) {
+PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origins) {
   PlaneShared s;
   s.region = region;
   s.table = ShmTable::Create(region, config.table_capacity);
@@ -62,8 +66,15 @@ PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config) {
   }
   s.client_q = MpmcQueue::Create(region, &s.table, kPlaneClientQueue,
                                  config.queue_capacity);
-  s.origin_q = MpmcQueue::Create(region, &s.table, kPlaneOriginQueue,
-                                 config.queue_capacity);
+  assert(origins >= 1 && "a plane has at least one fill queue");
+  for (int o = 0; o < origins; ++o) {
+    MpmcQueue q = MpmcQueue::Create(region, &s.table, OriginQueueName(o).c_str(),
+                                    config.queue_capacity);
+    if (!q.valid()) {
+      return PlaneShared{};
+    }
+    s.origin_qs.push_back(q);
+  }
   s.cgi_q = MpmcQueue::Create(region, &s.table, kPlaneCgiQueue,
                               config.queue_capacity);
   s.header_free = MpmcQueue::Create(region, &s.table, kPlaneHeaderFree,
@@ -99,7 +110,13 @@ PlaneShared AttachPlane(ShmRegion* region) {
     return PlaneShared{};
   }
   s.client_q = MpmcQueue::Attach(region, s.table, kPlaneClientQueue);
-  s.origin_q = MpmcQueue::Attach(region, s.table, kPlaneOriginQueue);
+  for (int o = 0;; ++o) {
+    MpmcQueue q = MpmcQueue::Attach(region, s.table, OriginQueueName(o).c_str());
+    if (!q.valid()) {
+      break;
+    }
+    s.origin_qs.push_back(q);
+  }
   s.cgi_q = MpmcQueue::Attach(region, s.table, kPlaneCgiQueue);
   s.header_free = MpmcQueue::Attach(region, s.table, kPlaneHeaderFree);
   s.cgi_free = MpmcQueue::Attach(region, s.table, kPlaneCgiFree);
@@ -213,13 +230,6 @@ int WorkerGroup::JoinAll() {
   }
   pids_.clear();
   return abnormal;
-}
-
-bool WorkerGroup::Kill(int i) {
-  if (i < 0 || static_cast<size_t>(i) >= pids_.size() || pids_[i] <= 0) {
-    return false;
-  }
-  return kill(pids_[i], SIGKILL) == 0;
 }
 
 int WorkerGroup::Poll() {

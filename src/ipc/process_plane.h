@@ -5,7 +5,7 @@
 // One region holds (names as published in the directory):
 //
 //   plane.q.client    MpmcQueue   client -> proxy workers (ClientRequestMsg)
-//   plane.q.origin    MpmcQueue   proxy -> origin workers (FillRequestMsg)
+//   plane.q.origin.<o> MpmcQueue  proxy -> origin o       (FillRequestMsg)
 //   plane.q.cgi       MpmcQueue   proxy -> CGI workers    (FillRequestMsg)
 //   plane.q.hdrfree   MpmcQueue   free-list of response-header slab slots
 //   plane.q.cgifree   MpmcQueue   free-list of CGI response slab slots
@@ -15,6 +15,10 @@
 //   plane.counters    ShmCounters     warm-path counters (ABI, see shm_counters.h)
 //   plane.pins        PinLedger       per-worker transient-pin tickets (fault plane)
 //   plane.slab.*      raw spans       the slab storage the free-lists carve
+//
+// Every key has one home origin, `key % origins`: proxies push its fills
+// to that origin's queue only, so one process fills, caches and publishes
+// each key and no two writers ever race on a plane.map.cache entry.
 //
 // Free-lists are themselves MPMC queues of SliceDescs — a slot *is* a
 // descriptor whose `reserved` field carries the slot's capacity — so the
@@ -49,7 +53,7 @@ namespace iolipc {
 
 // Directory names of the plane's structures.
 inline constexpr char kPlaneClientQueue[] = "plane.q.client";
-inline constexpr char kPlaneOriginQueue[] = "plane.q.origin";
+inline constexpr char kPlaneOriginQueue[] = "plane.q.origin";  // + ".<o>"
 inline constexpr char kPlaneCgiQueue[] = "plane.q.cgi";
 inline constexpr char kPlaneHeaderFree[] = "plane.q.hdrfree";
 inline constexpr char kPlaneCgiFree[] = "plane.q.cgifree";
@@ -135,7 +139,7 @@ struct PlaneShared {
   ShmRegion* region = nullptr;
   ShmTable table;
   MpmcQueue client_q;
-  MpmcQueue origin_q;
+  std::vector<MpmcQueue> origin_qs;  // One fill queue per origin, never empty.
   MpmcQueue cgi_q;
   MpmcQueue header_free;
   MpmcQueue cgi_free;
@@ -147,15 +151,19 @@ struct PlaneShared {
 
   bool valid() const {
     return region != nullptr && table.valid() && client_q.valid() &&
-           origin_q.valid() && cgi_q.valid() && header_free.valid() &&
+           !origin_qs.empty() && cgi_q.valid() && header_free.valid() &&
            cgi_free.valid() && copy_free.valid() && cache_map.valid() &&
            futures.valid() && counters.valid() && pin_ledger.valid();
   }
+
+  // The fill queue of `key`'s home origin.
+  MpmcQueue& home_queue(uint64_t key) { return origin_qs[key % origin_qs.size()]; }
 };
 
 // Builds the plane inside `region` (which must be freshly created: the
-// table must land at payload offset 0) and seeds the slab free-lists.
-PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config);
+// table must land at payload offset 0) with `origins` (>= 1) fill queues,
+// and seeds the slab free-lists.
+PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origins);
 
 // Adopts a plane built by another process, by directory lookup only.
 PlaneShared AttachPlane(ShmRegion* region);
@@ -244,9 +252,6 @@ class WorkerGroup {
   // (non-zero exit or signal); always 0 for threads. Workers already
   // reaped by Poll() are not re-counted.
   int JoinAll();
-
-  // Forcibly kills worker `i` (kProcesses only; crash-recovery tests).
-  bool Kill(int i);
 
   // --- Supervision (fault plane) ---------------------------------------
   // Reaps workers that have exited (kProcesses only, non-blocking). A

@@ -46,7 +46,7 @@ bool ShmCacheMirror::TryApply(const Update& u) {
     if (it == published_.end()) {
       return true;  // Nothing of ours is mapped under this key.
     }
-    if (map_->EraseIfValue(u.key, it->second.value) == ShmMap::EraseResult::kPinned) {
+    if (map_->Erase(u.key) == ShmMap::EraseResult::kPinned) {
       return false;
     }
     published_.erase(it);
@@ -57,7 +57,7 @@ bool ShmCacheMirror::TryApply(const Update& u) {
     return false;
   }
   if (r == ShmMap::InsertResult::kInserted || r == ShmMap::InsertResult::kReplaced) {
-    published_[u.key] = Published{u.value, u.buffer};
+    published_[u.key] = u.buffer;
   }
   return true;
 }

@@ -11,19 +11,17 @@
 // silently skipped; a foreign lookup then misses and takes the fill path,
 // which is correct, just slower.
 //
-// Several origins may publish the same key, each naming its own replica;
-// the last publication wins. An erase is a compare-and-erase against the
-// value this mirror last wrote, so one origin's eviction never removes a
-// sibling's publication (the sibling's replica still holds the file).
+// A key is mirrored by one origin only, its home origin (the plane routes
+// every fill of a key there), so a mirror's erase removes its own value.
 //
-// A re-insert replaces the mapped value in place, so a sibling origin's
-// lookup never misses in between. A mirrored entry that a foreign process
-// has pinned can be neither replaced nor removed (ShmMap refuses), so the
+// A re-insert replaces the mapped value in place, so a concurrent lookup
+// never misses in between. A mirrored entry that a foreign process has
+// pinned can be neither replaced nor removed (ShmMap refuses), so the
 // mirror parks the update and retries it on later mutations; a newer update
 // of the same key supersedes a parked one. The payload is safe either way:
 // the origin's pool recycles a buffer once nothing references it, so the
-// mirror holds a reference to every buffer it has published until its
-// erase of that value lands — a value the map names is never rewritten.
+// mirror holds a reference to the buffer behind every key it has published
+// until its erase lands — a value the map names is never rewritten.
 
 #ifndef SRC_IPC_SHM_CACHE_MIRROR_H_
 #define SRC_IPC_SHM_CACHE_MIRROR_H_
@@ -55,17 +53,12 @@ class ShmCacheMirror : public iolfs::CacheMirror {
   size_t deferred_updates() const { return deferred_.size(); }
 
  private:
-  // A map update: replace the key's value, or erase the value this mirror
-  // published for the key.
+  // A map update: replace the key's value, or erase the key.
   struct Update {
     uint64_t key;
     bool erase;
     SliceDesc value;
     iolite::BufferRef buffer;  // Backs `value` (inserts only).
-  };
-  struct Published {
-    SliceDesc value;
-    iolite::BufferRef buffer;
   };
 
   // Applies `u` now, or parks it if a foreign pin blocks it.
@@ -77,9 +70,9 @@ class ShmCacheMirror : public iolfs::CacheMirror {
   ShmRegion* region_;
   ShmMap* map_;
   std::vector<Update> deferred_;
-  // The value this mirror's last applied update wrote, per key still
-  // published: what its erase compares against, and the buffer it pins.
-  std::unordered_map<uint64_t, Published> published_;
+  // The buffer behind each key this mirror has published and not yet
+  // erased.
+  std::unordered_map<uint64_t, iolite::BufferRef> published_;
   uint64_t skipped_ = 0;
 };
 

@@ -39,13 +39,10 @@ namespace iolipc {
   X(kCgiRequests, cgi_requests)                           /* Dynamic responses generated. */    \
   X(kFutureErrors, future_errors)                         /* Futures resolved kError. */        \
   X(kQueueFullYields, queue_full_yields)                  /* Backoff yields on a full queue. */ \
-  X(kMapEvictions, map_evictions)                         /* Retired by ShmMap::EvictOne. */    \
+  X(kMapEvictions, map_evictions)                         /* Origin cache budget evictions. */  \
   X(kWorkerAbnormalExits, worker_abnormal_exits)          /* Non-zero exit or signal. */        \
   X(kWorkerRespawns, worker_respawns)                     /* Relaunched by the supervisor. */   \
   X(kPinsSwept, pins_swept)                               /* Dead workers' pins reclaimed. */   \
-  X(kStaleServes, stale_serves)                           /* Served past their version/TTL. */  \
-  X(kInvalidationsSent, invalidations_sent)               /* Pushed to child proxies. */        \
-  X(kRevalidationBytes, revalidation_bytes)               /* Conditional-check bytes. */        \
   X(kProxyPins, proxy_pins)                               /* Transient pins proxies took. */
 
 // Index into the counter block.
@@ -55,7 +52,7 @@ enum PlaneCounter : uint32_t {
 #undef IOLIPC_PLANE_COUNTER_ENUM
   kCounterCount,
 };
-static_assert(kRevalidationBytes == 16, "counter order is ABI: append new counters at the end");
+static_assert(kProxyPins == 14, "counter order is ABI: append new counters at the end");
 
 inline constexpr const char* kPlaneCounterNames[kCounterCount] = {
 #define IOLIPC_PLANE_COUNTER_NAME(id, name) #name,

@@ -246,15 +246,7 @@ bool ShmMap::Unpin(uint64_t key) {
   return false;
 }
 
-bool ShmMap::Erase(uint64_t key) {
-  return EraseMatching(key, nullptr) == EraseResult::kErased;
-}
-
-ShmMap::EraseResult ShmMap::EraseIfValue(uint64_t key, const SliceDesc& expected) {
-  return EraseMatching(key, &expected);
-}
-
-ShmMap::EraseResult ShmMap::EraseMatching(uint64_t key, const SliceDesc* expected) {
+ShmMap::EraseResult ShmMap::Erase(uint64_t key) {
   uint32_t start = static_cast<uint32_t>(Mix(key)) & mask_;
   for (uint32_t i = 0; i <= mask_; ++i) {
     Slot& s = slots()[(start + i) & mask_];
@@ -273,11 +265,6 @@ ShmMap::EraseResult ShmMap::EraseMatching(uint64_t key, const SliceDesc* expecte
       if (s.key.load(std::memory_order_relaxed) != key) {
         s.state.store(kFull, std::memory_order_release);
         continue;
-      }
-      if (expected != nullptr && (s.value.offset != expected->offset ||
-                                  s.value.length != expected->length)) {
-        s.state.store(kFull, std::memory_order_release);
-        return EraseResult::kOther;  // Another publisher's payload.
       }
       if (s.pins.load(std::memory_order_relaxed) > 0) {
         s.state.store(kFull, std::memory_order_release);

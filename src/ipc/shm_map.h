@@ -14,10 +14,9 @@
 // never observe a half-written value. Tombstones keep probe chains intact.
 //
 // Two processes racing to insert the same key can both succeed into
-// different slots (the claim-then-publish window); lookups then consistently
-// find the probe-earlier copy and the loser's payload merely wastes region
-// bytes. The plane's miss-fill futures make that window rare (one fill per
-// key in flight per proxy worker); the map does not try to close it.
+// different slots (the claim-then-publish window); the map does not close
+// it. The plane never opens it: every key has one home origin, the only
+// process that inserts, replaces or erases it.
 //
 // All layouts are ABI — scripts/shm_inspect.py walks the slot array to dump
 // live cache metadata from outside the serving processes.
@@ -99,15 +98,9 @@ class ShmMap {
   // racing InvalidateFile — callers treat that as a bug in the plane).
   bool Unpin(uint64_t key);
 
-  // Removes the entry unless pinned. False when absent or pinned.
-  bool Erase(uint64_t key);
-
-  // Compare-and-erase: removes the entry only while its value still names
-  // `expected`'s payload (same offset and length) and nobody pins it. An
-  // entry that names another payload is left alone (kOther), pinned or not:
-  // with several publishers per key, each removes only what it published.
-  enum class EraseResult { kErased, kAbsent, kPinned, kOther };
-  EraseResult EraseIfValue(uint64_t key, const SliceDesc& expected);
+  // Removes the entry unless a reader pins it (kPinned: left unchanged).
+  enum class EraseResult { kErased, kAbsent, kPinned };
+  EraseResult Erase(uint64_t key);
 
   // Clock-scan eviction: tombstones the first unpinned entry at or after
   // the shared clock hand. Reports what was evicted so the caller can
@@ -122,9 +115,6 @@ class ShmMap {
   static constexpr uint32_t kMapMagic = 0x494f4c4d;  // "IOLM"
 
   static uint64_t Mix(uint64_t key);  // splitmix64 finalizer.
-
-  // Erase and EraseIfValue; a null `expected` matches any value.
-  EraseResult EraseMatching(uint64_t key, const SliceDesc* expected);
 
   Slot* slots() const {
     return reinterpret_cast<Slot*>(reinterpret_cast<char*>(header_) + sizeof(MapHeader));

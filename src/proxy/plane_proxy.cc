@@ -25,8 +25,9 @@ using iolipc::SliceDesc;
 // --- Origin -----------------------------------------------------------------
 
 OriginWorker::OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
-                           uint64_t cache_budget_bytes, uint32_t pin_slot)
+                           int origin, uint64_t cache_budget_bytes, uint32_t pin_slot)
     : s_(shared),
+      fills_(&shared->origin_qs[origin]),
       budget_(cache_budget_bytes),
       ctx_(),
       pool_(&ctx_, "origin-shm", iolsim::kKernelDomain,
@@ -48,7 +49,7 @@ OriginWorker::OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
 
 bool OriginWorker::Step() {
   iolipc::FillRequestMsg m;
-  if (!s_->origin_q.PopAs(&m)) {
+  if (!fills_->PopAs(&m)) {
     return false;
   }
   iolipc::ShmCounters* c = &s_->counters;
@@ -59,7 +60,7 @@ bool OriginWorker::Step() {
   }
   uint64_t size = fs_.SizeOf(file);
   bool was_miss = false;
-  iolite::Aggregate data = io_.ReadExtent(file, 0, size, &was_miss);
+  io_.ReadExtent(file, 0, size, &was_miss);
   if (was_miss) {
     c->Add(iolipc::kBytesFilledOrigin, size);
   }
@@ -67,15 +68,7 @@ bool OriginWorker::Step() {
   // the shared map. Pin it on the requester's behalf and hand over the
   // descriptor — the pin travels with the response until the client unpins.
   SliceDesc body;
-  bool pinned = s_->cache_map.LookupAndPin(m.file_id, &body);
-  if (!pinned && !was_miss) {
-    // A local hit the map no longer names: a sibling origin published this
-    // key after us, then evicted its own replica and erased its value.
-    // Publish ours again; no sibling can erase it, so the pin lands.
-    mirror_.OnInsert(file, 0, data);
-    pinned = s_->cache_map.LookupAndPin(m.file_id, &body);
-  }
-  if (!pinned) {
+  if (!s_->cache_map.LookupAndPin(m.file_id, &body)) {
     s_->futures.Fail(m.future, kPlaneErrUnshareable);
   } else {
     s_->pin_ledger.Record(pin_slot_, m.file_id);
@@ -106,7 +99,7 @@ void OriginWorker::Run(const iolipc::YieldFn& idle) {
     if (Step()) {
       continue;
     }
-    if (s_->origin_q.drained()) {
+    if (fills_->drained()) {
       return;
     }
     idle();
@@ -227,7 +220,7 @@ void ProxyWorker::ServeStatic(const iolipc::ClientRequestMsg& m,
       return;
     }
     iolipc::FillRequestMsg f{m.file_id, fill, 0, 0};
-    while (!s_->origin_q.PushAs(f)) {
+    while (!s_->home_queue(m.file_id).PushAs(f)) {
       c->Add(iolipc::kQueueFullYields, 1);
       yield();
     }

@@ -12,7 +12,7 @@
 //
 // Topology (descriptors flow along the arrows; payload never moves):
 //
-//   client --ClientRequestMsg--> proxy --FillRequestMsg--> origin
+//   client --ClientRequestMsg--> proxy --FillRequestMsg--> origin (id % O)
 //     ^                            |   \--FillRequestMsg--> CGI
 //     |                            v
 //     +<----- response future <----+  (origin fills complete a proxy-owned
@@ -22,10 +22,14 @@
 // The origin worker is where the unified cache goes multi-process: it runs
 // a replica SimFileSystem + FileCache whose buffers are carved from the
 // shared region, with a ShmCacheMirror projecting every cache entry into
-// plane.map.cache. SimFileSystem content is a pure function of (file id,
-// offset), and file ids are assigned sequentially from 1, so a replica
-// created with the same PlaneDocSet generates byte-identical content to the
-// driver's reference system — no content ever crosses the fork.
+// plane.map.cache. A proxy sends each miss to the key's home origin
+// (PlaneShared::home_queue), so each document is filled, cached and
+// published by one origin only: the map's entry for a key has one writer,
+// as IO-Lite's unified cache keeps one copy of each file. SimFileSystem
+// content is a pure function of (file id, offset), and file ids are
+// assigned sequentially from 1, so a replica created with the same
+// PlaneDocSet generates byte-identical content to the driver's reference
+// system — no content ever crosses the fork.
 
 #ifndef SRC_PROXY_PLANE_PROXY_H_
 #define SRC_PROXY_PLANE_PROXY_H_
@@ -67,29 +71,31 @@ constexpr uint32_t kPlaneErrNoSlot = 13;
 
 // --- Origin -----------------------------------------------------------------
 
-// Serves miss fills: reads the file through its replica unified cache
-// (region-backed buffers, metadata mirrored to plane.map.cache), pins the
-// entry on behalf of the requester and completes the fill future with the
-// pinned descriptor.
+// Serves the miss fills of the keys it is home to: reads the file through
+// its replica unified cache (region-backed buffers, metadata mirrored to
+// plane.map.cache), pins the entry on behalf of the requester and completes
+// the fill future with the pinned descriptor.
 class OriginWorker {
  public:
-  // `cache_budget_bytes` = 0 disables budget enforcement. `pin_slot` is the
-  // worker's PinLedger slot (kNoPinSlot = unledgered); supervised workers
-  // get one so a crash between pin and hand-off can be swept.
-  OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
+  // `origin` indexes PlaneShared::origin_qs: the worker pops only that
+  // queue. `cache_budget_bytes` = 0 disables budget enforcement. `pin_slot`
+  // is the worker's PinLedger slot (kNoPinSlot = unledgered); supervised
+  // workers get one so a crash between pin and hand-off can be swept.
+  OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs, int origin,
                uint64_t cache_budget_bytes,
                uint32_t pin_slot = iolipc::kNoPinSlot);
 
-  // Serves one fill; false when plane.q.origin yielded nothing.
+  // Serves one fill; false when its plane.q.origin.<o> yielded nothing.
   bool Step();
 
-  // Until plane.q.origin is closed and drained.
+  // Until its queue is closed and drained.
   void Run(const iolipc::YieldFn& idle);
 
   iolfs::FileCache& cache() { return cache_; }
 
  private:
   iolipc::PlaneShared* s_;
+  iolipc::MpmcQueue* fills_;
   uint64_t budget_;
   iolsim::SimContext ctx_;
   iolite::BufferPool pool_;  // Region-backed: every fill is region-resident.
@@ -125,8 +131,8 @@ class CgiWorker {
 
 // The front tier: pops client requests, serves static ones from the shared
 // cache map (warm path: pin + header build, zero payload bytes touched),
-// routes misses through origin fill futures and dynamic requests to the CGI
-// queue. With `copy_data_path` the warm path degenerates to memcpy-per-
+// routes misses through fill futures to the key's home origin and dynamic
+// requests to the CGI queue. With `copy_data_path` the warm path degenerates to memcpy-per-
 // response into a copy slab — the measured contrast that shows what the
 // descriptor discipline saves.
 class ProxyWorker {

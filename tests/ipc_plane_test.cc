@@ -420,7 +420,7 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   pc.cgi_slots = 4;
   pc.copy_slots = 4;
   pc.copy_slot_bytes = 4096;
-  iolipc::PlaneShared plane = iolipc::CreatePlane(region.get(), pc);
+  iolipc::PlaneShared plane = iolipc::CreatePlane(region.get(), pc, 1);
   ASSERT_TRUE(plane.valid());
   plane.counters.Add(iolipc::kBytesServed, 12345);
   SliceDesc v{};
@@ -447,6 +447,7 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   // The inspector saw the directory and decoded the structures with nothing
   // but the ABI offsets.
   EXPECT_NE(out.find("plane.q.client"), std::string::npos) << out;
+  EXPECT_NE(out.find("plane.q.origin.0"), std::string::npos) << out;
   EXPECT_NE(out.find("plane.map.cache"), std::string::npos) << out;
   EXPECT_NE(out.find("\"bytes_served\": 12345"), std::string::npos) << out;
   // The block names its own counters: every name comes from the region.

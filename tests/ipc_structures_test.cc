@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <set>
 #include <thread>
@@ -203,7 +204,7 @@ TEST(ShmMapTest, InsertLookupEraseEvict) {
   // Pins block erase and eviction.
   ASSERT_TRUE(map.LookupAndPin(42, &v));
   EXPECT_EQ(map.PinsOf(42), 1);
-  EXPECT_FALSE(map.Erase(42)) << "pinned entries cannot be erased";
+  EXPECT_EQ(map.Erase(42), ShmMap::EraseResult::kPinned) << "pinned entries cannot be erased";
   uint64_t ekey = 0;
   SliceDesc eval;
   EXPECT_FALSE(map.EvictOne(&ekey, &eval)) << "everything pinned";
@@ -545,95 +546,93 @@ TEST(ShmCacheMirrorTest, ReinsertBlockedByAPinNeverRemovesTheKeyLater) {
   EXPECT_EQ(region->At(v.offset), b->data()) << "the parked update was applied";
 }
 
-TEST(ShmCacheMirrorTest, EraseRemovesOnlyTheValueThisMirrorPublished) {
-  // Two origins publish one file; the second publication replaces the
-  // first. When the first origin then evicts the file, the key must keep
-  // naming the second origin's replica, which still holds it.
-  auto region = AnonRegion(8u << 20);
-  ShmTable table = ShmTable::Create(region.get(), 4);
-  ShmMap map = ShmMap::Create(region.get(), &table, "m", 64);
-  iolsim::SimContext ctx;
-  iolite::BufferPool pool(&ctx, "t", iolsim::kKernelDomain,
-                          [&region](size_t n) { return region->AllocateExtent(n); });
-  iolipc::ShmCacheMirror first(region.get(), &map);
-  iolipc::ShmCacheMirror second(region.get(), &map);
-  iolite::BufferRef a = pool.AllocateDma(1, 4096);
-  iolite::BufferRef b = pool.AllocateDma(2, 4096);
-  first.OnInsert(5, 0, iolite::Aggregate::FromBuffer(a));
-  second.OnInsert(5, 0, iolite::Aggregate::FromBuffer(b));
-
-  first.OnErase(5, 0, 4096);
-  SliceDesc v;
-  ASSERT_TRUE(map.Lookup(5, &v)) << "the first origin's eviction erased its sibling's value";
-  EXPECT_EQ(region->At(v.offset), b->data());
-  EXPECT_EQ(first.deferred_updates(), 0u);
-
-  second.OnErase(5, 0, 4096);
-  EXPECT_FALSE(map.Lookup(5, &v)) << "the publisher's own eviction removes the key";
-  EXPECT_EQ(map.size(), 0u);
-
-  // A pinned value of ours parks the erase; a pin on another origin's
-  // value does not.
-  first.OnInsert(6, 0, iolite::Aggregate::FromBuffer(a));
-  ASSERT_TRUE(map.LookupAndPin(6, &v));
-  first.OnErase(6, 0, 4096);
-  EXPECT_EQ(first.deferred_updates(), 1u);
-  ASSERT_TRUE(map.Unpin(6));
-  second.OnInsert(6, 0, iolite::Aggregate::FromBuffer(b));
-  ASSERT_TRUE(map.LookupAndPin(6, &v));
-  first.OnInsert(7, 0, iolite::Aggregate::FromBuffer(a));  // Drains the parked erase.
-  EXPECT_EQ(first.deferred_updates(), 0u);
-  EXPECT_EQ(region->At(v.offset), b->data());
-  ASSERT_TRUE(map.Unpin(6));
-  EXPECT_TRUE(map.Lookup(6, &v)) << "the parked erase removed a sibling's value";
+// Live map slots holding `key`, read from the slot array the way
+// scripts/shm_inspect.py walks it.
+int SlotsHolding(const iolipc::PlaneShared& s, uint64_t key) {
+  const auto* slots = reinterpret_cast<const ShmMap::Slot*>(
+      s.table.Resolve(iolipc::kPlaneCacheMap) + sizeof(ShmMap::MapHeader));
+  int n = 0;
+  for (uint32_t i = 0; i < s.cache_map.capacity(); ++i) {
+    if (slots[i].state.load() == ShmMap::kFull && slots[i].key.load() == key) {
+      ++n;
+    }
+  }
+  return n;
 }
 
-// Two origin workers with a one-document budget, stepped by hand on one
-// plane. Each origin's eviction must leave the other's publication alone,
-// and an origin whose local hit the map no longer names re-publishes it:
-// otherwise the fill fails with kPlaneErrUnshareable.
-TEST(PlaneOriginTest, BudgetedSiblingOriginsKeepEveryLocalHitShareable) {
+// Two origins with a one-document budget behind one proxy, stepped by hand
+// on one plane. The proxy routes each miss to the key's home origin
+// (key % 2), so each document is filled, cached and published by that
+// origin alone: no key ever occupies two map slots, and a document's bytes
+// are filled once each time its home origin evicted it.
+TEST(PlaneOriginTest, EveryFillGoesToTheKeysHomeOriginAndHoldsOneSlot) {
   auto region = AnonRegion(16u << 20);
-  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), iolipc::PlaneConfig{});
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), iolipc::PlaneConfig{}, 2);
   ASSERT_TRUE(s.valid());
+  ASSERT_EQ(s.origin_qs.size(), 2u);
   iolproxy::PlaneDocSet docs;
   docs.doc_count = 4;
   docs.doc_bytes = 4096;
-  iolproxy::OriginWorker a(&s, docs, docs.doc_bytes);
-  iolproxy::OriginWorker b(&s, docs, docs.doc_bytes);
-  // Orders one fill from `w`; returns the future's error code (0 = served).
-  auto fill = [&s](iolproxy::OriginWorker* w, uint64_t file) -> uint32_t {
-    iolipc::FutureHandle f = s.futures.Acquire();
-    iolipc::FillRequestMsg m{file, f, 0, 0};
-    EXPECT_TRUE(s.origin_q.PushAs(m));
-    EXPECT_TRUE(w->Step());
-    ShmFuturePool::WaitResult r = s.futures.Wait(f, 1'000'000, [] {});
-    s.futures.Release(f);
-    if (!r.ok) {
-      return r.error;
+  std::deque<iolproxy::OriginWorker> origins;
+  origins.emplace_back(&s, docs, 0, docs.doc_bytes);
+  origins.emplace_back(&s, docs, 1, docs.doc_bytes);
+  iolproxy::ProxyWorker proxy(&s, false, 1'000'000);
+  int server = -1;  // The origin that served the current request's fill.
+  iolipc::YieldFn step_origins = [&] {
+    for (int o = 0; o < 2; ++o) {
+      if (origins[o].Step()) {
+        EXPECT_EQ(server, -1) << "two origins served one request";
+        server = o;
+      }
     }
-    EXPECT_TRUE(s.cache_map.Unpin(file));
-    return 0;
   };
 
-  // a's eviction of 1 must not erase b's publication of 1.
-  EXPECT_EQ(fill(&a, 1), 0u);
-  EXPECT_EQ(fill(&b, 1), 0u);  // b's value replaces a's.
-  EXPECT_EQ(fill(&a, 2), 0u);  // a's budget evicts 1.
-  EXPECT_EQ(fill(&b, 1), 0u) << "b's local hit lost its map entry";
-
-  // b's eviction of 2 erases b's own value while a still holds 2; a's next
-  // local hit on 2 must re-publish it.
-  EXPECT_EQ(fill(&b, 2), 0u);  // b's value for 2 replaces a's; b evicts 1.
-  EXPECT_EQ(fill(&b, 3), 0u);  // b evicts 2: the key is gone.
-  EXPECT_EQ(fill(&a, 2), 0u) << "a's local hit was not re-published";
-  EXPECT_EQ(s.counters.Get(iolipc::kOriginFills), 7u);
-  EXPECT_EQ(s.counters.Get(iolipc::kBytesFilledOrigin), 5u * 4096u)
-      << "a missed on 1 and 2, b on 1, 2 and 3; the other fills were local hits";
+  uint64_t held[2] = {0, 0};  // The document each origin's budget keeps.
+  uint64_t misses = 0;
+  uint64_t hits = 0;
+  for (uint64_t file : {1, 2, 3, 4, 1, 1, 2, 4, 3, 2, 1, 4, 4, 3}) {
+    int home = static_cast<int>(file % 2);
+    bool expect_hit = held[home] == file;
+    iolipc::FutureHandle f = s.futures.Acquire();
+    iolipc::ClientRequestMsg m{file, f, static_cast<uint32_t>(iolipc::RequestKind::kStatic),
+                               0, 0};
+    ASSERT_TRUE(s.client_q.PushAs(m));
+    server = -1;
+    ASSERT_TRUE(proxy.Step(step_origins));
+    ShmFuturePool::WaitResult r = s.futures.Wait(f, 1'000'000, [] {});
+    s.futures.Release(f);
+    ASSERT_TRUE(r.ok) << "file " << file << " error " << r.error;
+    EXPECT_EQ(r.value[1].length, docs.doc_bytes);
+    iolipc::ReturnSlot(&s.header_free, r.value[0]);
+    ASSERT_TRUE(r.value[1].flags & iolipc::kRespPinned);
+    EXPECT_TRUE(s.cache_map.Unpin(file));
+    if (expect_hit) {
+      ++hits;
+      EXPECT_EQ(server, -1) << "file " << file << " was cached but refilled";
+    } else {
+      ++misses;
+      EXPECT_EQ(server, home) << "file " << file << " filled away from its home";
+      held[home] = file;
+    }
+    for (uint64_t k = 1; k <= 4; ++k) {
+      bool cached = held[k % 2] == k;
+      EXPECT_EQ(SlotsHolding(s, k), cached ? 1 : 0) << "key " << k << " after " << file;
+      EXPECT_EQ(origins[k % 2].cache().Contains(static_cast<iolfs::FileId>(k)), cached);
+      EXPECT_FALSE(origins[1 - k % 2].cache().Contains(static_cast<iolfs::FileId>(k)))
+          << "key " << k << " cached away from its home";
+    }
+  }
+  EXPECT_EQ(s.counters.Get(iolipc::kCacheHits), hits);
+  EXPECT_EQ(s.counters.Get(iolipc::kOriginFills), misses);
+  // Each origin's first fill evicts nothing; every later one evicts one
+  // document, which is filled again only if asked for again.
+  EXPECT_EQ(s.counters.Get(iolipc::kMapEvictions), misses - 2);
+  EXPECT_EQ(s.counters.Get(iolipc::kBytesFilledOrigin), misses * docs.doc_bytes);
 }
 
-// The same hazard end to end: two origins behind two proxies with a budget
-// that evicts, all concurrent. Every request must succeed.
+// The same routing end to end: two origins behind two proxies with a
+// budget that evicts, all concurrent. Every request must succeed with the
+// right bytes.
 TEST(ProcessPlaneTest, ThreadsModeBudgetedMultiOriginServesEveryRequest) {
   ioldrv::ProcessTierConfig cfg;
   cfg.region_name.clear();
