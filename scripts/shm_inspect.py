@@ -111,15 +111,15 @@ def decode_queue(payload, off):
 
 
 def decode_map(payload, off, max_entries):
-    magic, capacity, size, tombstones, bytes_, clock_hand = struct.unpack_from(
-        "<IIIIQQ", payload, off)
+    magic, capacity, size, tombstones, bytes_ = struct.unpack_from("<IIIIQ", payload, off)
     if magic != MAP_MAGIC:
         return {"error": "bad map magic"}
     live = []
     for i in range(capacity):
         soff = off + 64 + i * 64
+        # The slot word: u32 state, then the u32 pin count (little-endian).
         state, pins, key, value_off, value_len = struct.unpack_from(
-            "<IiQQQ", payload, soff)
+            "<IIQQQ", payload, soff)
         if state != 2:  # kFull
             continue
         if len(live) < max_entries:
@@ -134,7 +134,6 @@ def decode_map(payload, off, max_entries):
         "size": size,
         "tombstones": tombstones,
         "bytes": bytes_,
-        "clock_hand": clock_hand,
         "entries": live,
     }
 

@@ -153,7 +153,6 @@ uint64_t GrepCatIolite(iolsys::System* sys, iolfs::FileId file, const std::strin
         std::memcpy(boundary.data() + a, run, b);
         ctx.ChargeCpu(ctx.cost().CopyCost(a + b));
         ctx.stats().bytes_copied += a + b;
-        ctx.stats().copy_ops++;
         matches += CountMatches(boundary.data(), a + b, pattern);
         matches -= CountMatches(boundary.data(), a, pattern);
         matches -= CountMatches(boundary.data() + a, b, pattern);

@@ -51,12 +51,10 @@ uint64_t GccChainPosix(iolsys::System* sys, const GccChainConfig& config) {
         // takes delivery from stdio (copy).
         ctx.ChargeCpu(ctx.cost().CopyCost(n));  // app -> stdio.
         ctx.stats().bytes_copied += n;
-        ctx.stats().copy_ops++;
         pipe.Write(stdio_buf.data(), n);        // stdio -> kernel (charged inside).
         pipe.Read(stdio_buf.data(), n);         // kernel -> stdio (charged inside).
         ctx.ChargeCpu(ctx.cost().CopyCost(n));  // stdio -> app.
         ctx.stats().bytes_copied += n;
-        ctx.stats().copy_ops++;
         piped += n;
         remaining -= n;
       }

@@ -187,7 +187,8 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
       proxy_die_armed = false;  // Initial forks done: respawns spawn healthy.
     }
     // Arm the death hooks: count the abnormal exit and sweep the dead
-    // worker's transient pin before its replacement is spawned.
+    // worker's transient pin before its replacement is spawned. CGI workers
+    // take no pins; their slots lie past the ledger, where Take finds none.
     auto arm_sweep = [&s](iolipc::WorkerGroup* g, int slot_base) {
       g->set_on_death([&s, slot_base](int i) {
         s.counters.Add(iolipc::kWorkerAbnormalExits, 1);
@@ -200,8 +201,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     };
     arm_sweep(&proxies, 0);
     arm_sweep(&origins, cfg.proxy_workers);
-    cgis.set_on_death(
-        [&s](int) { s.counters.Add(iolipc::kWorkerAbnormalExits, 1); });
+    arm_sweep(&cgis, iolipc::kPinLedgerSlots);
   }
 
   const bool supervising =
@@ -232,7 +232,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
       for (iolproxy::OriginWorker& o : pump_origins) {
         o.Step();
       }
-      pump_cgi->Step([] {});
+      pump_cgi->Step(sched);
     };
     client_yield = [&, pump_oc] {
       pump_proxy->Step(pump_oc);

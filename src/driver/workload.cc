@@ -12,13 +12,8 @@ bool Workload::NextArrival(iolsim::SimTime /*now*/, iolsim::SimTime* /*at*/) {
 
 bool Workload::NextFile(iolfs::FileId* /*file*/) { return false; }
 
-OpenLoopPoisson::OpenLoopPoisson(double arrivals_per_sec, uint64_t seed, int initial_pool,
-                                 int pipeline_depth)
-    : rate_(arrivals_per_sec),
-      seed_(seed),
-      pool_(initial_pool),
-      depth_(pipeline_depth),
-      rng_(seed) {
+OpenLoopPoisson::OpenLoopPoisson(double arrivals_per_sec, uint64_t seed, int initial_pool)
+    : rate_(arrivals_per_sec), seed_(seed), pool_(initial_pool), rng_(seed) {
   if (!(rate_ > 0)) {
     std::fprintf(stderr, "OpenLoopPoisson: arrivals_per_sec must be > 0 (got %g)\n", rate_);
     std::abort();

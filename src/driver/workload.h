@@ -102,13 +102,10 @@ class OpenLoopPoisson : public Workload {
  public:
   // Dies loudly on a non-positive rate (a zero rate would spin the
   // interarrival math to +inf; release builds skip asserts).
-  // `pipeline_depth` sizes the initial pool's lanes per connection, as in
-  // ClosedLoop; arrivals themselves remain completion-independent.
   explicit OpenLoopPoisson(double arrivals_per_sec, uint64_t seed = 0x9e3779b9,
-                           int initial_pool = 8, int pipeline_depth = 1);
+                           int initial_pool = 8);
 
   int initial_clients() const override { return pool_; }
-  int pipeline_depth() const override { return depth_; }
   bool closed_loop() const override { return false; }
   bool NextArrival(iolsim::SimTime now, iolsim::SimTime* at) override;
   void Reset() override { rng_ = iolsim::Rng(seed_); }
@@ -117,7 +114,6 @@ class OpenLoopPoisson : public Workload {
   double rate_;
   uint64_t seed_;
   int pool_;
-  int depth_;
   iolsim::Rng rng_;
 };
 

@@ -161,7 +161,6 @@ void SimFileSystem::WriteToDisk(FileId file, uint64_t offset, const iolite::Aggr
   size_t length = data.size();
   ctx_->ChargeDisk(ctx_->cost().DiskAccessCost(length));
   ctx_->stats().disk_writes++;
-  ctx_->stats().disk_bytes_written += length;
 
   if (offset + length > f.size) {
     total_bytes_ += offset + length - f.size;

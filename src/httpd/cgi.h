@@ -70,7 +70,6 @@ class CopyCgiServer : public HttpServer {
   CopyCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net, iolfs::FileIoService* io,
                 size_t doc_bytes, bool apache_costs = false);
 
-  const char* name() const override { return apache_costs_ ? "Apache-CGI" : "Flash-CGI"; }
   bool uses_iolite_sockets() const override { return false; }
   uint64_t per_connection_memory() const override {
     return apache_costs_ ? ctx_->cost().params().apache_process_bytes : 0;
@@ -103,7 +102,6 @@ class LiteCgiServer : public HttpServer {
   LiteCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net, iolfs::FileIoService* io,
                 iolite::IoLiteRuntime* runtime, size_t doc_bytes);
 
-  const char* name() const override { return "Flash-Lite-CGI"; }
   bool uses_iolite_sockets() const override { return true; }
   void StartRequest(RequestContext* req) override;
 

@@ -58,8 +58,8 @@ size_t HttpServer::HandleRequest(iolnet::TcpConnection* conn, iolfs::FileId file
   if (!finished) {
     // A stage forgot to schedule its continuation; die loudly instead of
     // returning a zero-byte response (release builds skip asserts).
-    std::fprintf(stderr, "%s: pipeline stalled — event queue drained before completion\n",
-                 name());
+    std::fprintf(stderr,
+                 "HandleRequest: pipeline stalled — event queue drained before completion\n");
     std::abort();
   }
   return req.response_bytes;
@@ -143,7 +143,6 @@ void SendfileServer::StartRequest(RequestContext* req) {
                     // and checksummed.
                     ctx_->ChargeCpu(ctx_->cost().CopyCost(header_len));
                     ctx_->stats().bytes_copied += header_len;
-                    ctx_->stats().copy_ops++;
                     req->response_bytes = header_len + req->conn->SendAggregate(body);
                     ctx_->ChargeCpu(ctx_->cost().ChecksumCost(header_len));
                     net_->checksum().set_cache_enabled(cache_was_enabled);

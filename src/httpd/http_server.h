@@ -45,8 +45,6 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  virtual const char* name() const = 0;
-
   // Whether connections to this server use the IO-Lite socket data path.
   virtual bool uses_iolite_sockets() const = 0;
 
@@ -126,7 +124,6 @@ class FlashServer : public HttpServer {
  public:
   using HttpServer::HttpServer;
 
-  const char* name() const override { return "Flash"; }
   bool uses_iolite_sockets() const override { return false; }
   void StartRequest(RequestContext* req) override;
 
@@ -140,7 +137,6 @@ class ApacheServer : public FlashServer {
  public:
   using FlashServer::FlashServer;
 
-  const char* name() const override { return "Apache"; }
   uint64_t per_connection_memory() const override {
     return ctx_->cost().params().apache_process_bytes;
   }
@@ -162,7 +158,6 @@ class SendfileServer : public HttpServer {
  public:
   using HttpServer::HttpServer;
 
-  const char* name() const override { return "Flash-sendfile"; }
   bool uses_iolite_sockets() const override { return true; }  // No Tss copy buffer.
   void StartRequest(RequestContext* req) override;
 };
@@ -173,7 +168,6 @@ class FlashLiteServer : public HttpServer {
   FlashLiteServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
                   iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime);
 
-  const char* name() const override { return "Flash-Lite"; }
   bool uses_iolite_sockets() const override { return true; }
   void StartRequest(RequestContext* req) override;
 

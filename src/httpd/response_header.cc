@@ -41,7 +41,6 @@ iolite::BufferRef MakeIoLiteHeader(iolsim::SimContext* ctx, iolite::BufferPool* 
   std::memcpy(hbuf->writable_data(), header, header_len);
   ctx->ChargeCpu(ctx->cost().CopyCost(header_len));
   ctx->stats().bytes_copied += header_len;
-  ctx->stats().copy_ops++;
   hbuf->Seal(header_len);
   hbuf->MarkOneShot();
   return hbuf;

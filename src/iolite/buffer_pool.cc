@@ -154,7 +154,6 @@ BufferRef BufferPool::AllocateFrom(const void* src, size_t n) {
   std::memcpy(buffer->writable_data(), src, n);
   ctx_->ChargeCpu(ctx_->cost().CopyCost(n));
   ctx_->stats().bytes_copied += n;
-  ctx_->stats().copy_ops++;
   buffer->Seal(n);
   return buffer;
 }

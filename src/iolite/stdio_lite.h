@@ -40,7 +40,6 @@ class StdioLiteWriter {
       std::memcpy(current_->writable_data() + filled_, src, take);
       ctx_->ChargeCpu(ctx_->cost().CopyCost(take));  // App -> stdio buffer.
       ctx_->stats().bytes_copied += take;
-      ctx_->stats().copy_ops++;
       filled_ += take;
       src += take;
       n -= take;
@@ -94,7 +93,6 @@ class StdioLiteReader {
       head.CopyTo(dst + got);  // stdio buffer -> app.
       ctx_->ChargeCpu(ctx_->cost().CopyCost(take));
       ctx_->stats().bytes_copied += take;
-      ctx_->stats().copy_ops++;
       pending_.DropFront(take);
       got += take;
     }

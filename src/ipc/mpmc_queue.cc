@@ -14,7 +14,6 @@ MpmcQueue MpmcQueue::Create(ShmRegion* region, ShmTable* table, const char* name
     return q;
   }
   std::memset(base, 0, span);
-  q.region_ = region;
   q.state_ = reinterpret_cast<QueueState*>(base);
   q.cells_ = reinterpret_cast<Cell*>(base + sizeof(QueueState));
   q.mask_ = capacity - 1;
@@ -31,20 +30,18 @@ MpmcQueue MpmcQueue::Create(ShmRegion* region, ShmTable* table, const char* name
   return q;
 }
 
-MpmcQueue MpmcQueue::Attach(ShmRegion* region, const ShmTable& table, const char* name) {
+MpmcQueue MpmcQueue::Attach(const ShmTable& table, const char* name) {
   MpmcQueue q;
-  const ShmTable::Entry* e = table.Find(name);
-  if (e == nullptr || e->type != static_cast<uint32_t>(ShmType::kQueue)) {
+  uint64_t span = 0;
+  char* base = table.Locate(name, ShmType::kQueue, sizeof(QueueState), &span);
+  auto* state = reinterpret_cast<QueueState*>(base);
+  if (state == nullptr || state->magic != kQueueMagic || state->capacity == 0 ||
+      (state->capacity & (state->capacity - 1)) != 0 ||
+      sizeof(QueueState) + uint64_t{state->capacity} * sizeof(Cell) > span) {
     return q;
   }
-  auto* state = reinterpret_cast<QueueState*>(region->At(e->offset));
-  if (state->magic != kQueueMagic || state->capacity == 0 ||
-      (state->capacity & (state->capacity - 1)) != 0) {
-    return q;
-  }
-  q.region_ = region;
   q.state_ = state;
-  q.cells_ = reinterpret_cast<Cell*>(region->At(e->offset) + sizeof(QueueState));
+  q.cells_ = reinterpret_cast<Cell*>(base + sizeof(QueueState));
   q.mask_ = state->capacity - 1;
   return q;
 }

@@ -64,7 +64,7 @@ class MpmcQueue {
                           uint32_t capacity);
 
   // Adopts the queue published in `table` under `name`.
-  static MpmcQueue Attach(ShmRegion* region, const ShmTable& table, const char* name);
+  static MpmcQueue Attach(const ShmTable& table, const char* name);
 
   bool valid() const { return state_ != nullptr; }
   uint32_t capacity() const { return state_->capacity; }
@@ -107,7 +107,6 @@ class MpmcQueue {
  private:
   static constexpr uint32_t kQueueMagic = 0x494f4c51;  // "IOLQ"
 
-  ShmRegion* region_ = nullptr;
   QueueState* state_ = nullptr;
   Cell* cells_ = nullptr;
   uint32_t mask_ = 0;

@@ -109,22 +109,22 @@ PlaneShared AttachPlane(ShmRegion* region) {
   if (!s.table.valid()) {
     return PlaneShared{};
   }
-  s.client_q = MpmcQueue::Attach(region, s.table, kPlaneClientQueue);
+  s.client_q = MpmcQueue::Attach(s.table, kPlaneClientQueue);
   for (int o = 0;; ++o) {
-    MpmcQueue q = MpmcQueue::Attach(region, s.table, OriginQueueName(o).c_str());
+    MpmcQueue q = MpmcQueue::Attach(s.table, OriginQueueName(o).c_str());
     if (!q.valid()) {
       break;
     }
     s.origin_qs.push_back(q);
   }
-  s.cgi_q = MpmcQueue::Attach(region, s.table, kPlaneCgiQueue);
-  s.header_free = MpmcQueue::Attach(region, s.table, kPlaneHeaderFree);
-  s.cgi_free = MpmcQueue::Attach(region, s.table, kPlaneCgiFree);
-  s.copy_free = MpmcQueue::Attach(region, s.table, kPlaneCopyFree);
-  s.cache_map = ShmMap::Attach(region, s.table, kPlaneCacheMap);
-  s.futures = ShmFuturePool::Attach(region, s.table, kPlaneFutures);
-  s.counters = ShmCounters::Attach(region, s.table, kPlaneCounters);
-  s.pin_ledger = PinLedger::Attach(region, s.table, kPlanePinLedger);
+  s.cgi_q = MpmcQueue::Attach(s.table, kPlaneCgiQueue);
+  s.header_free = MpmcQueue::Attach(s.table, kPlaneHeaderFree);
+  s.cgi_free = MpmcQueue::Attach(s.table, kPlaneCgiFree);
+  s.copy_free = MpmcQueue::Attach(s.table, kPlaneCopyFree);
+  s.cache_map = ShmMap::Attach(s.table, kPlaneCacheMap);
+  s.futures = ShmFuturePool::Attach(s.table, kPlaneFutures);
+  s.counters = ShmCounters::Attach(s.table, kPlaneCounters);
+  s.pin_ledger = PinLedger::Attach(s.table, kPlanePinLedger);
   return s.valid() ? s : PlaneShared{};
 }
 
@@ -144,15 +144,10 @@ PinLedger PinLedger::Create(ShmRegion* region, ShmTable* table, const char* name
   return l;
 }
 
-PinLedger PinLedger::Attach(ShmRegion* region, const ShmTable& table,
-                            const char* name) {
+PinLedger PinLedger::Attach(const ShmTable& table, const char* name) {
   PinLedger l;
-  const ShmTable::Entry* e = table.Find(name);
-  if (e == nullptr || e->type != static_cast<uint32_t>(ShmType::kRaw) ||
-      e->size < kPinLedgerSlots * sizeof(uint64_t)) {
-    return l;
-  }
-  l.slots_ = reinterpret_cast<std::atomic<uint64_t>*>(region->At(e->offset));
+  l.slots_ = reinterpret_cast<std::atomic<uint64_t>*>(
+      table.Locate(name, ShmType::kRaw, kPinLedgerSlots * sizeof(uint64_t), nullptr));
   return l;
 }
 

@@ -10,7 +10,8 @@
 //   plane.q.hdrfree   MpmcQueue   free-list of response-header slab slots
 //   plane.q.cgifree   MpmcQueue   free-list of CGI response slab slots
 //   plane.q.copyfree  MpmcQueue   free-list of copy-mode slab slots
-//   plane.map.cache   ShmMap      FileId -> cached payload (offset, len) + pins
+//   plane.map.cache   ShmMap      FileId -> cached payload (offset, len) + pins;
+//                                 readers pin and unpin, never lock a slot
 //   plane.futures     ShmFuturePool   response/fill completion slots
 //   plane.counters    ShmCounters     warm-path counters (ABI, see shm_counters.h)
 //   plane.pins        PinLedger       per-worker transient-pin tickets (fault plane)
@@ -18,7 +19,9 @@
 //
 // Every key has one home origin, `key % origins`: proxies push its fills
 // to that origin's queue only, so one process fills, caches and publishes
-// each key and no two writers ever race on a plane.map.cache entry.
+// each key and no two writers ever race on a plane.map.cache entry. Only
+// that writer claims the key's map slot; proxies, the client and the
+// supervisor's sweep only pin and unpin it (see shm_map.h).
 //
 // Free-lists are themselves MPMC queues of SliceDescs — a slot *is* a
 // descriptor whose `reserved` field carries the slot's capacity — so the
@@ -83,8 +86,7 @@ class PinLedger {
   PinLedger() = default;
 
   static PinLedger Create(ShmRegion* region, ShmTable* table, const char* name);
-  static PinLedger Attach(ShmRegion* region, const ShmTable& table,
-                          const char* name);
+  static PinLedger Attach(const ShmTable& table, const char* name);
 
   bool valid() const { return slots_ != nullptr; }
 

@@ -52,11 +52,11 @@ bool ShmCacheMirror::TryApply(const Update& u) {
     published_.erase(it);
     return true;
   }
-  ShmMap::InsertResult r = map_->Upsert(u.key, u.value);
-  if (r == ShmMap::InsertResult::kPinned) {
+  ShmMap::UpsertResult r = map_->Upsert(u.key, u.value);
+  if (r == ShmMap::UpsertResult::kPinned) {
     return false;
   }
-  if (r == ShmMap::InsertResult::kInserted || r == ShmMap::InsertResult::kReplaced) {
+  if (r == ShmMap::UpsertResult::kInserted || r == ShmMap::UpsertResult::kReplaced) {
     published_[u.key] = u.buffer;
   }
   return true;

@@ -113,15 +113,16 @@ class ShmCounters {
     return c;
   }
 
-  static ShmCounters Attach(ShmRegion* region, const ShmTable& table,
-                            const char* name) {
+  // Invalid unless the block holds every counter this build indexes.
+  static ShmCounters Attach(const ShmTable& table, const char* name) {
     ShmCounters c;
-    const ShmTable::Entry* e = table.Find(name);
-    if (e == nullptr || e->type != static_cast<uint32_t>(ShmType::kCounters)) {
-      return c;
-    }
-    auto* header = reinterpret_cast<CountersHeader*>(region->At(e->offset));
-    if (header->magic != kCountersMagic || header->count == 0) {
+    uint64_t span = 0;
+    auto* header = reinterpret_cast<CountersHeader*>(
+        table.Locate(name, ShmType::kCounters, sizeof(CountersHeader), &span));
+    if (header == nullptr || header->magic != kCountersMagic ||
+        header->count < kCounterCount ||
+        sizeof(CountersHeader) + uint64_t{header->count} * (sizeof(uint64_t) + kNameBytes) >
+            span) {
       return c;
     }
     c.header_ = header;

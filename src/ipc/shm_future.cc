@@ -30,7 +30,6 @@ ShmFuturePool ShmFuturePool::Create(ShmRegion* region, ShmTable* table,
     return pool;
   }
   std::memset(base, 0, span);
-  pool.region_ = region;
   pool.header_ = reinterpret_cast<PoolHeader*>(base);
   pool.header_->capacity = capacity;
   std::atomic_thread_fence(std::memory_order_release);
@@ -42,18 +41,15 @@ ShmFuturePool ShmFuturePool::Create(ShmRegion* region, ShmTable* table,
   return pool;
 }
 
-ShmFuturePool ShmFuturePool::Attach(ShmRegion* region, const ShmTable& table,
-                                    const char* name) {
+ShmFuturePool ShmFuturePool::Attach(const ShmTable& table, const char* name) {
   ShmFuturePool pool;
-  const ShmTable::Entry* e = table.Find(name);
-  if (e == nullptr || e->type != static_cast<uint32_t>(ShmType::kFutures)) {
+  uint64_t span = 0;
+  auto* header = reinterpret_cast<PoolHeader*>(
+      table.Locate(name, ShmType::kFutures, sizeof(PoolHeader), &span));
+  if (header == nullptr || header->magic != kFutureMagic || header->capacity == 0 ||
+      sizeof(PoolHeader) + uint64_t{header->capacity} * sizeof(FutureSlot) > span) {
     return pool;
   }
-  auto* header = reinterpret_cast<PoolHeader*>(region->At(e->offset));
-  if (header->magic != kFutureMagic || header->capacity == 0) {
-    return pool;
-  }
-  pool.region_ = region;
   pool.header_ = header;
   return pool;
 }

@@ -75,8 +75,7 @@ class ShmFuturePool {
 
   static ShmFuturePool Create(ShmRegion* region, ShmTable* table, const char* name,
                               uint32_t capacity);
-  static ShmFuturePool Attach(ShmRegion* region, const ShmTable& table,
-                              const char* name);
+  static ShmFuturePool Attach(const ShmTable& table, const char* name);
 
   bool valid() const { return header_ != nullptr; }
   uint32_t capacity() const { return header_->capacity; }
@@ -112,7 +111,6 @@ class ShmFuturePool {
   }
   FutureSlot* SlotOf(FutureHandle h, uint32_t* gen) const;
 
-  ShmRegion* region_ = nullptr;
   PoolHeader* header_ = nullptr;
 };
 

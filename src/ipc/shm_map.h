@@ -7,16 +7,20 @@
 // entry so eviction cannot retire the payload while its bytes are still
 // being read through another mapping; the final consumer unpins.
 //
-// Concurrency: linear probing over power-of-two slots. Each slot has a
-// one-word state machine (empty -> busy -> full, full -> tomb on erase)
-// driven by CAS; `busy` doubles as a per-slot spinlock held for the few
-// instructions that read or write the 48 bytes of slot payload, so readers
-// never observe a half-written value. Tombstones keep probe chains intact.
+// Concurrency: linear probing over power-of-two slots; tombstones keep
+// probe chains intact. Each slot's state (empty -> busy -> full, full ->
+// tomb on erase) and pin count share one 64-bit word, changed by CAS.
 //
-// Two processes racing to insert the same key can both succeed into
-// different slots (the claim-then-publish window); the map does not close
-// it. The plane never opens it: every key has one home origin, the only
-// process that inserts, replaces or erases it.
+// Every key has one writer — the plane routes each key to one home origin,
+// and only that origin's mirror calls Upsert or Erase for it. Only a writer
+// ever stores `busy`, and only from an unpinned full slot or a free (empty
+// or tomb) one, for the few instructions that write the 48 bytes of key and
+// value. Readers never lock: LookupAndPin moves the word from (full, p) to
+// (full, p + 1) in one CAS, and Unpin is one fetch_sub. A pinned slot can be
+// neither claimed nor rewritten, so a reader reads the value after it pins.
+// A reader killed anywhere therefore leaves at most one pin behind (the
+// plane's PinLedger sweeps those its workers recorded) and never a locked
+// slot; a writer killed while it holds `busy` still wedges that slot.
 //
 // All layouts are ABI — scripts/shm_inspect.py walks the slot array to dump
 // live cache metadata from outside the serving processes.
@@ -25,6 +29,7 @@
 #define SRC_IPC_SHM_MAP_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 
 #include "src/ipc/shm_region.h"
@@ -42,21 +47,24 @@ class ShmMap {
     std::atomic<uint32_t> size;       // offset 8: live entries.
     std::atomic<uint32_t> tombstones; // offset 12.
     std::atomic<uint64_t> bytes;      // offset 16: sum of value lengths.
-    std::atomic<uint64_t> clock_hand; // offset 24: eviction scan cursor.
-    char pad[32];
+    char pad[40];                     // offset 24.
   };
   static_assert(sizeof(MapHeader) == 64, "map header layout is ABI");
 
   struct Slot {
-    std::atomic<uint32_t> state;  // offset 0: kEmpty/kBusy/kFull/kTomb.
-    std::atomic<int32_t> pins;    // offset 4.
-    // Atomic because probes read it before taking the slot lock; the
-    // value is re-checked under the lock.
+    // offset 0: state (kEmpty/kBusy/kFull/kTomb) in the low 32 bits, pin
+    // count in the high 32 — the u32 state at offset 0 and the i32 pins at
+    // offset 4 on a little-endian host.
+    std::atomic<uint64_t> word;
+    // Atomic because probes read it before they pin; LookupAndPin re-checks
+    // it once the pin holds the slot.
     std::atomic<uint64_t> key;    // offset 8.
     SliceDesc value;              // offset 16.
     char pad[16];
   };
   static_assert(sizeof(Slot) == 64, "map slot layout is ABI");
+  static_assert(std::endian::native == std::endian::little,
+                "Slot::word's halves sit at the state and pins ABI offsets");
 
   static constexpr uint32_t kEmpty = 0;
   static constexpr uint32_t kBusy = 1;
@@ -69,58 +77,57 @@ class ShmMap {
   // `capacity` must be a power of two.
   static ShmMap Create(ShmRegion* region, ShmTable* table, const char* name,
                        uint32_t capacity);
-  static ShmMap Attach(ShmRegion* region, const ShmTable& table, const char* name);
+  static ShmMap Attach(const ShmTable& table, const char* name);
 
   bool valid() const { return header_ != nullptr; }
   uint32_t capacity() const { return header_->capacity; }
   uint32_t size() const { return header_->size.load(std::memory_order_acquire); }
   uint64_t bytes() const { return header_->bytes.load(std::memory_order_acquire); }
 
-  // Inserts key -> value. kExists when the key was already present (the
-  // existing value wins), kFull when no slot is free.
-  enum class InsertResult { kInserted, kExists, kFull, kReplaced, kPinned };
-  InsertResult Insert(uint64_t key, const SliceDesc& value);
+  // Writer: inserts key -> value (kInserted), or replaces an unpinned
+  // entry's value in place (kReplaced) — a concurrent lookup sees the old
+  // or the new value, never a miss. A pinned entry is left unchanged
+  // (kPinned); kFull when the key is absent and no slot is free.
+  enum class UpsertResult { kInserted, kReplaced, kPinned, kFull };
+  UpsertResult Upsert(uint64_t key, const SliceDesc& value);
 
-  // Insert, except that an existing unpinned entry has its value replaced
-  // in place under the slot lock (kReplaced): a concurrent lookup sees the
-  // old or the new value, never a miss. A pinned entry is left unchanged
-  // (kPinned).
-  InsertResult Upsert(uint64_t key, const SliceDesc& value);
-
-  // Reads the value without touching the pin count.
-  bool Lookup(uint64_t key, SliceDesc* out) const;
-
-  // Reads the value and increments the entry's pin count under the slot
-  // lock — the entry cannot be evicted or erased until Unpin.
-  bool LookupAndPin(uint64_t key, SliceDesc* out);
-
-  // Drops one pin. False when the key is absent (e.g. already erased by a
-  // racing InvalidateFile — callers treat that as a bug in the plane).
-  bool Unpin(uint64_t key);
-
-  // Removes the entry unless a reader pins it (kPinned: left unchanged).
+  // Writer: removes the entry unless a reader pins it (kPinned: left
+  // unchanged).
   enum class EraseResult { kErased, kAbsent, kPinned };
   EraseResult Erase(uint64_t key);
 
-  // Clock-scan eviction: tombstones the first unpinned entry at or after
-  // the shared clock hand. Reports what was evicted so the caller can
-  // release the payload. False when every entry is pinned (or the map is
-  // empty).
-  bool EvictOne(uint64_t* evicted_key, SliceDesc* evicted_value);
+  // Reader: pins the entry and reads its value — the entry cannot be
+  // replaced or erased until Unpin.
+  bool LookupAndPin(uint64_t key, SliceDesc* out);
+
+  // Reader: drops one pin. False when the key is absent (callers treat that
+  // as a bug in the plane: a pinned entry cannot be erased).
+  bool Unpin(uint64_t key);
 
   // Current pin count of `key`; -1 when absent. (Diagnostics/tests.)
   int32_t PinsOf(uint64_t key) const;
 
  private:
   static constexpr uint32_t kMapMagic = 0x494f4c4d;  // "IOLM"
+  static constexpr uint64_t kOnePin = uint64_t{1} << 32;
 
+  static uint32_t StateOf(uint64_t word) { return static_cast<uint32_t>(word); }
   static uint64_t Mix(uint64_t key);  // splitmix64 finalizer.
+
+  // Walks `key`'s probe chain, yielding while a writer holds a slot busy.
+  // Returns the full slot holding `key`, with the word it was seen with in
+  // *word, or null at the chain's end. `*free` (when non-null) receives the
+  // chain's first tomb, else the empty slot that ended it, else null.
+  Slot* Probe(uint64_t key, uint64_t* word, Slot** free) const;
+
+  // Writer: claims the full slot `s`, last seen as `word`, unless a reader
+  // pins it.
+  static bool Claim(Slot* s, uint64_t word);
 
   Slot* slots() const {
     return reinterpret_cast<Slot*>(reinterpret_cast<char*>(header_) + sizeof(MapHeader));
   }
 
-  ShmRegion* region_ = nullptr;
   MapHeader* header_ = nullptr;
   uint32_t mask_ = 0;
 };

@@ -78,12 +78,17 @@ const ShmTable::Entry* ShmTable::Find(const char* name) const {
   return nullptr;
 }
 
-const ShmTable::Entry* ShmTable::At(size_t i) const {
-  if (i >= entry_count()) {
+char* ShmTable::Locate(const char* name, ShmType type, uint64_t min_bytes,
+                       uint64_t* bytes) const {
+  const Entry* e = Find(name);
+  if (e == nullptr || e->type != static_cast<uint32_t>(type) || e->size < min_bytes ||
+      e->offset > region_->size() || e->size > region_->size() - e->offset) {
     return nullptr;
   }
-  const Entry& e = entries()[i];
-  return e.state.load(std::memory_order_acquire) == kEntryReady ? &e : nullptr;
+  if (bytes != nullptr) {
+    *bytes = e->size;
+  }
+  return region_->At(e->offset);
 }
 
 }  // namespace iolipc

@@ -70,14 +70,12 @@ class ShmTable {
   // Finds a published entry; null when absent.
   const Entry* Find(const char* name) const;
 
-  // Published entry by index (for enumeration); null when not yet ready.
-  const Entry* At(size_t i) const;
-
-  // Convenience: the mapped address of a published structure, or null.
-  char* Resolve(const char* name) const {
-    const Entry* e = Find(name);
-    return e == nullptr ? nullptr : region_->At(e->offset);
-  }
+  // The mapped base of the published structure `name`, when its entry has
+  // `type`, spans at least `min_bytes` and lies wholly inside the region;
+  // null otherwise. `*bytes` (when non-null) receives the entry's size.
+  // Every Attach resolves its structure here, so a corrupt directory entry
+  // yields an invalid handle rather than a pointer outside the mapping.
+  char* Locate(const char* name, ShmType type, uint64_t min_bytes, uint64_t* bytes) const;
 
  private:
   // At the table's base; 64 bytes. Layout is ABI.

@@ -81,14 +81,12 @@ size_t TcpConnection::SendScratch(size_t n) {
   iolsim::SimContext* ctx = net_->ctx_;
   ctx->ChargeCpu(ctx->cost().CopyCost(n));
   ctx->stats().bytes_copied += n;
-  ctx->stats().copy_ops++;
   ChecksumAccumulate(scratch_.get(), n);
   ctx->ChargeCpu(ctx->cost().ChecksumCost(n));
   ctx->stats().bytes_checksummed += n;
   ctx->stats().checksum_ops++;
   ChargePackets(n);
   bytes_sent_ += n;
-  ctx->stats().bytes_sent += n;
   return n;
 }
 
@@ -208,7 +206,6 @@ uint32_t NetworkSubsystem::TrainLeap(uint32_t idx, iolsim::SimTime when,
 
 size_t TcpConnection::SendAggregate(const iolite::Aggregate& agg) {
   assert(connected_);
-  iolsim::SimContext* ctx = net_->ctx_;
   size_t n = agg.size();
   // Encapsulate by reference: one external mbuf per slice, no data touch.
   MbufChain chain = MbufChain::FromAggregate(agg);
@@ -219,7 +216,6 @@ size_t TcpConnection::SendAggregate(const iolite::Aggregate& agg) {
   net_->checksum_.Charge(agg);
   ChargePackets(n);
   bytes_sent_ += n;
-  ctx->stats().bytes_sent += n;
   return n;
 }
 

@@ -20,7 +20,6 @@ size_t PosixIo::Read(iolfs::FileId file, uint64_t offset, char* dst, size_t n) {
   agg.CopyTo(dst);
   ctx_->ChargeCpu(ctx_->cost().CopyCost(n));
   ctx_->stats().bytes_copied += n;
-  ctx_->stats().copy_ops++;
   return n;
 }
 
@@ -40,7 +39,6 @@ size_t PosixPipe::Write(const char* src, size_t n) {
   buffer_.insert(buffer_.end(), src, src + n);
   ctx_->ChargeCpu(ctx_->cost().CopyCost(n));
   ctx_->stats().bytes_copied += n;
-  ctx_->stats().copy_ops++;
   return n;
 }
 
@@ -55,7 +53,6 @@ size_t PosixPipe::Read(char* dst, size_t n) {
   read_pos_ += n;
   ctx_->ChargeCpu(ctx_->cost().CopyCost(n));
   ctx_->stats().bytes_copied += n;
-  ctx_->stats().copy_ops++;
   Compact();
   return n;
 }
@@ -128,7 +125,6 @@ void MmapRegion::FaultRead(uint64_t page) {
     // Hardware alignment constraint: lazy per-page copy (Section 3.8).
     ctx->ChargeCpu(ctx->cost().CopyCost(len));
     ctx->stats().bytes_copied += len;
-    ctx->stats().copy_ops++;
     pages_copied_++;
     states_[page] = PageState::kCopied;
   }
@@ -147,7 +143,6 @@ void MmapRegion::FaultWrite(uint64_t page) {
     }
     ctx->ChargeCpu(ctx->cost().CopyCost(len));
     ctx->stats().bytes_copied += len;
-    ctx->stats().copy_ops++;
     pages_copied_++;
     states_[page] = PageState::kCopied;
   }

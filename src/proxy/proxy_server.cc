@@ -93,15 +93,6 @@ ProxyServer::ProxyServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
 
 ProxyServer::~ProxyServer() = default;
 
-const char* ProxyServer::name() const {
-  if (config_.data_path == ProxyDataPath::kIoLite) {
-    return config_.backhaul == BackhaulMode::kColocated ? "IOL-proxy-colocated"
-                                                        : "IOL-proxy-remote";
-  }
-  return config_.backhaul == BackhaulMode::kColocated ? "copy-proxy-colocated"
-                                                      : "copy-proxy-remote";
-}
-
 uint32_t ProxyServer::AcquireNode(iolhttp::RequestContext* req) {
   uint32_t idx;
   if (free_node_ != UINT32_MAX) {
@@ -368,7 +359,6 @@ void ProxyServer::ReceiveStage(uint32_t idx) {
           // double-buffering a copy-based proxy cannot avoid.
           ctx_->ChargeCpu(ctx_->cost().CopyCost(size));
           ctx_->stats().bytes_copied += size;
-          ctx_->stats().copy_ops++;
           ctx_->stats().backhaul_bytes_copied += size;
         }
         // Fetch/write race: a write landed while the payload was in flight.
@@ -413,7 +403,6 @@ void ProxyServer::ForwardIpc(uint32_t idx) {
         ctx_->ChargeCpu(ctx_->cost().SyscallCost());
         ctx_->stats().syscalls++;
         ctx_->stats().ipc_frames_sent++;
-        ctx_->stats().ipc_desc_bytes += sizeof(iolipc::SliceDesc);
       },
       [this, idx] { OriginIpcServe(idx); });
 }
@@ -429,7 +418,6 @@ void ProxyServer::OriginIpcServe(uint32_t idx) {
       ctx_, &ctx_->cpu(), &ctx_->disk(),
       [this] {
         // Origin-side service loop: descriptor pop, IOL_read syscall.
-        ctx_->stats().ipc_frames_received++;
         ctx_->ChargeCpu(config_.origin_ipc_request_cpu);
         ctx_->ChargeCpu(ctx_->cost().SyscallCost());
         ctx_->stats().syscalls++;
@@ -468,11 +456,7 @@ void ProxyServer::OnOriginRead(uint32_t idx, bool was_miss) {
         ctx_->ChargeCpu(ctx_->cost().SyscallCost());
         ctx_->ChargeCpu(ctx_->cost().SyscallCost());
         ctx_->stats().syscalls += 2;
-        size_t slices = node.body.slices().size();
         ctx_->stats().ipc_frames_sent++;
-        ctx_->stats().ipc_frames_received++;
-        ctx_->stats().ipc_slices_sent += slices;
-        ctx_->stats().ipc_desc_bytes += slices * sizeof(iolipc::SliceDesc);
         ctx_->stats().ipc_bytes_transferred += node.body.size();
         cdn_stats().backhaul_bytes += node.body.size();
         // One machine, one budget: the unified cache is the proxy cache,

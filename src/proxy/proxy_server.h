@@ -138,7 +138,6 @@ class ProxyServer : public iolhttp::HttpServer {
               std::vector<iolhttp::HttpServer*> origins, ProxyConfig config);
   ~ProxyServer() override;
 
-  const char* name() const override;
   bool uses_iolite_sockets() const override {
     return config_.data_path == ProxyDataPath::kIoLite;
   }

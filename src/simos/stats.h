@@ -28,7 +28,6 @@ namespace iolsim {
 struct SimStats {
   // Data-touching operations.
   uint64_t bytes_copied = 0;
-  uint64_t copy_ops = 0;
   uint64_t bytes_checksummed = 0;
   uint64_t checksum_ops = 0;
   uint64_t checksum_cache_hits = 0;
@@ -53,12 +52,10 @@ struct SimStats {
   uint64_t disk_reads = 0;
   uint64_t disk_bytes_read = 0;
   uint64_t disk_writes = 0;
-  uint64_t disk_bytes_written = 0;
 
   // Network.
   uint64_t tcp_connections = 0;
   uint64_t packets_sent = 0;
-  uint64_t bytes_sent = 0;
 
   // Syscall boundary crossings.
   uint64_t syscalls = 0;
@@ -107,10 +104,7 @@ struct SimStats {
   // counts payload moved purely by reference (never touched by the
   // transport).
   uint64_t ipc_frames_sent = 0;
-  uint64_t ipc_frames_received = 0;
-  uint64_t ipc_slices_sent = 0;
   uint64_t ipc_bytes_transferred = 0;
-  uint64_t ipc_desc_bytes = 0;  // Control-plane descriptor traffic.
 };
 
 // One reported CDN level counter: its JSON key and its CdnLevelStats field.

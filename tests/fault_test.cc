@@ -734,8 +734,7 @@ TEST(PinLedgerTest, RecordClearTakeContract) {
   EXPECT_EQ(ledger.Take(iolipc::kPinLedgerSlots + 5), 0u);
 
   // A second attach sees the same slots (the supervisor's view).
-  iolipc::PinLedger attached =
-      iolipc::PinLedger::Attach(region.get(), table, "test.pins");
+  iolipc::PinLedger attached = iolipc::PinLedger::Attach(table, "test.pins");
   ASSERT_TRUE(attached.valid());
   ledger.Record(9, 123);
   EXPECT_EQ(attached.Take(9), 124u);

@@ -50,6 +50,20 @@ TEST_F(FsTest, CreateAndLookup) {
   EXPECT_EQ(sys_.fs().file_count(), 1u);
 }
 
+TEST_F(FsTest, FileStreamReadsAndWritesAtItsCursor) {
+  FileId f = sys_.fs().CreateFile("s", 100);
+  iolfs::FileStream stream(&sys_.io(), f);
+  iolite::Aggregate head = stream.Read(iolsim::kKernelDomain, 60);
+  EXPECT_EQ(head.size(), 60u);
+  EXPECT_EQ(stream.Read(iolsim::kKernelDomain, 60).size(), 40u) << "short read at end of file";
+  EXPECT_EQ(stream.Read(iolsim::kKernelDomain, 60).size(), 0u) << "end of stream";
+  stream.Seek(10);
+  EXPECT_EQ(stream.Write(iolsim::kKernelDomain, head), 60u);
+  EXPECT_EQ(stream.position(), 70u);
+  stream.Seek(10);
+  EXPECT_EQ(stream.Read(iolsim::kKernelDomain, 60).ToString(), head.ToString());
+}
+
 TEST_F(FsTest, DiskReadReturnsDeterministicContent) {
   FileId f = sys_.fs().CreateFile("a", 4096);
   iolite::BufferRef b1 = sys_.fs().ReadFromDisk(f, 100, 200);
@@ -435,6 +449,7 @@ TEST_F(FsTest, IsReferencedSeesOutsideHolders) {
 
 TEST(PolicyTest, PlainLruEvictsLeastRecentlyUsed) {
   PlainLruPolicy p;
+  EXPECT_STREQ(p.name(), "lru");
   p.OnInsert(1, 100);
   p.OnInsert(2, 100);
   p.OnInsert(3, 100);
@@ -453,6 +468,7 @@ TEST(PolicyTest, PlainLruEvictsLeastRecentlyUsed) {
 
 TEST(PolicyTest, PaperLruPrefersUnreferencedEntries) {
   PaperLruPolicy p;
+  EXPECT_STREQ(p.name(), "paper-lru");
   p.OnInsert(1, 100);
   p.OnInsert(2, 100);
   p.OnInsert(3, 100);

@@ -100,6 +100,16 @@ TEST_F(RuntimeTest, PipeSplitsAggregatesOnShortReads) {
   EXPECT_EQ(runtime_.IolRead(pipe.read_fd, 10).size(), 0u);  // Drained.
 }
 
+TEST_F(RuntimeTest, PipeEndsAreOneWay) {
+  iolsim::DomainId d = ctx_.vm().CreateDomain();
+  BufferPool* pool = runtime_.CreatePool("p", d);
+  iolite::PipeEnds pipe = MakePipe(&runtime_, d, d);
+  EXPECT_EQ(runtime_.IolWrite(pipe.read_fd, ioltest::AggFrom(pool, "xy")), 0u);
+  runtime_.IolWrite(pipe.write_fd, ioltest::AggFrom(pool, "xy"));
+  EXPECT_EQ(runtime_.IolRead(pipe.write_fd, 10).size(), 0u);
+  EXPECT_EQ(runtime_.IolRead(pipe.read_fd, 10).ToString(), "xy");
+}
+
 TEST_F(RuntimeTest, IolReadMayReturnLessThanRequested) {
   iolsim::DomainId d = ctx_.vm().CreateDomain();
   BufferPool* pool = runtime_.CreatePool("p", d);

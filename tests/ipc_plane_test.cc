@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <libgen.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -126,55 +127,56 @@ TEST(ForkPlaneTest, MpmcQueueDeliversEveryItemExactlyOnceAcrossProcesses) {
 
 // --- ShmMap torture across forked processes ---------------------------------
 
+// A map value {key * 1024 + n, n}, n in [1, 1023]: a torn read breaks the
+// relation.
+SliceDesc MapValue(uint64_t key, uint64_t n) {
+  SliceDesc v{};
+  v.offset = key * 1024 + n;
+  v.length = n;
+  return v;
+}
+
+bool IntactMapValue(uint64_t key, const SliceDesc& v) {
+  return v.length > 0 && v.length < 1024 && v.offset == key * 1024 + v.length;
+}
+
+// The plane's contract across processes: worker w is the one writer of the
+// keys with key % W == w, and every worker pins, checks and unpins any key.
 TEST(ForkPlaneTest, MapTortureAcrossProcessesKeepsAccountingConsistent) {
   constexpr int kWorkers = 3;
   constexpr int kOpsPerWorker = 20000;
-  constexpr uint64_t kKeySpace = 48;
+  constexpr uint64_t kKeySpace = 48;  // A multiple of kWorkers.
 
   auto region = ShmRegion::Create(4u << 20);
   ASSERT_NE(region, nullptr);
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 128);
   ASSERT_TRUE(map.valid());
-  ForkScratch* scratch = CarveScratch(region.get());
 
   WorkerGroup workers;
-  ASSERT_TRUE(workers.Launch(PlaneMode::kProcesses, kWorkers, [&] {
-    uint32_t id = scratch->ticket.fetch_add(1, std::memory_order_relaxed);
-    uint64_t rng = 0xda3e39cb94b95bdbull * (id + 1);
+  ASSERT_TRUE(workers.Launch(PlaneMode::kProcesses, kWorkers, [&](int w) {
+    uint64_t rng = 0xda3e39cb94b95bdbull * (w + 1);
     for (int i = 0; i < kOpsPerWorker; ++i) {
       uint64_t r = XorShift(&rng);
       uint64_t key = r % kKeySpace;
-      SliceDesc v{};
-      v.offset = key * 64;
-      v.length = 64;
-      switch (r % 5) {
+      uint64_t own = key - key % kWorkers + w;
+      switch ((r >> 32) % 4) {
         case 0:
-          map.Insert(key, v);
+          map.Upsert(own, MapValue(own, 1 + (r >> 40) % 1023));
           break;
-        case 1: {
-          SliceDesc out;
-          if (map.Lookup(key, &out) && out.offset != key * 64) {
-            _exit(7);  // Torn value observed: fail loudly from the child.
-          }
+        case 1:
+          map.Erase(own);
           break;
-        }
-        case 2: {
+        default: {
           SliceDesc out;
           if (map.LookupAndPin(key, &out)) {
-            if (out.length != 64) {
-              _exit(7);
+            if (!IntactMapValue(key, out)) {
+              _exit(7);  // Torn value observed: fail loudly from the child.
             }
             map.Unpin(key);
           }
           break;
         }
-        case 3:
-          map.Erase(key);
-          break;
-        case 4:
-          map.EvictOne(nullptr, nullptr);
-          break;
       }
     }
   }));
@@ -185,15 +187,142 @@ TEST(ForkPlaneTest, MapTortureAcrossProcessesKeepsAccountingConsistent) {
   uint64_t bytes = 0;
   for (uint64_t key = 0; key < kKeySpace; ++key) {
     SliceDesc v;
-    if (map.Lookup(key, &v)) {
+    if (map.LookupAndPin(key, &v)) {
       ++live;
       bytes += v.length;
-      EXPECT_EQ(v.offset, key * 64);
-      EXPECT_EQ(map.PinsOf(key), 0) << "leaked pin on key " << key;
+      EXPECT_TRUE(IntactMapValue(key, v)) << "key " << key;
+      EXPECT_EQ(map.PinsOf(key), 1) << "leaked pin on key " << key;
+      EXPECT_TRUE(map.Unpin(key));
     }
   }
+  EXPECT_GT(live, 0u);
   EXPECT_EQ(map.size(), live);
   EXPECT_EQ(map.bytes(), bytes);
+}
+
+// --- Killed readers ------------------------------------------------------------
+
+// Slots of `table`'s map `name` whose state word reads kBusy, read raw at
+// their ABI offsets (the u32 state at offset 0 of each 64-byte slot, after
+// the 64-byte header) the way scripts/shm_inspect.py reads them. No probe:
+// a wedged slot is counted, never waited on.
+int BusySlots(const ShmTable& table, const char* name) {
+  uint64_t bytes = 0;
+  const char* base = table.Locate(name, iolipc::ShmType::kMap, 64, &bytes);
+  int busy = 0;
+  for (uint64_t at = 64; at + 64 <= bytes; at += 64) {
+    uint32_t state = 0;
+    std::memcpy(&state, base + at, sizeof(state));
+    busy += state == ShmMap::kBusy;
+  }
+  return busy;
+}
+
+// Readers SIGKILLed at random instants — mid-probe, mid-pin, holding a
+// ledgered pin — must leave no slot kBusy, or the keys' one writer (here
+// the parent) would wait on it forever. The supervisor's ledger sweep
+// returns the pins a dead reader had recorded; a kill between LookupAndPin
+// and PinLedger::Record, or between Clear and Unpin, leaks that one pin.
+TEST(ForkPlaneTest, KilledReadersWedgeNoSlot) {
+  constexpr int kReaders = 3;
+  constexpr int kKills = 40;
+  constexpr uint64_t kKeySpace = 16;
+
+  auto region = ShmRegion::Create(4u << 20);
+  ASSERT_NE(region, nullptr);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmMap map = ShmMap::Create(region.get(), &table, "m", 32);
+  iolipc::PinLedger ledger = iolipc::PinLedger::Create(region.get(), &table, "pins");
+  ASSERT_TRUE(map.valid());
+  ASSERT_TRUE(ledger.valid());
+  struct ReaderScratch {
+    std::atomic<uint32_t> stop;
+    std::atomic<uint32_t> torn;  // Values that failed IntactMapValue.
+  };
+  auto* scratch = reinterpret_cast<ReaderScratch*>(region->AllocateExtent(sizeof(ReaderScratch)));
+  std::memset(reinterpret_cast<void*>(scratch), 0, sizeof(*scratch));
+  for (uint64_t key = 0; key < kKeySpace; ++key) {
+    ASSERT_EQ(map.Upsert(key, MapValue(key, 1)), ShmMap::UpsertResult::kInserted);
+  }
+
+  WorkerGroup readers;
+  bool wedged = false;
+  uint64_t swept = 0;
+  readers.set_on_death([&](int slot) {
+    if (BusySlots(table, "m") > 0) {
+      wedged = true;  // Sweeping would probe, and a probe would wait forever.
+      return;
+    }
+    uint64_t t = ledger.Take(static_cast<uint32_t>(slot));
+    if (t != 0) {
+      EXPECT_TRUE(map.Unpin(t - 1));
+      ++swept;
+    }
+  });
+  ASSERT_TRUE(readers.Launch(PlaneMode::kProcesses, kReaders, [&](int slot) {
+    uint64_t rng = 0x2545f4914f6cdd1dull * static_cast<uint64_t>(getpid());
+    while (scratch->stop.load(std::memory_order_relaxed) == 0) {
+      uint64_t key = XorShift(&rng) % kKeySpace;
+      SliceDesc v;
+      if (!map.LookupAndPin(key, &v)) {
+        continue;
+      }
+      ledger.Record(static_cast<uint32_t>(slot), key);
+      if (!IntactMapValue(key, v)) {
+        scratch->torn.fetch_add(1, std::memory_order_relaxed);
+      }
+      ledger.Clear(static_cast<uint32_t>(slot));
+      map.Unpin(key);
+    }
+  }));
+
+  uint64_t rng = 0x5eed;
+  int kills = 0;
+  while (kills < kKills && !wedged) {
+    // The parent writes every key: replacements, erases and re-inserts.
+    for (uint64_t op = XorShift(&rng) % 64; op > 0; --op) {
+      uint64_t r = XorShift(&rng);
+      uint64_t key = r % kKeySpace;
+      if ((r >> 32) % 4 == 0) {
+        map.Erase(key);
+      } else {
+        map.Upsert(key, MapValue(key, 1 + (r >> 40) % 1023));
+      }
+    }
+    usleep(static_cast<useconds_t>(XorShift(&rng) % 2000));
+    pid_t victim = readers.pids()[XorShift(&rng) % kReaders];
+    ASSERT_EQ(kill(victim, SIGKILL), 0);
+    ++kills;
+    while (readers.Poll() == 0) {  // Reap, sweep (on_death), respawn.
+      sched_yield();
+    }
+  }
+  scratch->stop.store(1, std::memory_order_relaxed);
+  if (wedged) {
+    for (pid_t pid : readers.pids()) {
+      kill(pid, SIGKILL);  // Live readers may be waiting on the wedged slot.
+    }
+  }
+  int abnormal = readers.JoinAll();
+  ASSERT_FALSE(wedged) << "a reader killed by kill " << kills << " left a slot kBusy";
+  EXPECT_EQ(abnormal, 0);
+  EXPECT_EQ(readers.abnormal_exits(), static_cast<uint64_t>(kKills));
+  EXPECT_EQ(readers.respawns(), static_cast<uint64_t>(kKills));
+  EXPECT_EQ(scratch->torn.load(), 0u) << "torn values read";
+  EXPECT_EQ(BusySlots(table, "m"), 0);
+
+  // Each kill leaks at most the one pin its reader had not yet ledgered.
+  uint64_t pinned = 0;
+  uint32_t live = 0;
+  for (uint64_t key = 0; key < kKeySpace; ++key) {
+    int32_t pins = map.PinsOf(key);
+    if (pins >= 0) {
+      ++live;
+      pinned += static_cast<uint64_t>(pins);
+    }
+  }
+  EXPECT_LE(pinned, static_cast<uint64_t>(kKills)) << swept << " pins swept";
+  EXPECT_EQ(map.size(), live);
 }
 
 // --- Crash recovery ----------------------------------------------------------
@@ -426,7 +555,7 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   SliceDesc v{};
   v.offset = 4096;
   v.length = 512;
-  ASSERT_EQ(plane.cache_map.Insert(7, v), ShmMap::InsertResult::kInserted);
+  ASSERT_EQ(plane.cache_map.Upsert(7, v), ShmMap::UpsertResult::kInserted);
 
   std::string shm_name = region->name();
   if (!shm_name.empty() && shm_name.front() == '/') {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/driver/process_tier.h"
@@ -184,42 +185,50 @@ TEST(MpmcQueueTest, ThreadedMpmcDeliversEveryItemExactlyOnce) {
 
 // --- ShmMap -----------------------------------------------------------------
 
-TEST(ShmMapTest, InsertLookupEraseEvict) {
+// Reads `key` the way a plane reader does: pin, copy the value, unpin.
+bool Peek(ShmMap* map, uint64_t key, SliceDesc* v) {
+  if (!map->LookupAndPin(key, v)) {
+    return false;
+  }
+  EXPECT_TRUE(map->Unpin(key));
+  return true;
+}
+
+TEST(ShmMapTest, UpsertPinUnpinErase) {
   auto region = AnonRegion();
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 16);
   ASSERT_TRUE(map.valid());
 
-  EXPECT_EQ(map.Insert(42, Desc(100, 1000)), ShmMap::InsertResult::kInserted);
-  EXPECT_EQ(map.Insert(42, Desc(999, 9)), ShmMap::InsertResult::kExists)
-      << "existing value wins";
+  EXPECT_EQ(map.Upsert(42, Desc(100, 1000)), ShmMap::UpsertResult::kInserted);
   SliceDesc v;
-  ASSERT_TRUE(map.Lookup(42, &v));
+  ASSERT_TRUE(Peek(&map, 42, &v));
   EXPECT_EQ(v.offset, 100u);
   EXPECT_EQ(v.length, 1000u);
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(map.bytes(), 1000u);
-  EXPECT_FALSE(map.Lookup(43, &v));
+  EXPECT_FALSE(map.LookupAndPin(43, &v));
+  EXPECT_FALSE(map.Unpin(43));
+  EXPECT_EQ(map.PinsOf(43), -1);
 
-  // Pins block erase and eviction.
+  // Pins block erase, and each pin needs its own unpin.
   ASSERT_TRUE(map.LookupAndPin(42, &v));
-  EXPECT_EQ(map.PinsOf(42), 1);
+  ASSERT_TRUE(map.LookupAndPin(42, &v));
+  EXPECT_EQ(map.PinsOf(42), 2);
   EXPECT_EQ(map.Erase(42), ShmMap::EraseResult::kPinned) << "pinned entries cannot be erased";
-  uint64_t ekey = 0;
-  SliceDesc eval;
-  EXPECT_FALSE(map.EvictOne(&ekey, &eval)) << "everything pinned";
+  ASSERT_TRUE(map.Unpin(42));
+  EXPECT_EQ(map.Erase(42), ShmMap::EraseResult::kPinned);
   ASSERT_TRUE(map.Unpin(42));
   EXPECT_EQ(map.PinsOf(42), 0);
-  ASSERT_TRUE(map.EvictOne(&ekey, &eval));
-  EXPECT_EQ(ekey, 42u);
-  EXPECT_EQ(eval.offset, 100u);
+  EXPECT_EQ(map.Erase(42), ShmMap::EraseResult::kErased);
+  EXPECT_EQ(map.Erase(42), ShmMap::EraseResult::kAbsent);
   EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.bytes(), 0u);
-  EXPECT_FALSE(map.Lookup(42, &v));
+  EXPECT_FALSE(Peek(&map, 42, &v));
 
   // The tombstone is reusable.
-  EXPECT_EQ(map.Insert(42, Desc(200, 5)), ShmMap::InsertResult::kInserted);
-  ASSERT_TRUE(map.Lookup(42, &v));
+  EXPECT_EQ(map.Upsert(42, Desc(200, 5)), ShmMap::UpsertResult::kInserted);
+  ASSERT_TRUE(Peek(&map, 42, &v));
   EXPECT_EQ(v.offset, 200u);
 }
 
@@ -227,15 +236,16 @@ TEST(ShmMapTest, UpsertReplacesUnpinnedValuesInPlace) {
   auto region = AnonRegion();
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 16);
-  EXPECT_EQ(map.Upsert(42, Desc(100, 1000)), ShmMap::InsertResult::kInserted);
-  EXPECT_EQ(map.Upsert(42, Desc(300, 30)), ShmMap::InsertResult::kReplaced);
+  EXPECT_EQ(map.Upsert(42, Desc(100, 1000)), ShmMap::UpsertResult::kInserted);
+  EXPECT_EQ(map.Upsert(42, Desc(300, 30)), ShmMap::UpsertResult::kReplaced);
   SliceDesc v;
   ASSERT_TRUE(map.LookupAndPin(42, &v));
   EXPECT_EQ(v.offset, 300u);
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(map.bytes(), 30u);
-  EXPECT_EQ(map.Upsert(42, Desc(500, 5)), ShmMap::InsertResult::kPinned);
-  ASSERT_TRUE(map.Lookup(42, &v));
+  EXPECT_EQ(map.Upsert(42, Desc(500, 5)), ShmMap::UpsertResult::kPinned);
+  ASSERT_TRUE(map.Unpin(42));
+  ASSERT_TRUE(Peek(&map, 42, &v));
   EXPECT_EQ(v.offset, 300u) << "a pinned value is left unchanged";
 }
 
@@ -244,59 +254,62 @@ TEST(ShmMapTest, FillsToCapacityThenRejects) {
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 8);
   for (uint64_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(map.Insert(k, Desc(k, 1)), ShmMap::InsertResult::kInserted);
+    EXPECT_EQ(map.Upsert(k, Desc(k, 1)), ShmMap::UpsertResult::kInserted);
   }
-  EXPECT_EQ(map.Insert(100, Desc(0, 1)), ShmMap::InsertResult::kFull);
+  EXPECT_EQ(map.Upsert(100, Desc(0, 1)), ShmMap::UpsertResult::kFull);
   // Every key is still findable despite full-table probe chains.
   SliceDesc v;
   for (uint64_t k = 0; k < 8; ++k) {
-    ASSERT_TRUE(map.Lookup(k, &v)) << "key " << k;
+    ASSERT_TRUE(Peek(&map, k, &v)) << "key " << k;
     EXPECT_EQ(v.offset, k);
   }
+  // A full table with a tombstone takes the new key there.
+  EXPECT_EQ(map.Erase(3), ShmMap::EraseResult::kErased);
+  EXPECT_EQ(map.Upsert(100, Desc(0, 1)), ShmMap::UpsertResult::kInserted);
+  EXPECT_EQ(map.size(), 8u);
+  EXPECT_FALSE(Peek(&map, 3, &v));
 }
 
+// The plane's contract: each key has one writer (here thread key % T),
+// and every thread pins, checks and unpins any key.
 TEST(ShmMapTest, ThreadedTortureKeepsAccountingConsistent) {
   auto region = AnonRegion();
   ShmTable table = ShmTable::Create(region.get(), 4);
   ShmMap map = ShmMap::Create(region.get(), &table, "m", 256);
   constexpr int kThreads = 6;
   constexpr int kOpsPerThread = 4000;
-  constexpr uint64_t kKeySpace = 64;
+  constexpr uint64_t kKeySpace = 60;  // A multiple of kThreads.
+  // A value is {key * 1024 + n, n}: a torn read breaks the relation.
+  auto value_of = [](uint64_t key, uint64_t n) { return Desc(key * 1024 + n, n); };
+  auto intact = [](uint64_t key, const SliceDesc& v) {
+    return v.length > 0 && v.length < 1024 && v.offset == key * 1024 + v.length;
+  };
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&map, t] {
+    threads.emplace_back([&, t] {
       uint64_t rng = 0x9e3779b97f4a7c15ull * (t + 1);
       for (int i = 0; i < kOpsPerThread; ++i) {
         rng ^= rng << 13;
         rng ^= rng >> 7;
         rng ^= rng << 17;
         uint64_t key = rng % kKeySpace;
-        switch (rng % 5) {
+        uint64_t own = key - key % kThreads + t;
+        switch ((rng >> 32) % 4) {
           case 0:
-            map.Insert(key, Desc(key * 8, 8));
+            map.Upsert(own, value_of(own, 1 + (rng >> 40) % 1023));
             break;
-          case 1: {
-            SliceDesc v;
-            if (map.Lookup(key, &v)) {
-              EXPECT_EQ(v.offset, key * 8);
-            }
+          case 1:
+            map.Erase(own);
             break;
-          }
-          case 2: {
+          default: {
             SliceDesc v;
             if (map.LookupAndPin(key, &v)) {
-              EXPECT_EQ(v.length, 8u);
+              EXPECT_TRUE(intact(key, v)) << "key " << key;
               ASSERT_TRUE(map.Unpin(key));
             }
             break;
           }
-          case 3:
-            map.Erase(key);
-            break;
-          case 4:
-            map.EvictOne(nullptr, nullptr);
-            break;
         }
       }
     });
@@ -310,13 +323,14 @@ TEST(ShmMapTest, ThreadedTortureKeepsAccountingConsistent) {
   uint64_t bytes = 0;
   for (uint64_t key = 0; key < kKeySpace; ++key) {
     SliceDesc v;
-    if (map.Lookup(key, &v)) {
+    if (Peek(&map, key, &v)) {
       ++live;
       bytes += v.length;
-      EXPECT_EQ(v.offset, key * 8);
+      EXPECT_TRUE(intact(key, v)) << "key " << key;
       EXPECT_EQ(map.PinsOf(key), 0) << "leaked pin on key " << key;
     }
   }
+  EXPECT_GT(live, 0u);
   EXPECT_EQ(map.size(), live);
   EXPECT_EQ(map.bytes(), bytes);
 }
@@ -409,7 +423,7 @@ TEST(ShmCountersTest, AddGetAndAttach) {
   EXPECT_EQ(c.Get(iolipc::kBytesServed), 123u);
   EXPECT_EQ(c.Get(iolipc::kBytesCopiedCrossProcess), 0u);
 
-  ShmCounters attached = ShmCounters::Attach(region.get(), table, "c");
+  ShmCounters attached = ShmCounters::Attach(table, "c");
   ASSERT_TRUE(attached.valid());
   EXPECT_EQ(attached.Get(iolipc::kBytesServed), 123u);
   EXPECT_EQ(attached.Get(iolipc::kFutureErrors), 1u);
@@ -417,7 +431,7 @@ TEST(ShmCountersTest, AddGetAndAttach) {
                "bytes_copied_cross_process");
 
   // The name table follows the slots, one NUL-padded entry per counter.
-  const char* names = table.Resolve("c") + sizeof(ShmCounters::CountersHeader) +
+  const char* names = table.Locate("c", iolipc::ShmType::kCounters, 0, nullptr) + sizeof(ShmCounters::CountersHeader) +
                       iolipc::kCounterCount * sizeof(uint64_t);
   for (uint32_t i = 0; i < iolipc::kCounterCount; ++i) {
     EXPECT_STREQ(names + i * ShmCounters::kNameBytes, iolipc::PlaneCounterName(i)) << i;
@@ -425,6 +439,81 @@ TEST(ShmCountersTest, AddGetAndAttach) {
   EXPECT_EQ(table.Find("c")->size,
             sizeof(ShmCounters::CountersHeader) +
                 iolipc::kCounterCount * (sizeof(uint64_t) + ShmCounters::kNameBytes));
+}
+
+// --- Attach validation --------------------------------------------------------
+
+// Doubles the u32 at offset 4 of `name`'s header — every structure's slot
+// capacity (the counter count, for ShmCounters) — so the header claims more
+// slots than its directory entry spans.
+void OverrunCapacity(const ShmTable& table, const char* name, iolipc::ShmType type) {
+  auto* capacity = reinterpret_cast<uint32_t*>(table.Locate(name, type, 8, nullptr) + 4);
+  *capacity *= 2;
+}
+
+TEST(ShmAttachTest, AHeaderCapacityOverrunningItsEntryGivesAnInvalidHandle) {
+  auto region = AnonRegion();
+  ShmTable table = ShmTable::Create(region.get(), 8);
+  ASSERT_TRUE(MpmcQueue::Create(region.get(), &table, "q", 8).valid());
+  ASSERT_TRUE(ShmMap::Create(region.get(), &table, "m", 8).valid());
+  ASSERT_TRUE(ShmFuturePool::Create(region.get(), &table, "f", 4).valid());
+  ASSERT_TRUE(ShmCounters::Create(region.get(), &table, "c").valid());
+  ASSERT_TRUE(MpmcQueue::Attach(table, "q").valid());
+  ASSERT_TRUE(ShmMap::Attach(table, "m").valid());
+  ASSERT_TRUE(ShmFuturePool::Attach(table, "f").valid());
+  ASSERT_TRUE(ShmCounters::Attach(table, "c").valid());
+  EXPECT_FALSE(ShmMap::Attach(table, "q").valid()) << "a queue entry is not a map";
+
+  OverrunCapacity(table, "q", iolipc::ShmType::kQueue);
+  EXPECT_FALSE(MpmcQueue::Attach(table, "q").valid());
+  OverrunCapacity(table, "m", iolipc::ShmType::kMap);
+  EXPECT_FALSE(ShmMap::Attach(table, "m").valid());
+  OverrunCapacity(table, "f", iolipc::ShmType::kFutures);
+  EXPECT_FALSE(ShmFuturePool::Attach(table, "f").valid());
+  OverrunCapacity(table, "c", iolipc::ShmType::kCounters);
+  EXPECT_FALSE(ShmCounters::Attach(table, "c").valid());
+  // A block holding fewer counters than this build indexes is refused too.
+  *reinterpret_cast<uint32_t*>(table.Locate("c", iolipc::ShmType::kCounters, 8, nullptr) + 4) =
+      iolipc::kCounterCount - 1;
+  EXPECT_FALSE(ShmCounters::Attach(table, "c").valid());
+
+  // An entry that reaches past the region, or cannot hold its header,
+  // resolves to nothing.
+  ASSERT_TRUE(table.Publish("far", region->size() - 64, 128, iolipc::ShmType::kMap));
+  EXPECT_EQ(table.Locate("far", iolipc::ShmType::kMap, 0, nullptr), nullptr);
+  EXPECT_FALSE(ShmMap::Attach(table, "far").valid());
+  ASSERT_TRUE(table.Publish("tiny", 0, 16, iolipc::ShmType::kMap));
+  EXPECT_FALSE(ShmMap::Attach(table, "tiny").valid());
+}
+
+TEST(ShmAttachTest, APlaneWithAnOverrunStructureDoesNotAttach) {
+  const std::pair<const char*, iolipc::ShmType> kStructures[] = {
+      {iolipc::kPlaneClientQueue, iolipc::ShmType::kQueue},
+      {"plane.q.origin.0", iolipc::ShmType::kQueue},
+      {iolipc::kPlaneCgiQueue, iolipc::ShmType::kQueue},
+      {iolipc::kPlaneHeaderFree, iolipc::ShmType::kQueue},
+      {iolipc::kPlaneCgiFree, iolipc::ShmType::kQueue},
+      {iolipc::kPlaneCopyFree, iolipc::ShmType::kQueue},
+      {iolipc::kPlaneCacheMap, iolipc::ShmType::kMap},
+      {iolipc::kPlaneFutures, iolipc::ShmType::kFutures},
+      {iolipc::kPlaneCounters, iolipc::ShmType::kCounters},
+  };
+  iolipc::PlaneConfig pc;
+  pc.queue_capacity = 32;
+  pc.map_capacity = 64;
+  pc.future_capacity = 8;
+  pc.header_slots = 8;
+  pc.cgi_slots = 4;
+  pc.copy_slots = 4;
+  pc.copy_slot_bytes = 4096;
+  for (const auto& [name, type] : kStructures) {
+    auto region = AnonRegion();
+    iolipc::PlaneShared plane = iolipc::CreatePlane(region.get(), pc, 1);
+    ASSERT_TRUE(plane.valid());
+    ASSERT_TRUE(iolipc::AttachPlane(region.get()).valid()) << name;
+    OverrunCapacity(plane.table, name, type);
+    EXPECT_FALSE(iolipc::AttachPlane(region.get()).valid()) << name;
+  }
 }
 
 // --- ShmCacheMirror ---------------------------------------------------------
@@ -444,13 +533,13 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   iolite::BufferRef buf = pool.AllocateDma(1, 4096);
   cache.Insert(7, 0, iolite::Aggregate::FromBuffer(buf));
   SliceDesc v;
-  ASSERT_TRUE(map.Lookup(7, &v));
+  ASSERT_TRUE(Peek(&map, 7, &v));
   EXPECT_EQ(v.length, 4096u);
   EXPECT_EQ(region->At(v.offset), buf->data()) << "mirror names the same bytes";
 
   // Erase follows InvalidateFile…
   cache.InvalidateFile(7);
-  EXPECT_FALSE(map.Lookup(7, &v));
+  EXPECT_FALSE(Peek(&map, 7, &v));
   EXPECT_EQ(map.size(), 0u);
 
   // …but a foreign pin defers it until the pin drops.
@@ -458,20 +547,20 @@ TEST(ShmCacheMirrorTest, ProjectsCacheMembershipIntoTheMap) {
   cache.Insert(9, 0, iolite::Aggregate::FromBuffer(buf2));
   ASSERT_TRUE(map.LookupAndPin(9, &v));
   cache.InvalidateFile(9);
-  EXPECT_TRUE(map.Lookup(9, &v)) << "pinned entry survives the erase";
+  EXPECT_TRUE(Peek(&map, 9, &v)) << "pinned entry survives the erase";
   EXPECT_EQ(mirror.deferred_updates(), 1u);
   ASSERT_TRUE(map.Unpin(9));
   // Any later mutation drains the deferred erase.
   iolite::BufferRef buf3 = pool.AllocateDma(3, 1024);
   cache.Insert(11, 0, iolite::Aggregate::FromBuffer(buf3));
-  EXPECT_FALSE(map.Lookup(9, &v));
+  EXPECT_FALSE(Peek(&map, 9, &v));
   EXPECT_EQ(mirror.deferred_updates(), 0u);
 
   // Multi-slice and partial-offset entries are skipped, not published.
   uint64_t skipped = mirror.skipped();
   cache.Insert(13, 100, iolite::Aggregate::FromBuffer(pool.AllocateDma(4, 512)));
   EXPECT_GT(mirror.skipped(), skipped);
-  EXPECT_FALSE(map.Lookup(13, &v));
+  EXPECT_FALSE(Peek(&map, 13, &v));
 }
 
 TEST(ShmCacheMirrorTest, ReinsertNeverHidesTheKeyFromAConcurrentPin) {
@@ -490,7 +579,7 @@ TEST(ShmCacheMirrorTest, ReinsertNeverHidesTheKeyFromAConcurrentPin) {
                                    iolite::Aggregate::FromBuffer(pool.AllocateDma(2, 4096))};
   mirror.OnInsert(7, 0, versions[0]);
 
-  ShmMap sibling = ShmMap::Attach(region.get(), table, "m");
+  ShmMap sibling = ShmMap::Attach(table, "m");
   ASSERT_TRUE(sibling.valid());
   std::atomic<bool> done{false};
   uint64_t lookups = 0;
@@ -550,10 +639,12 @@ TEST(ShmCacheMirrorTest, ReinsertBlockedByAPinNeverRemovesTheKeyLater) {
 // scripts/shm_inspect.py walks it.
 int SlotsHolding(const iolipc::PlaneShared& s, uint64_t key) {
   const auto* slots = reinterpret_cast<const ShmMap::Slot*>(
-      s.table.Resolve(iolipc::kPlaneCacheMap) + sizeof(ShmMap::MapHeader));
+      s.table.Locate(iolipc::kPlaneCacheMap, iolipc::ShmType::kMap, 0, nullptr) +
+      sizeof(ShmMap::MapHeader));
   int n = 0;
   for (uint32_t i = 0; i < s.cache_map.capacity(); ++i) {
-    if (slots[i].state.load() == ShmMap::kFull && slots[i].key.load() == key) {
+    if (static_cast<uint32_t>(slots[i].word.load()) == ShmMap::kFull &&
+        slots[i].key.load() == key) {
       ++n;
     }
   }

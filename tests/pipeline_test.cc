@@ -489,6 +489,13 @@ TEST(OpenLoopTest, PoissonArrivalsCompleteAndAreDeterministic) {
   EXPECT_LT(a.megabits_per_sec, 55.0);
 }
 
+TEST(ClosedLoopTest, NeverSchedulesAnArrival) {
+  ioldrv::ClosedLoop loop(4);
+  iolsim::SimTime at = 0;
+  EXPECT_TRUE(loop.closed_loop());
+  EXPECT_FALSE(loop.NextArrival(0, &at)) << "a closed loop issues on completions only";
+}
+
 TEST(OpenLoopTest, OverloadGrowsThePoolInsteadOfDeadlocking) {
   System sys;
   FileId f = sys.fs().CreateFile("doc", 50 * 1024);

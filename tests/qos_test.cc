@@ -335,6 +335,8 @@ MiniMixRun RunMiniMix() {
   CachePlan plan;
   plan.total_bytes = 96 * 1024;
   mix.Configure(&policy, &plan);
+  EXPECT_EQ(mix.tenant_id(0), 1u) << "spec i is tenant i + 1";
+  EXPECT_EQ(mix.tenant_id(1), 2u);
   policy.AttachWfq(&sys->ctx());
   policy.SetStarvationBound(200 * iolsim::kMillisecond);
   sys->cache().AttachQos(&policy);
