@@ -2,11 +2,11 @@
 """Out-of-process inspector for IO-Lite shared-memory data planes.
 
 Maps a plane's region read-only, walks the ShmTable directory at payload
-offset 0, decodes every structure it knows (queues, map, futures, counters)
-with nothing but the fixed ABI offsets from src/ipc/*.h, and prints one JSON
-document. This is the proof that the plane's state is genuinely discoverable
-from outside the serving processes: no C++ involved, no cooperation from the
-workers, works while they run or after they exit.
+offset 0, decodes every structure it knows (queues, map, futures, counters,
+pin ledger) with nothing but the fixed ABI offsets from src/ipc/*.h, and
+prints one JSON document. This is the proof that the plane's state is
+genuinely discoverable from outside the serving processes: no C++ involved,
+no cooperation from the workers, works while they run or after they exit.
 
 Usage:
     scripts/shm_inspect.py                 # list /dev/shm segments with a region header
@@ -21,6 +21,8 @@ ABI mirrored here (keep in sync):
     ShmFuturePool       src/ipc/shm_future.h   magic IOLF
     ShmCounters         src/ipc/shm_counters.h magic IOLC, count slots, then
                                                count 32-byte NUL-padded names
+    PinLedger           src/ipc/process_plane.h raw "plane.pins": one u64 per
+                                               worker slot, ticket + 1 (0 = none)
 
 Counter names come from the block itself, so a counter added on the C++ side
 shows up here under its own name with no change to this script.
@@ -46,6 +48,8 @@ SHM_TYPE_NAMES = {0: "raw", 1: "queue", 2: "map", 3: "futures", 4: "counters"}
 COUNTER_NAME_BYTES = 32  # ShmCounters::kNameBytes.
 
 FUTURE_STATE_NAMES = {0: "free", 1: "pending", 2: "ready", 3: "error", 4: "writing"}
+
+PIN_LEDGER_NAME = "plane.pins"  # kPlanePinLedger.
 
 
 def decode_region_header(buf):
@@ -166,6 +170,17 @@ def decode_counters(payload, off):
     return out
 
 
+def decode_pin_ledger(payload, off, size):
+    # Worker slot -> the key whose pin it holds. After a crash this names the
+    # pin the supervisor's sweep will return, or that a dead worker left.
+    held = {}
+    for slot in range(size // 8):
+        (stored,) = struct.unpack_from("<Q", payload, off + 8 * slot)
+        if stored != 0:
+            held[str(slot)] = stored - 1
+    return {"slots": size // 8, "held": held}
+
+
 def inspect(path, max_map_entries=64):
     # One consistent snapshot of the mapping (counters and tickets keep
     # moving under a live plane; decoding a snapshot keeps the output
@@ -197,6 +212,8 @@ def inspect(path, max_map_entries=64):
             structures[e["name"]] = decode_futures(payload, off)
         elif kind == "counters":
             structures[e["name"]] = decode_counters(payload, off)
+        elif e["name"] == PIN_LEDGER_NAME:
+            structures[e["name"]] = decode_pin_ledger(payload, off, e["size"])
     doc["structures"] = structures
     return doc
 

@@ -38,30 +38,31 @@ uint32_t PowTwoAtLeast(uint32_t n) {
   return p;
 }
 
-// Fill queues the plane gets: one per origin worker, and one even with no
-// origin worker, so that fills are taken and time out instead of failing
-// to queue.
+// Origin queues the plane gets: one per origin worker, and one even with
+// no origin worker, so that misses are queued and time out at the client
+// instead of failing to queue.
 int OriginQueues(const ProcessTierConfig& cfg) { return std::max(cfg.origin_workers, 1); }
+
+// The floor of the region's size; workloads that need more get more.
+constexpr size_t kMinRegionBytes = 32u << 20;
 
 // Tailors slab/future capacities to the workload so no resource can
 // deadlock the plane (slots are returned only by the client, so every
-// bound must cover the inflight window plus the workers' hands), and the
-// directory to the plane's 12 structures plus its fill queues.
+// bound must cover the inflight window plus the hands of every worker that
+// responds: proxies, origins and CGI), and the directory to the plane's 10
+// structures plus its origin queues.
 iolipc::PlaneConfig TailorPlane(const ProcessTierConfig& cfg) {
   iolipc::PlaneConfig pc = cfg.plane;
   pc.table_capacity =
-      std::max(pc.table_capacity, static_cast<uint32_t>(12 + OriginQueues(cfg)));
+      std::max(pc.table_capacity, static_cast<uint32_t>(10 + OriginQueues(cfg)));
   uint32_t window = static_cast<uint32_t>(cfg.inflight);
-  uint32_t hands = static_cast<uint32_t>(cfg.proxy_workers + cfg.cgi_workers + 2);
+  uint32_t hands = static_cast<uint32_t>(cfg.proxy_workers + cfg.origin_workers +
+                                         cfg.cgi_workers + 2);
   pc.future_capacity = std::max(pc.future_capacity, window + hands + 4);
   pc.header_slots = std::max(pc.header_slots, window + hands);
-  pc.cgi_slots = std::max(pc.cgi_slots, window + hands);
-  pc.copy_slots = std::max(pc.copy_slots, window + hands);
-  pc.copy_slot_bytes =
-      std::max<uint32_t>(pc.copy_slot_bytes, static_cast<uint32_t>(cfg.docs.doc_bytes));
-  pc.cgi_slot_bytes = std::max<uint32_t>(
-      pc.cgi_slot_bytes,
-      static_cast<uint32_t>(cfg.cgi_body_bytes + iolhttp::kResponseHeaderBytes + 64));
+  pc.body_slots = std::max(pc.body_slots, window + hands);
+  pc.body_slot_bytes = std::max<uint32_t>(
+      pc.body_slot_bytes, static_cast<uint32_t>(std::max(cfg.docs.doc_bytes, cfg.cgi_body_bytes)));
   pc.map_capacity =
       std::max(pc.map_capacity, PowTwoAtLeast(static_cast<uint32_t>(cfg.docs.doc_count) * 4));
   pc.queue_capacity = std::max(pc.queue_capacity, PowTwoAtLeast(window * 4));
@@ -98,16 +99,15 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   // headroom for budgeted re-fills and pool chunking.
   uint64_t structures =
       64 * 1024 +
-      static_cast<uint64_t>(5 + OriginQueues(cfg)) *
+      static_cast<uint64_t>(4 + OriginQueues(cfg)) *
           (256 + static_cast<uint64_t>(pc.queue_capacity) * 64) +
       static_cast<uint64_t>(pc.map_capacity) * 64 +
       static_cast<uint64_t>(pc.future_capacity) * 128;
-  uint64_t slabs = static_cast<uint64_t>(pc.header_slots) * pc.header_slot_bytes +
-                   static_cast<uint64_t>(pc.cgi_slots) * pc.cgi_slot_bytes +
-                   static_cast<uint64_t>(pc.copy_slots) * pc.copy_slot_bytes;
+  uint64_t slabs = static_cast<uint64_t>(pc.header_slots) * iolipc::kHeaderSlotBytes +
+                   static_cast<uint64_t>(pc.body_slots) * pc.body_slot_bytes;
   uint64_t payload = static_cast<uint64_t>(cfg.docs.doc_count) * cfg.docs.doc_bytes * 8;
   size_t region_bytes =
-      std::max<size_t>(cfg.region_bytes, structures + slabs + payload + (1u << 20));
+      std::max<size_t>(kMinRegionBytes, structures + slabs + payload + (1u << 20));
   std::unique_ptr<iolipc::ShmRegion> region =
       iolipc::ShmRegion::Create(region_bytes, shm_name);
   if (region == nullptr) {
@@ -133,7 +133,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
 
   const iolipc::YieldFn sched = [] { sched_yield(); };
   // The queues of the workers behind the proxies: every origin's and CGI's.
-  auto close_fill_queues = [&s] {
+  auto close_worker_queues = [&s] {
     for (iolipc::MpmcQueue& q : s.origin_qs) {
       q.Close();
     }
@@ -147,7 +147,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   iolipc::WorkerGroup origins;
   iolipc::WorkerGroup cgis;
   // Pin-crash injection arms every first-generation proxy; whichever takes
-  // the fleet's Nth pin dies. Forked children inherit the flag's value at
+  // the fleet's Nth hit pin dies. Forked children inherit the flag's value at
   // fork time, and the parent disarms it right after the initial Launch, so
   // supervisor respawns come up healthy. kProcesses only: a thread _Exit
   // would take the whole harness down with it.
@@ -160,14 +160,14 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
                          uint32_t die = proxy_die_armed
                              ? static_cast<uint32_t>(cfg.proxy_die_after_pins)
                              : 0;
-                         iolproxy::ProxyWorker w(&s, cfg.copy_data_path, cfg.fill_wait_us,
+                         iolproxy::ProxyWorker w(&s, cfg.copy_data_path,
                                                  static_cast<uint32_t>(slot), die);
                          w.Run(sched);
                        }) &&
         origins.Launch(cfg.mode, cfg.origin_workers,
                        [&](int slot) {
                          iolproxy::OriginWorker w(
-                             &s, cfg.docs, slot, cfg.origin_cache_budget,
+                             &s, cfg.docs, slot, cfg.copy_data_path, cfg.origin_cache_budget,
                              static_cast<uint32_t>(cfg.proxy_workers + slot));
                          w.Run(sched);
                        }) &&
@@ -177,7 +177,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
         });
     if (!launched) {
       s.client_q.Close();
-      close_fill_queues();
+      close_worker_queues();
       proxies.JoinAll();
       origins.JoinAll();
       cgis.JoinAll();
@@ -216,21 +216,21 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     }
   };
 
-  // In-process pump: one proxy, one origin per fill queue and one CGI,
+  // In-process pump: one proxy, one origin per origin queue and one CGI,
   // yielded into each other.
   std::optional<iolproxy::ProxyWorker> pump_proxy;
   std::deque<iolproxy::OriginWorker> pump_origins;
   std::optional<iolproxy::CgiWorker> pump_cgi;
   iolipc::YieldFn client_yield = sched;
   if (cfg.mode == iolipc::PlaneMode::kInProcess) {
-    pump_proxy.emplace(&s, cfg.copy_data_path, cfg.fill_wait_us);
+    pump_proxy.emplace(&s, cfg.copy_data_path);
     for (int o = 0; o < OriginQueues(cfg); ++o) {
-      pump_origins.emplace_back(&s, cfg.docs, o, cfg.origin_cache_budget);
+      pump_origins.emplace_back(&s, cfg.docs, o, cfg.copy_data_path, cfg.origin_cache_budget);
     }
     pump_cgi.emplace(&s, cfg.cgi_body_bytes);
     iolipc::YieldFn pump_oc = [&] {
       for (iolproxy::OriginWorker& o : pump_origins) {
-        o.Step();
+        o.Step(sched);
       }
       pump_cgi->Step(sched);
     };
@@ -309,21 +309,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
         result.byte_identical = false;
       }
     }
-    // Hand every resource back to the plane.
-    for (const SliceDesc* d : {&hd, &bd}) {
-      if (d->flags & iolipc::kRespHeaderSlab) {
-        iolipc::ReturnSlot(&s.header_free, *d);
-      }
-      if (d->flags & iolipc::kRespCgiSlab) {
-        iolipc::ReturnSlot(&s.cgi_free, *d);
-      }
-      if (d->flags & iolipc::kRespCopySlab) {
-        iolipc::ReturnSlot(&s.copy_free, *d);
-      }
-      if (d->flags & iolipc::kRespPinned) {
-        s.cache_map.Unpin(d->ticket);
-      }
-    }
+    iolipc::ReturnResponse(&s, hd, bd);  // Hand every resource back to the plane.
     ++result.requests;
   };
 
@@ -358,7 +344,7 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   int join_abnormal = 0;
   s.client_q.Close();
   join_abnormal += proxies.JoinAll();
-  close_fill_queues();
+  close_worker_queues();
   join_abnormal += origins.JoinAll();
   join_abnormal += cgis.JoinAll();
   if (join_abnormal > 0) {

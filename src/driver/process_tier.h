@@ -37,7 +37,6 @@ struct ProcessTierConfig {
   // shm_inspect.py); empty, or shm-less environments, fall back to an
   // anonymous fork-shared mapping.
   std::string region_name = "iolite-plane";
-  size_t region_bytes = 32u << 20;
 
   // Workload: `requests` total, at most `inflight` outstanding, file ids
   // drawn deterministically from the doc set; every `cgi_every`-th request
@@ -65,8 +64,10 @@ struct ProcessTierConfig {
   // timing runs; the checksum is computed either way.
   bool verify = true;
 
-  uint64_t fill_wait_us = 2'000'000;    // Proxy waiting on an origin fill.
-  uint64_t client_wait_us = 5'000'000;  // Client waiting on a response.
+  // The plane's only timeout: the client waiting on a response. No worker
+  // waits on another, so a request that no worker answers (its worker died,
+  // or no origin serves its key) surfaces here, as a client error.
+  uint64_t client_wait_us = 5'000'000;
 
   // --- Fault plane (src/fault) ---------------------------------------------
   // Poll the worker groups from the client loop (kProcesses only): abnormal
@@ -75,7 +76,7 @@ struct ProcessTierConfig {
   // pin, if any, is swept via the PinLedger.
   bool supervise = false;
   // Deterministic crash injection at the worst instant: the first-
-  // generation proxy worker that takes the fleet's Nth transient pin
+  // generation proxy worker that takes the fleet's Nth hit pin
   // _Exit(9)s holding it — ledger slot recorded, map pin held — so the run
   // proves the supervisor's sweep, not just respawn (0 = never; kProcesses
   // only; the fleet count reaches N once and respawned workers come up
@@ -92,7 +93,7 @@ struct ProcessTierResult {
   bool ok = false;  // Plane built and every worker joined cleanly.
 
   uint64_t requests = 0;  // Responses collected successfully.
-  uint64_t errors = 0;    // Futures that resolved with an error.
+  uint64_t errors = 0;    // Futures that resolved with an error or timed out.
   uint64_t bytes_served = 0;
   double wall_ms = 0;
   double requests_per_sec = 0;

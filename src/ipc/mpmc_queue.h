@@ -10,10 +10,10 @@
 // a full/empty queue fails fast and the caller decides how to wait.
 //
 // Cells carry exactly one SliceDesc (32 bytes). Anything the plane sends —
-// client requests, miss-fill orders, free-slot tokens — is encoded as a
-// 32-byte trivially copyable struct and punned through PushAs/PopAs, so the
-// queue stays a single well-tested primitive. All layouts below are ABI
-// (read by scripts/shm_inspect.py).
+// client requests, free-slot tokens — is encoded as a 32-byte trivially
+// copyable struct and punned through PushAs/PopAs, so the queue stays a
+// single well-tested primitive. All layouts below are ABI (read by
+// scripts/shm_inspect.py).
 
 #ifndef SRC_IPC_MPMC_QUEUE_H_
 #define SRC_IPC_MPMC_QUEUE_H_

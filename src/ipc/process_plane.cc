@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 namespace iolipc {
 
@@ -36,7 +37,7 @@ bool SeedSlab(ShmRegion* region, ShmTable* table, const char* slab_name,
   return true;
 }
 
-// Directory name of origin `o`'s fill queue.
+// Directory name of origin `o`'s queue.
 std::string OriginQueueName(int o) {
   return std::string(kPlaneOriginQueue) + "." + std::to_string(o);
 }
@@ -66,7 +67,7 @@ PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origin
   }
   s.client_q = MpmcQueue::Create(region, &s.table, kPlaneClientQueue,
                                  config.queue_capacity);
-  assert(origins >= 1 && "a plane has at least one fill queue");
+  assert(origins >= 1 && "a plane has at least one origin queue");
   for (int o = 0; o < origins; ++o) {
     MpmcQueue q = MpmcQueue::Create(region, &s.table, OriginQueueName(o).c_str(),
                                     config.queue_capacity);
@@ -79,10 +80,8 @@ PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origin
                               config.queue_capacity);
   s.header_free = MpmcQueue::Create(region, &s.table, kPlaneHeaderFree,
                                     PowTwoAtLeast(config.header_slots));
-  s.cgi_free = MpmcQueue::Create(region, &s.table, kPlaneCgiFree,
-                                 PowTwoAtLeast(config.cgi_slots));
-  s.copy_free = MpmcQueue::Create(region, &s.table, kPlaneCopyFree,
-                                  PowTwoAtLeast(config.copy_slots));
+  s.body_free = MpmcQueue::Create(region, &s.table, kPlaneBodyFree,
+                                  PowTwoAtLeast(config.body_slots));
   s.cache_map = ShmMap::Create(region, &s.table, kPlaneCacheMap, config.map_capacity);
   s.futures = ShmFuturePool::Create(region, &s.table, kPlaneFutures,
                                     config.future_capacity);
@@ -92,11 +91,9 @@ PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origin
     return PlaneShared{};
   }
   if (!SeedSlab(region, &s.table, "plane.slab.hdr", &s.header_free,
-                config.header_slots, config.header_slot_bytes) ||
-      !SeedSlab(region, &s.table, "plane.slab.cgi", &s.cgi_free,
-                config.cgi_slots, config.cgi_slot_bytes) ||
-      !SeedSlab(region, &s.table, "plane.slab.copy", &s.copy_free,
-                config.copy_slots, config.copy_slot_bytes)) {
+                config.header_slots, kHeaderSlotBytes) ||
+      !SeedSlab(region, &s.table, "plane.slab.body", &s.body_free,
+                config.body_slots, config.body_slot_bytes)) {
     return PlaneShared{};
   }
   return s;
@@ -119,8 +116,7 @@ PlaneShared AttachPlane(ShmRegion* region) {
   }
   s.cgi_q = MpmcQueue::Attach(s.table, kPlaneCgiQueue);
   s.header_free = MpmcQueue::Attach(s.table, kPlaneHeaderFree);
-  s.cgi_free = MpmcQueue::Attach(s.table, kPlaneCgiFree);
-  s.copy_free = MpmcQueue::Attach(s.table, kPlaneCopyFree);
+  s.body_free = MpmcQueue::Attach(s.table, kPlaneBodyFree);
   s.cache_map = ShmMap::Attach(s.table, kPlaneCacheMap);
   s.futures = ShmFuturePool::Attach(s.table, kPlaneFutures);
   s.counters = ShmCounters::Attach(s.table, kPlaneCounters);
@@ -151,14 +147,25 @@ PinLedger PinLedger::Attach(const ShmTable& table, const char* name) {
   return l;
 }
 
-void ReturnSlot(MpmcQueue* free_list, const SliceDesc& d) {
-  SliceDesc slot{};
-  slot.offset = d.offset;
-  slot.length = d.reserved;
-  slot.reserved = d.reserved;
-  bool pushed = free_list->TryPush(slot);
-  assert(pushed && "free-list sized below its slab's slot count");
-  (void)pushed;
+void ReturnResponse(PlaneShared* s, const SliceDesc& header, const SliceDesc& body) {
+  for (const SliceDesc* d : {&header, &body}) {
+    MpmcQueue* free_list = (d->flags & kRespHeaderSlab) ? &s->header_free
+                           : (d->flags & kRespBodySlab) ? &s->body_free
+                                                        : nullptr;
+    if (free_list != nullptr) {
+      SliceDesc slot{};
+      slot.offset = d->offset;
+      slot.length = d->reserved;
+      slot.reserved = d->reserved;
+      // Cannot fail: a free-list's capacity covers every slot ever seeded.
+      bool pushed = free_list->TryPush(slot);
+      assert(pushed && "free-list sized below its slab's slot count");
+      (void)pushed;
+    }
+    if (d->flags & kRespPinned) {
+      s->cache_map.Unpin(d->ticket);
+    }
+  }
 }
 
 WorkerGroup::~WorkerGroup() {

@@ -5,19 +5,23 @@
 // One region holds (names as published in the directory):
 //
 //   plane.q.client    MpmcQueue   client -> proxy workers (ClientRequestMsg)
-//   plane.q.origin.<o> MpmcQueue  proxy -> origin o       (FillRequestMsg)
-//   plane.q.cgi       MpmcQueue   proxy -> CGI workers    (FillRequestMsg)
+//   plane.q.origin.<o> MpmcQueue  proxy -> origin o       (the same message)
+//   plane.q.cgi       MpmcQueue   proxy -> CGI workers    (the same message)
 //   plane.q.hdrfree   MpmcQueue   free-list of response-header slab slots
-//   plane.q.cgifree   MpmcQueue   free-list of CGI response slab slots
-//   plane.q.copyfree  MpmcQueue   free-list of copy-mode slab slots
+//   plane.q.bodyfree  MpmcQueue   free-list of body slab slots (CGI bodies
+//                                 and copy-mode copies)
 //   plane.map.cache   ShmMap      FileId -> cached payload (offset, len) + pins;
 //                                 readers pin and unpin, never lock a slot
-//   plane.futures     ShmFuturePool   response/fill completion slots
+//   plane.futures     ShmFuturePool   the client's response futures
 //   plane.counters    ShmCounters     warm-path counters (ABI, see shm_counters.h)
 //   plane.pins        PinLedger       per-worker transient-pin tickets (fault plane)
 //   plane.slab.*      raw spans       the slab storage the free-lists carve
 //
-// Every key has one home origin, `key % origins`: proxies push its fills
+// A proxy answers a hit itself and passes every other request on unchanged,
+// so the worker that produces a response — proxy, origin or CGI — completes
+// the client's future itself, and no worker ever waits on another.
+//
+// Every key has one home origin, `key % origins`: proxies push its misses
 // to that origin's queue only, so one process fills, caches and publishes
 // each key and no two writers ever race on a plane.map.cache entry. Only
 // that writer claims the key's map slot; proxies, the client and the
@@ -59,8 +63,7 @@ inline constexpr char kPlaneClientQueue[] = "plane.q.client";
 inline constexpr char kPlaneOriginQueue[] = "plane.q.origin";  // + ".<o>"
 inline constexpr char kPlaneCgiQueue[] = "plane.q.cgi";
 inline constexpr char kPlaneHeaderFree[] = "plane.q.hdrfree";
-inline constexpr char kPlaneCgiFree[] = "plane.q.cgifree";
-inline constexpr char kPlaneCopyFree[] = "plane.q.copyfree";
+inline constexpr char kPlaneBodyFree[] = "plane.q.bodyfree";
 inline constexpr char kPlaneCacheMap[] = "plane.map.cache";
 inline constexpr char kPlaneFutures[] = "plane.futures";
 inline constexpr char kPlaneCounters[] = "plane.counters";
@@ -124,16 +127,16 @@ struct PlaneConfig {
   uint32_t queue_capacity = 256;
   uint32_t map_capacity = 1024;
   uint32_t future_capacity = 64;
-  // Slabs. Header slots hold one built response header each; CGI slots hold
-  // one contiguous [header][body] dynamic response; copy slots exist only
-  // for the copy-mode contrast path and must hold the largest document.
+  // Slabs. Header slots (kHeaderSlotBytes each) hold one built response
+  // header; body slots hold one CGI body or, on the copy-mode contrast
+  // path, one copied document, so they must hold the larger of the two.
   uint32_t header_slots = 64;
-  uint32_t header_slot_bytes = 256;
-  uint32_t cgi_slots = 32;
-  uint32_t cgi_slot_bytes = 16384;
-  uint32_t copy_slots = 32;
-  uint32_t copy_slot_bytes = 64 << 10;
+  uint32_t body_slots = 32;
+  uint32_t body_slot_bytes = 16384;
 };
+
+// A header slab slot: room for one built response header.
+inline constexpr uint32_t kHeaderSlotBytes = 256;
 
 // Attached handles to every plane structure. Value type: copies are cheap
 // handle copies onto the same shared state (what a forked worker uses).
@@ -141,11 +144,10 @@ struct PlaneShared {
   ShmRegion* region = nullptr;
   ShmTable table;
   MpmcQueue client_q;
-  std::vector<MpmcQueue> origin_qs;  // One fill queue per origin, never empty.
+  std::vector<MpmcQueue> origin_qs;  // One queue per origin, never empty.
   MpmcQueue cgi_q;
   MpmcQueue header_free;
-  MpmcQueue cgi_free;
-  MpmcQueue copy_free;
+  MpmcQueue body_free;
   ShmMap cache_map;
   ShmFuturePool futures;
   ShmCounters counters;
@@ -154,16 +156,16 @@ struct PlaneShared {
   bool valid() const {
     return region != nullptr && table.valid() && client_q.valid() &&
            !origin_qs.empty() && cgi_q.valid() && header_free.valid() &&
-           cgi_free.valid() && copy_free.valid() && cache_map.valid() &&
-           futures.valid() && counters.valid() && pin_ledger.valid();
+           body_free.valid() && cache_map.valid() && futures.valid() &&
+           counters.valid() && pin_ledger.valid();
   }
 
-  // The fill queue of `key`'s home origin.
+  // The queue of `key`'s home origin.
   MpmcQueue& home_queue(uint64_t key) { return origin_qs[key % origin_qs.size()]; }
 };
 
 // Builds the plane inside `region` (which must be freshly created: the
-// table must land at payload offset 0) with `origins` (>= 1) fill queues,
+// table must land at payload offset 0) with `origins` (>= 1) origin queues,
 // and seeds the slab free-lists.
 PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origins);
 
@@ -177,8 +179,9 @@ PlaneShared AttachPlane(ShmRegion* region);
 
 enum class RequestKind : uint32_t { kStatic = 0, kCgi = 1 };
 
-// Client -> proxy. `future` is the client's response future; completing it
-// delivers (header desc, body desc).
+// Client -> proxy, and unchanged proxy -> origin (a miss) or proxy -> CGI
+// (a dynamic request). `future` is the client's response future; whichever
+// worker produces the response completes it with (header desc, body desc).
 struct ClientRequestMsg {
   uint64_t file_id;
   FutureHandle future;
@@ -188,37 +191,19 @@ struct ClientRequestMsg {
 };
 static_assert(sizeof(ClientRequestMsg) == 32, "queue messages are 32-byte cells");
 
-// Proxy -> origin (miss fill) and proxy -> CGI (dynamic response). For a
-// fill, `future` is a proxy-owned fill future; for CGI it is the *client's*
-// response future, completed by the CGI worker directly.
-struct FillRequestMsg {
-  uint64_t file_id;
-  FutureHandle future;
-  uint64_t reserved0;
-  uint64_t reserved1;
-};
-static_assert(sizeof(FillRequestMsg) == 32, "queue messages are 32-byte cells");
-
 // --- Response-descriptor flags ---------------------------------------------
 
 // Set in SliceDesc::flags of future values; they tell the consumer how to
 // give the resource back (bit 0 is kFrameEnd from slice_desc.h).
 constexpr uint32_t kRespHeaderSlab = 1u << 1;  // Return slot to plane.q.hdrfree.
 constexpr uint32_t kRespPinned = 1u << 2;      // Unpin cache_map key `ticket`.
-constexpr uint32_t kRespCgiSlab = 1u << 3;     // Return slot to plane.q.cgifree.
-constexpr uint32_t kRespCopySlab = 1u << 4;    // Return slot to plane.q.copyfree.
+constexpr uint32_t kRespBodySlab = 1u << 3;    // Return slot to plane.q.bodyfree.
 
-// --- Slab slot helpers -----------------------------------------------------
-
-// Pops a free slot descriptor ({offset, capacity} with reserved=capacity).
-inline bool TakeSlot(MpmcQueue* free_list, SliceDesc* slot) {
-  return free_list->TryPop(slot);
-}
-
-// Returns a slot to its free-list. `d` may have a trimmed length and extra
-// flags; the slot is restored to full capacity from `reserved`. The push
-// cannot fail: the free-list's capacity covers every slot ever seeded.
-void ReturnSlot(MpmcQueue* free_list, const SliceDesc& d);
+// Gives back every resource a response's descriptors hold, as their flags
+// say: slab slots to their free-lists (restored to full capacity from
+// `reserved`), pins to the cache map. The consumer of a delivered response
+// calls it, and so does a producer whose client gave up.
+void ReturnResponse(PlaneShared* s, const SliceDesc& header, const SliceDesc& body);
 
 // --- Worker harness --------------------------------------------------------
 

@@ -31,19 +31,19 @@ namespace iolipc {
 #define IOLIPC_PLANE_COUNTERS(X)                                                                \
   X(kRequestsServed, requests_served)                     /* Client responses completed. */     \
   X(kCacheHits, cache_hits)                               /* ShmMap warm hits in proxies. */    \
-  X(kCacheMisses, cache_misses)                           /* Lookups sent to an origin fill. */ \
+  X(kCacheMisses, cache_misses)                           /* Lookups passed on to an origin. */ \
   X(kBytesServed, bytes_served)                           /* Payload named by responses. */     \
   X(kBytesCopiedCrossProcess, bytes_copied_cross_process) /* memcpy'd between processes. */     \
   X(kBytesFilledOrigin, bytes_filled_origin)              /* Written by origin disk fills. */   \
-  X(kOriginFills, origin_fills)                           /* Miss-fill orders completed. */     \
+  X(kOriginFills, origin_fills)                           /* Miss responses delivered. */       \
   X(kCgiRequests, cgi_requests)                           /* Dynamic responses generated. */    \
-  X(kFutureErrors, future_errors)                         /* Futures resolved kError. */        \
+  X(kFutureErrors, future_errors)                         /* Requests a worker failed. */       \
   X(kQueueFullYields, queue_full_yields)                  /* Backoff yields on a full queue. */ \
   X(kMapEvictions, map_evictions)                         /* Origin cache budget evictions. */  \
   X(kWorkerAbnormalExits, worker_abnormal_exits)          /* Non-zero exit or signal. */        \
   X(kWorkerRespawns, worker_respawns)                     /* Relaunched by the supervisor. */   \
   X(kPinsSwept, pins_swept)                               /* Dead workers' pins reclaimed. */   \
-  X(kProxyPins, proxy_pins)                               /* Transient pins proxies took. */
+  X(kProxyPins, proxy_pins)                               /* Hit pins proxies took. */
 
 // Index into the counter block.
 enum PlaneCounter : uint32_t {

@@ -9,7 +9,15 @@ namespace iolipc {
 
 namespace {
 
-constexpr uint32_t kWriting = 4;  // Filler holds the slot mid-publish.
+constexpr uint32_t kTimedOut = 2;  // The error a waiter fails its future with.
+
+// The generation (high) half of `word` with `low` as its low half: a slot
+// word from a handle or a word, or a handle from a word and a slot index.
+uint64_t WordOf(uint64_t word, uint32_t low) {
+  return (word & ~uint64_t{0xffffffffu}) | low;
+}
+
+uint32_t StateOf(uint64_t word) { return static_cast<uint32_t>(word); }
 
 uint64_t NowMicros() {
   struct timespec ts;
@@ -54,13 +62,9 @@ ShmFuturePool ShmFuturePool::Attach(const ShmTable& table, const char* name) {
   return pool;
 }
 
-ShmFuturePool::FutureSlot* ShmFuturePool::SlotOf(FutureHandle h, uint32_t* gen) const {
+ShmFuturePool::FutureSlot* ShmFuturePool::SlotOf(FutureHandle h) const {
   uint32_t idx = static_cast<uint32_t>(h & 0xffffffffu);
-  if (idx >= header_->capacity) {
-    return nullptr;
-  }
-  *gen = static_cast<uint32_t>(h >> 32);
-  return &slots()[idx];
+  return idx < header_->capacity ? &slots()[idx] : nullptr;
 }
 
 FutureHandle ShmFuturePool::Acquire() {
@@ -69,93 +73,57 @@ FutureHandle ShmFuturePool::Acquire() {
   for (uint32_t i = 0; i < cap; ++i) {
     uint32_t idx = (start + i) % cap;
     FutureSlot& s = slots()[idx];
-    uint32_t expected = kFree;
-    if (s.state.compare_exchange_strong(expected, kPending,
-                                        std::memory_order_acquire)) {
-      s.error = 0;
+    uint64_t word = s.word.load(std::memory_order_relaxed);
+    if (StateOf(word) == kFree &&
+        s.word.compare_exchange_strong(word, WordOf(word, kPending),
+                                       std::memory_order_acquire)) {
       header_->allocated.fetch_add(1, std::memory_order_relaxed);
-      uint32_t gen = s.gen.load(std::memory_order_relaxed);
-      return (static_cast<FutureHandle>(gen) << 32) | idx;
+      return WordOf(word, idx);
     }
   }
   return kInvalidFuture;
 }
 
-bool ShmFuturePool::Complete(FutureHandle h, const SliceDesc& header,
-                             const SliceDesc& body) {
-  uint32_t gen = 0;
-  FutureSlot* s = SlotOf(h, &gen);
-  if (s == nullptr) {
-    return false;
-  }
-  for (;;) {
-    if (s->gen.load(std::memory_order_acquire) != gen) {
-      return false;  // Stale handle: the waiter recycled the slot.
-    }
-    uint32_t expected = kPending;
-    if (s->state.compare_exchange_strong(expected, kWriting,
-                                         std::memory_order_acquire)) {
-      break;
-    }
-    if (expected != kWriting) {
-      return false;  // Already completed/failed (e.g. waiter timed out).
-    }
-    // Another filler holds the slot mid-publish; re-inspect.
-  }
-  // Exclusive: the waiter cannot release a kWriting slot. Re-check the
-  // generation in case the slot was recycled between the gen read and the
-  // CAS landing on a *new* owner's pending future.
-  if (s->gen.load(std::memory_order_acquire) != gen) {
-    s->state.store(kPending, std::memory_order_release);
-    return false;
-  }
-  s->value[0] = header;
-  s->value[1] = body;
-  s->state.store(kReady, std::memory_order_release);
-  return true;
-}
-
-bool ShmFuturePool::Fail(FutureHandle h, uint32_t error) {
-  uint32_t gen = 0;
-  FutureSlot* s = SlotOf(h, &gen);
-  if (s == nullptr) {
-    return false;
-  }
-  for (;;) {
-    if (s->gen.load(std::memory_order_acquire) != gen) {
-      return false;
-    }
-    uint32_t expected = kPending;
-    if (s->state.compare_exchange_strong(expected, kWriting,
-                                         std::memory_order_acquire)) {
-      break;
-    }
-    if (expected != kWriting) {
-      return false;
-    }
-  }
-  if (s->gen.load(std::memory_order_acquire) != gen) {
-    s->state.store(kPending, std::memory_order_release);
+bool ShmFuturePool::Resolve(FutureHandle h, State to, uint32_t error,
+                            const SliceDesc& header, const SliceDesc& body) {
+  FutureSlot* s = SlotOf(h);
+  // A stale handle, a resolved future and one another filler holds all
+  // fail this one CAS; the winner holds the slot exclusively, since the
+  // waiter cannot release a kWriting slot.
+  uint64_t expected = WordOf(h, kPending);
+  if (s == nullptr || !s->word.compare_exchange_strong(expected, WordOf(h, kWriting),
+                                                       std::memory_order_acquire)) {
     return false;
   }
   s->error = error;
-  s->state.store(kError, std::memory_order_release);
+  s->value[0] = header;
+  s->value[1] = body;
+  s->word.store(WordOf(h, to), std::memory_order_release);
   return true;
+}
+
+bool ShmFuturePool::Complete(FutureHandle h, const SliceDesc& header,
+                             const SliceDesc& body) {
+  return Resolve(h, kReady, 0, header, body);
+}
+
+bool ShmFuturePool::Fail(FutureHandle h, uint32_t error) {
+  return Resolve(h, kError, error, SliceDesc{}, SliceDesc{});
 }
 
 ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_us,
                                               const YieldFn& yield) {
   WaitResult result;
-  uint32_t gen = 0;
-  FutureSlot* s = SlotOf(h, &gen);
-  if (s == nullptr || s->gen.load(std::memory_order_acquire) != gen) {
+  FutureSlot* s = SlotOf(h);
+  if (s == nullptr || (s->word.load(std::memory_order_acquire) >> 32) != (h >> 32)) {
     result.error = 1;
     return result;
   }
   uint64_t deadline = NowMicros() + timeout_us;
   bool failed_it = false;
+  bool extended = false;
   for (;;) {
-    uint32_t st = s->state.load(std::memory_order_acquire);
+    uint32_t st = StateOf(s->word.load(std::memory_order_acquire));
     if (st == kReady) {
       result.ok = true;
       result.value[0] = s->value[0];
@@ -167,10 +135,24 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
       result.timed_out = failed_it;
       return result;
     }
-    if (!failed_it && NowMicros() >= deadline) {
-      // Deadline: try to fail the future ourselves. Losing the race to the
+    if (NowMicros() >= deadline) {
+      // Deadline: try to fail the future ourselves. Losing the race to a
       // filler is fine — the next poll observes its result instead.
-      failed_it = Fail(h, /*error=*/2);
+      if (Fail(h, kTimedOut)) {
+        failed_it = true;
+        continue;
+      }
+      if (StateOf(s->word.load(std::memory_order_acquire)) == kWriting) {
+        // A filler holds the slot mid-publish: one more timeout for it,
+        // then give up on a filler that died there.
+        if (extended) {
+          result.timed_out = true;
+          result.error = kTimedOut;
+          return result;
+        }
+        extended = true;
+        deadline = NowMicros() + timeout_us;
+      }
       continue;
     }
     if (yield) {
@@ -180,24 +162,25 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
 }
 
 void ShmFuturePool::Release(FutureHandle h) {
-  uint32_t gen = 0;
-  FutureSlot* s = SlotOf(h, &gen);
-  assert(s != nullptr && s->gen.load(std::memory_order_relaxed) == gen &&
-         "Release of a stale handle");
-  uint32_t st = s->state.load(std::memory_order_acquire);
-  assert((st == kReady || st == kError) && "Release before completion");
-  (void)st;
-  // Bump the generation *before* freeing the slot: a handle minted before
-  // this point can never publish into the slot's next life.
-  s->gen.fetch_add(1, std::memory_order_release);
+  FutureSlot* s = SlotOf(h);
+  assert(s != nullptr && "Release of an invalid handle");
+  uint64_t word = s->word.load(std::memory_order_acquire);
+  assert((word >> 32) == (h >> 32) && "Release of a stale handle");
+  if (StateOf(word) == kWriting) {
+    return;  // Its filler never published: the slot stays allocated.
+  }
+  assert((StateOf(word) == kReady || StateOf(word) == kError) &&
+         "Release before completion");
+  // Bump the generation as the slot is freed, in one store: a handle minted
+  // before this point can never publish into the slot's next life.
   header_->allocated.fetch_sub(1, std::memory_order_relaxed);
-  s->state.store(kFree, std::memory_order_release);
+  s->word.store(WordOf(word + (uint64_t{1} << 32), kFree), std::memory_order_release);
 }
 
 uint32_t ShmFuturePool::CountInState(State state) const {
   uint32_t n = 0;
   for (uint32_t i = 0; i < header_->capacity; ++i) {
-    if (slots()[i].state.load(std::memory_order_acquire) == state) {
+    if (StateOf(slots()[i].word.load(std::memory_order_acquire)) == state) {
       ++n;
     }
   }

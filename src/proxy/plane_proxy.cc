@@ -14,20 +14,72 @@ namespace iolproxy {
 namespace {
 
 using iolipc::kFrameEnd;
-using iolipc::kRespCgiSlab;
-using iolipc::kRespCopySlab;
+using iolipc::kRespBodySlab;
 using iolipc::kRespHeaderSlab;
 using iolipc::kRespPinned;
 using iolipc::SliceDesc;
+
+static_assert(iolhttp::kResponseHeaderBytes <= iolipc::kHeaderSlotBytes,
+              "a header slab slot holds one response header");
+
+// Pops a free slot ({offset, capacity} with reserved = capacity) from
+// `free_list`, yielding while it is empty.
+SliceDesc TakeSlot(iolipc::PlaneShared* s, iolipc::MpmcQueue* free_list,
+                   const iolipc::YieldFn& yield) {
+  SliceDesc slot;
+  while (!free_list->TryPop(&slot)) {
+    s->counters.Add(iolipc::kQueueFullYields, 1);
+    yield();
+  }
+  return slot;
+}
+
+// Completes the client's `future` with a freshly built header and `body`:
+// a pinned cache entry (kRespPinned, ledgered in `pin_slot`) or a body slab
+// slot (kRespBodySlab). With `copy` a pinned body is first copied into a
+// body slot and unpinned — the contrast path: what a process-per-tier
+// server without the descriptor discipline does. False when the client gave
+// up on the response; everything it held is then handed back.
+bool Respond(iolipc::PlaneShared* s, iolipc::FutureHandle future, SliceDesc body,
+             bool copy, uint32_t pin_slot, const iolipc::YieldFn& yield) {
+  iolipc::ShmCounters* c = &s->counters;
+  if (copy) {
+    SliceDesc slot = TakeSlot(s, &s->body_free, yield);
+    assert(body.length <= slot.reserved && "body slots must hold the largest doc");
+    std::memcpy(s->region->At(slot.offset), s->region->At(body.offset), body.length);
+    c->Add(iolipc::kBytesCopiedCrossProcess, body.length);
+    s->pin_ledger.Clear(pin_slot);
+    s->cache_map.Unpin(body.ticket);
+    slot.length = body.length;
+    slot.flags = kRespBodySlab | kFrameEnd;
+    body = slot;
+  }
+  SliceDesc hdr = TakeSlot(s, &s->header_free, yield);
+  hdr.length = iolhttp::BuildResponseHeader(s->region->At(hdr.offset), body.length);
+  hdr.flags = kRespHeaderSlab;
+  // Clear-before-handoff (PinLedger contract): once Complete succeeds a pin
+  // travels to the client with the descriptor, and the supervisor must
+  // never sweep it out from under the client.
+  s->pin_ledger.Clear(pin_slot);
+  if (!s->futures.Complete(future, hdr, body)) {
+    iolipc::ReturnResponse(s, hdr, body);
+    return false;
+  }
+  c->Add(iolipc::kRequestsServed, 1);
+  c->Add(iolipc::kBytesServed, hdr.length + body.length);
+  return true;
+}
 
 }  // namespace
 
 // --- Origin -----------------------------------------------------------------
 
 OriginWorker::OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
-                           int origin, uint64_t cache_budget_bytes, uint32_t pin_slot)
+                           int origin, bool copy_data_path, uint64_t cache_budget_bytes,
+                           uint32_t pin_slot)
     : s_(shared),
-      fills_(&shared->origin_qs[origin]),
+      misses_(&shared->origin_qs[origin]),
+      copy_data_path_(copy_data_path),
       budget_(cache_budget_bytes),
       ctx_(),
       pool_(&ctx_, "origin-shm", iolsim::kKernelDomain,
@@ -47,14 +99,15 @@ OriginWorker::OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs,
   cache_.set_mirror(&mirror_);
 }
 
-bool OriginWorker::Step() {
-  iolipc::FillRequestMsg m;
-  if (!fills_->PopAs(&m)) {
+bool OriginWorker::Step(const iolipc::YieldFn& yield) {
+  iolipc::ClientRequestMsg m;
+  if (!misses_->PopAs(&m)) {
     return false;
   }
   iolipc::ShmCounters* c = &s_->counters;
   iolfs::FileId file = static_cast<iolfs::FileId>(m.file_id);
   if (!fs_.Exists(file)) {
+    c->Add(iolipc::kFutureErrors, 1);
     s_->futures.Fail(m.future, kPlaneErrNoFile);
     return true;
   }
@@ -65,23 +118,17 @@ bool OriginWorker::Step() {
     c->Add(iolipc::kBytesFilledOrigin, size);
   }
   // The read populated the local cache; the mirror projected the entry into
-  // the shared map. Pin it on the requester's behalf and hand over the
+  // the shared map. Pin it on the client's behalf and answer with the
   // descriptor — the pin travels with the response until the client unpins.
   SliceDesc body;
   if (!s_->cache_map.LookupAndPin(m.file_id, &body)) {
+    c->Add(iolipc::kFutureErrors, 1);
     s_->futures.Fail(m.future, kPlaneErrUnshareable);
   } else {
     s_->pin_ledger.Record(pin_slot_, m.file_id);
     body.ticket = m.file_id;
     body.flags = kRespPinned | kFrameEnd;
-    SliceDesc none{};
-    // Clear-before-handoff: once Complete succeeds the pin belongs to the
-    // requester, and the supervisor must never sweep it out from under
-    // them (PinLedger contract).
-    s_->pin_ledger.Clear(pin_slot_);
-    if (!s_->futures.Complete(m.future, none, body)) {
-      s_->cache_map.Unpin(m.file_id);  // Requester timed out; drop its pin.
-    } else {
+    if (Respond(s_, m.future, body, copy_data_path_, pin_slot_, yield)) {
       c->Add(iolipc::kOriginFills, 1);
     }
   }
@@ -96,10 +143,10 @@ bool OriginWorker::Step() {
 
 void OriginWorker::Run(const iolipc::YieldFn& idle) {
   for (;;) {
-    if (Step()) {
+    if (Step(idle)) {
       continue;
     }
-    if (fills_->drained()) {
+    if (misses_->drained()) {
       return;
     }
     idle();
@@ -112,40 +159,20 @@ CgiWorker::CgiWorker(iolipc::PlaneShared* shared, uint64_t body_bytes)
     : s_(shared), body_bytes_(body_bytes) {}
 
 bool CgiWorker::Step(const iolipc::YieldFn& yield) {
-  iolipc::FillRequestMsg m;
+  iolipc::ClientRequestMsg m;
   if (!s_->cgi_q.PopAs(&m)) {
     return false;
   }
-  iolipc::ShmCounters* c = &s_->counters;
-  SliceDesc slot;
-  while (!iolipc::TakeSlot(&s_->cgi_free, &slot)) {
-    c->Add(iolipc::kQueueFullYields, 1);
-    yield();
-  }
-  assert(body_bytes_ + iolhttp::kResponseHeaderBytes <= slot.reserved &&
-         "CGI slab slots must hold header + body");
-  // One contiguous [header][body] response, completed straight to the
-  // client's future: CGI -> client without re-entering the proxy.
-  char* base = s_->region->At(slot.offset);
-  size_t hlen = iolhttp::BuildResponseHeader(base, body_bytes_);
+  SliceDesc body = TakeSlot(s_, &s_->body_free, yield);
+  assert(body_bytes_ <= body.reserved && "body slots must hold a CGI body");
+  char* base = s_->region->At(body.offset);
   for (uint64_t i = 0; i < body_bytes_; ++i) {
-    base[hlen + i] = static_cast<char>(CgiByteAt(m.file_id, i));
+    base[i] = static_cast<char>(CgiByteAt(m.file_id, i));
   }
-  SliceDesc hdr{};
-  hdr.offset = slot.offset;
-  hdr.length = hlen;
-  hdr.flags = kRespCgiSlab;  // Returning the header desc returns the slot.
-  hdr.reserved = slot.reserved;
-  SliceDesc body{};
-  body.offset = slot.offset + hlen;
   body.length = body_bytes_;
-  body.flags = kFrameEnd;
-  if (!s_->futures.Complete(m.future, hdr, body)) {
-    iolipc::ReturnSlot(&s_->cgi_free, slot);
-  } else {
-    c->Add(iolipc::kCgiRequests, 1);
-    c->Add(iolipc::kRequestsServed, 1);
-    c->Add(iolipc::kBytesServed, hlen + body_bytes_);
+  body.flags = kRespBodySlab | kFrameEnd;
+  if (Respond(s_, m.future, body, false, iolipc::kNoPinSlot, yield)) {
+    s_->counters.Add(iolipc::kCgiRequests, 1);
   }
   return true;
 }
@@ -165,11 +192,9 @@ void CgiWorker::Run(const iolipc::YieldFn& idle) {
 // --- Proxy ------------------------------------------------------------------
 
 ProxyWorker::ProxyWorker(iolipc::PlaneShared* shared, bool copy_data_path,
-                         uint64_t fill_wait_us, uint32_t pin_slot,
-                         uint32_t die_after_pins)
+                         uint32_t pin_slot, uint32_t die_after_pins)
     : s_(shared),
       copy_data_path_(copy_data_path),
-      fill_wait_us_(fill_wait_us),
       pin_slot_(pin_slot),
       die_after_pins_(die_after_pins) {}
 
@@ -190,103 +215,28 @@ bool ProxyWorker::Step(const iolipc::YieldFn& yield) {
   if (!s_->client_q.PopAs(&m)) {
     return false;
   }
-  if (static_cast<iolipc::RequestKind>(m.kind) == iolipc::RequestKind::kCgi) {
-    iolipc::FillRequestMsg f{m.file_id, m.future, 0, 0};
-    while (!s_->cgi_q.PushAs(f)) {
-      s_->counters.Add(iolipc::kQueueFullYields, 1);
-      yield();
-    }
-    return true;
-  }
-  ServeStatic(m, yield);
-  return true;
-}
-
-void ProxyWorker::ServeStatic(const iolipc::ClientRequestMsg& m,
-                              const iolipc::YieldFn& yield) {
   iolipc::ShmCounters* c = &s_->counters;
-  SliceDesc body;
-  bool hit = s_->cache_map.LookupAndPin(m.file_id, &body);
-  if (hit) {
-    c->Add(iolipc::kCacheHits, 1);
-    RecordPin(m.file_id);
-    body.ticket = m.file_id;
-    body.flags = kRespPinned | kFrameEnd;
-  } else {
+  iolipc::MpmcQueue* next = &s_->cgi_q;
+  if (static_cast<iolipc::RequestKind>(m.kind) == iolipc::RequestKind::kStatic) {
+    SliceDesc body;
+    if (s_->cache_map.LookupAndPin(m.file_id, &body)) {
+      c->Add(iolipc::kCacheHits, 1);
+      RecordPin(m.file_id);
+      body.ticket = m.file_id;
+      body.flags = kRespPinned | kFrameEnd;
+      Respond(s_, m.future, body, copy_data_path_, pin_slot_, yield);
+      return true;
+    }
     c->Add(iolipc::kCacheMisses, 1);
-    iolipc::FutureHandle fill = s_->futures.Acquire();
-    if (fill == iolipc::kInvalidFuture) {
-      s_->futures.Fail(m.future, kPlaneErrNoFuture);
-      return;
-    }
-    iolipc::FillRequestMsg f{m.file_id, fill, 0, 0};
-    while (!s_->home_queue(m.file_id).PushAs(f)) {
-      c->Add(iolipc::kQueueFullYields, 1);
-      yield();
-    }
-    iolipc::ShmFuturePool::WaitResult r = s_->futures.Wait(fill, fill_wait_us_, yield);
-    s_->futures.Release(fill);
-    if (!r.ok) {
-      // Fill failed or the origin died mid-request: the client future
-      // resolves with an error instead of hanging — crash containment.
-      c->Add(iolipc::kFutureErrors, 1);
-      s_->futures.Fail(m.future, r.error != 0 ? r.error : 2);
-      return;
-    }
-    body = r.value[1];  // Already pinned by the origin on our behalf.
-    if (body.flags & kRespPinned) {
-      RecordPin(body.ticket);  // The pin is ours now.
-    }
+    next = &s_->home_queue(m.file_id);
   }
-  if (copy_data_path_) {
-    // Contrast path: what a process-per-tier server without the descriptor
-    // discipline does — copy the payload across the boundary per response.
-    SliceDesc slot;
-    while (!iolipc::TakeSlot(&s_->copy_free, &slot)) {
-      c->Add(iolipc::kQueueFullYields, 1);
-      yield();
-    }
-    assert(body.length <= slot.reserved && "copy slots must hold the largest doc");
-    std::memcpy(s_->region->At(slot.offset), s_->region->At(body.offset),
-                body.length);
-    c->Add(iolipc::kBytesCopiedCrossProcess, body.length);
-    if (body.flags & kRespPinned) {
-      s_->cache_map.Unpin(body.ticket);
-      s_->pin_ledger.Clear(pin_slot_);
-    }
-    SliceDesc copied{};
-    copied.offset = slot.offset;
-    copied.length = body.length;
-    copied.flags = kRespCopySlab | kFrameEnd;
-    copied.reserved = slot.reserved;
-    body = copied;
-  }
-  SliceDesc hdr;
-  while (!iolipc::TakeSlot(&s_->header_free, &hdr)) {
+  // Not ours to answer: the request goes on unchanged, and whoever answers
+  // it completes the client's future.
+  while (!next->PushAs(m)) {
     c->Add(iolipc::kQueueFullYields, 1);
     yield();
   }
-  size_t hlen = iolhttp::BuildResponseHeader(s_->region->At(hdr.offset), body.length);
-  hdr.length = hlen;
-  hdr.flags = kRespHeaderSlab;
-  // Clear-before-handoff (PinLedger contract): on Complete success the pin
-  // travels to the client with the descriptor.
-  if (body.flags & kRespPinned) {
-    s_->pin_ledger.Clear(pin_slot_);
-  }
-  if (!s_->futures.Complete(m.future, hdr, body)) {
-    // Client gave up on this response: give every resource back.
-    iolipc::ReturnSlot(&s_->header_free, hdr);
-    if (body.flags & kRespPinned) {
-      s_->cache_map.Unpin(body.ticket);
-    }
-    if (body.flags & kRespCopySlab) {
-      iolipc::ReturnSlot(&s_->copy_free, body);
-    }
-    return;
-  }
-  c->Add(iolipc::kRequestsServed, 1);
-  c->Add(iolipc::kBytesServed, hlen + body.length);
+  return true;
 }
 
 void ProxyWorker::Run(const iolipc::YieldFn& yield) {

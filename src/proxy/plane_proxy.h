@@ -12,12 +12,15 @@
 //
 // Topology (descriptors flow along the arrows; payload never moves):
 //
-//   client --ClientRequestMsg--> proxy --FillRequestMsg--> origin (id % O)
-//     ^                            |   \--FillRequestMsg--> CGI
-//     |                            v
-//     +<----- response future <----+  (origin fills complete a proxy-owned
-//                                      fill future; CGI completes the
-//                                      client's future directly)
+//   client --ClientRequestMsg--> proxy --hit-----------------------------+
+//     ^                            |--miss, same msg--> origin (id % O) --+
+//     |                            +--dynamic, same msg--> CGI -----------+
+//     +<--------- response future, completed by its producer -------------+
+//
+// Whichever worker produces a response completes the client's future
+// itself, through one Respond: the proxy on a hit, the key's home origin on
+// a miss, the CGI worker for a dynamic request. The proxy is a router that
+// never waits on another worker.
 //
 // The origin worker is where the unified cache goes multi-process: it runs
 // a replica SimFileSystem + FileCache whose buffers are carved from the
@@ -66,27 +69,27 @@ inline uint8_t CgiByteAt(uint64_t request_key, uint64_t i) {
 // handle, 2 = wait timeout).
 constexpr uint32_t kPlaneErrNoFile = 10;
 constexpr uint32_t kPlaneErrUnshareable = 11;
-constexpr uint32_t kPlaneErrNoFuture = 12;
-constexpr uint32_t kPlaneErrNoSlot = 13;
 
 // --- Origin -----------------------------------------------------------------
 
-// Serves the miss fills of the keys it is home to: reads the file through
-// its replica unified cache (region-backed buffers, metadata mirrored to
-// plane.map.cache), pins the entry on behalf of the requester and completes
-// the fill future with the pinned descriptor.
+// Serves the misses of the keys it is home to: reads the file through its
+// replica unified cache (region-backed buffers, metadata mirrored to
+// plane.map.cache), pins the entry on behalf of the client and answers the
+// client's future with the pinned descriptor.
 class OriginWorker {
  public:
   // `origin` indexes PlaneShared::origin_qs: the worker pops only that
-  // queue. `cache_budget_bytes` = 0 disables budget enforcement. `pin_slot`
-  // is the worker's PinLedger slot (kNoPinSlot = unledgered); supervised
-  // workers get one so a crash between pin and hand-off can be swept.
+  // queue. `copy_data_path`: see ProxyWorker. `cache_budget_bytes` = 0
+  // disables budget enforcement. `pin_slot` is the worker's PinLedger slot
+  // (kNoPinSlot = unledgered); supervised workers get one so a crash
+  // between pin and hand-off can be swept.
   OriginWorker(iolipc::PlaneShared* shared, const PlaneDocSet& docs, int origin,
-               uint64_t cache_budget_bytes,
+               bool copy_data_path, uint64_t cache_budget_bytes,
                uint32_t pin_slot = iolipc::kNoPinSlot);
 
-  // Serves one fill; false when its plane.q.origin.<o> yielded nothing.
-  bool Step();
+  // Serves one miss; false when its plane.q.origin.<o> yielded nothing.
+  // `yield` is polled while waiting for a free slab slot.
+  bool Step(const iolipc::YieldFn& yield);
 
   // Until its queue is closed and drained.
   void Run(const iolipc::YieldFn& idle);
@@ -95,7 +98,8 @@ class OriginWorker {
 
  private:
   iolipc::PlaneShared* s_;
-  iolipc::MpmcQueue* fills_;
+  iolipc::MpmcQueue* misses_;
+  bool copy_data_path_;
   uint64_t budget_;
   iolsim::SimContext ctx_;
   iolite::BufferPool pool_;  // Region-backed: every fill is region-resident.
@@ -108,10 +112,9 @@ class OriginWorker {
 
 // --- CGI --------------------------------------------------------------------
 
-// Serves dynamic requests: builds one contiguous [header][body] response in
-// a CGI slab slot and completes the client's future directly — the response
-// flows CGI -> client without re-entering the proxy, the co-located IOL-IPC
-// shape of PR 5 taken cross-process.
+// Serves dynamic requests: writes the body into a body slab slot and answers
+// the client's future directly — the response flows CGI -> client without
+// re-entering the proxy, the co-located IOL-IPC shape taken cross-process.
 class CgiWorker {
  public:
   CgiWorker(iolipc::PlaneShared* shared, uint64_t body_bytes);
@@ -129,18 +132,18 @@ class CgiWorker {
 
 // --- Proxy ------------------------------------------------------------------
 
-// The front tier: pops client requests, serves static ones from the shared
-// cache map (warm path: pin + header build, zero payload bytes touched),
-// routes misses through fill futures to the key's home origin and dynamic
-// requests to the CGI queue. With `copy_data_path` the warm path degenerates to memcpy-per-
-// response into a copy slab — the measured contrast that shows what the
-// descriptor discipline saves.
+// The front tier: pops client requests, answers static hits from the
+// shared cache map (warm path: pin + header build, zero payload bytes
+// touched), and passes each miss on to the key's home origin and each
+// dynamic request to the CGI queue. With `copy_data_path` every static
+// response degenerates to a memcpy into a body slab slot — the measured
+// contrast that shows what the descriptor discipline saves.
 class ProxyWorker {
  public:
   // `pin_slot`: see OriginWorker — the proxy holds a transient pin on the
-  // warm path (LookupAndPin -> Complete) and after a fill hands it one.
+  // warm path (LookupAndPin -> Complete).
   // `die_after_pins`: deterministic fault injection for supervision tests —
-  // the worker _Exit(9)s if it takes the fleet's Nth pin (counted across
+  // the worker _Exit(9)s if it takes the fleet's Nth hit pin (counted across
   // all proxies in kProxyPins), i.e. at the exact point where it holds a
   // ledgered pin and nothing else (no queue mid-state, no lock), so the
   // supervisor's sweep is the only thing standing between the crash and a
@@ -148,23 +151,21 @@ class ProxyWorker {
   // independent of which proxy the shared client queue favours: exactly
   // one armed proxy takes the Nth pin. 0 = never.
   ProxyWorker(iolipc::PlaneShared* shared, bool copy_data_path,
-              uint64_t fill_wait_us, uint32_t pin_slot = iolipc::kNoPinSlot,
-              uint32_t die_after_pins = 0);
+              uint32_t pin_slot = iolipc::kNoPinSlot, uint32_t die_after_pins = 0);
 
-  // Serves one client request end to end; false when plane.q.client yielded
-  // nothing. `yield` is polled while waiting on fills and free slots.
+  // Takes one client request: answers a hit, or passes the request on;
+  // false when plane.q.client yielded nothing. `yield` is polled while
+  // waiting for a free slab slot or queue cell.
   bool Step(const iolipc::YieldFn& yield);
 
   void Run(const iolipc::YieldFn& yield);
 
  private:
-  void ServeStatic(const iolipc::ClientRequestMsg& m, const iolipc::YieldFn& yield);
   // Ledgers the pin, then dies if the injection count just came up.
   void RecordPin(uint64_t ticket);
 
   iolipc::PlaneShared* s_;
   bool copy_data_path_;
-  uint64_t fill_wait_us_;
   uint32_t pin_slot_;
   uint32_t die_after_pins_;
 };

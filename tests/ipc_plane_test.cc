@@ -327,7 +327,7 @@ TEST(ForkPlaneTest, KilledReadersWedgeNoSlot) {
 
 // --- Crash recovery ----------------------------------------------------------
 
-// A filler process takes the fill order and dies without completing. The
+// A filler process takes the request and dies without completing. The
 // waiter must time out, fail the future itself, and leave the slot cleanly
 // reusable — no deadlock, no stuck kPending slot.
 TEST(ForkPlaneTest, CrashedFillerResolvesTheFutureByTimeout) {
@@ -341,16 +341,16 @@ TEST(ForkPlaneTest, CrashedFillerResolvesTheFutureByTimeout) {
 
   WorkerGroup crasher;
   ASSERT_TRUE(crasher.Launch(PlaneMode::kProcesses, 1, [&] {
-    iolipc::FillRequestMsg msg;
+    iolipc::ClientRequestMsg msg;
     while (!fill_q.PopAs(&msg)) {
       sched_yield();
     }
-    _exit(1);  // Crash while holding the fill order.
+    _exit(1);  // Crash while holding the request.
   }));
 
   iolipc::FutureHandle h = futures.Acquire();
   ASSERT_NE(h, iolipc::kInvalidFuture);
-  iolipc::FillRequestMsg msg{};
+  iolipc::ClientRequestMsg msg{};
   msg.file_id = 1;
   msg.future = h;
   ASSERT_TRUE(fill_q.PushAs(msg));
@@ -371,9 +371,46 @@ TEST(ForkPlaneTest, CrashedFillerResolvesTheFutureByTimeout) {
   EXPECT_EQ(crasher.JoinAll(), 1) << "exactly the one deliberate abnormal exit";
 }
 
+// A filler killed between claiming a future (kPending -> kWriting) and
+// publishing it leaves the slot claimed for good. Its waiter must still
+// time out, and Release must leave the slot allocated rather than free a
+// slot the dead filler holds. The wait runs in a forked child under an
+// alarm, so a waiter that spins forever fails the test instead of hanging
+// it.
+TEST(ForkPlaneTest, FillerKilledMidPublishTimesOutItsWaiter) {
+  auto region = ShmRegion::Create(1u << 20);
+  ASSERT_NE(region, nullptr);
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmFuturePool futures = ShmFuturePool::Create(region.get(), &table, "f", 4);
+  ASSERT_TRUE(futures.valid());
+  iolipc::FutureHandle h = futures.Acquire();
+  ASSERT_NE(h, iolipc::kInvalidFuture);
+  // The dead filler's claim, written at the ABI offsets: slot (h's low 32
+  // bits) after the 64-byte pool header, 128 bytes a slot, state at +0.
+  char* pool = table.Locate("f", iolipc::ShmType::kFutures, 64, nullptr);
+  uint32_t writing = ShmFuturePool::kWriting;
+  ASSERT_EQ(writing, 4u);
+  std::memcpy(pool + 64 + (h & 0xffffffffu) * 128, &writing, sizeof(writing));
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(5);
+    ShmFuturePool::WaitResult r = futures.Wait(h, 100'000, [] { sched_yield(); });
+    futures.Release(h);
+    _exit(!r.ok && r.timed_out && futures.allocated() == 1 ? 0 : 3);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(status)) << "the waiter spun until signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the waiter did not time out, or freed the slot";
+  EXPECT_EQ(futures.allocated(), 1u);
+  EXPECT_EQ(futures.CountInState(ShmFuturePool::kWriting), 1u);
+}
+
 // A full plane whose origin fleet never answers (zero origin workers): every
-// static miss must come back as an error within the fill timeout, the run
-// must terminate, and the workers must exit cleanly.
+// static miss must come back as an error within the client's timeout, the
+// run must terminate, and the workers must exit cleanly.
 TEST(ForkPlaneTest, PlaneWithNoOriginWorkersFailsRequestsInsteadOfHanging) {
   ioldrv::ProcessTierConfig cfg;
   cfg.mode = PlaneMode::kProcesses;
@@ -384,16 +421,14 @@ TEST(ForkPlaneTest, PlaneWithNoOriginWorkersFailsRequestsInsteadOfHanging) {
   cfg.docs.doc_bytes = 4096;
   cfg.cgi_every = 0;
   cfg.proxy_workers = 2;
-  cfg.origin_workers = 0;  // Nobody fills: every miss is an orphaned future.
+  cfg.origin_workers = 0;  // Nobody answers a miss: every future is orphaned.
   cfg.cgi_workers = 0;
-  cfg.fill_wait_us = 100'000;
-  cfg.client_wait_us = 2'000'000;
+  cfg.client_wait_us = 100'000;
 
   ioldrv::ProcessTierResult r = ioldrv::RunProcessTier(cfg);
   EXPECT_TRUE(r.ok) << "workers joined cleanly";
   EXPECT_EQ(r.requests, 0u);
   EXPECT_EQ(r.errors, 6u) << "every request resolved, all with errors";
-  EXPECT_GT(r.future_errors, 0u);
   EXPECT_EQ(r.abnormal_worker_exits, 0);
 }
 
@@ -462,7 +497,6 @@ TEST(ForkPlaneTest, SupervisorRespawnsDeadProxyAndSweepsItsPin) {
   // proxy the shared client queue happens to feed.
   cfg.proxy_die_after_pins = 5;
   cfg.client_retries = 2;  // The orphaned request times out and is re-issued.
-  cfg.fill_wait_us = 200'000;
   cfg.client_wait_us = 500'000;
 
   ioldrv::ProcessTierResult r = ioldrv::RunProcessTier(cfg);
@@ -546,12 +580,12 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   pc.map_capacity = 64;
   pc.future_capacity = 8;
   pc.header_slots = 8;
-  pc.cgi_slots = 4;
-  pc.copy_slots = 4;
-  pc.copy_slot_bytes = 4096;
+  pc.body_slots = 4;
+  pc.body_slot_bytes = 4096;
   iolipc::PlaneShared plane = iolipc::CreatePlane(region.get(), pc, 1);
   ASSERT_TRUE(plane.valid());
   plane.counters.Add(iolipc::kBytesServed, 12345);
+  plane.pin_ledger.Record(5, 4242);  // Worker slot 5 holds a pin on key 4242.
   SliceDesc v{};
   v.offset = 4096;
   v.length = 512;
@@ -586,6 +620,9 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   }
   EXPECT_NE(out.find("\"key\": 7"), std::string::npos) << out;
   EXPECT_NE(out.find("\"payload_length\": 512"), std::string::npos) << out;
+  // The pin ledger, decoded slot -> key.
+  EXPECT_NE(out.find("\"plane.pins\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"5\": 4242"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -492,8 +492,7 @@ TEST(ShmAttachTest, APlaneWithAnOverrunStructureDoesNotAttach) {
       {"plane.q.origin.0", iolipc::ShmType::kQueue},
       {iolipc::kPlaneCgiQueue, iolipc::ShmType::kQueue},
       {iolipc::kPlaneHeaderFree, iolipc::ShmType::kQueue},
-      {iolipc::kPlaneCgiFree, iolipc::ShmType::kQueue},
-      {iolipc::kPlaneCopyFree, iolipc::ShmType::kQueue},
+      {iolipc::kPlaneBodyFree, iolipc::ShmType::kQueue},
       {iolipc::kPlaneCacheMap, iolipc::ShmType::kMap},
       {iolipc::kPlaneFutures, iolipc::ShmType::kFutures},
       {iolipc::kPlaneCounters, iolipc::ShmType::kCounters},
@@ -503,9 +502,8 @@ TEST(ShmAttachTest, APlaneWithAnOverrunStructureDoesNotAttach) {
   pc.map_capacity = 64;
   pc.future_capacity = 8;
   pc.header_slots = 8;
-  pc.cgi_slots = 4;
-  pc.copy_slots = 4;
-  pc.copy_slot_bytes = 4096;
+  pc.body_slots = 4;
+  pc.body_slot_bytes = 4096;
   for (const auto& [name, type] : kStructures) {
     auto region = AnonRegion();
     iolipc::PlaneShared plane = iolipc::CreatePlane(region.get(), pc, 1);
@@ -652,10 +650,11 @@ int SlotsHolding(const iolipc::PlaneShared& s, uint64_t key) {
 }
 
 // Two origins with a one-document budget behind one proxy, stepped by hand
-// on one plane. The proxy routes each miss to the key's home origin
-// (key % 2), so each document is filled, cached and published by that
-// origin alone: no key ever occupies two map slots, and a document's bytes
-// are filled once each time its home origin evicted it.
+// on one plane. The proxy never waits: it answers a hit itself and passes a
+// miss on to the key's home origin (key % 2), which answers the client in
+// one hop. So each document is filled, cached and published by that origin
+// alone: no key ever occupies two map slots, and a document's bytes are
+// filled once each time its home origin evicted it.
 TEST(PlaneOriginTest, EveryFillGoesToTheKeysHomeOriginAndHoldsOneSlot) {
   auto region = AnonRegion(16u << 20);
   iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), iolipc::PlaneConfig{}, 2);
@@ -665,18 +664,10 @@ TEST(PlaneOriginTest, EveryFillGoesToTheKeysHomeOriginAndHoldsOneSlot) {
   docs.doc_count = 4;
   docs.doc_bytes = 4096;
   std::deque<iolproxy::OriginWorker> origins;
-  origins.emplace_back(&s, docs, 0, docs.doc_bytes);
-  origins.emplace_back(&s, docs, 1, docs.doc_bytes);
-  iolproxy::ProxyWorker proxy(&s, false, 1'000'000);
-  int server = -1;  // The origin that served the current request's fill.
-  iolipc::YieldFn step_origins = [&] {
-    for (int o = 0; o < 2; ++o) {
-      if (origins[o].Step()) {
-        EXPECT_EQ(server, -1) << "two origins served one request";
-        server = o;
-      }
-    }
-  };
+  origins.emplace_back(&s, docs, 0, false, docs.doc_bytes);
+  origins.emplace_back(&s, docs, 1, false, docs.doc_bytes);
+  iolproxy::ProxyWorker proxy(&s, false);
+  const iolipc::YieldFn no_wait = [] { ADD_FAILURE() << "a worker waited"; };
 
   uint64_t held[2] = {0, 0};  // The document each origin's budget keeps.
   uint64_t misses = 0;
@@ -688,15 +679,24 @@ TEST(PlaneOriginTest, EveryFillGoesToTheKeysHomeOriginAndHoldsOneSlot) {
     iolipc::ClientRequestMsg m{file, f, static_cast<uint32_t>(iolipc::RequestKind::kStatic),
                                0, 0};
     ASSERT_TRUE(s.client_q.PushAs(m));
-    server = -1;
-    ASSERT_TRUE(proxy.Step(step_origins));
-    ShmFuturePool::WaitResult r = s.futures.Wait(f, 1'000'000, [] {});
+    ASSERT_TRUE(proxy.Step(no_wait));
+    EXPECT_EQ(s.futures.allocated(), 1u) << "the proxy took a future of its own";
+    int server = -1;  // The origin that answered this request.
+    for (int o = 0; o < 2; ++o) {
+      if (origins[o].Step(no_wait)) {
+        EXPECT_EQ(server, -1) << "two origins served one request";
+        server = o;
+      }
+    }
+    ShmFuturePool::WaitResult r = s.futures.Wait(f, 1'000'000, no_wait);
     s.futures.Release(f);
     ASSERT_TRUE(r.ok) << "file " << file << " error " << r.error;
     EXPECT_EQ(r.value[1].length, docs.doc_bytes);
-    iolipc::ReturnSlot(&s.header_free, r.value[0]);
     ASSERT_TRUE(r.value[1].flags & iolipc::kRespPinned);
-    EXPECT_TRUE(s.cache_map.Unpin(file));
+    EXPECT_EQ(r.value[1].ticket, file);
+    EXPECT_EQ(s.cache_map.PinsOf(file), 1);
+    iolipc::ReturnResponse(&s, r.value[0], r.value[1]);
+    EXPECT_EQ(s.cache_map.PinsOf(file), 0);
     if (expect_hit) {
       ++hits;
       EXPECT_EQ(server, -1) << "file " << file << " was cached but refilled";
@@ -780,13 +780,15 @@ TEST(ProcessPlaneTest, ThreadsModeMatchesInProcessByteForByte) {
 }
 
 TEST(ProcessPlaneTest, CopyModeCopiesEveryStaticBodyButStaysIdentical) {
+  // CGI bodies and copy-mode copies share one body slab.
   ioldrv::ProcessTierConfig cfg;
   cfg.region_name.clear();
   cfg.requests = 60;
   cfg.inflight = 4;
   cfg.docs.doc_count = 6;
   cfg.docs.doc_bytes = 4096;
-  cfg.cgi_every = 0;
+  cfg.cgi_every = 4;
+  cfg.cgi_body_bytes = 1000;
   cfg.mode = iolipc::PlaneMode::kThreads;
 
   ioldrv::ProcessTierResult zero = ioldrv::RunProcessTier(cfg);
@@ -794,8 +796,10 @@ TEST(ProcessPlaneTest, CopyModeCopiesEveryStaticBodyButStaysIdentical) {
   ioldrv::ProcessTierResult copy = ioldrv::RunProcessTier(cfg);
   ASSERT_TRUE(zero.ok);
   ASSERT_TRUE(copy.ok);
+  EXPECT_EQ(copy.errors, 0u);
+  EXPECT_EQ(copy.cgi_requests, 15u);
   EXPECT_EQ(zero.bytes_copied_cross_process, 0u);
-  EXPECT_EQ(copy.bytes_copied_cross_process, 60u * 4096u)
+  EXPECT_EQ(copy.bytes_copied_cross_process, (60u - 15u) * 4096u)
       << "copy mode pays one body copy per static response";
   EXPECT_EQ(copy.response_checksum, zero.response_checksum);
   EXPECT_TRUE(copy.byte_identical);
