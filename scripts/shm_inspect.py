@@ -16,9 +16,11 @@ Usage:
 ABI mirrored here (keep in sync):
     ShmRegion::Header   src/ipc/shm_region.h   magic IOLS, payload @ +64
     ShmTable            src/ipc/shm_table.h    magic IOLT, 64-byte entries
-    MpmcQueue           src/ipc/mpmc_queue.h   magic IOLQ
+    MpmcQueue           src/ipc/mpmc_queue.h   magic IOLQ; event count: u32
+                                               wake_seq @ +196, u32 sleepers @ +200
     ShmMap              src/ipc/shm_map.h      magic IOLM
-    ShmFuturePool       src/ipc/shm_future.h   magic IOLF
+    ShmFuturePool       src/ipc/shm_future.h   magic IOLF; 128-byte slots after a
+                                               64-byte header, u32 sleepers @ +12
     ShmCounters         src/ipc/shm_counters.h magic IOLC, count slots, then
                                                count 32-byte NUL-padded names
     PinLedger           src/ipc/process_plane.h raw "plane.pins": one u64 per
@@ -104,13 +106,17 @@ def decode_queue(payload, off):
         return {"error": "bad queue magic"}
     (enq,) = struct.unpack_from("<Q", payload, off + 64)
     (deq,) = struct.unpack_from("<Q", payload, off + 128)
-    (closed,) = struct.unpack_from("<I", payload, off + 192)
+    closed, wake_seq, sleepers = struct.unpack_from("<III", payload, off + 192)
     return {
         "capacity": capacity,
         "enqueued": enq,
         "dequeued": deq,
         "occupancy": max(0, enq - deq),
         "closed": bool(closed),
+        # Consumers registered to park since the last wake (an upper bound on
+        # those asleep), and the wakes so far (the word they park on).
+        "sleepers": sleepers,
+        "wake_seq": wake_seq,
     }
 
 
@@ -147,11 +153,16 @@ def decode_futures(payload, off):
     if magic != FUTURE_MAGIC:
         return {"error": "bad future pool magic"}
     states = {}
+    sleepers = 0
     for i in range(capacity):
-        (state,) = struct.unpack_from("<I", payload, off + 64 + i * 128)
+        slot = off + 64 + i * 128
+        (state,) = struct.unpack_from("<I", payload, slot)
+        (slot_sleepers,) = struct.unpack_from("<I", payload, slot + 12)
         name = FUTURE_STATE_NAMES.get(state, str(state))
         states[name] = states.get(name, 0) + 1
-    return {"capacity": capacity, "allocated": allocated, "states": states}
+        sleepers += slot_sleepers
+    return {"capacity": capacity, "allocated": allocated, "states": states,
+            "sleepers": sleepers}
 
 
 def decode_counters(payload, off):

@@ -1,6 +1,5 @@
 #include "src/driver/process_tier.h"
 
-#include <sched.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -131,7 +130,6 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
     }
   }
 
-  const iolipc::YieldFn sched = [] { sched_yield(); };
   // The queues of the workers behind the proxies: every origin's and CGI's.
   auto close_worker_queues = [&s] {
     for (iolipc::MpmcQueue& q : s.origin_qs) {
@@ -162,18 +160,18 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
                              : 0;
                          iolproxy::ProxyWorker w(&s, cfg.copy_data_path,
                                                  static_cast<uint32_t>(slot), die);
-                         w.Run(sched);
+                         w.Run();
                        }) &&
         origins.Launch(cfg.mode, cfg.origin_workers,
                        [&](int slot) {
                          iolproxy::OriginWorker w(
                              &s, cfg.docs, slot, cfg.copy_data_path, cfg.origin_cache_budget,
                              static_cast<uint32_t>(cfg.proxy_workers + slot));
-                         w.Run(sched);
+                         w.Run();
                        }) &&
         cgis.Launch(cfg.mode, cfg.cgi_workers, [&] {
           iolproxy::CgiWorker w(&s, cfg.cgi_body_bytes);
-          w.Run(sched);
+          w.Run();
         });
     if (!launched) {
       s.client_q.Close();
@@ -217,22 +215,25 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   };
 
   // In-process pump: one proxy, one origin per origin queue and one CGI,
-  // yielded into each other.
+  // yielded into each other. Elsewhere the client waits by the plane's
+  // wait policy (an empty YieldFn): it parks on its response futures.
   std::optional<iolproxy::ProxyWorker> pump_proxy;
   std::deque<iolproxy::OriginWorker> pump_origins;
   std::optional<iolproxy::CgiWorker> pump_cgi;
-  iolipc::YieldFn client_yield = sched;
+  iolipc::YieldFn client_yield;
   if (cfg.mode == iolipc::PlaneMode::kInProcess) {
     pump_proxy.emplace(&s, cfg.copy_data_path);
     for (int o = 0; o < OriginQueues(cfg); ++o) {
       pump_origins.emplace_back(&s, cfg.docs, o, cfg.copy_data_path, cfg.origin_cache_budget);
     }
     pump_cgi.emplace(&s, cfg.cgi_body_bytes);
+    // Origins and CGI wait on nothing but a free slab slot, which TailorPlane
+    // guarantees them, so they are stepped with no YieldFn.
     iolipc::YieldFn pump_oc = [&] {
       for (iolproxy::OriginWorker& o : pump_origins) {
-        o.Step(sched);
+        o.Step({});
       }
-      pump_cgi->Step(sched);
+      pump_cgi->Step({});
     };
     client_yield = [&, pump_oc] {
       pump_proxy->Step(pump_oc);
@@ -250,13 +251,13 @@ ProcessTierResult RunProcessTier(const ProcessTierConfig& cfg) {
   auto submit = [&](Pending* p) {
     iolipc::FutureHandle h;
     while ((h = s.futures.Acquire()) == iolipc::kInvalidFuture) {
-      client_yield();
+      iolipc::Backoff(client_yield);
     }
     p->h = h;
     iolipc::ClientRequestMsg msg{p->file_id, h, static_cast<uint32_t>(p->kind),
                                  0, 0};
     while (!s.client_q.PushAs(msg)) {
-      client_yield();
+      iolipc::Backoff(client_yield);
     }
   };
 

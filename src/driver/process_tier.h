@@ -139,8 +139,10 @@ struct ProcessTierResult {
   // CPU seconds (user + system) per role, kProcesses only (0 otherwise).
   // The client's is getrusage around its request loop; each worker role's
   // is the wait4 rusage of its processes, summed over the group, respawns
-  // included. Workers spin (sched_yield) while idle, so a role's CPU covers
-  // its whole lifetime, not only the requests it served.
+  // included. An idle worker spins for a short budget and then parks in
+  // futex (src/ipc/event_count.h), so a role's CPU is its work plus those
+  // spins: a worker whose gaps between requests stay under the budget (the
+  // CGI worker at a 1-in-8 mix) still spins for most of its lifetime.
   double client_cpu_s = 0;
   double proxy_cpu_s = 0;
   double origin_cpu_s = 0;

@@ -1,5 +1,7 @@
 #include "src/ipc/mpmc_queue.h"
 
+#include <sched.h>
+
 #include <cassert>
 
 namespace iolipc {
@@ -57,6 +59,9 @@ bool MpmcQueue::TryPush(const SliceDesc& d) {
                                                     std::memory_order_relaxed)) {
         cell.item = d;
         cell.seq.store(pos + 1, std::memory_order_release);
+        if (ClaimSleepers(&state_->sleepers)) {
+          Wake();
+        }
         return true;
       }
       // CAS reloaded `pos`; retry with the fresher ticket.
@@ -87,6 +92,57 @@ bool MpmcQueue::TryPop(SliceDesc* out) {
       pos = state_->dequeue_pos.load(std::memory_order_relaxed);
     }
   }
+}
+
+bool MpmcQueue::empty() const {
+  for (;;) {
+    uint64_t pos = state_->dequeue_pos.load(std::memory_order_acquire);
+    uint64_t seq = cells_[pos & mask_].seq.load(std::memory_order_acquire);
+    int64_t dif = static_cast<int64_t>(seq) - static_cast<int64_t>(pos + 1);
+    if (dif <= 0) {
+      return dif < 0;
+    }
+    // Another consumer popped the head meanwhile: look again.
+  }
+}
+
+void MpmcQueue::AwaitItem() {
+  const uint64_t spin_end = MonotonicNs() + kSpinBudgetNs;
+  while (empty() && !closed()) {
+    if (MonotonicNs() < spin_end) {
+      sched_yield();
+    } else {
+      Park(kParkTimeoutUs);
+    }
+  }
+}
+
+bool MpmcQueue::Park(uint64_t timeout_us) {
+  uint32_t seq = state_->wake_seq.load(std::memory_order_acquire);
+  RegisterSleeper(&state_->sleepers);
+  // The re-check: a push that landed before the registration saw no
+  // sleeper and will not wake us.
+  if (!empty() || closed()) {
+    return false;
+  }
+  if (counters_.valid()) {
+    counters_.Add(kParks, 1);
+  }
+  FutexWait(&state_->wake_seq, seq, timeout_us);
+  return true;
+}
+
+void MpmcQueue::Wake() {
+  state_->wake_seq.fetch_add(1, std::memory_order_release);
+  FutexWakeAll(&state_->wake_seq);
+  if (counters_.valid()) {
+    counters_.Add(kWakes, 1);
+  }
+}
+
+void MpmcQueue::Close() {
+  state_->closed.store(1, std::memory_order_release);
+  Wake();
 }
 
 bool MpmcQueue::drained() const {

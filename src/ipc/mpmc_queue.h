@@ -9,6 +9,12 @@
 // Consumers mirror it on the dequeue ticket. No side ever spins on a lock:
 // a full/empty queue fails fast and the caller decides how to wait.
 //
+// A consumer that finds the queue empty waits by the plane's one wait
+// policy (event_count.h, AwaitItem): it spins for a short budget, then
+// parks on the queue's event count, a wake sequence and a sleeper count in
+// the shared header. A push pays one fence and one load of the sleeper
+// count, and a futex wake only when someone sleeps; Close always wakes.
+//
 // Cells carry exactly one SliceDesc (32 bytes). Anything the plane sends —
 // client requests, free-slot tokens — is encoded as a 32-byte trivially
 // copyable struct and punned through PushAs/PopAs, so the queue stays a
@@ -23,6 +29,8 @@
 #include <cstring>
 #include <type_traits>
 
+#include "src/ipc/event_count.h"
+#include "src/ipc/shm_counters.h"
 #include "src/ipc/shm_region.h"
 #include "src/ipc/shm_table.h"
 #include "src/ipc/slice_desc.h"
@@ -43,7 +51,12 @@ class MpmcQueue {
     std::atomic<uint64_t> dequeue_pos;  // offset 128: consumer ticket.
     char pad2[56];
     std::atomic<uint32_t> closed;       // offset 192.
-    char pad3[60];
+    // The event count. offset 196: bumped by every wake, the word sleepers
+    // park on. offset 200: consumers registered since the last wake (an
+    // upper bound on those asleep; a wake resets it to 0).
+    std::atomic<uint32_t> wake_seq;
+    std::atomic<uint32_t> sleepers;
+    char pad3[52];
   };
   static_assert(sizeof(QueueState) == 256, "queue state layout is ABI");
 
@@ -69,8 +82,11 @@ class MpmcQueue {
   bool valid() const { return state_ != nullptr; }
   uint32_t capacity() const { return state_->capacity; }
 
-  // Enqueues one descriptor. False when the queue is full (caller backs off)
-  // or closed.
+  // Counts this handle's parks and wakes in `counters` (kParks, kWakes).
+  void CountWaitsIn(const ShmCounters& counters) { counters_ = counters; }
+
+  // Enqueues one descriptor and wakes the queue's sleepers, if any. False
+  // when the queue is full (caller backs off).
   bool TryPush(const SliceDesc& d);
 
   // Dequeues one descriptor. False when the queue is empty.
@@ -98,18 +114,40 @@ class MpmcQueue {
     return true;
   }
 
-  // Producer-side end-of-stream flag. Consumers keep draining after Close;
-  // drained() is the termination test of every worker loop.
-  void Close() { state_->closed.store(1, std::memory_order_release); }
+  // True when the next pop would find nothing (approximate under
+  // concurrent pushes and pops, like any emptiness test).
+  bool empty() const;
+
+  // The consumer's wait (the plane's one wait policy): returns once the
+  // queue may hold an item or is closed. Polls for kSpinBudgetNs, then
+  // parks kParkTimeoutUs at a time.
+  void AwaitItem();
+
+  // One park: registers as a sleeper, re-checks for an item or Close, and
+  // sleeps until a wake or `timeout_us`. False when the re-check found
+  // the queue non-empty or closed and it did not sleep.
+  bool Park(uint64_t timeout_us);
+
+  // Producer-side end-of-stream flag; wakes every parked consumer.
+  // Consumers keep draining after Close; drained() is the termination test
+  // of every worker loop.
+  void Close();
   bool closed() const { return state_->closed.load(std::memory_order_acquire) != 0; }
   bool drained() const;
+
+  // Registrations since the last wake (tests, diagnostics).
+  uint32_t sleepers() const { return state_->sleepers.load(std::memory_order_acquire); }
 
  private:
   static constexpr uint32_t kQueueMagic = 0x494f4c51;  // "IOLQ"
 
+  // Bumps the wake sequence and wakes every sleeper on it.
+  void Wake();
+
   QueueState* state_ = nullptr;
   Cell* cells_ = nullptr;
   uint32_t mask_ = 0;
+  ShmCounters counters_;  // Invalid: parks and wakes go uncounted.
 };
 
 }  // namespace iolipc

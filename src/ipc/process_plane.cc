@@ -51,6 +51,18 @@ uint32_t PowTwoAtLeast(uint32_t n) {
   return p;
 }
 
+// Points every queue and the future pool at the plane's park and wake
+// counters.
+void CountWaits(PlaneShared* s) {
+  for (MpmcQueue* q : {&s->client_q, &s->cgi_q, &s->header_free, &s->body_free}) {
+    q->CountWaitsIn(s->counters);
+  }
+  for (MpmcQueue& q : s->origin_qs) {
+    q.CountWaitsIn(s->counters);
+  }
+  s->futures.CountWaitsIn(s->counters);
+}
+
 }  // namespace
 
 double CpuSecondsOf(const struct rusage& ru) {
@@ -90,6 +102,7 @@ PlaneShared CreatePlane(ShmRegion* region, const PlaneConfig& config, int origin
   if (!s.valid()) {
     return PlaneShared{};
   }
+  CountWaits(&s);
   if (!SeedSlab(region, &s.table, "plane.slab.hdr", &s.header_free,
                 config.header_slots, kHeaderSlotBytes) ||
       !SeedSlab(region, &s.table, "plane.slab.body", &s.body_free,
@@ -121,7 +134,11 @@ PlaneShared AttachPlane(ShmRegion* region) {
   s.futures = ShmFuturePool::Attach(s.table, kPlaneFutures);
   s.counters = ShmCounters::Attach(s.table, kPlaneCounters);
   s.pin_ledger = PinLedger::Attach(s.table, kPlanePinLedger);
-  return s.valid() ? s : PlaneShared{};
+  if (!s.valid()) {
+    return PlaneShared{};
+  }
+  CountWaits(&s);
+  return s;
 }
 
 PinLedger PinLedger::Create(ShmRegion* region, ShmTable* table, const char* name) {

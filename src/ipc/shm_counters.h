@@ -43,7 +43,9 @@ namespace iolipc {
   X(kWorkerAbnormalExits, worker_abnormal_exits)          /* Non-zero exit or signal. */        \
   X(kWorkerRespawns, worker_respawns)                     /* Relaunched by the supervisor. */   \
   X(kPinsSwept, pins_swept)                               /* Dead workers' pins reclaimed. */   \
-  X(kProxyPins, proxy_pins)                               /* Hit pins proxies took. */
+  X(kProxyPins, proxy_pins)                               /* Hit pins proxies took. */      \
+  X(kParks, parks)                                        /* Waiters that went to sleep. */ \
+  X(kWakes, wakes)                                        /* futex wakes issued. */
 
 // Index into the counter block.
 enum PlaneCounter : uint32_t {

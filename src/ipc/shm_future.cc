@@ -1,7 +1,8 @@
 #include "src/ipc/shm_future.h"
 
-#include <time.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -19,11 +20,11 @@ uint64_t WordOf(uint64_t word, uint32_t low) {
 
 uint32_t StateOf(uint64_t word) { return static_cast<uint32_t>(word); }
 
-uint64_t NowMicros() {
-  struct timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
-         static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
+uint64_t NowMicros() { return MonotonicNs() / 1000; }
+
+// The slot word's low half, the state: the futex word its waiter parks on.
+std::atomic<uint32_t>* StateWordOf(ShmFuturePool::FutureSlot* s) {
+  return reinterpret_cast<std::atomic<uint32_t>*>(&s->word);
 }
 
 }  // namespace
@@ -99,7 +100,26 @@ bool ShmFuturePool::Resolve(FutureHandle h, State to, uint32_t error,
   s->value[0] = header;
   s->value[1] = body;
   s->word.store(WordOf(h, to), std::memory_order_release);
+  if (ClaimSleepers(&s->sleepers)) {
+    FutexWakeAll(StateWordOf(s));
+    if (counters_.valid()) {
+      counters_.Add(kWakes, 1);
+    }
+  }
   return true;
+}
+
+void ShmFuturePool::Park(FutureSlot* s, uint32_t state, uint64_t timeout_us) {
+  RegisterSleeper(&s->sleepers);
+  // The re-check: a resolution published before the registration saw no
+  // sleeper and will not wake us.
+  if (StateOf(s->word.load(std::memory_order_acquire)) != state) {
+    return;
+  }
+  if (counters_.valid()) {
+    counters_.Add(kParks, 1);
+  }
+  FutexWait(StateWordOf(s), state, timeout_us);
 }
 
 bool ShmFuturePool::Complete(FutureHandle h, const SliceDesc& header,
@@ -120,6 +140,7 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
     return result;
   }
   uint64_t deadline = NowMicros() + timeout_us;
+  const uint64_t spin_end = MonotonicNs() + kSpinBudgetNs;
   bool failed_it = false;
   bool extended = false;
   for (;;) {
@@ -135,7 +156,9 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
       result.timed_out = failed_it;
       return result;
     }
-    if (NowMicros() >= deadline) {
+    uint64_t now_ns = MonotonicNs();
+    uint64_t now = now_ns / 1000;
+    if (now >= deadline) {
       // Deadline: try to fail the future ourselves. Losing the race to a
       // filler is fine — the next poll observes its result instead.
       if (Fail(h, kTimedOut)) {
@@ -157,6 +180,10 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
     }
     if (yield) {
       yield();
+    } else if (now_ns < spin_end) {
+      sched_yield();
+    } else {
+      Park(s, st, std::min(kParkTimeoutUs, deadline - now));
     }
   }
 }
@@ -174,6 +201,7 @@ void ShmFuturePool::Release(FutureHandle h) {
   // Bump the generation as the slot is freed, in one store: a handle minted
   // before this point can never publish into the slot's next life.
   header_->allocated.fetch_sub(1, std::memory_order_relaxed);
+  s->sleepers.store(0, std::memory_order_relaxed);  // Its owner was its only waiter.
   s->word.store(WordOf(word + (uint64_t{1} << 32), kFree), std::memory_order_release);
 }
 

@@ -4,10 +4,13 @@
 //
 // A future is a fixed slot holding up to two SliceDescs (header span + body
 // span): the waiter allocates a slot, ships its handle to the filler inside
-// a queue message, and spins/yields until the filler's release store of the
-// slot word publishes the descriptors. The payload the descriptors name
-// never moves — completing a future transfers *references*, the IOL-IPC
-// discipline at one more level.
+// a queue message, and waits until the filler's release store of the slot
+// word publishes the descriptors. A concurrent waiter waits by the plane's
+// one wait policy (event_count.h): it spins briefly, then parks in futex on
+// the slot word's low half (the state), registered in the slot's sleeper
+// count; a filler wakes it only when that count is non-zero. The payload
+// the descriptors name never moves — completing a future transfers
+// *references*, the IOL-IPC discipline at one more level.
 //
 // A slot's state and generation share one 64-bit word, and a handle carries
 // the generation: resolving a future is one CAS from (generation, pending)
@@ -25,8 +28,9 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 
+#include "src/ipc/event_count.h"
+#include "src/ipc/shm_counters.h"
 #include "src/ipc/shm_region.h"
 #include "src/ipc/shm_table.h"
 #include "src/ipc/slice_desc.h"
@@ -37,11 +41,6 @@ namespace iolipc {
 // boundaries inside 32-byte plane messages.
 using FutureHandle = uint64_t;
 constexpr FutureHandle kInvalidFuture = ~0ull;
-
-// How a worker waits: called once per fruitless poll. Forked workers pass
-// sched_yield; the in-process pump passes "run the other roles one step",
-// which is what makes the same worker code a deterministic simulator.
-using YieldFn = std::function<void()>;
 
 class ShmFuturePool {
  public:
@@ -62,9 +61,11 @@ class ShmFuturePool {
     // Release) in the high 32 — the u32 state at offset 0 and the u32
     // generation at offset 4 on a little-endian host.
     std::atomic<uint64_t> word;
-    uint32_t error;               // offset 8.
-    uint32_t reserved;            // offset 12.
-    SliceDesc value[2];           // offset 16: header span, body span.
+    uint32_t error;  // offset 8.
+    // offset 12: waiters registered to park on the state half since the
+    // last wake (a wake resets it to 0).
+    std::atomic<uint32_t> sleepers;
+    SliceDesc value[2];  // offset 16: header span, body span.
     char pad[48];
   };
   static_assert(sizeof(FutureSlot) == 128, "future slot layout is ABI");
@@ -100,10 +101,14 @@ class ShmFuturePool {
   bool Fail(FutureHandle h, uint32_t error);
 
   // Waiter side: polls until the future resolves or ~`timeout_us` host
-  // microseconds elapse, calling `yield` between polls, then fails it
-  // itself. A slot a filler still holds mid-publish gets one more timeout,
-  // then the wait returns timed_out.
+  // microseconds elapse, calling `yield` between polls (an empty `yield`
+  // spins, then parks, never past the deadline), then fails it itself. A
+  // slot a filler still holds mid-publish gets one more timeout, then the
+  // wait returns timed_out.
   WaitResult Wait(FutureHandle h, uint64_t timeout_us, const YieldFn& yield);
+
+  // Counts this handle's parks and wakes in `counters` (kParks, kWakes).
+  void CountWaitsIn(const ShmCounters& counters) { counters_ = counters; }
 
   // Returns the slot to kFree and bumps its generation, invalidating every
   // outstanding handle to it. Only the handle's owner may call this. A slot
@@ -126,8 +131,11 @@ class ShmFuturePool {
   // for (gen, kWriting) in one CAS, writes, then publishes (gen, `to`).
   bool Resolve(FutureHandle h, State to, uint32_t error, const SliceDesc& header,
                const SliceDesc& body);
+  // One park on `s` while its state reads `state`, at most `timeout_us`.
+  void Park(FutureSlot* s, uint32_t state, uint64_t timeout_us);
 
   PoolHeader* header_ = nullptr;
+  ShmCounters counters_;  // Invalid: parks and wakes go uncounted.
 };
 
 }  // namespace iolipc

@@ -23,13 +23,18 @@ static_assert(iolhttp::kResponseHeaderBytes <= iolipc::kHeaderSlotBytes,
               "a header slab slot holds one response header");
 
 // Pops a free slot ({offset, capacity} with reserved = capacity) from
-// `free_list`, yielding while it is empty.
+// `free_list`, waiting while it is empty: `yield` when pumped, else the
+// wait policy on the free list, which the client's returns wake.
 SliceDesc TakeSlot(iolipc::PlaneShared* s, iolipc::MpmcQueue* free_list,
                    const iolipc::YieldFn& yield) {
   SliceDesc slot;
   while (!free_list->TryPop(&slot)) {
     s->counters.Add(iolipc::kQueueFullYields, 1);
-    yield();
+    if (yield) {
+      yield();
+    } else {
+      free_list->AwaitItem();
+    }
   }
   return slot;
 }
@@ -141,15 +146,15 @@ bool OriginWorker::Step(const iolipc::YieldFn& yield) {
   return true;
 }
 
-void OriginWorker::Run(const iolipc::YieldFn& idle) {
+void OriginWorker::Run() {
   for (;;) {
-    if (Step(idle)) {
+    if (Step({})) {
       continue;
     }
     if (misses_->drained()) {
       return;
     }
-    idle();
+    misses_->AwaitItem();
   }
 }
 
@@ -177,15 +182,15 @@ bool CgiWorker::Step(const iolipc::YieldFn& yield) {
   return true;
 }
 
-void CgiWorker::Run(const iolipc::YieldFn& idle) {
+void CgiWorker::Run() {
   for (;;) {
-    if (Step(idle)) {
+    if (Step({})) {
       continue;
     }
     if (s_->cgi_q.drained()) {
       return;
     }
-    idle();
+    s_->cgi_q.AwaitItem();
   }
 }
 
@@ -234,20 +239,20 @@ bool ProxyWorker::Step(const iolipc::YieldFn& yield) {
   // it completes the client's future.
   while (!next->PushAs(m)) {
     c->Add(iolipc::kQueueFullYields, 1);
-    yield();
+    iolipc::Backoff(yield);
   }
   return true;
 }
 
-void ProxyWorker::Run(const iolipc::YieldFn& yield) {
+void ProxyWorker::Run() {
   for (;;) {
-    if (Step(yield)) {
+    if (Step({})) {
       continue;
     }
     if (s_->client_q.drained()) {
       return;
     }
-    yield();
+    s_->client_q.AwaitItem();
   }
 }
 

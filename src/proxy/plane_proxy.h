@@ -2,13 +2,15 @@
 // and runnable three ways.
 //
 // Every role is a Step() that processes at most one message plus a Run()
-// loop around it. The YieldFn a role polls with decides the execution
-// shape: sched_yield makes it a real concurrent worker (forked process or
-// thread); "run the other roles one step" makes the identical code a
-// deterministic single-threaded simulator — which is how the in-process
-// baseline of the A/B comparison is produced, and why byte-identity across
-// modes is a meaningful check of the plane rather than of two separate
-// implementations.
+// loop around it. The YieldFn a Step waits with decides the execution
+// shape: Run passes none, which makes the role a real concurrent worker
+// (forked process or thread) that waits by the plane's one wait policy —
+// spin briefly, then park in futex until a producer wakes it (see
+// src/ipc/event_count.h) — so an idle worker costs no CPU; "run the other
+// roles one step" makes the identical code a deterministic single-threaded
+// simulator — which is how the in-process baseline of the A/B comparison
+// is produced, and why byte-identity across modes is a meaningful check of
+// the plane rather than of two separate implementations.
 //
 // Topology (descriptors flow along the arrows; payload never moves):
 //
@@ -88,11 +90,12 @@ class OriginWorker {
                uint32_t pin_slot = iolipc::kNoPinSlot);
 
   // Serves one miss; false when its plane.q.origin.<o> yielded nothing.
-  // `yield` is polled while waiting for a free slab slot.
+  // `yield` is polled while waiting for a free slab slot (empty: the wait
+  // policy).
   bool Step(const iolipc::YieldFn& yield);
 
-  // Until its queue is closed and drained.
-  void Run(const iolipc::YieldFn& idle);
+  // Until its queue is closed and drained, parking while it is empty.
+  void Run();
 
   iolfs::FileCache& cache() { return cache_; }
 
@@ -120,10 +123,12 @@ class CgiWorker {
   CgiWorker(iolipc::PlaneShared* shared, uint64_t body_bytes);
 
   // Serves one dynamic request; false when plane.q.cgi yielded nothing.
-  // `yield` is polled while waiting for a free slab slot.
+  // `yield` is polled while waiting for a free slab slot (empty: the wait
+  // policy).
   bool Step(const iolipc::YieldFn& yield);
 
-  void Run(const iolipc::YieldFn& idle);
+  // Until plane.q.cgi is closed and drained, parking while it is empty.
+  void Run();
 
  private:
   iolipc::PlaneShared* s_;
@@ -155,10 +160,11 @@ class ProxyWorker {
 
   // Takes one client request: answers a hit, or passes the request on;
   // false when plane.q.client yielded nothing. `yield` is polled while
-  // waiting for a free slab slot or queue cell.
+  // waiting for a free slab slot or queue cell (empty: the wait policy).
   bool Step(const iolipc::YieldFn& yield);
 
-  void Run(const iolipc::YieldFn& yield);
+  // Until plane.q.client is closed and drained, parking while it is empty.
+  void Run();
 
  private:
   // Ledgers the pin, then dies if the injection count just came up.

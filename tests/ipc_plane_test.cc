@@ -18,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/driver/process_tier.h"
 #include "src/ipc/mpmc_queue.h"
@@ -511,6 +512,88 @@ TEST(ForkPlaneTest, SupervisorRespawnsDeadProxyAndSweepsItsPin) {
   EXPECT_TRUE(r.byte_identical);
 }
 
+// An origin SIGKILLed while parked leaves its registration in its queue's
+// sleeper count. The first push after the supervisor's respawn wakes and
+// claims every registration at once, the dead worker's with the live
+// one's, so a burst the replacement serves without parking costs about one
+// futex wake, not one per push.
+TEST(ForkPlaneTest, KilledParkedOriginLeavesNoSleeperCountRaised) {
+  constexpr int kBurst = 64;
+  auto region = ShmRegion::Create(16u << 20);
+  ASSERT_NE(region, nullptr);
+  iolipc::PlaneConfig pc;
+  pc.future_capacity = 2 * kBurst;
+  pc.header_slots = 2 * kBurst;
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), pc, 1);
+  ASSERT_TRUE(s.valid());
+  iolproxy::PlaneDocSet docs;
+  docs.doc_count = 8;
+  docs.doc_bytes = 1024;
+  MpmcQueue& misses = s.origin_qs[0];
+  WorkerGroup origins;
+  // On a failed assertion, kill the origin rather than leave it parked.
+  struct KillOnExit {
+    WorkerGroup* g;
+    ~KillOnExit() {
+      for (pid_t pid : g->pids()) {
+        if (pid > 0) {
+          kill(pid, SIGKILL);
+        }
+      }
+      g->JoinAll();
+    }
+  } reaper{&origins};
+  ASSERT_TRUE(origins.Launch(PlaneMode::kProcesses, 1, [&](int slot) {
+    iolproxy::OriginWorker w(&s, docs, 0, false, 0, static_cast<uint32_t>(slot));
+    w.Run();
+  }));
+  auto eventually = [](auto done) {
+    for (int i = 0; i < 100'000; ++i) {
+      if (done()) {
+        return true;
+      }
+      usleep(100);
+    }
+    return false;
+  };
+  auto parks = [&] { return s.counters.Get(iolipc::kParks); };
+
+  ASSERT_TRUE(eventually([&] { return parks() >= 1; })) << "the origin never parked";
+  ASSERT_EQ(kill(origins.pids()[0], SIGKILL), 0);
+  uint64_t parks_before = parks();
+  ASSERT_TRUE(eventually([&] { return origins.Poll() == 1; })) << "no respawn";
+  ASSERT_TRUE(eventually([&] { return parks() > parks_before; }))
+      << "the replacement never parked";
+  EXPECT_GE(misses.sleepers(), 2u) << "the dead origin's registration and its replacement's";
+
+  uint64_t wakes_before = s.counters.Get(iolipc::kWakes);
+  std::vector<iolipc::FutureHandle> futures;
+  for (int i = 0; i < kBurst; ++i) {
+    iolipc::FutureHandle h = s.futures.Acquire();
+    ASSERT_NE(h, iolipc::kInvalidFuture);
+    iolipc::ClientRequestMsg m{static_cast<uint64_t>(1 + i % docs.doc_count), h,
+                               static_cast<uint32_t>(iolipc::RequestKind::kStatic), 0, 0};
+    ASSERT_TRUE(misses.PushAs(m));
+    futures.push_back(h);
+  }
+  uint64_t burst_wakes = s.counters.Get(iolipc::kWakes) - wakes_before;
+  for (iolipc::FutureHandle h : futures) {
+    // Polled, not parked: the client's own waits add no wakes.
+    ShmFuturePool::WaitResult r = s.futures.Wait(h, 5'000'000, [] { sched_yield(); });
+    EXPECT_TRUE(r.ok);
+    if (r.ok) {
+      iolipc::ReturnResponse(&s, r.value[0], r.value[1]);
+    }
+    s.futures.Release(h);
+  }
+  EXPECT_GE(burst_wakes, 1u) << "the first push found sleepers";
+  EXPECT_LE(burst_wakes, static_cast<uint64_t>(kBurst / 4))
+      << "pushes kept waking after the burst's first: a dead sleeper's count stayed raised";
+  misses.Close();
+  EXPECT_EQ(origins.JoinAll(), 0);
+  EXPECT_EQ(origins.respawns(), 1u);
+}
+
 // --- Region lifecycle: sweeping segments left by dead processes --------------
 
 TEST(ForkPlaneTest, SweepStaleReclaimsRegionsOfDeadOwnersOnly) {
@@ -586,6 +669,10 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   ASSERT_TRUE(plane.valid());
   plane.counters.Add(iolipc::kBytesServed, 12345);
   plane.pin_ledger.Record(5, 4242);  // Worker slot 5 holds a pin on key 4242.
+  // One park on the empty client queue leaves its registration behind; the
+  // CGI queue's Close is its first wake.
+  plane.client_q.Park(1);
+  plane.cgi_q.Close();
   SliceDesc v{};
   v.offset = 4096;
   v.length = 512;
@@ -623,6 +710,18 @@ TEST(ForkPlaneTest, ShmInspectDumpsALivePlaneFromOutside) {
   // The pin ledger, decoded slot -> key.
   EXPECT_NE(out.find("\"plane.pins\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"5\": 4242"), std::string::npos) << out;
+  // The event counts: each queue's sleepers and wake sequence, and the
+  // future pool's sleepers. `field(structure, name)` is the first "name":
+  // value pair after the structure's key.
+  auto field = [&out](const char* structure, const char* name) {
+    size_t at = out.find(std::string("\"") + structure + "\": {");
+    size_t k = at == std::string::npos ? at : out.find(std::string("\"") + name + "\": ", at);
+    return k == std::string::npos ? std::string() : out.substr(k, out.find_first_of(",\n}", k) - k);
+  };
+  EXPECT_EQ(field("plane.q.client", "sleepers"), "\"sleepers\": 1") << out;
+  EXPECT_EQ(field("plane.q.client", "wake_seq"), "\"wake_seq\": 0") << out;
+  EXPECT_EQ(field("plane.q.cgi", "wake_seq"), "\"wake_seq\": 1") << out;
+  EXPECT_EQ(field("plane.futures", "sleepers"), "\"sleepers\": 0") << out;
 }
 
 }  // namespace

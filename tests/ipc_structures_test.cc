@@ -183,6 +183,138 @@ TEST(MpmcQueueTest, ThreadedMpmcDeliversEveryItemExactlyOnce) {
   EXPECT_EQ(sum.load(), expect);
 }
 
+// Several producers push in bursts while one consumer takes them, parking
+// on the queue between pushes through the park primitive itself, with a
+// timeout far past the test's delivery deadline. Each round ends in a
+// lined-up race: once the consumer has taken everything else, it and the
+// round's closing producer start together from one flag, the consumer into
+// a park and the producer into the closing push, each after a random delay
+// of up to kJitterNs. A wake-up lost in that race (a registration the
+// producer did not see, an item the re-check did not see) leaves the
+// closing item undelivered until the deadline.
+TEST(MpmcQueueTest, ParkedConsumerMissesNoWakeUp) {
+  constexpr int kProducers = 3;
+  constexpr uint64_t kBurst = 3;
+  constexpr uint64_t kPerRound = kProducers * kBurst;
+  constexpr uint64_t kRounds = 2000;
+  constexpr uint64_t kJitterNs = 400;
+  constexpr uint64_t kParkUs = 30'000'000;
+  constexpr uint64_t kDeadlineNs = 2'000'000'000;
+  auto region = AnonRegion();
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  MpmcQueue q = MpmcQueue::Create(region.get(), &table, "q", 64);
+  ShmCounters counters = ShmCounters::Create(region.get(), &table, "c");
+  ASSERT_TRUE(q.valid() && counters.valid());
+  q.CountWaitsIn(counters);
+
+  std::atomic<uint64_t> round{0};      // Producers push round r once it reads r + 1.
+  std::atomic<uint64_t> armed{0};      // The consumer's "round r's rest is taken": r + 1.
+  std::atomic<uint64_t> go{0};         // The closer's start signal: r + 1.
+  std::atomic<uint64_t> delivered{0};  // Items the consumer took.
+  std::atomic<bool> stop{false};
+  // Spins until `done`, yielding after a while in case the other side
+  // shares this CPU; false once the test stops.
+  auto spin_until = [&](auto done) {
+    for (int i = 0; !done(); ++i) {
+      if (stop.load(std::memory_order_relaxed)) {
+        return false;
+      }
+      if (i > 4000) {
+        std::this_thread::yield();
+      }
+    }
+    return true;
+  };
+  auto jitter = [](uint64_t* rng) {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    uint64_t until = iolipc::MonotonicNs() + *rng % kJitterNs;
+    while (iolipc::MonotonicNs() < until) {
+    }
+  };
+  // Takes one item, parking while there is none; false once the queue closed.
+  auto take = [&] {
+    SliceDesc d;
+    while (!q.TryPop(&d)) {
+      if (q.closed()) {
+        return false;
+      }
+      q.Park(kParkUs);
+    }
+    delivered.fetch_add(1, std::memory_order_release);
+    return true;
+  };
+  std::thread consumer([&] {
+    uint64_t rng = 0x2545f4914f6cdd1dull;
+    for (uint64_t r = 0; r < kRounds; ++r) {
+      for (uint64_t i = 1; i < kPerRound; ++i) {
+        if (!take()) {
+          return;
+        }
+      }
+      armed.store(r + 1, std::memory_order_release);
+      if (!spin_until([&] { return go.load(std::memory_order_acquire) > r; })) {
+        return;
+      }
+      jitter(&rng);
+      if (!take()) {
+        return;
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      uint64_t rng = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(p + 1);
+      auto push = [&] {
+        while (!q.TryPush(Desc(0, 1))) {
+          std::this_thread::yield();
+        }
+      };
+      for (uint64_t r = 0; r < kRounds; ++r) {
+        if (!spin_until([&] { return round.load(std::memory_order_acquire) > r; })) {
+          return;
+        }
+        bool closer = r % kProducers == static_cast<uint64_t>(p);
+        for (uint64_t i = closer ? 1 : 0; i < kBurst; ++i) {
+          push();
+        }
+        if (closer) {
+          if (!spin_until([&] { return armed.load(std::memory_order_acquire) > r; })) {
+            return;
+          }
+          go.store(r + 1, std::memory_order_release);
+          jitter(&rng);
+          push();
+        }
+      }
+    });
+  }
+  uint64_t stalled_round = kRounds;
+  for (uint64_t r = 0; r < kRounds && stalled_round == kRounds; ++r) {
+    round.store(r + 1, std::memory_order_release);
+    uint64_t deadline = iolipc::MonotonicNs() + kDeadlineNs;
+    while (delivered.load(std::memory_order_acquire) < (r + 1) * kPerRound) {
+      if (iolipc::MonotonicNs() > deadline) {
+        stalled_round = r;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : producers) {
+    t.join();
+  }
+  q.Close();  // Always wakes: also frees a consumer a lost wake-up stranded.
+  consumer.join();
+  EXPECT_EQ(stalled_round, kRounds)
+      << "round " << stalled_round << " still undelivered 2 s after its pushes";
+  EXPECT_GT(counters.Get(iolipc::kParks), kRounds / 4) << "the consumer seldom parked";
+  EXPECT_GT(counters.Get(iolipc::kWakes), 0u);
+}
+
 // --- ShmMap -----------------------------------------------------------------
 
 // Reads `key` the way a plane reader does: pin, copy the value, unpin.
@@ -408,6 +540,34 @@ TEST(ShmFutureTest, ExhaustionAndThreadedHandoff) {
   pool.Release(a);
   pool.Release(b);
   EXPECT_EQ(pool.CountInState(ShmFuturePool::kFree), 2u);
+}
+
+// A waiter with no YieldFn parks on its slot; the filler's resolution wakes
+// it long before the park would time out.
+TEST(ShmFutureTest, ParkedWaiterIsWokenByItsFiller) {
+  auto region = AnonRegion();
+  ShmTable table = ShmTable::Create(region.get(), 4);
+  ShmFuturePool pool = ShmFuturePool::Create(region.get(), &table, "f", 2);
+  ShmCounters counters = ShmCounters::Create(region.get(), &table, "c");
+  pool.CountWaitsIn(counters);
+  iolipc::FutureHandle h = pool.Acquire();
+  ASSERT_NE(h, iolipc::kInvalidFuture);
+
+  std::thread filler([&] {
+    while (counters.Get(iolipc::kParks) == 0) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(pool.Complete(h, Desc(5, 6), Desc(7, 8)));
+  });
+  uint64_t t0 = iolipc::MonotonicNs();
+  ShmFuturePool::WaitResult r = pool.Wait(h, 30'000'000, {});
+  uint64_t waited_ns = iolipc::MonotonicNs() - t0;
+  filler.join();
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.value[1].offset, 7u);
+  EXPECT_LT(waited_ns, iolipc::kParkTimeoutUs * 1000 / 4) << "woken by the park timeout";
+  EXPECT_GE(counters.Get(iolipc::kWakes), 1u);
+  pool.Release(h);
 }
 
 // --- ShmCounters ------------------------------------------------------------
@@ -721,6 +881,35 @@ TEST(PlaneOriginTest, EveryFillGoesToTheKeysHomeOriginAndHoldsOneSlot) {
   EXPECT_EQ(s.counters.Get(iolipc::kBytesFilledOrigin), misses * docs.doc_bytes);
 }
 
+// A proxy whose next queue is full keeps the request and waits for room:
+// its YieldFn runs until the CGI queue frees a cell, then the push lands.
+TEST(PlaneOriginTest, AProxyWaitsForRoomInAFullQueue) {
+  auto region = AnonRegion(16u << 20);
+  iolipc::PlaneConfig pc;
+  pc.queue_capacity = 2;
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), pc, 1);
+  ASSERT_TRUE(s.valid());
+  const uint32_t cgi = static_cast<uint32_t>(iolipc::RequestKind::kCgi);
+  for (uint64_t id : {1, 2, 3}) {
+    iolipc::ClientRequestMsg m{id, iolipc::kInvalidFuture, cgi, 0, 0};
+    ASSERT_TRUE((id < 3 ? s.cgi_q : s.client_q).PushAs(m));
+  }
+  iolproxy::ProxyWorker proxy(&s, false);
+  int yields = 0;
+  ASSERT_TRUE(proxy.Step([&] {
+    ++yields;
+    iolipc::ClientRequestMsg taken;
+    EXPECT_TRUE(s.cgi_q.PopAs(&taken));
+  }));
+  EXPECT_EQ(yields, 1);
+  EXPECT_EQ(s.counters.Get(iolipc::kQueueFullYields), 1u);
+  iolipc::ClientRequestMsg m;
+  ASSERT_TRUE(s.cgi_q.PopAs(&m));
+  EXPECT_EQ(m.file_id, 2u);
+  ASSERT_TRUE(s.cgi_q.PopAs(&m));
+  EXPECT_EQ(m.file_id, 3u) << "the request the proxy held on to";
+}
+
 // The same routing end to end: two origins behind two proxies with a
 // budget that evicts, all concurrent. Every request must succeed with the
 // right bytes.
@@ -744,6 +933,50 @@ TEST(ProcessPlaneTest, ThreadsModeBudgetedMultiOriginServesEveryRequest) {
   EXPECT_EQ(r.requests, 600u);
   EXPECT_TRUE(r.byte_identical);
   EXPECT_EQ(r.leaked_pins, 0u);
+}
+
+// Every role's Run parks once its queue stays empty, and Close wakes it at
+// once: the run ends well inside the park timeout, so joining a fleet never
+// waits one out.
+TEST(ProcessPlaneTest, CloseWakesEveryParkedWorkerPromptly) {
+  auto region = AnonRegion(16u << 20);
+  iolipc::PlaneShared s = iolipc::CreatePlane(region.get(), iolipc::PlaneConfig{}, 1);
+  ASSERT_TRUE(s.valid());
+  iolproxy::PlaneDocSet docs;
+  docs.doc_count = 2;
+  docs.doc_bytes = 1024;
+  iolproxy::ProxyWorker proxy(&s, false);
+  iolproxy::OriginWorker origin(&s, docs, 0, false, 0);
+  iolproxy::CgiWorker cgi(&s, 1024);
+  std::vector<std::thread> workers;
+  workers.emplace_back([&] { proxy.Run(); });
+  workers.emplace_back([&] { origin.Run(); });
+  workers.emplace_back([&] { cgi.Run(); });
+  MpmcQueue* inputs[] = {&s.client_q, &s.origin_qs[0], &s.cgi_q};
+  uint64_t deadline = iolipc::MonotonicNs() + 10'000'000'000ull;
+  auto all_parked = [&] {
+    for (MpmcQueue* q : inputs) {
+      if (q->sleepers() == 0) {
+        return false;
+      }
+    }
+    return s.counters.Get(iolipc::kParks) >= 3;
+  };
+  while (!all_parked() && iolipc::MonotonicNs() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(all_parked()) << "a worker never parked on its empty queue";
+  uint64_t t0 = iolipc::MonotonicNs();
+  for (MpmcQueue* q : inputs) {
+    q->Close();
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  uint64_t joined_ns = iolipc::MonotonicNs() - t0;
+  EXPECT_LT(joined_ns, iolipc::kParkTimeoutUs * 1000 / 4)
+      << "a parked worker waited for its park timeout instead of the Close";
+  EXPECT_GE(s.counters.Get(iolipc::kWakes), 3u);
 }
 
 // --- The plane, threads mode (the TSan-checkable full stack) ----------------
