@@ -7,9 +7,10 @@
 // bytes actually copied (read back through the region's ShmTable the way an
 // unrelated process would), and whether the response stream was
 // byte-identical to the independent reference. The forked rows add CPU
-// seconds per role (client, proxy, origin, CGI); idle workers spin, so a
-// worker role's CPU spans its lifetime, not just the requests it served. The copy-mode row is the
-// contrast path: the identical plane with a memcpy per response body.
+// seconds per role (client, proxy, origin, CGI); an idle worker spins for
+// the plane's short spin budget and then parks in futex, so a role's CPU
+// follows the requests it served, not its lifetime. The copy-mode row is
+// the contrast path: the identical plane with a memcpy per response body.
 //
 // Expected shape: identical checksums down the whole column, zero copied
 // bytes everywhere except the copy row, and the process rows paying only

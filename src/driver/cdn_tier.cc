@@ -63,9 +63,7 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
       auto proxy = std::make_unique<iolproxy::ProxyServer>(
           ctx_, net, io, runtime, std::move(parents), pc);
       if (level == num_levels - 1) {
-        proxy->set_pick_origin([this](const std::vector<int>& load) {
-          return origins_.PickServer(load);
-        });
+        proxy->set_origin_balancer(origins_.balancer());
       }
       if (spec.shape_bytes_per_sec > 0) {
         shapers_.push_back(std::make_unique<iolqos::BackhaulShaper>(

@@ -84,7 +84,7 @@ uint64_t Experiment::CacheBudget() const {
   // reservation is excluded from "used": the cache's own data lives there,
   // so counting it would shrink the budget by the cache's own size.
   uint64_t non_window =
-      ctx_->memory().used() - ctx_->memory().reservation("iolite_window");
+      ctx_->memory().used() - ctx_->memory().reservation(iolsim::MemCategory::kIoliteWindow);
   uint64_t total = ctx_->memory().total();
   return total > non_window ? total - non_window : 0;
 }
@@ -137,7 +137,7 @@ void Experiment::UpdateSteadyMemory() {
   if (config_.persistent_connections) {
     // Connections stay open; their own reservations (made by Connect)
     // cover the socket buffers. Server processes:
-    ctx_->memory().Set("server_processes",
+    ctx_->memory().Set(iolsim::MemCategory::kServerProcesses,
                        static_cast<uint64_t>(effective_concurrent) *
                            server->per_connection_memory());
   } else {
@@ -146,7 +146,7 @@ void Experiment::UpdateSteadyMemory() {
             ? 2048
             : static_cast<uint64_t>(ctx_->cost().params().socket_send_buffer_bytes *
                                     ctx_->cost().params().send_buffer_utilization);
-    ctx_->memory().Set("connections_steady",
+    ctx_->memory().Set(iolsim::MemCategory::kConnectionsSteady,
                        static_cast<uint64_t>(pool) * per_conn +
                            static_cast<uint64_t>(effective_concurrent) *
                                server->per_connection_memory());
@@ -385,8 +385,8 @@ ExperimentResult Experiment::Run(Workload* workload, RequestSource next_file,
         c->Close();
       }
     }
-    ctx_->memory().Set("server_processes", 0);
-    ctx_->memory().Set("connections_steady", 0);
+    ctx_->memory().Set(iolsim::MemCategory::kServerProcesses, 0);
+    ctx_->memory().Set(iolsim::MemCategory::kConnectionsSteady, 0);
   }
   next_file_ = nullptr;
   return result;
@@ -427,17 +427,8 @@ void Experiment::IssueRequest(size_t lane) {
   l.record.issue = clock_->now();
   // Tenant resolution precedes NextFile: a multi-tenant workload picks the
   // file from the resolved tenant's stream (see Workload::TenantOf).
-  iolsim::TenantId hint = workload_->TenantOf(l.conn_index, l.seq);
+  l.req.tenant = workload_->TenantOf(l.conn_index, l.seq);
   l.has_pinned_file = workload_->NextFile(&l.pinned_file);
-  if (config_.qos != nullptr) {
-    iolqos::ClassifyContext cc;
-    cc.hint = hint;
-    cc.file = l.has_pinned_file ? l.pinned_file : iolfs::kInvalidFile;
-    cc.client = l.conn_index;
-    l.req.tenant = config_.qos->Classify(cc);
-  } else {
-    l.req.tenant = hint;
-  }
   if (recovery_on_) {
     // A fresh flight: this lane is its owner.
     l.flight_owner = kNoLane;

@@ -85,6 +85,7 @@ class Fleet {
   size_t PickServer(const std::vector<int>& load) {
     return balancer_->Pick(load) % servers_.size();
   }
+  LoadBalancer* balancer() const { return balancer_.get(); }
 
  private:
   std::vector<iolhttp::HttpServer*> servers_;

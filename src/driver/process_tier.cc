@@ -51,7 +51,7 @@ constexpr size_t kMinRegionBytes = 32u << 20;
 // responds: proxies, origins and CGI), and the directory to the plane's 10
 // structures plus its origin queues.
 iolipc::PlaneConfig TailorPlane(const ProcessTierConfig& cfg) {
-  iolipc::PlaneConfig pc = cfg.plane;
+  iolipc::PlaneConfig pc;
   pc.table_capacity =
       std::max(pc.table_capacity, static_cast<uint32_t>(10 + OriginQueues(cfg)));
   uint32_t window = static_cast<uint32_t>(cfg.inflight);

@@ -85,8 +85,6 @@ struct ProcessTierConfig {
   // Client-side recovery: re-submit a request up to this many times after
   // its future resolves with an error or times out.
   int client_retries = 0;
-
-  iolipc::PlaneConfig plane;
 };
 
 struct ProcessTierResult {

@@ -97,20 +97,18 @@ void FileCache::SetPartitions(const iolqos::CachePlan* plan) {
   plan_ = plan;
   if (plan == nullptr) {
     shares_.clear();
-    tenant_links_ = IdLinks();
   }
 }
 
-EntryId FileCache::PartitionVictim() const {
+EntryId FileCache::PartitionVictim() {
   // The tenant furthest above its reserved share loses first (ties go to
   // the lowest tenant id, deterministically); when everyone is within
   // reservation the least-under tenant pays — the shared remainder is a
-  // bid, not a grant. Within the tenant: oldest unreferenced entry, falling
-  // back to its LRU head if everything is pinned.
+  // bid, not a grant. Within the tenant, its PaperLruPolicy chooses.
   size_t victim_tenant = shares_.size();
   int64_t victim_over = 0;
   for (size_t t = 0; t < shares_.size(); ++t) {
-    if (shares_[t].lru.empty()) {
+    if (shares_[t].bytes == 0) {
       continue;
     }
     int64_t over = static_cast<int64_t>(shares_[t].bytes) -
@@ -123,13 +121,7 @@ EntryId FileCache::PartitionVictim() const {
   if (victim_tenant == shares_.size()) {
     return kNoEntry;
   }
-  const IdLinks::List& lru = shares_[victim_tenant].lru;
-  for (uint32_t id = lru.head; id != IdLinks::kNil; id = tenant_links_.Next(id)) {
-    if (!IsReferenced(id)) {
-      return id;
-    }
-  }
-  return lru.head;
+  return shares_[victim_tenant].lru.ChooseVictim(*this);
 }
 
 void FileCache::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
@@ -194,7 +186,7 @@ std::optional<iolite::Aggregate> FileCache::Lookup(FileId file, uint64_t offset,
     out.AppendRange(e.data, from - run_begin, to - from);
     policy_->OnAccess(it->entry);
     if (plan_ != nullptr) {
-      tenant_links_.MoveToBack(shares_[e.tenant].lru, static_cast<uint32_t>(it->entry));
+      shares_[e.tenant].lru.OnAccess(it->entry);
     }
   }
   assert(out.size() == length);
@@ -247,14 +239,7 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
   }
 
   auto add = [&](uint64_t off, iolite::Aggregate agg, uint64_t ver) {
-    EntryId id;
-    if (free_slots_.empty()) {
-      slots_.emplace_back();
-      id = slots_.size();
-    } else {
-      id = free_slots_.back();
-      free_slots_.pop_back();
-    }
+    EntryId id = slots_.Acquire() + 1;
     bytes_ += agg.size();
     for (const iolite::Slice& s : agg.slices()) {
       cache_refs_.Add(s.buffer().get());
@@ -273,7 +258,7 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
       }
       TenantShare& share = shares_[owner];
       share.bytes += sz;
-      tenant_links_.PushBack(share.lru, static_cast<uint32_t>(id));
+      share.lru.OnInsert(id, sz);
     }
     if (mirror_ != nullptr) {
       mirror_->OnInsert(file, off, entry(id).data);
@@ -367,7 +352,7 @@ void FileCache::EraseEntry(EntryId id) {
   if (plan_ != nullptr) {
     TenantShare& share = shares_[e.tenant];
     share.bytes -= e.data.size();
-    tenant_links_.Erase(share.lru, static_cast<uint32_t>(id));
+    share.lru.OnErase(id);
   }
   for (const iolite::Slice& s : e.data.slices()) {
     cache_refs_.Release(s.buffer().get());
@@ -379,7 +364,7 @@ void FileCache::EraseEntry(EntryId id) {
   runs.resize_down(runs.size() - 1);
   policy_->OnErase(id);
   e = Entry{};
-  free_slots_.push_back(id);
+  slots_.Release(static_cast<uint32_t>(id - 1));
 }
 
 void FileCache::CountLookup(bool hit) {

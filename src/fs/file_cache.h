@@ -20,11 +20,10 @@
 //    enforce an explicit byte budget, which is the steady state the trigger
 //    rule converges to.
 //
-// Metadata is array-backed: entries live in a slot array whose slot number
-// is the EntryId policies see (freed slots are reused), each file's
-// extents are a small vector sorted by offset in an array indexed by
-// FileId, and the per-tenant recency lists are index-linked over the slot
-// numbers.
+// Metadata is array-backed: entries live in a SlotPool whose slot number
+// plus one is the EntryId policies see (freed slots are reused), and each
+// file's extents are a small vector sorted by offset in an array indexed
+// by FileId.
 
 #ifndef SRC_FS_FILE_CACHE_H_
 #define SRC_FS_FILE_CACHE_H_
@@ -34,12 +33,12 @@
 #include <optional>
 #include <vector>
 
-#include "src/fs/id_list.h"
 #include "src/fs/replacement_policy.h"
 #include "src/fs/sim_file_system.h"
 #include "src/iolite/aggregate.h"
 #include "src/qos/tenant.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 #include "src/simos/small_vec.h"
 
 namespace iolqos {
@@ -116,10 +115,10 @@ class FileCache : public CacheView {
   // reserved share — a tenant within its reservation never loses an entry
   // while any other tenant holds more than its own reservation. The
   // remainder (total - sum of reservations) is a shared pool tenants bid
-  // for by inserting. Victims within a tenant are its least-recently-used
-  // unreferenced entries (its referenced ones only as a last resort);
-  // the global ReplacementPolicy covers the unpartitioned case. Must be
-  // enabled while the cache is empty.
+  // for by inserting. Within a tenant the victim is PaperLruPolicy's: its
+  // least-recently-used unreferenced entry (its referenced ones only as a
+  // last resort); the global ReplacementPolicy covers the unpartitioned
+  // case. Must be enabled while the cache is empty.
   void SetPartitions(const iolqos::CachePlan* plan);
 
   // Bytes currently held by `tenant` (0 unless partitioned).
@@ -176,7 +175,7 @@ class FileCache : public CacheView {
   bool EvictOne();
 
   uint64_t bytes() const { return bytes_; }
-  size_t entry_count() const { return slots_.size() - free_slots_.size(); }
+  size_t entry_count() const { return slots_.live(); }
 
   // --- CacheView ------------------------------------------------------------
   bool IsReferenced(EntryId id) const override;
@@ -204,10 +203,11 @@ class FileCache : public CacheView {
   using Runs = iolsim::SmallVec<Run, 1>;
 
   // Per-tenant recency and byte accounting, maintained only when
-  // partitioned (SetPartitions).
+  // partitioned (SetPartitions). Every entry holds bytes, so a share with
+  // none holds no entry.
   struct TenantShare {
     uint64_t bytes = 0;
-    IdLinks::List lru;  // Front = least recently used.
+    PaperLruPolicy lru;
   };
 
   // How many slices of this cache's entries reference each buffer, so
@@ -235,16 +235,16 @@ class FileCache : public CacheView {
     size_t used_ = 0;
   };
 
-  Entry& entry(EntryId id) { return slots_[id - 1]; }
-  const Entry& entry(EntryId id) const { return slots_[id - 1]; }
+  Entry& entry(EntryId id) { return slots_[static_cast<uint32_t>(id - 1)]; }
+  const Entry& entry(EntryId id) const { return slots_[static_cast<uint32_t>(id - 1)]; }
   // `file`'s extents, or null when it never had any.
   const Runs* RunsOf(FileId file) const {
     return file >= 0 && static_cast<size_t>(file) < by_file_.size() ? &by_file_[file] : nullptr;
   }
 
   void EraseEntry(EntryId id);
-  // The partitioned victim: LRU entry of the most-over-reservation tenant.
-  EntryId PartitionVictim() const;
+  // The partitioned victim: the most-over-reservation tenant's LRU choice.
+  EntryId PartitionVictim();
   // Counts one lookup into the routed aggregate counters and, when a QoS
   // policy is attached, the active tenant's per-tier block.
   void CountLookup(bool hit);
@@ -256,8 +256,7 @@ class FileCache : public CacheView {
   uint64_t* hits_;
   uint64_t* misses_;
   uint64_t* evictions_;
-  std::vector<Entry> slots_;          // Entry `id` is slots_[id - 1].
-  std::vector<EntryId> free_slots_;   // Ids of free slots, reused last-freed first.
+  iolsim::SlotPool<Entry> slots_;     // Entry `id` is slots_[id - 1].
   uint64_t next_seq_ = 1;
   std::vector<Runs> by_file_;         // Indexed by FileId.
   RefCounts cache_refs_;
@@ -267,7 +266,6 @@ class FileCache : public CacheView {
   bool qos_proxy_tier_ = false;
   const iolqos::CachePlan* plan_ = nullptr;
   std::vector<TenantShare> shares_;
-  IdLinks tenant_links_;  // Every share's lru list, over entry ids.
 };
 
 // Models the Section 3.7 trigger: the VM pageout daemon reports each page

@@ -53,14 +53,7 @@ void FileIoService::ReadExtentAsync(FileId file, uint64_t offset, size_t length,
     buffer = fs_->ReadFromDisk(file, offset, length);
   }
   assert(tally.cpu == 0 && "disk DMA fill must not charge CPU");
-  uint32_t idx;
-  if (free_pending_ != UINT32_MAX) {
-    idx = free_pending_;
-    free_pending_ = pending_reads_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(pending_reads_.size());
-    pending_reads_.emplace_back();
-  }
+  uint32_t idx = pending_reads_.Acquire();
   PendingRead& pending = pending_reads_[idx];
   pending.file = file;
   pending.offset = offset;
@@ -77,8 +70,7 @@ void FileIoService::FinishRead(uint32_t idx) {
   FileId file = pending.file;
   uint64_t offset = pending.offset;
   ctx_->set_active_tenant(pending.tenant);
-  pending.next_free = free_pending_;
-  free_pending_ = idx;
+  pending_reads_.Release(idx);
   cache_->Insert(file, offset, agg);
   done(std::move(agg), true);
 }

@@ -19,6 +19,7 @@
 #include "src/iolite/runtime.h"
 #include "src/iolite/stream.h"
 #include "src/simos/inline_function.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolfs {
 
@@ -51,8 +52,8 @@ class FileIoService {
   // completion event; the extent becomes visible in the cache only then,
   // so concurrent readers of a cold file each pay their own disk access
   // (no read coalescing — matching one-outstanding-I/O-per-request disks).
-  // Pending-read state (the filled aggregate and `done`) rides in a pooled
-  // node until the disk completion event.
+  // Pending-read state (the filled aggregate and `done`) rides in a
+  // SlotPool slot until the disk completion event.
   void ReadExtentAsync(FileId file, uint64_t offset, size_t length, ReadCallback done);
 
   // Replaces [offset, offset+data.size()) in both the cache and the file.
@@ -69,7 +70,6 @@ class FileIoService {
     iolsim::TenantId tenant = iolsim::kDefaultTenant;
     iolite::Aggregate agg;
     ReadCallback done;
-    uint32_t next_free = UINT32_MAX;
   };
 
   void FinishRead(uint32_t idx);
@@ -77,8 +77,7 @@ class FileIoService {
   iolsim::SimContext* ctx_;
   SimFileSystem* fs_;
   FileCache* cache_;
-  std::vector<PendingRead> pending_reads_;
-  uint32_t free_pending_ = UINT32_MAX;
+  iolsim::SlotPool<PendingRead> pending_reads_;
 };
 
 // Stream over an open file with a cursor, for the descriptor-based API.

@@ -53,24 +53,6 @@ CopyCgiServer::CopyCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* 
                              iolfs::FileIoService* io, size_t doc_bytes, bool apache_costs)
     : HttpServer(ctx, net, io), apache_costs_(apache_costs), cgi_(ctx, doc_bytes), pipe_(ctx) {}
 
-uint32_t CopyCgiServer::AcquireBody() {
-  uint32_t idx;
-  if (free_body_ != UINT32_MAX) {
-    idx = free_body_;
-    free_body_ = bodies_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(bodies_.size());
-    bodies_.emplace_back();
-    bodies_[idx].buf.resize(cgi_.doc_bytes());
-  }
-  return idx;
-}
-
-void CopyCgiServer::ReleaseBody(uint32_t idx) {
-  bodies_[idx].next_free = free_body_;
-  free_body_ = idx;
-}
-
 void CopyCgiServer::StartRequest(RequestContext* req) {
   // Stage 1: server-side accept + parse.
   CpuStage(
@@ -84,10 +66,11 @@ void CopyCgiServer::StartRequest(RequestContext* req) {
         // pipe (copy #1), blocking on the pipe buffer as it fills (one
         // producer/consumer context switch per pipe-buffer's worth), and
         // the server reads it out into a per-request buffer (copy #2).
-        // The buffer travels with the request as a pooled node index:
+        // The buffer travels with the request as a pool slot index:
         // concurrent requests are each suspended between stages and must
-        // not share it.
-        uint32_t body = AcquireBody();
+        // not share it. A reused slot already holds the document's size.
+        uint32_t body = bodies_.Acquire();
+        bodies_[body].resize(cgi_.doc_bytes());
         CpuStage(
             [this, body] {
               const iolsim::CostParams& p = ctx_->cost().params();
@@ -95,21 +78,21 @@ void CopyCgiServer::StartRequest(RequestContext* req) {
               uint64_t chunks =
                   (cgi_.doc_bytes() + p.pipe_buffer_bytes - 1) / p.pipe_buffer_bytes;
               ctx_->ChargeCpu(p.context_switch_cost * static_cast<iolsim::SimTime>(chunks));
-              pipe_.Read(bodies_[body].buf.data(), bodies_[body].buf.size());
+              pipe_.Read(bodies_[body].data(), bodies_[body].size());
             },
             [this, req, body] {
               // Stage 3: header build + writev copies header + body into
               // the socket buffer (copy #3), checksummed in full.
               CpuStage(
                   [this, req, body] {
-                    std::vector<char>& buf = bodies_[body].buf;
+                    std::vector<char>& buf = bodies_[body];
                     char header[kResponseHeaderBytes];
                     size_t header_len = BuildResponseHeader(header, buf.size());
                     ctx_->ChargeCpu(ctx_->cost().SyscallCost());
                     ctx_->stats().syscalls++;
                     req->response_bytes = req->conn->SendPrivateCopy(
                         header, header_len, buf.data(), buf.size());
-                    ReleaseBody(body);
+                    bodies_.Release(body);
                   },
                   [this, req] { TransmitStage(req); });
             });
@@ -129,24 +112,6 @@ LiteCgiServer::LiteCgiServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* 
   header_pool_ = runtime_->CreatePool("flash-lite-cgi-headers", server_domain_);
 }
 
-uint32_t LiteCgiServer::AcquireBody() {
-  uint32_t idx;
-  if (free_body_ != UINT32_MAX) {
-    idx = free_body_;
-    free_body_ = bodies_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(bodies_.size());
-    bodies_.emplace_back();
-  }
-  return idx;
-}
-
-void LiteCgiServer::ReleaseBody(uint32_t idx) {
-  bodies_[idx].agg.Clear();  // Drop buffer references, keep the node.
-  bodies_[idx].next_free = free_body_;
-  free_body_ = idx;
-}
-
 void LiteCgiServer::StartRequest(RequestContext* req) {
   // Stage 1: server-side accept + parse.
   CpuStage(
@@ -159,11 +124,11 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
         // cached document into the channel, the server IOL_reads the
         // aggregate out (one syscall; cold-chunk mapping), zero payload
         // copies.
-        // The aggregate rides in a pooled node across the suspension.
-        uint32_t body = AcquireBody();
+        // The aggregate rides in a pool slot across the suspension.
+        uint32_t body = bodies_.Acquire();
         CpuStage(
             [this, body] {
-              iolite::Aggregate& agg = bodies_[body].agg;
+              iolite::Aggregate& agg = bodies_[body];
               cgi_.ProduceResponse(channel_.get());
               ctx_->ChargeCpu(ctx_->cost().SyscallCost());
               ctx_->stats().syscalls++;
@@ -175,7 +140,7 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
               // by reference; only the fresh header generation is summed.
               CpuStage(
                   [this, req, body] {
-                    iolite::Aggregate& agg = bodies_[body].agg;
+                    iolite::Aggregate& agg = bodies_[body];
                     iolite::Aggregate response = iolite::Aggregate::FromBuffer(
                         MakeIoLiteHeader(ctx_, header_pool_, agg.size()));
                     response.Append(agg);
@@ -188,7 +153,8 @@ void LiteCgiServer::StartRequest(RequestContext* req) {
                         net_->checksum().PeekChecksum(agg) != cgi_.doc_checksum()) {
                       ctx_->stats().corrupt_responses++;
                     }
-                    ReleaseBody(body);
+                    agg.Clear();  // Drop buffer references, keep the slot.
+                    bodies_.Release(body);
                   },
                   [this, req] { TransmitStage(req); });
             });

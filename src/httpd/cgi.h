@@ -23,6 +23,7 @@
 #include "src/httpd/http_server.h"
 #include "src/iolite/pipe.h"
 #include "src/posix/posix_io.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolhttp {
 
@@ -77,23 +78,14 @@ class CopyCgiServer : public HttpServer {
   void StartRequest(RequestContext* req) override;
 
  private:
-  // Pooled per-request pipe-read buffer: concurrent requests each hold one
-  // across their stage suspensions (the node index travels in the stage
-  // continuations); completed requests return theirs to the free list, so
-  // steady-state request turnover allocates nothing.
-  struct BodyNode {
-    std::vector<char> buf;
-    uint32_t next_free = UINT32_MAX;
-  };
-
-  uint32_t AcquireBody();
-  void ReleaseBody(uint32_t idx);
-
   bool apache_costs_;
   CopyCgiProcess cgi_;
   iolposix::PosixPipe pipe_;
-  std::vector<BodyNode> bodies_;
-  uint32_t free_body_ = UINT32_MAX;
+  // Per-request pipe-read buffers: concurrent requests each hold one
+  // across their stage suspensions (the slot index travels in the stage
+  // continuations); completed requests release theirs, so steady-state
+  // request turnover allocates nothing.
+  iolsim::SlotPool<std::vector<char>> bodies_;
 };
 
 // Flash-Lite serving FastCGI content over an IO-Lite pipe.
@@ -106,21 +98,12 @@ class LiteCgiServer : public HttpServer {
   void StartRequest(RequestContext* req) override;
 
  private:
-  // Pooled per-request body aggregate (same pattern as CopyCgiServer's
-  // BodyNode): holds the reference-passed CGI document between stages.
-  struct BodyNode {
-    iolite::Aggregate agg;
-    uint32_t next_free = UINT32_MAX;
-  };
-
-  uint32_t AcquireBody();
-  void ReleaseBody(uint32_t idx);
-
   iolite::IoLiteRuntime* runtime_;
   iolsim::DomainId server_domain_;
   iolite::BufferPool* header_pool_;
-  std::vector<BodyNode> bodies_;
-  uint32_t free_body_ = UINT32_MAX;
+  // Per-request body aggregates (as CopyCgiServer's buffers): each holds
+  // the reference-passed CGI document between stages.
+  iolsim::SlotPool<iolite::Aggregate> bodies_;
   LiteCgiProcess cgi_;
   std::shared_ptr<iolite::PipeChannel> channel_;
 };

@@ -52,8 +52,9 @@ struct RequestContext {
   // Whether the body came from the unified cache (set by the server's
   // cache-lookup stage; stays false for generated content, e.g. CGI).
   bool cache_hit = false;
-  // Owning tenant (multi-tenant QoS plane, src/qos). Assigned by the
-  // classifier at issue/parse time; kDefaultTenant for single-tenant runs.
+  // Owning tenant (multi-tenant QoS plane, src/qos): the workload's tenant
+  // for the request, assigned at issue; kDefaultTenant for single-tenant
+  // runs.
   iolsim::TenantId tenant = iolsim::kDefaultTenant;
   // Invoked exactly once, when the last response byte has left the wire.
   iolsim::InlineFunction<void(RequestContext*)> on_done;

@@ -55,7 +55,7 @@ BufferPool::~BufferPool() {
       ctx_->vm().FreeChunk(c);
     }
   }
-  ctx_->memory().Release("iolite_window", bytes_reserved_);
+  ctx_->memory().Release(iolsim::MemCategory::kIoliteWindow, bytes_reserved_);
 }
 
 size_t BufferPool::NewExtent(size_t n) {
@@ -85,7 +85,7 @@ size_t BufferPool::NewExtent(size_t n) {
     e.chunks.push_back(ctx_->vm().AllocateChunk(producer_));
   }
   bytes_reserved_ += e.size;
-  ctx_->memory().Reserve("iolite_window", e.size);
+  ctx_->memory().Reserve(iolsim::MemCategory::kIoliteWindow, e.size);
   extents_.push_back(std::move(e));
   return extents_.size() - 1;
 }

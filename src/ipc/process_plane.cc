@@ -1,5 +1,7 @@
 #include "src/ipc/process_plane.h"
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -192,8 +194,17 @@ WorkerGroup::~WorkerGroup() {
 pid_t WorkerGroup::Spawn(int slot) {
   std::fflush(stdout);  // Don't duplicate buffered output into children.
   std::fflush(stderr);
+  pid_t parent = getpid();
   pid_t pid = fork();
   if (pid == 0) {
+    // A worker dies with its parent instead of parking forever on queues
+    // nobody will close. The signal follows the forking thread, which is
+    // the one that joins the group (Launch, Poll and JoinAll run on one
+    // thread), and a parent that died before prctl is caught by getppid.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) {
+      _exit(1);
+    }
     body_(slot);
     _exit(0);
   }

@@ -231,7 +231,9 @@ class WorkerGroup {
   // Starts `n` workers. Forked children run `body(slot)` then _exit(0);
   // `slot` is the worker's index in [0, n), stable across respawns — it is
   // what a worker hands to PinLedger. The no-arg overload serves bodies
-  // that don't care which slot they are.
+  // that don't care which slot they are. A forked worker is SIGKILLed when
+  // the thread that forked it exits, so launch, poll and join from one
+  // thread that outlives the group.
   bool Launch(PlaneMode mode, int n, const std::function<void(int)>& body);
   bool Launch(PlaneMode mode, int n, const std::function<void()>& body);
 

@@ -22,12 +22,12 @@ void TcpConnection::Connect() {
   if (!iolite_sockets_) {
     // Copy-based sockets need real send-buffer memory sized to the
     // bandwidth-delay product (Tss). IO-Lite send queues hold references.
-    ctx->memory().Reserve("socket_send_buffers",
+    ctx->memory().Reserve(iolsim::MemCategory::kSocketSendBuffers,
                           ctx->cost().params().socket_send_buffer_bytes);
   } else {
     // Mbuf headers only ("a small amount of memory is required to hold
     // mbuf structures", Section 5.7).
-    ctx->memory().Reserve("socket_send_buffers", 2048);
+    ctx->memory().Reserve(iolsim::MemCategory::kSocketSendBuffers, 2048);
   }
   net_->open_connections_++;
   connected_ = true;
@@ -37,10 +37,10 @@ void TcpConnection::Close() {
   assert(connected_);
   iolsim::SimContext* ctx = net_->ctx_;
   if (!iolite_sockets_) {
-    ctx->memory().Release("socket_send_buffers",
+    ctx->memory().Release(iolsim::MemCategory::kSocketSendBuffers,
                           ctx->cost().params().socket_send_buffer_bytes);
   } else {
-    ctx->memory().Release("socket_send_buffers", 2048);
+    ctx->memory().Release(iolsim::MemCategory::kSocketSendBuffers, 2048);
   }
   net_->open_connections_--;
   connected_ = false;
@@ -131,14 +131,7 @@ void TcpConnection::TransmitAsync(size_t n, iolsim::InlineCallback done) {
 
 uint32_t NetworkSubsystem::AcquireTransmit(size_t remaining, const LinkSpec* link,
                                            iolsim::InlineCallback done) {
-  uint32_t idx;
-  if (free_transmit_ != UINT32_MAX) {
-    idx = free_transmit_;
-    free_transmit_ = transmits_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(transmits_.size());
-    transmits_.emplace_back();
-  }
+  uint32_t idx = transmits_.Acquire();
   transmits_[idx].remaining = remaining;
   transmits_[idx].link = link;
   transmits_[idx].done = std::move(done);
@@ -176,8 +169,7 @@ void NetworkSubsystem::TrainStep(uint32_t idx) {
     return;
   }
   iolsim::InlineCallback done = std::move(t.done);
-  t.next_free = free_transmit_;
-  free_transmit_ = idx;
+  transmits_.Release(idx);
   done();
 }
 

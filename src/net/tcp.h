@@ -34,6 +34,7 @@
 #include "src/net/mbuf.h"
 #include "src/simos/inline_function.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolnet {
 
@@ -88,17 +89,13 @@ class NetworkSubsystem final : public iolsim::TrainHost {
 
   // Memory currently pinned by socket send buffers (copy-based sockets).
   uint64_t send_buffer_bytes() const {
-    return ctx_->memory().reservation("socket_send_buffers");
+    return ctx_->memory().reservation(iolsim::MemCategory::kSocketSendBuffers);
   }
-
-  // High-water mark of the pooled in-flight transmission states (one per
-  // concurrently transmitting response; pool-stats tests read this).
-  size_t transmit_pool_size() const { return transmits_.size(); }
 
  private:
   friend class TcpConnection;
 
-  // One in-flight per-segment transmission, pooled on a free list so the
+  // One in-flight per-segment transmission, in a SlotPool so the
   // per-MSS-segment hot path re-arms the same state instead of building a
   // closure chain (one heap allocation per segment, pre-pool).
   struct TransmitState {
@@ -106,7 +103,6 @@ class NetworkSubsystem final : public iolsim::TrainHost {
     // Null for the machine's front link; a connection's LinkSpec otherwise.
     const LinkSpec* link = nullptr;
     iolsim::InlineCallback done;
-    uint32_t next_free = UINT32_MAX;
   };
 
   uint32_t AcquireTransmit(size_t remaining, const LinkSpec* link,
@@ -125,8 +121,7 @@ class NetworkSubsystem final : public iolsim::TrainHost {
   iolsim::SimContext* ctx_;
   ChecksumModule checksum_;
   int open_connections_ = 0;
-  std::vector<TransmitState> transmits_;
-  uint32_t free_transmit_ = UINT32_MAX;
+  iolsim::SlotPool<TransmitState> transmits_;
   size_t mtu_;
   // WireTime(MSS), precomputed: every non-final segment of every response
   // costs exactly this, so the per-segment hot path skips the FP math.

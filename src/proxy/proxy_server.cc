@@ -93,45 +93,13 @@ ProxyServer::ProxyServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
 
 ProxyServer::~ProxyServer() = default;
 
-uint32_t ProxyServer::AcquireNode(iolhttp::RequestContext* req) {
-  uint32_t idx;
-  if (free_node_ != UINT32_MAX) {
-    idx = free_node_;
-    free_node_ = nodes_[idx].next_free;
-  } else {
-    idx = static_cast<uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  nodes_[idx].req = req;
-  return idx;
-}
-
 void ProxyServer::ReleaseNode(uint32_t idx) {
   TaskNode& node = nodes_[idx];
   node.req = nullptr;
   node.body = iolite::Aggregate{};
   node.is_fetch = false;
   node.degraded = false;
-  node.next_free = free_node_;
-  free_node_ = idx;
-}
-
-size_t ProxyServer::PickOrigin() {
-  if (pick_origin_) {
-    return pick_origin_(in_flight_) % origins_.size();
-  }
-  // Least outstanding fetches; ties scan from the slot after the previous
-  // pick so an idle fleet degenerates to round-robin.
-  size_t n = origins_.size();
-  size_t best = (last_origin_ + 1) % n;
-  for (size_t k = 1; k < n; ++k) {
-    size_t c = (last_origin_ + 1 + k) % n;
-    if (in_flight_[c] < in_flight_[best]) {
-      best = c;
-    }
-  }
-  last_origin_ = best;
-  return best;
+  nodes_.Release(idx);
 }
 
 void ProxyServer::StartRequest(iolhttp::RequestContext* req) {
@@ -161,8 +129,9 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
   } else {
     cached = cache_->Lookup(req->file, 0, size);
   }
-  uint32_t idx = AcquireNode(req);
+  uint32_t idx = nodes_.Acquire();
   TaskNode& node = nodes_[idx];
+  node.req = req;
   if (cached.has_value()) {
     req->cache_hit = true;
     node.body = std::move(*cached);
@@ -284,7 +253,7 @@ void ProxyServer::ForwardRemote(uint32_t idx) {
 
 void ProxyServer::StartOriginFetch(uint32_t idx) {
   TaskNode& node = nodes_[idx];
-  size_t origin = PickOrigin();
+  size_t origin = balancer_->Pick(in_flight_) % origins_.size();
   node.origin = origin;
   ++in_flight_[origin];
   ++origin_requests_[origin];
@@ -409,7 +378,7 @@ void ProxyServer::ForwardIpc(uint32_t idx) {
 
 void ProxyServer::OriginIpcServe(uint32_t idx) {
   TaskNode& node = nodes_[idx];
-  size_t origin = PickOrigin();
+  size_t origin = balancer_->Pick(in_flight_) % origins_.size();
   node.origin = origin;
   ++in_flight_[origin];
   ++origin_requests_[origin];

@@ -42,11 +42,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "src/driver/fleet.h"
 #include "src/fault/fault_plan.h"
 #include "src/fs/file_cache.h"
 #include "src/httpd/http_server.h"
@@ -55,6 +55,7 @@
 #include "src/proxy/consistency.h"
 #include "src/qos/backhaul_shaper.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolproxy {
 
@@ -130,9 +131,10 @@ struct FetchRecord {
 class ProxyServer : public iolhttp::HttpServer {
  public:
   // `origins` (non-owning, non-empty) is the fleet behind the proxy;
-  // `runtime` hosts the proxy's pools and domain. A custom `pick_origin`
-  // (e.g. a driver LoadBalancer) may replace the default least-outstanding
-  // pick; it receives the per-origin in-flight counts.
+  // `runtime` hosts the proxy's pools and domain. Each fetch goes to the
+  // origin a LoadBalancer picks from the per-origin in-flight fetch counts:
+  // the proxy's own LeastConnectionsBalancer unless set_origin_balancer
+  // replaces it.
   ProxyServer(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
               iolfs::FileIoService* io, iolite::IoLiteRuntime* runtime,
               std::vector<iolhttp::HttpServer*> origins, ProxyConfig config);
@@ -143,10 +145,9 @@ class ProxyServer : public iolhttp::HttpServer {
   }
   void StartRequest(iolhttp::RequestContext* req) override;
 
-  // Replaces the origin pick (load[i] = in-flight fetches at member i).
-  void set_pick_origin(std::function<size_t(const std::vector<int>&)> pick) {
-    pick_origin_ = std::move(pick);
-  }
+  // Picks origins with `balancer` (not owned; load[i] = in-flight fetches
+  // at member i), e.g. the origin Fleet's own.
+  void set_origin_balancer(ioldrv::LoadBalancer* balancer) { balancer_ = balancer; }
 
   // The cache the proxy tier serves hits from: the machine's unified cache
   // when co-located IO-Lite, the proxy's own cache otherwise.
@@ -233,7 +234,6 @@ class ProxyServer : public iolhttp::HttpServer {
     // check compares it with. Unused for a degraded (header-only) serve.
     uint64_t served_version = 0;
     bool degraded = false;
-    uint32_t next_free = UINT32_MAX;
   };
 
   // The CPU the proxy's stages run on: its own machine's, or the shared
@@ -242,9 +242,8 @@ class ProxyServer : public iolhttp::HttpServer {
     return config_.backhaul == BackhaulMode::kColocated ? &ctx_->cpu() : &own_cpu_;
   }
 
-  uint32_t AcquireNode(iolhttp::RequestContext* req);
+  // Resets the node's request state and returns it to the pool.
   void ReleaseNode(uint32_t idx);
-  size_t PickOrigin();
 
   void LookupStage(iolhttp::RequestContext* req);
   // Miss paths.
@@ -296,10 +295,10 @@ class ProxyServer : public iolhttp::HttpServer {
   // co-located copy modes; the IPC path has no socket).
   std::vector<std::unique_ptr<iolnet::TcpConnection>> backhaul_conns_;
 
-  std::function<size_t(const std::vector<int>&)> pick_origin_;
+  ioldrv::LeastConnectionsBalancer own_balancer_;
+  ioldrv::LoadBalancer* balancer_ = &own_balancer_;
   std::vector<int> in_flight_;
   std::vector<uint64_t> origin_requests_;
-  size_t last_origin_ = 0;
 
   uint64_t origin_hits_ = 0;
   uint64_t origin_misses_ = 0;
@@ -319,10 +318,9 @@ class ProxyServer : public iolhttp::HttpServer {
   uint64_t stale_serves_ = 0;
   std::vector<iolsim::SimTime> staleness_samples_;
 
-  // Deque: origin pipelines hold &bh_req across their stage suspensions, so
-  // node addresses must survive pool growth.
-  std::deque<TaskNode> nodes_;
-  uint32_t free_node_ = UINT32_MAX;
+  // Deque storage: origin pipelines hold &bh_req across their stage
+  // suspensions, so node addresses must survive pool growth.
+  iolsim::SlotPool<TaskNode, std::deque<TaskNode>> nodes_;
 };
 
 }  // namespace iolproxy

@@ -18,7 +18,8 @@
 // wrapper restores the owning tenant's identity on the SimContext before
 // running the caller's continuation, so multi-stage request chains carry
 // their tenant through disk, CPU, and link hops automatically. All queue
-// and slot state is pooled: the warm path neither allocates nor frees.
+// and slot state lives in SlotPools: the warm path neither allocates nor
+// frees.
 
 #ifndef SRC_QOS_FAIR_QUEUE_H_
 #define SRC_QOS_FAIR_QUEUE_H_
@@ -29,6 +30,7 @@
 
 #include "src/qos/tenant.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolqos {
 
@@ -63,7 +65,7 @@ class FairQueue {
     int64_t finish = start + service * kTagScale / static_cast<int64_t>(lane.weight);
     lane.finish_tag = finish;
 
-    uint32_t idx = AllocNode();
+    uint32_t idx = nodes_.Acquire();
     Node& n = nodes_[idx];
     n.token = token;
     n.service = service;
@@ -127,7 +129,7 @@ class FairQueue {
     job.service = n.service;
     job.enqueued_at = n.enqueued_at;
     job.promoted = promoted;
-    FreeNode(idx);
+    nodes_.Release(idx);
     --size_;
     return job;
   }
@@ -146,8 +148,7 @@ class FairQueue {
       lane.finish_tag = 0;
       lane.dispatched_service = 0;
     }
-    nodes_.clear();
-    free_head_ = kNone;
+    nodes_.Clear();
     size_ = 0;
     next_seq_ = 0;
     vtime_ = 0;
@@ -163,7 +164,7 @@ class FairQueue {
     iolsim::SimTime enqueued_at = 0;
     uint64_t seq = 0;
     int64_t start_tag = 0;
-    uint32_t next = kNone;
+    uint32_t next = kNone;  // The lane's next node.
   };
 
   // Per-tenant lane: FIFO of pooled nodes plus the SFQ finish tag.
@@ -189,24 +190,8 @@ class FairQueue {
     return a.seq < b.seq;
   }
 
-  uint32_t AllocNode() {
-    if (free_head_ != kNone) {
-      uint32_t idx = free_head_;
-      free_head_ = nodes_[idx].next;
-      return idx;
-    }
-    nodes_.emplace_back();
-    return static_cast<uint32_t>(nodes_.size() - 1);
-  }
-
-  void FreeNode(uint32_t idx) {
-    nodes_[idx].next = free_head_;
-    free_head_ = idx;
-  }
-
   std::vector<TenantLane> tenants_;
-  std::vector<Node> nodes_;
-  uint32_t free_head_ = kNone;
+  iolsim::SlotPool<Node> nodes_;
   size_t size_ = 0;
   uint64_t next_seq_ = 0;
   int64_t vtime_ = 0;
@@ -241,7 +226,7 @@ class FairScheduler : public iolsim::ResourceScheduler {
     assert(resource == resource_);
     (void)resource;
     (void)events;  // Completions ride ctx_->events(), the same queue.
-    uint32_t slot = AllocSlot();
+    uint32_t slot = slots_.Acquire();
     Slot& s = slots_[slot];
     s.done = std::move(done);
     s.tenant = ctx_->active_tenant();
@@ -260,12 +245,9 @@ class FairScheduler : public iolsim::ResourceScheduler {
   size_t backlog() const { return queue_.size(); }
 
  private:
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
   struct Slot {
     iolsim::InlineCallback done;
     TenantId tenant = kDefaultTenant;
-    uint32_t next_free = kNoSlot;
   };
 
   void Pump() {
@@ -285,7 +267,7 @@ class FairScheduler : public iolsim::ResourceScheduler {
     Slot& s = slots_[slot];
     TenantId tenant = s.tenant;
     iolsim::InlineCallback done = std::move(s.done);
-    FreeSlot(slot);
+    slots_.Release(slot);
     --inflight_;
     // The continuation runs as its owning tenant: downstream stages (the
     // next resource hop, cache inserts) attribute to the right principal.
@@ -294,26 +276,10 @@ class FairScheduler : public iolsim::ResourceScheduler {
     Pump();
   }
 
-  uint32_t AllocSlot() {
-    if (free_head_ != kNoSlot) {
-      uint32_t idx = free_head_;
-      free_head_ = slots_[idx].next_free;
-      return idx;
-    }
-    slots_.emplace_back();
-    return static_cast<uint32_t>(slots_.size() - 1);
-  }
-
-  void FreeSlot(uint32_t idx) {
-    slots_[idx].next_free = free_head_;
-    free_head_ = idx;
-  }
-
   iolsim::SimContext* ctx_;
   iolsim::Resource* resource_;
   FairQueue queue_;
-  std::vector<Slot> slots_;
-  uint32_t free_head_ = kNoSlot;
+  iolsim::SlotPool<Slot> slots_;
   int inflight_ = 0;
   uint64_t admitted_ = 0;
   uint64_t dispatched_ = 0;

@@ -19,7 +19,6 @@
 #define SRC_QOS_POLICY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,17 +41,8 @@ struct CacheCounters {
   }
 };
 
-// What the classifier sees for each request, at parse/issue time.
-struct ClassifyContext {
-  TenantId hint = kDefaultTenant;   // The workload's declared tenant.
-  int64_t file = -1;                // Requested file, when already pinned.
-  size_t client = 0;                // Issuing client (connection index).
-};
-
 class QosPolicy {
  public:
-  using Classifier = std::function<TenantId(const ClassifyContext&)>;
-
   QosPolicy();
   ~QosPolicy();
 
@@ -65,15 +55,6 @@ class QosPolicy {
   const TenantRegistry& registry() const { return registry_; }
 
   TenantId Register(std::string name, uint32_t weight = 1);
-
-  // --- Classification -------------------------------------------------------
-
-  // Installs the parse-time classifier; default is identity on the hint.
-  void set_classifier(Classifier c) { classifier_ = std::move(c); }
-
-  TenantId Classify(const ClassifyContext& cc) const {
-    return classifier_ ? classifier_(cc) : cc.hint;
-  }
 
   // --- Weighted fair sharing ------------------------------------------------
 
@@ -119,7 +100,6 @@ class QosPolicy {
   CacheCounters& MutableCounters(TenantId t, bool proxy_tier);
 
   TenantRegistry registry_;
-  Classifier classifier_;
   std::vector<std::unique_ptr<FairScheduler>> schedulers_;
   std::vector<std::unique_ptr<TokenBucket>> throttles_;  // By tenant; null = none.
   std::vector<CacheCounters> unified_counters_;

@@ -7,9 +7,10 @@
 //
 // The engine is allocation-free in steady state: continuations are
 // InlineCallbacks (fixed inline storage, no allocation), and multi-stage
-// continuations ride in pooled nodes (ResourceChain, and per-subsystem
-// pools in net/fs/httpd). Pending events sit in one of two places:
-//   * a 4-ary heap of lightweight POD keys over a pooled slot array holds
+// continuations ride in SlotPool slots (src/simos/slot_pool.h: this
+// queue's callbacks, ResourceChain, and the net/fs/httpd/proxy/qos
+// per-request state). Pending events sit in one of two places:
+//   * a 4-ary heap of lightweight POD keys over a SlotPool of callbacks holds
 //     timers, arrivals, cancellable events and multi-unit or QoS-scheduled
 //     grants; dispatched events are *moved* out rather than copied;
 //   * sorted completion streams hold the completions of single-unit FIFO
@@ -52,6 +53,7 @@
 
 #include "src/simos/clock.h"
 #include "src/simos/inline_function.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolsim {
 
@@ -104,16 +106,8 @@ class EventQueue {
     if (when < clock_->now()) {
       when = clock_->now();
     }
-    uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot].fn = std::move(fn);
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-      slots_[slot].fn = std::move(fn);
-    }
+    uint32_t slot = slots_.Acquire();
+    slots_[slot].fn = std::move(fn);
     heap_.push_back(Event{when, next_seq_++, slot});
     SiftUp(heap_.size() - 1);
     ++live_;
@@ -553,14 +547,14 @@ class EventQueue {
 
   void ReleaseSlot(uint32_t slot) {
     ++slots_[slot].gen;
-    free_slots_.push_back(slot);
+    slots_.Release(slot);
   }
 
   // A cancelled key surfaced: the callback is already destroyed and the
   // generation already bumped (Cancel did both); just recycle the slot.
   void ReleaseCancelled(uint32_t slot) {
     slots_[slot].cancelled = false;
-    free_slots_.push_back(slot);
+    slots_.Release(slot);
   }
 
   Event PopMinKey() {
@@ -628,8 +622,7 @@ class EventQueue {
   uint64_t own_dispatched_ = 0;
   uint64_t next_seq_ = 0;
   size_t live_ = 0;  // Pending minus cancelled-but-not-yet-surfaced.
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
+  SlotPool<Slot> slots_;
   std::vector<Event> heap_;
   std::vector<Stream> streams_;
   std::vector<Head> heads_;  // One per non-empty stream, in no order.
@@ -912,7 +905,7 @@ class Resource {
 
 // Pooled two-hop acquisition: reserve `first` for `s1`, and at its
 // completion event reserve `second` for `s2` with `done` running at that
-// completion. The continuation between the hops rides in a free-listed node
+// completion. The continuation between the hops rides in a pooled node
 // — the staged pipeline's disk-then-CPU stages schedule millions of these —
 // so steady-state chains never allocate.
 class ResourceChain {
@@ -924,14 +917,7 @@ class ResourceChain {
 
   void AcquireThenAsync(Resource* first, SimTime s1, Resource* second, SimTime s2,
                         InlineCallback done) {
-    uint32_t idx;
-    if (free_head_ != kNone) {
-      idx = free_head_;
-      free_head_ = nodes_[idx].next_free;
-    } else {
-      idx = static_cast<uint32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
+    uint32_t idx = nodes_.Acquire();
     Node& n = nodes_[idx];
     n.second = second;
     n.s2 = s2;
@@ -942,13 +928,10 @@ class ResourceChain {
   size_t pool_size() const { return nodes_.size(); }
 
  private:
-  static constexpr uint32_t kNone = UINT32_MAX;
-
   struct Node {
     Resource* second = nullptr;
     SimTime s2 = 0;
     InlineCallback done;
-    uint32_t next_free = kNone;
   };
 
   void Resume(uint32_t idx) {
@@ -956,14 +939,12 @@ class ResourceChain {
     Resource* second = n.second;
     SimTime s2 = n.s2;
     InlineCallback done = std::move(n.done);
-    n.next_free = free_head_;
-    free_head_ = idx;
+    nodes_.Release(idx);
     second->AcquireAsync(events_, s2, std::move(done));
   }
 
   EventQueue* events_;
-  std::vector<Node> nodes_;
-  uint32_t free_head_ = kNone;
+  SlotPool<Node> nodes_;
 };
 
 }  // namespace iolsim

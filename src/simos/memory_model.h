@@ -10,60 +10,55 @@
 #ifndef SRC_SIMOS_MEMORY_MODEL_H_
 #define SRC_SIMOS_MEMORY_MODEL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <utility>
-
-#include "src/simos/pool_allocator.h"
 
 namespace iolsim {
 
-// Category lookups are heterogeneous (string_view against std::string keys)
-// and a category whose reservation drops to zero keeps its entry: the
-// nonpersistent request path reserves and releases the socket send buffer
-// once per connection, and neither a temporary key string nor a map-node
-// round trip belongs on that path. Zero-byte entries are invisible to every
-// query (they add nothing to used() and reservation() reads 0).
+// What a reservation pays for.
+enum class MemCategory : uint8_t {
+  kKernel,             // Kernel text, data and fixed tables.
+  kIoliteWindow,       // IO-Lite buffer pages (the cache's own data).
+  kSocketSendBuffers,  // Send buffers of open connections.
+  kServerProcesses,    // Per-connection server processes (persistent runs).
+  kConnectionsSteady,  // A nonpersistent population's steady footprint.
+  kCount,
+};
+
 class MemoryModel {
  public:
   explicit MemoryModel(uint64_t total_bytes) : total_(total_bytes) {}
 
   uint64_t total() const { return total_; }
 
-  // Records `bytes` of memory in use under `category` (e.g. "kernel",
-  // "apache_processes", "socket_send_buffers"). Returns false if the
+  // Records `bytes` of memory in use under `category`. Returns false if the
   // reservation would exceed physical memory; the reservation is still
   // recorded (the VM system would page, which the file cache budget then
   // reflects as zero).
-  bool Reserve(std::string_view category, uint64_t bytes) {
+  bool Reserve(MemCategory category, uint64_t bytes) {
     Entry(category) += bytes;
     used_ += bytes;
     return used_ <= total_;
   }
 
   // Releases `bytes` from `category` (clamped at zero).
-  void Release(std::string_view category, uint64_t bytes) {
-    auto it = reserved_.find(category);
-    if (it == reserved_.end()) {
-      return;
-    }
-    uint64_t released = bytes < it->second ? bytes : it->second;
-    it->second -= released;
+  void Release(MemCategory category, uint64_t bytes) {
+    uint64_t& entry = Entry(category);
+    uint64_t released = bytes < entry ? bytes : entry;
+    entry -= released;
     used_ -= released;
   }
 
   // Replaces the reservation under `category` with exactly `bytes`.
-  void Set(std::string_view category, uint64_t bytes) {
+  void Set(MemCategory category, uint64_t bytes) {
     uint64_t& entry = Entry(category);
     used_ += bytes - entry;
     entry = bytes;
   }
 
-  uint64_t reservation(std::string_view category) const {
-    auto it = reserved_.find(category);
-    return it == reserved_.end() ? 0 : it->second;
+  uint64_t reservation(MemCategory category) const {
+    return reserved_[static_cast<size_t>(category)];
   }
 
   // Sum of all reservations (maintained incrementally).
@@ -75,19 +70,11 @@ class MemoryModel {
   }
 
  private:
-  uint64_t& Entry(std::string_view category) {
-    auto it = reserved_.find(category);
-    if (it == reserved_.end()) {
-      it = reserved_.emplace(std::string(category), 0).first;
-    }
-    return it->second;
-  }
+  uint64_t& Entry(MemCategory category) { return reserved_[static_cast<size_t>(category)]; }
 
   uint64_t total_;
   uint64_t used_ = 0;
-  std::map<std::string, uint64_t, std::less<>,
-           PoolAllocator<std::pair<const std::string, uint64_t>>>
-      reserved_;
+  std::array<uint64_t, static_cast<size_t>(MemCategory::kCount)> reserved_{};
 };
 
 }  // namespace iolsim

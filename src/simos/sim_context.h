@@ -45,7 +45,7 @@ class SimContext {
         link_(&clock_),
         chain_(&events_),
         vm_(std::make_unique<VmSystem>(this)) {
-    memory_.Set("kernel", params.kernel_reserved_bytes);
+    memory_.Set(MemCategory::kKernel, params.kernel_reserved_bytes);
   }
 
   SimContext(const SimContext&) = delete;

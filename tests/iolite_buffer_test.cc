@@ -124,9 +124,9 @@ TEST_F(BufferTest, LargeBufferSpansChunks) {
 }
 
 TEST_F(BufferTest, PoolMemoryIsAccounted) {
-  EXPECT_EQ(ctx_.memory().reservation("iolite_window"), 0u);
+  EXPECT_EQ(ctx_.memory().reservation(iolsim::MemCategory::kIoliteWindow), 0u);
   BufferRef b = pool_.Allocate(100);
-  EXPECT_EQ(ctx_.memory().reservation("iolite_window"),
+  EXPECT_EQ(ctx_.memory().reservation(iolsim::MemCategory::kIoliteWindow),
             static_cast<uint64_t>(ctx_.cost().params().chunk_size));
 }
 
@@ -179,7 +179,7 @@ TEST(BufferPoolDomainTest, PoolDestructorReleasesMemoryAndChunks) {
     chunk = b->chunks()[0];
     b->Seal(0);
   }
-  EXPECT_EQ(ctx.memory().reservation("iolite_window"), 0u);
+  EXPECT_EQ(ctx.memory().reservation(iolsim::MemCategory::kIoliteWindow), 0u);
   EXPECT_FALSE(ctx.vm().ChunkExists(chunk));
 }
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 #include <libgen.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -592,6 +594,101 @@ TEST(ForkPlaneTest, KilledParkedOriginLeavesNoSleeperCountRaised) {
   misses.Close();
   EXPECT_EQ(origins.JoinAll(), 0);
   EXPECT_EQ(origins.respawns(), 1u);
+}
+
+// A group's parent SIGKILLed while its workers park on an open queue: the
+// workers die with it instead of parking forever. A helper process made a
+// child subreaper adopts the orphans and reaps them, so the test process
+// itself adopts nothing. The helper's exit status is the verdict.
+TEST(ForkPlaneTest, WorkersDieWithAKilledParent) {
+  constexpr int kWorkers = 2;
+  auto region = ShmRegion::Create(1u << 20);
+  ASSERT_NE(region, nullptr);
+  ShmTable table = ShmTable::Create(region.get(), 2);
+  MpmcQueue q = MpmcQueue::Create(region.get(), &table, "q", 16);
+  ASSERT_TRUE(q.valid());
+  // The workers' pids, published by their parent for the helper's cleanup.
+  auto* pids = reinterpret_cast<std::atomic<pid_t>*>(
+      region->AllocateExtent(kWorkers * sizeof(std::atomic<pid_t>)));
+  std::memset(reinterpret_cast<void*>(pids), 0, kWorkers * sizeof(std::atomic<pid_t>));
+
+  std::fflush(stdout);
+  std::fflush(stderr);
+  pid_t helper = fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    if (prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) {
+      _exit(10);
+    }
+    pid_t parent = fork();
+    if (parent < 0) {
+      _exit(11);
+    }
+    if (parent == 0) {
+      WorkerGroup workers;
+      bool launched = workers.Launch(PlaneMode::kProcesses, kWorkers, [&] {
+        SliceDesc d;
+        while (!q.drained()) {
+          if (!q.TryPop(&d)) {
+            q.AwaitItem();
+          }
+        }
+      });
+      for (size_t i = 0; i < workers.pids().size(); ++i) {
+        pids[i].store(workers.pids()[i]);
+      }
+      if (!launched) {
+        _exit(12);
+      }
+      for (;;) {
+        pause();  // Until the helper's SIGKILL.
+      }
+    }
+    auto seconds_since = [](const timespec& t0) {
+      timespec t;
+      clock_gettime(CLOCK_MONOTONIC, &t);
+      return static_cast<double>(t.tv_sec - t0.tv_sec) + 1e-9 * (t.tv_nsec - t0.tv_nsec);
+    };
+    timespec start;
+    clock_gettime(CLOCK_MONOTONIC, &start);
+    while (q.sleepers() < kWorkers && seconds_since(start) < 10) {
+      usleep(1000);
+    }
+    bool parked = q.sleepers() >= kWorkers;
+    kill(parent, SIGKILL);
+    waitpid(parent, nullptr, 0);
+    timespec killed;
+    clock_gettime(CLOCK_MONOTONIC, &killed);
+    int reaped = 0;
+    bool all_sigkilled = true;
+    while (reaped < kWorkers && seconds_since(killed) < 2) {
+      int status = 0;
+      pid_t p = waitpid(-1, &status, WNOHANG);
+      if (p > 0) {
+        ++reaped;
+        all_sigkilled = all_sigkilled && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+      } else {
+        usleep(1000);
+      }
+    }
+    if (reaped < kWorkers) {
+      for (int i = 0; i < kWorkers; ++i) {  // Leave no worker behind.
+        if (pids[i].load() > 0) {
+          kill(pids[i].load(), SIGKILL);
+        }
+      }
+      while (waitpid(-1, nullptr, 0) > 0) {
+      }
+      _exit(13);
+    }
+    _exit(!parked ? 14 : !all_sigkilled ? 15 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  // 13: orphaned workers still alive 2 s after their parent's death;
+  // 14: the workers never parked; 15: they died of something else.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // --- Region lifecycle: sweeping segments left by dead processes --------------

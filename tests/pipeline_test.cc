@@ -3,13 +3,15 @@
 // admission control (max_concurrent queues, never drops), disk/CPU overlap
 // under cold caches, open-loop arrivals, pipelined connections — and the
 // allocation-free engine contract: steady-state request turnover on a warm
-// cache performs zero heap allocations (counting-allocator tests below).
+// cache performs zero heap allocations, and neither does the SlotPool the
+// per-request state rides in (counting-allocator tests below).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <new>
 #include <string>
@@ -21,7 +23,9 @@
 #include "src/httpd/request_pipeline.h"
 #include "src/simos/event_queue.h"
 #include "src/simos/inline_function.h"
+#include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 #include "src/system/system.h"
 
 // Counting allocator: every operator-new in this test binary bumps a
@@ -274,6 +278,90 @@ TEST(ZeroAllocTest, SteadyStateExperimentTurnoverAllocatesNothing) {
   // The long run reserves a larger telemetry vector in its single up-front
   // allocation; the *count* of allocations must not grow with requests.
   EXPECT_EQ(short_run, long_run);
+}
+
+// --- SlotPool: the per-request state pools all of the above ride in ----------
+
+TEST(SlotPoolTest, MatchesAVectorStackOracle) {
+  iolsim::SlotPool<uint64_t> pool;
+  std::vector<uint32_t> free_stack;  // Oracle: released indices, LIFO.
+  uint32_t high_water = 0;
+  std::vector<uint32_t> live;
+  iolsim::Rng rng(3);
+  for (int op = 0; op < 20000; ++op) {
+    if (live.empty() || rng.NextBelow(5) < 3) {
+      bool reuse = !free_stack.empty();
+      uint32_t expect = reuse ? free_stack.back() : high_water++;
+      if (reuse) {
+        free_stack.pop_back();
+      }
+      uint32_t idx = pool.Acquire();
+      ASSERT_EQ(idx, expect) << "op " << op;
+      // A reused slot keeps what its last user left: the pool resets nothing.
+      EXPECT_EQ(pool[idx], reuse ? 1000u + idx : 0u);
+      pool[idx] = 1000u + idx;
+      live.push_back(idx);
+    } else {
+      size_t k = rng.NextBelow(live.size());
+      uint32_t idx = live[k];
+      live[k] = live.back();
+      live.pop_back();
+      pool.Release(idx);
+      free_stack.push_back(idx);
+    }
+    ASSERT_EQ(pool.size(), high_water);
+    ASSERT_EQ(pool.live(), live.size());
+  }
+  EXPECT_GT(high_water, 10u);
+}
+
+TEST(SlotPoolTest, ClearEmptiesThePool) {
+  iolsim::SlotPool<int> pool;
+  for (int i = 0; i < 5; ++i) {
+    pool.Acquire();
+  }
+  pool.Release(3);
+  pool.Clear();
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.Acquire(), 0u) << "no released index survives Clear";
+  EXPECT_EQ(pool.Acquire(), 1u);
+}
+
+// Acquire/Release churn that never passes `high_water` live slots.
+template <typename Pool>
+uint64_t ChurnAllocs(Pool* pool, uint32_t high_water) {
+  std::vector<uint32_t> live;
+  live.reserve(high_water);
+  for (uint32_t i = 0; i < high_water; ++i) {
+    live.push_back(pool->Acquire());
+  }
+  for (uint32_t idx : live) {
+    pool->Release(idx);
+  }
+  live.clear();
+  iolsim::Rng rng(9);
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int op = 0; op < 10000; ++op) {
+    if (live.size() < high_water && (live.empty() || rng.NextBelow(2) == 0)) {
+      live.push_back(pool->Acquire());
+    } else {
+      size_t k = rng.NextBelow(live.size());
+      pool->Release(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    }
+  }
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SlotPoolTest, NoAllocationAtTheHighWaterMark) {
+  iolsim::SlotPool<std::string> pool;
+  EXPECT_EQ(ChurnAllocs(&pool, 100), 0u);
+  EXPECT_EQ(pool.size(), 100u);
+  iolsim::SlotPool<std::string, std::deque<std::string>> stable;
+  EXPECT_EQ(ChurnAllocs(&stable, 100), 0u);
+  EXPECT_EQ(stable.size(), 100u);
 }
 
 // --- Multi-CPU scaling -------------------------------------------------------

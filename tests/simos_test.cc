@@ -26,6 +26,7 @@ using iolsim::kKernelDomain;
 using iolsim::kMicrosecond;
 using iolsim::kSecond;
 using iolsim::MapState;
+using iolsim::MemCategory;
 using iolsim::MemoryModel;
 using iolsim::Resource;
 using iolsim::SimContext;
@@ -209,25 +210,40 @@ TEST(CostModelTest, PagesForRoundsUp) {
 TEST(MemoryModelTest, ReserveReleaseAndBudget) {
   MemoryModel mem(128ull << 20);
   EXPECT_EQ(mem.CacheBudget(), 128ull << 20);
-  mem.Reserve("kernel", 24ull << 20);
-  mem.Reserve("sockets", 4ull << 20);
+  mem.Reserve(MemCategory::kKernel, 24ull << 20);
+  mem.Reserve(MemCategory::kSocketSendBuffers, 4ull << 20);
   EXPECT_EQ(mem.used(), 28ull << 20);
   EXPECT_EQ(mem.CacheBudget(), 100ull << 20);
-  mem.Release("sockets", 4ull << 20);
+  mem.Release(MemCategory::kSocketSendBuffers, 4ull << 20);
   EXPECT_EQ(mem.CacheBudget(), 104ull << 20);
+  EXPECT_EQ(mem.reservation(MemCategory::kKernel), 24ull << 20);
+}
+
+TEST(MemoryModelTest, SetReplacesReservation) {
+  MemoryModel mem(1 << 20);
+  mem.Set(MemCategory::kConnectionsSteady, 300);
+  mem.Set(MemCategory::kServerProcesses, 50);
+  mem.Set(MemCategory::kConnectionsSteady, 100);
+  EXPECT_EQ(mem.reservation(MemCategory::kConnectionsSteady), 100u);
+  EXPECT_EQ(mem.used(), 150u);
+  mem.Set(MemCategory::kConnectionsSteady, 0);
+  EXPECT_EQ(mem.used(), 50u);
 }
 
 TEST(MemoryModelTest, OvercommitYieldsZeroBudget) {
   MemoryModel mem(10 << 20);
-  EXPECT_FALSE(mem.Reserve("huge", 20 << 20));
+  EXPECT_FALSE(mem.Reserve(MemCategory::kServerProcesses, 20 << 20));
   EXPECT_EQ(mem.CacheBudget(), 0u);
 }
 
 TEST(MemoryModelTest, ReleaseClampsAtZero) {
   MemoryModel mem(1 << 20);
-  mem.Reserve("a", 100);
-  mem.Release("a", 500);
-  EXPECT_EQ(mem.reservation("a"), 0u);
+  mem.Reserve(MemCategory::kKernel, 100);
+  mem.Release(MemCategory::kKernel, 500);
+  EXPECT_EQ(mem.reservation(MemCategory::kKernel), 0u);
+  EXPECT_EQ(mem.used(), 0u);
+  mem.Release(MemCategory::kIoliteWindow, 500);  // Never reserved: a no-op.
+  EXPECT_EQ(mem.used(), 0u);
 }
 
 TEST(RngTest, DeterministicPerSeed) {
