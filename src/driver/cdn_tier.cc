@@ -144,15 +144,8 @@ ExperimentResult CdnTier::Run(Workload* workload,
   for (auto& proxy : proxies_[top]) {
     origin_fetches += proxy->origin_fetches();
     origin_hits += proxy->origin_hits();
-    for (const iolproxy::FetchRecord& f : proxy->fetches()) {
-      RequestRecord rec;
-      rec.issue = f.issue;
-      rec.admit = f.admit;
-      rec.complete = f.complete;
-      rec.bytes = f.bytes;
-      rec.server = f.origin;
-      rec.cache_hit = f.origin_hit;
-      rec.counted = f.complete > result.count_start;
+    for (RequestRecord rec : proxy->fetches()) {
+      rec.counted = rec.complete > result.count_start;
       fetch_telemetry.Record(rec);
     }
   }

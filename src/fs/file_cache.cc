@@ -18,74 +18,16 @@ It FirstAfter(It begin, It end, uint64_t offset) {
                           [](uint64_t off, const auto& run) { return off < run.offset; });
 }
 
+uint32_t BufferHash(const iolite::Buffer* buffer) {
+  return static_cast<uint32_t>((reinterpret_cast<uintptr_t>(buffer) * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+// Matches `buffer`'s count in the reference table.
+auto Counts(const iolite::Buffer* buffer) {
+  return [buffer](const auto& refs) { return refs.buffer == buffer; };
+}
+
 }  // namespace
-
-// --- RefCounts ----------------------------------------------------------------
-
-size_t FileCache::RefCounts::Home(const iolite::Buffer* buffer) const {
-  uint64_t h = reinterpret_cast<uintptr_t>(buffer) * 0x9e3779b97f4a7c15ull;
-  return static_cast<size_t>(h >> 32) & (slots_.size() - 1);
-}
-
-size_t FileCache::RefCounts::Find(const iolite::Buffer* buffer) const {
-  const size_t mask = slots_.size() - 1;
-  size_t i = Home(buffer);
-  while (slots_[i].buffer != nullptr && slots_[i].buffer != buffer) {
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
-void FileCache::RefCounts::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
-  for (const Slot& s : old) {
-    if (s.buffer != nullptr) {
-      slots_[Find(s.buffer)] = s;
-    }
-  }
-}
-
-void FileCache::RefCounts::Add(const iolite::Buffer* buffer) {
-  if (2 * (used_ + 1) > slots_.size()) {
-    Grow();
-  }
-  Slot& s = slots_[Find(buffer)];
-  if (s.buffer == nullptr) {
-    s.buffer = buffer;
-    ++used_;
-  }
-  ++s.count;
-}
-
-void FileCache::RefCounts::Release(const iolite::Buffer* buffer) {
-  size_t i = Find(buffer);
-  assert(slots_[i].buffer == buffer && slots_[i].count > 0);
-  if (--slots_[i].count > 0) {
-    return;
-  }
-  // Backward shift: pull each later member of the probe run into the hole
-  // unless its home lies cyclically in (hole, member].
-  const size_t mask = slots_.size() - 1;
-  for (size_t j = (i + 1) & mask; slots_[j].buffer != nullptr; j = (j + 1) & mask) {
-    size_t home = Home(slots_[j].buffer);
-    bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
-    if (!stays) {
-      slots_[i] = slots_[j];
-      i = j;
-    }
-  }
-  slots_[i] = Slot{};
-  --used_;
-}
-
-int FileCache::RefCounts::Count(const iolite::Buffer* buffer) const {
-  if (slots_.empty()) {
-    return 0;
-  }
-  const Slot& s = slots_[Find(buffer)];
-  return s.buffer == nullptr ? 0 : s.count;
-}
 
 // --- FileCache ----------------------------------------------------------------
 
@@ -242,7 +184,7 @@ void FileCache::Insert(FileId file, uint64_t offset, iolite::Aggregate data,
     EntryId id = slots_.Acquire() + 1;
     bytes_ += agg.size();
     for (const iolite::Slice& s : agg.slices()) {
-      cache_refs_.Add(s.buffer().get());
+      AddRef(s.buffer().get());
     }
     size_t sz = agg.size();
     // The inserting tenant owns the entry: the principal that missed pays
@@ -335,11 +277,34 @@ bool FileCache::IsReferenced(EntryId id) const {
   assert(id >= 1 && id <= slots_.size() && entry(id).seq != 0);
   for (const iolite::Slice& s : entry(id).data.slices()) {
     const iolite::Buffer* b = s.buffer().get();
-    if (b->refcount() > cache_refs_.Count(b)) {
+    if (b->refcount() > RefsTo(b)) {
       return true;  // Someone outside the cache holds this buffer.
     }
   }
   return false;
+}
+
+void FileCache::AddRef(const iolite::Buffer* buffer) {
+  const uint32_t hash = BufferHash(buffer);
+  uint32_t pos = cache_refs_.Find(hash, Counts(buffer));
+  if (pos == cache_refs_.kNone) {
+    cache_refs_.Insert(hash, BufferRefs{buffer, 1});
+  } else {
+    ++cache_refs_.at(pos).count;
+  }
+}
+
+void FileCache::DropRef(const iolite::Buffer* buffer) {
+  uint32_t pos = cache_refs_.Find(BufferHash(buffer), Counts(buffer));
+  assert(pos != cache_refs_.kNone && cache_refs_.at(pos).count > 0);
+  if (--cache_refs_.at(pos).count == 0) {
+    cache_refs_.Erase(pos);
+  }
+}
+
+int FileCache::RefsTo(const iolite::Buffer* buffer) const {
+  uint32_t pos = cache_refs_.Find(BufferHash(buffer), Counts(buffer));
+  return pos == cache_refs_.kNone ? 0 : cache_refs_.at(pos).count;
 }
 
 void FileCache::EraseEntry(EntryId id) {
@@ -355,7 +320,7 @@ void FileCache::EraseEntry(EntryId id) {
     share.lru.OnErase(id);
   }
   for (const iolite::Slice& s : e.data.slices()) {
-    cache_refs_.Release(s.buffer().get());
+    DropRef(s.buffer().get());
   }
   Runs& runs = by_file_[e.file];
   Run* run = FirstAfter(runs.begin(), runs.end(), e.offset) - 1;

@@ -21,9 +21,9 @@
 //    rule converges to.
 //
 // Metadata is array-backed: entries live in a SlotPool whose slot number
-// plus one is the EntryId policies see (freed slots are reused), and each
+// plus one is the EntryId policies see (freed slots are reused), each
 // file's extents are a small vector sorted by offset in an array indexed
-// by FileId.
+// by FileId, and per-buffer reference counts sit in a ProbeTable.
 
 #ifndef SRC_FS_FILE_CACHE_H_
 #define SRC_FS_FILE_CACHE_H_
@@ -37,6 +37,7 @@
 #include "src/fs/sim_file_system.h"
 #include "src/iolite/aggregate.h"
 #include "src/qos/tenant.h"
+#include "src/simos/probe_table.h"
 #include "src/simos/sim_context.h"
 #include "src/simos/slot_pool.h"
 #include "src/simos/small_vec.h"
@@ -210,29 +211,11 @@ class FileCache : public CacheView {
     PaperLruPolicy lru;
   };
 
-  // How many slices of this cache's entries reference each buffer, so
-  // IsReferenced can detect references held *outside* the cache. An
-  // open-addressed table with linear probing, at most half full, deleting
-  // by backward shift.
-  class RefCounts {
-   public:
-    void Add(const iolite::Buffer* buffer);
-    // Drops one count; the buffer must have one.
-    void Release(const iolite::Buffer* buffer);
-    int Count(const iolite::Buffer* buffer) const;
-
-   private:
-    struct Slot {
-      const iolite::Buffer* buffer = nullptr;  // Null marks an empty slot.
-      int count = 0;
-    };
-    size_t Home(const iolite::Buffer* buffer) const;
-    // The slot holding `buffer`, or the empty slot ending its probe run.
-    size_t Find(const iolite::Buffer* buffer) const;
-    void Grow();
-
-    std::vector<Slot> slots_;  // Empty, or a power of two at least 2 x used_.
-    size_t used_ = 0;
+  // How many slices of this cache's entries reference a buffer, so
+  // IsReferenced can detect references held *outside* the cache.
+  struct BufferRefs {
+    const iolite::Buffer* buffer = nullptr;
+    int count = 0;
   };
 
   Entry& entry(EntryId id) { return slots_[static_cast<uint32_t>(id - 1)]; }
@@ -243,6 +226,10 @@ class FileCache : public CacheView {
   }
 
   void EraseEntry(EntryId id);
+  void AddRef(const iolite::Buffer* buffer);
+  // Drops one count; the buffer must have one.
+  void DropRef(const iolite::Buffer* buffer);
+  int RefsTo(const iolite::Buffer* buffer) const;
   // The partitioned victim: the most-over-reservation tenant's LRU choice.
   EntryId PartitionVictim();
   // Counts one lookup into the routed aggregate counters and, when a QoS
@@ -259,7 +246,7 @@ class FileCache : public CacheView {
   iolsim::SlotPool<Entry> slots_;     // Entry `id` is slots_[id - 1].
   uint64_t next_seq_ = 1;
   std::vector<Runs> by_file_;         // Indexed by FileId.
-  RefCounts cache_refs_;
+  iolsim::ProbeTable<BufferRefs> cache_refs_;
   uint64_t bytes_ = 0;
   // QoS plane state (null/empty when detached).
   iolqos::QosPolicy* qos_ = nullptr;

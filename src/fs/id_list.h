@@ -5,8 +5,7 @@
 // dense from 1: cache slots and file ids. IdLinks threads any number of
 // disjoint doubly linked lists through one array indexed by id, so pushing,
 // moving to the back and unlinking are O(1) with no node allocation, and
-// tearing a list down frees one array. This is the layout of the checksum
-// cache's entry list (src/net/checksum.h).
+// tearing a list down frees one array.
 
 #ifndef SRC_FS_ID_LIST_H_
 #define SRC_FS_ID_LIST_H_

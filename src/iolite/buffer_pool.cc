@@ -135,8 +135,7 @@ BufferRef BufferPool::Allocate(size_t n) {
   auto it = free_list_.lower_bound(n);
   if (it != free_list_.end()) {
     Buffer* buffer = it->second;
-    free_list_.erase(it);
-    --free_count_;
+    spare_nodes_.push_back(free_list_.extract(it));
     buffer->ResetForReuse(producer_);
     PrepareFill(buffer);
     ctx_->stats().buffers_recycled++;
@@ -184,8 +183,15 @@ void BufferPool::OnBufferUnreferenced(Buffer* buffer) {
   // The buffer's storage stays resident and mapped; it is simply available
   // for reuse. Mappings established in consumer domains persist, which is
   // what makes the next use of this buffer copy- and map-free.
-  free_list_.emplace(buffer->capacity(), buffer);
-  ++free_count_;
+  if (spare_nodes_.empty()) {
+    free_list_.emplace(buffer->capacity(), buffer);
+  } else {
+    FreeList::node_type node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.key() = buffer->capacity();
+    node.mapped() = buffer;
+    free_list_.insert(std::move(node));
+  }
   --live_buffers_;
   ctx_->stats().buffers_freed++;
 }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/iolite/buffer.h"
-#include "src/simos/pool_allocator.h"
 #include "src/simos/sim_context.h"
 
 namespace iolite {
@@ -83,7 +82,7 @@ class BufferPool {
 
   // Bytes of storage held by this pool (live + recyclable).
   uint64_t bytes_reserved() const { return bytes_reserved_; }
-  size_t free_list_size() const { return free_count_; }
+  size_t free_list_size() const { return free_list_.size(); }
   size_t live_buffers() const { return live_buffers_; }
 
  private:
@@ -111,13 +110,14 @@ class BufferPool {
   std::vector<Extent> extents_;
   std::vector<std::unique_ptr<Buffer>> all_buffers_;
   // Free buffers keyed by capacity (first-fit via lower_bound; equal keys
-  // stay in release order). Pool-allocated nodes: the steady-state
-  // release/reallocate cycle of e.g. header buffers recycles, never
-  // allocates.
-  std::multimap<size_t, Buffer*, std::less<size_t>,
-                iolsim::PoolAllocator<std::pair<const size_t, Buffer*>>>
-      free_list_;
-  size_t free_count_ = 0;
+  // stay in release order, as a node handle inserts at the upper bound of
+  // its equal range).
+  using FreeList = std::multimap<size_t, Buffer*>;
+  FreeList free_list_;
+  // Nodes extracted by Allocate, reused by the next release: the
+  // steady-state release/reallocate cycle of e.g. header buffers recycles
+  // the map's own nodes and never allocates.
+  std::vector<FreeList::node_type> spare_nodes_;
   size_t live_buffers_ = 0;
   uint64_t bytes_reserved_ = 0;
   uint64_t next_buffer_id_;

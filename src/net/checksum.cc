@@ -147,44 +147,7 @@ uint32_t ChecksumCache::Hash(const Key& k) {
 }
 
 uint32_t ChecksumCache::Find(const Key& key, uint32_t hash) const {
-  if (index_.empty()) {
-    return kNil;
-  }
-  const uint32_t mask = static_cast<uint32_t>(index_.size() - 1);
-  for (uint32_t pos = hash & mask;; pos = (pos + 1) & mask) {
-    const Slot& slot = index_[pos];
-    if (slot.entry == kNil) {
-      return kNil;
-    }
-    if (slot.hash == hash && KeyOf(entries_[slot.entry]) == key) {
-      return pos;
-    }
-  }
-}
-
-void ChecksumCache::Insert(uint32_t e, uint32_t hash) {
-  const uint32_t mask = static_cast<uint32_t>(index_.size() - 1);
-  uint32_t pos = hash & mask;
-  while (index_[pos].entry != kNil) {
-    pos = (pos + 1) & mask;
-  }
-  index_[pos] = Slot{e, hash};
-}
-
-void ChecksumCache::Erase(uint32_t pos) {
-  // A later slot may move into the hole only if its home does not lie
-  // cyclically within (hole, slot]: otherwise a probe from its home would
-  // stop at the hole.
-  const uint32_t mask = static_cast<uint32_t>(index_.size() - 1);
-  uint32_t hole = pos;
-  for (uint32_t next = (hole + 1) & mask; index_[next].entry != kNil; next = (next + 1) & mask) {
-    uint32_t home = index_[next].hash & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      index_[hole] = index_[next];
-      hole = next;
-    }
-  }
-  index_[hole] = Slot{};
+  return index_.Find(hash, [&](uint32_t e) { return KeyOf(entries_[e]) == key; });
 }
 
 void ChecksumCache::Unlink(uint32_t e) {
@@ -220,16 +183,14 @@ void ChecksumCache::EvictOldest() {
   }
   const uint32_t e = tail_;
   const Key victim = KeyOf(entries_[e]);
-  Erase(Find(victim, Hash(victim)));
+  index_.Erase(Find(victim, Hash(victim)));
   Unlink(e);
-  entries_[e].next = free_;
-  free_ = e;
-  --live_;
+  entries_.Release(e);
 }
 
 uint32_t ChecksumCache::EntryOf(const Key& key) const {
   uint32_t pos = Find(key, Hash(key));
-  return pos == kNil ? kNil : index_[pos].entry;
+  return pos == kNil ? kNil : index_.at(pos);
 }
 
 namespace {
@@ -294,7 +255,7 @@ uint32_t ChecksumCache::Place(const Key& key) {
   const uint32_t hash = Hash(key);
   uint32_t pos = Find(key, hash);
   if (pos != kNil) {
-    uint32_t e = index_[pos].entry;
+    uint32_t e = index_.at(pos);
     MoveToFront(e);
     return e;
   }
@@ -307,30 +268,13 @@ uint32_t ChecksumCache::Place(const Key& key) {
     // one behind.
     EvictOldest();
   }
-  uint32_t e = free_;
-  if (e != kNil) {
-    free_ = entries_[e].next;
-  } else {
-    e = static_cast<uint32_t>(entries_.size());
-    entries_.emplace_back();
-    if (index_.size() < 2 * entries_.size()) {
-      // Double the index and re-seat every entry from its stored hash.
-      std::vector<Slot> old = std::move(index_);
-      index_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
-      for (const Slot& slot : old) {
-        if (slot.entry != kNil) {
-          Insert(slot.entry, slot.hash);
-        }
-      }
-    }
-  }
+  const uint32_t e = entries_.Acquire();
   entries_[e].buffer_id = key.buffer_id;
   entries_[e].offset = key.offset;
   entries_[e].length = key.length;
   entries_[e].generation = key.generation;
   PushFront(e);
-  Insert(e, hash);
-  ++live_;
+  index_.Insert(hash, e);
   return e;
 }
 
@@ -365,12 +309,10 @@ void ChecksumCache::StoreAnonymous() {
 }
 
 void ChecksumCache::Clear() {
-  entries_.clear();
-  std::fill(index_.begin(), index_.end(), Slot{});
+  entries_.Clear();
+  index_.Clear();
   head_ = kNil;
   tail_ = kNil;
-  free_ = kNil;
-  live_ = 0;
   anonymous_ = 0;
   head_anonymous_ = 0;
 }

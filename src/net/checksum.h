@@ -34,10 +34,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/iolite/aggregate.h"
+#include "src/simos/probe_table.h"
 #include "src/simos/sim_context.h"
+#include "src/simos/slot_pool.h"
 
 namespace iolnet {
 
@@ -66,13 +67,11 @@ uint16_t ChecksumFold(uint32_t sum);
 // byte offset within the surrounding message.
 uint32_t ChecksumSwap(uint32_t sum);
 
-// LRU-bounded cache of per-slice partial checksums, in two flat arrays.
-// Entries live in one array and are threaded on an index-linked LRU list.
-// The index is open-addressed with linear probing, kept at most half full,
-// and deletes by backward shift, so no tombstones build up. Each index slot
-// holds an entry number and the key's 32-bit hash, so probes, shifts and
-// index growth never re-hash a key; only an eviction hashes its victim's
-// key again. An entry holds a sum, or a content descriptor whose sum is
+// LRU-bounded cache of per-slice partial checksums. Entries live in a
+// SlotPool (slot_pool.h) and are threaded on an index-linked LRU list; the
+// index is the one ProbeTable (probe_table.h), holding each entry's number
+// under its key's 32-bit hash, so only an eviction hashes its victim's key
+// again. An entry holds a sum, or a content descriptor whose sum is
 // computed on the first read (see above).
 //
 // A slice that no lookup can ever name again (a one-shot buffer's, such as
@@ -84,7 +83,7 @@ uint32_t ChecksumSwap(uint32_t sum);
 // and evicting the oldest position (shorten the oldest run, or drop the
 // tail entry) are O(1). So the hit, miss and eviction sequence and size()
 // are exactly those of an LRU in which every such slice held an entry, yet
-// only keys that can hit reach the arrays. Both arrays grow with the
+// only keys that can hit reach the pool and the index. Both grow with the
 // entries, not with `capacity`; an evicted entry's slot is reused, so the
 // at-capacity steady state runs without heap traffic.
 class ChecksumCache {
@@ -118,7 +117,7 @@ class ChecksumCache {
   // again, evicting as a Store of a new key would.
   void StoreAnonymous();
 
-  size_t size() const { return live_ + anonymous_; }
+  size_t size() const { return entries_.live() + anonymous_; }
   size_t capacity() const { return capacity_; }
   void Clear();
 
@@ -134,7 +133,7 @@ class ChecksumCache {
     uint32_t generation;
     uint32_t sum;
     uint32_t prev;  // Toward the most recently used end.
-    uint32_t next;  // Toward the least recently used end; the free list.
+    uint32_t next;  // Toward the least recently used end.
     // Anonymous positions between this entry and the next older one.
     uint32_t anonymous;
     // A lazy entry's descriptor folded into one word, ContentOrigin(content
@@ -145,26 +144,17 @@ class ChecksumCache {
 
   static Key KeyOf(const Entry& e) { return Key{e.buffer_id, e.generation, e.offset, e.length}; }
 
-  struct Slot {
-    uint32_t entry = kNil;  // kNil marks an empty slot.
-    uint32_t hash = 0;
-  };
-
   static uint32_t Hash(const Key& k);
-  // The index slot holding `key`, or kNil.
+  // The index slot holding `key`'s entry number, or kNil.
   uint32_t Find(const Key& key, uint32_t hash) const;
   // The entry holding `key`, or kNil.
   uint32_t EntryOf(const Key& key) const;
-  // Puts entry `e` in the first free slot of its probe run.
-  void Insert(uint32_t e, uint32_t hash);
-  // Empties slot `pos`, shifting later members of its run back into it.
-  void Erase(uint32_t pos);
   void Unlink(uint32_t e);
   void PushFront(uint32_t e);
   // Makes `e` the most recently used entry.
   void MoveToFront(uint32_t e);
   // Drops the least recently used position: an anonymous one, or else the
-  // tail entry, whose slot joins the free list. The cache must not be empty.
+  // tail entry, whose slot returns to the pool. The cache must not be empty.
   void EvictOldest();
   // Entry `e`'s sum, computed from its descriptor first if lazy.
   uint32_t Force(uint32_t e);
@@ -173,12 +163,10 @@ class ChecksumCache {
   uint32_t Place(const Key& key);
 
   size_t capacity_;
-  std::vector<Entry> entries_;
-  std::vector<Slot> index_;  // Empty, or a power of two at least 2 x size().
+  iolsim::SlotPool<Entry> entries_;
+  iolsim::ProbeTable<uint32_t> index_;  // Entry numbers by key hash.
   uint32_t head_ = kNil;     // Most recently used entry.
   uint32_t tail_ = kNil;     // Least recently used entry.
-  uint32_t free_ = kNil;     // Evicted entries' slots, linked by `next`.
-  size_t live_ = 0;          // Entries on the LRU list.
   size_t anonymous_ = 0;     // Anonymous positions.
   uint32_t head_anonymous_ = 0;  // Anonymous positions newer than head_.
 };

@@ -199,9 +199,6 @@ uint32_t NetworkSubsystem::TrainLeap(uint32_t idx, iolsim::SimTime when,
 size_t TcpConnection::SendAggregate(const iolite::Aggregate& agg) {
   assert(connected_);
   size_t n = agg.size();
-  // Encapsulate by reference: one external mbuf per slice, no data touch.
-  MbufChain chain = MbufChain::FromAggregate(agg);
-  assert(chain.length() == n);
   // Checksum via the module: cached per-slice sums apply when the same
   // immutable buffer contents are transmitted repeatedly. Nothing on the
   // wire model reads the sum, so only its cost is charged here.

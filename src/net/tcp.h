@@ -7,10 +7,10 @@
 //    send-buffer mbuf clusters (per-byte copy cost), checksummed on every
 //    transmission, and the connection pins Tss bytes of send-buffer memory
 //    while open — memory that comes straight out of the file cache.
-//  * IO-Lite sockets (IOL_write): payload moves by reference into
-//    mbuf-encapsulated IO-Lite buffers; the checksum module may serve the
-//    checksum from its generation-keyed cache; no send-buffer memory is
-//    pinned beyond mbuf headers.
+//  * IO-Lite sockets (IOL_write): payload moves by reference (the
+//    aggregate's IO-Lite buffers, never copied); the checksum module may
+//    serve the checksum from its generation-keyed cache; no send-buffer
+//    memory is pinned beyond mbuf headers.
 //
 // Wire time and queueing on the shared NIC array are staged by
 // TransmitAsync onto the SimContext's link resource, one link acquisition
@@ -31,7 +31,6 @@
 
 #include "src/iolite/aggregate.h"
 #include "src/net/checksum.h"
-#include "src/net/mbuf.h"
 #include "src/simos/inline_function.h"
 #include "src/simos/sim_context.h"
 #include "src/simos/slot_pool.h"

@@ -225,7 +225,7 @@ bool ProxyServer::BackhaulDown(iolsim::SimTime t) const {
 void ProxyServer::ServeDegraded(uint32_t idx) {
   // The degraded answer is proxy-generated: one header, no body, no
   // backhaul traffic. node.body stays empty, so both serve tails emit a
-  // zero-length payload; is_fetch stays false, so no FetchRecord is
+  // zero-length payload; is_fetch stays false, so no fetch record is
   // fabricated for a fetch that never happened.
   nodes_[idx].degraded = true;
   ServeBody(idx);
@@ -442,9 +442,12 @@ void ProxyServer::OnOriginRead(uint32_t idx, bool was_miss) {
 void ProxyServer::ServeBody(uint32_t idx) {
   TaskNode& node = nodes_[idx];
   if (node.is_fetch) {
-    fetch_records_.push_back(FetchRecord{node.fetch_issue, node.fetch_admit,
-                                         ctx_->clock().now(), node.body.size(),
-                                         node.origin, node.origin_hit});
+    fetch_records_.push_back(ioldrv::RequestRecord{.issue = node.fetch_issue,
+                                                   .admit = node.fetch_admit,
+                                                   .complete = ctx_->clock().now(),
+                                                   .bytes = node.body.size(),
+                                                   .server = node.origin,
+                                                   .cache_hit = node.origin_hit});
   }
   if (config_.data_path == ProxyDataPath::kIoLite) {
     iolhttp::RunStageOn(

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/driver/fleet.h"
+#include "src/driver/telemetry.h"
 #include "src/fault/fault_plan.h"
 #include "src/fs/file_cache.h"
 #include "src/httpd/http_server.h"
@@ -116,16 +117,6 @@ struct ProxyConfig {
   // fetch queue behind the outage on the backhaul Resource, surfacing the
   // flap as tail latency instead of errors.
   bool fail_open = false;
-};
-
-// One backhaul fetch, as observed by the proxy (per-tier latency).
-struct FetchRecord {
-  iolsim::SimTime issue = 0;     // Proxy missed and decided to forward.
-  iolsim::SimTime admit = 0;     // Origin began serving the fetch.
-  iolsim::SimTime complete = 0;  // Object resident at the proxy tier.
-  size_t bytes = 0;
-  size_t origin = 0;  // Fleet member that served it.
-  bool origin_hit = false;
 };
 
 class ProxyServer : public iolhttp::HttpServer {
@@ -212,7 +203,11 @@ class ProxyServer : public iolhttp::HttpServer {
   uint64_t origin_hits() const { return origin_hits_; }
   uint64_t origin_misses() const { return origin_misses_; }
   const std::vector<uint64_t>& origin_requests() const { return origin_requests_; }
-  const std::vector<FetchRecord>& fetches() const { return fetch_records_; }
+  // One record per backhaul fetch: issued when the proxy missed and
+  // forwarded, admitted when the origin began serving it, complete when
+  // the object is resident here. `server` is the origin member and
+  // `cache_hit` its unified-cache hit; `counted` is left to the reader.
+  const std::vector<ioldrv::RequestRecord>& fetches() const { return fetch_records_; }
 
  private:
   // Pooled per-request state: the body aggregate between stages, plus the
@@ -302,7 +297,7 @@ class ProxyServer : public iolhttp::HttpServer {
 
   uint64_t origin_hits_ = 0;
   uint64_t origin_misses_ = 0;
-  std::vector<FetchRecord> fetch_records_;
+  std::vector<ioldrv::RequestRecord> fetch_records_;
 
   // Fault plane: outage windows live on backhaul_link_ itself (the
   // Resource defers transmissions and answers BackhaulDown via InOutage).

@@ -142,19 +142,6 @@ class FairQueue {
 
   uint64_t promotions() const { return promotions_; }
 
-  void Reset() {
-    for (TenantLane& lane : tenants_) {
-      lane.head = lane.tail = kNone;
-      lane.finish_tag = 0;
-      lane.dispatched_service = 0;
-    }
-    nodes_.Clear();
-    size_ = 0;
-    next_seq_ = 0;
-    vtime_ = 0;
-    promotions_ = 0;
-  }
-
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
 

@@ -4,10 +4,11 @@
 // IO-Lite recycles its buffers through pools so that steady-state I/O
 // allocates nothing (Section 3). The simulator's per-request state — event
 // callbacks, chained acquisitions, transmissions, pending disk reads, CGI
-// bodies, proxy tasks, fair-queue nodes and cache entries — rides in
-// SlotPools the same way: a stage parks its state in a slot, carries the
-// slot's index in its continuation, and releases it when the state is
-// consumed.
+// bodies, proxy tasks, fair-queue nodes, and file-cache and checksum-cache
+// entries — rides in SlotPools the same way: a stage parks its state in a
+// slot, carries the slot's index in its continuation, and releases it when
+// the state is consumed. The caches find their slots by key through the
+// one ProbeTable (probe_table.h).
 //
 // The contract every user relies on:
 //   * indices are dense from 0;

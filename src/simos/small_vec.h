@@ -1,8 +1,8 @@
 // SmallVec: a vector with inline storage for the first N elements.
 //
 // Buffer aggregates are passed among subsystems by value and almost always
-// name one or two slices (a body extent, a header + body pair); mbuf chains,
-// a file's cached extents and a chunk's per-domain mappings are similar.
+// name one or two slices (a body extent, a header + body pair); a file's
+// cached extents and a chunk's per-domain mappings are similar.
 // Backing them with std::vector meant one heap allocation per object on the
 // warm path. SmallVec keeps up to N elements in place and only touches the
 // heap beyond that, so the common case is allocation-free while

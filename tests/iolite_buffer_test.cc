@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/iolite/buffer_pool.h"
 #include "src/iolite/runtime.h"
+#include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
 #include "tests/test_util.h"
 
@@ -181,6 +185,35 @@ TEST(BufferPoolDomainTest, PoolDestructorReleasesMemoryAndChunks) {
   }
   EXPECT_EQ(ctx.memory().reservation(iolsim::MemCategory::kIoliteWindow), 0u);
   EXPECT_FALSE(ctx.vm().ChunkExists(chunk));
+}
+
+// Pins the free list's recycling order: first fit by capacity, and equal
+// capacities reused in release order. The stream draws from few sizes, so
+// most releases join an equal range that already holds buffers.
+TEST(BufferPoolGoldenTest, RecycleOrderOfMixedSizes) {
+  SimContext ctx;
+  BufferPool pool(&ctx, "golden", iolsim::kKernelDomain);
+  constexpr size_t kSizes[] = {64, 64, 100, 128, 128, 1500, 1500, 4096, 70000};
+  iolsim::Rng rng(34);
+  std::vector<BufferRef> live;
+  uint64_t fold = 14695981039346656037ull;  // FNV-1a over the pool-local ids.
+  for (int op = 0; op < 20000; ++op) {
+    if (live.empty() || rng.NextBelow(2) == 0) {
+      BufferRef b = pool.Allocate(kSizes[rng.NextBelow(std::size(kSizes))]);
+      b->Seal(0);
+      uint32_t local = static_cast<uint32_t>(b->id());
+      for (int i = 0; i < 4; ++i) {
+        fold = (fold ^ ((local >> (8 * i)) & 0xff)) * 1099511628211ull;
+      }
+      live.push_back(std::move(b));
+    } else {
+      size_t k = rng.NextBelow(live.size());
+      std::swap(live[k], live.back());
+      live.pop_back();
+    }
+  }
+  EXPECT_GT(ctx.stats().buffers_recycled, 5000u);
+  EXPECT_EQ(fold, 4890206136198029196ull);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the network subsystem: Internet checksum correctness, the
-// generation-keyed checksum cache (Section 3.9), mbuf encapsulation
-// (Section 4.1) and the TCP connection model (Sections 5.1, 5.7).
+// generation-keyed checksum cache (Section 3.9) and the TCP connection
+// model (Sections 5.1, 5.7).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "src/iolite/buffer_pool.h"
 #include "src/net/checksum.h"
-#include "src/net/mbuf.h"
 #include "src/net/tcp.h"
 #include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
@@ -23,8 +22,6 @@ using iolite::BufferPool;
 using iolnet::ChecksumAccumulate;
 using iolnet::ChecksumFold;
 using iolnet::ChecksumModule;
-using iolnet::Mbuf;
-using iolnet::MbufChain;
 using iolnet::NetworkSubsystem;
 using iolnet::TcpConnection;
 using iolsim::SimContext;
@@ -158,32 +155,6 @@ TEST(ChecksumCacheTest, DistinctSlicesOfSameBufferCacheSeparately) {
   EXPECT_EQ(ctx.stats().checksum_cache_hits, 0u);
   module.Checksum(first);
   EXPECT_EQ(ctx.stats().checksum_cache_hits, 1u);
-}
-
-TEST(MbufTest, InlineAndExternalStorage) {
-  SimContext ctx;
-  BufferPool pool(&ctx, "p", iolsim::kKernelDomain);
-  Mbuf inline_m = Mbuf::Inline("hdr", 3);
-  EXPECT_FALSE(inline_m.is_external());
-  EXPECT_EQ(std::string(inline_m.data(), inline_m.length()), "hdr");
-
-  iolite::BufferRef b = ioltest::BufferFrom(&pool, "bulk-data-lives-out-of-line");
-  Mbuf ext = Mbuf::External(iolite::Slice(b, 0, b->size()));
-  EXPECT_TRUE(ext.is_external());
-  EXPECT_EQ(std::string(ext.data(), ext.length()), "bulk-data-lives-out-of-line");
-  EXPECT_EQ(b->refcount(), 2);  // The mbuf holds a reference.
-}
-
-TEST(MbufTest, ChainFromAggregatePreservesBytesWithoutCopy) {
-  SimContext ctx;
-  BufferPool pool(&ctx, "p", iolsim::kKernelDomain);
-  Aggregate agg = ioltest::AggFrom(&pool, "abc");
-  agg.Append(ioltest::AggFrom(&pool, "defg"));
-  uint64_t copies = ctx.stats().bytes_copied;
-  MbufChain chain = MbufChain::FromAggregate(agg);
-  EXPECT_EQ(chain.length(), 7u);
-  EXPECT_EQ(chain.mbufs().size(), 2u);
-  EXPECT_EQ(ctx.stats().bytes_copied, copies);
 }
 
 // --- TCP --------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "src/simos/cost_model.h"
 #include "src/simos/event_queue.h"
 #include "src/simos/memory_model.h"
+#include "src/simos/probe_table.h"
 #include "src/simos/rng.h"
 #include "src/simos/sim_context.h"
 #include "src/simos/vm.h"
@@ -487,6 +488,64 @@ TEST_F(VmTest, RandomStreamsMatchTheMapOracle) {
       }
     }
   }
+}
+
+// --- ProbeTable: the index under the checksum and file caches --------------
+
+// A seeded insert/erase stream against std::unordered_map. The hash sends
+// every key home to one of the array's last eight slots, so probe runs are
+// long and wrap the array's end, and the stream's population crosses
+// several doublings. Every key of the universe is looked up after every
+// operation.
+TEST(ProbeTableTest, MatchesAnUnorderedMapUnderAPoorHash) {
+  struct Item {
+    uint32_t key = 0;
+    uint64_t value = 0;
+  };
+  auto poor_hash = [](uint32_t key) { return UINT32_MAX - key % 8; };
+  constexpr uint32_t kKeys = 160;
+  iolsim::ProbeTable<Item> table;
+  std::unordered_map<uint32_t, uint64_t> oracle;
+  iolsim::Rng rng(34);
+  size_t growths = 0;
+  size_t most = 0;
+  for (int op = 0; op < 3000; ++op) {
+    // Fill for the first third, drain for the second, churn after.
+    const uint64_t insert_odds = op < 1000 ? 8 : op < 2000 ? 2 : 5;
+    const uint32_t key = static_cast<uint32_t>(rng.NextBelow(kKeys));
+    auto holds = [key](const Item& item) { return item.key == key; };
+    const uint32_t pos = table.Find(poor_hash(key), holds);
+    if (rng.NextBelow(10) < insert_odds) {
+      const uint64_t value = rng.Next();
+      if (pos == table.kNone) {
+        const size_t before = table.capacity();
+        table.Insert(poor_hash(key), Item{key, value});
+        growths += table.capacity() != before;
+      } else {
+        table.at(pos).value = value;
+      }
+      oracle[key] = value;
+    } else if (pos != table.kNone) {
+      table.Erase(pos);
+      oracle.erase(key);
+    }
+    ASSERT_EQ(table.size(), oracle.size()) << "op " << op;
+    ASSERT_LE(2 * table.size(), table.capacity()) << "op " << op;
+    most = std::max(most, table.size());
+    for (uint32_t k = 0; k < kKeys; ++k) {
+      const uint32_t at = table.Find(poor_hash(k), [k](const Item& item) { return item.key == k; });
+      auto it = oracle.find(k);
+      ASSERT_EQ(at != table.kNone, it != oracle.end()) << "op " << op << " key " << k;
+      if (at != table.kNone) {
+        ASSERT_EQ(table.at(at).value, it->second) << "op " << op << " key " << k;
+      }
+    }
+  }
+  EXPECT_GE(growths, 3u);
+  EXPECT_GT(most, 64u) << "runs from eight homes must wrap the array";
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(poor_hash(1), [](const Item&) { return true; }), table.kNone);
 }
 
 }  // namespace
