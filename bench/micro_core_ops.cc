@@ -1,6 +1,6 @@
 // Microbenchmarks for the core IO-Lite mechanisms (host-time measurements
 // of the library itself, via google-benchmark): aggregate algebra, buffer
-// pool allocation/recycling, checksum computation, cache hits, one
+// pool allocation/recycling and cold carving, checksum computation, cache hits, one
 // response's checksum work, sums of generated content, the plane client's
 // response fold, and the file cache's metadata (GDS rekeys and evictions,
 // lookups).
@@ -88,6 +88,38 @@ void BM_PoolAllocateRecycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolAllocateRecycle)->Arg(256)->Arg(4096)->Arg(65536);
+
+// Cold carving: a fresh pool per iteration carves 256 buffers of 64 KB and
+// 64 of 256 KB, each a new extent and a new Buffer. Only the carves are
+// timed; the items rate reads as carves per second, `carve` as time per
+// carve.
+void BM_PoolCarveCold(benchmark::State& state) {
+  constexpr int kCarves = 256 + 64;
+  std::vector<iolite::BufferRef> live;
+  live.reserve(kCarves);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ctx = std::make_unique<iolsim::SimContext>();
+    auto pool = std::make_unique<iolite::BufferPool>(ctx.get(), "bm", iolsim::kKernelDomain);
+    state.ResumeTiming();
+    for (int i = 0; i < 256; ++i) {
+      live.push_back(pool->Allocate(64 * 1024));
+    }
+    for (int i = 0; i < 64; ++i) {
+      live.push_back(pool->Allocate(256 * 1024));
+    }
+    benchmark::DoNotOptimize(live.data());
+    state.PauseTiming();
+    live.clear();
+    pool.reset();
+    ctx.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kCarves);
+  state.counters["carve"] = benchmark::Counter(
+      kCarves, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PoolCarveCold);
 
 void BM_ChecksumCold(benchmark::State& state) {
   iolsim::SimContext ctx;

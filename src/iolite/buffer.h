@@ -8,9 +8,10 @@
 // what enables cross-subsystem optimizations such as checksum caching
 // (Section 3.9).
 //
-// Lifecycle: a buffer is carved out of a pool extent in the *filling* state,
-// the producer writes its content exactly once, then Seal() freezes it. Only
-// sealed buffers may appear in aggregates that cross protection domains.
+// Lifecycle: a buffer is carved out of a pool extent (a run of consecutive
+// VM chunks, buffer_pool.h) in the *filling* state, the producer writes its
+// content exactly once, then Seal() freezes it. Only sealed buffers may
+// appear in aggregates that cross protection domains.
 //
 // A disk read may instead seal a buffer over a *content descriptor* (the
 // file's content seed and offset, SealDescribed): the contents are fixed
@@ -31,7 +32,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "src/simos/vm.h"
 
@@ -105,8 +105,9 @@ class Buffer {
   // without writing them; data() writes them on first use.
   void SealDescribed(uint64_t seed, uint64_t offset, size_t n);
 
-  // The VM chunks this buffer's storage spans (for mapping operations).
-  const std::vector<iolsim::ChunkId>& chunks() const;
+  // The VM chunks of the extent this buffer's storage lies in (for mapping
+  // operations).
+  iolsim::ChunkRange chunks() const { return chunks_; }
 
   BufferPool* pool() const { return pool_; }
   iolsim::DomainId producer() const { return producer_; }
@@ -120,14 +121,9 @@ class Buffer {
  private:
   friend class BufferPool;
 
-  Buffer(BufferPool* pool, uint64_t id, char* data, size_t capacity, size_t extent_index,
+  Buffer(BufferPool* pool, uint64_t id, char* data, size_t capacity, iolsim::ChunkRange chunks,
          iolsim::DomainId producer)
-      : pool_(pool),
-        id_(id),
-        data_(data),
-        capacity_(capacity),
-        extent_index_(extent_index),
-        producer_(producer) {}
+      : pool_(pool), id_(id), data_(data), capacity_(capacity), chunks_(chunks), producer_(producer) {}
 
   // Pool-side reuse: bumps the generation, returns to the filling state.
   void ResetForReuse(iolsim::DomainId producer) {
@@ -147,7 +143,7 @@ class Buffer {
   uint64_t id_;
   char* data_;
   size_t capacity_;
-  size_t extent_index_;
+  iolsim::ChunkRange chunks_;
   iolsim::DomainId producer_;
   uint32_t generation_ = 1;
   size_t size_ = 0;

@@ -1,13 +1,30 @@
 #include "src/iolite/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "src/iolite/dma_fill.h"
 
 namespace iolite {
+
+namespace {
+
+// A heap pool's extent blocks: 1 MB, doubling up to 16 MB.
+constexpr size_t kFirstExtentBlock = size_t{1} << 20;
+constexpr size_t kMaxExtentBlock = size_t{16} << 20;
+// Its Buffer objects' blocks: 8 KB, doubling up to 512 KB.
+constexpr size_t kFirstBufferBlock = size_t{8} << 10;
+constexpr size_t kMaxBufferBlock = size_t{512} << 10;
+
+// The pool frees its Buffers with their arena's blocks, destructors unrun.
+static_assert(std::is_trivially_destructible_v<Buffer>);
+
+}  // namespace
 
 std::atomic<uint64_t> BufferPool::next_pool_seed_{1};
 
@@ -38,19 +55,25 @@ void Buffer::Release() {
   }
 }
 
-const std::vector<iolsim::ChunkId>& Buffer::chunks() const { return pool_->ChunksOf(*this); }
-
 BufferPool::BufferPool(iolsim::SimContext* ctx, std::string name, iolsim::DomainId producer,
                        ExtentAllocator extent_allocator)
     : ctx_(ctx),
       name_(std::move(name)),
       producer_(producer),
-      extent_allocator_(std::move(extent_allocator)) {
+      heap_backed_(!extent_allocator),
+      extent_arena_(kFirstExtentBlock, kMaxExtentBlock),
+      extent_allocator_(std::move(extent_allocator)),
+      buffer_arena_(kFirstBufferBlock, kMaxBufferBlock) {
+  if (heap_backed_) {
+    // Not zero-filled: every buffer is written before it is read, and
+    // nothing reads past a buffer's sealed size.
+    extent_allocator_ = [this](size_t n) { return extent_arena_.Carve(n); };
+  }
   next_buffer_id_ = next_pool_seed_.fetch_add(1, std::memory_order_relaxed) << 32;
 }
 
 BufferPool::~BufferPool() {
-  for (Extent& e : extents_) {
+  for (const Extent& e : extents_) {
     for (iolsim::ChunkId c : e.chunks) {
       ctx_->vm().FreeChunk(c);
     }
@@ -59,34 +82,22 @@ BufferPool::~BufferPool() {
 }
 
 size_t BufferPool::NewExtent(size_t n) {
-  const int chunk_size = ctx_->cost().params().chunk_size;
-  size_t chunk_count = (n + chunk_size - 1) / chunk_size;
-  if (chunk_count == 0) {
-    chunk_count = 1;
-  }
+  const size_t chunk_size = ctx_->cost().params().chunk_size;
+  const size_t chunk_count = std::max<size_t>((n + chunk_size - 1) / chunk_size, 1);
   Extent e;
   e.size = chunk_count * chunk_size;
-  if (extent_allocator_) {
-    e.data = extent_allocator_(e.size);
-    if (e.data == nullptr) {
-      // There is no error path out of Allocate; dying loudly beats handing
-      // out a buffer over invalid memory (NDEBUG builds included).
-      std::fprintf(stderr, "BufferPool '%s': extent allocator exhausted carving %zu bytes\n",
-                   name_.c_str(), e.size);
-      std::abort();
-    }
-  } else {
-    // Not zero-filled: every buffer is written before it is read, and
-    // nothing reads past a buffer's sealed size.
-    e.owned = std::make_unique_for_overwrite<char[]>(e.size);
-    e.data = e.owned.get();
+  e.data = extent_allocator_(e.size);
+  if (e.data == nullptr) {
+    // There is no error path out of Allocate; dying loudly beats handing
+    // out a buffer over invalid memory (NDEBUG builds included).
+    std::fprintf(stderr, "BufferPool '%s': extent allocator exhausted carving %zu bytes\n",
+                 name_.c_str(), e.size);
+    std::abort();
   }
-  for (size_t i = 0; i < chunk_count; ++i) {
-    e.chunks.push_back(ctx_->vm().AllocateChunk(producer_));
-  }
+  e.chunks = ctx_->vm().AllocateChunks(producer_, chunk_count);
   bytes_reserved_ += e.size;
   ctx_->memory().Reserve(iolsim::MemCategory::kIoliteWindow, e.size);
-  extents_.push_back(std::move(e));
+  extents_.push_back(e);
   return extents_.size() - 1;
 }
 
@@ -111,20 +122,18 @@ Buffer* BufferPool::CarveBuffer(size_t n) {
     offset = extents_[extent_index].bump;
     extents_[extent_index].bump += n;
   }
-  char* data = extents_[extent_index].data + offset;
-  auto buffer = std::unique_ptr<Buffer>(
-      new Buffer(this, next_buffer_id_++, data, n, extent_index, producer_));
-  Buffer* raw = buffer.get();
-  all_buffers_.push_back(std::move(buffer));
+  const Extent& e = extents_[extent_index];
+  Buffer* buffer = new (buffer_arena_.Carve(sizeof(Buffer)))
+      Buffer(this, next_buffer_id_++, e.data + offset, n, e.chunks, producer_);
   ctx_->stats().buffers_allocated++;
-  return raw;
+  return buffer;
 }
 
 void BufferPool::PrepareFill(Buffer* buffer) {
   if (producer_ == iolsim::kKernelDomain) {
     return;  // Trusted producer holds permanent write permission.
   }
-  for (iolsim::ChunkId c : ChunksOf(*buffer)) {
+  for (iolsim::ChunkId c : buffer->chunks()) {
     ctx_->vm().SetWritable(c, producer_, true);
   }
 }
@@ -166,15 +175,11 @@ BufferRef BufferPool::AllocateDma(uint64_t pattern_seed, size_t n) {
   return buffer;
 }
 
-const std::vector<iolsim::ChunkId>& BufferPool::ChunksOf(const Buffer& buffer) const {
-  return extents_[buffer.extent_index_].chunks;
-}
-
 void BufferPool::OnBufferSealed(Buffer* buffer) {
   if (producer_ == iolsim::kKernelDomain) {
     return;  // Trusted producer: write permission is permanent.
   }
-  for (iolsim::ChunkId c : ChunksOf(*buffer)) {
+  for (iolsim::ChunkId c : buffer->chunks()) {
     ctx_->vm().SetWritable(c, producer_, false);
   }
 }

@@ -6,12 +6,17 @@
 // data in memory (trivial everywhere except early demultiplexing of network
 // input, handled in src/net).
 //
-// Storage is carved out of *extents* — runs of one or more 64 KB chunks —
-// so objects smaller than a page share pages, and no memory is wasted on
-// small allocations. Deallocated buffers go on a per-pool free list; reusing
-// one bumps its generation and requires no VM work beyond re-enabling write
-// permission for an untrusted producer. This is the "lazily established pool
-// of read-only shared memory pages" of Section 3.2.
+// Buffers are carved out of *extents*: runs of one or more 64 KB chunks
+// whose VM chunk ids are consecutive (a ChunkRange). Objects smaller than a
+// chunk share a chunk, so no memory is wasted on small allocations. Extents
+// come from the pool's ExtentAllocator; a heap-backed pool's default one
+// carves them from its own BlockArena (block_arena.h), so a cold fill makes
+// a heap allocation per block, not per extent or per buffer. The Buffer
+// objects are carved the same way. Deallocated buffers go on a per-pool
+// free list; reusing one bumps its generation and requires no VM work
+// beyond re-enabling write permission for an untrusted producer. This is
+// the "lazily established pool of read-only shared memory pages" of
+// Section 3.2.
 
 #ifndef SRC_IOLITE_BUFFER_POOL_H_
 #define SRC_IOLITE_BUFFER_POOL_H_
@@ -20,11 +25,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/iolite/block_arena.h"
 #include "src/iolite/buffer.h"
 #include "src/simos/sim_context.h"
 
@@ -41,7 +46,7 @@ class BufferPool {
 
   // `producer` is the domain that fills buffers allocated here; the kernel
   // (domain 0) is trusted and skips write-permission toggling. Without an
-  // `extent_allocator`, extents live on the heap.
+  // `extent_allocator`, extents are carved from the pool's heap arena.
   BufferPool(iolsim::SimContext* ctx, std::string name, iolsim::DomainId producer,
              ExtentAllocator extent_allocator = nullptr);
   ~BufferPool();
@@ -52,9 +57,9 @@ class BufferPool {
   const std::string& name() const { return name_; }
   iolsim::DomainId producer() const { return producer_; }
 
-  // True when extents live on the heap (no ExtentAllocator): only this
-  // process reads the storage, through Buffer::data().
-  bool heap_backed() const { return !extent_allocator_; }
+  // True when extents live on the heap (no ExtentAllocator was given): only
+  // this process reads the storage, through Buffer::data().
+  bool heap_backed() const { return heap_backed_; }
 
   // Allocates a buffer with capacity >= `n` in the filling state. Prefers a
   // recycled buffer (cheap); otherwise carves new storage and charges the
@@ -67,9 +72,6 @@ class BufferPool {
   // Convenience: allocate, fill with a deterministic pattern *without*
   // charging CPU (models DMA from a device), seal.
   BufferRef AllocateDma(uint64_t pattern_seed, size_t n);
-
-  // The set of chunks backing `buffer` (extent lookup for VM operations).
-  const std::vector<iolsim::ChunkId>& ChunksOf(const Buffer& buffer) const;
 
   // Called by Buffer::Release when the last reference drops; the buffer
   // returns to the free list for recycling.
@@ -87,9 +89,8 @@ class BufferPool {
 
  private:
   struct Extent {
-    std::vector<iolsim::ChunkId> chunks;
-    char* data = nullptr;             // Start of the extent's storage.
-    std::unique_ptr<char[]> owned;    // Heap backing (null when external).
+    iolsim::ChunkRange chunks;
+    char* data = nullptr;  // Start of the extent's storage.
     size_t size = 0;
     size_t bump = 0;  // Next free offset for small carving.
   };
@@ -105,10 +106,14 @@ class BufferPool {
   iolsim::SimContext* ctx_;
   std::string name_;
   iolsim::DomainId producer_;
-  ExtentAllocator extent_allocator_;  // Empty for heap-backed pools.
+  const bool heap_backed_;
+  // Extent storage of a heap-backed pool; unused by a region-backed one.
+  BlockArena extent_arena_;
+  ExtentAllocator extent_allocator_;
+  // Every Buffer this pool made (Buffers are trivially destructible).
+  BlockArena buffer_arena_;
 
   std::vector<Extent> extents_;
-  std::vector<std::unique_ptr<Buffer>> all_buffers_;
   // Free buffers keyed by capacity (first-fit via lower_bound; equal keys
   // stay in release order, as a node handle inserts at the upper bound of
   // its equal range).

@@ -59,6 +59,14 @@ ChunkId VmSystem::AllocateChunk(DomainId producer) {
   return id;
 }
 
+ChunkRange VmSystem::AllocateChunks(DomainId producer, size_t count) {
+  const ChunkId first = static_cast<ChunkId>(chunks_.size()) + 1;
+  for (size_t i = 0; i < count; ++i) {
+    AllocateChunk(producer);
+  }
+  return ChunkRange(first, first + static_cast<ChunkId>(count));
+}
+
 void VmSystem::FreeChunk(ChunkId chunk) {
   if (Chunk* c = Find(chunk)) {
     *c = Chunk{};

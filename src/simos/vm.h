@@ -10,7 +10,8 @@
 //
 // Chunk ids are handed out as 1, 2, 3, ... and chunks are freed only with
 // their pool, so chunks live in a dense array indexed by id (a freed chunk
-// leaves a dead slot). Each chunk keeps its per-domain states in a small
+// leaves a dead slot). The chunks of one extent are allocated together and
+// so are consecutive: an extent names them as a ChunkRange. Each chunk keeps its per-domain states in a small
 // inline array: a chunk is mapped in one to three domains (the kernel, its
 // producer, a consumer), so a lookup scans a few adjacent words.
 
@@ -18,6 +19,7 @@
 #define SRC_SIMOS_VM_H_
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "src/simos/small_vec.h"
@@ -31,6 +33,9 @@ using ChunkId = int64_t;
 
 constexpr DomainId kKernelDomain = 0;
 constexpr ChunkId kInvalidChunk = -1;
+
+// Consecutive chunk ids [first, last): range-for, size() and operator[].
+using ChunkRange = std::ranges::iota_view<ChunkId, ChunkId>;
 
 // Per-domain mapping state of one chunk.
 enum class MapState : uint8_t {
@@ -56,6 +61,10 @@ class VmSystem {
   // (and implicitly accessible to the kernel, which is trusted). Charges the
   // page-mapping cost of the chunk's pages in the producer domain.
   ChunkId AllocateChunk(DomainId producer);
+
+  // Allocates `count` chunks as AllocateChunk does, one after another, so
+  // their ids are consecutive.
+  ChunkRange AllocateChunks(DomainId producer, size_t count);
 
   // Frees a chunk entirely (its memory returns to the VM system).
   void FreeChunk(ChunkId chunk);

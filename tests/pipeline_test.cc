@@ -3,8 +3,9 @@
 // admission control (max_concurrent queues, never drops), disk/CPU overlap
 // under cold caches, open-loop arrivals, pipelined connections — and the
 // allocation-free engine contract: steady-state request turnover on a warm
-// cache performs zero heap allocations, and neither does the SlotPool the
-// per-request state rides in (counting-allocator tests below).
+// cache performs zero heap allocations, neither does the SlotPool the
+// per-request state rides in, and a cold buffer pool allocates per block,
+// not per buffer (counting-allocator tests below).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "src/driver/workload.h"
 #include "src/httpd/http_server.h"
 #include "src/httpd/request_pipeline.h"
+#include "src/iolite/buffer_pool.h"
 #include "src/simos/event_queue.h"
 #include "src/simos/inline_function.h"
 #include "src/simos/rng.h"
@@ -278,6 +280,41 @@ TEST(ZeroAllocTest, SteadyStateExperimentTurnoverAllocatesNothing) {
   // The long run reserves a larger telemetry vector in its single up-front
   // allocation; the *count* of allocations must not grow with requests.
   EXPECT_EQ(short_run, long_run);
+}
+
+TEST(ZeroAllocTest, ColdCarvesAllocatePerBlockNotPerExtent) {
+  // A fresh heap pool carves 2,000 buffers of 64 B to 2 MB, a third of them
+  // spanning several chunks and a few larger than the first 1 MB block. No
+  // buffer is recycled, so every one is a new Buffer, and most need a new
+  // extent. What may allocate is what grows geometrically: the arenas'
+  // blocks and block lists, the extent list and the VM's chunk table, each
+  // about a dozen times for 2,000 entries, plus one call per full 16 MB
+  // block. That is under a hundred calls, not one per buffer and two per
+  // extent.
+  iolsim::SimContext ctx;
+  iolite::BufferPool pool(&ctx, "cold", iolsim::kKernelDomain);
+  std::vector<iolite::BufferRef> live;
+  live.reserve(2000);
+  iolsim::Rng rng(35);
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 2000; ++i) {
+    size_t n;
+    if (i % 3 != 0) {
+      n = 64 + rng.NextBelow(64 * 1024 - 64);  // Shares a one-chunk extent.
+    } else if (i % 48 != 0) {
+      n = 64 * 1024 + 1 + rng.NextBelow(192 * 1024);  // Two to four chunks.
+    } else {
+      n = (1 << 20) + rng.NextBelow(1 << 20);  // Larger than the first block.
+    }
+    live.push_back(pool.Allocate(n));
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(pool.live_buffers(), 2000u);
+  EXPECT_EQ(ctx.stats().buffers_allocated, 2000u);
+  EXPECT_GT(ctx.vm().live_chunks(), 1000u);
+  const uint64_t full_blocks = pool.bytes_reserved() / (16 << 20);
+  EXPECT_LE(allocs, 64 + full_blocks)
+      << "a cold carve should allocate per block, not per buffer or extent";
 }
 
 // --- SlotPool: the per-request state pools all of the above ride in ----------
