@@ -5,8 +5,9 @@
 // ACL pool, and ships it to the server over an IO-Lite pipe. The server
 // concatenates a header and transmits — no copies anywhere, and the CGI
 // process stays in its own protection domain (fault isolation preserved).
+// Exits 1 if any byte but the response headers was copied.
 //
-// Run:  ./build/examples/cgi_pipeline
+// Run:  ./build/example_cgi_pipeline
 
 #include <cstdio>
 #include <string>
@@ -41,6 +42,7 @@ int main() {
   iolnet::TcpConnection conn(&sys.net(), /*iolite_sockets=*/true);
   conn.Connect();
 
+  const std::string header = "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n";
   uint64_t copied_baseline = sys.ctx().stats().bytes_copied;
   for (int request = 0; request < 5; ++request) {
     // CGI answers the FastCGI request: push the cached aggregate.
@@ -48,7 +50,6 @@ int main() {
     // Server pulls it, maps it (first request only), adds a header, sends.
     iolite::Aggregate body = pipe.Pop(SIZE_MAX);
     sys.runtime().MapAggregate(body, srv_domain);
-    std::string header = "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n";
     iolite::Aggregate response =
         iolite::Aggregate::FromBuffer(hdr_pool->AllocateFrom(header.data(), header.size()));
     response.Append(body);
@@ -64,5 +65,5 @@ int main() {
       "\nper-request copies: %llu bytes (headers only) — the 16 KB document crossed the\n"
       "pipe and the socket five times without being copied or re-checksummed.\n",
       static_cast<unsigned long long>(copied / 5));
-  return 0;
+  return copied == 5 * header.size() ? 0 : 1;
 }

@@ -3,9 +3,10 @@
 // Builds a simulated machine, creates a file, and walks through the core
 // abstractions: IOL_read returning a buffer aggregate, aggregate mutation by
 // pointer manipulation, copy-free IPC over a pipe, and the operation
-// counters that show where data was (and was not) touched.
+// counters that show where data was (and was not) touched. Exits 1 if the
+// pipe delivers different content or anything but the header was copied.
 //
-// Run:  ./build/examples/quickstart
+// Run:  ./build/example_quickstart
 
 #include <cstdio>
 #include <string>
@@ -54,13 +55,15 @@ int main() {
   iolite::IOL_write(&sys.runtime(), pipe.write_fd, doc);
   iolite::IOL_Agg received;
   iolite::IOL_read(&sys.runtime(), pipe.read_fd, &received, doc.size());
+  bool equal = received.ContentEquals(doc);
   std::printf("pipe delivered %zu bytes; content equal: %s\n", received.size(),
-              received.ContentEquals(doc) ? "yes" : "no");
+              equal ? "yes" : "no");
 
   // The whole exchange shared one physical copy of the file data.
+  uint64_t copied = sys.ctx().stats().bytes_copied;
   std::printf("total bytes copied: %llu (only the %zu-byte header)\n",
-              static_cast<unsigned long long>(sys.ctx().stats().bytes_copied), header.size());
+              static_cast<unsigned long long>(copied), header.size());
   std::printf("simulated time elapsed: %.1f us\n",
               iolsim::ToSeconds(sys.ctx().clock().now()) * 1e6);
-  return 0;
+  return equal && copied == header.size() ? 0 : 1;
 }

@@ -8,9 +8,8 @@
 //   solo       the hot tenant alone — the no-interference baseline
 //   no-qos     both tenants, policy plane detached: the scan evicts the
 //              hot set and hot p99 collapses
-//   qos        WFQ on CPU/disk/link + per-tenant cache partitioning +
-//              a front-door token bucket on the scan: hot p99 returns to
-//              within a small factor of solo
+//   qos        WFQ on CPU/disk/link + per-tenant cache partitioning: hot
+//              p99 returns to within a small factor of solo
 //
 // Exits non-zero if the isolation invariant fails (hot p99 must stay
 // within 1.25x solo with the plane on, and the unprotected run must show

@@ -2,9 +2,10 @@
 //
 // Runs wc and cat|grep in both their unmodified (POSIX) and IO-Lite
 // variants over the same file, verifies they produce identical answers,
-// and reports the simulated runtimes side by side.
+// and reports the simulated runtimes side by side. Exits 1 if the answers
+// differ.
 //
-// Run:  ./build/examples/unix_filters
+// Run:  ./build/example_unix_filters
 
 #include <cstdio>
 
@@ -49,5 +50,5 @@ int main() {
               static_cast<unsigned long long>(lite_matches), lite_ms,
               100.0 * (1 - lite_ms / posix_ms));
   std::printf("answers agree: %s\n", posix_matches == lite_matches ? "yes" : "NO");
-  return 0;
+  return posix_counts == lite_counts && posix_matches == lite_matches ? 0 : 1;
 }

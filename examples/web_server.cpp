@@ -4,9 +4,10 @@
 // from the unified cache, header from an IO-Lite pool, IOL_write by
 // reference) next to the conventional Flash data path (mmap + writev), and
 // prints the per-request mechanics: copies, checksums, checksum-cache hits,
-// chunk mappings.
+// chunk mappings. Exits 1 if Flash-Lite copied anything but the response
+// headers.
 //
-// Run:  ./build/examples/web_server
+// Run:  ./build/example_web_server
 
 #include <cstdio>
 #include <vector>
@@ -17,13 +18,16 @@
 
 namespace {
 
-void ServeAndReport(const char* label, iolsys::System* sys, iolhttp::HttpServer* server,
-                    const std::vector<iolfs::FileId>& site) {
+constexpr int kRounds = 3;
+
+// Serves the site kRounds times and returns the bytes the server copied.
+uint64_t ServeAndReport(const char* label, iolsys::System* sys, iolhttp::HttpServer* server,
+                        const std::vector<iolfs::FileId>& site) {
   iolnet::TcpConnection conn(&sys->net(), server->uses_iolite_sockets());
   conn.Connect();
   uint64_t bytes = 0;
-  // Three rounds over the whole site: round one is cold, the rest warm.
-  for (int round = 0; round < 3; ++round) {
+  // Round one is cold, the rest warm.
+  for (int round = 0; round < kRounds; ++round) {
     for (iolfs::FileId f : site) {
       bytes += server->HandleRequest(&conn, f);
     }
@@ -38,6 +42,7 @@ void ServeAndReport(const char* label, iolsys::System* sys, iolhttp::HttpServer*
               static_cast<unsigned long long>(s.checksum_cache_hits),
               static_cast<unsigned long long>(s.chunk_map_ops),
               iolsim::ToSeconds(sys->ctx().clock().now()) * 1e3);
+  return s.bytes_copied;
 }
 
 }  // namespace
@@ -49,6 +54,7 @@ int main() {
       {"paper.pdf", 180 * 1024},  {"news.html", 12 * 1024}, {"tiny.txt", 500},
   };
 
+  uint64_t lite_copied = 0;
   {
     iolsys::SystemOptions options;
     options.policy = iolsys::SystemOptions::Policy::kGds;
@@ -58,7 +64,7 @@ int main() {
       site.push_back(sys.fs().CreateFile(name, size));
     }
     iolhttp::FlashLiteServer lite(&sys.ctx(), &sys.net(), &sys.io(), &sys.runtime());
-    ServeAndReport("Flash-Lite", &sys, &lite, site);
+    lite_copied = ServeAndReport("Flash-Lite", &sys, &lite, site);
   }
   {
     iolsys::System sys;
@@ -74,5 +80,5 @@ int main() {
       "\nFlash-Lite copies only response headers; document bytes are checksummed once\n"
       "and then served from the checksum cache. Flash copies and checksums every byte\n"
       "of every response.\n");
-  return 0;
+  return lite_copied == kRounds * documents.size() * iolhttp::kResponseHeaderBytes ? 0 : 1;
 }

@@ -4,9 +4,8 @@
 // tree: level 0 is the edge tier clients talk to, higher levels sit closer
 // to the origin, and the top level fetches from the origin fleet itself.
 // Each level declares how many proxies it has, the per-proxy cache budget,
-// and the WAN uplink every one of its proxies crosses toward its parent —
-// propagation delay, payload rate, and (optionally) a token-bucket shape
-// on the bytes it may push up that link (ROADMAP 5a).
+// and the WAN uplink every one of its proxies crosses toward its parent:
+// propagation delay and payload rate.
 //
 // Parenting is deterministic: proxy p at level l attaches to proxy
 // p % count(l+1) at level l+1, so edges spread over regionals the way
@@ -34,11 +33,6 @@ struct CdnLevelSpec {
   // effective payload rate and one-way propagation.
   double link_bytes_per_sec = 100.0e6 / 8.0 * 0.72;
   iolsim::SimTime link_one_way_delay = 500 * iolsim::kMicrosecond;
-  // Token-bucket shape on this level's per-proxy backhaul bytes
-  // (0 = unshaped). Burst should cover at least one object so a lone
-  // transfer is never held.
-  double shape_bytes_per_sec = 0;
-  double shape_burst_bytes = 0;
 };
 
 struct CdnTopology {

@@ -20,19 +20,9 @@ iolsim::SimTime VersionAuthority::ApplyWrite(iolfs::FileId file) {
     if (!h.proxy->CachesFile(file)) {
       continue;
     }
-    int level = h.proxy->consistency().level;
-    iolsim::SimStats::CdnLevelStats& c = ctx_->stats().cdn[level];
-    c.invalidations_sent++;
-    // The frame crosses the holder's uplink: shaped like any other
-    // backhaul bytes, then the cumulative propagation down the tree.
-    iolsim::SimTime hold = 0;
-    if (iolqos::BackhaulShaper* shaper = h.proxy->backhaul_shaper()) {
-      hold = shaper->DelayFor(now, iolproxy::kInvalidationBytes);
-      if (hold > 0) {
-        c.shaper_holds++;
-      }
-    }
-    iolsim::SimTime at = now + hold + h.delay;
+    ctx_->stats().cdn[h.proxy->consistency().level].invalidations_sent++;
+    // The frame takes the cumulative propagation down the tree.
+    iolsim::SimTime at = now + h.delay;
     if (at > ack) {
       ack = at;
     }

@@ -4,12 +4,12 @@
 // the origin bumps the object's version and, under kInvalidate, pushes an
 // invalidation frame down the tree to every proxy currently holding the
 // object: the frame crosses each holder's uplink (cumulative propagation
-// delay, plus that proxy's backhaul shaper if one is attached) and lands as
-// ProxyServer::OnInvalidate at the delivery instant. ApplyWrite returns the
-// *acknowledgement* instant — the time the slowest invalidation lands —
-// which is the moment from which the protocol guarantees no proxy serves a
-// version older than this write (requests already in flight may still
-// complete with the bytes they were promised; IO-Lite snapshot semantics).
+// delay) and lands as ProxyServer::OnInvalidate at the delivery instant.
+// ApplyWrite returns the *acknowledgement* instant — the time the slowest
+// invalidation lands — which is the moment from which the protocol
+// guarantees no proxy serves a version older than this write (requests
+// already in flight may still complete with the bytes they were promised;
+// IO-Lite snapshot semantics).
 //
 // Reading a version is free in the simulated machine: the modeled price of
 // freshness is the control traffic this class generates, never the lookup.

@@ -65,11 +65,6 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
       if (level == num_levels - 1) {
         proxy->set_origin_balancer(origins_.balancer());
       }
-      if (spec.shape_bytes_per_sec > 0) {
-        shapers_.push_back(std::make_unique<iolqos::BackhaulShaper>(
-            spec.shape_bytes_per_sec, spec.shape_burst_bytes));
-        proxy->set_backhaul_shaper(shapers_.back().get());
-      }
       // Every proxy learns its level (the per-level counters need it);
       // only a live protocol makes it a holder the authority notifies.
       iolproxy::ConsistencyConfig cc;
@@ -94,22 +89,6 @@ CdnTier::CdnTier(iolsim::SimContext* ctx, iolnet::NetworkSubsystem* net,
   }
   experiment_ = std::make_unique<Experiment>(ctx_, net, &io->cache(),
                                              Fleet(std::move(edges)), config);
-}
-
-void CdnTier::ArmBackhaulFaults(const iolfault::FaultPlan& plan) {
-  for (const iolfault::FaultEvent& e : plan.events()) {
-    if (e.kind != iolfault::FaultKind::kBackhaulFlap) {
-      continue;
-    }
-    for (int level = 0; level < level_count(); ++level) {
-      if (e.target >= 0 && e.target != level) {
-        continue;
-      }
-      for (auto& proxy : proxies_[level]) {
-        proxy->AddBackhaulOutage(e.at, e.at + e.duration);
-      }
-    }
-  }
 }
 
 ExperimentResult CdnTier::Run(Workload* workload,

@@ -5,9 +5,8 @@
 // through, and a top level that fetches from the origin fleet via its
 // balancer — and runs the standard Workload x Fleet x Telemetry engine
 // against the edges. Clients pin to their edge (Workload::PinMember;
-// EdgeMix populations), every interior link runs the topology's consistency
-// protocol against one VersionAuthority, and per-level backhaul shaping
-// attaches where the topology asks for it.
+// EdgeMix populations), and every interior link runs the topology's
+// consistency protocol against one VersionAuthority.
 //
 // The two-tier experiment (one proxy in front of a fleet) is the one-level,
 // one-proxy topology: the level's cache_bytes and link fields set the
@@ -31,7 +30,6 @@
 #include "src/driver/experiment.h"
 #include "src/driver/fleet.h"
 #include "src/proxy/proxy_server.h"
-#include "src/qos/backhaul_shaper.h"
 
 namespace ioldrv {
 
@@ -39,8 +37,8 @@ class CdnTier {
  public:
   // `origins` is the fleet behind the top proxy level; `topo` shapes the
   // tree; `pconfig` supplies everything CdnLevelSpec does not override
-  // (data path, CPU costs, fail_open). The System pieces must outlive the
-  // tier. `topo.levels` must be non-empty, each level's count >= 1, and
+  // (data path, CPU costs). The System pieces must outlive the tier.
+  // `topo.levels` must be non-empty, each level's count >= 1, and
   // levels.size() <= SimStats::kMaxCdnLevels; `pconfig.backhaul` must be
   // kRemote unless the topology is one level of one proxy. A violation
   // aborts in every build type.
@@ -58,13 +56,6 @@ class CdnTier {
   ExperimentResult Run(Workload* workload, Experiment::RequestSource next_file,
                        Telemetry* sink = nullptr);
 
-  // --- Fault plane (src/cdn satellite) -------------------------------------
-  // Arms every kBackhaulFlap of the plan onto the hierarchy: an event whose
-  // `target` names a level flaps every uplink at that level; target -1
-  // flaps every level. (The engine's ArmFaults skips flap events; the
-  // hierarchy owns its backhaul wires, so they are armed here.)
-  void ArmBackhaulFaults(const iolfault::FaultPlan& plan);
-
   iolcdn::VersionAuthority& authority() { return authority_; }
   // Proxy `i` at `level` (level 0 = edges).
   iolproxy::ProxyServer& proxy(int level, int i) { return *proxies_[level][i]; }
@@ -80,7 +71,6 @@ class CdnTier {
   iolcdn::VersionAuthority authority_;
   // proxies_[level][i]; level 0 = edge tier.
   std::vector<std::vector<std::unique_ptr<iolproxy::ProxyServer>>> proxies_;
-  std::vector<std::unique_ptr<iolqos::BackhaulShaper>> shapers_;
   iolcdn::WritePlan* write_plan_ = nullptr;
   std::unique_ptr<Experiment> experiment_;
 };

@@ -509,29 +509,9 @@ void Experiment::ArriveAtFleet(size_t lane) {
   if (done_) {
     return;
   }
-  if (recovery_on_ && lanes_[lane].zombie) {
-    RecycleLane(lane);  // The flight moved on while this attempt was in flight.
-    return;
-  }
-  if (config_.qos != nullptr) {
-    // A throttled tenant's request waits out its token-bucket delay at the
-    // front door, before the balancer sees it.
-    iolsim::SimTime hold = config_.qos->OnAdmit(lanes_[lane].req.tenant, clock_->now());
-    if (hold > 0) {
-      events_->ScheduleAfter(hold, [this, lane] { AdmitToFleet(lane); });
-      return;
-    }
-  }
-  AdmitToFleet(lane);
-}
-
-void Experiment::AdmitToFleet(size_t lane) {
-  if (done_) {
-    return;
-  }
   Lane& l = lanes_[lane];
   if (recovery_on_ && l.zombie) {
-    RecycleLane(lane);  // Abandoned during the QoS front-door hold.
+    RecycleLane(lane);  // The flight moved on while this attempt was in flight.
     return;
   }
   if (fleet_.size() == 1) {
@@ -796,15 +776,8 @@ void Experiment::ArmFaults() {
         ctx_->disk().AddSlowWindow(e.at, e.at + e.duration, e.slow_num,
                                    e.slow_den);
         break;
-      case iolfault::FaultKind::kDiskFailStop:
-        ctx_->disk().AddOutageWindow(e.at, e.at + e.duration);
-        break;
       case iolfault::FaultKind::kLinkOutage:
         ctx_->link().AddOutageWindow(e.at, e.at + e.duration);
-        break;
-      case iolfault::FaultKind::kBackhaulFlap:
-        // Not this layer's fault to arm: the engine has no proxy handle.
-        // See iolproxy::ProxyServer::ArmBackhaulFaults.
         break;
     }
   }

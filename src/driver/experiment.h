@@ -87,10 +87,9 @@ struct ExperimentConfig {
   // lanes run concurrently.
   int shard_count = 1;
   // Multi-tenant QoS policy plane (src/qos; all members on one machine).
-  // When set, the engine classifies every request at issue time, calls
-  // QosPolicy::OnAdmit at the fleet front door (token-bucket delays are
-  // honored before the balancer runs), establishes the owning tenant on
-  // the SimContext for each serve, and fills ExperimentResult::tenants.
+  // When set, the engine classifies every request at issue time,
+  // establishes the owning tenant on the SimContext for each serve, and
+  // fills ExperimentResult::tenants.
   // Null runs the exact pre-QoS code paths. Not owned.
   iolqos::QosPolicy* qos = nullptr;
   // Fixed file-cache byte budget enforced after each completion (0 = off;
@@ -101,9 +100,8 @@ struct ExperimentConfig {
   // Deterministic fault plan (src/fault; all members on one machine). The
   // engine arms member crash/restart flips on the event queue and device
   // degradation windows on the context's disk/link Resources before the
-  // run starts; backhaul flaps are armed by the proxy's owner instead (the
-  // engine has no proxy handle). Null — or an EMPTY plan — leaves every
-  // code path untouched: the golden determinism tests pin byte-identity.
+  // run starts. Null — or an EMPTY plan — leaves every code path
+  // untouched: the golden determinism tests pin byte-identity.
   // Not owned. A plan containing member crashes requires the recovery
   // plane below (a black-holed request would otherwise hang the run).
   const iolfault::FaultPlan* faults = nullptr;
@@ -373,10 +371,8 @@ class Experiment {
   void OnShardMessage(uint32_t lane, const iolsim::ShardMsg& msg);
 
   // --- Front door on one machine -------------------------------------------
-  // Request reaches the fleet: QosPolicy::OnAdmit may delay it
-  // (token-bucket throttling), then the balancer picks a member.
+  // Request reaches the fleet: the balancer picks a member.
   void ArriveAtFleet(size_t lane);
-  void AdmitToFleet(size_t lane);
 
   // --- Member half: member m and a request slot on its machine ------------
   // Admitted now, or queued behind the member's max_concurrent.

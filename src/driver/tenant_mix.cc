@@ -22,9 +22,6 @@ void TenantMix::Configure(iolqos::QosPolicy* policy, iolqos::CachePlan* plan) {
   for (size_t i = 0; i < specs_.size(); ++i) {
     const TenantWorkloadSpec& s = specs_[i];
     ids_[i] = policy->Register(s.name, s.weight);
-    if (s.throttle_tokens_per_sec > 0) {
-      policy->SetThrottle(ids_[i], s.throttle_tokens_per_sec, s.throttle_burst);
-    }
     if (plan != nullptr && s.cache_reserved_bytes > 0) {
       plan->SetReserved(ids_[i], s.cache_reserved_bytes);
     }

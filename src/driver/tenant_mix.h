@@ -4,9 +4,8 @@
 // a closed-loop client population and its own file-request stream (a hot
 // Zipf core, a sequential cache-busting scan, ...), and the mix runs them
 // against a single fleet. Configure() projects the mix into a QosPolicy —
-// tenant registrations, WFQ weights, front-door token buckets — and into a
-// CachePlan's reserved shares, so a bench can sweep the same mix with the
-// policy plane on or off.
+// tenant registrations and WFQ weights — and into a CachePlan's reserved
+// shares, so a bench can sweep the same mix with the policy plane on or off.
 //
 // The engine resolves the tenant of every arrival via TenantOf (called
 // immediately before NextFile), so per-request telemetry records carry the
@@ -35,9 +34,6 @@ struct TenantWorkloadSpec {
   int clients = 1;
   // Per-request file source for this tenant's clients.
   std::function<iolfs::FileId()> next_file;
-  // Front-door token bucket (requests/sec); 0 = unthrottled.
-  double throttle_tokens_per_sec = 0;
-  double throttle_burst = 1;
   // Reserved share under cache partitioning; 0 = bids for the shared pool.
   uint64_t cache_reserved_bytes = 0;
 };
@@ -46,7 +42,7 @@ class TenantMix : public Workload {
  public:
   explicit TenantMix(std::vector<TenantWorkloadSpec> specs);
 
-  // Registers every tenant with `policy` (names, weights, throttles) and,
+  // Registers every tenant with `policy` (names and weights) and,
   // when `plan` is given, its reserved cache share. Tenant ids assigned by
   // a fresh policy match the ids used without one (spec i -> tenant i+1),
   // so QoS-on and QoS-off runs of the same mix report comparable tags.

@@ -43,31 +43,12 @@ FaultPlan& FaultPlan::AddDiskFailSlow(iolsim::SimTime at,
   return Add(e);
 }
 
-FaultPlan& FaultPlan::AddDiskFailStop(iolsim::SimTime at,
-                                      iolsim::SimTime duration) {
-  FaultEvent e;
-  e.kind = FaultKind::kDiskFailStop;
-  e.at = at;
-  e.duration = duration;
-  return Add(e);
-}
-
 FaultPlan& FaultPlan::AddLinkOutage(iolsim::SimTime at,
                                     iolsim::SimTime duration) {
   FaultEvent e;
   e.kind = FaultKind::kLinkOutage;
   e.at = at;
   e.duration = duration;
-  return Add(e);
-}
-
-FaultPlan& FaultPlan::AddBackhaulFlap(iolsim::SimTime at,
-                                      iolsim::SimTime duration, int level) {
-  FaultEvent e;
-  e.kind = FaultKind::kBackhaulFlap;
-  e.at = at;
-  e.duration = duration;
-  e.target = level;
   return Add(e);
 }
 

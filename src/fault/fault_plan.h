@@ -14,13 +14,9 @@
 //                     member's share of the unified cache is evicted at
 //                     restart — "cold cache").
 //   kDiskFailSlow  -> Resource slow window on SimContext::disk().
-//   kDiskFailStop  -> Resource outage window on SimContext::disk().
 //   kLinkOutage    -> Resource outage window on SimContext::link() (the
 //                     front link a LinkSpec wraps; transmissions queue and
 //                     resume FIFO when the partition heals).
-//   kBackhaulFlap  -> iolproxy::ProxyServer::AddBackhaulOutage (armed by
-//                     whoever owns the proxy; the experiment engine has no
-//                     proxy handle, see ProxyServer::ArmBackhaulFaults).
 //
 // The recovery half (timeouts, retries, hedging, health checks) is
 // configured by RecoveryConfig in src/fault/recovery.h and implemented by
@@ -39,19 +35,14 @@ namespace iolfault {
 enum class FaultKind : uint8_t {
   kMemberCrash,   // target = fleet member; duration = restart delay.
   kDiskFailSlow,  // duration window; service *= slow_num/slow_den.
-  kDiskFailStop,  // duration window; the disk serves nothing.
   kLinkOutage,    // duration window; the front link carries nothing.
-  kBackhaulFlap,  // duration window; the proxy backhaul carries nothing.
 };
 
 struct FaultEvent {
   FaultKind kind = FaultKind::kMemberCrash;
   iolsim::SimTime at = 0;        // Window / crash start (absolute sim time).
   iolsim::SimTime duration = 0;  // Window length / restart delay.
-  // kMemberCrash: the fleet member. kBackhaulFlap: the CDN hierarchy level
-  // whose uplinks flap (-1 = every level; ignored by single-proxy tiers,
-  // which own exactly one backhaul wire).
-  int target = 0;
+  int target = 0;                // kMemberCrash: the fleet member.
   uint32_t slow_num = 4;         // Fail-slow multiplier num/den.
   uint32_t slow_den = 1;
   // Crash only: evict the member's share of the unified cache at restart
@@ -76,12 +67,7 @@ class FaultPlan {
                             bool cold_cache = true);
   FaultPlan& AddDiskFailSlow(iolsim::SimTime at, iolsim::SimTime duration,
                              uint32_t num, uint32_t den);
-  FaultPlan& AddDiskFailStop(iolsim::SimTime at, iolsim::SimTime duration);
   FaultPlan& AddLinkOutage(iolsim::SimTime at, iolsim::SimTime duration);
-  // `level` targets one CDN hierarchy level's uplinks (src/driver CdnTier);
-  // -1 flaps every level. Single-proxy tiers ignore the level.
-  FaultPlan& AddBackhaulFlap(iolsim::SimTime at, iolsim::SimTime duration,
-                             int level = -1);
 
   // Seeded generators (SplitMix64; pure integer arithmetic so the schedule
   // is identical on every platform). Crashes are spread over [0, horizon):

@@ -20,8 +20,6 @@ uint64_t WordOf(uint64_t word, uint32_t low) {
 
 uint32_t StateOf(uint64_t word) { return static_cast<uint32_t>(word); }
 
-uint64_t NowMicros() { return MonotonicNs() / 1000; }
-
 // The slot word's low half, the state: the futex word its waiter parks on.
 std::atomic<uint32_t>* StateWordOf(ShmFuturePool::FutureSlot* s) {
   return reinterpret_cast<std::atomic<uint32_t>*>(&s->word);
@@ -135,16 +133,19 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
                                               const YieldFn& yield) {
   WaitResult result;
   FutureSlot* s = SlotOf(h);
-  if (s == nullptr || (s->word.load(std::memory_order_acquire) >> 32) != (h >> 32)) {
+  uint64_t word = s == nullptr ? 0 : s->word.load(std::memory_order_acquire);
+  if (s == nullptr || (word >> 32) != (h >> 32)) {
     result.error = 1;
     return result;
   }
-  uint64_t deadline = NowMicros() + timeout_us;
-  const uint64_t spin_end = MonotonicNs() + kSpinBudgetNs;
+  // The clocks start on the first poll that finds no answer: a response
+  // already in costs one load of the slot word and no clock read.
+  uint64_t deadline = 0;
+  uint64_t spin_end = 0;  // 0 until the clocks start.
   bool failed_it = false;
   bool extended = false;
-  for (;;) {
-    uint32_t st = StateOf(s->word.load(std::memory_order_acquire));
+  for (;; word = s->word.load(std::memory_order_acquire)) {
+    uint32_t st = StateOf(word);
     if (st == kReady) {
       result.ok = true;
       result.value[0] = s->value[0];
@@ -158,6 +159,10 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
     }
     uint64_t now_ns = MonotonicNs();
     uint64_t now = now_ns / 1000;
+    if (spin_end == 0) {
+      deadline = now + timeout_us;
+      spin_end = now_ns + kSpinBudgetNs;
+    }
     if (now >= deadline) {
       // Deadline: try to fail the future ourselves. Losing the race to a
       // filler is fine — the next poll observes its result instead.
@@ -174,7 +179,7 @@ ShmFuturePool::WaitResult ShmFuturePool::Wait(FutureHandle h, uint64_t timeout_u
           return result;
         }
         extended = true;
-        deadline = NowMicros() + timeout_us;
+        deadline = now + timeout_us;
       }
       continue;
     }

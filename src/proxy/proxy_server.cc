@@ -98,7 +98,6 @@ void ProxyServer::ReleaseNode(uint32_t idx) {
   node.req = nullptr;
   node.body = iolite::Aggregate{};
   node.is_fetch = false;
-  node.degraded = false;
   nodes_.Release(idx);
 }
 
@@ -136,20 +135,11 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
     req->cache_hit = true;
     node.body = std::move(*cached);
     node.served_version = cache_->VersionOf(req->file);
-    // Serve-stale: a hit during a backhaul outage serves from the proxy
-    // tier exactly as it always does — count it so the drill can assert
-    // the proxy stayed available through the flap.
-    iolsim::SimTime now = ctx_->clock().now();
-    if (BackhaulDown(now)) {
-      ++stale_hits_;
-    }
     if (consistency_on()) {
-      if (ccfg_.mode == ConsistencyMode::kRevalidate && Expired(req->file, now) &&
-          !BackhaulDown(now)) {
+      if (ccfg_.mode == ConsistencyMode::kRevalidate &&
+          Expired(req->file, ctx_->clock().now())) {
         // Expired entry: a conditional check must travel up the backhaul
-        // before these bytes may be served again. (During an outage the
-        // check cannot travel — fall through and serve stale instead: an
-        // edge masks its parent's flap at a measured staleness cost.)
+        // before these bytes may be served again.
         uint64_t cached_version = cache_->VersionOf(req->file);
         iolhttp::RunStageOn(
             ctx_, proxy_cpu(), nullptr,
@@ -162,19 +152,10 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
             },
             [this, idx, cached_version] {
               // One backhaul round trip: conditional request up, header-only
-              // answer down — shaped like any other backhaul bytes.
-              iolsim::SimTime rtt = 2 * config_.backhaul_one_way_delay;
-              if (shaper_ != nullptr) {
-                iolsim::SimTime hold =
-                    shaper_->DelayFor(ctx_->clock().now(), kRevalidationBytes);
-                if (hold > 0) {
-                  cdn_stats().shaper_holds++;
-                }
-                rtt += hold;
-              }
-              ctx_->events().ScheduleAfter(rtt, [this, idx, cached_version] {
-                RevalidateResolve(idx, cached_version);
-              });
+              // answer down.
+              ctx_->events().ScheduleAfter(
+                  2 * config_.backhaul_one_way_delay,
+                  [this, idx, cached_version] { RevalidateResolve(idx, cached_version); });
             });
         return;
       }
@@ -186,15 +167,6 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
   }
   req->cache_hit = false;
   cdn_stats().misses++;
-  // Fail-open: with the backhaul inside an outage window, a miss cannot
-  // reach the origin until the window closes. Rather than queueing the
-  // fetch behind the outage (tail latency), answer immediately with a
-  // degraded header-only response.
-  if (config_.fail_open && !shared_cache_ && BackhaulDown(ctx_->clock().now())) {
-    ++fail_open_serves_;
-    ServeDegraded(idx);
-    return;
-  }
   node.is_fetch = true;
   node.fetch_issue = ctx_->clock().now();
   if (shared_cache_) {
@@ -202,33 +174,6 @@ void ProxyServer::LookupStage(iolhttp::RequestContext* req) {
   } else {
     ForwardRemote(idx);
   }
-}
-
-// --- Fault plane (src/fault) ------------------------------------------------
-
-void ProxyServer::AddBackhaulOutage(iolsim::SimTime start, iolsim::SimTime end) {
-  backhaul_link_.AddOutageWindow(start, end);
-}
-
-void ProxyServer::ArmBackhaulFaults(const iolfault::FaultPlan& plan) {
-  for (const iolfault::FaultEvent& e : plan.events()) {
-    if (e.kind == iolfault::FaultKind::kBackhaulFlap) {
-      AddBackhaulOutage(e.at, e.at + e.duration);
-    }
-  }
-}
-
-bool ProxyServer::BackhaulDown(iolsim::SimTime t) const {
-  return backhaul_link_.InOutage(t);
-}
-
-void ProxyServer::ServeDegraded(uint32_t idx) {
-  // The degraded answer is proxy-generated: one header, no body, no
-  // backhaul traffic. node.body stays empty, so both serve tails emit a
-  // zero-length payload; is_fetch stays false, so no fetch record is
-  // fabricated for a fetch that never happened.
-  nodes_[idx].degraded = true;
-  ServeBody(idx);
 }
 
 // --- Socket backhaul (kRemote, and kColocated + kCopy) ----------------------
@@ -289,15 +234,6 @@ void ProxyServer::OnFetchDone(uint32_t idx) {
     // serving; ReceiveStage compares against the authority again to catch
     // writes that beat the payload down the wire.
     node.fetch_version = ccfg_.source->VersionOf(node.req->file);
-    if (shaper_ != nullptr) {
-      uint64_t size = io_->fs().SizeOf(node.req->file);
-      iolsim::SimTime hold = shaper_->DelayFor(
-          ctx_->clock().now(), size + iolhttp::kResponseHeaderBytes);
-      if (hold > 0) {
-        cdn_stats().shaper_holds++;
-      }
-      delay += hold;
-    }
   }
   ctx_->events().ScheduleAfter(delay, [this, idx] { ReceiveStage(idx); });
 }
@@ -465,9 +401,7 @@ void ProxyServer::ServeBody(uint32_t idx) {
           ctx_->ChargeCpu(ctx_->cost().SyscallCost());
           ctx_->stats().syscalls++;
           node.req->response_bytes = node.req->conn->SendAggregate(response);
-          if (!node.degraded) {
-            CheckDelivery(node.body, node.req->file, node.served_version);
-          }
+          CheckDelivery(node.body, node.req->file, node.served_version);
         },
         [this, idx] { FinishServe(idx); });
   } else {

@@ -48,13 +48,11 @@
 
 #include "src/driver/fleet.h"
 #include "src/driver/telemetry.h"
-#include "src/fault/fault_plan.h"
 #include "src/fs/file_cache.h"
 #include "src/httpd/http_server.h"
 #include "src/iolite/runtime.h"
 #include "src/net/tcp.h"
 #include "src/proxy/consistency.h"
-#include "src/qos/backhaul_shaper.h"
 #include "src/simos/sim_context.h"
 #include "src/simos/slot_pool.h"
 
@@ -108,15 +106,6 @@ struct ProxyConfig {
   // Origin-side service loop for one IOL-IPC fetch (descriptor pop, unified
   // cache read, descriptor push) beyond the charged syscalls.
   iolsim::SimTime origin_ipc_request_cpu = 50 * iolsim::kMicrosecond;
-
-  // Fault plane (src/fault): when the backhaul is inside an outage window
-  // (AddBackhaulOutage / ArmBackhaulFaults), cache hits keep serving from
-  // the proxy tier regardless — that is serve-stale, and it needs no flag.
-  // fail_open decides what a *miss* does: true serves an immediate degraded
-  // header-only response (counted in fail_open_serves()); false lets the
-  // fetch queue behind the outage on the backhaul Resource, surfacing the
-  // flap as tail latency instead of errors.
-  bool fail_open = false;
 };
 
 class ProxyServer : public iolhttp::HttpServer {
@@ -145,25 +134,6 @@ class ProxyServer : public iolhttp::HttpServer {
   iolfs::FileCache& proxy_cache() { return *cache_; }
   bool shares_unified_cache() const { return shared_cache_; }
 
-  // --- Fault plane (src/fault) -------------------------------------------
-  // Declares a backhaul outage window [start, end): the backhaul Resource
-  // stalls transmissions until `end`, and LookupStage consults the window
-  // for the serve-stale / fail-open decision. The engine's ArmFaults
-  // deliberately skips FaultKind::kBackhaulFlap — the backhaul wire is
-  // proxy-owned state, so the proxy owner arms it here.
-  void AddBackhaulOutage(iolsim::SimTime start, iolsim::SimTime end);
-  // Arms every kBackhaulFlap event of the plan (other kinds are ignored;
-  // they belong to the engine's ArmFaults).
-  void ArmBackhaulFaults(const iolfault::FaultPlan& plan);
-  // Whether the backhaul sits inside an outage window at time t.
-  bool BackhaulDown(iolsim::SimTime t) const;
-
-  // Hits served from the proxy tier while the backhaul was down
-  // (serve-stale), and misses answered with a degraded header-only
-  // response under fail_open.
-  uint64_t stale_hits() const { return stale_hits_; }
-  uint64_t fail_open_serves() const { return fail_open_serves_; }
-
   // --- CDN consistency plane (src/cdn) -----------------------------------
   // Attaches a consistency protocol: fetched objects are version-tagged in
   // the cache, hits are checked against the authoritative VersionSource,
@@ -183,12 +153,6 @@ class ProxyServer : public iolhttp::HttpServer {
   // Whether any extent of `file` sits in this proxy's cache (invalidation
   // targeting; pure metadata, no hit/miss accounting).
   bool CachesFile(iolfs::FileId file) const { return cache_->Contains(file); }
-
-  // Token-bucket shaping of this proxy's backhaul bytes (ROADMAP 5a): when
-  // set, fetched payload, revalidation headers and invalidation frames are
-  // delayed to the shaper's grant before crossing the link. Not owned.
-  void set_backhaul_shaper(iolqos::BackhaulShaper* shaper) { shaper_ = shaper; }
-  iolqos::BackhaulShaper* backhaul_shaper() { return shaper_; }
 
   // Serves whose bytes were older than the origin's current version, and
   // the age of each such serve (now - the write that obsoleted the bytes).
@@ -226,9 +190,8 @@ class ProxyServer : public iolhttp::HttpServer {
     // this fetch (consistency plane; 0 with consistency off).
     uint64_t fetch_version = 0;
     // The version of the bytes `body` is meant to hold: what the delivery
-    // check compares it with. Unused for a degraded (header-only) serve.
+    // check compares it with.
     uint64_t served_version = 0;
-    bool degraded = false;
   };
 
   // The CPU the proxy's stages run on: its own machine's, or the shared
@@ -249,8 +212,6 @@ class ProxyServer : public iolhttp::HttpServer {
   void ForwardIpc(uint32_t idx);         // kColocated + kIoLite.
   void OriginIpcServe(uint32_t idx);
   void OnOriginRead(uint32_t idx, bool was_miss);
-  // Fail-open miss path: immediate degraded header-only response.
-  void ServeDegraded(uint32_t idx);
   // Shared tail: serve node's body to the client over the front link.
   void ServeBody(uint32_t idx);
   void FinishServe(uint32_t idx);
@@ -299,15 +260,9 @@ class ProxyServer : public iolhttp::HttpServer {
   uint64_t origin_misses_ = 0;
   std::vector<ioldrv::RequestRecord> fetch_records_;
 
-  // Fault plane: outage windows live on backhaul_link_ itself (the
-  // Resource defers transmissions and answers BackhaulDown via InOutage).
-  uint64_t stale_hits_ = 0;
-  uint64_t fail_open_serves_ = 0;
-
   // Consistency plane (all empty/idle while ccfg_.mode == kNone, so the
   // pre-CDN event sequence is untouched).
   ConsistencyConfig ccfg_;
-  iolqos::BackhaulShaper* shaper_ = nullptr;
   // kRevalidate: instant until which each cached object is trusted.
   std::unordered_map<iolfs::FileId, iolsim::SimTime> expires_;
   uint64_t stale_serves_ = 0;

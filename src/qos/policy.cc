@@ -41,20 +41,6 @@ void QosPolicy::SetStarvationBound(iolsim::SimTime max_wait) {
   }
 }
 
-void QosPolicy::SetThrottle(TenantId t, double tokens_per_sec, double burst_tokens) {
-  if (t >= throttles_.size()) {
-    throttles_.resize(t + 1);
-  }
-  throttles_[t] = std::make_unique<TokenBucket>(tokens_per_sec, burst_tokens);
-}
-
-iolsim::SimTime QosPolicy::OnAdmit(TenantId t, iolsim::SimTime now) {
-  if (t < throttles_.size() && throttles_[t] != nullptr) {
-    return throttles_[t]->ReserveAt(now) - now;
-  }
-  return 0;
-}
-
 void QosPolicy::OnCacheLookup(TenantId t, bool hit, bool proxy_tier) {
   CacheCounters& c = MutableCounters(t, proxy_tier);
   if (hit) {

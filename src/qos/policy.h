@@ -1,13 +1,8 @@
-// QosPolicy: the per-machine policy plane tying tenants, fair schedulers,
-// throttles, and per-tenant cache accounting together.
+// QosPolicy: the per-machine policy plane tying tenants, fair schedulers
+// and per-tenant cache accounting together.
 //
-// The engine (src/driver/experiment.cc) and the caches consult the policy at
-// two points as a request flows through the pipeline:
-//
-//   OnAdmit        fleet front door, before the balancer — the tenant's
-//                  token bucket may delay the request
-//   OnCacheLookup  every unified/proxy cache probe — per-tenant hit/miss
-//                  accounting
+// The caches consult the policy on every unified/proxy cache probe
+// (OnCacheLookup: per-tenant hit/miss accounting) and eviction.
 //
 // Weighted fair sharing on CPU/disk/link attaches separately via
 // AttachWfq(ctx): one FairScheduler per resource, all reading this policy's
@@ -24,7 +19,6 @@
 
 #include "src/qos/fair_queue.h"
 #include "src/qos/tenant.h"
-#include "src/qos/token_bucket.h"
 #include "src/simos/sim_context.h"
 
 namespace iolqos {
@@ -73,17 +67,7 @@ class QosPolicy {
     return schedulers_;
   }
 
-  // --- Throttling -----------------------------------------------------------
-
-  // Installs/replaces the built-in front-door token bucket for `t`
-  // (tokens = requests), applied at OnAdmit.
-  void SetThrottle(TenantId t, double tokens_per_sec, double burst_tokens);
-
   // --- Request events -------------------------------------------------------
-
-  // Fired by the engine at the fleet front door. Returns the admission
-  // delay the tenant's token bucket imposes (0 = admit now).
-  iolsim::SimTime OnAdmit(TenantId t, iolsim::SimTime now);
 
   // Fired by FileCache on every probe when attached (see FileCache::
   // AttachQos). Updates per-tenant counters.
@@ -101,7 +85,6 @@ class QosPolicy {
 
   TenantRegistry registry_;
   std::vector<std::unique_ptr<FairScheduler>> schedulers_;
-  std::vector<std::unique_ptr<TokenBucket>> throttles_;  // By tenant; null = none.
   std::vector<CacheCounters> unified_counters_;
   std::vector<CacheCounters> proxy_counters_;
   iolsim::SimTime starvation_bound_ = 0;

@@ -801,20 +801,6 @@ class Resource {
     SortFaultWindows();
   }
 
-  // True if a fail-stop window covers `t` (proxy fail-open checks this
-  // before queueing a fetch behind a dead backhaul).
-  bool InOutage(SimTime t) const {
-    for (const FaultWindow& w : fault_windows_) {
-      if (w.start > t) {
-        break;  // Sorted by start: no later window can cover t.
-      }
-      if (w.num == 0 && t < w.end) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   bool has_fault_windows() const { return !fault_windows_.empty(); }
 
  private:

@@ -22,8 +22,7 @@ namespace iolsim {
   X(invalidations_applied) /* ...that actually dropped an entry. */       \
   X(revalidations)         /* Conditional checks issued upward. */        \
   X(revalidation_bytes)    /* Header bytes those checks moved. */         \
-  X(fetch_races)           /* In-flight fetches beaten by a write. */     \
-  X(shaper_holds)          /* Backhaul transfers delayed by shaping. */
+  X(fetch_races)           /* In-flight fetches beaten by a write. */
 
 struct SimStats {
   // Data-touching operations.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <unordered_set>
 
 namespace iolwl {
@@ -269,50 +267,6 @@ double TimestampedLog::MeanArrivalsPerSec() const {
     return 0;
   }
   return static_cast<double>(entries.size() - 1) / iolsim::ToSeconds(span);
-}
-
-std::string TimestampedLog::ToText() const {
-  std::string out;
-  char line[64];
-  for (const Entry& e : entries) {
-    std::snprintf(line, sizeof(line), "%.9f %u\n", iolsim::ToSeconds(e.at), e.rank);
-    out += line;
-  }
-  return out;
-}
-
-TimestampedLog TimestampedLog::Parse(const std::string& text) {
-  TimestampedLog log;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') {
-      continue;
-    }
-    double seconds = 0;
-    long long rank = 0;  // Signed so "-1" is rejected instead of wrapping.
-    int consumed = 0;
-    // 9e9 seconds (~285 simulated years) keeps seconds * kSecond well
-    // inside SimTime; anything larger would overflow llround into a
-    // garbage negative instant.
-    if (std::sscanf(line.c_str() + start, "%lf %lld %n", &seconds, &rank, &consumed) != 2 ||
-        !std::isfinite(seconds) || seconds < 0 || seconds > 9.0e9 || rank < 0 ||
-        rank > 0xffffffffll ||
-        line.find_first_not_of(" \t\r", start + consumed) != std::string::npos) {
-      return TimestampedLog{};  // Malformed line: reject the whole log.
-    }
-    // Round (not truncate): the text form is decimal seconds, and
-    // truncation would shave a nanosecond off exactly-representable
-    // instants, breaking the ToText/Parse round trip.
-    log.entries.push_back(
-        Entry{static_cast<iolsim::SimTime>(
-                  std::llround(seconds * static_cast<double>(iolsim::kSecond))),
-              static_cast<uint32_t>(rank)});
-  }
-  std::stable_sort(log.entries.begin(), log.entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.at < b.at; });
-  return log;
 }
 
 TimestampedLog SynthesizeArrivals(const Trace& trace, double arrivals_per_sec,

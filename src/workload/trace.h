@@ -101,14 +101,6 @@ struct TimestampedLog {
   // Mean arrival rate over the log's span; 0 for logs shorter than two
   // entries or with zero span.
   double MeanArrivalsPerSec() const;
-
-  // Text form, one "<arrival-seconds> <rank>" pair per line — the common
-  // denominator of real access-log exports. ToText/Parse round-trip.
-  std::string ToText() const;
-  // Parses the text form; '#' comment lines and blank lines are skipped.
-  // Entries are sorted into time order. Malformed lines return an empty
-  // log (entries.empty()) rather than a partial one.
-  static TimestampedLog Parse(const std::string& text);
 };
 
 // Synthesizes arrival timestamps for `trace`'s request sequence: a Poisson

@@ -1,10 +1,10 @@
 // Tests for the CDN hierarchy (src/cdn + ioldrv::CdnTier): run-twice byte
 // identity under every consistency protocol, the kInvalidate "never serve
 // older than the acknowledged write" invariant, the exact kRevalidate TTL
-// staleness bound, kStale's serve-forever accounting, per-level backhaul
-// shaping, per-level results as the run's slice of the machine's counters,
-// and the topology checks that abort in every build type. The
-// one-level tree's goldens live in proxy_test.cc.
+// staleness bound, kStale's serve-forever accounting, per-level results
+// as the run's slice of the machine's counters, and the topology checks
+// that abort in every build type. The one-level tree's goldens live in
+// proxy_test.cc.
 //
 // Every test is fork-free and thread-free (label `cdn` in CMake, so both
 // sanitizer jobs run it). Where a test drives proxies by hand it uses the
@@ -480,54 +480,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::nullopt, ioltest::Mutant::kWrongFile,
                       ioltest::Mutant::kStaleLabelledCurrent, ioltest::Mutant::kOffByOne,
                       ioltest::Mutant::kDroppedSlice));
-
-// --- Backhaul shaping (ROADMAP 5a) --------------------------------------------
-
-TEST(CdnShapingTest, TightShapeHoldsBackhaulBytes) {
-  CdnTopology topo;
-  CdnLevelSpec only;
-  only.count = 1;
-  only.cache_bytes = 1024 * 1024;
-  only.shape_bytes_per_sec = 100 * 1024;  // 100 KB/s: ~60ms per 6KB object.
-  only.shape_burst_bytes = 8 * 1024;      // One object passes unheld.
-  topo.levels = {only};
-  topo.protocol = ConsistencyMode::kStale;
-  CdnRig rig = MakeCdnRig(std::move(topo), /*num_origins=*/1, /*docs=*/3,
-                          /*doc_bytes=*/6 * 1024, ExperimentConfig{});
-  iolproxy::ProxyServer& edge = rig.tier->proxy(0, 0);
-  iolnet::TcpConnection conn(&rig.sys->net(), true);
-  conn.Connect();
-
-  // Three cold fetches back to back: the first rides the burst, the rest
-  // wait for tokens. The holds counter is the shaped-bytes audit trail.
-  SimTime unshaped_estimate;
-  {
-    CdnTopology flat = TwoLevelTopo(ConsistencyMode::kStale, 0);
-    flat.levels.resize(1);
-    flat.levels[0].count = 1;
-    flat.levels[0].cache_bytes = 1024 * 1024;
-    CdnRig free_rig = MakeCdnRig(std::move(flat), 1, 3, 6 * 1024,
-                                 ExperimentConfig{});
-    iolnet::TcpConnection c2(&free_rig.sys->net(), true);
-    c2.Connect();
-    for (FileId f : free_rig.files) {
-      free_rig.tier->proxy(0, 0).HandleRequest(&c2, f);
-      Drain(free_rig.sys.get());
-    }
-    c2.Close();
-    unshaped_estimate = free_rig.sys->ctx().clock().now();
-  }
-  for (FileId f : rig.files) {
-    edge.HandleRequest(&conn, f);
-    Drain(rig.sys.get());
-  }
-  const iolsim::SimStats& stats = rig.sys->ctx().stats();
-  EXPECT_GT(stats.cdn[0].shaper_holds, 0u);
-  // Shaping shows up as time: the same fetch sequence takes longer than
-  // the unshaped wire.
-  EXPECT_GT(rig.sys->ctx().clock().now(), unshaped_estimate);
-  conn.Close();
-}
 
 // --- Topology checks (fprintf + abort: they hold in every build type) -------
 

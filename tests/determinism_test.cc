@@ -349,7 +349,6 @@ ioldrv::ExperimentResult GoldenReporterResult() {
     c.revalidations = k + 5;
     c.revalidation_bytes = k + 6;
     c.fetch_races = k + 7;
-    c.shaper_holds = k + 8;
     r.cdn_levels.push_back(c);
   }
   return r;
@@ -400,11 +399,11 @@ TEST(JsonReporterGoldenTest, RowsMatchCapturedDocument) {
       "\"cache_hit_fraction\": 0.75}], \"levels\": [{\"level\": 0, \"proxies\": 4, "
       "\"hit_rate\": 0.75, \"backhaul_bytes\": 101, \"stale_serves\": 102, "
       "\"invalidations_sent\": 103, \"invalidations_applied\": 104, "
-      "\"revalidations\": 105, \"revalidation_bytes\": 106, \"fetch_races\": 107, "
-      "\"shaper_holds\": 108}, {\"level\": 1, \"proxies\": 2, \"hit_rate\": 0.25, "
+      "\"revalidations\": 105, \"revalidation_bytes\": 106, \"fetch_races\": 107}, "
+      "{\"level\": 1, \"proxies\": 2, \"hit_rate\": 0.25, "
       "\"backhaul_bytes\": 201, \"stale_serves\": 202, \"invalidations_sent\": 203, "
       "\"invalidations_applied\": 204, \"revalidations\": 205, "
-      "\"revalidation_bytes\": 206, \"fetch_races\": 207, \"shaper_holds\": 208}]}\n"
+      "\"revalidation_bytes\": 206, \"fetch_races\": 207}]}\n"
       "]}\n");
 }
 

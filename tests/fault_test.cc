@@ -2,8 +2,7 @@
 // generators, Resource degradation windows end to end, the determinism
 // contracts (empty plan == no plan, chaos run twice == byte parity), the
 // recovery lattice (timeouts, retries, hedging, health ejection), balancer
-// ejection handling, tenant tags across retries, the proxy's backhaul
-// serve-stale / fail-open behavior, and PinLedger mechanics.
+// ejection handling, tenant tags across retries, and PinLedger mechanics.
 //
 // Every test here is fork-free and thread-free (label `fault` in CMake, so
 // the TSan job can include it), and every experiment is deterministic: the
@@ -17,10 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cdn/cdn_topology.h"
-#include "src/cdn/write_plan.h"
-#include "src/driver/cdn_tier.h"
-#include "src/driver/edge_mix.h"
 #include "src/driver/experiment.h"
 #include "src/driver/fleet.h"
 #include "src/driver/telemetry.h"
@@ -31,7 +26,6 @@
 #include "src/ipc/process_plane.h"
 #include "src/ipc/shm_region.h"
 #include "src/ipc/shm_table.h"
-#include "src/proxy/proxy_server.h"
 #include "src/system/system.h"
 
 namespace {
@@ -63,10 +57,8 @@ TEST(FaultPlanTest, BuildersComposeAndTagKinds) {
   plan.AddMemberCrash(5 * kMillisecond, /*member=*/1, 2 * kMillisecond,
                       /*cold_cache=*/false)
       .AddDiskFailSlow(1 * kMillisecond, 2 * kMillisecond, 8, 1)
-      .AddDiskFailStop(3 * kMillisecond, 1 * kMillisecond)
-      .AddLinkOutage(4 * kMillisecond, 1 * kMillisecond)
-      .AddBackhaulFlap(6 * kMillisecond, 2 * kMillisecond);
-  ASSERT_EQ(plan.events().size(), 5u);
+      .AddLinkOutage(4 * kMillisecond, 1 * kMillisecond);
+  ASSERT_EQ(plan.events().size(), 3u);
   EXPECT_FALSE(plan.empty());
   EXPECT_TRUE(plan.has_member_crashes());
 
@@ -196,24 +188,6 @@ SimTime ProbeRunLength(int members, int docs, uint64_t doc_bytes,
 }
 
 // --- Resource degradation windows, end to end ---------------------------------
-
-TEST(ResourceWindowTest, DiskFailStopDefersColdReadsPastTheWindow) {
-  const SimTime kOutageEnd = 100 * kMillisecond;
-  FleetRig calm = MakeRig(1, 1, 8 * 1024, /*prewarm=*/false);
-  RecoveryConfig off;
-  RunRig(&calm, nullptr, off, 1, 1, nullptr);
-  SimTime calm_clock = calm.sys->ctx().clock().now();
-  ASSERT_LT(calm_clock, kOutageEnd);  // The cold read alone is much faster.
-
-  FleetRig rig = MakeRig(1, 1, 8 * 1024, /*prewarm=*/false);
-  FaultPlan plan;
-  plan.AddDiskFailStop(0, kOutageEnd);
-  ExperimentResult result = RunRig(&rig, &plan, off, 1, 1, nullptr);
-  EXPECT_EQ(result.requests, 1u);
-  // The only request needs the stopped disk: it cannot complete before the
-  // device comes back.
-  EXPECT_GE(rig.sys->ctx().clock().now(), kOutageEnd);
-}
 
 TEST(ResourceWindowTest, DiskFailSlowStretchesColdRuns) {
   FleetRig calm = MakeRig(1, 8, 8 * 1024, /*prewarm=*/false);
@@ -491,221 +465,6 @@ TEST(RecoveryTest, TenantTagSurvivesRetries) {
     }
   }
   EXPECT_TRUE(saw_retry);
-}
-
-// --- Proxy backhaul: serve-stale and fail-open --------------------------------
-
-struct ProxyRig {
-  std::unique_ptr<System> sys;
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> origins;
-  std::unique_ptr<iolproxy::ProxyServer> proxy;
-  std::vector<FileId> files;
-};
-
-ProxyRig MakeProxyRig(bool fail_open) {
-  ProxyRig r;
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = 2;
-  options.cost.disk_count = 2;
-  options.policy = iolsys::SystemOptions::Policy::kGds;
-  options.checksum_cache = true;
-  r.sys = std::make_unique<System>(options);
-  for (int i = 0; i < 3; ++i) {
-    r.files.push_back(r.sys->fs().CreateFile("doc" + std::to_string(i), 6 * 1024));
-  }
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < 2; ++i) {
-    r.origins.push_back(std::make_unique<iolhttp::FlashLiteServer>(
-        &r.sys->ctx(), &r.sys->net(), &r.sys->io(), &r.sys->runtime()));
-    members.push_back(r.origins.back().get());
-  }
-  iolproxy::ProxyConfig config;
-  config.data_path = iolproxy::ProxyDataPath::kIoLite;
-  config.backhaul = iolproxy::BackhaulMode::kRemote;
-  config.fail_open = fail_open;
-  r.proxy = std::make_unique<iolproxy::ProxyServer>(
-      &r.sys->ctx(), &r.sys->net(), &r.sys->io(), &r.sys->runtime(), members,
-      config);
-  return r;
-}
-
-void Drain(System* sys) {
-  while (sys->ctx().events().RunOne()) {
-  }
-}
-
-TEST(ProxyFaultTest, BackhaulOutageServesStaleHitsAndFailsOpenOnMisses) {
-  ProxyRig r = MakeProxyRig(/*fail_open=*/true);
-  iolnet::TcpConnection conn(&r.sys->net(), true);
-  conn.Connect();
-  // Warm file 0 through the healthy backhaul.
-  r.proxy->HandleRequest(&conn, r.files[0]);
-  Drain(r.sys.get());
-  ASSERT_EQ(r.proxy->stale_hits(), 0u);
-
-  SimTime now = r.sys->ctx().clock().now();
-  SimTime heal = now + 200 * kMillisecond;
-  r.proxy->AddBackhaulOutage(now, heal);
-  ASSERT_TRUE(r.proxy->BackhaulDown(now));
-
-  // A cached object keeps serving from the proxy tier: serve-stale.
-  r.proxy->HandleRequest(&conn, r.files[0]);
-  Drain(r.sys.get());
-  EXPECT_EQ(r.proxy->stale_hits(), 1u);
-
-  // A miss cannot cross the dead backhaul; fail-open answers it degraded,
-  // immediately, instead of parking the client behind the outage.
-  r.proxy->HandleRequest(&conn, r.files[1]);
-  Drain(r.sys.get());
-  EXPECT_EQ(r.proxy->fail_open_serves(), 1u);
-  EXPECT_LT(r.sys->ctx().clock().now(), heal);
-  conn.Close();
-}
-
-TEST(ProxyFaultTest, FailClosedMissesQueueBehindTheOutage) {
-  ProxyRig r = MakeProxyRig(/*fail_open=*/false);
-  iolnet::TcpConnection conn(&r.sys->net(), true);
-  conn.Connect();
-  SimTime heal = 30 * kMillisecond;
-  r.proxy->AddBackhaulOutage(0, heal);
-  // The cold fetch queues on the backhaul Resource until the flap heals:
-  // the flap surfaces as tail latency, not an error.
-  r.proxy->HandleRequest(&conn, r.files[0]);
-  Drain(r.sys.get());
-  EXPECT_EQ(r.proxy->fail_open_serves(), 0u);
-  EXPECT_GE(r.sys->ctx().clock().now(), heal);
-  EXPECT_GT(r.proxy->proxy_cache().entry_count(), 0u);
-  conn.Close();
-}
-
-TEST(ProxyFaultTest, ArmBackhaulFaultsArmsOnlyFlapEvents) {
-  ProxyRig r = MakeProxyRig(/*fail_open=*/false);
-  FaultPlan plan;
-  plan.AddBackhaulFlap(10 * kMillisecond, 5 * kMillisecond);
-  plan.AddLinkOutage(0, 5 * kMillisecond);  // Engine-owned; must be ignored.
-  r.proxy->ArmBackhaulFaults(plan);
-  EXPECT_FALSE(r.proxy->BackhaulDown(2 * kMillisecond));
-  EXPECT_TRUE(r.proxy->BackhaulDown(12 * kMillisecond));
-  EXPECT_FALSE(r.proxy->BackhaulDown(16 * kMillisecond));
-}
-
-// --- CDN hierarchy: edge serve-stale masks a regional outage ------------------
-
-struct CdnDrillOutput {
-  ExperimentResult result;
-  Telemetry telemetry;
-  SimTime clock = 0;
-  uint64_t fail_open_serves = 0;
-};
-
-// Two edges behind one regional, kRevalidate with a short TTL, plus a
-// deterministic origin write stream so staleness has something to measure.
-// `plan` (may be null) is armed onto the hierarchy's backhaul wires.
-CdnDrillOutput RunCdnDrill(const FaultPlan* plan, SimTime ttl) {
-  CdnDrillOutput out;
-  iolsys::SystemOptions options;
-  options.cost.cpu_count = 2;
-  options.cost.disk_count = 2;
-  System sys(options);
-  std::vector<FileId> files;
-  for (int i = 0; i < 12; ++i) {
-    files.push_back(sys.fs().CreateFile("doc" + std::to_string(i), 4 * 1024));
-  }
-  std::vector<std::unique_ptr<iolhttp::HttpServer>> origins;
-  std::vector<iolhttp::HttpServer*> members;
-  for (int i = 0; i < 2; ++i) {
-    origins.push_back(std::make_unique<iolhttp::FlashLiteServer>(
-        &sys.ctx(), &sys.net(), &sys.io(), &sys.runtime()));
-    members.push_back(origins.back().get());
-  }
-  iolcdn::CdnTopology topo;
-  iolcdn::CdnLevelSpec edge;
-  edge.count = 2;
-  edge.cache_bytes = 256 * 1024;
-  iolcdn::CdnLevelSpec regional;
-  regional.count = 1;
-  regional.cache_bytes = 1024 * 1024;
-  topo.levels = {edge, regional};
-  topo.protocol = iolproxy::ConsistencyMode::kRevalidate;
-  topo.ttl = ttl;
-  iolproxy::ProxyConfig pc;
-  pc.data_path = iolproxy::ProxyDataPath::kIoLite;
-  pc.backhaul = iolproxy::BackhaulMode::kRemote;
-  ExperimentConfig config;
-  config.persistent_connections = true;
-  config.max_requests = 400;
-  config.warmup_requests = 0;
-  ioldrv::CdnTier tier(&sys.ctx(), &sys.net(), &sys.io(), &sys.runtime(),
-                       Fleet(members), topo, pc, config);
-  if (plan != nullptr) {
-    tier.ArmBackhaulFaults(*plan);
-  }
-  iolcdn::WritePlanSpec wspec;
-  wspec.writes_per_sec = 800;
-  wspec.num_files = files.size();
-  wspec.hot_bias = 1.0;
-  wspec.seed = 7;
-  iolcdn::WritePlan writes(&sys.ctx(), &tier.authority(), wspec);
-  tier.set_write_plan(&writes);
-  auto rng = std::make_shared<iolsim::Rng>(99);
-  std::vector<ioldrv::EdgePopulationSpec> pops;
-  pops.push_back({"metro-a", 2, [rng, &files]() -> FileId {
-                    return files[rng->NextBelow(8)];
-                  }});
-  pops.push_back({"metro-b", 2, [rng, &files]() -> FileId {
-                    return files[4 + rng->NextBelow(8)];
-                  }});
-  ioldrv::EdgeMix mix(std::move(pops));
-  out.result =
-      tier.Run(&mix, [&files]() { return files[0]; }, &out.telemetry);
-  out.clock = sys.ctx().clock().now();
-  for (int l = 0; l < tier.level_count(); ++l) {
-    for (int i = 0; i < tier.proxies_at(l); ++i) {
-      out.fail_open_serves += tier.proxy(l, i).fail_open_serves();
-    }
-  }
-  return out;
-}
-
-uint64_t CountDelivered(const Telemetry& t) {
-  uint64_t delivered = 0;
-  for (const RequestRecord& r : t.records()) {
-    if (r.counted && ioldrv::Delivered(r.outcome)) {
-      ++delivered;
-    }
-  }
-  return delivered;
-}
-
-TEST(CdnFaultTest, EdgeServeStaleMasksRegionalOutage) {
-  const SimTime kTtl = 3 * kMillisecond;
-  CdnDrillOutput calm = RunCdnDrill(nullptr, kTtl);
-  ASSERT_GT(calm.result.requests, 0u);
-  ASSERT_GT(calm.result.staleness.count, 0u);
-  // Fault-free, the revalidation protocol keeps every serve under the TTL.
-  EXPECT_LT(calm.result.staleness.max_ms,
-            static_cast<double>(kTtl) / kMillisecond);
-
-  // Take the regional away for the middle half of the run: every edge
-  // uplink (level 0) flaps, so edges can neither revalidate nor fetch.
-  FaultPlan plan;
-  plan.AddBackhaulFlap(calm.clock / 4, calm.clock / 2, /*level=*/0);
-  CdnDrillOutput faulted = RunCdnDrill(&plan, kTtl);
-
-  // Availability holds: the same number of requests completes, every
-  // counted record is a real delivery, and nothing fell back to degraded
-  // fail-open responses — warm edges absorbed the outage.
-  EXPECT_EQ(faulted.result.requests, calm.result.requests);
-  EXPECT_EQ(CountDelivered(faulted.telemetry),
-            CountDelivered(calm.telemetry));
-  EXPECT_EQ(faulted.fail_open_serves, 0u);
-
-  // The mask's price is freshness: entries that expired during the flap
-  // kept serving, so the staleness tail blows through the TTL bound the
-  // calm run obeys.
-  EXPECT_GT(faulted.result.staleness.p99_ms, calm.result.staleness.p99_ms);
-  EXPECT_GT(faulted.result.staleness.max_ms,
-            static_cast<double>(kTtl) / kMillisecond);
 }
 
 // --- PinLedger mechanics ------------------------------------------------------

@@ -8,13 +8,10 @@
 //  * Fairness: under continuous backlog, dispatched service converges to
 //    the weight ratio (within 1% over a long run).
 //  * Liveness: the bounded-wait guard promotes a starving tenant.
-//  * Rate limiting: the GCRA token bucket grants byte-identical timestamps
-//    on a replayed arrival sequence, with classic burst-then-sustained
-//    shape.
 //  * Isolation: cache partitioning never evicts a tenant within its
 //    reservation while another tenant is over its own.
-//  * End to end: a full adversarial-mix experiment with WFQ, partitions
-//    and a throttle attached is run-twice byte-identical.
+//  * End to end: a full adversarial-mix experiment with WFQ and partitions
+//    attached is run-twice byte-identical.
 
 #include <memory>
 #include <optional>
@@ -28,7 +25,6 @@
 #include "src/driver/tenant_mix.h"
 #include "src/qos/fair_queue.h"
 #include "src/qos/policy.h"
-#include "src/qos/token_bucket.h"
 #include "src/simos/rng.h"
 #include "src/system/system.h"
 
@@ -133,44 +129,6 @@ TEST(FairQueueTest, StarvationGuardPromotesOldestPastTagOrder) {
   EXPECT_TRUE(job.promoted);
   EXPECT_EQ(q.promotions(), 1u);
   EXPECT_EQ(q.Pop(now).token, 999u);
-}
-
-// --- TokenBucket: GCRA determinism -----------------------------------------
-
-TEST(TokenBucketTest, BurstThenSustainedRate) {
-  TokenBucket bucket(/*tokens_per_sec=*/1000.0, /*burst_tokens=*/3.0);
-  const iolsim::SimTime period = bucket.period();
-  EXPECT_EQ(period, iolsim::kMillisecond);
-  // Three grants pass back to back after idle; the fourth and fifth pay the
-  // sustained period.
-  EXPECT_EQ(bucket.ReserveAt(0), 0);
-  EXPECT_EQ(bucket.ReserveAt(0), 0);
-  EXPECT_EQ(bucket.ReserveAt(0), 0);
-  EXPECT_EQ(bucket.ReserveAt(0), period);
-  EXPECT_EQ(bucket.ReserveAt(0), 2 * period);
-  // After a long idle the burst allowance is back.
-  iolsim::SimTime later = 100 * period;
-  EXPECT_EQ(bucket.ReserveAt(later), later);
-  EXPECT_EQ(bucket.ReserveAt(later), later);
-}
-
-TEST(TokenBucketTest, ReplayedArrivalsGrantIdenticalTimestamps) {
-  iolsim::Rng rng(7);
-  std::vector<iolsim::SimTime> arrivals;
-  iolsim::SimTime now = 0;
-  for (int i = 0; i < 2000; ++i) {
-    now += static_cast<iolsim::SimTime>(rng.NextBelow(3 * iolsim::kMillisecond));
-    arrivals.push_back(now);
-  }
-  TokenBucket bucket(/*tokens_per_sec=*/750.0, /*burst_tokens=*/8.0);
-  std::vector<iolsim::SimTime> first;
-  for (iolsim::SimTime t : arrivals) {
-    first.push_back(bucket.ReserveAt(t));
-  }
-  bucket.Reset();
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    EXPECT_EQ(bucket.ReserveAt(arrivals[i]), first[i]) << "grant " << i;
-  }
 }
 
 // --- FairScheduler: the discipline on a Resource ---------------------------
@@ -447,8 +405,6 @@ MiniMixRun RunMiniMix() {
   specs[1].name = "scan";
   specs[1].weight = 1;
   specs[1].clients = 3;
-  specs[1].throttle_tokens_per_sec = 50;  // 20 ms period: always binds.
-  specs[1].throttle_burst = 1;
   specs[1].next_file = [scan_cursor, scan_files] {
     iolfs::FileId f = scan_files[*scan_cursor];
     *scan_cursor = (*scan_cursor + 1) % scan_files.size();
@@ -504,20 +460,6 @@ TEST(QosExperimentTest, AdversarialMixIsRunTwiceIdentical) {
   EXPECT_GT(a.result.tenants[0].requests, 0u);
   EXPECT_GT(a.result.tenants[1].requests, 0u);
   EXPECT_GT(a.result.tenants[0].cache_hit_rate, a.result.tenants[1].cache_hit_rate);
-}
-
-TEST(QosExperimentTest, ThrottleDelaysAdmissions) {
-  MiniMixRun run = RunMiniMix();
-  // The scan tenant's 50 req/s bucket must have held some arrivals back:
-  // admit > issue on a throttled record.
-  bool delayed = false;
-  for (const ioldrv::RequestRecord& r : run.records) {
-    if (r.tenant == 2 && r.admit > r.issue) {
-      delayed = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(delayed);
 }
 
 }  // namespace

@@ -157,48 +157,6 @@ TEST(TimestampedLogTest, DifferentSeedsGiveDifferentInstants) {
   EXPECT_NE(a.entries.back().at, b.entries.back().at);
 }
 
-TEST(TimestampedLogTest, TextRoundTripPreservesEntries) {
-  TraceSpec spec = SmallSpec();
-  spec.num_requests = 200;
-  Trace t = Trace::Generate(spec);
-  iolwl::TimestampedLog log = iolwl::SynthesizeArrivals(t, 1000.0, 7);
-  iolwl::TimestampedLog parsed = iolwl::TimestampedLog::Parse(log.ToText());
-  ASSERT_EQ(parsed.entries.size(), log.entries.size());
-  for (size_t i = 0; i < log.entries.size(); ++i) {
-    EXPECT_EQ(parsed.entries[i].at, log.entries[i].at);
-    EXPECT_EQ(parsed.entries[i].rank, log.entries[i].rank);
-  }
-}
-
-TEST(TimestampedLogTest, ParseSkipsCommentsAndSortsByTime) {
-  iolwl::TimestampedLog log = iolwl::TimestampedLog::Parse(
-      "# access log excerpt\n"
-      "\n"
-      "0.500 3\n"
-      "0.250 1\n"
-      "  0.750 2\n");
-  ASSERT_EQ(log.entries.size(), 3u);
-  EXPECT_EQ(log.entries[0].rank, 1u);
-  EXPECT_EQ(log.entries[1].rank, 3u);
-  EXPECT_EQ(log.entries[2].rank, 2u);
-  EXPECT_EQ(log.entries[0].at, iolsim::FromSeconds(0.25));
-}
-
-TEST(TimestampedLogTest, MalformedLinesRejectTheWholeLog) {
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("0.5 1\nbogus line\n").entries.empty());
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("-1.0 1\n").entries.empty());
-  // A negative rank must reject, not wrap to 4294967295.
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("0.5 -1\n").entries.empty());
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("0.5 4294967296\n").entries.empty());
-  // Non-finite instants and trailing garbage are malformed too.
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("nan 1\n").entries.empty());
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("inf 1\n").entries.empty());
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("0.5 1 junk\n").entries.empty());
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("0.5 1.7\n").entries.empty());
-  // Instants past the SimTime range would overflow llround into garbage.
-  EXPECT_TRUE(iolwl::TimestampedLog::Parse("1e10 0\n").entries.empty());
-}
-
 TEST(TimestampedLogTest, MeanRateOfShortLogsIsZero) {
   iolwl::TimestampedLog log;
   EXPECT_EQ(log.MeanArrivalsPerSec(), 0.0);
